@@ -8,7 +8,8 @@ variance 1/2 per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,11 +17,13 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     InvalidRegionError,
-    NumericError,
 )
 from .streams import complex_normal
 
 ORTHONORMALITY_TOL = 1e-8
+# Covariance eigenvalues at or below this fraction of a model's largest one are
+# roundoff; the low-rank factor drops their eigenvectors.
+FACTOR_RANK_CUT = 1e-15
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,13 @@ def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.
     """ULA response toward ``theta_deg``: entry m is exp(j*2*pi*d*m*sin(theta))."""
     if n < 1:
         raise InvalidParameterError("steering vector length must be >= 1")
+    return _steering_rows(n, spacing_wavelengths, theta_deg)
+
+
+def _steering_rows(n: int, spacing_wavelengths: float, angles_deg) -> np.ndarray:
+    """Steering vectors toward every angle of ``angles_deg``, stacked on a new last axis."""
     m = np.arange(n)
-    phase = 2.0 * np.pi * spacing_wavelengths * m * np.sin(np.deg2rad(theta_deg))
+    phase = 2.0 * np.pi * spacing_wavelengths * m * np.sin(np.deg2rad(angles_deg))[..., None]
     return np.exp(1j * phase)
 
 
@@ -73,19 +81,32 @@ def region_covariance(
     """
     if region_lo_deg >= region_hi_deg:
         raise InvalidRegionError("region lower edge must be below the upper edge")
+    return _region_covariances(
+        geometry, np.array([region_lo_deg]), np.array([region_hi_deg]), quadrature_points
+    )[0]
+
+
+def _region_covariances(
+    geometry: ArrayGeometry, lo_deg: np.ndarray, hi_deg: np.ndarray, quadrature_points: int
+) -> np.ndarray:
+    """``region_covariance`` for every region [lo_deg[k], hi_deg[k]] in one batched product."""
     if quadrature_points < 1:
         raise InvalidParameterError("quadrature_points must be >= 1")
-    q = quadrature_points
-    step = (region_hi_deg - region_lo_deg) / q
-    centers = region_lo_deg + (np.arange(q) + 0.5) * step
-    a = np.stack([steering_vector(geometry.n_tx, geometry.spacing_tx, t) for t in centers])
-    cov = a.T @ a.conj() * np.deg2rad(step)
-    return 0.5 * (cov + cov.conj().T)
+    step = (hi_deg - lo_deg) / quadrature_points
+    centers = lo_deg[:, None] + (np.arange(quadrature_points) + 0.5) * step[:, None]
+    a = _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)  # (K, q, N_t)
+    cov = a.transpose(0, 2, 1) @ a.conj() * np.deg2rad(step)[:, None, None]
+    return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
 
 
 @dataclass(eq=False)
 class GmmUserModel:
-    """Per-user Gaussian-mixture channel prior plus its pilot-phase noise level."""
+    """Per-user Gaussian-mixture channel prior plus its pilot-phase noise level.
+
+    The eigendecomposition of every covariance is taken once, at construction:
+    it validates the covariances and yields their square roots, which serve
+    both the channel sampler and the low-rank ``factor``.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -93,7 +114,6 @@ class GmmUserModel:
     noise_std: float
     mean_aoa: float = 0.0
     azimuth_spread: float = 0.0
-    _factors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -118,9 +138,12 @@ class GmmUserModel:
         )
         if herm_gap > 1e-12 * scale:
             raise InvalidParameterError("covariances must be Hermitian")
-        min_eig = min(float(np.linalg.eigvalsh(c).min()) for c in self.covariances)
-        if min_eig < -1e-10 * scale:
+        vals, vecs = np.linalg.eigh(self.covariances)  # eigenvalues ascending
+        if vals.min() < -1e-10 * scale:
             raise InvalidParameterError("covariances must be positive semidefinite")
+        self._eigvals = vals
+        # full square roots A_n with A_n A_n^H = R_n (R_n may be singular)
+        self._roots = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
 
     @property
     def n_components(self) -> int:
@@ -129,6 +152,19 @@ class GmmUserModel:
     @property
     def n_tx(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Low-rank square roots of the covariances, stacked as (N_t, N_k * q).
+
+        Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n up to the
+        dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the largest
+        numerical rank over the components (at least 1, at most N_t).
+        """
+        vals = self._eigvals
+        rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
+        cols = self._roots[:, :, vals.shape[1] - rank :]
+        return np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(self.n_tx, -1)
 
 
 @dataclass(frozen=True)
@@ -187,8 +223,9 @@ class PilotMatrix:
     def n_tx(self) -> int:
         return self.entries.shape[1]
 
-    @property
+    @cached_property
     def residual(self) -> float:
+        """Frobenius distance of the row Gram from the identity, computed once."""
         gram = self.entries @ self.entries.conj().T
         return float(np.linalg.norm(gram - np.eye(self.n_slots)))
 
@@ -225,18 +262,11 @@ def build_user_model(
     edges = np.linspace(-90.0, 90.0, n_components + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     weights = laplacian_weights(mean_aoa_deg, spread_deg, centers)
-    covs = np.stack(
-        [
-            region_covariance(geometry, lo, hi, quadrature_points)
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-    )
+    covs = _region_covariances(geometry, edges[:-1], edges[1:], quadrature_points)
     if mean_policy == "zero":
         means = np.zeros((n_components, geometry.n_tx), dtype=complex)
     else:
-        means = mean_scale * np.stack(
-            [steering_vector(geometry.n_tx, geometry.spacing_tx, t) for t in centers]
-        )
+        means = mean_scale * _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)
     return GmmUserModel(
         weights=weights,
         means=means,
@@ -247,24 +277,11 @@ def build_user_model(
     )
 
 
-def _component_factors(model: GmmUserModel) -> np.ndarray:
-    """Square roots A_n with A_n A_n^H = R_n, via eigendecomposition (R_n may be singular)."""
-    if model._factors is None:
-        factors = np.empty_like(model.covariances)
-        for i, cov in enumerate(model.covariances):
-            vals, vecs = np.linalg.eigh(cov)
-            if vals.min() < -1e-8 * max(1.0, abs(vals.max())):
-                raise NumericError("covariance factorization failed: negative eigenvalue")
-            factors[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        model._factors = factors
-    return model._factors
-
-
 def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n_samples`` channels: pick a component by weight, then CN(mu_n, R_n)."""
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
-    factors = _component_factors(model)
+    factors = model._roots
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
     out = np.empty((n_samples, model.n_tx), dtype=complex)
     for comp in np.unique(indices):

@@ -266,7 +266,6 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
         step_size=_number(opt_raw.get("step_size", 0.1), "optimizer.step_size"),
         max_iters=_integer(opt_raw.get("max_iters", 200), "optimizer.max_iters"),
         rel_tol=_number(opt_raw.get("rel_tol", 1e-8), "optimizer.rel_tol"),
-        seed=seed,
     )
     scenario = _parse_scenario(_require(raw, "scenario", "config"))
     task_params = _parse_task_params(task, raw)

@@ -22,10 +22,9 @@ from .channel import (
 from .errors import (
     DimensionError,
     InvalidParameterError,
-    NumericError,
     SingularMatrixError,
 )
-from .metrics import sense_state, sensing_vectors
+from .metrics import _clutter_solve, comm_state, sense_state, sensing_vectors
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
@@ -118,16 +117,9 @@ def paired_detection_trial(pilot, scene: SensingScene, rng: np.random.Generator)
 def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
     """(w^H mu_i for i = 0..Q, ||w||^2) without materializing N_r*L vectors."""
     state = sense_state(pilot, scene)
-    gram, powers, sigma2 = state.gram, state.powers, state.noise_var
-    live = powers[1:] > 0
-    if not live.any():
-        proj = gram[0] / sigma2
-        w_norm2 = gram[0, 0].real / sigma2**2
-        return proj, float(w_norm2)
-    idx = np.flatnonzero(live) + 1
+    gram, sigma2 = state.gram, state.noise_var
+    idx, z = _clutter_solve(state)
     b = gram[idx, 0]
-    k_mat = gram[np.ix_(idx, idx)] + np.diag(sigma2 / powers[idx])
-    z = np.linalg.solve(k_mat, b)
     proj = (gram[0] - z.conj() @ gram[idx, :]) / sigma2
     w_norm2 = (
         gram[0, 0].real
@@ -192,22 +184,6 @@ def roc_curve(
     )
 
 
-def _mixture_observation_stats(phi: np.ndarray, model: GmmUserModel):
-    """Observation covariances, log-determinants and projections for the estimator."""
-    sigma2 = model.noise_std**2
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
-    sigma = phi_r @ phi.conj().T
-    sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1))
-    sigma += sigma2 * np.eye(phi.shape[0])
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("observation covariance is not positive definite") from exc
-    logdet = 2.0 * np.sum(np.log(np.einsum("kll->kl", chol).real), axis=1)
-    phi_mu = model.means @ phi.T
-    return sigma, logdet, phi_mu, phi_r
-
-
 def gmm_mmse_batch(
     observations: np.ndarray, pilot, model: GmmUserModel
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,18 +192,22 @@ def gmm_mmse_batch(
     Returns (estimates of shape (T, N_t), responsibilities of shape (T, N_k)).
     Responsibilities are computed in the log domain and normalized; trials
     are processed in chunks to bound the (N_k, chunk, L) intermediates.
+    Sigma_n, its log-determinant and B_n = Phi A_n come from ``comm_state``;
+    the posterior-mean correction R_n Phi^H z is applied as A_n (B_n^H z).
     """
     phi = pilot_entries(pilot)
     obs = np.atleast_2d(np.asarray(observations, dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
-    sigma, logdet, phi_mu, phi_r = _mixture_observation_stats(phi, model)
-    r_phi_h = phi_r.conj().transpose(0, 2, 1)  # R_n Phi^H, shape (N_k, N_t, L)
+    state = comm_state(phi, model)
+    sigma = state.sigma
+    b_h = state.b.conj().transpose(0, 2, 1)  # B_n^H, shape (N_k, q, L)
+    phi_mu = model.means @ phi.T
 
     n_trials = obs.shape[0]
     n_comp = model.n_components
     with np.errstate(divide="ignore"):
-        log_prior = np.log(model.weights) - logdet
+        log_prior = np.log(model.weights) - state.logdet
     est = np.empty((n_trials, model.n_tx), dtype=complex)
     resp = np.empty((n_trials, n_comp))
     chunk = max(1, int(2_000_000 // (n_comp * max(model.n_tx, phi.shape[0]))))
@@ -240,8 +220,9 @@ def gmm_mmse_batch(
         log_w -= log_w.max(axis=0)
         w = np.exp(log_w)
         w /= w.sum(axis=0)
-        posterior = np.matmul(r_phi_h, z) + model.means[:, :, None]
-        est[start : start + chunk] = np.einsum("kc,knc->cn", w, posterior)
+        weighted = w[:, None, :] * np.matmul(b_h, z)  # (N_k, q, chunk)
+        correction = model.factor @ weighted.reshape(-1, weighted.shape[2])
+        est[start : start + chunk] = (correction + model.means.T @ w).T
         resp[start : start + chunk] = w.T
     return est, resp
 

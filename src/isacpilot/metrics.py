@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import (
     GmmUserModel,
@@ -58,17 +57,21 @@ class SensingVectors:
 
 
 class CommState(NamedTuple):
-    """Shared per-pilot quantities for the communication metric and its gradient."""
+    """Per-pilot mixture observation statistics in factor form (R_n = A_n A_n^H).
+
+    Shared by the communication metric, its gradient and the mixture-MMSE
+    estimator; A_n is the low-rank ``GmmUserModel.factor`` of rank q.
+    """
 
     value: float
     log_mix: np.ndarray  # log of alpha_n e^{-beta_n} / det Sigma_n, per component
     log_omega: float
-    chol: np.ndarray  # (N_k, L, L) Cholesky factors of Sigma_n
-    phi_r: np.ndarray  # (N_k, L, N_t) products Phi R_n
-    v: np.ndarray  # (N_k, L) products Phi mu_bar_n
-    s: np.ndarray  # (N_k, L) solves Sigma_n^{-1} v_n
-    mu_bar: np.ndarray  # (N_k, N_t)
-    sigma: np.ndarray  # (N_k, L, L)
+    logdet: np.ndarray  # (N_k,) log det Sigma_n
+    sigma: np.ndarray  # (N_k, L, L) Sigma_n = B_n B_n^H + sigma^2 I
+    b: np.ndarray  # (N_k, L, q) B_n = Phi A_n
+    s: np.ndarray  # (N_k, L) solves Sigma_n^{-1} Phi mu_bar_n
+    c: np.ndarray  # (N_k, L, q) solves Sigma_n^{-1} B_n
+    mu_bar: np.ndarray  # (N_k, N_t) overall mean minus component means
 
 
 class SenseState(NamedTuple):
@@ -81,6 +84,7 @@ class SenseState(NamedTuple):
     noise_var: float
     arg: float  # argument of the log in the approximate metric
     clutter_denoms: np.ndarray  # (Q,) sigma_r^2 + nu_i ||mu_i||^2
+    rx_corr: np.ndarray  # (Q+1, Q+1) receive-steering correlations a_rx,i^H a_rx,j
 
 
 def _check_pilot_model(phi: np.ndarray, model: GmmUserModel):
@@ -89,16 +93,20 @@ def _check_pilot_model(phi: np.ndarray, model: GmmUserModel):
 
 
 def comm_state(pilot, model: GmmUserModel) -> CommState:
-    """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric."""
+    """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric.
+
+    The only place Sigma_n is built: B_n = Phi A_n comes from one product
+    with the stacked low-rank factor, one Cholesky gives log det Sigma_n and
+    one batched solve gives Sigma_n^{-1} [Phi mu_bar_n | B_n].
+    """
     phi = pilot_entries(pilot)
     _check_pilot_model(phi, model)
     n_slots = phi.shape[0]
+    n_comp = model.n_components
     sigma2 = model.noise_std**2
 
-    mean_overall = model.weights @ model.means
-    mu_bar = mean_overall[None, :] - model.means
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
-    sigma = phi_r @ phi.conj().T
+    b = (phi @ model.factor).reshape(n_slots, n_comp, -1).transpose(1, 0, 2)
+    sigma = np.einsum("klq,kmq->klm", b, b.conj())
     sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1))
     sigma += sigma2 * np.eye(n_slots)
     try:
@@ -107,16 +115,19 @@ def comm_state(pilot, model: GmmUserModel) -> CommState:
         raise NumericError("observation covariance is not positive definite") from exc
     logdet = 2.0 * np.sum(np.log(np.einsum("kll->kl", chol).real), axis=1)
 
+    mu_bar = (model.weights @ model.means)[None, :] - model.means
     v = mu_bar @ phi.T
-    s = np.linalg.solve(sigma, v[..., None])[..., 0]
+    sol = np.linalg.solve(sigma, np.concatenate((v[..., None], b), axis=2))
+    s, c = sol[..., 0], sol[..., 1:]
     beta = np.einsum("kl,kl->k", v.conj(), s).real
 
     with np.errstate(divide="ignore"):
         log_mix = np.log(model.weights) - beta - logdet
-    log_omega = float(logsumexp(log_mix))
+    top = log_mix.max()
+    log_omega = float(top + np.log(np.sum(np.exp(log_mix - top))))
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix, log_omega, chol, phi_r, v, s, mu_bar, sigma)
+    return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c, mu_bar)
 
 
 def comm_mi_user(pilot, model: GmmUserModel) -> float:
@@ -158,29 +169,37 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     a_tx = np.stack([steering_vector(geom.n_tx, geom.spacing_tx, t) for t in angles])
     a_rx = np.stack([steering_vector(geom.n_rx, geom.spacing_rx, t) for t in angles])
     u = a_tx @ phi.T
-    gram = (a_rx.conj() @ a_rx.T) * (u.conj() @ u.T)
+    rx_corr = a_rx.conj() @ a_rx.T
+    gram = rx_corr * (u.conj() @ u.T)
     sigma2 = scene.radar_noise_std**2
 
     norms = gram.diagonal().real
     denoms = sigma2 + powers[1:] * norms[1:]
     cross = np.abs(gram[0, 1:]) ** 2
     arg = 1.0 + powers[0] / sigma2 * (norms[0] - np.sum(powers[1:] * cross / denoms))
-    return SenseState(a_tx, u, gram, powers, sigma2, float(arg), denoms)
+    return SenseState(a_tx, u, gram, powers, sigma2, float(arg), denoms, rx_corr)
+
+
+def _clutter_solve(state: SenseState) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-Q clutter solve (indices idx of live clutter, z = K^{-1} gram[idx, 0]).
+
+    K = gram[idx, idx] + diag(sigma^2 / nu_idx) is the clutter-plus-noise
+    covariance R_cc + sigma^2 I seen through the mu_i Gram; z is empty when
+    no clutter source has power.
+    """
+    gram, powers = state.gram, state.powers
+    idx = np.flatnonzero(powers[1:] > 0) + 1
+    if idx.size == 0:
+        return idx, np.zeros(0, dtype=complex)
+    k_mat = gram[np.ix_(idx, idx)] + np.diag(state.noise_var / powers[idx])
+    return idx, np.linalg.solve(k_mat, gram[idx, 0])
 
 
 def _whitened_snr(state: SenseState) -> float:
     """x = nu_0 mu_0^H (R_cc + sigma^2 I)^{-1} mu_0 via the rank-Q identity (exact)."""
-    gram, powers, sigma2 = state.gram, state.powers, state.noise_var
-    live = powers[1:] > 0
-    if not live.any():
-        quad = gram[0, 0].real
-    else:
-        idx = np.flatnonzero(live) + 1
-        b = gram[idx, 0]
-        k_mat = gram[np.ix_(idx, idx)] + np.diag(sigma2 / powers[idx])
-        z = np.linalg.solve(k_mat, b)
-        quad = gram[0, 0].real - float(np.vdot(b, z).real)
-    return powers[0] / sigma2 * quad
+    idx, z = _clutter_solve(state)
+    quad = state.gram[0, 0].real - float(np.vdot(state.gram[idx, 0], z).real)
+    return state.powers[0] / state.noise_var * quad
 
 
 def sensing_mi_exact(pilot, scene: SensingScene) -> float:
@@ -188,14 +207,18 @@ def sensing_mi_exact(pilot, scene: SensingScene) -> float:
     return float(np.log1p(_whitened_snr(sense_state(pilot, scene))))
 
 
-def sensing_mi_approx(pilot, scene: SensingScene) -> float:
-    """Large-array form of the sensing information (exact for zero or one clutter source)."""
-    state = sense_state(pilot, scene)
+def _approx_log_arg(state: SenseState) -> float:
+    """The argument of the log in the approximate sensing metric, checked to be positive."""
     if state.arg <= 0.0:
         raise ObjectiveDomainError(
             f"approximate sensing metric log argument is {state.arg:.6g} <= 0", state.arg
         )
-    return float(np.log(state.arg))
+    return state.arg
+
+
+def sensing_mi_approx(pilot, scene: SensingScene) -> float:
+    """Large-array form of the sensing information (exact for zero or one clutter source)."""
+    return float(np.log(_approx_log_arg(sense_state(pilot, scene))))
 
 
 def sensing_mi(pilot, scene: SensingScene, formula: str = "approx") -> float:

@@ -33,7 +33,6 @@ class OptimizerConfig:
     step_size: float = 0.1
     max_iters: int = 200
     rel_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_size <= 0:
@@ -80,11 +79,6 @@ def random_stiefel(n_slots: int, n_tx: int, rng: np.random.Generator) -> PilotMa
     return project_stiefel(complex_normal(rng, (n_slots, n_tx)))
 
 
-def _residual(phi: np.ndarray) -> float:
-    gram = phi @ phi.conj().T
-    return float(np.linalg.norm(gram - np.eye(phi.shape[0])))
-
-
 def optimize_pgd(
     init: PilotMatrix, objective: IsacObjective, config: OptimizerConfig
 ) -> OptimizationTrace:
@@ -93,7 +87,7 @@ def optimize_pgd(
     Stops at ``max_iters`` or once the objective spread over a 10-iteration
     window drops below ``rel_tol`` relative to the current value.
     """
-    phi = pilot_entries(init).copy()
+    pilot = init if isinstance(init, PilotMatrix) else PilotMatrix(init)
     values, comms, senses, residuals = [], [], [], []
 
     def record(p, t):
@@ -105,14 +99,14 @@ def optimize_pgd(
         values.append(val)
         comms.append(comm)
         senses.append(sense)
-        residuals.append(_residual(p))
+        residuals.append(p.residual)
         return grad
 
-    grad = record(phi, 0)
+    grad = record(pilot, 0)
     n_done = 0
     for t in range(1, config.max_iters + 1):
-        phi = project_stiefel(phi + config.step_size * grad).entries
-        grad = record(phi, t)
+        pilot = project_stiefel(pilot.entries + config.step_size * grad)
+        grad = record(pilot, t)
         n_done = t
         if config.rel_tol > 0 and t >= STOP_WINDOW:
             window = values[-(STOP_WINDOW + 1) :]
@@ -125,7 +119,7 @@ def optimize_pgd(
         comm_mi=np.array(comms),
         sense_mi=np.array(senses),
         residual=np.array(residuals),
-        final_pilot=PilotMatrix(phi),
+        final_pilot=pilot,
     )
 
 
