@@ -95,17 +95,23 @@ def _region_covariances(
     step = (hi_deg - lo_deg) / quadrature_points
     centers = lo_deg[:, None] + (np.arange(quadrature_points) + 0.5) * step[:, None]
     a = _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)  # (K, q, N_t)
-    cov = a.transpose(0, 2, 1) @ a.conj() * np.deg2rad(step)[:, None, None]
-    return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+    # in place: N_k-sized temporaries would raise the process's peak memory
+    cov = a.transpose(0, 2, 1) @ a.conj()
+    cov *= np.deg2rad(step)[:, None, None]
+    cov += cov.conj().transpose(0, 2, 1)
+    cov *= 0.5
+    return cov
 
 
 @dataclass(eq=False)
 class GmmUserModel:
     """Per-user Gaussian-mixture channel prior plus its pilot-phase noise level.
 
-    The eigendecomposition of every covariance is taken once, at construction:
-    it validates the covariances and yields their square roots, which serve
-    both the channel sampler and the low-rank ``factor``.
+    One batched eigendecomposition of the covariances, taken at construction,
+    validates them and yields ``factor``: the low-rank square roots stacked as
+    (N_t, N_k * q).  Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n
+    up to the dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the
+    largest numerical rank over the components (at least 1, at most N_t).
     """
 
     weights: np.ndarray
@@ -141,9 +147,10 @@ class GmmUserModel:
         vals, vecs = np.linalg.eigh(self.covariances)  # eigenvalues ascending
         if vals.min() < -1e-10 * scale:
             raise InvalidParameterError("covariances must be positive semidefinite")
-        self._eigvals = vals
-        # full square roots A_n with A_n A_n^H = R_n (R_n may be singular)
-        self._roots = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+        rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
+        factor = vecs[:, :, -rank:].transpose(1, 0, 2).copy()  # (N_t, N_k, q)
+        factor *= np.sqrt(np.clip(vals[:, -rank:], 0.0, None))
+        self.factor = factor.reshape(self.n_tx, -1)
 
     @property
     def n_components(self) -> int:
@@ -154,17 +161,16 @@ class GmmUserModel:
         return self.means.shape[1]
 
     @cached_property
-    def factor(self) -> np.ndarray:
-        """Low-rank square roots of the covariances, stacked as (N_t, N_k * q).
+    def _roots(self) -> np.ndarray:
+        """Full square roots A_n with A_n A_n^H = R_n (R_n may be singular).
 
-        Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n up to the
-        dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the largest
-        numerical rank over the components (at least 1, at most N_t).
+        Only the channel sampler needs them, so they are built on its first
+        call; ``eigh`` is deterministic, so they match the construction-time
+        decomposition.
         """
-        vals = self._eigvals
-        rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
-        cols = self._roots[:, :, vals.shape[1] - rank :]
-        return np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(self.n_tx, -1)
+        vals, vecs = np.linalg.eigh(self.covariances)
+        vecs *= np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+        return vecs
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def optimize_pgd(
     Stops at ``max_iters`` or once the objective spread over a 10-iteration
     window drops below ``rel_tol`` relative to the current value.
     """
-    pilot = init if isinstance(init, PilotMatrix) else PilotMatrix(init)
+    pilot = init
     values, comms, senses, residuals = [], [], [], []
 
     def record(p, t):

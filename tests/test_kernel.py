@@ -1,14 +1,13 @@
 """Factor-form mixture kernel: the cached low-rank factor, comm_state against
 the dense formula, the shared value/gradient pass, and a golden short sweep.
 
-The golden file ``golden/sweep_short.json`` was recorded with the dense
-kernel (Sigma_n from the full covariances, two solves per call) that the
-factor form replaced; re-record it only from such a reference with
-``PYTHONPATH=src python tests/test_kernel.py --record``.
+The golden file ``golden/sweep_short.json`` is fixed data: it holds
+``short_sweep()`` as computed at commit b1b7444, with the dense kernel
+(Sigma_n from the full covariances, two solves per call) that the factor
+form replaced.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,9 +184,3 @@ def test_golden_short_sweep():
         assert got["iters"] == ref["iters"]
         for key in ("objective", "comm_mi", "sense_mi"):
             np.testing.assert_allclose(got[key], ref[key], rtol=1e-10, atol=0)
-
-
-if __name__ == "__main__" and "--record" in sys.argv:
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(short_sweep(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
