@@ -294,20 +294,26 @@ def qam64_demap(symbol) -> np.ndarray:
 
 
 def zf_precode(channel_estimates: np.ndarray) -> np.ndarray:
-    """Zero-forcing precoder with unit-norm columns.
+    """Zero-forcing precoders with unit-norm columns, for one or a stack of blocks.
 
-    W = H^H (H H^H)^{-1} scaled so each user's column has unit transmit
-    power; H W is then diagonal with positive entries.
+    Each K x N_t block H of ``channel_estimates`` (shape (..., K, N_t)) gives
+    W = H^H (H H^H)^{-1}, scaled so each user's column has unit transmit
+    power; H W is then diagonal with positive entries.  A block whose Gram
+    is numerically rank deficient raises, naming the block.
     """
     h = np.asarray(channel_estimates, dtype=complex)
-    if h.ndim != 2 or h.shape[0] > h.shape[1]:
+    if h.ndim < 2 or h.shape[-2] > h.shape[-1]:
         raise DimensionError("estimate matrix must be K x N_t with K <= N_t")
-    gram = h @ h.conj().T
+    gram = np.einsum("...kn,...jn->...kj", h, h.conj())
     eigvals = np.linalg.eigvalsh(gram)
-    if eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
-        raise SingularMatrixError("channel estimate matrix is rank deficient")
-    w = np.linalg.solve(gram, h).conj().T
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
+    singular = eigvals[..., 0] <= 1e-12 * np.maximum(eigvals[..., -1], 1.0)
+    if np.any(singular):
+        block = np.unravel_index(np.argmax(singular), singular.shape)
+        where = f" in block {', '.join(str(int(i)) for i in block)}" if block else ""
+        raise SingularMatrixError(f"channel estimate matrix is rank deficient{where}")
+    w = np.linalg.solve(gram, h).conj().swapaxes(-1, -2)
+    w /= np.sqrt(np.einsum("...nk,...nk->...k", w.conj(), w).real)[..., None, :]
+    return w
 
 
 def ser_experiment(
@@ -346,13 +352,7 @@ def ser_experiment(
         h_true[:, k, :] = channels
         h_est[:, k, :] = est
 
-    gram = np.einsum("bkn,bjn->bkj", h_est, h_est.conj())
-    try:
-        x = np.linalg.solve(gram, h_est)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("a block produced a rank-deficient estimate") from exc
-    w = x.conj().transpose(0, 2, 1)
-    w /= np.sqrt(np.einsum("bnk,bnk->bk", w.conj(), w).real)[:, None, :]
+    w = zf_precode(h_est)
     gains = np.einsum("bkn,bnk->bk", h_est, w).real
     effective = np.einsum("bkn,bnj->bkj", h_true, w)
 
