@@ -105,15 +105,7 @@ def grad_sensing_mi(pilot, scene: SensingScene) -> GradientMatrix:
 
 def grad_isac(pilot, objective: IsacObjective) -> GradientMatrix:
     """rho-weighted combination of the communication and sensing gradients."""
-    phi = pilot_entries(pilot)
-    total = np.zeros_like(phi)
-    if objective.rho > 0.0:
-        for w, model in zip(objective.user_weights, objective.users):
-            total += objective.rho * w * _comm_grad(comm_state(phi, model), model)
-    if objective.rho < 1.0:
-        scene = objective.scene
-        total += (1.0 - objective.rho) * _sense_grad(sense_state(phi, scene), scene.geometry.n_rx)
-    return GradientMatrix(total)
+    return GradientMatrix(isac_value_and_grad(pilot, objective)[3])
 
 
 def isac_value_and_grad(pilot, objective: IsacObjective):
