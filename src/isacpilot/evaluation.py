@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     SingularMatrixError,
 )
-from .metrics import _clutter_solve, comm_state, sense_state, sensing_vectors
+from .metrics import _detector_scalars, comm_state, sensing_vectors
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
@@ -112,21 +112,6 @@ def paired_detection_trial(pilot, scene: SensingScene, rng: np.random.Generator)
         statistic_h0=detector_statistic(interference, pilot, scene),
         statistic_h1=detector_statistic(interference + target, pilot, scene),
     )
-
-
-def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
-    """(w^H mu_i for i = 0..Q, ||w||^2) without materializing N_r*L vectors."""
-    state = sense_state(pilot, scene)
-    gram, sigma2 = state.gram, state.noise_var
-    idx, z = _clutter_solve(state)
-    b = gram[idx, 0]
-    proj = (gram[0] - z.conj() @ gram[idx, :]) / sigma2
-    w_norm2 = (
-        gram[0, 0].real
-        - 2.0 * np.vdot(b, z).real
-        + np.vdot(z, gram[np.ix_(idx, idx)] @ z).real
-    ) / sigma2**2
-    return proj, float(w_norm2)
 
 
 def simulate_detection_trials(

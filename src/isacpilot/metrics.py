@@ -180,31 +180,29 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     return SenseState(a_tx, u, gram, powers, sigma2, float(arg), denoms, rx_corr)
 
 
-def _clutter_solve(state: SenseState) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-Q clutter solve (indices idx of live clutter, z = K^{-1} gram[idx, 0]).
+def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
+    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter w = (R_cc + sigma^2 I)^{-1} mu_0.
 
-    K = gram[idx, idx] + diag(sigma^2 / nu_idx) is the clutter-plus-noise
-    covariance R_cc + sigma^2 I seen through the mu_i Gram; z is empty when
-    no clutter source has power.
+    Rank-Q identity: with idx the live clutter sources and
+    K = gram[idx, idx] + diag(sigma^2 / nu_idx), one solve z = K^{-1} gram[idx, 0]
+    replaces the N_r*L-sized inverse.  nu_0 Re proj[0] is the whitened
+    target-to-interference ratio x behind the exact sensing metric.
     """
-    gram, powers = state.gram, state.powers
+    state = sense_state(pilot, scene)
+    gram, powers, sigma2 = state.gram, state.powers, state.noise_var
     idx = np.flatnonzero(powers[1:] > 0) + 1
-    if idx.size == 0:
-        return idx, np.zeros(0, dtype=complex)
-    k_mat = gram[np.ix_(idx, idx)] + np.diag(state.noise_var / powers[idx])
-    return idx, np.linalg.solve(k_mat, gram[idx, 0])
-
-
-def _whitened_snr(state: SenseState) -> float:
-    """x = nu_0 mu_0^H (R_cc + sigma^2 I)^{-1} mu_0 via the rank-Q identity (exact)."""
-    idx, z = _clutter_solve(state)
-    quad = state.gram[0, 0].real - float(np.vdot(state.gram[idx, 0], z).real)
-    return state.powers[0] / state.noise_var * quad
+    b = gram[idx, 0]
+    k_mat = gram[np.ix_(idx, idx)]
+    z = np.linalg.solve(k_mat + np.diag(sigma2 / powers[idx]), b) if idx.size else b
+    proj = (gram[0] - z.conj() @ gram[idx, :]) / sigma2
+    w_norm2 = (gram[0, 0].real - 2.0 * np.vdot(b, z).real + np.vdot(z, k_mat @ z).real) / sigma2**2
+    return proj, float(w_norm2)
 
 
 def sensing_mi_exact(pilot, scene: SensingScene) -> float:
     """Sensing information log(1 + x) with the clutter-plus-noise solve done exactly."""
-    return float(np.log1p(_whitened_snr(sense_state(pilot, scene))))
+    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
+    return float(np.log1p(x))
 
 
 def _approx_log_arg(state: SenseState) -> float:
@@ -243,7 +241,7 @@ def sense_kl_and_g(pilot, scene: SensingScene) -> tuple[float, float]:
     g = x / (1 + x) with x the whitened target-to-interference ratio; the KL
     divergence of the whitened hypothesis pair is log(1 + x) - g.
     """
-    x = _whitened_snr(sense_state(pilot, scene))
+    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
     g = x / (1.0 + x)
     return float(np.log1p(x) - g), float(g)
 
