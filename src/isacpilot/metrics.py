@@ -16,6 +16,7 @@ import numpy as np
 from .channel import (
     GmmUserModel,
     SensingScene,
+    _steering_rows,
     pilot_entries,
     sample_channels,
     steering_vector,
@@ -166,8 +167,8 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
         raise DimensionError("pilot antenna count must match the scene geometry")
     angles = np.concatenate(([scene.target_angle], scene.clutter_angles))
     powers = np.concatenate(([scene.target_power], scene.clutter_powers))
-    a_tx = np.stack([steering_vector(geom.n_tx, geom.spacing_tx, t) for t in angles])
-    a_rx = np.stack([steering_vector(geom.n_rx, geom.spacing_rx, t) for t in angles])
+    a_tx = _steering_rows(geom.n_tx, geom.spacing_tx, angles)
+    a_rx = _steering_rows(geom.n_rx, geom.spacing_rx, angles)
     u = a_tx @ phi.T
     rx_corr = a_rx.conj() @ a_rx.T
     gram = rx_corr * (u.conj() @ u.T)
