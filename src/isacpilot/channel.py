@@ -160,18 +160,6 @@ class GmmUserModel:
     def n_tx(self) -> int:
         return self.means.shape[1]
 
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        """Full square roots A_n with A_n A_n^H = R_n (R_n may be singular).
-
-        Only the channel sampler needs them, so they are built on its first
-        call; ``eigh`` is deterministic, so they match the construction-time
-        decomposition.
-        """
-        vals, vecs = np.linalg.eigh(self.covariances)
-        vecs *= np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
-        return vecs
-
 
 @dataclass(frozen=True)
 class SensingScene:
@@ -284,16 +272,22 @@ def build_user_model(
 
 
 def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n_samples`` channels: pick a component by weight, then CN(mu_n, R_n)."""
+    """Draw ``n_samples`` channels: pick a component by weight, then CN(mu_n, R_n).
+
+    Each channel takes N_t standard normals; the component's q factor
+    columns, the top eigenvectors in ascending ``eigh`` order, multiply the
+    last q of them, so the stream advances alike whatever the factor's rank.
+    """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
-    factors = model._roots
+    blocks = model.factor.reshape(model.n_tx, model.n_components, -1)
+    rank = blocks.shape[2]
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
     out = np.empty((n_samples, model.n_tx), dtype=complex)
     for comp in np.unique(indices):
         mask = indices == comp
         z = complex_normal(rng, (int(mask.sum()), model.n_tx))
-        out[mask] = model.means[comp] + z @ factors[comp].T
+        out[mask] = model.means[comp] + z[:, -rank:] @ blocks[:, comp].T
     return out
 
 
