@@ -57,7 +57,6 @@ from .metrics import (
     comm_mi_user,
     comm_mi_weighted,
     isac_objective,
-    mi_pair,
     sense_kl_and_g,
     sense_kl_direct,
     sensing_mi,

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .config import (
@@ -247,7 +246,7 @@ def _task_nmse(config: ExperimentConfig, threads: int) -> list:
     rows = [row for chunk in _map_units(_nmse_unit, units, threads) for row in chunk]
     meta = _base_metadata(config)
     meta["sources"] = " ".join(f"{i}={s}" for i, s in enumerate(sources))
-    meta["user_legend"] = f"user ids 0..K-1, {len(build_users(config.scenario)[0])} = pooled"
+    meta["user_legend"] = f"user ids 0..K-1, {len(config.scenario['users'])} = pooled"
     meta["trials"] = config.task_params["trials"]
     return [ResultTable("nmse", ["source_id", "user_id", "nmse"], rows, meta)]
 
@@ -321,7 +320,6 @@ def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:
 def _diag_unit(args) -> tuple:
     config, index = args
     scenario = config.scenario
-    users, weights = build_users(scenario)
     objective = build_objective(scenario, 0.0)
     pilot = random_stiefel(
         scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "diag-pilot", index)
@@ -329,7 +327,7 @@ def _diag_unit(args) -> tuple:
     comm = comm_mi_weighted(pilot, objective)
     c_worst = c_worst_estimate(
         pilot,
-        users,
+        objective.users,
         config.task_params["block_len"],
         config.task_params["trials"],
         substream(config.seed, "diag-cw", index),
@@ -338,6 +336,8 @@ def _diag_unit(args) -> tuple:
 
 
 def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
+    from scipy import stats  # its only user; importing it costs about 1 s of CLI start-up
+
     units = [(config, i) for i in range(config.task_params["pilots"])]
     rows = _map_units(_diag_unit, units, threads)
     meta = _base_metadata(config)

@@ -269,16 +269,10 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
     )
     scenario = _parse_scenario(_require(raw, "scenario", "config"))
     task_params = _parse_task_params(task, raw)
-    if task in ("optimize", "roc", "nmse", "ser", "diagnostics") and "rho" not in scenario:
-        needs_rho = task != "roc" or task_params.get("pilot_source") == "optimized"
-        if task in ("nmse", "ser"):
-            needs_rho = "optimized" in task_params["sources"]
-        if task == "diagnostics":
-            needs_rho = False
-        if task == "optimize":
-            needs_rho = True
-        if needs_rho:
-            raise ConfigError("scenario.rho: required for this task")
+    # rho fixes the objective of every optimized pilot the task uses
+    pilots = [*task_params.get("sources", ()), task_params.get("pilot_source")]
+    if "rho" not in scenario and (task == "optimize" or "optimized" in pilots):
+        raise ConfigError("scenario.rho: required for this task")
     return ExperimentConfig(
         task=task,
         seed=seed,

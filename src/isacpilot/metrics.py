@@ -346,8 +346,3 @@ def c_worst_estimate(
         _, logdet = np.linalg.slogdet(eye + eff_snr * (h_bar.conj() @ h_bar.T) / n_tx)
         total += logdet
     return float(prefactor * total / trials)
-
-
-def mi_pair(pilot, objective: IsacObjective, formula: str = "approx") -> tuple[float, float]:
-    """(sensing MI, weighted communication MI) for frontier bookkeeping."""
-    return sensing_mi(pilot, objective.scene, formula), comm_mi_weighted(pilot, objective)

@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gradients import isac_value_and_grad
-from .metrics import IsacObjective, mi_pair
+from .metrics import IsacObjective, comm_mi_weighted, sensing_mi
 from .streams import complex_normal
 
 STOP_WINDOW = 10
@@ -202,5 +202,5 @@ def sample_feasible_cloud(
     pairs = np.empty((n_samples, 2))
     for i in range(n_samples):
         pilot = random_stiefel(n_slots, n_tx, rng)
-        pairs[i] = mi_pair(pilot, objective, formula)
+        pairs[i] = sensing_mi(pilot, objective.scene, formula), comm_mi_weighted(pilot, objective)
     return pairs

@@ -2,6 +2,9 @@
 
 import copy
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,27 @@ class TestConfigParsing:
         path = write_config(tmp_path, {"task": "optimize", "sweep": ...})
         with pytest.raises(ConfigError, match="rho"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "task, section, required",
+        [
+            ("roc", {"trials": 1000, "p_fa": [0.1], "pilot_source": "optimized"}, True),
+            ("roc", {"trials": 1000, "p_fa": [0.1]}, True),
+            ("roc", {"trials": 1000, "p_fa": [0.1], "pilot_source": "random"}, False),
+            ("nmse", {"trials": 10, "sources": ["random", "optimized"]}, True),
+            ("nmse", {"trials": 10, "sources": ["random", "dft", "eigen"]}, False),
+            ("ser", {"snr_grid_db": [10.0], "n_symbols": 1000, "sources": ["optimized"]}, True),
+            ("ser", {"snr_grid_db": [10.0], "n_symbols": 1000, "sources": ["random"]}, False),
+            ("diagnostics", {"trials": 10}, False),
+        ],
+    )
+    def test_rho_required_only_for_optimized_pilots(self, tmp_path, task, section, required):
+        path = write_config(tmp_path, {"task": task, "sweep": ..., task: section})
+        if required:
+            with pytest.raises(ConfigError, match="scenario.rho"):
+                parse_config(path)
+        else:
+            assert "rho" not in parse_config(path).scenario
 
 
 class TestEmitTable:
@@ -203,3 +227,15 @@ class TestVerify:
         out = tmp_path / "out"
         assert run_config(path, out_dir=str(out)) == 0
         assert verify_outputs(path, 12345, str(out)) == 3
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up and only diagnostics uses it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, isacpilot.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
