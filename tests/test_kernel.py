@@ -1,5 +1,7 @@
 """Factor-form mixture kernel: the cached low-rank factor, comm_state against
-the dense formula, the shared value/gradient pass, and a golden short sweep.
+the dense formula, the shared value/gradient pass, a golden short sweep, and
+the single implementations the link simulation and the sampler share
+(batched zero-forcing, factor-form channel draws).
 
 The golden file ``golden/sweep_short.json`` is fixed data: it holds
 ``short_sweep()`` as computed at commit b1b7444, with the dense kernel
@@ -17,11 +19,14 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.config import build_objective, parse_config
 from isacpilot.gradients import isac_value_and_grad
+from isacpilot.channel import FACTOR_RANK_CUT
 from isacpilot.metrics import comm_state
+from isacpilot.streams import complex_normal
 from test_acceptance import gradient_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP_CONFIG = ROOT / "configs" / "sweep_tradeoff.yaml"
+DIAG_CONFIG = ROOT / "configs" / "diagnostics_cworst.yaml"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep_short.json"
 GOLDEN_RHOS = (0.0, 0.5, 1.0)
 GOLDEN_ITERS = 50
@@ -151,6 +156,62 @@ class TestValueAndGrad:
             assert sense == pytest.approx(ip.sensing_mi_approx(pilot, scene), rel=1e-14)
             expected = ip.grad_isac(pilot, objective).entries
             assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+
+def dense_root_sampler(model, n_samples, rng):
+    """Channel draws from full eigen square roots, one per component; also
+    returns each draw's standard normals."""
+    vals, vecs = np.linalg.eigh(model.covariances)
+    roots = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
+    out = np.empty((n_samples, model.n_tx), dtype=complex)
+    normals = np.empty_like(out)
+    for comp in np.unique(indices):
+        mask = indices == comp
+        z = complex_normal(rng, (int(mask.sum()), model.n_tx))
+        out[mask] = model.means[comp] + z @ roots[comp].T
+        normals[mask] = z
+    return out, normals
+
+
+class TestFactorSampler:
+    def test_matches_dense_root_sampler_on_one_stream(self):
+        diag_users = build_objective(parse_config(str(DIAG_CONFIG)).scenario, 0.0).users
+        models = sweep_users() + diag_users + gradient_instance(0)[1].users
+        for i, model in enumerate(models):
+            lam_max = np.linalg.eigvalsh(model.covariances).max()
+            # the factor drops only eigenvalues <= FACTOR_RANK_CUT * lam_max,
+            # so per draw |h - h_dense| <= sqrt(cut * lam_max) |z|; the factor 2
+            # covers roundoff, which is about 1e-7 of that term
+            scale = 2.0 * np.sqrt(FACTOR_RANK_CUT * lam_max)
+            rng, dense_rng = ip.substream(i, "sampler"), ip.substream(i, "sampler")
+            got = ip.sample_channels(model, 2000, rng)
+            expected, normals = dense_root_sampler(model, 2000, dense_rng)
+            deviation = np.linalg.norm(got - expected, axis=1)
+            assert np.all(deviation <= scale * np.linalg.norm(normals, axis=1))
+            assert rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+class TestZeroForcing:
+    def test_batched_equals_per_block_calls(self):
+        rng = ip.substream(3, "zf-stack")
+        for shape in ((40, 4, 16), (3, 5, 2, 9)):
+            h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            w = ip.zf_precode(h)
+            for block in np.ndindex(shape[:-2]):
+                assert np.array_equal(w[block], ip.zf_precode(h[block]))
+
+    def test_link_simulation_names_the_rank_deficient_block(self):
+        # two users with the same deterministic channel: every estimate Gram
+        # is rank one, so the first block already fails
+        mean = ip.steering_vector(8, 0.5, 20.0)[None, :]
+        user = ip.GmmUserModel(
+            weights=[1.0], means=mean, covariances=np.zeros((1, 8, 8)), noise_std=0.3
+        )
+        pilot = ip.random_stiefel(3, 8, ip.substream(4, "zf-link"))
+        with pytest.raises(ip.SingularMatrixError, match="rank deficient in block 0$"):
+            ip.ser_experiment(pilot, [user, user], [10.0], 1000, 100, ip.substream(5, "zf-link"))
 
 
 def short_sweep():
