@@ -335,15 +335,35 @@ def _diag_unit(args) -> tuple:
     return (float(index), comm / LN2, c_worst / LN2)
 
 
-def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
-    from scipy import stats  # its only user; importing it costs about 1 s of CLI start-up
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, ties given the mean of their ranks."""
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    new = np.r_[True, x[order][1:] != x[order][:-1]]
+    bounds = np.r_[np.flatnonzero(new), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[np.cumsum(new) - 1]
+    return ranks
 
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation, computed as ``scipy.stats.spearmanr`` computes it.
+
+    Kept in NumPy so that no task loads SciPy: ``scipy.stats`` costs about a
+    second of start-up and tens of MB of resident memory for one number.
+    """
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
     units = [(config, i) for i in range(config.task_params["pilots"])]
     rows = _map_units(_diag_unit, units, threads)
     meta = _base_metadata(config)
     comm = [r[1] for r in rows]
     cw = [r[2] for r in rows]
-    meta["spearman_comm_vs_cworst"] = format(float(stats.spearmanr(comm, cw).statistic), ".17g")
+    meta["spearman_comm_vs_cworst"] = format(_spearman(comm, cw), ".17g")
     meta["block_len"] = config.task_params["block_len"]
     meta["trials"] = config.task_params["trials"]
     return [ResultTable("diagnostics", ["pilot_index", "comm_mi_bits", "c_worst_bits"], rows, meta)]

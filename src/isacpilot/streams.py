@@ -33,4 +33,7 @@ def substream(master_seed: int, *parts) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """Standard circular complex Gaussian draws, unit variance per entry."""
     z = rng.standard_normal(size=tuple(np.atleast_1d(shape)) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    # each (re, im) pair read in place as re + 1j*im: no complex temporaries
+    w = z.view(complex)[..., 0]
+    w /= np.sqrt(2.0)
+    return w if w.ndim else w[()]

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 import yaml
 
-from isacpilot.cli import ResultTable, emit_table, run_config, verify_outputs
+from isacpilot.cli import (
+    ResultTable,
+    _average_ranks,
+    _spearman,
+    emit_table,
+    run_config,
+    verify_outputs,
+)
 from isacpilot.config import ConfigError, parse_config
 
 BASE_CONFIG = {
@@ -230,7 +237,7 @@ class TestVerify:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up and only diagnostics uses it
+    # scipy.stats costs about a second of start-up and isacpilot does not use it
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, isacpilot.cli; print('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -239,3 +246,36 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_diagnostics_run_leaves_scipy_unloaded(tmp_path):
+    # a worker that loads SciPy mid-run holds tens of MB more from then on
+    path = write_config(
+        tmp_path, {"task": "diagnostics", "sweep": ..., "diagnostics": {"pilots": 4, "trials": 10}}
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, isacpilot.cli as cli; "
+        f"status = cli.run_config({path!r}, out_dir={str(tmp_path / 'out')!r}, threads=1); "
+        "print(status, 'scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_spearman_matches_scipy_bit_for_bit():
+    from scipy import stats
+
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(3, 50))
+        x = rng.standard_normal(n)
+        y = rng.uniform(-1.0, 1.0) * x + rng.standard_normal(n)
+        if trial % 2:
+            x, y = np.round(x, 1), np.round(y, 1)  # ties
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x))
+        assert _spearman(list(x), list(y)) == float(stats.spearmanr(x, y).statistic)
