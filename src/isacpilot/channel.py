@@ -112,6 +112,9 @@ class GmmUserModel:
     (N_t, N_k * q).  Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n
     up to the dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the
     largest numerical rank over the components (at least 1, at most N_t).
+    The pilot-independent parts of the communication metric are kept too:
+    ``mu_bar`` (N_k, N_t), the mixture mean minus each component mean, and
+    ``log_weights`` (-inf for a zero weight).
     """
 
     weights: np.ndarray
@@ -151,6 +154,9 @@ class GmmUserModel:
         factor = vecs[:, :, -rank:].transpose(1, 0, 2).copy()  # (N_t, N_k, q)
         factor *= np.sqrt(np.clip(vals[:, -rank:], 0.0, None))
         self.factor = factor.reshape(self.n_tx, -1)
+        self.mu_bar = (self.weights @ self.means)[None, :] - self.means
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(self.weights)
 
     @property
     def n_components(self) -> int:
@@ -183,6 +189,21 @@ class SensingScene:
     @property
     def n_clutter(self) -> int:
         return len(self.clutter)
+
+    @cached_property
+    def _sense_terms(self) -> tuple:
+        """Pilot-independent parts of ``metrics.sense_state``, built once per scene:
+        transmit steering rows (Q+1, N_t), receive-steering correlations
+        a_rx,i^H a_rx,j (Q+1, Q+1) and powers (Q+1,), target first."""
+        geom = self.geometry
+        angles = np.concatenate(([self.target_angle], self.clutter_angles))
+        a_tx = _steering_rows(geom.n_tx, geom.spacing_tx, angles)
+        a_rx = _steering_rows(geom.n_rx, geom.spacing_rx, angles)
+        powers = np.concatenate(([self.target_power], self.clutter_powers))
+        terms = (a_tx, a_rx.conj() @ a_rx.T, powers)
+        for array in terms:  # shared by every evaluation on this scene
+            array.setflags(write=False)
+        return terms
 
     @property
     def clutter_angles(self) -> np.ndarray:

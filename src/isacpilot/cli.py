@@ -30,6 +30,7 @@ from .errors import IsacPilotError, NumericError
 from .evaluation import dft_pilot, eigen_pilot, nmse_experiment, roc_curve, ser_experiment
 from .gradients import finite_diff_check, grad_comm_mi_user, grad_isac, grad_sensing_mi
 from .metrics import (
+    IsacObjective,
     c_worst_estimate,
     comm_mi_user,
     comm_mi_weighted,
@@ -98,17 +99,19 @@ def _base_metadata(config: ExperimentConfig) -> dict:
     return meta
 
 
-def _pilot_for_source(source: str, config: ExperimentConfig):
+def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
+    """The pilot a task evaluates; ``built`` is ``build_users(config.scenario)``
+    when the caller already has it, so the models are not built twice."""
     scenario = config.scenario
     n_slots, n_tx = scenario["pilot_len"], scenario["n_tx"]
     if source == "random":
         return random_stiefel(n_slots, n_tx, substream(config.seed, "baseline"))
     if source == "dft":
         return dft_pilot(n_slots, n_tx)
+    users, weights = built or build_users(scenario)
     if source == "eigen":
-        users, weights = build_users(scenario)
         return eigen_pilot(n_slots, users, weights)
-    objective = build_objective(scenario, scenario["rho"])
+    objective = IsacObjective(scenario["rho"], weights, users, build_scene(scenario))
     init = random_stiefel(n_slots, n_tx, substream(config.seed, "init"))
     return optimize_pgd(init, objective, config.optimizer).final_pilot
 
@@ -230,8 +233,8 @@ def _task_roc(config: ExperimentConfig, threads: int) -> list:
 
 def _nmse_unit(args) -> list:
     config, source_id, source = args
-    pilot = _pilot_for_source(source, config)
-    users, _ = build_users(config.scenario)
+    users, weights = build_users(config.scenario)
+    pilot = _pilot_for_source(source, config, (users, weights))
     per_user, pooled = nmse_experiment(
         pilot, users, config.task_params["trials"], substream(config.seed, "nmse")
     )
@@ -254,8 +257,8 @@ def _task_nmse(config: ExperimentConfig, threads: int) -> list:
 def _ser_unit(args) -> list:
     config, source_id, source = args
     params = config.task_params
-    pilot = _pilot_for_source(source, config)
-    users, _ = build_users(config.scenario)
+    users, weights = build_users(config.scenario)
+    pilot = _pilot_for_source(source, config, (users, weights))
     ser = ser_experiment(
         pilot,
         users,

@@ -126,17 +126,31 @@ def simulate_detection_trials(
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
     proj, w_norm2 = _detector_scalars(pilot, scene)
-    n_clutter = scene.n_clutter
-    gamma_c = complex_normal(rng, (n_trials, n_clutter)) if n_clutter else None
-    noise = complex_normal(rng, (n_trials,))
-    gamma_t = complex_normal(rng, (n_trials,))
-
-    interf = np.sqrt(scene.radar_noise_std**2 * w_norm2) * noise
-    if n_clutter:
-        interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
-    target = np.sqrt(scene.target_power) * gamma_t * proj[0]
-    t0 = np.abs(interf) ** 2
-    t1 = np.abs(interf + target) ** 2
+    # each draw is folded into its result as soon as it is drawn, in the
+    # order clutter, noise, target, and updated in place, so only the current
+    # draw and the running sum are alive at a time (same values as combining
+    # all draws at the end)
+    noise_scale = np.sqrt(scene.radar_noise_std**2 * w_norm2)
+    if scene.n_clutter:
+        clutter = complex_normal(rng, (n_trials, scene.n_clutter))
+        interf = clutter @ (np.sqrt(scene.clutter_powers) * proj[1:])
+        del clutter
+        noise = complex_normal(rng, (n_trials,))
+        noise *= noise_scale
+        interf += noise
+        del noise
+    else:
+        interf = complex_normal(rng, (n_trials,))
+        interf *= noise_scale
+    target = complex_normal(rng, (n_trials,))
+    target *= np.sqrt(scene.target_power)
+    target *= proj[0]
+    t0 = np.abs(interf)
+    t0 **= 2
+    interf += target
+    del target
+    t1 = np.abs(interf)
+    t1 **= 2
     return t0, t1
 
 
@@ -185,14 +199,13 @@ def gmm_mmse_batch(
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
     state = comm_state(phi, model)
-    sigma = state.sigma
-    b_h = state.b.conj().transpose(0, 2, 1)  # B_n^H, shape (N_k, q, L)
+    sigma = state.sigma.transpose(2, 0, 1)  # component axis first for the batched solve
+    b_h = state.b.conj().transpose(2, 1, 0)  # B_n^H, shape (N_k, q, L)
     phi_mu = model.means @ phi.T
 
     n_trials = obs.shape[0]
     n_comp = model.n_components
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(model.weights) - state.logdet
+    log_prior = model.log_weights - state.logdet
     est = np.empty((n_trials, model.n_tx), dtype=complex)
     resp = np.empty((n_trials, n_comp))
     chunk = max(1, int(2_000_000 // (n_comp * max(model.n_tx, phi.shape[0]))))

@@ -18,6 +18,17 @@ so the mixture-weighted sum over components is one (L, N_k q) x (N_k q, N_t)
 product with the stacked factor plus one (L, N_k) x (N_k, N_t) product with
 the centered means; nothing of size (N_k, L, N_t) is formed.
 
+The state keeps the component axis last: B_n, Sigma_n and C_n are stacked
+as (L, q, N_k), (L, L, N_k) and (L, q, N_k) arrays, so the per-component
+algebra is elementwise NumPy work over N_k-long rows rather than N_k small
+matrix calls. ``comm_state`` gets s_n, C_n and log det Sigma_n from one
+Gaussian elimination of [Sigma_n | Phi mu_bar_n | B_n] run over all
+components at once (``metrics._solve_stacked``): L forward steps and L - 1
+back-substitution steps. It needs no pivoting, because Sigma_n >= sigma^2 I
+is positive definite: every pivot is at least sigma^2, and elimination
+without pivoting is stable on such matrices. A pivot that is not positive
+and finite raises ``NumericError``.
+
 A_n keeps the eigenvectors of R_n whose eigenvalues exceed
 ``channel.FACTOR_RANK_CUT`` (1e-15) times the model's largest eigenvalue.
 A region covariance is a sum of ``quadrature_points`` steering outer
@@ -64,12 +75,14 @@ class GradientMatrix:
 
 def _comm_grad(state: CommState, model: GmmUserModel) -> np.ndarray:
     mix = np.exp(state.log_mix - state.log_omega)
-    y = np.einsum("kl,klq->kq", state.s.conj(), state.b)  # s_n^H B_n
-    d = mix[:, None, None] * (state.c - state.s[:, :, None] * y[:, None, :])
-    d_flat = d.transpose(1, 0, 2).reshape(d.shape[1], -1)
-    # D A^H as conj(conj(D) A^T), which multiplies by the cached factor without copying it
+    ms = mix * state.s  # (L, N_k)
+    y = np.einsum("lk,lqk->qk", state.s.conj(), state.b)  # s_n^H B_n
+    d = mix * state.c - ms[:, None, :] * y
+    # D reordered to the factor's columns n*q + j; D A^H is taken as
+    # conj(conj(D) A^T), and likewise for the means, so neither cached array is copied
+    d_flat = d.transpose(0, 2, 1).reshape(d.shape[0], -1)
     grad = (d_flat.conj() @ model.factor.T).conj()
-    return grad + (mix[:, None] * state.s).T @ state.mu_bar.conj()
+    return grad + (ms.conj() @ model.mu_bar).conj()
 
 
 def grad_comm_mi_user(pilot, model: GmmUserModel) -> GradientMatrix:

@@ -16,7 +16,6 @@ import numpy as np
 from .channel import (
     GmmUserModel,
     SensingScene,
-    _steering_rows,
     pilot_entries,
     sample_channels,
     steering_vector,
@@ -61,18 +60,19 @@ class CommState(NamedTuple):
     """Per-pilot mixture observation statistics in factor form (R_n = A_n A_n^H).
 
     Shared by the communication metric, its gradient and the mixture-MMSE
-    estimator; A_n is the low-rank ``GmmUserModel.factor`` of rank q.
+    estimator; A_n is the low-rank ``GmmUserModel.factor`` of rank q.  Arrays
+    keep the component axis n last, so each step of the elimination in
+    ``_solve_stacked`` works on all N_k components at once.
     """
 
     value: float
-    log_mix: np.ndarray  # log of alpha_n e^{-beta_n} / det Sigma_n, per component
+    log_mix: np.ndarray  # (N_k,) log of alpha_n e^{-beta_n} / det Sigma_n
     log_omega: float
     logdet: np.ndarray  # (N_k,) log det Sigma_n
-    sigma: np.ndarray  # (N_k, L, L) Sigma_n = B_n B_n^H + sigma^2 I
-    b: np.ndarray  # (N_k, L, q) B_n = Phi A_n
-    s: np.ndarray  # (N_k, L) solves Sigma_n^{-1} Phi mu_bar_n
-    c: np.ndarray  # (N_k, L, q) solves Sigma_n^{-1} B_n
-    mu_bar: np.ndarray  # (N_k, N_t) overall mean minus component means
+    sigma: np.ndarray  # (L, L, N_k) Sigma_n = B_n B_n^H + sigma^2 I
+    b: np.ndarray  # (L, q, N_k) B_n = Phi A_n
+    s: np.ndarray  # (L, N_k) solves Sigma_n^{-1} Phi mu_bar_n
+    c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
 
 
 class SenseState(NamedTuple):
@@ -93,42 +93,65 @@ def _check_pilot_model(phi: np.ndarray, model: GmmUserModel):
         raise DimensionError("pilot antenna count must match the channel model")
 
 
+def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
+    """Gaussian elimination, in place, of the stacked systems [Sigma_n | rhs_n].
+
+    ``aug`` is (n, n + p, N_k) with the Hermitian positive definite Sigma_n
+    in its first n columns; on return its last p columns hold
+    Sigma_n^{-1} rhs_n.  Returns the (n, N_k) pivots, whose logs sum to
+    log det Sigma_n.  Each of the n forward steps and n - 1 back-substitution
+    steps is a few NumPy operations over all N_k components, in place of one
+    LAPACK call per component.  No pivoting is needed: every pivot is the
+    leading entry of a Schur complement of Sigma_n, which is positive
+    definite with eigenvalues no smaller than Sigma_n's, so a pivot is at
+    least lambda_min(Sigma_n) (sigma^2 for an observation covariance), and
+    elimination on a positive definite matrix does not grow its entries.  A
+    pivot that is not positive and finite (a NaN or infinite pilot, say)
+    raises ``NumericError``.
+    """
+    for i in range(n):
+        aug[i, i + 1 :] *= 1.0 / aug[i, i].real
+        aug[i + 1 :, i + 1 :] -= aug[i + 1 :, i, None] * aug[i, None, i + 1 :]
+    for j in range(n - 1, 0, -1):
+        aug[:j, n:] -= aug[:j, j, None] * aug[j, None, n:]
+    diag = np.arange(n)
+    pivots = aug[diag, diag].real
+    if not (pivots.min() > 0.0 and pivots.max() < np.inf):
+        raise NumericError(
+            f"observation covariance is not positive definite (smallest pivot {pivots.min():.3g})"
+        )
+    return pivots
+
+
 def comm_state(pilot, model: GmmUserModel) -> CommState:
     """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric.
 
     The only place Sigma_n is built: B_n = Phi A_n comes from one product
-    with the stacked low-rank factor, one Cholesky gives log det Sigma_n and
-    one batched solve gives Sigma_n^{-1} [Phi mu_bar_n | B_n].
+    with the stacked low-rank factor, and one elimination over all
+    components (``_solve_stacked``) gives log det Sigma_n and
+    Sigma_n^{-1} [Phi mu_bar_n | B_n].
     """
     phi = pilot_entries(pilot)
     _check_pilot_model(phi, model)
     n_slots = phi.shape[0]
-    n_comp = model.n_components
-    sigma2 = model.noise_std**2
 
-    b = (phi @ model.factor).reshape(n_slots, n_comp, -1).transpose(1, 0, 2)
-    sigma = np.einsum("klq,kmq->klm", b, b.conj())
-    sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1))
-    sigma += sigma2 * np.eye(n_slots)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("observation covariance is not positive definite") from exc
-    logdet = 2.0 * np.sum(np.log(np.einsum("kll->kl", chol).real), axis=1)
+    g = (phi @ model.factor).reshape(n_slots, model.n_components, -1)  # (L, N_k, q)
+    b = g.transpose(0, 2, 1)
+    sigma = np.einsum("ikq,jkq->ijk", g, g.conj())
+    diag = np.arange(n_slots)
+    sigma[diag, diag] += model.noise_std**2
+    v = phi @ model.mu_bar.T
+    aug = np.concatenate((sigma, v[:, None], b), axis=1)
+    logdet = np.log(_solve_stacked(aug, n_slots)).sum(axis=0)
+    s, c = aug[:, n_slots], aug[:, n_slots + 1 :]
+    beta = np.einsum("lk,lk->k", v.conj(), s).real
 
-    mu_bar = (model.weights @ model.means)[None, :] - model.means
-    v = mu_bar @ phi.T
-    sol = np.linalg.solve(sigma, np.concatenate((v[..., None], b), axis=2))
-    s, c = sol[..., 0], sol[..., 1:]
-    beta = np.einsum("kl,kl->k", v.conj(), s).real
-
-    with np.errstate(divide="ignore"):
-        log_mix = np.log(model.weights) - beta - logdet
+    log_mix = model.log_weights - beta - logdet
     top = log_mix.max()
     log_omega = float(top + np.log(np.sum(np.exp(log_mix - top))))
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c, mu_bar)
+    return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c)
 
 
 def comm_mi_user(pilot, model: GmmUserModel) -> float:
@@ -160,17 +183,14 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
 
     mu_i^H mu_j factors into a receive-steering correlation times a
     pilot-domain inner product, so nothing of size N_r*L is ever formed.
+    The steering rows, correlations and powers depend on the scene alone and
+    are built once per scene (``SensingScene._sense_terms``).
     """
     phi = pilot_entries(pilot)
-    geom = scene.geometry
-    if phi.shape[1] != geom.n_tx:
+    if phi.shape[1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")
-    angles = np.concatenate(([scene.target_angle], scene.clutter_angles))
-    powers = np.concatenate(([scene.target_power], scene.clutter_powers))
-    a_tx = _steering_rows(geom.n_tx, geom.spacing_tx, angles)
-    a_rx = _steering_rows(geom.n_rx, geom.spacing_rx, angles)
+    a_tx, rx_corr, powers = scene._sense_terms
     u = a_tx @ phi.T
-    rx_corr = a_rx.conj() @ a_rx.T
     gram = rx_corr * (u.conj() @ u.T)
     sigma2 = scene.radar_noise_std**2
 

@@ -57,6 +57,34 @@ class TestRadarFrame:
         t0, t1 = simulate_detection_trials(pilot, scene, 3000, substream(5, "trials"))
         assert np.array_equal(t0, t1)
 
+    @pytest.mark.parametrize(
+        "clutter", [(), ((10.0, 0.4),), ((10.0, 0.4), (-30.0, 2.5))], ids=["q0", "q1", "q2"]
+    )
+    def test_trials_match_all_draws_first_formula(self, clutter):
+        # oracle: every draw held at once, then combined; the in-place
+        # version must give the same bits and leave the stream alike
+        def all_draws_first(pilot, scene, n_trials, rng):
+            from isacpilot.evaluation import _detector_scalars
+
+            proj, w_norm2 = _detector_scalars(pilot, scene)
+            n_clutter = scene.n_clutter
+            gamma_c = ip.complex_normal(rng, (n_trials, n_clutter)) if n_clutter else None
+            noise = ip.complex_normal(rng, (n_trials,))
+            gamma_t = ip.complex_normal(rng, (n_trials,))
+            interf = np.sqrt(scene.radar_noise_std**2 * w_norm2) * noise
+            if n_clutter:
+                interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
+            target = np.sqrt(scene.target_power) * gamma_t * proj[0]
+            return np.abs(interf) ** 2, np.abs(interf + target) ** 2
+
+        pilot = ip.random_stiefel(3, 8, substream(20, "rf"))
+        scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=clutter)
+        rng, oracle_rng = substream(21, "trials"), substream(21, "trials")
+        t0, t1 = simulate_detection_trials(pilot, scene, 5000, rng)
+        e0, e1 = all_draws_first(pilot, scene, 5000, oracle_rng)
+        assert np.array_equal(t0, e0) and np.array_equal(t1, e1)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_rejects_unknown_hypothesis(self):
         pilot = ip.random_stiefel(3, 8, substream(6, "rf"))
         with pytest.raises(ip.InvalidParameterError):

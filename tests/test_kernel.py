@@ -58,7 +58,8 @@ def dense_comm(phi, model):
     v = mu_bar @ phi.T
     s = np.linalg.solve(sigma, v[..., None])[..., 0]
     beta = np.einsum("kl,kl->k", v.conj(), s).real
-    log_mix = np.log(model.weights) - beta - logdet
+    with np.errstate(divide="ignore"):  # zero weights
+        log_mix = np.log(model.weights) - beta - logdet
     log_omega = logsumexp(log_mix)
     value = -log_omega - n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     mix = np.exp(log_mix - log_omega)
@@ -124,7 +125,70 @@ class TestFactor:
         assert np.array_equal(model.means, np.stack(means))
 
 
+def elimination_case(n_slots, prior):
+    """(pilot, model) at N_t = 12, with zero weights on some components.
+
+    "region": shipped-style region covariances, low rank (q < N_t);
+    "full-rank": random covariances, so the factor keeps q = N_t columns.
+    """
+    rng = ip.substream(n_slots, "elimination", prior)
+    n_tx = 12
+    if prior == "region":
+        base = ip.build_user_model(ip.ArrayGeometry(n_tx, 4), 30.0, 8.0, 36, 0.3)
+        covs = base.covariances
+    else:
+        a = rng.standard_normal((6, n_tx, n_tx)) + 1j * rng.standard_normal((6, n_tx, n_tx))
+        covs = a @ a.conj().transpose(0, 2, 1) / (2 * n_tx)
+    n_comp = covs.shape[0]
+    weights = rng.uniform(0.2, 1.0, n_comp)
+    weights[::3] = 0.0
+    means = rng.standard_normal((n_comp, n_tx)) + 1j * rng.standard_normal((n_comp, n_tx))
+    model = ip.GmmUserModel(weights / weights.sum(), means / 2, covs, noise_std=0.4)
+    return ip.random_stiefel(n_slots, n_tx, rng), model
+
+
+ELIMINATION_CASES = pytest.mark.parametrize(
+    "n_slots,prior", [(n, p) for p in ("region", "full-rank") for n in (1, 4, 6, 9)]
+)
+
+
 class TestCommState:
+    @ELIMINATION_CASES
+    def test_elimination_matches_lapack(self, n_slots, prior):
+        pilot, model = elimination_case(n_slots, prior)
+        phi = pilot.entries
+        rank = factor_blocks(model).shape[2]
+        assert rank == 12 if prior == "full-rank" else rank < 12
+        state = comm_state(pilot, model)
+        # Sigma_n from the full covariances, independent of the factor
+        sigma = phi @ model.covariances @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
+        assert np.abs(state.sigma.transpose(2, 0, 1) - sigma).max() <= 1e-12 * np.abs(sigma).max()
+        mu_bar = model.weights @ model.means - model.means
+        rhs = np.concatenate(((mu_bar @ phi.T)[:, :, None], state.b.transpose(2, 0, 1)), axis=2)
+        expected = np.linalg.solve(sigma, rhs)
+        got = np.concatenate((state.s.T[:, :, None], state.c.transpose(2, 0, 1)), axis=2)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        logdet = np.linalg.slogdet(sigma)[1]
+        assert np.abs(state.logdet - logdet).max() <= 1e-12 * np.abs(logdet).max()
+        zero = model.weights == 0.0
+        assert zero.any() and np.all(state.log_mix[zero] == -np.inf)
+
+    @ELIMINATION_CASES
+    def test_value_and_gradient_match_dense_formula(self, n_slots, prior):
+        pilot, model = elimination_case(n_slots, prior)
+        value, grad = dense_comm(pilot.entries, model)
+        assert abs(comm_state(pilot, model).value - value) <= 1e-12 * abs(value)
+        got = ip.grad_comm_mi_user(pilot, model).entries
+        assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pilot_raises(self, bad):
+        model = sweep_users()[0]
+        phi = ip.random_stiefel(4, 16, ip.substream(9, "kernel-nan")).entries
+        phi[1, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ip.NumericError):
+            comm_state(phi, model)
+
     def test_matches_dense_formula(self):
         for pilot, model in kernel_cases():
             value, grad = dense_comm(pilot.entries, model)
