@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    TASKS,
     ExperimentConfig,
     ConfigError,
     build_objective,
@@ -84,7 +85,7 @@ def emit_table(table: ResultTable, path: str) -> None:
 
 
 def _base_metadata(config: ExperimentConfig) -> dict:
-    meta = {
+    return {
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "version": __version__,
@@ -94,9 +95,6 @@ def _base_metadata(config: ExperimentConfig) -> dict:
         "mean_scale": config.scenario["mean_scale"],
         "sensing_formula": config.scenario["sensing_formula"],
     }
-    if "carrier_frequency_ghz" in config.scenario:
-        meta["carrier_frequency_ghz"] = config.scenario["carrier_frequency_ghz"]
-    return meta
 
 
 def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
@@ -125,9 +123,8 @@ def _map_units(worker, units, threads: int) -> list:
 
 
 def _sweep_unit(args) -> tuple:
-    config, rho = args
+    config, objective, rho = args
     scenario = config.scenario
-    objective = build_objective(scenario, rho)
     init = random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "init"))
     point = rho_sweep(objective, [rho], init, config.optimizer)[0]
     # endpoint sense MI reported under the globally selected formula; the
@@ -138,7 +135,10 @@ def _sweep_unit(args) -> tuple:
 
 
 def _task_sweep(config: ExperimentConfig, threads: int) -> list:
-    rows = _map_units(_sweep_unit, [(config, rho) for rho in config.task_params["rho_values"]], threads)
+    # one objective for every unit; rho_sweep sets each unit's own rho
+    objective = build_objective(config.scenario, 0.0)
+    units = [(config, objective, rho) for rho in config.task_params["rho_values"]]
+    rows = _map_units(_sweep_unit, units, threads)
     table = ResultTable(
         name="frontier",
         columns=["rho", "comm_mi_bits", "sense_mi_bits", "objective_bits", "iters", "residual"],
@@ -468,7 +468,7 @@ def main(argv=None) -> None:
         prog="isacpilot",
         description="Pilot design and evaluation experiments, driven by a YAML config.",
     )
-    parser.add_argument("task", choices=list(_RUNNERS) + ["verify"], help="task to run")
+    parser.add_argument("task", choices=[*TASKS, "verify"], help="task to run")
     parser.add_argument("--config", required=True, help="path to the experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")

@@ -20,26 +20,36 @@ from .errors import IsacPilotError
 from .metrics import IsacObjective
 from .optimizer import OptimizerConfig
 
-TASKS = ("optimize", "sweep", "pareto-cloud", "roc", "nmse", "ser", "gradcheck", "diagnostics")
 PILOT_SOURCES = ("optimized", "random", "dft", "eigen")
+# a table's default: a value, REQUIRED, or ABSENT (the key is left out when not given)
+REQUIRED, ABSENT = object(), object()
 
 
 class ConfigError(IsacPilotError, ValueError):
     """Configuration file is malformed; message carries the offending path."""
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: required key is missing")
-    return mapping[key]
+def _fields(mapping, table: dict, path: str) -> dict:
+    """Parse a config section by its table ``{key: (parse, default)}``.
 
-
-def _check_keys(mapping, allowed, path: str):
+    Unknown keys are rejected and missing REQUIRED ones reported with their
+    dotted path; each given or defaulted value goes through its parser, in
+    table order.  A section written as null is an empty one.
+    """
+    mapping = {} if mapping is None else mapping
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}: expected a mapping")
     for key in mapping:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"{path}.{key}: unknown key")
+    fields = {}
+    for key, (parse, default) in table.items():
+        value = mapping.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{path}.{key}: required key is missing")
+        if value is not ABSENT:
+            fields[key] = parse(value, f"{path}.{key}")
+    return fields
 
 
 def _number(value, path: str) -> float:
@@ -54,16 +64,133 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _number_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _choice(value, options, path: str) -> str:
-    if value not in options:
-        raise ConfigError(f"{path}: expected one of {options}")
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
     return value
+
+
+def _checked(parse, holds, rule: str):
+    """``parse``, then reject a value for which ``holds`` is false, stating ``rule``."""
+
+    def parse_checked(value, path):
+        value = parse(value, path)
+        if not holds(value):
+            raise ConfigError(f"{path}: {rule}")
+        return value
+
+    return parse_checked
+
+
+def _at_least(low: int):
+    return _checked(_integer, lambda n: n >= low, f"must be at least {low}")
+
+
+def _as_is(value, path: str):
+    return value
+
+
+def _one_of(*options):
+    return _checked(_as_is, lambda value: value in options, f"expected one of {options}")
+
+
+def _list(parse, noun: str = "", nonempty: bool = True):
+    """A list parsed item by item; a list that may be empty may also be null."""
+
+    def parse_list(value, path):
+        value = [] if value is None and not nonempty else value
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ConfigError(f"{path}: expected a {'nonempty ' * nonempty}list{noun}")
+        return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return parse_list
+
+
+def _section(table: dict, name: str | None = None):
+    """A nested section; ``name`` replaces the path of a top-level one."""
+    return lambda value, path: _fields(value, table, name or path)
+
+
+_count = _at_least(1)
+_seed = _at_least(0)
+_positive = _checked(_number, lambda x: x > 0.0, "must be positive")
+_fraction = _checked(_number, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_numbers = _list(_number, " of numbers")
+_fractions = _checked(_numbers, lambda xs: all(0.0 <= x <= 1.0 for x in xs), "values must lie in [0, 1]")
+_source = _one_of(*PILOT_SOURCES)
+
+_USER = {
+    "mean_aoa_deg": (_number, REQUIRED),
+    "azimuth_spread_deg": (_positive, REQUIRED),
+    "noise_std": (_positive, REQUIRED),
+    "weight": (_fraction, ABSENT),
+}
+_CLUTTER = {"angle_deg": (_number, REQUIRED), "power": (_number, REQUIRED)}
+_SCENE = {
+    "target_angle_deg": (_number, REQUIRED),
+    "target_power": (_number, REQUIRED),
+    "radar_noise_std": (_positive, REQUIRED),
+    # kept as (angle, power) pairs
+    "clutter": (
+        _list(lambda value, path: tuple(_fields(value, _CLUTTER, path).values()), nonempty=False),
+        [],
+    ),
+}
+_GEOMETRY = {
+    "n_tx": (_count, REQUIRED),
+    "n_rx": (_count, REQUIRED),
+    "spacing_tx": (_positive, 0.5),
+    "spacing_rx": (_positive, 0.5),
+}
+_SCENARIO = {
+    "geometry": (_section(_GEOMETRY), REQUIRED),
+    "pilot_len": (_count, REQUIRED),
+    "n_components": (_count, REQUIRED),
+    "quadrature_points": (_count, 8),
+    "mean_policy": (_one_of("steering", "zero"), "steering"),
+    "mean_scale": (_number, 1.0),
+    "sensing_formula": (_one_of("approx", "exact"), "approx"),
+    "rho": (_fraction, ABSENT),
+    "users": (_list(_section(_USER)), REQUIRED),
+    "scene": (_section(_SCENE), REQUIRED),
+}
+_OPTIMIZER = {
+    "step_size": (_positive, 0.1),
+    "max_iters": (_count, 200),
+    "rel_tol": (_checked(_number, lambda x: x >= 0.0, "must be nonnegative"), 1e-8),
+}
+# task name: the table of the task's config section, which is named by the
+# task name's last word (the pareto-cloud task reads section cloud)
+TASKS = {
+    "optimize": {},
+    "sweep": {"rho_values": (_fractions, REQUIRED)},
+    "pareto-cloud": {"samples": (_count, REQUIRED)},
+    "roc": {
+        "trials": (_count, REQUIRED),
+        "p_fa": (_numbers, REQUIRED),
+        "pilot_source": (_source, "optimized"),
+    },
+    "nmse": {"trials": (_count, REQUIRED), "sources": (_list(_source), list(PILOT_SOURCES))},
+    "ser": {
+        "snr_grid_db": (_numbers, REQUIRED),
+        "n_symbols": (_count, REQUIRED),
+        "block_len": (_count, 100),
+        "sources": (_list(_source), ["optimized", "random"]),
+    },
+    "gradcheck": {"instances": (_count, 5), "step": (_positive, 1e-4), "tolerance": (_positive, 1e-5)},
+    # a rank correlation needs at least two pilots
+    "diagnostics": {"pilots": (_at_least(2), 50), "trials": (_count, REQUIRED), "block_len": (_count, 100)},
+}
+_SECTION_OF = {task: task.split("-")[-1] for task in TASKS}
+_TOP = {
+    "task": (_one_of(*TASKS), REQUIRED),
+    "seed": (_seed, REQUIRED),
+    "output_dir": (_string, "results"),
+    "optimizer": (_section(_OPTIMIZER, "optimizer"), {}),
+    "scenario": (_section(_SCENARIO, "scenario"), REQUIRED),
+    # the section of the config's task is parsed by the task's table
+    **{section: (_as_is, ABSENT) for section in _SECTION_OF.values()},
+}
 
 
 @dataclass
@@ -86,150 +213,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_scenario(raw: dict) -> dict:
-    path = "scenario"
-    _check_keys(
-        raw,
-        {
-            "geometry",
-            "pilot_len",
-            "n_components",
-            "quadrature_points",
-            "mean_policy",
-            "mean_scale",
-            "carrier_frequency_ghz",
-            "sensing_formula",
-            "rho",
-            "users",
-            "scene",
-        },
-        path,
-    )
-    geo_raw = _require(raw, "geometry", path)
-    _check_keys(geo_raw, {"n_tx", "n_rx", "spacing_tx", "spacing_rx"}, f"{path}.geometry")
-    scenario = {
-        "n_tx": _integer(_require(geo_raw, "n_tx", f"{path}.geometry"), f"{path}.geometry.n_tx"),
-        "n_rx": _integer(_require(geo_raw, "n_rx", f"{path}.geometry"), f"{path}.geometry.n_rx"),
-        "spacing_tx": _number(geo_raw.get("spacing_tx", 0.5), f"{path}.geometry.spacing_tx"),
-        "spacing_rx": _number(geo_raw.get("spacing_rx", 0.5), f"{path}.geometry.spacing_rx"),
-        "pilot_len": _integer(_require(raw, "pilot_len", path), f"{path}.pilot_len"),
-        "n_components": _integer(_require(raw, "n_components", path), f"{path}.n_components"),
-        "quadrature_points": _integer(raw.get("quadrature_points", 8), f"{path}.quadrature_points"),
-        "mean_policy": _choice(raw.get("mean_policy", "steering"), ("steering", "zero"), f"{path}.mean_policy"),
-        "mean_scale": _number(raw.get("mean_scale", 1.0), f"{path}.mean_scale"),
-        "sensing_formula": _choice(
-            raw.get("sensing_formula", "approx"), ("approx", "exact"), f"{path}.sensing_formula"
-        ),
-    }
-    if "carrier_frequency_ghz" in raw:
-        scenario["carrier_frequency_ghz"] = _number(
-            raw["carrier_frequency_ghz"], f"{path}.carrier_frequency_ghz"
-        )
-    if "rho" in raw:
-        rho = _number(raw["rho"], f"{path}.rho")
-        if not 0.0 <= rho <= 1.0:
-            raise ConfigError(f"{path}.rho: must lie in [0, 1]")
-        scenario["rho"] = rho
-
-    users_raw = _require(raw, "users", path)
-    if not isinstance(users_raw, list) or not users_raw:
-        raise ConfigError(f"{path}.users: expected a nonempty list")
-    users = []
-    for i, user in enumerate(users_raw):
-        upath = f"{path}.users[{i}]"
-        _check_keys(user, {"mean_aoa_deg", "azimuth_spread_deg", "noise_std", "weight"}, upath)
-        users.append(
-            {
-                "mean_aoa_deg": _number(_require(user, "mean_aoa_deg", upath), f"{upath}.mean_aoa_deg"),
-                "azimuth_spread_deg": _number(
-                    _require(user, "azimuth_spread_deg", upath), f"{upath}.azimuth_spread_deg"
-                ),
-                "noise_std": _number(_require(user, "noise_std", upath), f"{upath}.noise_std"),
-                **({"weight": _number(user["weight"], f"{upath}.weight")} if "weight" in user else {}),
-            }
-        )
-    scenario["users"] = users
-
-    scene_raw = _require(raw, "scene", path)
-    spath = f"{path}.scene"
-    _check_keys(scene_raw, {"target_angle_deg", "target_power", "radar_noise_std", "clutter"}, spath)
-    clutter = []
-    for i, item in enumerate(scene_raw.get("clutter", []) or []):
-        cpath = f"{spath}.clutter[{i}]"
-        _check_keys(item, {"angle_deg", "power"}, cpath)
-        clutter.append(
-            (
-                _number(_require(item, "angle_deg", cpath), f"{cpath}.angle_deg"),
-                _number(_require(item, "power", cpath), f"{cpath}.power"),
-            )
-        )
-    scenario["scene"] = {
-        "target_angle_deg": _number(_require(scene_raw, "target_angle_deg", spath), f"{spath}.target_angle_deg"),
-        "target_power": _number(_require(scene_raw, "target_power", spath), f"{spath}.target_power"),
-        "radar_noise_std": _number(_require(scene_raw, "radar_noise_std", spath), f"{spath}.radar_noise_std"),
-        "clutter": clutter,
-    }
-    if scenario["pilot_len"] >= scenario["n_tx"]:
-        raise ConfigError(f"{path}.pilot_len: must be strictly below geometry.n_tx")
-    return scenario
-
-
-_TASK_SECTIONS = {
-    "optimize": ("optimize", set()),
-    "sweep": ("sweep", {"rho_values"}),
-    "pareto-cloud": ("cloud", {"samples"}),
-    "roc": ("roc", {"trials", "p_fa", "pilot_source"}),
-    "nmse": ("nmse", {"trials", "sources"}),
-    "ser": ("ser", {"snr_grid_db", "n_symbols", "block_len", "sources"}),
-    "gradcheck": ("gradcheck", {"instances", "step", "tolerance"}),
-    "diagnostics": ("diagnostics", {"pilots", "trials", "block_len"}),
-}
-
-
-def _parse_task_params(task: str, raw: dict) -> dict:
-    section, allowed = _TASK_SECTIONS[task]
-    params_raw = raw.get(section, {}) or {}
-    _check_keys(params_raw, allowed, section)
-    params: dict = {}
-    if task == "sweep":
-        params["rho_values"] = _number_list(_require(params_raw, "rho_values", section), f"{section}.rho_values")
-        if any(not 0.0 <= r <= 1.0 for r in params["rho_values"]):
-            raise ConfigError(f"{section}.rho_values: values must lie in [0, 1]")
-    elif task == "pareto-cloud":
-        params["samples"] = _integer(_require(params_raw, "samples", section), f"{section}.samples")
-    elif task == "roc":
-        params["trials"] = _integer(_require(params_raw, "trials", section), f"{section}.trials")
-        params["p_fa"] = _number_list(_require(params_raw, "p_fa", section), f"{section}.p_fa")
-        params["pilot_source"] = _choice(
-            params_raw.get("pilot_source", "optimized"), PILOT_SOURCES, f"{section}.pilot_source"
-        )
-    elif task == "nmse":
-        params["trials"] = _integer(_require(params_raw, "trials", section), f"{section}.trials")
-        sources = params_raw.get("sources", list(PILOT_SOURCES))
-        params["sources"] = [
-            _choice(s, PILOT_SOURCES, f"{section}.sources[{i}]") for i, s in enumerate(sources)
-        ]
-    elif task == "ser":
-        params["snr_grid_db"] = _number_list(
-            _require(params_raw, "snr_grid_db", section), f"{section}.snr_grid_db"
-        )
-        params["n_symbols"] = _integer(_require(params_raw, "n_symbols", section), f"{section}.n_symbols")
-        params["block_len"] = _integer(params_raw.get("block_len", 100), f"{section}.block_len")
-        sources = params_raw.get("sources", ["optimized", "random"])
-        params["sources"] = [
-            _choice(s, PILOT_SOURCES, f"{section}.sources[{i}]") for i, s in enumerate(sources)
-        ]
-    elif task == "gradcheck":
-        params["instances"] = _integer(params_raw.get("instances", 5), f"{section}.instances")
-        params["step"] = _number(params_raw.get("step", 1e-4), f"{section}.step")
-        params["tolerance"] = _number(params_raw.get("tolerance", 1e-5), f"{section}.tolerance")
-    elif task == "diagnostics":
-        params["pilots"] = _integer(params_raw.get("pilots", 50), f"{section}.pilots")
-        params["trials"] = _integer(_require(params_raw, "trials", section), f"{section}.trials")
-        params["block_len"] = _integer(params_raw.get("block_len", 100), f"{section}.block_len")
-    return params
-
-
 def parse_config(path: str, seed_override: int | None = None, out_override: str | None = None) -> ExperimentConfig:
     """Load, validate and normalize a config file; overrides come from the CLI."""
     try:
@@ -242,43 +225,33 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    top_allowed = {"task", "seed", "output_dir", "scenario", "optimizer"}
-    top_allowed.update(section for section, _ in _TASK_SECTIONS.values())
-    _check_keys(raw, top_allowed, "config")
+    top = _fields(raw, _TOP, "config")
+    task = top["task"]
+    section = _SECTION_OF[task]
+    for other in _SECTION_OF.values():
+        if other in raw and other != section:
+            raise ConfigError(f"config.{other}: section does not belong to task {task!r}")
+    task_params = _fields(raw.get(section), TASKS[task], section)
 
-    task = _choice(_require(raw, "task", "config"), TASKS, "config.task")
-    for other, (section, _) in _TASK_SECTIONS.items():
-        if other != task and section in raw and section != _TASK_SECTIONS[task][0]:
-            raise ConfigError(f"config.{section}: section does not belong to task {task!r}")
-
-    seed = _integer(_require(raw, "seed", "config"), "config.seed")
-    if seed_override is not None:
-        seed = seed_override
-    output_dir = raw.get("output_dir", "results")
-    if not isinstance(output_dir, str):
-        raise ConfigError("config.output_dir: expected a string")
-    if out_override is not None:
-        output_dir = out_override
-
-    opt_raw = raw.get("optimizer", {}) or {}
-    _check_keys(opt_raw, {"step_size", "max_iters", "rel_tol"}, "optimizer")
-    optimizer = OptimizerConfig(
-        step_size=_number(opt_raw.get("step_size", 0.1), "optimizer.step_size"),
-        max_iters=_integer(opt_raw.get("max_iters", 200), "optimizer.max_iters"),
-        rel_tol=_number(opt_raw.get("rel_tol", 1e-8), "optimizer.rel_tol"),
-    )
-    scenario = _parse_scenario(_require(raw, "scenario", "config"))
-    task_params = _parse_task_params(task, raw)
+    scenario = top["scenario"]
+    scenario = {**scenario.pop("geometry"), **scenario}
+    if scenario["pilot_len"] >= scenario["n_tx"]:
+        raise ConfigError("scenario.pilot_len: must be strictly below geometry.n_tx")
     # rho fixes the objective of every optimized pilot the task uses
     pilots = [*task_params.get("sources", ()), task_params.get("pilot_source")]
     if "rho" not in scenario and (task == "optimize" or "optimized" in pilots):
         raise ConfigError("scenario.rho: required for this task")
+    weights = [user["weight"] for user in scenario["users"] if "weight" in user]
+    if weights and len(weights) < len(scenario["users"]):
+        raise ConfigError("scenario.users: either give every user a weight or none")
+    if weights and abs(sum(weights) - 1.0) > 1e-12:
+        raise ConfigError("scenario.users: weights must sum to 1")
     return ExperimentConfig(
         task=task,
-        seed=seed,
-        output_dir=output_dir,
+        seed=top["seed"] if seed_override is None else _seed(seed_override, "--seed"),
+        output_dir=top["output_dir"] if out_override is None else out_override,
         scenario=scenario,
-        optimizer=optimizer,
+        optimizer=OptimizerConfig(**top["optimizer"]),
         task_params=task_params,
         raw=raw,
     )
@@ -319,11 +292,8 @@ def build_users(scenario: dict) -> tuple[list, np.ndarray]:
         )
         for u in scenario["users"]
     ]
-    explicit = [u.get("weight") for u in scenario["users"]]
-    if any(w is not None for w in explicit):
-        if any(w is None for w in explicit):
-            raise ConfigError("scenario.users: either give every user a weight or none")
-        weights = np.array(explicit, dtype=float)
+    if "weight" in scenario["users"][0]:  # parse_config saw every user weighted or none
+        weights = np.array([u["weight"] for u in scenario["users"]])
     else:
         weights = np.full(len(users), 1.0 / len(users))
     return users, weights

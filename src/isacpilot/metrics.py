@@ -106,8 +106,7 @@ def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
     definite with eigenvalues no smaller than Sigma_n's, so a pivot is at
     least lambda_min(Sigma_n) (sigma^2 for an observation covariance), and
     elimination on a positive definite matrix does not grow its entries.  A
-    pivot that is not positive and finite (a NaN or infinite pilot, say)
-    raises ``NumericError``.
+    pivot that is not positive and finite raises ``NumericError``.
     """
     for i in range(n):
         aug[i, i + 1 :] *= 1.0 / aug[i, i].real
@@ -133,6 +132,8 @@ def comm_state(pilot, model: GmmUserModel) -> CommState:
     """
     phi = pilot_entries(pilot)
     _check_pilot_model(phi, model)
+    if not np.isfinite(phi).all():  # checked first: inf * 0 in the product below warns
+        raise NumericError("pilot has a NaN or infinite entry")
     n_slots = phi.shape[0]
 
     g = (phi @ model.factor).reshape(n_slots, model.n_components, -1)  # (L, N_k, q)

@@ -18,7 +18,10 @@ from isacpilot.cli import (
     run_config,
     verify_outputs,
 )
-from isacpilot.config import ConfigError, parse_config
+import isacpilot.cli as cli
+from isacpilot.config import TASKS, ConfigError, parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = {
     "task": "sweep",
@@ -128,6 +131,177 @@ class TestConfigParsing:
             assert "rho" not in parse_config(path).scenario
 
 
+SOURCES = "('optimized', 'random', 'dft', 'eigen')"
+USER = {"mean_aoa_deg": 40.0, "azimuth_spread_deg": 8.0, "noise_std": 0.5}
+CLUTTER = {"angle_deg": 0.0, "power": 0.5}
+
+
+def task_overrides(task, section_key, section):
+    """Overrides that turn BASE_CONFIG into a valid ``task`` config with ``section``."""
+    return {"task": task, "sweep": ..., "scenario.rho": 0.5, section_key: section}
+
+
+# single-fault configs and the exact message each is reported with
+PARSE_MESSAGES = [
+    ({"bogus": 1}, "config.bogus: unknown key"),
+    ({"seed": ...}, "config.seed: required key is missing"),
+    ({"seed": "eleven"}, "config.seed: expected an integer"),
+    ({"scenario": ...}, "config.scenario: required key is missing"),
+    ({"output_dir": 5}, "config.output_dir: expected a string"),
+    (
+        {"task": "fly"},
+        "config.task: expected one of ('optimize', 'sweep', 'pareto-cloud', 'roc', 'nmse', "
+        "'ser', 'gradcheck', 'diagnostics')",
+    ),
+    ({"scenario.bogus": 1}, "scenario.bogus: unknown key"),
+    ({"scenario.pilot_len": ...}, "scenario.pilot_len: required key is missing"),
+    ({"scenario.mean_scale": "big"}, "scenario.mean_scale: expected a number"),
+    ({"scenario.sensing_formula": "fast"}, "scenario.sensing_formula: expected one of ('approx', 'exact')"),
+    ({"scenario.geometry.bogus": 1}, "scenario.geometry.bogus: unknown key"),
+    ({"scenario.geometry.n_rx": ...}, "scenario.geometry.n_rx: required key is missing"),
+    ({"scenario.geometry.n_tx": 8.0}, "scenario.geometry.n_tx: expected an integer"),
+    ({"scenario.users": [{**USER, "bogus": 1}]}, "scenario.users[0].bogus: unknown key"),
+    (
+        {"scenario.users": [USER, {"mean_aoa_deg": 0.0, "azimuth_spread_deg": 8.0}]},
+        "scenario.users[1].noise_std: required key is missing",
+    ),
+    (
+        {"scenario.users": [{**USER, "mean_aoa_deg": "north"}]},
+        "scenario.users[0].mean_aoa_deg: expected a number",
+    ),
+    ({"scenario.users": []}, "scenario.users: expected a nonempty list"),
+    ({"scenario.scene.bogus": 1}, "scenario.scene.bogus: unknown key"),
+    ({"scenario.scene.radar_noise_std": ...}, "scenario.scene.radar_noise_std: required key is missing"),
+    ({"scenario.scene.target_power": "high"}, "scenario.scene.target_power: expected a number"),
+    ({"scenario.scene.clutter": [{**CLUTTER, "bogus": 1}]}, "scenario.scene.clutter[0].bogus: unknown key"),
+    (
+        {"scenario.scene.clutter": [CLUTTER, {"angle_deg": 9.0}]},
+        "scenario.scene.clutter[1].power: required key is missing",
+    ),
+    (
+        {"scenario.scene.clutter": [{**CLUTTER, "angle_deg": "x"}]},
+        "scenario.scene.clutter[0].angle_deg: expected a number",
+    ),
+    ({"scenario.scene.clutter": [5]}, "scenario.scene.clutter[0]: expected a mapping"),
+    ({"optimizer.bogus": 1}, "optimizer.bogus: unknown key"),
+    ({"optimizer.max_iters": 2.5}, "optimizer.max_iters: expected an integer"),
+    ({"optimizer": 5}, "optimizer: expected a mapping"),
+    (task_overrides("optimize", "optimize", {"bogus": 1}), "optimize.bogus: unknown key"),
+    ({"sweep.bogus": 1}, "sweep.bogus: unknown key"),
+    ({"sweep.rho_values": ...}, "sweep.rho_values: required key is missing"),
+    ({"sweep.rho_values": "all"}, "sweep.rho_values: expected a nonempty list of numbers"),
+    ({"sweep.rho_values": [0.5, "x"]}, "sweep.rho_values[1]: expected a number"),
+    (task_overrides("pareto-cloud", "cloud", {"samples": 10, "bogus": 1}), "cloud.bogus: unknown key"),
+    (task_overrides("pareto-cloud", "cloud", {}), "cloud.samples: required key is missing"),
+    (task_overrides("pareto-cloud", "cloud", {"samples": "many"}), "cloud.samples: expected an integer"),
+    (task_overrides("roc", "roc", {"trials": 1000, "p_fa": [0.1], "bogus": 1}), "roc.bogus: unknown key"),
+    (task_overrides("roc", "roc", {"trials": 1000}), "roc.p_fa: required key is missing"),
+    (task_overrides("roc", "roc", {"trials": 1.5, "p_fa": [0.1]}), "roc.trials: expected an integer"),
+    (
+        task_overrides("roc", "roc", {"trials": 1000, "p_fa": [0.1], "pilot_source": "best"}),
+        f"roc.pilot_source: expected one of {SOURCES}",
+    ),
+    (task_overrides("nmse", "nmse", {"trials": 10, "bogus": 1}), "nmse.bogus: unknown key"),
+    (task_overrides("nmse", "nmse", {}), "nmse.trials: required key is missing"),
+    (
+        task_overrides("nmse", "nmse", {"trials": 10, "sources": ["random", "best"]}),
+        f"nmse.sources[1]: expected one of {SOURCES}",
+    ),
+    (
+        task_overrides("ser", "ser", {"snr_grid_db": [10.0], "n_symbols": 1000, "bogus": 1}),
+        "ser.bogus: unknown key",
+    ),
+    (task_overrides("ser", "ser", {"n_symbols": 1000}), "ser.snr_grid_db: required key is missing"),
+    (
+        task_overrides("ser", "ser", {"snr_grid_db": [10.0], "n_symbols": "x"}),
+        "ser.n_symbols: expected an integer",
+    ),
+    (task_overrides("gradcheck", "gradcheck", {"bogus": 1}), "gradcheck.bogus: unknown key"),
+    (task_overrides("gradcheck", "gradcheck", {"step": "x"}), "gradcheck.step: expected a number"),
+    (
+        task_overrides("diagnostics", "diagnostics", {"trials": 10, "bogus": 1}),
+        "diagnostics.bogus: unknown key",
+    ),
+    (task_overrides("diagnostics", "diagnostics", {}), "diagnostics.trials: required key is missing"),
+    (
+        task_overrides("diagnostics", "diagnostics", {"trials": 10, "pilots": "x"}),
+        "diagnostics.pilots: expected an integer",
+    ),
+    ({"roc": {"trials": 1000, "p_fa": [0.1]}}, "config.roc: section does not belong to task 'sweep'"),
+    ({"scenario.rho": 1.5}, "scenario.rho: must lie in [0, 1]"),
+    ({"sweep.rho_values": [0.5, -0.1]}, "sweep.rho_values: values must lie in [0, 1]"),
+    ({"scenario.pilot_len": 8}, "scenario.pilot_len: must be strictly below geometry.n_tx"),
+    ({"task": "optimize", "sweep": ...}, "scenario.rho: required for this task"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", PARSE_MESSAGES, ids=[m for _, m in PARSE_MESSAGES])
+def test_parse_error_message(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(write_config(tmp_path, overrides))
+    assert str(excinfo.value) == message
+
+
+def test_non_mapping_root_rejected(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(str(path))
+    assert str(excinfo.value) == "config root must be a mapping"
+
+
+# inputs that crashed, wrote an empty or NaN table, or exited 3 before the
+# range rules moved into the config tables; each is now a config error
+BAD_INPUTS = [
+    ({"optimizer.step_size": 0.0}, None, "optimizer.step_size"),
+    ({"optimizer.max_iters": 0}, None, "optimizer.max_iters"),
+    ({"seed": -1}, None, "config.seed"),
+    ({}, -1, "--seed"),
+    ({"scenario.pilot_len": 0}, None, "scenario.pilot_len"),
+    ({"scenario.pilot_len": -1}, None, "scenario.pilot_len"),
+    (task_overrides("nmse", "nmse", {"trials": 10, "sources": 3}), None, "nmse.sources"),
+    ({"scenario.scene.clutter": 5}, None, "scenario.scene.clutter"),
+    (task_overrides("gradcheck", "gradcheck", {"instances": 0}), None, "gradcheck.instances"),
+    (task_overrides("pareto-cloud", "cloud", {"samples": 0}), None, "cloud.samples"),
+    (task_overrides("pareto-cloud", "cloud", {"samples": -5}), None, "cloud.samples"),
+    (task_overrides("diagnostics", "diagnostics", {"trials": 10, "pilots": 0}), None, "diagnostics.pilots"),
+    (task_overrides("nmse", "nmse", {"trials": 10, "sources": []}), None, "nmse.sources"),
+    (
+        task_overrides("ser", "ser", {"snr_grid_db": [10.0], "n_symbols": 1000, "sources": []}),
+        None,
+        "ser.sources",
+    ),
+    ({"scenario.users": [{**USER, "weight": 1.0}, USER]}, None, "scenario.users"),
+    ({"scenario.n_components": 0}, None, "scenario.n_components"),
+    ({"scenario.quadrature_points": 0}, None, "scenario.quadrature_points"),
+    (task_overrides("nmse", "nmse", {"trials": 0, "sources": ["random"]}), None, "nmse.trials"),
+    (
+        task_overrides(
+            "ser", "ser", {"snr_grid_db": [10.0], "n_symbols": 1000, "block_len": 0, "sources": ["random"]}
+        ),
+        None,
+        "ser.block_len",
+    ),
+    (task_overrides("diagnostics", "diagnostics", {"trials": 10, "pilots": 1}), None, "diagnostics.pilots"),
+    ({"scenario.users": [{**USER, "weight": 0.3}, {**USER, "weight": 0.3}]}, None, "scenario.users"),
+    ({"scenario.users": [{**USER, "noise_std": 0.0}]}, None, "scenario.users[0].noise_std"),
+    ({"scenario.users": [{**USER, "azimuth_spread_deg": -3.0}]}, None, "scenario.users[0].azimuth_spread_deg"),
+    ({"scenario.scene.radar_noise_std": -1.0}, None, "scenario.scene.radar_noise_std"),
+    ({"scenario.geometry.spacing_tx": 0.0}, None, "scenario.geometry.spacing_tx"),
+    (task_overrides("gradcheck", "gradcheck", {"instances": 1, "tolerance": -1.0}), None, "gradcheck.tolerance"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, seed, key", BAD_INPUTS, ids=[f"{key}-{i}" for i, (_, _, key) in enumerate(BAD_INPUTS)]
+)
+def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, overrides, seed, key):
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, overrides), seed=seed, out_dir=str(out)) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEmitTable:
     def test_empty_table_is_header_only(self, tmp_path):
         table = ResultTable("t", ["a", "b"], [], {"config_hash": "x", "seed": 1})
@@ -212,6 +386,53 @@ class TestRunConfig:
         reference = (outs[0] / "frontier.csv").read_bytes()
         assert (outs[1] / "frontier.csv").read_bytes() == reference
         assert (outs[2] / "frontier.csv").read_bytes() == reference
+
+
+def frontier_columns(tmp_path, overrides, name):
+    path = write_config(tmp_path, overrides, name=f"{name}.yaml")
+    assert run_config(path, out_dir=str(tmp_path / name)) == 0
+    lines = (tmp_path / name / "frontier.csv").read_text().splitlines()
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+class TestSensingFormula:
+    def test_exact_changes_only_the_reported_sense_mi(self, tmp_path):
+        clutter = [{"angle_deg": 0.0, "power": 0.5}, {"angle_deg": 35.0, "power": 0.3}]
+        approx, exact = (
+            frontier_columns(
+                tmp_path, {"scenario.scene.clutter": clutter, "scenario.sensing_formula": formula}, formula
+            )
+            for formula in ("approx", "exact")
+        )
+        # the ascent follows the approximate metric under either formula
+        assert approx["comm_mi_bits"] == exact["comm_mi_bits"]
+        assert approx["iters"] == exact["iters"]
+        sense_approx = np.array(approx["sense_mi_bits"], dtype=float)
+        sense_exact = np.array(exact["sense_mi_bits"], dtype=float)
+        assert np.all(sense_approx != sense_exact)
+        assert np.allclose(sense_approx, sense_exact, rtol=1e-3, atol=0.0)
+
+    def test_formulas_agree_without_clutter(self, tmp_path):
+        approx, exact = (
+            frontier_columns(tmp_path, {"scenario.sensing_formula": formula}, formula)
+            for formula in ("approx", "exact")
+        )
+        assert approx.keys() == exact.keys()
+        for column in approx:
+            a = np.array(approx[column], dtype=float)
+            b = np.array(exact[column], dtype=float)
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12), column
+
+
+def test_every_task_has_a_runner():
+    assert set(cli._RUNNERS) == set(TASKS)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    config = parse_config(str(path))
+    assert config.task in TASKS
 
 
 class TestVerify:

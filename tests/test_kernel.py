@@ -10,6 +10,7 @@ form replaced.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,16 @@ class TestCommState:
         phi[1, 3] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ip.NumericError):
             comm_state(phi, model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pilot_raises_without_warning(self, bad):
+        model = sweep_users()[0]
+        phi = ip.random_stiefel(4, 16, ip.substream(9, "kernel-nan")).entries
+        phi[1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ip.NumericError, match="NaN or infinite"):
+                comm_state(phi, model)
 
     def test_matches_dense_formula(self):
         for pilot, model in kernel_cases():

@@ -1,0 +1,89 @@
+"""Print the size of the ``isacpilot`` package: the numbers the roadmap tracks.
+
+For each module under ``src/isacpilot`` and in total it prints
+
+- ``lines``: physical lines in the file;
+- ``code``: lines that hold code, i.e. lines other than blanks, comments and
+  docstrings (module, class and function docstrings, found with ``ast``;
+  everything else is classified with ``tokenize``);
+
+followed by the number of public names that ``isacpilot/__init__.py`` binds.
+
+Usage: ``python3 tools/src_stats.py [package_dir]`` (default: the
+``src/isacpilot`` next to this script's parent directory).
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+NON_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def docstring_lines(tree: ast.AST) -> set:
+    """Line numbers covered by module, class and function docstrings."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Lines holding at least one token that is not a comment or a docstring."""
+    skip = docstring_lines(ast.parse(source))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NON_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - skip)
+
+
+def public_names(init: Path) -> int:
+    """Names without a leading underscore bound at the top level of ``init``."""
+    names = set()
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sum(1 for name in names if not name.startswith("_"))
+
+
+def main(argv: list) -> None:
+    package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "isacpilot"
+    total_lines = total_code = 0
+    print(f"{'module':<20}{'lines':>8}{'code':>8}")
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, code = len(source.splitlines()), code_lines(source)
+        total_lines += lines
+        total_code += code
+        print(f"{path.name:<20}{lines:>8}{code:>8}")
+    print(f"{'total':<20}{total_lines:>8}{total_code:>8}")
+    print(f"public names in {package.name}: {public_names(package / '__init__.py')}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
