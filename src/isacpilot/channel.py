@@ -8,6 +8,7 @@ variance 1/2 per component.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,8 +113,11 @@ class GmmUserModel:
     (N_t, N_k * q).  Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n
     up to the dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the
     largest numerical rank over the components (at least 1, at most N_t).
-    The pilot-independent parts of the communication metric are kept too:
-    ``mu_bar`` (N_k, N_t), the mixture mean minus each component mean, and
+    ``means``, ``covariances`` and ``factor`` are read-only copies, so users
+    of one scenario can share them (``build_user_models``); only the weights
+    and the noise level are the user's own.  The pilot-independent parts of
+    the communication metric are kept too: ``mixture_mean`` (N_t,), ``mu_bar``
+    (N_k, N_t), the mixture mean minus each component mean, and
     ``log_weights`` (-inf for a zero weight).
     """
 
@@ -125,22 +129,14 @@ class GmmUserModel:
     azimuth_spread: float = 0.0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=complex)
-        self.covariances = np.asarray(self.covariances, dtype=complex)
-        if self.weights.ndim != 1:
-            raise DimensionError("weights must be a vector")
-        n_comp = self.weights.size
-        if self.means.shape[0] != n_comp or self.covariances.shape[0] != n_comp:
+        self.means = np.array(self.means, dtype=complex)
+        self.covariances = np.array(self.covariances, dtype=complex)
+        if self.means.shape[0] != self.covariances.shape[0]:
             raise DimensionError("means/covariances must have one entry per component")
         if self.covariances.shape[1] != self.covariances.shape[2]:
             raise DimensionError("covariances must be square")
         if self.means.shape[1] != self.covariances.shape[1]:
             raise DimensionError("mean and covariance dimensions disagree")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise InvalidParameterError("weights must be nonnegative and sum to 1")
-        if self.noise_std <= 0:
-            raise InvalidParameterError("noise_std must be positive")
         scale = max(1.0, float(np.abs(self.covariances).max(initial=0.0)))
         herm_gap = float(
             np.abs(self.covariances - self.covariances.conj().transpose(0, 2, 1)).max(initial=0.0)
@@ -154,13 +150,47 @@ class GmmUserModel:
         factor = vecs[:, :, -rank:].transpose(1, 0, 2).copy()  # (N_t, N_k, q)
         factor *= np.sqrt(np.clip(vals[:, -rank:], 0.0, None))
         self.factor = factor.reshape(self.n_tx, -1)
-        self.mu_bar = (self.weights @ self.means)[None, :] - self.means
+        self._freeze_components()
+        self._set_user_terms()
+
+    def _freeze_components(self):
+        for array in (self.means, self.covariances, self.factor):
+            array.setflags(write=False)
+
+    def __setstate__(self, state):
+        # an unpickled array is writable again; pickling keeps shared ones shared
+        self.__dict__.update(state)
+        self._freeze_components()
+
+    def _set_user_terms(self):
+        """Validate the weights and noise level and derive the user's own terms."""
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.ndim != 1:
+            raise DimensionError("weights must be a vector")
+        if self.weights.size != self.n_components:
+            raise DimensionError("weights must have one entry per component")
+        # written so that a NaN fails them
+        if not (np.all(self.weights >= 0) and abs(self.weights.sum() - 1.0) <= 1e-12):
+            raise InvalidParameterError("weights must be nonnegative and sum to 1")
+        if not self.noise_std > 0:
+            raise InvalidParameterError("noise_std must be positive")
+        self.mixture_mean = self.weights @ self.means
+        self.mu_bar = self.mixture_mean[None, :] - self.means
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
 
+    def _for_user(self, weights, noise_std, mean_aoa=0.0, azimuth_spread=0.0) -> GmmUserModel:
+        """Another user's model on the same components: it shares this model's
+        read-only means, covariances and factor, so no second eigendecomposition."""
+        user = copy.copy(self)
+        user.weights, user.noise_std = weights, noise_std
+        user.mean_aoa, user.azimuth_spread = mean_aoa, azimuth_spread
+        user._set_user_terms()
+        return user
+
     @property
     def n_components(self) -> int:
-        return self.weights.size
+        return self.means.shape[0]
 
     @property
     def n_tx(self) -> int:
@@ -270,26 +300,47 @@ def build_user_model(
     steering vector at the region center, which keeps the cross-mean terms of
     the communication objective alive).
     """
+    return build_user_models(
+        geometry,
+        [(mean_aoa_deg, spread_deg, noise_std)],
+        n_components,
+        mean_policy,
+        mean_scale,
+        quadrature_points,
+    )[0]
+
+
+def build_user_models(
+    geometry: ArrayGeometry,
+    users,
+    n_components: int,
+    mean_policy: str = "steering",
+    mean_scale: float = 1.0,
+    quadrature_points: int = 8,
+) -> list:
+    """``build_user_model`` for each (mean_aoa_deg, spread_deg, noise_std) of ``users``.
+
+    The components depend on the scenario alone, so they are built and
+    factored once: every returned model shares the first one's read-only
+    means, covariances and factor, and has its own weights and noise level.
+    """
     if n_components < 1:
         raise InvalidParameterError("n_components must be >= 1")
     if mean_policy not in ("zero", "steering"):
         raise InvalidParameterError(f"unknown mean_policy {mean_policy!r}")
     edges = np.linspace(-90.0, 90.0, n_components + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    weights = laplacian_weights(mean_aoa_deg, spread_deg, centers)
+    weights = [laplacian_weights(aoa, spread, centers) for aoa, spread, _ in users]
     covs = _region_covariances(geometry, edges[:-1], edges[1:], quadrature_points)
     if mean_policy == "zero":
         means = np.zeros((n_components, geometry.n_tx), dtype=complex)
     else:
         means = mean_scale * _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)
-    return GmmUserModel(
-        weights=weights,
-        means=means,
-        covariances=covs,
-        noise_std=noise_std,
-        mean_aoa=mean_aoa_deg,
-        azimuth_spread=spread_deg,
-    )
+    (aoa, spread, noise_std), *others = users
+    first = GmmUserModel(weights[0], means, covs, noise_std, aoa, spread)
+    return [first] + [
+        first._for_user(w, noise, aoa, spread) for w, (aoa, spread, noise) in zip(weights[1:], others)
+    ]
 
 
 def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -183,8 +183,7 @@ def _task_optimize(config: ExperimentConfig, threads: int) -> list:
 
 
 def _cloud_unit(args) -> list:
-    config, chunk_index, chunk_size = args
-    objective = build_objective(config.scenario, 0.0)
+    config, objective, chunk_index, chunk_size = args
     pairs = sample_feasible_cloud(
         chunk_size,
         config.scenario["pilot_len"],
@@ -197,8 +196,9 @@ def _cloud_unit(args) -> list:
 
 def _task_pareto_cloud(config: ExperimentConfig, threads: int) -> list:
     total = config.task_params["samples"]
+    objective = build_objective(config.scenario, 0.0)
     chunks = [
-        (config, i, min(CLOUD_CHUNK, total - i * CLOUD_CHUNK))
+        (config, objective, i, min(CLOUD_CHUNK, total - i * CLOUD_CHUNK))
         for i in range((total + CLOUD_CHUNK - 1) // CLOUD_CHUNK)
     ]
     pairs = [pair for chunk in _map_units(_cloud_unit, chunks, threads) for pair in chunk]
@@ -232,9 +232,9 @@ def _task_roc(config: ExperimentConfig, threads: int) -> list:
 
 
 def _nmse_unit(args) -> list:
-    config, source_id, source = args
-    users, weights = build_users(config.scenario)
-    pilot = _pilot_for_source(source, config, (users, weights))
+    config, built, source_id, source = args
+    users = built[0]
+    pilot = _pilot_for_source(source, config, built)
     per_user, pooled = nmse_experiment(
         pilot, users, config.task_params["trials"], substream(config.seed, "nmse")
     )
@@ -245,7 +245,8 @@ def _nmse_unit(args) -> list:
 
 def _task_nmse(config: ExperimentConfig, threads: int) -> list:
     sources = config.task_params["sources"]
-    units = [(config, i, s) for i, s in enumerate(sources)]
+    built = build_users(config.scenario)
+    units = [(config, built, i, s) for i, s in enumerate(sources)]
     rows = [row for chunk in _map_units(_nmse_unit, units, threads) for row in chunk]
     meta = _base_metadata(config)
     meta["sources"] = " ".join(f"{i}={s}" for i, s in enumerate(sources))
@@ -255,13 +256,12 @@ def _task_nmse(config: ExperimentConfig, threads: int) -> list:
 
 
 def _ser_unit(args) -> list:
-    config, source_id, source = args
+    config, built, source_id, source = args
     params = config.task_params
-    users, weights = build_users(config.scenario)
-    pilot = _pilot_for_source(source, config, (users, weights))
+    pilot = _pilot_for_source(source, config, built)
     ser = ser_experiment(
         pilot,
-        users,
+        built[0],
         params["snr_grid_db"],
         params["n_symbols"],
         params["block_len"],
@@ -272,7 +272,8 @@ def _ser_unit(args) -> list:
 
 def _task_ser(config: ExperimentConfig, threads: int) -> list:
     sources = config.task_params["sources"]
-    units = [(config, i, s) for i, s in enumerate(sources)]
+    built = build_users(config.scenario)
+    units = [(config, built, i, s) for i, s in enumerate(sources)]
     rows = [row for chunk in _map_units(_ser_unit, units, threads) for row in chunk]
     meta = _base_metadata(config)
     meta["sources"] = " ".join(f"{i}={s}" for i, s in enumerate(sources))
@@ -283,11 +284,9 @@ def _task_ser(config: ExperimentConfig, threads: int) -> list:
 
 
 def _gradcheck_unit(args) -> tuple:
-    config, index = args
+    config, objective, index = args
     scenario = config.scenario
-    rho = scenario.get("rho", 0.5)
-    objective = build_objective(scenario, rho)
-    scene = build_scene(scenario)
+    scene = objective.scene
     pilot = random_stiefel(
         scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "gradcheck", index)
     )
@@ -307,7 +306,8 @@ def _gradcheck_unit(args) -> tuple:
 
 def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:
     params = config.task_params
-    units = [(config, i) for i in range(params["instances"])]
+    objective = build_objective(config.scenario, config.scenario.get("rho", 0.5))
+    units = [(config, objective, i) for i in range(params["instances"])]
     rows = _map_units(_gradcheck_unit, units, threads)
     worst = max(max(r[1], r[2], r[3]) for r in rows)
     meta = _base_metadata(config)
@@ -321,9 +321,8 @@ def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:
 
 
 def _diag_unit(args) -> tuple:
-    config, index = args
+    config, objective, index = args
     scenario = config.scenario
-    objective = build_objective(scenario, 0.0)
     pilot = random_stiefel(
         scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "diag-pilot", index)
     )
@@ -361,7 +360,8 @@ def _spearman(x, y) -> float:
 
 
 def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
-    units = [(config, i) for i in range(config.task_params["pilots"])]
+    objective = build_objective(config.scenario, 0.0)
+    units = [(config, objective, i) for i in range(config.task_params["pilots"])]
     rows = _map_units(_diag_unit, units, threads)
     meta = _base_metadata(config)
     comm = [r[1] for r in rows]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .channel import ArrayGeometry, SensingScene, build_user_model
+from .channel import ArrayGeometry, SensingScene, build_user_models
 from .errors import IsacPilotError
 from .metrics import IsacObjective
 from .optimizer import OptimizerConfig
@@ -114,9 +114,11 @@ def _section(table: dict, name: str | None = None):
 _count = _at_least(1)
 _seed = _at_least(0)
 _positive = _checked(_number, lambda x: x > 0.0, "must be positive")
+_nonnegative = _checked(_number, lambda x: x >= 0.0, "must be nonnegative")
 _fraction = _checked(_number, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
 _numbers = _list(_number, " of numbers")
 _fractions = _checked(_numbers, lambda xs: all(0.0 <= x <= 1.0 for x in xs), "values must lie in [0, 1]")
+_probabilities = _checked(_numbers, lambda xs: all(0.0 < x <= 1.0 for x in xs), "values must lie in (0, 1]")
 _source = _one_of(*PILOT_SOURCES)
 
 _USER = {
@@ -125,10 +127,10 @@ _USER = {
     "noise_std": (_positive, REQUIRED),
     "weight": (_fraction, ABSENT),
 }
-_CLUTTER = {"angle_deg": (_number, REQUIRED), "power": (_number, REQUIRED)}
+_CLUTTER = {"angle_deg": (_number, REQUIRED), "power": (_nonnegative, REQUIRED)}
 _SCENE = {
     "target_angle_deg": (_number, REQUIRED),
-    "target_power": (_number, REQUIRED),
+    "target_power": (_nonnegative, REQUIRED),
     "radar_noise_std": (_positive, REQUIRED),
     # kept as (angle, power) pairs
     "clutter": (
@@ -157,7 +159,7 @@ _SCENARIO = {
 _OPTIMIZER = {
     "step_size": (_positive, 0.1),
     "max_iters": (_count, 200),
-    "rel_tol": (_checked(_number, lambda x: x >= 0.0, "must be nonnegative"), 1e-8),
+    "rel_tol": (_nonnegative, 1e-8),
 }
 # task name: the table of the task's config section, which is named by the
 # task name's last word (the pareto-cloud task reads section cloud)
@@ -167,7 +169,7 @@ TASKS = {
     "pareto-cloud": {"samples": (_count, REQUIRED)},
     "roc": {
         "trials": (_count, REQUIRED),
-        "p_fa": (_numbers, REQUIRED),
+        "p_fa": (_probabilities, REQUIRED),
         "pilot_source": (_source, "optimized"),
     },
     "nmse": {"trials": (_count, REQUIRED), "sources": (_list(_source), list(PILOT_SOURCES))},
@@ -278,20 +280,15 @@ def build_scene(scenario: dict) -> SensingScene:
 
 
 def build_users(scenario: dict) -> tuple[list, np.ndarray]:
-    geometry = build_geometry(scenario)
-    users = [
-        build_user_model(
-            geometry,
-            u["mean_aoa_deg"],
-            u["azimuth_spread_deg"],
-            scenario["n_components"],
-            u["noise_std"],
-            mean_policy=scenario["mean_policy"],
-            mean_scale=scenario["mean_scale"],
-            quadrature_points=scenario["quadrature_points"],
-        )
-        for u in scenario["users"]
-    ]
+    """The scenario's user models, which share one set of components, and their weights."""
+    users = build_user_models(
+        build_geometry(scenario),
+        [(u["mean_aoa_deg"], u["azimuth_spread_deg"], u["noise_std"]) for u in scenario["users"]],
+        scenario["n_components"],
+        mean_policy=scenario["mean_policy"],
+        mean_scale=scenario["mean_scale"],
+        quadrature_points=scenario["quadrature_points"],
+    )
     if "weight" in scenario["users"][0]:  # parse_config saw every user weighted or none
         weights = np.array([u["weight"] for u in scenario["users"]])
     else:

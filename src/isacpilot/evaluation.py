@@ -198,7 +198,7 @@ def gmm_mmse_batch(
     obs = np.atleast_2d(np.asarray(observations, dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
-    state = comm_state(phi, model)
+    state = comm_state(phi, [model])
     sigma = state.sigma.transpose(2, 0, 1)  # component axis first for the batched solve
     b_h = state.b.conj().transpose(2, 1, 0)  # B_n^H, shape (N_k, q, L)
     phi_mu = model.means @ phi.T

@@ -16,13 +16,25 @@ beta_n is
 
 so the mixture-weighted sum over components is one (L, N_k q) x (N_k q, N_t)
 product with the stacked factor plus one (L, N_k) x (N_k, N_t) product with
-the centered means; nothing of size (N_k, L, N_t) is formed.
+the component means; nothing of size (N_k, L, N_t) is formed.
+
+The users of a scenario share one prior (``channel.build_user_models``): the
+same read-only factor and means, with their own weights and noise level.
+Users with the same factor and an equal noise level form a group
+(``metrics._user_groups``), and one ``comm_state`` call serves a group: its
+Sigma_n, B_n, C_n and log det Sigma_n are shared, and each user g has its
+own s_n^(g) and mixture weights. ``_comm_grad`` sums the group's
+rho w_g-weighted D_n^(g) = mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) before its
+one product with the factor, and writes mu_bar_n^(g) = m^(g) - mu_n (m^(g)
+the user's mixture mean), so the mean terms take one product with the
+shared means plus a rank-K_g correction.
 
 The state keeps the component axis last: B_n, Sigma_n and C_n are stacked
 as (L, q, N_k), (L, L, N_k) and (L, q, N_k) arrays, so the per-component
 algebra is elementwise NumPy work over N_k-long rows rather than N_k small
-matrix calls. ``comm_state`` gets s_n, C_n and log det Sigma_n from one
-Gaussian elimination of [Sigma_n | Phi mu_bar_n | B_n] run over all
+matrix calls. ``comm_state`` gets every s_n^(g), C_n and log det Sigma_n
+from one Gaussian elimination of the (L, L + K_g + q, N_k) system
+[Sigma_n | Phi mu_bar_n^(1) ... Phi mu_bar_n^(K_g) | B_n] run over all
 components at once (``metrics._solve_stacked``): L forward steps and L - 1
 back-substitution steps. It needs no pivoting, because Sigma_n >= sigma^2 I
 is positive definite: every pivot is at least sigma^2, and elimination
@@ -56,6 +68,7 @@ from .metrics import (
     IsacObjective,
     SenseState,
     _approx_log_arg,
+    _user_groups,
     comm_state,
     sense_state,
 )
@@ -73,21 +86,28 @@ class GradientMatrix:
             raise NumericError("gradient contains non-finite entries")
 
 
-def _comm_grad(state: CommState, model: GmmUserModel) -> np.ndarray:
-    mix = np.exp(state.log_mix - state.log_omega)
-    ms = mix * state.s  # (L, N_k)
-    y = np.einsum("lk,lqk->qk", state.s.conj(), state.b)  # s_n^H B_n
-    d = mix * state.c - ms[:, None, :] * y
+def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
+    """sum_g coefs[g] d value_g / d Phi^* over the users g of one ``comm_state`` group."""
+    mix = np.exp(state.log_mix - state.log_omega[:, None])
+    mix *= coefs[:, None]  # (K_g, N_k)
+    ms = mix * state.s  # (L, K_g, N_k)
+    y = np.einsum("lgk,lqk->gqk", state.s.conj(), state.b)  # s_n^H B_n per user
+    d = mix.sum(axis=0) * state.c
+    d -= np.einsum("lgk,gqk->lqk", ms, y)
     # D reordered to the factor's columns n*q + j; D A^H is taken as
-    # conj(conj(D) A^T), and likewise for the means, so neither cached array is copied
+    # conj(conj(D) A^T), and likewise for the means, so no cached array is copied
     d_flat = d.transpose(0, 2, 1).reshape(d.shape[0], -1)
-    grad = (d_flat.conj() @ model.factor.T).conj()
-    return grad + (ms.conj() @ model.mu_bar).conj()
+    grad = (d_flat.conj() @ users[0].factor.T).conj()
+    # mean terms: mu_bar_n^(g) = m^(g) - mu_n, so the shared means take one product
+    mixture_means = np.array([m.mixture_mean for m in users])
+    grad += (ms.sum(axis=2).conj() @ mixture_means).conj()
+    grad -= (ms.sum(axis=1).conj() @ users[0].means).conj()
+    return grad
 
 
 def grad_comm_mi_user(pilot, model: GmmUserModel) -> GradientMatrix:
     """Gradient of the per-user communication metric."""
-    return GradientMatrix(_comm_grad(comm_state(pilot, model), model))
+    return GradientMatrix(_comm_grad(comm_state(pilot, [model]), [model], np.ones(1)))
 
 
 def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
@@ -124,18 +144,19 @@ def grad_isac(pilot, objective: IsacObjective) -> GradientMatrix:
 def isac_value_and_grad(pilot, objective: IsacObjective):
     """(objective, weighted comm MI, sense MI, gradient entries) in one pass.
 
-    Evaluates ``comm_state`` once per user and ``sense_state`` once, and
+    Evaluates ``comm_state`` once per group of users that share a prior and a
+    noise level (``metrics._user_groups``) and ``sense_state`` once, and
     builds each gradient from the same state as its value; used by the
     optimizer where both are needed every iteration.
     """
     phi = pilot_entries(pilot)
     comm_total = 0.0
     grad = np.zeros_like(phi)
-    for w, model in zip(objective.user_weights, objective.users):
-        state = comm_state(phi, model)
-        comm_total += w * state.value
+    for weights, users in _user_groups(objective):
+        state = comm_state(phi, users)
+        comm_total += sum(weights * state.value)
         if objective.rho > 0.0:
-            grad += objective.rho * w * _comm_grad(state, model)
+            grad += _comm_grad(state, users, objective.rho * weights)
 
     scene = objective.scene
     s_state = sense_state(phi, scene)

@@ -57,21 +57,25 @@ class SensingVectors:
 
 
 class CommState(NamedTuple):
-    """Per-pilot mixture observation statistics in factor form (R_n = A_n A_n^H).
+    """Mixture observation statistics of a group of users at one pilot, in
+    factor form (R_n = A_n A_n^H).
 
-    Shared by the communication metric, its gradient and the mixture-MMSE
-    estimator; A_n is the low-rank ``GmmUserModel.factor`` of rank q.  Arrays
-    keep the component axis n last, so each step of the elimination in
-    ``_solve_stacked`` works on all N_k components at once.
+    The users of a group share the factor A_n (``GmmUserModel.factor``, rank
+    q) and the noise level, hence Sigma_n, B_n, C_n and log det Sigma_n; each
+    user g has its own weights, so its own mu_bar_n^(g), s, beta, log_mix and
+    value.  Shared by the communication metric, its gradient and the
+    mixture-MMSE estimator.  Arrays keep the component axis n last, so each
+    step of the elimination in ``_solve_stacked`` works on all N_k components
+    at once.
     """
 
-    value: float
-    log_mix: np.ndarray  # (N_k,) log of alpha_n e^{-beta_n} / det Sigma_n
-    log_omega: float
+    value: np.ndarray  # (K_g,) per-user metric
+    log_mix: np.ndarray  # (K_g, N_k) log of alpha_n e^{-beta_n} / det Sigma_n
+    log_omega: np.ndarray  # (K_g,) log-sum-exp of log_mix
     logdet: np.ndarray  # (N_k,) log det Sigma_n
     sigma: np.ndarray  # (L, L, N_k) Sigma_n = B_n B_n^H + sigma^2 I
     b: np.ndarray  # (L, q, N_k) B_n = Phi A_n
-    s: np.ndarray  # (L, N_k) solves Sigma_n^{-1} Phi mu_bar_n
+    s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} Phi mu_bar_n^(g)
     c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
 
 
@@ -122,49 +126,64 @@ def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
     return pivots
 
 
-def comm_state(pilot, model: GmmUserModel) -> CommState:
-    """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric.
+def comm_state(pilot, users) -> CommState:
+    """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric
+    for a group of users that share one factor and one noise level.
 
     The only place Sigma_n is built: B_n = Phi A_n comes from one product
     with the stacked low-rank factor, and one elimination over all
     components (``_solve_stacked``) gives log det Sigma_n and
-    Sigma_n^{-1} [Phi mu_bar_n | B_n].
+    Sigma_n^{-1} [Phi mu_bar_n^(1) ... Phi mu_bar_n^(K_g) | B_n] for the
+    whole group.  A single user is a group of one.
     """
     phi = pilot_entries(pilot)
+    model = users[0]
     _check_pilot_model(phi, model)
+    if any(m.factor is not model.factor or m.noise_std != model.noise_std for m in users):
+        raise InvalidParameterError("a group's users must share one factor and one noise level")
     if not np.isfinite(phi).all():  # checked first: inf * 0 in the product below warns
         raise NumericError("pilot has a NaN or infinite entry")
-    n_slots = phi.shape[0]
+    n_slots, n_users = phi.shape[0], len(users)
 
     g = (phi @ model.factor).reshape(n_slots, model.n_components, -1)  # (L, N_k, q)
     b = g.transpose(0, 2, 1)
     sigma = np.einsum("ikq,jkq->ijk", g, g.conj())
     diag = np.arange(n_slots)
     sigma[diag, diag] += model.noise_std**2
-    v = phi @ model.mu_bar.T
-    aug = np.concatenate((sigma, v[:, None], b), axis=1)
+    v = np.stack([phi @ m.mu_bar.T for m in users], axis=1)  # (L, K_g, N_k)
+    aug = np.concatenate((sigma, v, b), axis=1)
     logdet = np.log(_solve_stacked(aug, n_slots)).sum(axis=0)
-    s, c = aug[:, n_slots], aug[:, n_slots + 1 :]
-    beta = np.einsum("lk,lk->k", v.conj(), s).real
+    s, c = aug[:, n_slots : n_slots + n_users], aug[:, n_slots + n_users :]
+    beta = np.einsum("lgk,lgk->gk", v.conj(), s).real
 
-    log_mix = model.log_weights - beta - logdet
-    top = log_mix.max()
-    log_omega = float(top + np.log(np.sum(np.exp(log_mix - top))))
+    log_mix = np.stack([m.log_weights for m in users]) - beta - logdet
+    top = log_mix.max(axis=1)
+    log_omega = top + np.log(np.sum(np.exp(log_mix - top[:, None]), axis=1))
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
     return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c)
 
 
+def _user_groups(objective: IsacObjective) -> list:
+    """The objective's users as (weights, users) groups that share one factor and
+    one noise level, each of which takes one ``comm_state`` call; groups and the
+    users within them keep their first-appearance order."""
+    groups = {}
+    for w, m in zip(objective.user_weights, objective.users):
+        weights, users = groups.setdefault((id(m.factor), m.noise_std), ([], []))
+        weights.append(w)
+        users.append(m)
+    return [(np.array(weights), users) for weights, users in groups.values()]
+
+
 def comm_mi_user(pilot, model: GmmUserModel) -> float:
     """Surrogate mutual information between the pilot observation and the channel."""
-    return comm_state(pilot, model).value
+    return float(comm_state(pilot, [model]).value[0])
 
 
 def comm_mi_weighted(pilot, objective: IsacObjective) -> float:
     """Preference-weighted sum of the per-user communication metrics."""
-    return float(
-        sum(w * comm_mi_user(pilot, m) for w, m in zip(objective.user_weights, objective.users))
-    )
+    return float(sum(sum(w * comm_state(pilot, users).value) for w, users in _user_groups(objective)))
 
 
 def sensing_mu(pilot, geometry, theta_deg: float) -> np.ndarray:

@@ -149,6 +149,16 @@ class TestGmmUserModelValidation:
         with pytest.raises(InvalidParameterError):
             GmmUserModel(weights=[1.0], means=np.zeros((1, 3)), covariances=cov[None], noise_std=0.1)
 
+    @pytest.mark.parametrize("weights, noise_std", [([np.nan, 1.0], 0.1), ([0.5, 0.5], np.nan)])
+    def test_rejects_nan_weights_or_noise(self, weights, noise_std):
+        with pytest.raises(InvalidParameterError):
+            GmmUserModel(
+                weights=weights,
+                means=np.zeros((2, 3)),
+                covariances=np.stack([np.eye(3)] * 2),
+                noise_std=noise_std,
+            )
+
 
 class TestSampleChannel:
     def test_zero_covariance_returns_exact_mean(self):

@@ -289,6 +289,13 @@ BAD_INPUTS = [
     ({"scenario.scene.radar_noise_std": -1.0}, None, "scenario.scene.radar_noise_std"),
     ({"scenario.geometry.spacing_tx": 0.0}, None, "scenario.geometry.spacing_tx"),
     (task_overrides("gradcheck", "gradcheck", {"instances": 1, "tolerance": -1.0}), None, "gradcheck.tolerance"),
+    (task_overrides("roc", "roc", {"trials": 1000, "p_fa": [0.1, 0.0]}), None, "roc.p_fa"),
+    ({"scenario.scene.target_power": -1.0}, None, "scenario.scene.target_power"),
+    (
+        {"scenario.scene.clutter": [{"angle_deg": 10.0, "power": -0.5}]},
+        None,
+        "scenario.scene.clutter[0].power",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """Factor-form mixture kernel: the cached low-rank factor, comm_state against
-the dense formula, the shared value/gradient pass, a golden short sweep, and
+the dense formula, the grouped kernel over users that share one prior, the
+shared value/gradient pass, a golden short sweep, and
 the single implementations the link simulation and the sampler share
 (batched zero-forcing, factor-form channel draws).
 
@@ -10,6 +11,7 @@ form replaced.
 """
 
 import json
+import pickle
 import warnings
 from pathlib import Path
 
@@ -18,15 +20,16 @@ import pytest
 from scipy.special import logsumexp
 
 import isacpilot as ip
-from isacpilot.config import build_objective, parse_config
-from isacpilot.gradients import isac_value_and_grad
+from isacpilot.config import build_objective, build_users, parse_config
+from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT
-from isacpilot.metrics import comm_state
+from isacpilot.metrics import _user_groups, comm_state
 from isacpilot.streams import complex_normal
 from test_acceptance import gradient_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP_CONFIG = ROOT / "configs" / "sweep_tradeoff.yaml"
+SER_CONFIG = ROOT / "configs" / "ser_multiuser.yaml"
 DIAG_CONFIG = ROOT / "configs" / "diagnostics_cworst.yaml"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep_short.json"
 GOLDEN_RHOS = (0.0, 0.5, 1.0)
@@ -160,25 +163,25 @@ class TestCommState:
         phi = pilot.entries
         rank = factor_blocks(model).shape[2]
         assert rank == 12 if prior == "full-rank" else rank < 12
-        state = comm_state(pilot, model)
+        state = comm_state(pilot, [model])
         # Sigma_n from the full covariances, independent of the factor
         sigma = phi @ model.covariances @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
         assert np.abs(state.sigma.transpose(2, 0, 1) - sigma).max() <= 1e-12 * np.abs(sigma).max()
         mu_bar = model.weights @ model.means - model.means
         rhs = np.concatenate(((mu_bar @ phi.T)[:, :, None], state.b.transpose(2, 0, 1)), axis=2)
         expected = np.linalg.solve(sigma, rhs)
-        got = np.concatenate((state.s.T[:, :, None], state.c.transpose(2, 0, 1)), axis=2)
+        got = np.concatenate((state.s[:, 0].T[:, :, None], state.c.transpose(2, 0, 1)), axis=2)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         logdet = np.linalg.slogdet(sigma)[1]
         assert np.abs(state.logdet - logdet).max() <= 1e-12 * np.abs(logdet).max()
         zero = model.weights == 0.0
-        assert zero.any() and np.all(state.log_mix[zero] == -np.inf)
+        assert zero.any() and np.all(state.log_mix[0, zero] == -np.inf)
 
     @ELIMINATION_CASES
     def test_value_and_gradient_match_dense_formula(self, n_slots, prior):
         pilot, model = elimination_case(n_slots, prior)
         value, grad = dense_comm(pilot.entries, model)
-        assert abs(comm_state(pilot, model).value - value) <= 1e-12 * abs(value)
+        assert abs(comm_state(pilot, [model]).value[0] - value) <= 1e-12 * abs(value)
         got = ip.grad_comm_mi_user(pilot, model).entries
         assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
 
@@ -188,7 +191,7 @@ class TestCommState:
         phi = ip.random_stiefel(4, 16, ip.substream(9, "kernel-nan")).entries
         phi[1, 3] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ip.NumericError):
-            comm_state(phi, model)
+            comm_state(phi, [model])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pilot_raises_without_warning(self, bad):
@@ -198,13 +201,13 @@ class TestCommState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ip.NumericError, match="NaN or infinite"):
-                comm_state(phi, model)
+                comm_state(phi, [model])
 
     def test_matches_dense_formula(self):
         for pilot, model in kernel_cases():
             value, grad = dense_comm(pilot.entries, model)
-            state = comm_state(pilot, model)
-            assert abs(state.value - value) <= 1e-12 * abs(value)
+            state = comm_state(pilot, [model])
+            assert abs(state.value[0] - value) <= 1e-12 * abs(value)
             got = ip.grad_comm_mi_user(pilot, model).entries
             assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
 
@@ -232,6 +235,86 @@ class TestValueAndGrad:
             expected = ip.grad_isac(pilot, objective).entries
             assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
 
+
+
+def shared_users(prior, noises):
+    """(pilot, users) on the components of one ``elimination_case`` model:
+    one user per noise level, each with its own weights, a third of them zero."""
+    pilot, model = elimination_case(4, prior)
+    rng = ip.substream(len(noises), "shared-users", prior)
+    users = []
+    for i, noise in enumerate(noises):
+        weights = rng.uniform(0.2, 1.0, model.n_components)
+        weights[i % 3 :: 3] = 0.0
+        users.append(model._for_user(weights / weights.sum(), noise))
+    return pilot, users
+
+
+def grouped_objective(users, rho=1.0):
+    weights = np.arange(1.0, len(users) + 1.0)
+    scene = ip.SensingScene(-20.0, 1.0, ((10.0, 0.5),), 1.0, ip.ArrayGeometry(12, 4))
+    return ip.IsacObjective(rho, weights / weights.sum(), users, scene)
+
+
+class TestGroupedKernel:
+    @pytest.mark.parametrize("prior", ["region", "full-rank"])
+    @pytest.mark.parametrize("n_users", [1, 2, 4])
+    def test_group_matches_dense_formula_per_user(self, n_users, prior):
+        pilot, users = shared_users(prior, [0.4] * n_users)
+        state = comm_state(pilot, users)
+        coefs = np.linspace(0.3, 1.0, n_users)
+        expected = 0.0
+        for g, model in enumerate(users):
+            value, grad = dense_comm(pilot.entries, model)
+            assert abs(state.value[g] - value) <= 1e-12 * abs(value)
+            assert np.all(state.log_mix[g, model.weights == 0.0] == -np.inf)
+            expected = expected + coefs[g] * grad
+        got = _comm_grad(state, users, coefs)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("noises", [(0.8, 0.6), (0.4, 0.4, 0.3, 0.4)])
+    def test_objective_groups_by_noise(self, noises):
+        pilot, users = shared_users("region", list(noises))
+        objective = grouped_objective(users)
+        groups = _user_groups(objective)
+        assert len(groups) == len(set(noises))
+        assert sum(len(members) for _, members in groups) == len(users)
+        _, comm, _, grad = isac_value_and_grad(pilot, objective)
+        dense = [dense_comm(pilot.entries, model) for model in users]
+        value = sum(w * v for w, (v, _) in zip(objective.user_weights, dense))
+        expected = sum(w * g for w, (_, g) in zip(objective.user_weights, dense))
+        assert abs(comm - value) <= 1e-12 * abs(value)
+        assert abs(ip.comm_mi_weighted(pilot, objective) - value) <= 1e-12 * abs(value)
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_group_rejects_a_second_noise_level_or_factor(self):
+        pilot, users = shared_users("region", [0.4, 0.5])
+        with pytest.raises(ip.InvalidParameterError, match="share one factor"):
+            comm_state(pilot, users)
+        _, other = elimination_case(4, "full-rank")
+        with pytest.raises(ip.InvalidParameterError, match="share one factor"):
+            comm_state(pilot, [users[0], other])
+
+    @pytest.mark.parametrize("config", [SWEEP_CONFIG, SER_CONFIG])
+    def test_build_users_share_one_read_only_prior(self, config):
+        users, _ = build_users(parse_config(str(config)).scenario)
+        first = users[0]
+        for model in users:
+            for name in ("factor", "means", "covariances"):
+                assert getattr(model, name) is getattr(first, name)
+                assert not getattr(model, name).flags.writeable
+        assert not np.array_equal(users[1].weights, first.weights)
+
+    def test_pickled_shared_prior_objective_is_bit_identical(self):
+        objective = build_objective(parse_config(str(SER_CONFIG)).scenario, 0.6)
+        clone = pickle.loads(pickle.dumps(objective))
+        assert all(m.factor is clone.users[0].factor for m in clone.users)
+        assert not clone.users[0].factor.flags.writeable
+        assert len(_user_groups(clone)) == 1
+        pilot = ip.random_stiefel(6, 16, ip.substream(5, "kernel-pickle"))
+        got, expected = isac_value_and_grad(pilot, clone), isac_value_and_grad(pilot, objective)
+        assert got[:3] == expected[:3]
+        assert np.array_equal(got[3], expected[3])
 
 
 def dense_root_sampler(model, n_samples, rng):
