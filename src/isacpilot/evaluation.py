@@ -22,6 +22,7 @@ from .channel import (
 from .errors import (
     DimensionError,
     InvalidParameterError,
+    NumericError,
     SingularMatrixError,
 )
 from .metrics import _detector_scalars, comm_state, sensing_vectors
@@ -32,6 +33,14 @@ QAM_LEVELS = (2.0 * np.arange(8) - 7.0) / np.sqrt(42.0)
 _GRAY = np.array([k ^ (k >> 1) for k in range(8)])
 _GRAY_INV = np.argsort(_GRAY)
 CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
+# Mixture weights more than this far below a trial's largest, in the log
+# domain, are set to exactly 0.  e^-700 is about 1e-304, just above the
+# subnormal range (below 2.2e-308, from about e^-708): such a weight is
+# hundreds of orders below the estimate's roundoff, but as a subnormal
+# operand it takes a slow microcode path in every product it enters, which
+# made the estimator's products up to about ten times slower.  Normalized by
+# at most N_k, a kept weight stays normal for any N_k below about 4,000.
+WEIGHT_CUT = -700.0
 
 
 @dataclass(frozen=True)
@@ -189,40 +198,64 @@ def gmm_mmse_batch(
     """Mixture-MMSE channel estimates for a batch of observations.
 
     Returns (estimates of shape (T, N_t), responsibilities of shape (T, N_k)).
-    Responsibilities are computed in the log domain and normalized; trials
-    are processed in chunks to bound the (N_k, chunk, L) intermediates.
-    Sigma_n, its log-determinant and B_n = Phi A_n come from ``comm_state``;
-    the posterior-mean correction R_n Phi^H z is applied as A_n (B_n^H z).
+    Sigma_n, log det Sigma_n and C_n = Sigma_n^{-1} B_n come from
+    ``comm_state``; one batched Cholesky Sigma_n = L_n L_n^H gives the
+    whitening W_n = L_n^{-1}.  Every C_n^H and then every W_n are stacked
+    into one (N_k (q + L), L) matrix, so per chunk of trials one product
+    gives each component's correction coefficients
+    C_n^H (y - Phi mu_n) = B_n^H Sigma_n^{-1} (y - Phi mu_n) and its whitened
+    residual W_n (y - Phi mu_n), whose squared norm is the quadratic form of
+    the log weight.  The posterior mean mu_n + A_n (coefficients), weighted
+    and summed over components, takes two more products: the stacked factor
+    with the weighted coefficients and the means with the weights.
+    Responsibilities are computed in the log domain and normalized; weights
+    below e^WEIGHT_CUT times a trial's largest are exactly 0.  Trials are
+    processed in chunks to bound the (N_k (q + L), chunk) intermediate.
+    A non-finite observation raises ``NumericError`` naming its row.
     """
     phi = pilot_entries(pilot)
     obs = np.atleast_2d(np.asarray(observations, dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
+    finite = np.isfinite(obs).all(axis=1)
+    if not finite.all():  # checked first: it would turn every weight of its trial into NaN
+        raise NumericError(f"observation row {int(np.argmin(finite))} has a NaN or infinite entry")
     state = comm_state(phi, [model])
-    sigma = state.sigma.transpose(2, 0, 1)  # component axis first for the batched solve
-    b_h = state.b.conj().transpose(2, 1, 0)  # B_n^H, shape (N_k, q, L)
-    phi_mu = model.means @ phi.T
+    n_slots, n_comp = phi.shape[0], model.n_components
+    whiten = np.linalg.inv(np.linalg.cholesky(state.sigma.transpose(2, 0, 1)))
+    rows = (state.c.conj().transpose(2, 1, 0), whiten)  # C_n^H (N_k, q, L), W_n (N_k, L, L)
+    phi_mu = (model.means @ phi.T)[:, :, None]
+    stacked = np.concatenate([m.reshape(-1, n_slots) for m in rows])
+    offset = np.concatenate([(m @ phi_mu).reshape(-1, 1) for m in rows])  # the rows times Phi mu_n
 
     n_trials = obs.shape[0]
-    n_comp = model.n_components
     log_prior = model.log_weights - state.logdet
     est = np.empty((n_trials, model.n_tx), dtype=complex)
     resp = np.empty((n_trials, n_comp))
-    chunk = max(1, int(2_000_000 // (n_comp * max(model.n_tx, phi.shape[0]))))
+    chunk = max(1, int(2_000_000 // (n_comp * max(model.n_tx, n_slots))))
     for start in range(0, n_trials, chunk):
-        block = obs[start : start + chunk]
-        resid = block[None, :, :] - phi_mu[:, None, :]
-        z = np.linalg.solve(sigma, resid.transpose(0, 2, 1))
-        quad = np.einsum("kcl,klc->kc", resid.conj(), z).real
-        log_w = log_prior[:, None] - quad
-        log_w -= log_w.max(axis=0)
-        w = np.exp(log_w)
-        w /= w.sum(axis=0)
-        weighted = w[:, None, :] * np.matmul(b_h, z)  # (N_k, q, chunk)
-        correction = model.factor @ weighted.reshape(-1, weighted.shape[2])
-        est[start : start + chunk] = (correction + model.means.T @ w).T
-        resp[start : start + chunk] = w.T
+        trials = slice(start, start + chunk)
+        est[trials], resp[trials] = _mmse_chunk(obs[trials], stacked, offset, log_prior, model)
     return est, resp
+
+
+def _mmse_chunk(block, stacked, offset, log_prior, model: GmmUserModel):
+    """(estimates, responsibilities) of one chunk of trials for
+    ``gmm_mmse_batch``; its intermediates are freed on return."""
+    n_comp, n_trials = model.n_components, block.shape[0]
+    proj = stacked @ block.T
+    proj -= offset
+    coefs, white = np.split(proj, [model.factor.shape[1]])
+    white = white.view(float).reshape(n_comp, -1, 2 * n_trials)  # real, imaginary side by side
+    np.square(white, out=white)
+    quad = white.sum(axis=1)
+    log_w = log_prior[:, None] - (quad[:, 0::2] + quad[:, 1::2])
+    log_w -= log_w.max(axis=0)
+    w = np.exp(log_w, where=log_w > WEIGHT_CUT, out=np.zeros_like(log_w))
+    w /= w.sum(axis=0)
+    weighted = coefs.reshape(n_comp, -1, n_trials)  # a view: this scales coefs in place
+    weighted *= w[:, None, :]
+    return (model.factor @ coefs + model.means.T @ w).T, w.T
 
 
 def gmm_mmse_estimate(

@@ -348,7 +348,8 @@ def c_worst_estimate(
     Runs mixture-MMSE channel estimation per trial, pools the normalized
     error variance into an effective SNR 2/(1 + err) - 1 (clipped at 0), and
     averages the block-discounted log-determinant over per-trial estimates
-    normalized to unit average entry power.
+    normalized to unit average entry power.  Trials whose estimates are all
+    zero are skipped.
     """
     from .evaluation import gmm_mmse_batch  # local import to avoid a cycle
 
@@ -375,14 +376,11 @@ def c_worst_estimate(
     eff_snr = effective_training_snr(err_var)
 
     prefactor = block_len / (block_len + n_slots)
-    total = 0.0
-    eye = np.eye(n_users)
-    for r in range(trials):
-        h_hat = estimates[r]
-        power = np.mean(np.abs(h_hat) ** 2)
-        if power <= 0:
-            continue
-        h_bar = h_hat / np.sqrt(power)
-        _, logdet = np.linalg.slogdet(eye + eff_snr * (h_bar.conj() @ h_bar.T) / n_tx)
-        total += logdet
+    power = np.mean(np.abs(estimates.reshape(trials, -1)) ** 2, axis=1)
+    live = ~(power <= 0)  # trials whose estimates are all zero add nothing
+    h_bar = estimates[live] / np.sqrt(power[live])[:, None, None]
+    gram = np.eye(n_users) + eff_snr * (h_bar.conj() @ h_bar.transpose(0, 2, 1)) / n_tx
+    logdet = np.linalg.slogdet(gram)[1]
+    # summed one by one in trial order, as a running total would be
+    total = np.cumsum(logdet)[-1] if logdet.size else 0.0
     return float(prefactor * total / trials)

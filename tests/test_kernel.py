@@ -1,6 +1,7 @@
 """Factor-form mixture kernel: the cached low-rank factor, comm_state against
 the dense formula, the grouped kernel over users that share one prior, the
-shared value/gradient pass, a golden short sweep, and
+shared value/gradient pass, the mixture-MMSE estimator and the batched
+capacity bound against per-trial oracles, a golden short sweep, and
 the single implementations the link simulation and the sampler share
 (batched zero-forcing, factor-form channel draws).
 
@@ -23,7 +24,8 @@ import isacpilot as ip
 from isacpilot.config import build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT
-from isacpilot.metrics import _user_groups, comm_state
+from isacpilot.evaluation import WEIGHT_CUT
+from isacpilot.metrics import _user_groups, comm_state, effective_training_snr
 from isacpilot.streams import complex_normal
 from test_acceptance import gradient_instance
 
@@ -31,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SWEEP_CONFIG = ROOT / "configs" / "sweep_tradeoff.yaml"
 SER_CONFIG = ROOT / "configs" / "ser_multiuser.yaml"
 DIAG_CONFIG = ROOT / "configs" / "diagnostics_cworst.yaml"
+NMSE_CONFIG = ROOT / "configs" / "nmse_baselines.yaml"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep_short.json"
 GOLDEN_RHOS = (0.0, 0.5, 1.0)
 GOLDEN_ITERS = 50
@@ -315,6 +318,123 @@ class TestGroupedKernel:
         got, expected = isac_value_and_grad(pilot, clone), isac_value_and_grad(pilot, objective)
         assert got[:3] == expected[:3]
         assert np.array_equal(got[3], expected[3])
+
+
+def per_trial_mmse(obs, phi, model):
+    """(estimates, responsibilities), one trial at a time, from the full
+    covariances: per-component solves, log-sum-exp and the posterior mean."""
+    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
+    sigma = phi_r @ phi.conj().T + model.noise_std**2 * np.eye(len(phi))
+    with np.errstate(divide="ignore"):  # zero weights
+        log_prior = np.log(model.weights) - np.linalg.slogdet(sigma)[1]
+    est = np.empty((len(obs), model.n_tx), dtype=complex)
+    resp = np.empty((len(obs), model.n_components))
+    for t, y in enumerate(obs):
+        resid = y - model.means @ phi.T
+        z = np.linalg.solve(sigma, resid[:, :, None])[:, :, 0]
+        log_w = log_prior - np.einsum("kl,kl->k", resid.conj(), z).real
+        resp[t] = np.exp(log_w - logsumexp(log_w))
+        posterior = model.means + np.einsum("klm,kl->km", phi_r.conj(), z)
+        est[t] = resp[t] @ posterior
+    return est, resp
+
+
+def estimator_case(prior):
+    """(pilot, model, observations): sampled observations plus a third of
+    rows far from every component, where most weights fall below the cut.
+
+    "montecarlo": the NMSE workload's shape (N_t = 16, L = 6, 180 region
+    components); "full-rank": random covariances with zero-weight components.
+    """
+    rng = ip.substream(11, "estimator", prior)
+    if prior == "montecarlo":
+        model = build_users(parse_config(str(NMSE_CONFIG)).scenario)[0][0]
+        pilot = ip.random_stiefel(6, 16, rng)
+    else:
+        pilot, model = elimination_case(6, "full-rank")
+    noise = model.noise_std * ip.complex_normal(rng, (200, pilot.n_slots))
+    obs = ip.sample_channels(model, 200, rng) @ pilot.entries.T + noise
+    obs[::3] = 25.0 * ip.complex_normal(rng, obs[::3].shape)
+    return pilot, model, obs
+
+
+class TestMixtureEstimator:
+    @pytest.mark.parametrize("prior", ["montecarlo", "full-rank"])
+    def test_matches_per_trial_oracle(self, prior):
+        pilot, model, obs = estimator_case(prior)
+        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        expected, expected_resp = per_trial_mmse(obs, pilot.entries, model)
+        error = np.linalg.norm(est - expected, axis=1)
+        assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=1))
+        assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
+        # weights clearly above the cut agree with the oracle, those clearly
+        # below it are exactly 0, and on the far rows most weights are
+        log_top = np.log(expected_resp.max(axis=1, keepdims=True))
+        above = expected_resp > np.exp(log_top + WEIGHT_CUT + 1.0)
+        assert np.abs(resp - expected_resp)[above].max() <= 1e-12
+        assert np.all(resp[expected_resp < np.exp(log_top + WEIGHT_CUT - 1.0)] == 0.0)
+        assert np.mean(resp[::3] == 0.0) > 0.5
+        # no subnormal weight survives to slow the products down
+        tiny = np.finfo(float).tiny
+        assert not np.any((resp > 0.0) & (resp < tiny))
+        assert np.all(resp[:, model.weights == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_names_its_row(self, bad):
+        pilot, model, obs = estimator_case("full-rank")
+        obs[7, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ip.NumericError, match="observation row 7 "):
+                ip.gmm_mmse_batch(obs, pilot, model)
+
+
+def per_trial_c_worst(pilot, users, block_len, trials, rng):
+    """The capacity bound with its per-trial log-determinant loop."""
+    phi = pilot.entries
+    n_slots, n_tx = phi.shape
+    estimates = np.empty((trials, len(users), n_tx), dtype=complex)
+    err_power = ch_power = 0.0
+    for k, model in enumerate(users):
+        channels = ip.sample_channels(model, trials, rng)
+        obs = channels @ phi.T + model.noise_std * ip.complex_normal(rng, (trials, n_slots))
+        est, _ = ip.evaluation.gmm_mmse_batch(obs, phi, model)
+        estimates[:, k, :] = est
+        err_power += float(np.sum(np.abs(channels - est) ** 2))
+        ch_power += float(np.sum(np.abs(channels) ** 2))
+    eff_snr = effective_training_snr(err_power / ch_power)
+    total = 0.0
+    eye = np.eye(len(users))
+    for h_hat in estimates:
+        power = np.mean(np.abs(h_hat) ** 2)
+        if power <= 0:
+            continue
+        h_bar = h_hat / np.sqrt(power)
+        total += np.linalg.slogdet(eye + eff_snr * (h_bar.conj() @ h_bar.T) / n_tx)[1]
+    return float(block_len / (block_len + n_slots) * total / trials)
+
+
+class TestCapacityBound:
+    @pytest.mark.parametrize("zeroed", [None, 4, 1])
+    @pytest.mark.parametrize("config", [DIAG_CONFIG, SWEEP_CONFIG])
+    def test_batched_equals_per_trial_loop(self, config, zeroed, monkeypatch):
+        scenario = parse_config(str(config)).scenario
+        users = build_users(scenario)[0]
+        estimator = ip.evaluation.gmm_mmse_batch
+
+        def zeroing(obs, pilot, model):
+            est, resp = estimator(obs, pilot, model)
+            if zeroed:
+                est[::zeroed] = 0.0  # trials with zero estimate power
+            return est, resp
+
+        monkeypatch.setattr(ip.evaluation, "gmm_mmse_batch", zeroing)
+        rng = ip.substream(3, "cworst")
+        pilot = ip.random_stiefel(scenario["pilot_len"], scenario["n_tx"], rng)
+        got = ip.c_worst_estimate(pilot, users, 100, 150, ip.substream(4, "cworst"))
+        expected = per_trial_c_worst(pilot, users, 100, 150, ip.substream(4, "cworst"))
+        assert got == expected
+        assert (got == 0.0) == (zeroed == 1)
 
 
 def dense_root_sampler(model, n_samples, rng):

@@ -1,0 +1,179 @@
+"""Time one call of each kernel the shipped configs spend their time in.
+
+For each kernel it builds the inputs of a shipped config once, makes one
+untimed call, then times single calls until ``--seconds`` (default 1) have
+passed, at least ``MIN_REPEATS`` of them.  It prints the median and the
+quartiles of the per-call times, the repeat count, the core count and the
+BLAS thread count.  The shapes are:
+
+- ``comm_state``, ``sense_state``, ``isac_value_and_grad`` (rho = 0.5) and
+  ``project_stiefel``: ``configs/sweep_tradeoff.yaml`` (N_t = 16, L = 4,
+  K = 2 users sharing one 180-component prior), as one optimizer iteration
+  calls them;
+- ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
+  L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
+- ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
+  L = 9), its 20,000 trials;
+- ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
+  points, 5,000 symbols per user).
+
+Pilots are random (fixed seed), since the timings do not depend on them.
+
+Usage: ``python3 tools/kernel_timings.py [--seconds S] [kernel ...]``.
+Unless ``OPENBLAS_NUM_THREADS`` is set, BLAS runs on one thread.  Per-call
+times on a shared machine are noisy; compare two versions with alternating
+runs on the same machine.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before NumPy loads BLAS
+
+import argparse
+import ctypes
+import glob
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from isacpilot.channel import sample_channels  # noqa: E402
+from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
+from isacpilot.evaluation import (  # noqa: E402
+    gmm_mmse_batch,
+    ser_experiment,
+    simulate_detection_trials,
+)
+from isacpilot.gradients import isac_value_and_grad  # noqa: E402
+from isacpilot.metrics import comm_state, sense_state  # noqa: E402
+from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
+from isacpilot.streams import complex_normal, substream  # noqa: E402
+
+MIN_REPEATS = 5
+# names of OpenBLAS's thread-count query in NumPy's bundled and in plain builds
+OPENBLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+NMSE_TRIALS = 3000
+
+
+def scenario(stem: str):
+    config = parse_config(str(ROOT / "configs" / f"{stem}.yaml"))
+    return config, config.scenario
+
+
+def pilot_for(scen: dict, label: str):
+    return random_stiefel(scen["pilot_len"], scen["n_tx"], substream(1, "kernel-timings", label))
+
+
+def kernels() -> dict:
+    """name -> (shape description, zero-argument call), inputs built once."""
+    _, sweep = scenario("sweep_tradeoff")
+    objective = build_objective(sweep, 0.5)
+    pilot = pilot_for(sweep, "sweep")
+    step = pilot.entries + 0.1 * isac_value_and_grad(pilot, objective)[3]
+    sweep_shape = (
+        f"N_t={sweep['n_tx']} L={sweep['pilot_len']} K={len(objective.users)} "
+        f"N_k={sweep['n_components']}"
+    )
+
+    _, nmse = scenario("nmse_baselines")
+    model = build_users(nmse)[0][0]
+    nmse_pilot = pilot_for(nmse, "nmse")
+    rng = substream(2, "kernel-timings", "nmse")
+    channels = sample_channels(model, NMSE_TRIALS, rng)
+    noise = model.noise_std * complex_normal(rng, (NMSE_TRIALS, nmse["pilot_len"]))
+    obs = channels @ nmse_pilot.entries.T + noise
+
+    roc_config, roc = scenario("roc_compare")
+    roc_scene, roc_pilot = build_scene(roc), pilot_for(roc, "roc")
+    roc_trials = roc_config.task_params["trials"]
+    detection_rng = substream(3, "kernel-timings", "roc")
+
+    ser_config, ser = scenario("ser_multiuser")
+    ser_users, ser_pilot = build_users(ser)[0], pilot_for(ser, "ser")
+    params = ser_config.task_params
+    ser_rng = substream(4, "kernel-timings", "ser")
+
+    return {
+        "comm_state": (sweep_shape, lambda: comm_state(pilot, objective.users)),
+        "sense_state": (sweep_shape, lambda: sense_state(pilot, objective.scene)),
+        "isac_value_and_grad": (sweep_shape, lambda: isac_value_and_grad(pilot, objective)),
+        "project_stiefel": (f"{step.shape[0]}x{step.shape[1]}", lambda: project_stiefel(step)),
+        "gmm_mmse_batch": (
+            f"N_t={nmse['n_tx']} L={nmse['pilot_len']} N_k={nmse['n_components']} "
+            f"trials={NMSE_TRIALS}",
+            lambda: gmm_mmse_batch(obs, nmse_pilot, model),
+        ),
+        "simulate_detection_trials": (
+            f"N_t={roc['n_tx']} L={roc['pilot_len']} trials={roc_trials}",
+            lambda: simulate_detection_trials(roc_pilot, roc_scene, roc_trials, detection_rng),
+        ),
+        "ser_experiment": (
+            f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
+            f"symbols={params['n_symbols']}",
+            lambda: ser_experiment(
+                ser_pilot,
+                ser_users,
+                params["snr_grid_db"],
+                params["n_symbols"],
+                params["block_len"],
+                ser_rng,
+            ),
+        ),
+    }
+
+
+def time_calls(call, seconds: float) -> np.ndarray:
+    call()
+    times = []
+    deadline = time.perf_counter() + seconds
+    while len(times) < MIN_REPEATS or time.perf_counter() < deadline:
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return np.array(times)
+
+
+def blas_threads() -> str:
+    """The thread count OpenBLAS reports, or the environment setting if the
+    bundled library cannot be asked."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for symbol in OPENBLAS_THREAD_QUERIES:
+            if hasattr(lib, symbol):
+                query = getattr(lib, symbol)
+                query.argtypes, query.restype = [], ctypes.c_int
+                return str(query())
+    return f"{os.environ['OPENBLAS_NUM_THREADS']} (OPENBLAS_NUM_THREADS)"
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Per-call timings of the isacpilot kernels.")
+    parser.add_argument("names", nargs="*", help="kernels to time (default: all)")
+    parser.add_argument("--seconds", type=float, default=1.0, help="timing budget per kernel")
+    args = parser.parse_args(argv)
+    table = kernels()
+    unknown = sorted(set(args.names) - set(table))
+    if unknown:
+        parser.error(f"unknown kernel(s) {', '.join(unknown)}; choose from {', '.join(table)}")
+    print(f"nproc: {os.cpu_count()}  BLAS threads: {blas_threads()}  NumPy {np.__version__}")
+    print(f"{'kernel':<26} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'calls':>6}  shape")
+    for name in args.names or table:
+        shape, call = table[name]
+        times = time_calls(call, args.seconds)
+        q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
+        print(f"{name:<26} {median:10.3f} {q1:9.3f} {q3:9.3f} {times.size:6d}  {shape}")
+
+
+if __name__ == "__main__":
+    main()
