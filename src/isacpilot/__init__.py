@@ -7,38 +7,26 @@ from .channel import (
     SensingScene,
     build_user_model,
     laplacian_weights,
-    region_covariance,
-    sample_channel,
     sample_channels,
-    simulate_pilot_rx,
     steering_vector,
 )
 from .errors import (
     DimensionError,
     InvalidParameterError,
-    InvalidRegionError,
     IsacPilotError,
     NumericError,
     ObjectiveDomainError,
     SingularMatrixError,
-    UnsupportedModelError,
 )
 from .evaluation import (
-    DetectionTrial,
     RocCurve,
-    detector_statistic,
     dft_pilot,
     eigen_pilot,
     gmm_mmse_batch,
-    gmm_mmse_estimate,
     nmse_experiment,
-    paired_detection_trial,
-    qam64_demap,
-    qam64_map,
     roc_curve,
     ser_experiment,
     simulate_detection_trials,
-    simulate_radar_frame,
     zf_precode,
 )
 from .gradients import (
@@ -50,20 +38,15 @@ from .gradients import (
 )
 from .metrics import (
     IsacObjective,
-    SensingVectors,
     c_worst_estimate,
-    comm_mi_lower_bound_gaussian,
     effective_training_snr,
     comm_mi_user,
     comm_mi_weighted,
     isac_objective,
     sense_kl_and_g,
-    sense_kl_direct,
     sensing_mi,
     sensing_mi_approx,
     sensing_mi_exact,
-    sensing_mu,
-    sensing_vectors,
 )
 from .optimizer import (
     OptimizationTrace,

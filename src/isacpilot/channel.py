@@ -1,4 +1,4 @@
-"""Array geometry, steering vectors, GMM channel priors and pilot reception.
+"""Array geometry, steering vectors, GMM channel priors and channel sampling.
 
 Angles are degrees at every public boundary; angular integrals are carried
 out in radians.  The complex Gaussian convention is CN(mu, R) with variance
@@ -14,11 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidParameterError,
-    InvalidRegionError,
-)
+from .errors import DimensionError, InvalidParameterError
 from .streams import complex_normal
 
 ORTHONORMALITY_TOL = 1e-8
@@ -69,28 +65,15 @@ def laplacian_weights(mean_aoa_deg: float, spread_deg: float, grid_deg: np.ndarr
     return w / w.sum()
 
 
-def region_covariance(
-    geometry: ArrayGeometry,
-    region_lo_deg: float,
-    region_hi_deg: float,
-    quadrature_points: int = 8,
+def _region_covariances(
+    geometry: ArrayGeometry, lo_deg: np.ndarray, hi_deg: np.ndarray, quadrature_points: int
 ) -> np.ndarray:
-    """Midpoint-rule integral of the transmit steering outer product over a region.
+    """Midpoint-rule integrals of the transmit steering outer product over every
+    region [lo_deg[k], hi_deg[k]], in one batched product.
 
     Integration is in radians, so every diagonal entry equals the region
     width in radians (steering entries have unit modulus).
     """
-    if region_lo_deg >= region_hi_deg:
-        raise InvalidRegionError("region lower edge must be below the upper edge")
-    return _region_covariances(
-        geometry, np.array([region_lo_deg]), np.array([region_hi_deg]), quadrature_points
-    )[0]
-
-
-def _region_covariances(
-    geometry: ArrayGeometry, lo_deg: np.ndarray, hi_deg: np.ndarray, quadrature_points: int
-) -> np.ndarray:
-    """``region_covariance`` for every region [lo_deg[k], hi_deg[k]] in one batched product."""
     if quadrature_points < 1:
         raise InvalidParameterError("quadrature_points must be >= 1")
     step = (hi_deg - lo_deg) / quadrature_points
@@ -361,21 +344,3 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
         z = complex_normal(rng, (int(mask.sum()), model.n_tx))
         out[mask] = model.means[comp] + z[:, -rank:] @ blocks[:, comp].T
     return out
-
-
-def sample_channel(model: GmmUserModel, rng: np.random.Generator) -> np.ndarray:
-    """Single channel draw from the mixture prior."""
-    return sample_channels(model, 1, rng)[0]
-
-
-def simulate_pilot_rx(
-    pilot, channel: np.ndarray, noise_std: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Received pilot-phase signal y = Phi h + n, noise variance noise_std^2 per entry."""
-    phi = pilot_entries(pilot)
-    h = np.asarray(channel, dtype=complex)
-    if h.shape != (phi.shape[1],):
-        raise DimensionError("channel length must match the pilot antenna count")
-    if noise_std < 0:
-        raise InvalidParameterError("noise_std must be nonnegative")
-    return phi @ h + noise_std * complex_normal(rng, (phi.shape[0],))

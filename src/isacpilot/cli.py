@@ -405,9 +405,6 @@ def run_config(
 
     try:
         tables = _RUNNERS[config.task](config, threads)
-    except NumericError as exc:
-        print(f"error: task {config.task}: {exc}", file=sys.stderr)
-        return 3
     except IsacPilotError as exc:
         print(f"error: task {config.task}: {exc}", file=sys.stderr)
         return 3

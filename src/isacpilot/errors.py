@@ -9,10 +9,6 @@ class InvalidParameterError(IsacPilotError, ValueError):
     """A scalar or structural parameter is outside its documented range."""
 
 
-class InvalidRegionError(InvalidParameterError):
-    """An angular integration region is empty or reversed."""
-
-
 class DimensionError(IsacPilotError, ValueError):
     """Array shapes are inconsistent with the documented contracts."""
 
@@ -34,7 +30,3 @@ class ObjectiveDomainError(NumericError):
     def __init__(self, message: str, value: float):
         super().__init__(message)
         self.value = value
-
-
-class UnsupportedModelError(IsacPilotError, ValueError):
-    """The supplied model violates a structural assumption of the operation."""

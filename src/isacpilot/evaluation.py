@@ -25,13 +25,11 @@ from .errors import (
     NumericError,
     SingularMatrixError,
 )
-from .metrics import _detector_scalars, comm_state, sensing_vectors
+from .metrics import _detector_scalars, comm_state
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
 QAM_LEVELS = (2.0 * np.arange(8) - 7.0) / np.sqrt(42.0)
-_GRAY = np.array([k ^ (k >> 1) for k in range(8)])
-_GRAY_INV = np.argsort(_GRAY)
 CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 # Mixture weights more than this far below a trial's largest, in the log
 # domain, are set to exactly 0.  e^-700 is about 1e-304, just above the
@@ -43,23 +41,6 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 WEIGHT_CUT = -700.0
 
 
-@dataclass(frozen=True)
-class DetectionTrial:
-    """Detector outputs for one paired trial (shared interference draws)."""
-
-    statistic_h0: float
-    statistic_h1: float
-
-    def __post_init__(self):
-        if not (
-            np.isfinite(self.statistic_h0)
-            and np.isfinite(self.statistic_h1)
-            and self.statistic_h0 >= 0
-            and self.statistic_h1 >= 0
-        ):
-            raise InvalidParameterError("detection statistics must be finite and nonnegative")
-
-
 @dataclass(eq=False)
 class RocCurve:
     """Empirical operating points sorted by false-alarm probability."""
@@ -68,59 +49,6 @@ class RocCurve:
     p_d: np.ndarray
     thresholds: np.ndarray
     low_resolution: np.ndarray  # True where p_fa is below 1/n_trials
-
-
-def simulate_radar_frame(
-    pilot, scene: SensingScene, hypothesis: str, rng: np.random.Generator
-) -> np.ndarray:
-    """One vectorized backscatter snapshot of length N_r * L.
-
-    Target and clutter amplitudes are complex Gaussian with the configured
-    powers (Swerling-I); the target term is present only under "H1".
-    """
-    if hypothesis not in ("H0", "H1"):
-        raise InvalidParameterError("hypothesis must be 'H0' or 'H1'")
-    mus = sensing_vectors(pilot, scene).mu
-    y = np.zeros(mus[0].size, dtype=complex)
-    if hypothesis == "H1":
-        y += np.sqrt(scene.target_power) * complex_normal(rng) * mus[0]
-    for power, mu in zip(scene.clutter_powers, mus[1:]):
-        y += np.sqrt(power) * complex_normal(rng) * mu
-    y += scene.radar_noise_std * complex_normal(rng, (y.size,))
-    return y
-
-
-def detector_statistic(y: np.ndarray, pilot, scene: SensingScene) -> float:
-    """Whitened matched quadratic form |mu_0^H (R_cc + sigma^2 I)^{-1} y|^2.
-
-    Likelihood-ratio statistic for a Gaussian rank-one target in known
-    colored interference; the interference covariance comes from the true
-    scene (clairvoyant detector).
-    """
-    mus = sensing_vectors(pilot, scene).mu
-    dim = mus[0].size
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (dim,):
-        raise DimensionError("observation length must equal N_r * L")
-    cov = scene.radar_noise_std**2 * np.eye(dim, dtype=complex)
-    for power, mu in zip(scene.clutter_powers, mus[1:]):
-        cov += power * np.outer(mu, mu.conj())
-    w = np.linalg.solve(cov, mus[0])
-    return float(np.abs(np.vdot(w, y)) ** 2)
-
-
-def paired_detection_trial(pilot, scene: SensingScene, rng: np.random.Generator) -> DetectionTrial:
-    """Frame-level paired trial: both hypotheses share clutter and noise draws."""
-    mus = sensing_vectors(pilot, scene).mu
-    interference = np.zeros(mus[0].size, dtype=complex)
-    for power, mu in zip(scene.clutter_powers, mus[1:]):
-        interference += np.sqrt(power) * complex_normal(rng) * mu
-    interference += scene.radar_noise_std * complex_normal(rng, (interference.size,))
-    target = np.sqrt(scene.target_power) * complex_normal(rng) * mus[0]
-    return DetectionTrial(
-        statistic_h0=detector_statistic(interference, pilot, scene),
-        statistic_h1=detector_statistic(interference + target, pilot, scene),
-    )
 
 
 def simulate_detection_trials(
@@ -258,16 +186,6 @@ def _mmse_chunk(block, stacked, offset, log_prior, model: GmmUserModel):
     return (model.factor @ coefs + model.means.T @ w).T, w.T
 
 
-def gmm_mmse_estimate(
-    y: np.ndarray, pilot, model: GmmUserModel, return_responsibilities: bool = False
-):
-    """Posterior-mean channel estimate from one pilot observation."""
-    est, resp = gmm_mmse_batch(np.asarray(y)[None, :], pilot, model)
-    if return_responsibilities:
-        return est[0], resp[0]
-    return est[0]
-
-
 def nmse_experiment(
     pilot, users: list, n_trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -293,35 +211,9 @@ def nmse_experiment(
     return per_user, float(per_user.mean())
 
 
-def qam64_map(bits) -> np.ndarray:
-    """Gray-labeled square 64-QAM mapper, unit average symbol energy.
-
-    ``bits`` has shape (..., 6); the first three bits select the in-phase
-    level, the last three the quadrature level.
-    """
-    b = np.asarray(bits, dtype=int)
-    if b.shape[-1] != 6:
-        raise DimensionError("64-QAM requires 6 bits per symbol")
-    v_i = 4 * b[..., 0] + 2 * b[..., 1] + b[..., 2]
-    v_q = 4 * b[..., 3] + 2 * b[..., 4] + b[..., 5]
-    return QAM_LEVELS[_GRAY_INV[v_i]] + 1j * QAM_LEVELS[_GRAY_INV[v_q]]
-
-
 def _nearest_level_index(x: np.ndarray) -> np.ndarray:
     scaled = np.rint((x * np.sqrt(42.0) + 7.0) / 2.0)
     return np.clip(scaled, 0, 7).astype(int)
-
-
-def qam64_demap(symbol) -> np.ndarray:
-    """Minimum-distance hard decision back to the 6-bit Gray label."""
-    s = np.asarray(symbol, dtype=complex)
-    v_i = _GRAY[_nearest_level_index(s.real)]
-    v_q = _GRAY[_nearest_level_index(s.imag)]
-    bits = np.empty(s.shape + (6,), dtype=int)
-    for pos, shift in enumerate((2, 1, 0)):
-        bits[..., pos] = (v_i >> shift) & 1
-        bits[..., 3 + pos] = (v_q >> shift) & 1
-    return bits
 
 
 def zf_precode(channel_estimates: np.ndarray) -> np.ndarray:
@@ -358,7 +250,7 @@ def ser_experiment(
     """Symbol error rate of the estimate-then-ZF-precode link per SNR point.
 
     Per block: draw true channels, estimate them from the pilot phase,
-    precode with the estimates, send Gray-mapped 64-QAM through the true
+    precode with the estimates, send 64-QAM symbols through the true
     channels, and hard-decide after dividing by the estimated effective
     gain.  SNR sets the data-phase noise variance as 10^(-snr/10) against
     unit symbol energy and unit-norm precoder columns; ``n_symbols`` counts

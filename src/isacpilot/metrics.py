@@ -13,19 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    GmmUserModel,
-    SensingScene,
-    pilot_entries,
-    sample_channels,
-    steering_vector,
-)
+from .channel import GmmUserModel, SensingScene, pilot_entries, sample_channels
 from .errors import (
     DimensionError,
     InvalidParameterError,
     NumericError,
     ObjectiveDomainError,
-    UnsupportedModelError,
 )
 from .streams import complex_normal
 
@@ -47,13 +40,6 @@ class IsacObjective:
             raise DimensionError("one weight per user model is required")
         if abs(self.user_weights.sum() - 1.0) > 1e-12 or np.any(self.user_weights < 0):
             raise InvalidParameterError("user weights must be nonnegative and sum to 1")
-
-
-@dataclass
-class SensingVectors:
-    """Stacked target/clutter response vectors mu_i of length N_r * L."""
-
-    mu: list
 
 
 class CommState(NamedTuple):
@@ -186,18 +172,6 @@ def comm_mi_weighted(pilot, objective: IsacObjective) -> float:
     return float(sum(sum(w * comm_state(pilot, users).value) for w, users in _user_groups(objective)))
 
 
-def sensing_mu(pilot, geometry, theta_deg: float) -> np.ndarray:
-    """Response vector for angle ``theta_deg``: a_rx kron (Phi a_tx), length N_r*L.
-
-    Column-major stacking of the L x N_r layout; norms and inner products
-    match any other consistent stacking.
-    """
-    phi = pilot_entries(pilot)
-    a_t = steering_vector(geometry.n_tx, geometry.spacing_tx, theta_deg)
-    a_r = steering_vector(geometry.n_rx, geometry.spacing_rx, theta_deg)
-    return np.kron(a_r, phi @ a_t)
-
-
 def sense_state(pilot, scene: SensingScene) -> SenseState:
     """Gram-domain quantities shared by all sensing metrics and gradients.
 
@@ -285,47 +259,6 @@ def sense_kl_and_g(pilot, scene: SensingScene) -> tuple[float, float]:
     x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
     g = x / (1.0 + x)
     return float(np.log1p(x) - g), float(g)
-
-
-def sensing_vectors(pilot, scene: SensingScene) -> SensingVectors:
-    """Materialized response vectors (target first), mostly for cross-checks."""
-    geom = scene.geometry
-    angles = [scene.target_angle, *scene.clutter_angles]
-    return SensingVectors([sensing_mu(pilot, geom, t) for t in angles])
-
-
-def sense_kl_direct(pilot, scene: SensingScene) -> float:
-    """KL divergence evaluated from the dense whitened signal covariance.
-
-    Forms A = W R_dd W with W the inverse square root of the clutter-plus-noise
-    covariance and evaluates logdet(I + A) - tr(I - (I + A)^{-1}).  Dense
-    cross-validation path for ``sense_kl_and_g``.
-    """
-    mus = sensing_vectors(pilot, scene).mu
-    powers = np.concatenate(([scene.target_power], scene.clutter_powers))
-    dim = mus[0].size
-    cov = scene.radar_noise_std**2 * np.eye(dim, dtype=complex)
-    for p, mu in zip(powers[1:], mus[1:]):
-        cov += p * np.outer(mu, mu.conj())
-    vals, vecs = np.linalg.eigh(cov)
-    w_half = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    m0 = w_half @ mus[0]
-    a_mat = powers[0] * np.outer(m0, m0.conj())
-    eye = np.eye(dim, dtype=complex)
-    sign, logdet = np.linalg.slogdet(eye + a_mat)
-    trace_term = np.trace(eye - np.linalg.inv(eye + a_mat)).real
-    return float(sign.real * logdet - trace_term)
-
-
-def comm_mi_lower_bound_gaussian(pilot, model: GmmUserModel, trace_mse: float) -> float:
-    """Estimation-error lower bound on the communication metric (single Gaussian prior)."""
-    if model.n_components != 1:
-        raise UnsupportedModelError("closed-form prior entropy requires a single component")
-    if trace_mse <= 0:
-        raise InvalidParameterError("trace_mse must be positive")
-    n_tx = model.n_tx
-    _, logdet = np.linalg.slogdet(model.covariances[0])
-    return float(logdet - n_tx * np.log(trace_mse / n_tx))
 
 
 def effective_training_snr(error_variance: float) -> float:

@@ -1,4 +1,4 @@
-"""Tests for array geometry, GMM channel construction and pilot reception."""
+"""Tests for array geometry, GMM channel construction and channel sampling."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,19 @@ from isacpilot import (
     ArrayGeometry,
     GmmUserModel,
     InvalidParameterError,
-    InvalidRegionError,
     PilotMatrix,
     build_user_model,
     laplacian_weights,
-    region_covariance,
-    sample_channel,
     sample_channels,
-    simulate_pilot_rx,
     steering_vector,
     substream,
 )
+from isacpilot.channel import _region_covariances
+
+
+def region_covariance(geometry, lo, hi, quadrature_points=8):
+    """The covariance of one region [lo, hi] degrees, through the batched builder."""
+    return _region_covariances(geometry, np.array([lo]), np.array([hi]), quadrature_points)[0]
 
 
 class TestSteeringVector:
@@ -68,10 +70,6 @@ class TestLaplacianWeights:
 
 class TestRegionCovariance:
     geom = ArrayGeometry(n_tx=4, n_rx=2)
-
-    def test_rejects_reversed_region(self):
-        with pytest.raises(InvalidRegionError):
-            region_covariance(self.geom, 10.0, 10.0)
 
     def test_diagonal_equals_width_in_radians(self):
         cov = region_covariance(self.geom, -30.0, 15.0, quadrature_points=16)
@@ -169,7 +167,7 @@ class TestSampleChannel:
             covariances=np.zeros((2, 2, 2)),
             noise_std=0.1,
         )
-        h = sample_channel(model, substream(0, "zero-cov"))
+        h = sample_channels(model, 1, substream(0, "zero-cov"))[0]
         assert any(np.array_equal(h, m) for m in means)
 
     def test_identity_covariance_moments(self):
@@ -206,42 +204,6 @@ class TestSampleChannel:
         a = sample_channels(model, 64, substream(3, "repro"))
         b = sample_channels(model, 64, substream(3, "repro"))
         assert np.array_equal(a, b)
-
-
-class TestSimulatePilotRx:
-    geom = ArrayGeometry(n_tx=6, n_rx=2)
-
-    def _pilot(self, seed=0):
-        return ip.random_stiefel(3, 6, substream(seed, "pilot"))
-
-    def test_noiseless_is_exact(self):
-        pilot = self._pilot()
-        h = np.arange(6) + 1j * np.arange(6)
-        y = simulate_pilot_rx(pilot, h, 0.0, substream(0, "rx"))
-        np.testing.assert_allclose(y, pilot.entries @ h, atol=1e-15)
-
-    def test_pure_noise_moments(self):
-        pilot = self._pilot()
-        sigma = 0.7
-        ys = np.stack(
-            [simulate_pilot_rx(pilot, np.zeros(6), sigma, substream(0, "noise")) for _ in range(1)]
-        )
-        rng = substream(1, "noise-batch")
-        samples = np.stack([simulate_pilot_rx(pilot, np.zeros(6), sigma, rng) for _ in range(4000)])
-        assert abs(samples.mean()) <= 0.02
-        assert np.mean(np.abs(samples) ** 2) == pytest.approx(sigma**2, rel=0.05)
-
-    def test_orthonormal_rows_contract(self):
-        pilot = self._pilot(5)
-        rng = substream(2, "contract")
-        for _ in range(10):
-            h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            y = simulate_pilot_rx(pilot, h, 0.0, rng)
-            assert np.linalg.norm(y) <= np.linalg.norm(h) + 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ip.DimensionError):
-            simulate_pilot_rx(self._pilot(), np.zeros(4), 0.1, substream(0, "bad"))
 
 
 class TestPilotMatrixValidation:

@@ -7,7 +7,9 @@ For each module under ``src/isacpilot`` and in total it prints
   docstrings (module, class and function docstrings, found with ``ast``;
   everything else is classified with ``tokenize``);
 
-followed by the number of public names that ``isacpilot/__init__.py`` binds.
+followed by the number of public names that ``isacpilot/__init__.py`` binds
+and those of them that no other module of the package references: names
+that only tests, tools or the benchmark use.
 
 Usage: ``python3 tools/src_stats.py [package_dir]`` (default: the
 ``src/isacpilot`` next to this script's parent directory).
@@ -57,7 +59,7 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def public_names(init: Path) -> int:
+def public_names(init: Path) -> set:
     """Names without a leading underscore bound at the top level of ``init``."""
     names = set()
     for node in ast.parse(init.read_text(encoding="utf-8")).body:
@@ -68,7 +70,26 @@ def public_names(init: Path) -> int:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return sum(1 for name in names if not name.startswith("_"))
+    return {name for name in names if not name.startswith("_")}
+
+
+def unreferenced(package: Path, names: set) -> list:
+    """Those of ``names`` that no module of ``package`` but ``__init__.py`` references.
+
+    A reference is a ``Name`` or ``Attribute`` node of the syntax tree, so a
+    mention in a docstring or comment does not count, nor does an import
+    alone, nor a use inside the name's own top-level definition (recursion).
+    """
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(top))
+            refs = {n.id for n in nodes if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            used |= refs - {getattr(top, "name", None)}
+    return sorted(names - used)
 
 
 def main(argv: list) -> None:
@@ -82,7 +103,10 @@ def main(argv: list) -> None:
         total_code += code
         print(f"{path.name:<20}{lines:>8}{code:>8}")
     print(f"{'total':<20}{total_lines:>8}{total_code:>8}")
-    print(f"public names in {package.name}: {public_names(package / '__init__.py')}")
+    names = public_names(package / "__init__.py")
+    print(f"public names in {package.name}: {len(names)}")
+    unused = unreferenced(package, names)
+    print(f"referenced only outside the package: {len(unused)} {' '.join(unused)}")
 
 
 if __name__ == "__main__":
