@@ -35,10 +35,18 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 # domain, are set to exactly 0.  e^-700 is about 1e-304, just above the
 # subnormal range (below 2.2e-308, from about e^-708): such a weight is
 # hundreds of orders below the estimate's roundoff, but as a subnormal
-# operand it takes a slow microcode path in every product it enters, which
-# made the estimator's products up to about ten times slower.  Normalized by
-# at most N_k, a kept weight stays normal for any N_k below about 4,000.
+# operand it takes a slow microcode path in every product it enters.  The
+# weights enter one product, the mixing of the stacked gains [G_n | b_n] in
+# ``gmm_mmse_batch``, which subnormal weights made about thirteen times
+# slower.  Normalized by at most N_k, a kept weight stays normal for any N_k
+# below about 4,000.
 WEIGHT_CUT = -700.0
+# Detection trials are drawn in blocks of this many, so the draws alive at a
+# time take about 2 MB (two clutter sources) whatever the trial count; only
+# the running interference and the two statistics, 32 B per trial, grow
+# with it.  Consecutive draws continue one stream, so the statistics and the
+# generator state do not depend on the block size.
+DETECTION_BLOCK = 65_536
 
 
 @dataclass(eq=False)
@@ -63,31 +71,33 @@ def simulate_detection_trials(
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
     proj, w_norm2 = _detector_scalars(pilot, scene)
-    # each draw is folded into its result as soon as it is drawn, in the
-    # order clutter, noise, target, and updated in place, so only the current
-    # draw and the running sum are alive at a time (same values as combining
-    # all draws at the end)
+    # draws come in blocks of DETECTION_BLOCK trials, in the order all
+    # clutter, all noise, all target, and each block is folded into the
+    # running interference and the statistics as soon as it is drawn
+    blocks = [
+        slice(start, min(start + DETECTION_BLOCK, n_trials))
+        for start in range(0, n_trials, DETECTION_BLOCK)
+    ]
     noise_scale = np.sqrt(scene.radar_noise_std**2 * w_norm2)
+    interf = np.zeros(n_trials, dtype=complex)
+    t0, t1 = np.empty(n_trials), np.empty(n_trials)
     if scene.n_clutter:
-        clutter = complex_normal(rng, (n_trials, scene.n_clutter))
-        interf = clutter @ (np.sqrt(scene.clutter_powers) * proj[1:])
-        del clutter
-        noise = complex_normal(rng, (n_trials,))
+        clutter_gains = np.sqrt(scene.clutter_powers) * proj[1:]
+        for block in blocks:
+            shape = (block.stop - block.start, scene.n_clutter)
+            interf[block] = complex_normal(rng, shape) @ clutter_gains
+    for block in blocks:
+        noise = complex_normal(rng, (block.stop - block.start,))
         noise *= noise_scale
-        interf += noise
-        del noise
-    else:
-        interf = complex_normal(rng, (n_trials,))
-        interf *= noise_scale
-    target = complex_normal(rng, (n_trials,))
-    target *= np.sqrt(scene.target_power)
-    target *= proj[0]
-    t0 = np.abs(interf)
-    t0 **= 2
-    interf += target
-    del target
-    t1 = np.abs(interf)
-    t1 **= 2
+        interf[block] += noise
+        np.square(np.abs(interf[block], out=t0[block]), out=t0[block])
+    del noise  # not alive while the targets are drawn
+    for block in blocks:
+        target = complex_normal(rng, (block.stop - block.start,))
+        target *= np.sqrt(scene.target_power)
+        target *= proj[0]
+        interf[block] += target
+        np.square(np.abs(interf[block], out=t1[block]), out=t1[block])
     return t0, t1
 
 
@@ -126,20 +136,21 @@ def gmm_mmse_batch(
     """Mixture-MMSE channel estimates for a batch of observations.
 
     Returns (estimates of shape (T, N_t), responsibilities of shape (T, N_k)).
-    Sigma_n, log det Sigma_n and C_n = Sigma_n^{-1} B_n come from
-    ``comm_state``; one batched Cholesky Sigma_n = L_n L_n^H gives the
-    whitening W_n = L_n^{-1}.  Every C_n^H and then every W_n are stacked
-    into one (N_k (q + L), L) matrix, so per chunk of trials one product
-    gives each component's correction coefficients
-    C_n^H (y - Phi mu_n) = B_n^H Sigma_n^{-1} (y - Phi mu_n) and its whitened
-    residual W_n (y - Phi mu_n), whose squared norm is the quadratic form of
-    the log weight.  The posterior mean mu_n + A_n (coefficients), weighted
-    and summed over components, takes two more products: the stacked factor
-    with the weighted coefficients and the means with the weights.
-    Responsibilities are computed in the log domain and normalized; weights
-    below e^WEIGHT_CUT times a trial's largest are exactly 0.  Trials are
-    processed in chunks to bound the (N_k (q + L), chunk) intermediate.
-    A non-finite observation raises ``NumericError`` naming its row.
+    The estimate is x(y) = sum_n w_n(y) (b_n + G_n y) with the gain
+    G_n = A_n C_n^H = R_n Phi^H Sigma_n^{-1} and the offset
+    b_n = mu_n - G_n Phi mu_n, both built once per call from the factor and
+    the C_n = Sigma_n^{-1} B_n of ``comm_state``.  One batched Cholesky
+    Sigma_n = L_n L_n^H gives the whitening W_n = L_n^{-1}.  Each observation
+    is extended to [y; 1], so per chunk of trials one complex product with
+    the stacked [W_n | -W_n Phi mu_n] gives every whitened residual
+    W_n (y - Phi mu_n), whose squared norm is the quadratic form of the log
+    weight, and one real product of the weights with the stacked real and
+    imaginary parts of [G_n | b_n] gives each trial's mixed gain, which is
+    applied to its [y; 1].  Responsibilities are computed in the log domain
+    and normalized; weights below e^WEIGHT_CUT times a trial's largest are
+    exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
+    the residuals and the mixed gains.  A non-finite observation raises
+    ``NumericError`` naming its row.
     """
     phi = pilot_entries(pilot)
     obs = np.atleast_2d(np.asarray(observations, dtype=complex))
@@ -149,41 +160,50 @@ def gmm_mmse_batch(
     if not finite.all():  # checked first: it would turn every weight of its trial into NaN
         raise NumericError(f"observation row {int(np.argmin(finite))} has a NaN or infinite entry")
     state = comm_state(phi, [model])
-    n_slots, n_comp = phi.shape[0], model.n_components
+    n_trials, n_slots = obs.shape
+    n_comp, n_tx = model.n_components, model.n_tx
+    phi_mu = (model.means @ phi.T)[:, :, None]  # (N_k, L, 1)
     whiten = np.linalg.inv(np.linalg.cholesky(state.sigma.transpose(2, 0, 1)))
-    rows = (state.c.conj().transpose(2, 1, 0), whiten)  # C_n^H (N_k, q, L), W_n (N_k, L, L)
-    phi_mu = (model.means @ phi.T)[:, :, None]
-    stacked = np.concatenate([m.reshape(-1, n_slots) for m in rows])
-    offset = np.concatenate([(m @ phi_mu).reshape(-1, 1) for m in rows])  # the rows times Phi mu_n
+    residual_rows = np.concatenate((whiten, -(whiten @ phi_mu)), axis=2).reshape(-1, n_slots + 1)
+    factor = model.factor.reshape(n_tx, n_comp, -1).transpose(1, 0, 2)  # A_n (N_k, N_t, q)
+    gain = factor @ state.c.transpose(2, 1, 0).conj()  # G_n (N_k, N_t, L)
+    offset = model.means[:, :, None] - gain @ phi_mu  # b_n (N_k, N_t, 1)
+    gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
+    extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y^T, 1]
+    extended[:, :n_slots] = obs
 
-    n_trials = obs.shape[0]
     log_prior = model.log_weights - state.logdet
-    est = np.empty((n_trials, model.n_tx), dtype=complex)
+    est = np.empty((n_trials, n_tx), dtype=complex)
     resp = np.empty((n_trials, n_comp))
-    chunk = max(1, int(2_000_000 // (n_comp * max(model.n_tx, n_slots))))
+    chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials], resp[trials] = _mmse_chunk(obs[trials], stacked, offset, log_prior, model)
+        est[trials], resp[trials] = _mmse_chunk(
+            extended[trials], residual_rows, gain_rows, log_prior, n_comp
+        )
     return est, resp
 
 
-def _mmse_chunk(block, stacked, offset, log_prior, model: GmmUserModel):
+def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
+    """Trials per chunk of ``gmm_mmse_batch``: its whitened residuals
+    (N_k L per trial) and mixed gains (N_t (L + 1) per trial) stay below
+    1e6 complex entries each, 347 trials at the Monte Carlo NMSE shape."""
+    return max(1, 1_000_000 // (max(n_comp, n_slots + 1) * max(n_tx, n_slots)))
+
+
+def _mmse_chunk(extended, residual_rows, gain_rows, log_prior, n_comp: int):
     """(estimates, responsibilities) of one chunk of trials for
     ``gmm_mmse_batch``; its intermediates are freed on return."""
-    n_comp, n_trials = model.n_components, block.shape[0]
-    proj = stacked @ block.T
-    proj -= offset
-    coefs, white = np.split(proj, [model.factor.shape[1]])
-    white = white.view(float).reshape(n_comp, -1, 2 * n_trials)  # real, imaginary side by side
-    np.square(white, out=white)
+    n_trials = extended.shape[0]
+    white = (residual_rows @ extended.T).view(float).reshape(n_comp, -1, 2 * n_trials)
+    np.square(white, out=white)  # real, imaginary side by side
     quad = white.sum(axis=1)
     log_w = log_prior[:, None] - (quad[:, 0::2] + quad[:, 1::2])
     log_w -= log_w.max(axis=0)
     w = np.exp(log_w, where=log_w > WEIGHT_CUT, out=np.zeros_like(log_w))
     w /= w.sum(axis=0)
-    weighted = coefs.reshape(n_comp, -1, n_trials)  # a view: this scales coefs in place
-    weighted *= w[:, None, :]
-    return (model.factor @ coefs + model.means.T @ w).T, w.T
+    mixed = (w.T @ gain_rows).view(complex).reshape(n_trials, -1, extended.shape[1])
+    return np.einsum("tnl,tl->tn", mixed, extended), w.T
 
 
 def nmse_experiment(

@@ -1,5 +1,7 @@
 """Tests for detection, estimation and link-level evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +23,7 @@ from isacpilot.evaluation import CONSTELLATION, _nearest_level_index
 from oracles import detector_statistic, sensing_vectors, simulate_radar_frame
 
 GEOM = ArrayGeometry(n_tx=8, n_rx=3)
+CLUTTER_CASES = [(), ((10.0, 0.4),), ((10.0, 0.4), (-30.0, 2.5))]  # 0, 1 and 2 sources
 
 
 def clutter_scene(target_power=1.0, radar_noise_std=1.0, clutter=((10.0, 0.4),)):
@@ -55,11 +58,17 @@ class TestRadarFrame:
         assert np.array_equal(t0, t1)
 
     @pytest.mark.parametrize(
-        "clutter", [(), ((10.0, 0.4),), ((10.0, 0.4), (-30.0, 2.5))], ids=["q0", "q1", "q2"]
+        "clutter, block",
+        [(clutter, block) for block in (None, 1234) for clutter in CLUTTER_CASES],
+        ids=["q0", "q1", "q2", "q0-blocks", "q1-blocks", "q2-blocks"],
     )
-    def test_trials_match_all_draws_first_formula(self, clutter):
-        # oracle: every draw held at once, then combined; the in-place
-        # version must give the same bits and leave the stream alike
+    def test_trials_match_all_draws_first_formula(self, clutter, block, monkeypatch):
+        # oracle: every draw held at once, then combined; the blocked,
+        # in-place version must give the same bits and leave the stream
+        # alike, also when 5,000 trials span four blocks and a remainder
+        if block is not None:
+            monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", block)
+
         def all_draws_first(pilot, scene, n_trials, rng):
             from isacpilot.evaluation import _detector_scalars
 
@@ -81,6 +90,20 @@ class TestRadarFrame:
         e0, e1 = all_draws_first(pilot, scene, 5000, oracle_rng)
         assert np.array_equal(t0, e0) and np.array_equal(t1, e1)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_traced_peak_is_bounded_per_trial(self):
+        # the running interference and the two statistics take 32 B per
+        # trial; the blocked draws add a fixed few MB on top
+        pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
+        scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
+        n_trials = 1_000_000
+        tracemalloc.start()
+        try:
+            simulate_detection_trials(pilot, scene, n_trials, substream(23, "trials"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * n_trials
 
     def test_rejects_unknown_hypothesis(self):
         pilot = ip.random_stiefel(3, 8, substream(6, "rf"))

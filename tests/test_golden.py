@@ -1,5 +1,6 @@
-"""Golden tables of the shipped configs whose figures run through the
-mixture-MMSE estimator: NMSE, link SER and the capacity diagnostic.
+"""Golden tables of the shipped Monte Carlo configs: NMSE, link SER and
+the capacity diagnostic, which run through the mixture-MMSE estimator, and
+the ROC, which runs through the paired detection trials.
 
 Each ``golden/<config>.json`` is fixed data, with no re-record path: the
 table that ``isacpilot <task> --config configs/<config>.yaml --seed 2024
@@ -20,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("stem", ["nmse_baselines", "diagnostics_cworst", "ser_multiuser"])
+@pytest.mark.parametrize("stem", ["nmse_baselines", "diagnostics_cworst", "ser_multiuser", "roc_compare"])
 def test_config_reproduces_golden_table(stem, tmp_path):
     golden = json.loads((GOLDEN / f"{stem}.json").read_text())
     assert run_config(str(ROOT / golden["config"]), seed=2024, out_dir=str(tmp_path)) == 0

@@ -24,7 +24,7 @@ import isacpilot as ip
 from isacpilot.config import build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT
-from isacpilot.evaluation import WEIGHT_CUT
+from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import _user_groups, comm_state, effective_training_snr
 from isacpilot.streams import complex_normal
 from test_acceptance import gradient_instance
@@ -378,6 +378,29 @@ class TestMixtureEstimator:
         tiny = np.finfo(float).tiny
         assert not np.any((resp > 0.0) & (resp < tiny))
         assert np.all(resp[:, model.weights == 0.0] == 0.0)
+
+    def test_chunks_equal_single_chunk_calls(self):
+        # three full chunks and a remainder at the NMSE shape, against calls
+        # of fewer rows than a chunk whose boundaries do not line up with it
+        pilot, model, _ = estimator_case("montecarlo")
+        chunk = _chunk_trials(model.n_components, model.n_tx, pilot.n_slots)
+        rng = ip.substream(12, "estimator", "chunks")
+        n_rows = 3 * chunk + chunk // 3
+        noise = model.noise_std * ip.complex_normal(rng, (n_rows, pilot.n_slots))
+        obs = ip.sample_channels(model, n_rows, rng) @ pilot.entries.T + noise
+        obs[::5] = 25.0 * ip.complex_normal(rng, obs[::5].shape)
+        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        pieces = [
+            ip.gmm_mmse_batch(obs[start : start + chunk - 7], pilot, model)
+            for start in range(0, n_rows, chunk - 7)
+        ]
+        expected = np.concatenate([p[0] for p in pieces])
+        expected_resp = np.concatenate([p[1] for p in pieces])
+        error = np.linalg.norm(est - expected, axis=1)
+        assert np.all(error <= 1e-14 * np.linalg.norm(expected, axis=1))
+        # relative to a row's total of 1: a weight's own relative error is its
+        # log weight's absolute roundoff, which grows with the quadratic form
+        assert np.abs(resp - expected_resp).max() <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observation_names_its_row(self, bad):

@@ -2,9 +2,12 @@
 
 For each kernel it builds the inputs of a shipped config once, makes one
 untimed call, then times single calls until ``--seconds`` (default 1) have
-passed, at least ``MIN_REPEATS`` of them.  It prints the median and the
-quartiles of the per-call times, the repeat count, the core count and the
-BLAS thread count.  The shapes are:
+passed, at least ``MIN_REPEATS`` of them, and makes one more untimed call
+under ``tracemalloc``.  It prints the median and the quartiles of the
+per-call times, the repeat count, the traced peak allocation of one call
+(NumPy reports its arrays to ``tracemalloc``; the peak includes the
+returned arrays), the core count and the BLAS thread count.  The shapes
+are:
 
 - ``comm_state``, ``sense_state``, ``isac_value_and_grad`` (rho = 0.5) and
   ``project_stiefel``: ``configs/sweep_tradeoff.yaml`` (N_t = 16, L = 4,
@@ -36,6 +39,7 @@ import ctypes
 import glob
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +147,16 @@ def time_calls(call, seconds: float) -> np.ndarray:
     return np.array(times)
 
 
+def traced_peak(call) -> int:
+    """Peak bytes allocated during one call, from ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def blas_threads() -> str:
     """The thread count OpenBLAS reports, or the environment setting if the
     bundled library cannot be asked."""
@@ -167,12 +181,19 @@ def main(argv=None) -> None:
     if unknown:
         parser.error(f"unknown kernel(s) {', '.join(unknown)}; choose from {', '.join(table)}")
     print(f"nproc: {os.cpu_count()}  BLAS threads: {blas_threads()}  NumPy {np.__version__}")
-    print(f"{'kernel':<26} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'calls':>6}  shape")
+    print(
+        f"{'kernel':<26} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'calls':>6} "
+        f"{'peak MB':>8}  shape"
+    )
     for name in args.names or table:
         shape, call = table[name]
         times = time_calls(call, args.seconds)
+        peak_mb = traced_peak(call) / 1e6
         q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
-        print(f"{name:<26} {median:10.3f} {q1:9.3f} {q3:9.3f} {times.size:6d}  {shape}")
+        print(
+            f"{name:<26} {median:10.3f} {q1:9.3f} {q3:9.3f} {times.size:6d} "
+            f"{peak_mb:8.2f}  {shape}"
+        )
 
 
 if __name__ == "__main__":
