@@ -92,16 +92,19 @@ class GmmUserModel:
     """Per-user Gaussian-mixture channel prior plus its pilot-phase noise level.
 
     One batched eigendecomposition of the covariances, taken at construction,
-    validates them and yields ``factor``: the low-rank square roots stacked as
-    (N_t, N_k * q).  Columns n*q .. (n+1)*q - 1 hold A_n with A_n A_n^H = R_n
-    up to the dropped roundoff eigenvalues (``FACTOR_RANK_CUT``); q is the
-    largest numerical rank over the components (at least 1, at most N_t).
-    ``means``, ``covariances`` and ``factor`` are read-only copies, so users
-    of one scenario can share them (``build_user_models``); only the weights
-    and the noise level are the user's own.  The pilot-independent parts of
-    the communication metric are kept too: ``mixture_mean`` (N_t,), ``mu_bar``
-    (N_k, N_t), the mixture mean minus each component mean, and
-    ``log_weights`` (-inf for a zero weight).
+    validates them and yields the low-rank square roots A_n, with
+    A_n A_n^H = R_n up to the dropped roundoff eigenvalues
+    (``FACTOR_RANK_CUT``); q (``rank``) is the largest numerical rank over
+    the components (at least 1, at most N_t).  They are kept q-major, with
+    the component means after them, as the (N_t, (q + 1) N_k) array
+    ``stacked``: column j*N_k + n holds column j of A_n for j < q, and
+    column q*N_k + n holds mu_n.  So one product Phi @ stacked, reshaped to
+    (L, q + 1, N_k), gives every B_n = Phi A_n and every Phi mu_n
+    (``metrics.comm_state``).  ``means``, ``covariances`` and ``stacked``
+    are read-only copies, so users of one scenario can share them
+    (``build_user_models``); only the weights and the noise level are the
+    user's own, with the terms derived from them: ``mixture_mean`` (N_t,)
+    and ``log_weights`` (-inf for a zero weight).
     """
 
     weights: np.ndarray
@@ -129,15 +132,15 @@ class GmmUserModel:
         vals, vecs = np.linalg.eigh(self.covariances)  # eigenvalues ascending
         if vals.min() < -1e-10 * scale:
             raise InvalidParameterError("covariances must be positive semidefinite")
-        rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
-        factor = vecs[:, :, -rank:].transpose(1, 0, 2).copy()  # (N_t, N_k, q)
-        factor *= np.sqrt(np.clip(vals[:, -rank:], 0.0, None))
-        self.factor = factor.reshape(self.n_tx, -1)
+        self.rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
+        roots = vecs[:, :, -self.rank :] * np.sqrt(np.clip(vals[:, None, -self.rank :], 0.0, None))
+        stacked = np.concatenate((roots.transpose(1, 2, 0), self.means.T[:, None]), axis=1)
+        self.stacked = stacked.reshape(self.n_tx, -1)  # (N_t, (q + 1) N_k)
         self._freeze_components()
         self._set_user_terms()
 
     def _freeze_components(self):
-        for array in (self.means, self.covariances, self.factor):
+        for array in (self.means, self.covariances, self.stacked):
             array.setflags(write=False)
 
     def __setstate__(self, state):
@@ -158,13 +161,13 @@ class GmmUserModel:
         if not self.noise_std > 0:
             raise InvalidParameterError("noise_std must be positive")
         self.mixture_mean = self.weights @ self.means
-        self.mu_bar = self.mixture_mean[None, :] - self.means
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
 
     def _for_user(self, weights, noise_std, mean_aoa=0.0, azimuth_spread=0.0) -> GmmUserModel:
         """Another user's model on the same components: it shares this model's
-        read-only means, covariances and factor, so no second eigendecomposition."""
+        read-only means, covariances and stacked factor, so no second
+        eigendecomposition."""
         user = copy.copy(self)
         user.weights, user.noise_std = weights, noise_std
         user.mean_aoa, user.azimuth_spread = mean_aoa, azimuth_spread
@@ -178,6 +181,11 @@ class GmmUserModel:
     @property
     def n_tx(self) -> int:
         return self.means.shape[1]
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The square roots as (N_t, q, N_k) blocks: [:, :, n] is A_n (a view of ``stacked``)."""
+        return self.stacked[:, : self.rank * self.n_components].reshape(self.n_tx, self.rank, -1)
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,8 @@ def build_user_models(
 
     The components depend on the scenario alone, so they are built and
     factored once: every returned model shares the first one's read-only
-    means, covariances and factor, and has its own weights and noise level.
+    means, covariances and stacked factor, and has its own weights and noise
+    level.
     """
     if n_components < 1:
         raise InvalidParameterError("n_components must be >= 1")
@@ -332,15 +341,18 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
     Each channel takes N_t standard normals; the component's q factor
     columns, the top eigenvectors in ascending ``eigh`` order, multiply the
     last q of them, so the stream advances alike whatever the factor's rank.
+    The factor is copied out of ``stacked`` into contiguous (N_t, q) blocks
+    A_n, so each product is a BLAS call: on a strided view of ``stacked``
+    NumPy takes its non-BLAS loop, whose last bits differ, and the draws
+    would change.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
-    blocks = model.factor.reshape(model.n_tx, model.n_components, -1)
-    rank = blocks.shape[2]
+    blocks = np.ascontiguousarray(model.factor.transpose(2, 0, 1))  # (N_k, N_t, q)
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
     out = np.empty((n_samples, model.n_tx), dtype=complex)
     for comp in np.unique(indices):
         mask = indices == comp
         z = complex_normal(rng, (int(mask.sum()), model.n_tx))
-        out[mask] = model.means[comp] + z[:, -rank:] @ blocks[:, comp].T
+        out[mask] = model.means[comp] + z[:, -model.rank :] @ blocks[comp].T
     return out

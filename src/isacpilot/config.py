@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,13 @@ def _fields(mapping, table: dict, path: str) -> dict:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # YAML reads .nan and .inf as floats
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
 
 
 def _integer(value, path: str) -> int:

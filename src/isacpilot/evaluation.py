@@ -165,8 +165,7 @@ def gmm_mmse_batch(
     phi_mu = (model.means @ phi.T)[:, :, None]  # (N_k, L, 1)
     whiten = np.linalg.inv(np.linalg.cholesky(state.sigma.transpose(2, 0, 1)))
     residual_rows = np.concatenate((whiten, -(whiten @ phi_mu)), axis=2).reshape(-1, n_slots + 1)
-    factor = model.factor.reshape(n_tx, n_comp, -1).transpose(1, 0, 2)  # A_n (N_k, N_t, q)
-    gain = factor @ state.c.transpose(2, 1, 0).conj()  # G_n (N_k, N_t, L)
+    gain = model.factor.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()  # G_n (N_k, N_t, L)
     offset = model.means[:, :, None] - gain @ phi_mu  # b_n (N_k, N_t, 1)
     gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
     extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y^T, 1]

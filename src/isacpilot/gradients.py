@@ -7,39 +7,45 @@ against finite differences rather than transcribed, which resolves the
 shape ambiguities of the published three-term form.
 
 The communication gradient is built from the factor-form state of
-``comm_state``. With R_n = A_n A_n^H, B_n = Phi A_n, s_n = Sigma_n^{-1} Phi
-mu_bar_n and C_n = Sigma_n^{-1} B_n, the derivative of log det Sigma_n +
-beta_n is
+``comm_state``. With R_n = A_n A_n^H, B_n = Phi A_n, the mean term
+v_n = Phi mu_bar_n (mu_bar_n = m - mu_n, the mixture mean m minus the
+component mean), s_n = Sigma_n^{-1} v_n and C_n = Sigma_n^{-1} B_n, the
+derivative of log det Sigma_n + beta_n is
 
     Sigma_n^{-1} Phi R_n + s_n mu_bar_n^H - s_n s_n^H Phi R_n
-        = (C_n - s_n s_n^H B_n) A_n^H + s_n mu_bar_n^H,
+        = (C_n - s_n s_n^H B_n) A_n^H + s_n m^H - s_n mu_n^H.
 
-so the mixture-weighted sum over components is one (L, N_k q) x (N_k q, N_t)
-product with the stacked factor plus one (L, N_k) x (N_k, N_t) product with
-the component means; nothing of size (N_k, L, N_t) is formed.
+The model keeps A_n q-major with the component means after it, as one
+(N_t, (q + 1) N_k) array ``GmmUserModel.stacked`` (column j N_k + n holds
+column j of A_n, column q N_k + n holds mu_n); the centred means mu_bar_n
+are not stored. So the mixture-weighted sum over components is one product
+E stacked^H, where E holds D_n = mix_n (C_n - s_n s_n^H B_n) and -mix_n s_n
+for every n, laid out (L, q + 1, N_k) in the same column order, plus one
+(L, K_g) x (K_g, N_t) product for the s_n m^H terms; nothing of size
+(N_k, L, N_t) is formed and D is not reordered.
+``comm_state`` gets B_n and Phi mu_n from one product Phi @ stacked in the
+same way, and forms v_n^(g) = Phi m^(g) - Phi mu_n from them.
 
 The users of a scenario share one prior (``channel.build_user_models``): the
-same read-only factor and means, with their own weights and noise level.
-Users with the same factor and an equal noise level form a group
-(``metrics._user_groups``), and one ``comm_state`` call serves a group: its
-Sigma_n, B_n, C_n and log det Sigma_n are shared, and each user g has its
-own s_n^(g) and mixture weights. ``_comm_grad`` sums the group's
-rho w_g-weighted D_n^(g) = mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) before its
-one product with the factor, and writes mu_bar_n^(g) = m^(g) - mu_n (m^(g)
-the user's mixture mean), so the mean terms take one product with the
-shared means plus a rank-K_g correction.
+same read-only stacked factor and means, with their own weights and noise
+level. Users with the same stacked array and an equal noise level form a
+group (``metrics._user_groups``), and one ``comm_state`` call serves a
+group: its Sigma_n, B_n, C_n and log det Sigma_n are shared, and each user g
+has its own s_n^(g) and mixture weights. ``_comm_grad`` sums the group's
+rho w_g-weighted D_n^(g) = mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) into E
+before its one product, as broadcast products summed over one axis.
 
 The state keeps the component axis last: B_n, Sigma_n and C_n are stacked
 as (L, q, N_k), (L, L, N_k) and (L, q, N_k) arrays, so the per-component
 algebra is elementwise NumPy work over N_k-long rows rather than N_k small
 matrix calls. ``comm_state`` gets every s_n^(g), C_n and log det Sigma_n
 from one Gaussian elimination of the (L, L + K_g + q, N_k) system
-[Sigma_n | Phi mu_bar_n^(1) ... Phi mu_bar_n^(K_g) | B_n] run over all
-components at once (``metrics._solve_stacked``): L forward steps and L - 1
-back-substitution steps. It needs no pivoting, because Sigma_n >= sigma^2 I
-is positive definite: every pivot is at least sigma^2, and elimination
-without pivoting is stable on such matrices. A pivot that is not positive
-and finite raises ``NumericError``.
+[Sigma_n | v_n^(1) ... v_n^(K_g) | B_n] run over all components at once
+(``metrics._solve_stacked``): L forward steps and L - 1 back-substitution
+steps. It needs no pivoting, because Sigma_n >= sigma^2 I is positive
+definite: every pivot is at least sigma^2, and elimination without pivoting
+is stable on such matrices. A pivot that is not positive and finite raises
+``NumericError``.
 
 A_n keeps the eigenvectors of R_n whose eigenvalues exceed
 ``channel.FACTOR_RANK_CUT`` (1e-15) times the model's largest eigenvalue.
@@ -88,21 +94,23 @@ class GradientMatrix:
 
 def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     """sum_g coefs[g] d value_g / d Phi^* over the users g of one ``comm_state`` group."""
+    n_slots, rank, n_comp = state.b.shape
     mix = np.exp(state.log_mix - state.log_omega[:, None])
     mix *= coefs[:, None]  # (K_g, N_k)
     ms = mix * state.s  # (L, K_g, N_k)
-    y = np.einsum("lgk,lqk->gqk", state.s.conj(), state.b)  # s_n^H B_n per user
-    d = mix.sum(axis=0) * state.c
-    d -= np.einsum("lgk,gqk->lqk", ms, y)
-    # D reordered to the factor's columns n*q + j; D A^H is taken as
-    # conj(conj(D) A^T), and likewise for the means, so no cached array is copied
-    d_flat = d.transpose(0, 2, 1).reshape(d.shape[0], -1)
-    grad = (d_flat.conj() @ users[0].factor.T).conj()
-    # mean terms: mu_bar_n^(g) = m^(g) - mu_n, so the shared means take one product
+    y = np.add.reduce(state.s.conj()[:, :, None] * state.b[:, None], axis=0)  # s_n^H B_n per user
+    # E = [D | -sum_g ms_g] in the stacked array's column order; E stacked^H
+    # is taken as conj(conj(E) stacked^T), so no cached array is copied
+    e = np.empty((n_slots, rank + 1, n_comp), dtype=complex)
+    np.multiply(np.add.reduce(mix, axis=0), state.c, out=e[:, :rank])
+    e[:, :rank] -= np.add.reduce(ms[:, :, None] * y, axis=1)
+    np.negative(np.add.reduce(ms, axis=1), out=e[:, rank])
+    np.conjugate(e, out=e)
+    grad = e.reshape(n_slots, -1) @ users[0].stacked.T
+    # mean terms: v_n^(g) = Phi (m^(g) - mu_n); the mu_n part is in the product
     mixture_means = np.array([m.mixture_mean for m in users])
-    grad += (ms.sum(axis=2).conj() @ mixture_means).conj()
-    grad -= (ms.sum(axis=1).conj() @ users[0].means).conj()
-    return grad
+    grad += np.add.reduce(ms, axis=2).conj() @ mixture_means
+    return grad.conj()
 
 
 def grad_comm_mi_user(pilot, model: GmmUserModel) -> GradientMatrix:

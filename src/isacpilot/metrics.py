@@ -46,9 +46,11 @@ class CommState(NamedTuple):
     """Mixture observation statistics of a group of users at one pilot, in
     factor form (R_n = A_n A_n^H).
 
-    The users of a group share the factor A_n (``GmmUserModel.factor``, rank
-    q) and the noise level, hence Sigma_n, B_n, C_n and log det Sigma_n; each
-    user g has its own weights, so its own mu_bar_n^(g), s, beta, log_mix and
+    The users of a group share the stacked factor and means
+    (``GmmUserModel.stacked``, rank q) and the noise level, hence Sigma_n,
+    B_n, C_n and log det Sigma_n; each user g has its own weights, so its
+    own mixture mean m^(g) and mean terms v_n^(g) = Phi m^(g) - Phi mu_n
+    (Phi times mixture mean minus component mean), s, beta, log_mix and
     value.  Shared by the communication metric, its gradient and the
     mixture-MMSE estimator.  Arrays keep the component axis n last, so each
     step of the elimination in ``_solve_stacked`` works on all N_k components
@@ -60,8 +62,8 @@ class CommState(NamedTuple):
     log_omega: np.ndarray  # (K_g,) log-sum-exp of log_mix
     logdet: np.ndarray  # (N_k,) log det Sigma_n
     sigma: np.ndarray  # (L, L, N_k) Sigma_n = B_n B_n^H + sigma^2 I
-    b: np.ndarray  # (L, q, N_k) B_n = Phi A_n
-    s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} Phi mu_bar_n^(g)
+    b: np.ndarray  # (L, q, N_k) B_n = Phi A_n, a view of Phi @ stacked
+    s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} v_n^(g)
     c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
 
 
@@ -86,25 +88,26 @@ def _check_pilot_model(phi: np.ndarray, model: GmmUserModel):
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
     """Gaussian elimination, in place, of the stacked systems [Sigma_n | rhs_n].
 
-    ``aug`` is (n, n + p, N_k) with the Hermitian positive definite Sigma_n
-    in its first n columns; on return its last p columns hold
-    Sigma_n^{-1} rhs_n.  Returns the (n, N_k) pivots, whose logs sum to
-    log det Sigma_n.  Each of the n forward steps and n - 1 back-substitution
-    steps is a few NumPy operations over all N_k components, in place of one
-    LAPACK call per component.  No pivoting is needed: every pivot is the
-    leading entry of a Schur complement of Sigma_n, which is positive
-    definite with eigenvalues no smaller than Sigma_n's, so a pivot is at
-    least lambda_min(Sigma_n) (sigma^2 for an observation covariance), and
-    elimination on a positive definite matrix does not grow its entries.  A
-    pivot that is not positive and finite raises ``NumericError``.
+    ``aug`` is a C-contiguous (n, n + p, N_k) array with the Hermitian
+    positive definite Sigma_n in its first n columns; on return its last p
+    columns hold Sigma_n^{-1} rhs_n.  Returns the (n, N_k) pivots, whose logs
+    sum to log det Sigma_n.  Each of the n forward steps and n - 1
+    back-substitution steps is a few NumPy operations over all N_k
+    components, in place of one LAPACK call per component.  No pivoting is
+    needed: every pivot is the leading entry of a Schur complement of
+    Sigma_n, which is positive definite with eigenvalues no smaller than
+    Sigma_n's, so a pivot is at least lambda_min(Sigma_n) (sigma^2 for an
+    observation covariance), and elimination on a positive definite matrix
+    does not grow its entries.  A pivot that is not positive and finite
+    raises ``NumericError``.
     """
-    for i in range(n):
-        aug[i, i + 1 :] *= 1.0 / aug[i, i].real
+    pivots = _diagonal(aug).real  # each entry is final once its step is done
+    for i in range(n - 1):
+        aug[i, i + 1 :] *= 1.0 / pivots[i]
         aug[i + 1 :, i + 1 :] -= aug[i + 1 :, i, None] * aug[i, None, i + 1 :]
+    aug[n - 1, n:] *= 1.0 / pivots[n - 1]
     for j in range(n - 1, 0, -1):
         aug[:j, n:] -= aug[:j, j, None] * aug[j, None, n:]
-    diag = np.arange(n)
-    pivots = aug[diag, diag].real
     if not (pivots.min() > 0.0 and pivots.max() < np.inf):
         raise NumericError(
             f"observation covariance is not positive definite (smallest pivot {pivots.min():.3g})"
@@ -112,39 +115,52 @@ def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
     return pivots
 
 
+def _diagonal(aug: np.ndarray) -> np.ndarray:
+    """The (n, N_k) diagonal entries aug[i, i] of a C-contiguous (n, m, N_k)
+    array, as a view: row i*m + i of its (n m, N_k) reshape."""
+    return aug.reshape(-1, aug.shape[2])[:: aug.shape[1] + 1]
+
+
 def comm_state(pilot, users) -> CommState:
     """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric
     for a group of users that share one factor and one noise level.
 
-    The only place Sigma_n is built: B_n = Phi A_n comes from one product
-    with the stacked low-rank factor, and one elimination over all
+    The only place Sigma_n is built.  One product Phi @ stacked
+    (``GmmUserModel.stacked``) gives every B_n = Phi A_n as a contiguous
+    (L, q, N_k) block and every Phi mu_n as (L, N_k); user g's mean terms are
+    v_n^(g) = Phi m^(g) - Phi mu_n.  Sigma_n, the v_n^(g) and B_n are written
+    into one (L, L + K_g + q, N_k) array, and one elimination over all
     components (``_solve_stacked``) gives log det Sigma_n and
-    Sigma_n^{-1} [Phi mu_bar_n^(1) ... Phi mu_bar_n^(K_g) | B_n] for the
-    whole group.  A single user is a group of one.
+    Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n] for the whole group.  A single
+    user is a group of one.
     """
     phi = pilot_entries(pilot)
     model = users[0]
     _check_pilot_model(phi, model)
-    if any(m.factor is not model.factor or m.noise_std != model.noise_std for m in users):
+    if any(m.stacked is not model.stacked or m.noise_std != model.noise_std for m in users):
         raise InvalidParameterError("a group's users must share one factor and one noise level")
     if not np.isfinite(phi).all():  # checked first: inf * 0 in the product below warns
         raise NumericError("pilot has a NaN or infinite entry")
-    n_slots, n_users = phi.shape[0], len(users)
+    n_slots, n_users, rank = phi.shape[0], len(users), model.rank
+    start = n_slots + n_users  # first column of B_n in the elimination array
 
-    g = (phi @ model.factor).reshape(n_slots, model.n_components, -1)  # (L, N_k, q)
-    b = g.transpose(0, 2, 1)
-    sigma = np.einsum("ikq,jkq->ijk", g, g.conj())
-    diag = np.arange(n_slots)
-    sigma[diag, diag] += model.noise_std**2
-    v = np.stack([phi @ m.mu_bar.T for m in users], axis=1)  # (L, K_g, N_k)
-    aug = np.concatenate((sigma, v, b), axis=1)
-    logdet = np.log(_solve_stacked(aug, n_slots)).sum(axis=0)
-    s, c = aug[:, n_slots : n_slots + n_users], aug[:, n_slots + n_users :]
-    beta = np.einsum("lgk,lgk->gk", v.conj(), s).real
+    product = (phi @ model.stacked).reshape(n_slots, rank + 1, -1)
+    b, phi_mu = product[:, :rank], product[:, rank]
+    aug = np.empty((n_slots, start + rank, product.shape[2]), dtype=complex)
+    np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
+    _diagonal(aug)[...] += model.noise_std**2
+    mixture_means = np.array([m.mixture_mean for m in users])
+    np.subtract((phi @ mixture_means.T)[:, :, None], phi_mu[:, None], out=aug[:, n_slots:start])
+    aug[:, start:] = b
+    kept = aug[:, :start].copy()  # Sigma_n and v_n^(g), which the elimination overwrites
+    logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
+    sigma, v = kept[:, :n_slots], kept[:, n_slots:]
+    s, c = aug[:, n_slots:start], aug[:, start:]
+    beta = np.add.reduce((v.conj() * s).real, axis=0)
 
-    log_mix = np.stack([m.log_weights for m in users]) - beta - logdet
+    log_mix = np.array([m.log_weights for m in users]) - beta - logdet
     top = log_mix.max(axis=1)
-    log_omega = top + np.log(np.sum(np.exp(log_mix - top[:, None]), axis=1))
+    log_omega = top + np.log(np.add.reduce(np.exp(log_mix - top[:, None]), axis=1))
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
     return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c)
@@ -156,7 +172,7 @@ def _user_groups(objective: IsacObjective) -> list:
     users within them keep their first-appearance order."""
     groups = {}
     for w, m in zip(objective.user_weights, objective.users):
-        weights, users = groups.setdefault((id(m.factor), m.noise_std), ([], []))
+        weights, users = groups.setdefault((id(m.stacked), m.noise_std), ([], []))
         weights.append(w)
         users.append(m)
     return [(np.array(weights), users) for weights, users in groups.values()]

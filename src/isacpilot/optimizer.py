@@ -17,6 +17,7 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     IsacPilotError,
+    NumericError,
     SingularMatrixError,
 )
 from .gradients import isac_value_and_grad
@@ -64,8 +65,14 @@ class OptimizationTrace:
 
 
 def project_stiefel(z) -> PilotMatrix:
-    """Closest row-orthonormal matrix to z in Frobenius norm (polar factor)."""
+    """Closest row-orthonormal matrix to z in Frobenius norm (polar factor).
+
+    A NaN or infinite entry raises ``NumericError``: the SVD would either
+    fail with a ``LinAlgError`` or return NaN factors.
+    """
     z = np.asarray(pilot_entries(z), dtype=complex)
+    if not np.isfinite(z).all():
+        raise NumericError("projection input has a NaN or infinite entry")
     u, s, vh = np.linalg.svd(z, full_matrices=False)
     if s.min(initial=np.inf) <= 1e-12:
         raise SingularMatrixError("projection undefined for rank-deficient input")
@@ -85,36 +92,37 @@ def optimize_pgd(
     """Ascend the scalarized objective from ``init``; deterministic given inputs.
 
     Stops at ``max_iters`` or once the objective spread over a 10-iteration
-    window drops below ``rel_tol`` relative to the current value.
+    window drops below ``rel_tol`` relative to the current value.  An error
+    in the projection or the evaluation of iteration t is raised with
+    "iteration t: " before its message.
     """
     pilot = init
     values, comms, senses, residuals = [], [], [], []
 
-    def record(p, t):
-        try:
-            val, comm, sense, grad = isac_value_and_grad(p, objective)
-        except IsacPilotError as exc:
-            exc.args = (f"iteration {t}: {exc}",) + exc.args[1:]
-            raise
+    def record(p):
+        val, comm, sense, grad = isac_value_and_grad(p, objective)
         values.append(val)
         comms.append(comm)
         senses.append(sense)
         residuals.append(p.residual)
         return grad
 
-    grad = record(pilot, 0)
-    n_done = 0
-    for t in range(1, config.max_iters + 1):
-        pilot = project_stiefel(pilot.entries + config.step_size * grad)
-        grad = record(pilot, t)
-        n_done = t
-        if config.rel_tol > 0 and t >= STOP_WINDOW:
-            window = values[-(STOP_WINDOW + 1) :]
-            if max(window) - min(window) <= config.rel_tol * max(1.0, abs(values[-1])):
-                break
+    try:
+        grad = record(pilot)
+        for t in range(1, config.max_iters + 1):
+            pilot = project_stiefel(pilot.entries + config.step_size * grad)
+            grad = record(pilot)
+            if config.rel_tol > 0 and t >= STOP_WINDOW:
+                window = values[-(STOP_WINDOW + 1) :]
+                if max(window) - min(window) <= config.rel_tol * max(1.0, abs(values[-1])):
+                    break
+    except IsacPilotError as exc:
+        # iterates 0 .. t - 1 were recorded, so the failing iteration is t
+        exc.args = (f"iteration {len(values)}: {exc}",) + exc.args[1:]
+        raise
 
     return OptimizationTrace(
-        iterations=np.arange(n_done + 1),
+        iterations=np.arange(len(values)),
         objective=np.array(values),
         comm_mi=np.array(comms),
         sense_mi=np.array(senses),

@@ -296,6 +296,18 @@ BAD_INPUTS = [
         None,
         "scenario.scene.clutter[0].power",
     ),
+    # non-finite numbers: a raw LinAlgError, a weights error without the key,
+    # and an ascent that silently stops at its first window
+    ({"scenario.scene.target_angle_deg": float("nan")}, None, "scenario.scene.target_angle_deg"),
+    ({"scenario.scene.target_angle_deg": float("inf")}, None, "scenario.scene.target_angle_deg"),
+    ({"scenario.users": [{**USER, "mean_aoa_deg": float("nan")}]}, None, "scenario.users[0].mean_aoa_deg"),
+    ({"optimizer.rel_tol": float("inf")}, None, "optimizer.rel_tol"),
+    (
+        {"scenario.scene.clutter": [{"angle_deg": -float("inf"), "power": 0.5}]},
+        None,
+        "scenario.scene.clutter[0].angle_deg",
+    ),
+    ({"scenario.mean_scale": 10**400}, None, "scenario.mean_scale"),
 ]
 
 
@@ -369,6 +381,16 @@ class TestRunConfig:
         path = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert run_config(path, out_dir=str(out)) == 3
+        assert not out.exists()
+
+    def test_overflowing_step_exits_3_naming_the_iteration(self, tmp_path, capsys):
+        # a finite step so large that the second ascent step overflows to infinity
+        overrides = {"optimizer.step_size": 1.0e308, "scenario.users": [{**USER, "noise_std": 0.05}]}
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert run_config(path, out_dir=str(out)) == 3
+        assert "error: task sweep: iteration 2: projection" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gradcheck_reports_and_passes(self, tmp_path, capsys):

@@ -45,7 +45,8 @@ def sweep_users():
 
 def factor_blocks(model):
     """The stacked factor as (N_k, N_t, q) blocks A_n."""
-    return model.factor.reshape(model.n_tx, model.n_components, -1).transpose(1, 0, 2)
+    q, n_comp = model.rank, model.n_components
+    return model.stacked[:, : q * n_comp].reshape(model.n_tx, q, n_comp).transpose(2, 0, 1)
 
 
 def reconstruction_error(model):
@@ -115,6 +116,20 @@ class TestFactor:
             for model in objective.users:
                 assert factor_blocks(model).shape[2] == model.n_tx
                 assert reconstruction_error(model) <= 1e-13
+
+    def test_stacked_array_holds_factor_then_means(self):
+        _, objective, _ = gradient_instance(0)
+        for model in sweep_users() + objective.users:
+            q, n_comp = model.rank, model.n_components
+            assert model.stacked.shape == (model.n_tx, (q + 1) * n_comp)
+            assert not model.stacked.flags.writeable
+            blocks = model.stacked.reshape(model.n_tx, q + 1, n_comp)
+            # column j * N_k + n is column j of A_n, column q * N_k + n is mu_n
+            a = blocks[:, :q].transpose(2, 0, 1)
+            covs = a @ a.conj().transpose(0, 2, 1)
+            assert np.abs(covs - model.covariances).max() <= 1e-13
+            assert np.array_equal(blocks[:, q].T, model.means)
+            assert np.array_equal(model.factor, blocks[:, :q])
 
     def test_batched_build_matches_per_region_formula(self):
         geom = ip.ArrayGeometry(n_tx=16, n_rx=8)
@@ -303,7 +318,7 @@ class TestGroupedKernel:
         users, _ = build_users(parse_config(str(config)).scenario)
         first = users[0]
         for model in users:
-            for name in ("factor", "means", "covariances"):
+            for name in ("stacked", "means", "covariances"):
                 assert getattr(model, name) is getattr(first, name)
                 assert not getattr(model, name).flags.writeable
         assert not np.array_equal(users[1].weights, first.weights)
@@ -311,8 +326,8 @@ class TestGroupedKernel:
     def test_pickled_shared_prior_objective_is_bit_identical(self):
         objective = build_objective(parse_config(str(SER_CONFIG)).scenario, 0.6)
         clone = pickle.loads(pickle.dumps(objective))
-        assert all(m.factor is clone.users[0].factor for m in clone.users)
-        assert not clone.users[0].factor.flags.writeable
+        assert all(m.stacked is clone.users[0].stacked for m in clone.users)
+        assert not clone.users[0].stacked.flags.writeable
         assert len(_user_groups(clone)) == 1
         pilot = ip.random_stiefel(6, 16, ip.substream(5, "kernel-pickle"))
         got, expected = isac_value_and_grad(pilot, clone), isac_value_and_grad(pilot, objective)
@@ -476,7 +491,32 @@ def dense_root_sampler(model, n_samples, rng):
     return out, normals
 
 
+def old_layout_sampler(model, n_samples, rng):
+    """``sample_channels`` as it read the factor stacked component-major:
+    (N_t, N_k q), column n*q + j holding column j of A_n."""
+    old = np.ascontiguousarray(model.factor.transpose(0, 2, 1)).reshape(model.n_tx, -1)
+    blocks = old.reshape(model.n_tx, model.n_components, -1)
+    rank = blocks.shape[2]
+    indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
+    out = np.empty((n_samples, model.n_tx), dtype=complex)
+    for comp in np.unique(indices):
+        mask = indices == comp
+        z = complex_normal(rng, (int(mask.sum()), model.n_tx))
+        out[mask] = model.means[comp] + z[:, -rank:] @ blocks[:, comp].T
+    return out
+
+
 class TestFactorSampler:
+    def test_bit_identical_to_old_layout_sampler(self):
+        diag_users = build_objective(parse_config(str(DIAG_CONFIG)).scenario, 0.0).users
+        models = sweep_users() + diag_users + gradient_instance(0)[1].users
+        models.append(elimination_case(4, "region")[1])
+        for i, model in enumerate(models):
+            rng, old_rng = ip.substream(i, "layout"), ip.substream(i, "layout")
+            got = ip.sample_channels(model, 2000, rng)
+            assert np.array_equal(got, old_layout_sampler(model, 2000, old_rng))
+            assert rng.bit_generator.state == old_rng.bit_generator.state
+
     def test_matches_dense_root_sampler_on_one_stream(self):
         diag_users = build_objective(parse_config(str(DIAG_CONFIG)).scenario, 0.0).users
         models = sweep_users() + diag_users + gradient_instance(0)[1].users

@@ -138,6 +138,22 @@ class TestOptimizePgd:
         with pytest.raises(ip.ObjectiveDomainError, match="iteration"):
             optimize_pgd(init, objective, OptimizerConfig(max_iters=10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_projection_raises_numeric_error(self, bad):
+        z = random_stiefel(3, 8, substream(19, "proj")).entries.copy()
+        z[1, 2] = bad
+        with pytest.raises(ip.NumericError, match="projection"):
+            project_stiefel(z)
+
+    def test_overflowing_step_carries_iteration_context(self):
+        # a finite step so large that an ascent step overflows to infinity
+        model = random_model(19, n_tx=8, noise_std=0.1)
+        scene = random_scene(19, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=1)
+        objective = ip.IsacObjective(rho=1.0, user_weights=[1.0], users=[model], scene=scene)
+        init = random_stiefel(3, 8, substream(19, "pgd"))
+        with np.errstate(over="ignore"), pytest.raises(ip.NumericError, match=r"^iteration \d+: projection"):
+            optimize_pgd(init, objective, OptimizerConfig(step_size=1e308, max_iters=5))
+
     def test_config_validation(self):
         with pytest.raises(ip.InvalidParameterError):
             OptimizerConfig(step_size=0.0)

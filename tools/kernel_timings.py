@@ -16,7 +16,10 @@ are:
 - ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
   L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
 - ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
-  L = 9), its 20,000 trials;
+  L = 9), its 20,000 clutter-free trials, a single draw block;
+- ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
+  scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
+  trials, which sets the ``montecarlo`` workload's peak memory;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user).
 
@@ -40,6 +43,7 @@ import glob
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +71,8 @@ OPENBLAS_THREAD_QUERIES = (
     "openblas_get_num_threads",
 )
 NMSE_TRIALS = 3000
+MC_ROC_TRIALS = 1_000_000
+MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 
 
 def scenario(stem: str):
@@ -101,6 +107,7 @@ def kernels() -> dict:
     roc_scene, roc_pilot = build_scene(roc), pilot_for(roc, "roc")
     roc_trials = roc_config.task_params["trials"]
     detection_rng = substream(3, "kernel-timings", "roc")
+    mc_scene = replace(roc_scene, clutter=MC_ROC_CLUTTER)
 
     ser_config, ser = scenario("ser_multiuser")
     ser_users, ser_pilot = build_users(ser)[0], pilot_for(ser, "ser")
@@ -120,6 +127,11 @@ def kernels() -> dict:
         "simulate_detection_trials": (
             f"N_t={roc['n_tx']} L={roc['pilot_len']} trials={roc_trials}",
             lambda: simulate_detection_trials(roc_pilot, roc_scene, roc_trials, detection_rng),
+        ),
+        "simulate_detection_trials_mc": (
+            f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(MC_ROC_CLUTTER)} "
+            f"trials={MC_ROC_TRIALS}",
+            lambda: simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng),
         ),
         "ser_experiment": (
             f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
