@@ -8,7 +8,6 @@ from .channel import (
     build_user_model,
     laplacian_weights,
     sample_channels,
-    steering_vector,
 )
 from .errors import (
     DimensionError,
@@ -43,7 +42,6 @@ from .metrics import (
     comm_mi_user,
     comm_mi_weighted,
     isac_objective,
-    sense_kl_and_g,
     sensing_mi,
     sensing_mi_approx,
     sensing_mi_exact,

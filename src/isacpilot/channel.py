@@ -39,13 +39,6 @@ class ArrayGeometry:
             raise InvalidParameterError("antenna spacings must be positive")
 
 
-def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:
-    """ULA response toward ``theta_deg``: entry m is exp(j*2*pi*d*m*sin(theta))."""
-    if n < 1:
-        raise InvalidParameterError("steering vector length must be >= 1")
-    return _steering_rows(n, spacing_wavelengths, theta_deg)
-
-
 def _steering_rows(n: int, spacing_wavelengths: float, angles_deg) -> np.ndarray:
     """Steering vectors toward every angle of ``angles_deg``, stacked on a new last axis."""
     m = np.arange(n)
@@ -341,18 +334,23 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
     Each channel takes N_t standard normals; the component's q factor
     columns, the top eigenvectors in ascending ``eigh`` order, multiply the
     last q of them, so the stream advances alike whatever the factor's rank.
-    The factor is copied out of ``stacked`` into contiguous (N_t, q) blocks
-    A_n, so each product is a BLAS call: on a strided view of ``stacked``
-    NumPy takes its non-BLAS loop, whose last bits differ, and the draws
-    would change.
+    The normals come in one draw, in component order: the first rows go to
+    component 0's samples, in sample order, and so on, which one stable
+    argsort of the component indices lays out.  The factor is copied out of
+    ``stacked`` into contiguous (N_t, q) blocks A_n, so each product is a
+    BLAS call: on a strided view of ``stacked`` NumPy takes its non-BLAS
+    loop, whose last bits differ, and the draws would change.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
     blocks = np.ascontiguousarray(model.factor.transpose(2, 0, 1))  # (N_k, N_t, q)
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
+    z = complex_normal(rng, (n_samples, model.n_tx))
+    order = np.argsort(indices, kind="stable")
+    counts = np.bincount(indices, minlength=model.n_components)
+    ends = np.cumsum(counts)
     out = np.empty((n_samples, model.n_tx), dtype=complex)
-    for comp in np.unique(indices):
-        mask = indices == comp
-        z = complex_normal(rng, (int(mask.sum()), model.n_tx))
-        out[mask] = model.means[comp] + z[:, -model.rank :] @ blocks[comp].T
+    for comp in np.flatnonzero(counts):
+        rows = slice(ends[comp] - counts[comp], ends[comp])
+        out[order[rows]] = model.means[comp] + z[rows, -model.rank :] @ blocks[comp].T
     return out

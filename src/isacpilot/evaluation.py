@@ -140,16 +140,21 @@ def gmm_mmse_batch(
     G_n = A_n C_n^H = R_n Phi^H Sigma_n^{-1} and the offset
     b_n = mu_n - G_n Phi mu_n, both built once per call from the factor and
     the C_n = Sigma_n^{-1} B_n of ``comm_state``.  One batched Cholesky
-    Sigma_n = L_n L_n^H gives the whitening W_n = L_n^{-1}.  Each observation
-    is extended to [y; 1], so per chunk of trials one complex product with
-    the stacked [W_n | -W_n Phi mu_n] gives every whitened residual
-    W_n (y - Phi mu_n), whose squared norm is the quadratic form of the log
-    weight, and one real product of the weights with the stacked real and
-    imaginary parts of [G_n | b_n] gives each trial's mixed gain, which is
-    applied to its [y; 1].  Responsibilities are computed in the log domain
-    and normalized; weights below e^WEIGHT_CUT times a trial's largest are
-    exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
-    the residuals and the mixed gains.  A non-finite observation raises
+    Sigma_n = L_n L_n^H gives the whitening W_n = L_n^{-1}.  With each
+    observation extended to z = [y; 1], the quadratic form of the log weight
+    is ||W_n (y - Phi mu_n)||^2 = z^H M_n z, where the Hermitian
+    (L+1) x (L+1) matrix M_n = P_n^H P_n, P_n = [W_n | -W_n Phi mu_n], is
+    also built once per call.  z^H M_n z is linear in the (L+1)^2 real
+    features of z: |z_i|^2, and the real and imaginary parts of
+    conj(z_i) z_j for i < j.  So per chunk of trials one real
+    (trials x (L+1)^2) product of the features with the stacked
+    coefficients of the M_n gives every quadratic form, trials-major, and
+    one real product of the (trials x N_k) weights with the stacked real
+    and imaginary parts of [G_n | b_n] gives each trial's mixed gain, which
+    is applied to its [y; 1].  Responsibilities are computed in the log
+    domain and normalized; weights below e^WEIGHT_CUT times a trial's
+    largest are exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
+    the weights and the mixed gains.  A non-finite observation raises
     ``NumericError`` naming its row.
     """
     phi = pilot_entries(pilot)
@@ -164,7 +169,13 @@ def gmm_mmse_batch(
     n_comp, n_tx = model.n_components, model.n_tx
     phi_mu = (model.means @ phi.T)[:, :, None]  # (N_k, L, 1)
     whiten = np.linalg.inv(np.linalg.cholesky(state.sigma.transpose(2, 0, 1)))
-    residual_rows = np.concatenate((whiten, -(whiten @ phi_mu)), axis=2).reshape(-1, n_slots + 1)
+    residual = np.concatenate((whiten, -(whiten @ phi_mu)), axis=2)  # P_n (N_k, L, L+1)
+    quad = residual.conj().transpose(0, 2, 1) @ residual  # M_n (N_k, L+1, L+1)
+    # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
+    i, j = np.triu_indices(n_slots + 1, 1)
+    diagonal = np.diagonal(quad, axis1=1, axis2=2).real
+    upper = 2.0 * np.ascontiguousarray(quad[:, i, j]).conj()
+    quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
     gain = model.factor.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()  # G_n (N_k, N_t, L)
     offset = model.means[:, :, None] - gain @ phi_mu  # b_n (N_k, N_t, 1)
     gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
@@ -177,32 +188,34 @@ def gmm_mmse_batch(
     chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials], resp[trials] = _mmse_chunk(
-            extended[trials], residual_rows, gain_rows, log_prior, n_comp
-        )
+        est[trials], resp[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, log_prior)
     return est, resp
 
 
 def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
-    """Trials per chunk of ``gmm_mmse_batch``: its whitened residuals
-    (N_k L per trial) and mixed gains (N_t (L + 1) per trial) stay below
-    1e6 complex entries each, 347 trials at the Monte Carlo NMSE shape."""
+    """Trials per chunk of ``gmm_mmse_batch``, 347 at the Monte Carlo NMSE
+    shape.  The rule bounds the chunk's log weights and weights (N_k reals
+    per trial) and its mixed gains (N_t (L + 1) complex entries per trial),
+    about 0.5 and 0.6 MB at that shape.  Larger chunks are slower: at
+    1,500 trials per chunk a call at that shape takes about 1.5 times as
+    long."""
     return max(1, 1_000_000 // (max(n_comp, n_slots + 1) * max(n_tx, n_slots)))
 
 
-def _mmse_chunk(extended, residual_rows, gain_rows, log_prior, n_comp: int):
+def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
     """(estimates, responsibilities) of one chunk of trials for
     ``gmm_mmse_batch``; its intermediates are freed on return."""
     n_trials = extended.shape[0]
-    white = (residual_rows @ extended.T).view(float).reshape(n_comp, -1, 2 * n_trials)
-    np.square(white, out=white)  # real, imaginary side by side
-    quad = white.sum(axis=1)
-    log_w = log_prior[:, None] - (quad[:, 0::2] + quad[:, 1::2])
-    log_w -= log_w.max(axis=0)
+    # features |z_i|^2, then Re and Im of conj(z_i) z_j for i < j, interleaved
+    i, j = np.triu_indices(extended.shape[1], 1)
+    upper = np.take(extended, i, axis=1).conj() * np.take(extended, j, axis=1)  # C order: real view
+    features = np.concatenate((extended.real**2 + extended.imag**2, upper.view(float)), axis=1)
+    log_w = log_prior - features @ quad_coef  # (trials, N_k)
+    log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w, where=log_w > WEIGHT_CUT, out=np.zeros_like(log_w))
-    w /= w.sum(axis=0)
-    mixed = (w.T @ gain_rows).view(complex).reshape(n_trials, -1, extended.shape[1])
-    return np.einsum("tnl,tl->tn", mixed, extended), w.T
+    w /= w.sum(axis=1, keepdims=True)
+    mixed = (w @ gain_rows).view(complex).reshape(n_trials, -1, extended.shape[1])
+    return np.einsum("tnl,tl->tn", mixed, extended), w
 
 
 def nmse_experiment(

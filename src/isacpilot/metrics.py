@@ -266,17 +266,6 @@ def isac_objective(pilot, objective: IsacObjective) -> float:
     ) * sensing_mi_approx(pilot, objective.scene)
 
 
-def sense_kl_and_g(pilot, scene: SensingScene) -> tuple[float, float]:
-    """Detection-error exponent decomposition: (KL divergence, saturation factor g).
-
-    g = x / (1 + x) with x the whitened target-to-interference ratio; the KL
-    divergence of the whitened hypothesis pair is log(1 + x) - g.
-    """
-    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
-    g = x / (1.0 + x)
-    return float(np.log1p(x) - g), float(g)
-
-
 def effective_training_snr(error_variance: float) -> float:
     """Effective data-phase SNR 2/(1 + err) - 1 under the estimation
     orthogonality identity, clipped at 0; equals 1 for perfect estimation."""

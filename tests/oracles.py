@@ -5,12 +5,33 @@ covariances or frame-level observations: it works on the Gram-domain
 factorization (``metrics.sense_state``) and on scalar projections
 (``evaluation.simulate_detection_trials``).  The functions here build those
 dense objects directly, so each factored kernel has an independent check.
+Two closed forms that only the tests use live here too: a single steering
+vector and the detection-error exponent decomposition.
 """
 
 import numpy as np
 
 import isacpilot as ip
-from isacpilot.channel import pilot_entries
+from isacpilot.channel import _steering_rows, pilot_entries
+from isacpilot.metrics import _detector_scalars
+
+
+def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:
+    """ULA response toward ``theta_deg``: entry m is exp(j*2*pi*d*m*sin(theta))."""
+    if n < 1:
+        raise ip.InvalidParameterError("steering vector length must be >= 1")
+    return _steering_rows(n, spacing_wavelengths, theta_deg)
+
+
+def sense_kl_and_g(pilot, scene) -> tuple[float, float]:
+    """Detection-error exponent decomposition: (KL divergence, saturation factor g).
+
+    g = x / (1 + x) with x the whitened target-to-interference ratio; the KL
+    divergence of the whitened hypothesis pair is log(1 + x) - g.
+    """
+    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
+    g = x / (1.0 + x)
+    return float(np.log1p(x) - g), float(g)
 
 
 def sensing_mu(pilot, geometry, theta_deg: float) -> np.ndarray:
@@ -20,8 +41,8 @@ def sensing_mu(pilot, geometry, theta_deg: float) -> np.ndarray:
     match any other consistent stacking.
     """
     phi = pilot_entries(pilot)
-    a_t = ip.steering_vector(geometry.n_tx, geometry.spacing_tx, theta_deg)
-    a_r = ip.steering_vector(geometry.n_rx, geometry.spacing_rx, theta_deg)
+    a_t = steering_vector(geometry.n_tx, geometry.spacing_tx, theta_deg)
+    a_r = steering_vector(geometry.n_rx, geometry.spacing_rx, theta_deg)
     return np.kron(a_r, phi @ a_t)
 
 

@@ -12,10 +12,10 @@ from isacpilot import (
     build_user_model,
     laplacian_weights,
     sample_channels,
-    steering_vector,
     substream,
 )
 from isacpilot.channel import _region_covariances
+from oracles import steering_vector
 
 
 def region_covariance(geometry, lo, hi, quadrature_points=8):

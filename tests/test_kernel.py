@@ -14,6 +14,7 @@ form replaced.
 import json
 import pickle
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from isacpilot.channel import FACTOR_RANK_CUT
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import _user_groups, comm_state, effective_training_snr
 from isacpilot.streams import complex_normal
+from oracles import steering_vector
 from test_acceptance import gradient_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +37,8 @@ SER_CONFIG = ROOT / "configs" / "ser_multiuser.yaml"
 DIAG_CONFIG = ROOT / "configs" / "diagnostics_cworst.yaml"
 NMSE_CONFIG = ROOT / "configs" / "nmse_baselines.yaml"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep_short.json"
+SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
+CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 GOLDEN_RHOS = (0.0, 0.5, 1.0)
 GOLDEN_ITERS = 50
 
@@ -139,10 +143,10 @@ class TestFactor:
         for lo, hi in zip(edges[:-1], edges[1:]):
             step = (hi - lo) / 8
             centers = lo + (np.arange(8) + 0.5) * step
-            a = np.stack([ip.steering_vector(16, 0.5, t) for t in centers])
+            a = np.stack([steering_vector(16, 0.5, t) for t in centers])
             cov = a.T @ a.conj() * np.deg2rad(step)
             covs.append(0.5 * (cov + cov.conj().T))
-            means.append(ip.steering_vector(16, 0.5, 0.5 * (lo + hi)))
+            means.append(steering_vector(16, 0.5, 0.5 * (lo + hi)))
         assert np.array_equal(model.covariances, np.stack(covs))
         assert np.array_equal(model.means, np.stack(means))
 
@@ -254,6 +258,65 @@ class TestValueAndGrad:
             assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+def invariance_case(case):
+    """(objective at rho = 0.5, pilot, random L x L unitary U) of a shipped
+    scenario; "roc_compare+clutter" is ``roc_compare`` with clutter at 0 and
+    35 degrees."""
+    stem, _, clutter = case.partition("+")
+    scenario = parse_config(str(ROOT / "configs" / f"{stem}.yaml")).scenario
+    objective = build_objective(scenario, 0.5)
+    if clutter:
+        objective = replace(objective, scene=replace(objective.scene, clutter=CLUTTER))
+    rng = ip.substream(13, "invariance", case)
+    pilot = ip.random_stiefel(scenario["pilot_len"], scenario["n_tx"], rng)
+    unitary = np.linalg.qr(complex_normal(rng, (pilot.n_slots, pilot.n_slots)))[0]
+    return objective, pilot, unitary
+
+
+class TestUnitaryInvariance:
+    """Every metric depends on the pilot only through its row space: Phi ->
+    U Phi for a unitary U leaves each value unchanged and rotates the
+    gradient, and with the observations rotated alike, y -> U y, it leaves
+    the estimates unchanged.  No oracle is needed."""
+
+    @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
+    def test_values_are_invariant(self, case):
+        objective, pilot, unitary = invariance_case(case)
+
+        def values(p):
+            comm = [ip.comm_mi_user(p, model) for model in objective.users]
+            sense = [ip.sensing_mi(p, objective.scene, f) for f in ("approx", "exact")]
+            return comm + sense + [ip.isac_objective(p, objective)]
+
+        rotated = values(ip.PilotMatrix(unitary @ pilot.entries))
+        for got, expected in zip(rotated, values(pilot), strict=True):
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
+    def test_gradient_is_equivariant(self, case):
+        objective, pilot, unitary = invariance_case(case)
+        grad = isac_value_and_grad(pilot, objective)[3]
+        got = isac_value_and_grad(ip.PilotMatrix(unitary @ pilot.entries), objective)[3]
+        assert np.linalg.norm(got - unitary @ grad) <= 1e-12 * np.linalg.norm(grad)
+
+    # the estimator reads no scene, so the clutter case would repeat roc_compare
+    @pytest.mark.parametrize("case", SHIPPED)
+    def test_estimator_is_invariant(self, case):
+        objective, pilot, unitary = invariance_case(case)
+        model = objective.users[0]
+        obs = far_row_observations(pilot, model, ip.substream(14, "invariance", case))
+        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        rotated = ip.PilotMatrix(unitary @ pilot.entries)
+        got, got_resp = ip.gmm_mmse_batch(obs @ unitary.T, rotated, model)
+        error = np.linalg.norm(got - est, axis=1)
+        assert np.all(error <= 1e-12 * np.linalg.norm(est, axis=1))
+        # only on the sampled rows: a weight's relative error is its log
+        # weight's absolute roundoff, which grows with the quadratic form, so
+        # on the far rows (25 times away) two correct computations of one
+        # weight already differ by 1e-12 and more
+        sampled = np.arange(len(obs)) % 3 != 0
+        assert np.abs(got_resp - resp)[sampled].max() <= 1e-12
+
 
 def shared_users(prior, noises):
     """(pilot, users) on the components of one ``elimination_case`` model:
@@ -354,27 +417,40 @@ def per_trial_mmse(obs, phi, model):
     return est, resp
 
 
+def far_row_observations(pilot, model, rng, far=25.0):
+    """200 observations drawn from the model, every third of them replaced
+    by a draw ``far`` times the unit scale, far from every component."""
+    noise = model.noise_std * ip.complex_normal(rng, (200, pilot.n_slots))
+    obs = ip.sample_channels(model, 200, rng) @ pilot.entries.T + noise
+    obs[::3] = far * ip.complex_normal(rng, obs[::3].shape)
+    return obs
+
+
 def estimator_case(prior):
     """(pilot, model, observations): sampled observations plus a third of
     rows far from every component, where most weights fall below the cut.
 
     "montecarlo": the NMSE workload's shape (N_t = 16, L = 6, 180 region
-    components); "full-rank": random covariances with zero-weight components.
+    components); "mean-scale-10" and "mean-scale-100": the same with the
+    component means scaled up, so ||W_n Phi mu_n||^2 is 10^2 and 10^4 times
+    larger, and the far rows scaled to match; "full-rank": random
+    covariances with zero-weight components.
     """
     rng = ip.substream(11, "estimator", prior)
-    if prior == "montecarlo":
-        model = build_users(parse_config(str(NMSE_CONFIG)).scenario)[0][0]
-        pilot = ip.random_stiefel(6, 16, rng)
-    else:
+    if prior == "full-rank":
         pilot, model = elimination_case(6, "full-rank")
-    noise = model.noise_std * ip.complex_normal(rng, (200, pilot.n_slots))
-    obs = ip.sample_channels(model, 200, rng) @ pilot.entries.T + noise
-    obs[::3] = 25.0 * ip.complex_normal(rng, obs[::3].shape)
-    return pilot, model, obs
+        return pilot, model, far_row_observations(pilot, model, rng)
+    scale = float(prior.rpartition("-")[2]) if prior.startswith("mean-scale") else 1.0
+    scenario = {**parse_config(str(NMSE_CONFIG)).scenario, "mean_scale": scale}
+    model = build_users(scenario)[0][0]
+    pilot = ip.random_stiefel(6, 16, rng)
+    return pilot, model, far_row_observations(pilot, model, rng, 25.0 * scale)
 
 
 class TestMixtureEstimator:
-    @pytest.mark.parametrize("prior", ["montecarlo", "full-rank"])
+    @pytest.mark.parametrize(
+        "prior", ["montecarlo", "full-rank", "mean-scale-10", "mean-scale-100"]
+    )
     def test_matches_per_trial_oracle(self, prior):
         pilot, model, obs = estimator_case(prior)
         est, resp = ip.gmm_mmse_batch(obs, pilot, model)
@@ -546,7 +622,7 @@ class TestZeroForcing:
     def test_link_simulation_names_the_rank_deficient_block(self):
         # two users with the same deterministic channel: every estimate Gram
         # is rank one, so the first block already fails
-        mean = ip.steering_vector(8, 0.5, 20.0)[None, :]
+        mean = steering_vector(8, 0.5, 20.0)[None, :]
         user = ip.GmmUserModel(
             weights=[1.0], means=mean, covariances=np.zeros((1, 8, 8)), noise_std=0.3
         )

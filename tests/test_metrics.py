@@ -11,7 +11,14 @@ from isacpilot import (
     SensingScene,
     substream,
 )
-from oracles import comm_mi_lower_bound_gaussian, sense_kl_direct, sensing_mu, sensing_vectors
+from oracles import (
+    comm_mi_lower_bound_gaussian,
+    sense_kl_and_g,
+    sense_kl_direct,
+    sensing_mu,
+    sensing_vectors,
+    steering_vector,
+)
 
 
 def random_model(seed, n_tx=6, n_comp=4, noise_std=0.7):
@@ -143,7 +150,7 @@ class TestSensingMu:
         geom = ArrayGeometry(n_tx=6, n_rx=1)
         pilot = ip.random_stiefel(3, 6, substream(0, "mu"))
         mu = sensing_mu(pilot, geom, 25.0)
-        np.testing.assert_allclose(mu, pilot.entries @ ip.steering_vector(6, 0.5, 25.0), atol=1e-13)
+        np.testing.assert_allclose(mu, pilot.entries @ steering_vector(6, 0.5, 25.0), atol=1e-13)
 
     def test_identity_pilot_norm(self):
         pilot = ip.PilotMatrix(np.eye(6)[:3])
@@ -154,7 +161,7 @@ class TestSensingMu:
         pilot = ip.random_stiefel(3, 6, substream(1, "mu"))
         for theta in (-60.0, 10.0, 75.0):
             mu = sensing_mu(pilot, self.geom, theta)
-            u = pilot.entries @ ip.steering_vector(6, 0.5, theta)
+            u = pilot.entries @ steering_vector(6, 0.5, theta)
             assert abs(np.linalg.norm(mu) ** 2 - 4 * np.linalg.norm(u) ** 2) <= 1e-10
 
     def test_factored_inner_product(self):
@@ -162,8 +169,8 @@ class TestSensingMu:
         t0, t1 = -35.0, 50.0
         mu0 = sensing_mu(pilot, self.geom, t0)
         mu1 = sensing_mu(pilot, self.geom, t1)
-        a0, a1 = (ip.steering_vector(4, 0.5, t) for t in (t0, t1))
-        u0, u1 = (pilot.entries @ ip.steering_vector(6, 0.5, t) for t in (t0, t1))
+        a0, a1 = (steering_vector(4, 0.5, t) for t in (t0, t1))
+        u0, u1 = (pilot.entries @ steering_vector(6, 0.5, t) for t in (t0, t1))
         factored = np.vdot(a0, a1) * np.vdot(u0, u1)
         assert abs(np.vdot(mu0, mu1) - factored) <= 1e-10
 
@@ -297,21 +304,21 @@ class TestKlAndG:
             geometry=self.geom,
         )
         pilot = ip.random_stiefel(3, 8, substream(0, "kl"))
-        assert ip.sense_kl_and_g(pilot, scene) == (0.0, 0.0)
+        assert sense_kl_and_g(pilot, scene) == (0.0, 0.0)
 
     def test_saturation_at_huge_power(self):
         scene = SensingScene(
             target_angle=25.0, target_power=1e6, clutter=(), radar_noise_std=1.0, geometry=self.geom
         )
         pilot = ip.random_stiefel(3, 8, substream(1, "kl"))
-        _, g = ip.sense_kl_and_g(pilot, scene)
+        _, g = sense_kl_and_g(pilot, scene)
         assert abs(g - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_matches_direct(self, seed):
         scene = random_scene(seed, self.geom)
         pilot = ip.random_stiefel(3, 8, substream(seed, "kl"))
-        kl, g = ip.sense_kl_and_g(pilot, scene)
+        kl, g = sense_kl_and_g(pilot, scene)
         assert kl == pytest.approx(sense_kl_direct(pilot, scene), abs=1e-10)
         assert 0.0 <= g < 1.0
         assert kl >= 0.0

@@ -15,6 +15,11 @@ are:
   calls them;
 - ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
   L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
+  ``gmm_mmse_batch_ser``: the same prior, 400 trials, as the Monte Carlo
+  SER runs per user; ``gmm_mmse_batch_diag``: ``configs/diagnostics_cworst.yaml``
+  (N_t = 12, L = 4, 90 zero-mean components), 600 trials, as the Monte
+  Carlo capacity diagnostic runs per pilot;
+- ``sample_channels``: the NMSE prior, 3,000 draws;
 - ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
   L = 9), its 20,000 clutter-free trials, a single draw block;
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
@@ -71,6 +76,8 @@ OPENBLAS_THREAD_QUERIES = (
     "openblas_get_num_threads",
 )
 NMSE_TRIALS = 3000
+SER_TRIALS = 400
+DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 
@@ -102,6 +109,16 @@ def kernels() -> dict:
     channels = sample_channels(model, NMSE_TRIALS, rng)
     noise = model.noise_std * complex_normal(rng, (NMSE_TRIALS, nmse["pilot_len"]))
     obs = channels @ nmse_pilot.entries.T + noise
+    nmse_shape = f"N_t={nmse['n_tx']} L={nmse['pilot_len']} N_k={nmse['n_components']}"
+
+    _, diag = scenario("diagnostics_cworst")
+    diag_model = build_users(diag)[0][0]
+    diag_pilot = pilot_for(diag, "diag")
+    rng = substream(5, "kernel-timings", "diag")
+    channels = sample_channels(diag_model, DIAG_TRIALS, rng)
+    noise = diag_model.noise_std * complex_normal(rng, (DIAG_TRIALS, diag["pilot_len"]))
+    diag_obs = channels @ diag_pilot.entries.T + noise
+    sampler_rng = substream(6, "kernel-timings", "sampler")
 
     roc_config, roc = scenario("roc_compare")
     roc_scene, roc_pilot = build_scene(roc), pilot_for(roc, "roc")
@@ -120,9 +137,21 @@ def kernels() -> dict:
         "isac_value_and_grad": (sweep_shape, lambda: isac_value_and_grad(pilot, objective)),
         "project_stiefel": (f"{step.shape[0]}x{step.shape[1]}", lambda: project_stiefel(step)),
         "gmm_mmse_batch": (
-            f"N_t={nmse['n_tx']} L={nmse['pilot_len']} N_k={nmse['n_components']} "
-            f"trials={NMSE_TRIALS}",
+            f"{nmse_shape} trials={NMSE_TRIALS}",
             lambda: gmm_mmse_batch(obs, nmse_pilot, model),
+        ),
+        "gmm_mmse_batch_ser": (
+            f"{nmse_shape} trials={SER_TRIALS}",
+            lambda: gmm_mmse_batch(obs[:SER_TRIALS], nmse_pilot, model),
+        ),
+        "gmm_mmse_batch_diag": (
+            f"N_t={diag['n_tx']} L={diag['pilot_len']} N_k={diag['n_components']} "
+            f"zero means trials={DIAG_TRIALS}",
+            lambda: gmm_mmse_batch(diag_obs, diag_pilot, diag_model),
+        ),
+        "sample_channels": (
+            f"{nmse_shape} draws={NMSE_TRIALS}",
+            lambda: sample_channels(model, NMSE_TRIALS, sampler_rng),
         ),
         "simulate_detection_trials": (
             f"N_t={roc['n_tx']} L={roc['pilot_len']} trials={roc_trials}",
