@@ -5,7 +5,6 @@ from .channel import (
     GmmUserModel,
     PilotMatrix,
     SensingScene,
-    build_user_model,
     laplacian_weights,
     sample_channels,
 )

@@ -35,7 +35,7 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1:
             raise InvalidParameterError("antenna counts must be >= 1")
-        if self.spacing_tx <= 0 or self.spacing_rx <= 0:
+        if not (self.spacing_tx > 0 and self.spacing_rx > 0):  # written so that a NaN fails it
             raise InvalidParameterError("antenna spacings must be positive")
 
 
@@ -104,8 +104,6 @@ class GmmUserModel:
     means: np.ndarray
     covariances: np.ndarray
     noise_std: float
-    mean_aoa: float = 0.0
-    azimuth_spread: float = 0.0
 
     def __post_init__(self):
         self.means = np.array(self.means, dtype=complex)
@@ -157,13 +155,12 @@ class GmmUserModel:
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
 
-    def _for_user(self, weights, noise_std, mean_aoa=0.0, azimuth_spread=0.0) -> GmmUserModel:
+    def _for_user(self, weights, noise_std) -> GmmUserModel:
         """Another user's model on the same components: it shares this model's
         read-only means, covariances and stacked factor, so no second
         eigendecomposition."""
         user = copy.copy(self)
         user.weights, user.noise_std = weights, noise_std
-        user.mean_aoa, user.azimuth_spread = mean_aoa, azimuth_spread
         user._set_user_terms()
         return user
 
@@ -193,11 +190,12 @@ class SensingScene:
 
     def __post_init__(self):
         object.__setattr__(self, "clutter", tuple((float(a), float(p)) for a, p in self.clutter))
-        if self.target_power < 0:
+        # written so that a NaN fails them
+        if not self.target_power >= 0:
             raise InvalidParameterError("target power must be nonnegative")
-        if any(p < 0 for _, p in self.clutter):
+        if not all(p >= 0 for _, p in self.clutter):
             raise InvalidParameterError("clutter powers must be nonnegative")
-        if self.radar_noise_std <= 0:
+        if not self.radar_noise_std > 0:
             raise InvalidParameterError("radar noise std must be positive")
 
     @property
@@ -266,34 +264,6 @@ def pilot_entries(pilot) -> np.ndarray:
     return np.asarray(pilot, dtype=complex)
 
 
-def build_user_model(
-    geometry: ArrayGeometry,
-    mean_aoa_deg: float,
-    spread_deg: float,
-    n_components: int,
-    noise_std: float,
-    mean_policy: str = "steering",
-    mean_scale: float = 1.0,
-    quadrature_points: int = 8,
-) -> GmmUserModel:
-    """Equal partition of [-90, 90] degrees into angular mixture components.
-
-    Mixture weights follow the Laplacian profile at the region centers and
-    each covariance integrates the steering outer product over its region.
-    ``mean_policy`` fills the component means: "zero" or "steering" (a scaled
-    steering vector at the region center, which keeps the cross-mean terms of
-    the communication objective alive).
-    """
-    return build_user_models(
-        geometry,
-        [(mean_aoa_deg, spread_deg, noise_std)],
-        n_components,
-        mean_policy,
-        mean_scale,
-        quadrature_points,
-    )[0]
-
-
 def build_user_models(
     geometry: ArrayGeometry,
     users,
@@ -302,12 +272,17 @@ def build_user_models(
     mean_scale: float = 1.0,
     quadrature_points: int = 8,
 ) -> list:
-    """``build_user_model`` for each (mean_aoa_deg, spread_deg, noise_std) of ``users``.
+    """One model per (mean_aoa_deg, spread_deg, noise_std) of ``users``, on an
+    equal partition of [-90, 90] degrees into angular mixture components.
 
-    The components depend on the scenario alone, so they are built and
-    factored once: every returned model shares the first one's read-only
-    means, covariances and stacked factor, and has its own weights and noise
-    level.
+    Each user's mixture weights follow its Laplacian profile at the region
+    centers, and each covariance integrates the steering outer product over
+    its region.  ``mean_policy`` fills the component means: "zero" or
+    "steering" (a scaled steering vector at the region center, which keeps
+    the cross-mean terms of the communication objective alive).  The
+    components depend on the scenario alone, so they are built and factored
+    once: every returned model shares the first one's read-only means,
+    covariances and stacked factor, and has its own weights and noise level.
     """
     if n_components < 1:
         raise InvalidParameterError("n_components must be >= 1")
@@ -321,11 +296,9 @@ def build_user_models(
         means = np.zeros((n_components, geometry.n_tx), dtype=complex)
     else:
         means = mean_scale * _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)
-    (aoa, spread, noise_std), *others = users
-    first = GmmUserModel(weights[0], means, covs, noise_std, aoa, spread)
-    return [first] + [
-        first._for_user(w, noise, aoa, spread) for w, (aoa, spread, noise) in zip(weights[1:], others)
-    ]
+    noise = [noise_std for _, _, noise_std in users]
+    first = GmmUserModel(weights[0], means, covs, noise[0])
+    return [first] + [first._for_user(w, n) for w, n in zip(weights[1:], noise[1:])]
 
 
 def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generator) -> np.ndarray:

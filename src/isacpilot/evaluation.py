@@ -136,24 +136,28 @@ def gmm_mmse_batch(
     """Mixture-MMSE channel estimates for a batch of observations.
 
     Returns (estimates of shape (T, N_t), responsibilities of shape (T, N_k)).
-    The estimate is x(y) = sum_n w_n(y) (b_n + G_n y) with the gain
+    Everything per component comes from the one elimination of
+    ``comm_state``: B_n = Phi A_n, C_n = Sigma_n^{-1} B_n, s_n =
+    Sigma_n^{-1} v_n with v_n = Phi m - Phi mu_n (m the mixture mean), and
+    log_mix_n = log alpha_n - beta_n - log det Sigma_n.  Each observation is
+    centred on the mixture mean, y' = y - Phi m, and extended to
+    z = [y'; 1].  Since y - Phi mu_n = y' + v_n, the log weight is
+    log_mix_n - z^H M_n z with the Hermitian (L+1) x (L+1)
+    M_n = [[Sigma_n^{-1}, s_n], [s_n^H, 0]], and B_n C_n^H =
+    I - sigma^2 Sigma_n^{-1} gives Sigma_n^{-1} = (I - B_n C_n^H) / sigma^2,
+    so no second factorization of Sigma_n is needed.  The estimate is
+    x(y) = sum_n w_n(y) (b_n + G_n y') with the gain
     G_n = A_n C_n^H = R_n Phi^H Sigma_n^{-1} and the offset
-    b_n = mu_n - G_n Phi mu_n, both built once per call from the factor and
-    the C_n = Sigma_n^{-1} B_n of ``comm_state``.  One batched Cholesky
-    Sigma_n = L_n L_n^H gives the whitening W_n = L_n^{-1}.  With each
-    observation extended to z = [y; 1], the quadratic form of the log weight
-    is ||W_n (y - Phi mu_n)||^2 = z^H M_n z, where the Hermitian
-    (L+1) x (L+1) matrix M_n = P_n^H P_n, P_n = [W_n | -W_n Phi mu_n], is
-    also built once per call.  z^H M_n z is linear in the (L+1)^2 real
-    features of z: |z_i|^2, and the real and imaginary parts of
-    conj(z_i) z_j for i < j.  So per chunk of trials one real
+    b_n = mu_n + G_n v_n = mu_n + A_n (B_n^H s_n).  z^H M_n z is linear in
+    the (L+1)^2 real features of z: |z_i|^2, and the real and imaginary
+    parts of conj(z_i) z_j for i < j.  So per chunk of trials one real
     (trials x (L+1)^2) product of the features with the stacked
     coefficients of the M_n gives every quadratic form, trials-major, and
     one real product of the (trials x N_k) weights with the stacked real
     and imaginary parts of [G_n | b_n] gives each trial's mixed gain, which
-    is applied to its [y; 1].  Responsibilities are computed in the log
-    domain and normalized; weights below e^WEIGHT_CUT times a trial's
-    largest are exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
+    is applied to its z.  Responsibilities are computed in the log domain
+    and normalized; weights below e^WEIGHT_CUT times a trial's largest are
+    exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
     the weights and the mixed gains.  A non-finite observation raises
     ``NumericError`` naming its row.
     """
@@ -167,28 +171,30 @@ def gmm_mmse_batch(
     state = comm_state(phi, [model])
     n_trials, n_slots = obs.shape
     n_comp, n_tx = model.n_components, model.n_tx
-    phi_mu = (model.means @ phi.T)[:, :, None]  # (N_k, L, 1)
-    whiten = np.linalg.inv(np.linalg.cholesky(state.sigma.transpose(2, 0, 1)))
-    residual = np.concatenate((whiten, -(whiten @ phi_mu)), axis=2)  # P_n (N_k, L, L+1)
-    quad = residual.conj().transpose(0, 2, 1) @ residual  # M_n (N_k, L+1, L+1)
+    b = state.b.transpose(2, 0, 1)  # B_n (N_k, L, q)
+    c_h = state.c.transpose(2, 1, 0).conj()  # C_n^H (N_k, q, L)
+    s = state.s[:, 0].T[:, :, None]  # s_n (N_k, L, 1)
+    quad = np.zeros((n_comp, n_slots + 1, n_slots + 1), dtype=complex)  # M_n: diagonal and upper triangle
+    quad[:, :n_slots, :n_slots] = (np.eye(n_slots) - b @ c_h) / model.noise_std**2  # Sigma_n^{-1}
+    quad[:, :n_slots, n_slots:] = s
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
     i, j = np.triu_indices(n_slots + 1, 1)
     diagonal = np.diagonal(quad, axis1=1, axis2=2).real
     upper = 2.0 * np.ascontiguousarray(quad[:, i, j]).conj()
     quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
-    gain = model.factor.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()  # G_n (N_k, N_t, L)
-    offset = model.means[:, :, None] - gain @ phi_mu  # b_n (N_k, N_t, 1)
+    factor = model.factor.transpose(2, 0, 1)  # A_n (N_k, N_t, q)
+    gain = factor @ c_h  # G_n (N_k, N_t, L)
+    offset = model.means[:, :, None] + factor @ (b.conj().transpose(0, 2, 1) @ s)  # b_n (N_k, N_t, 1)
     gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
-    extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y^T, 1]
-    extended[:, :n_slots] = obs
+    extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y'^T, 1]
+    np.subtract(obs, phi @ model.mixture_mean, out=extended[:, :n_slots])
 
-    log_prior = model.log_weights - state.logdet
     est = np.empty((n_trials, n_tx), dtype=complex)
     resp = np.empty((n_trials, n_comp))
     chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials], resp[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, log_prior)
+        est[trials], resp[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])
     return est, resp
 
 
@@ -218,6 +224,16 @@ def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
     return np.einsum("tnl,tl->tn", mixed, extended), w
 
 
+def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random.Generator):
+    """(channels, estimates) of ``n`` trials: channels drawn from ``model``,
+    then the pilot-phase noise, both from ``rng``; each channel is observed
+    through ``phi`` and estimated by ``gmm_mmse_batch``."""
+    channels = sample_channels(model, n, rng)
+    noise = model.noise_std * complex_normal(rng, (n, phi.shape[0]))
+    est, _ = gmm_mmse_batch(channels @ phi.T + noise, phi, model)
+    return channels, est
+
+
 def nmse_experiment(
     pilot, users: list, n_trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -232,10 +248,7 @@ def nmse_experiment(
     per_user = np.empty(len(users))
     streams = rng.spawn(len(users))
     for k, (model, stream) in enumerate(zip(users, streams)):
-        channels = sample_channels(model, n_trials, stream)
-        noise = model.noise_std * complex_normal(stream, (n_trials, phi.shape[0]))
-        obs = channels @ phi.T + noise
-        est, _ = gmm_mmse_batch(obs, phi, model)
+        channels, est = _estimate_draws(phi, model, n_trials, stream)
         norms = np.sum(np.abs(channels) ** 2, axis=1)
         valid = norms > 0
         errors = np.sum(np.abs(channels - est) ** 2, axis=1)
@@ -301,11 +314,7 @@ def ser_experiment(
     h_true = np.empty((n_blocks, n_users, phi.shape[1]), dtype=complex)
     h_est = np.empty_like(h_true)
     for k, model in enumerate(users):
-        channels = sample_channels(model, n_blocks, chan_rng)
-        noise = model.noise_std * complex_normal(chan_rng, (n_blocks, phi.shape[0]))
-        est, _ = gmm_mmse_batch(channels @ phi.T + noise, phi, model)
-        h_true[:, k, :] = channels
-        h_est[:, k, :] = est
+        h_true[:, k, :], h_est[:, k, :] = _estimate_draws(phi, model, n_blocks, chan_rng)
 
     w = zf_precode(h_est)
     gains = np.einsum("bkn,bnk->bk", h_est, w).real

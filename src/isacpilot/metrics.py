@@ -13,14 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GmmUserModel, SensingScene, pilot_entries, sample_channels
+from .channel import GmmUserModel, SensingScene, pilot_entries
 from .errors import (
     DimensionError,
     InvalidParameterError,
     NumericError,
     ObjectiveDomainError,
 )
-from .streams import complex_normal
 
 
 @dataclass(eq=False)
@@ -44,24 +43,24 @@ class IsacObjective:
 
 class CommState(NamedTuple):
     """Mixture observation statistics of a group of users at one pilot, in
-    factor form (R_n = A_n A_n^H).
+    factor form (R_n = A_n A_n^H, Sigma_n = B_n B_n^H + sigma^2 I).
 
     The users of a group share the stacked factor and means
-    (``GmmUserModel.stacked``, rank q) and the noise level, hence Sigma_n,
-    B_n, C_n and log det Sigma_n; each user g has its own weights, so its
-    own mixture mean m^(g) and mean terms v_n^(g) = Phi m^(g) - Phi mu_n
-    (Phi times mixture mean minus component mean), s, beta, log_mix and
-    value.  Shared by the communication metric, its gradient and the
-    mixture-MMSE estimator.  Arrays keep the component axis n last, so each
-    step of the elimination in ``_solve_stacked`` works on all N_k components
-    at once.
+    (``GmmUserModel.stacked``, rank q) and the noise level, hence B_n, C_n
+    and log det Sigma_n; each user g has its own weights, so its own mixture
+    mean m^(g) and mean terms v_n^(g) = Phi m^(g) - Phi mu_n (Phi times
+    mixture mean minus component mean), s, beta, log_mix and value.  Sigma_n
+    itself is not kept: B_n C_n^H = I - sigma^2 Sigma_n^{-1}, so its inverse
+    is (I - B_n C_n^H) / sigma^2.  Shared by the communication metric, its
+    gradient and the mixture-MMSE estimator.  Arrays keep the component axis
+    n last, so each step of the elimination in ``_solve_stacked`` works on
+    all N_k components at once.
     """
 
     value: np.ndarray  # (K_g,) per-user metric
     log_mix: np.ndarray  # (K_g, N_k) log of alpha_n e^{-beta_n} / det Sigma_n
     log_omega: np.ndarray  # (K_g,) log-sum-exp of log_mix
     logdet: np.ndarray  # (N_k,) log det Sigma_n
-    sigma: np.ndarray  # (L, L, N_k) Sigma_n = B_n B_n^H + sigma^2 I
     b: np.ndarray  # (L, q, N_k) B_n = Phi A_n, a view of Phi @ stacked
     s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} v_n^(g)
     c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
@@ -152,9 +151,8 @@ def comm_state(pilot, users) -> CommState:
     mixture_means = np.array([m.mixture_mean for m in users])
     np.subtract((phi @ mixture_means.T)[:, :, None], phi_mu[:, None], out=aug[:, n_slots:start])
     aug[:, start:] = b
-    kept = aug[:, :start].copy()  # Sigma_n and v_n^(g), which the elimination overwrites
+    v = aug[:, n_slots:start].copy()  # v_n^(g), which the elimination overwrites
     logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
-    sigma, v = kept[:, :n_slots], kept[:, n_slots:]
     s, c = aug[:, n_slots:start], aug[:, start:]
     beta = np.add.reduce((v.conj() * s).real, axis=0)
 
@@ -163,7 +161,7 @@ def comm_state(pilot, users) -> CommState:
     log_omega = top + np.log(np.add.reduce(np.exp(log_mix - top[:, None]), axis=1))
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix, log_omega, logdet, sigma, b, s, c)
+    return CommState(value, log_mix, log_omega, logdet, b, s, c)
 
 
 def _user_groups(objective: IsacObjective) -> list:
@@ -199,6 +197,8 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     phi = pilot_entries(pilot)
     if phi.shape[1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")
+    if not np.isfinite(phi).all():
+        raise NumericError("pilot has a NaN or infinite entry")
     a_tx, rx_corr, powers = scene._sense_terms
     u = a_tx @ phi.T
     gram = rx_corr * (u.conj() @ u.T)
@@ -289,7 +289,7 @@ def c_worst_estimate(
     normalized to unit average entry power.  Trials whose estimates are all
     zero are skipped.
     """
-    from .evaluation import gmm_mmse_batch  # local import to avoid a cycle
+    from .evaluation import _estimate_draws  # local import to avoid a cycle
 
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
@@ -303,10 +303,7 @@ def c_worst_estimate(
     err_power = 0.0
     ch_power = 0.0
     for k, model in enumerate(users):
-        channels = sample_channels(model, trials, rng)
-        noise = model.noise_std * complex_normal(rng, (trials, n_slots))
-        obs = channels @ phi.T + noise
-        est, _ = gmm_mmse_batch(obs, phi, model)
+        channels, est = _estimate_draws(phi, model, trials, rng)
         estimates[:, k, :] = est
         err_power += float(np.sum(np.abs(channels - est) ** 2))
         ch_power += float(np.sum(np.abs(channels) ** 2))

@@ -36,11 +36,12 @@ class OptimizerConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        # written so that a NaN fails them
+        if not self.step_size > 0:
             raise InvalidParameterError("step_size must be positive")
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be >= 1")
-        if self.rel_tol < 0:
+        if not self.rel_tol >= 0:
             raise InvalidParameterError("rel_tol must be nonnegative")
 
 

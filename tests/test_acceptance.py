@@ -14,6 +14,7 @@ from scipy import stats
 
 import isacpilot as ip
 from isacpilot import OptimizerConfig, substream
+from isacpilot.channel import build_user_models
 from oracles import sense_kl_and_g, sense_kl_direct, sensing_vectors
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -64,7 +65,7 @@ def tradeoff_objective(rho=0.5):
     """Two users on opposite sides, target away from both, low radar noise:
     a genuinely interpolating sensing/communication frontier."""
     geom = ip.ArrayGeometry(n_tx=16, n_rx=8)
-    users = [ip.build_user_model(geom, a, 6.0, 180, 0.2) for a in (-40.0, 40.0)]
+    users = [build_user_models(geom, [(a, 6.0, 0.2)], 180)[0] for a in (-40.0, 40.0)]
     scene = ip.SensingScene(
         target_angle=70.0, target_power=1.0, clutter=(), radar_noise_std=0.05, geometry=geom
     )
@@ -74,7 +75,7 @@ def tradeoff_objective(rho=0.5):
 def detection_objective(rho):
     """Headline detection scenario: N_t=20, N_r=5, L=9, target at 60 deg."""
     geom = ip.ArrayGeometry(n_tx=20, n_rx=5)
-    user = ip.build_user_model(geom, 70.0, 6.0, 180, 0.1)
+    user = build_user_models(geom, [(70.0, 6.0, 0.1)], 180)[0]
     scene = ip.SensingScene(
         target_angle=60.0, target_power=1.0, clutter=(), radar_noise_std=2.0, geometry=geom
     )
@@ -84,7 +85,7 @@ def detection_objective(rho):
 def estimation_users():
     """Four-user constellation used for the estimation and link criteria."""
     geom = ip.ArrayGeometry(n_tx=16, n_rx=8)
-    return [ip.build_user_model(geom, a, 4.0, 180, 0.1) for a in (70.0, 23.0, -23.0, -70.0)]
+    return [build_user_models(geom, [(a, 4.0, 0.1)], 180)[0] for a in (70.0, 23.0, -23.0, -70.0)]
 
 
 def estimation_objective(users):
@@ -393,7 +394,7 @@ def test_13_capacity_diagnostic_trend():
     # zero-mean mixture: the surrogate is then purely covariance-driven and
     # tracks the estimation quality entering the capacity bound
     geom = ip.ArrayGeometry(n_tx=12, n_rx=4)
-    user = ip.build_user_model(geom, 40.0, 10.0, 90, 0.1, mean_policy="zero")
+    user = build_user_models(geom, [(40.0, 10.0, 0.1)], 90, mean_policy="zero")[0]
     comm, c_worst = [], []
     for i in range(50):
         pilot = ip.random_stiefel(4, 12, substream(77, "acc-diag-p", i))

@@ -9,12 +9,12 @@ from isacpilot import (
     GmmUserModel,
     InvalidParameterError,
     PilotMatrix,
-    build_user_model,
+    SensingScene,
     laplacian_weights,
     sample_channels,
     substream,
 )
-from isacpilot.channel import _region_covariances
+from isacpilot.channel import _region_covariances, build_user_models
 from oracles import steering_vector
 
 
@@ -102,28 +102,28 @@ class TestBuildUserModel:
     geom = ArrayGeometry(n_tx=6, n_rx=2)
 
     def test_single_component_covers_everything(self):
-        model = build_user_model(self.geom, 10.0, 5.0, 1, 0.5)
+        model = build_user_models(self.geom, [(10.0, 5.0, 0.5)], 1)[0]
         np.testing.assert_allclose(model.weights, [1.0])
         assert np.trace(model.covariances[0]).real == pytest.approx(6 * np.pi, rel=1e-12)
 
     def test_weights_peak_at_mean_aoa(self):
-        model = build_user_model(self.geom, 33.3, 6.0, 180, 0.5)
+        model = build_user_models(self.geom, [(33.3, 6.0, 0.5)], 180)[0]
         peak_center = -90.0 + (np.argmax(model.weights) + 0.5) * 1.0
         assert abs(peak_center - 33.3) <= 0.5
 
     def test_partition_total_mass(self):
         # disjoint equal regions covering the sector: traces add to N_t * pi
-        model = build_user_model(self.geom, 0.0, 10.0, 36, 0.5)
+        model = build_user_models(self.geom, [(0.0, 10.0, 0.5)], 36)[0]
         total = sum(np.trace(c).real for c in model.covariances)
         assert total == pytest.approx(6 * np.pi, rel=1e-10)
 
     def test_zero_mean_policy(self):
-        model = build_user_model(self.geom, 0.0, 10.0, 4, 0.5, mean_policy="zero")
+        model = build_user_models(self.geom, [(0.0, 10.0, 0.5)], 4, mean_policy="zero")[0]
         assert np.all(model.means == 0)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(InvalidParameterError):
-            build_user_model(self.geom, 0.0, 10.0, 4, 0.5, mean_policy="bogus")
+            build_user_models(self.geom, [(0.0, 10.0, 0.5)], 4, mean_policy="bogus")
 
 
 class TestGmmUserModelValidation:
@@ -156,6 +156,32 @@ class TestGmmUserModelValidation:
                 covariances=np.stack([np.eye(3)] * 2),
                 noise_std=noise_std,
             )
+
+
+class TestGeometryAndSceneValidation:
+    geom = ArrayGeometry(n_tx=4, n_rx=2)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.5, np.nan])
+    @pytest.mark.parametrize("field", ["spacing_tx", "spacing_rx"])
+    def test_geometry_rejects_bad_spacing(self, field, spacing):
+        with pytest.raises(InvalidParameterError):
+            ArrayGeometry(n_tx=4, n_rx=2, **{field: spacing})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"target_power": -1.0},
+            {"target_power": np.nan},
+            {"clutter": ((10.0, -0.5),)},
+            {"clutter": ((10.0, 0.5), (20.0, np.nan))},
+            {"radar_noise_std": 0.0},
+            {"radar_noise_std": np.nan},
+        ],
+    )
+    def test_scene_rejects_bad_powers(self, changes):
+        fields = dict(target_angle=10.0, target_power=1.0, clutter=(), radar_noise_std=0.5)
+        with pytest.raises(InvalidParameterError):
+            SensingScene(geometry=self.geom, **{**fields, **changes})
 
 
 class TestSampleChannel:
@@ -200,7 +226,7 @@ class TestSampleChannel:
 
     def test_bit_reproducible(self):
         geom = ArrayGeometry(n_tx=5, n_rx=2)
-        model = build_user_model(geom, 20.0, 8.0, 12, 0.3)
+        model = build_user_models(geom, [(20.0, 8.0, 0.3)], 12)[0]
         a = sample_channels(model, 64, substream(3, "repro"))
         b = sample_channels(model, 64, substream(3, "repro"))
         assert np.array_equal(a, b)

@@ -19,6 +19,7 @@ from isacpilot import (
     substream,
     zf_precode,
 )
+from isacpilot.channel import build_user_models
 from isacpilot.evaluation import CONSTELLATION, _nearest_level_index
 from oracles import detector_statistic, sensing_vectors, simulate_radar_frame
 
@@ -296,7 +297,7 @@ class TestNmseExperiment:
 
     def test_huge_noise_matches_prior_only_oracle(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
-        model = ip.build_user_model(geom, 30.0, 8.0, 24, 1e6)
+        model = build_user_models(geom, [(30.0, 8.0, 1e6)], 24)[0]
         pilot = ip.random_stiefel(3, 8, substream(39, "nmse"))
         _, pooled = nmse_experiment(pilot, [model], 4000, substream(40, "nmse"))
         draws = ip.sample_channels(model, 4000, substream(41, "nmse-prior"))
@@ -308,7 +309,7 @@ class TestNmseExperiment:
 
     def test_pilot_independent_trials_pair_across_pilots(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
-        model = ip.build_user_model(geom, 30.0, 8.0, 24, 0.3)
+        model = build_user_models(geom, [(30.0, 8.0, 0.3)], 24)[0]
         a = ip.random_stiefel(3, 8, substream(42, "a"))
         per_a1, _ = nmse_experiment(a, [model], 100, substream(43, "paired"))
         per_a2, _ = nmse_experiment(a, [model], 100, substream(43, "paired"))
@@ -356,7 +357,7 @@ class TestSerExperiment:
     def _users(self, noise_std):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
         return [
-            ip.build_user_model(geom, a, 6.0, 24, noise_std) for a in (40.0, -30.0)
+            build_user_models(geom, [(a, 6.0, noise_std)], 24)[0] for a in (40.0, -30.0)
         ]
 
     def test_zero_errors_at_huge_snr(self):
@@ -385,7 +386,7 @@ class TestBaselinePilots:
 
     def test_eigen_orthonormal_and_aligned(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
-        model = ip.build_user_model(geom, 30.0, 6.0, 36, 0.3)
+        model = build_user_models(geom, [(30.0, 6.0, 0.3)], 36)[0]
         pilot = ip.eigen_pilot(3, [model])
         assert pilot.residual <= 1e-10
         # row space contains the strongest covariance eigenvector

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.config import build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
-from isacpilot.channel import FACTOR_RANK_CUT
+from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import _user_groups, comm_state, effective_training_snr
 from isacpilot.streams import complex_normal
@@ -137,7 +137,7 @@ class TestFactor:
 
     def test_batched_build_matches_per_region_formula(self):
         geom = ip.ArrayGeometry(n_tx=16, n_rx=8)
-        model = ip.build_user_model(geom, -40.0, 6.0, 180, 0.2, quadrature_points=8)
+        model = build_user_models(geom, [(-40.0, 6.0, 0.2)], 180, quadrature_points=8)[0]
         edges = np.linspace(-90.0, 90.0, 181)
         covs, means = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -160,7 +160,7 @@ def elimination_case(n_slots, prior):
     rng = ip.substream(n_slots, "elimination", prior)
     n_tx = 12
     if prior == "region":
-        base = ip.build_user_model(ip.ArrayGeometry(n_tx, 4), 30.0, 8.0, 36, 0.3)
+        base = build_user_models(ip.ArrayGeometry(n_tx, 4), [(30.0, 8.0, 0.3)], 36)[0]
         covs = base.covariances
     else:
         a = rng.standard_normal((6, n_tx, n_tx)) + 1j * rng.standard_normal((6, n_tx, n_tx))
@@ -188,7 +188,11 @@ class TestCommState:
         state = comm_state(pilot, [model])
         # Sigma_n from the full covariances, independent of the factor
         sigma = phi @ model.covariances @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
-        assert np.abs(state.sigma.transpose(2, 0, 1) - sigma).max() <= 1e-12 * np.abs(sigma).max()
+        # the precision the estimator reads: B_n C_n^H = I - sigma^2 Sigma_n^{-1}
+        bc = state.b.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()
+        precision = (np.eye(n_slots) - bc) / model.noise_std**2
+        inverse = np.linalg.inv(sigma)
+        assert np.abs(precision - inverse).max() <= 1e-12 * np.abs(inverse).max()
         mu_bar = model.weights @ model.means - model.means
         rhs = np.concatenate(((mu_bar @ phi.T)[:, :, None], state.b.transpose(2, 0, 1)), axis=2)
         expected = np.linalg.solve(sigma, rhs)

@@ -11,6 +11,7 @@ from isacpilot import (
     SensingScene,
     substream,
 )
+from isacpilot.channel import build_user_models
 from oracles import (
     comm_mi_lower_bound_gaussian,
     sense_kl_and_g,
@@ -243,6 +244,15 @@ class TestSensingMi:
         with pytest.raises(ip.InvalidParameterError):
             ip.sensing_mi(pilot, scene, "other")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("formula", ["approx", "exact"])
+    def test_non_finite_pilot_raises(self, formula, bad):
+        scene = random_scene(7, self.geom, n_clutter=2)
+        phi = ip.random_stiefel(3, 8, substream(7, "s")).entries
+        phi[1, 2] = bad
+        with pytest.raises(ip.NumericError, match="NaN or infinite"):
+            ip.sensing_mi(phi, scene, formula)
+
 
 class TestIsacObjective:
     geom = ArrayGeometry(n_tx=8, n_rx=4)
@@ -371,7 +381,7 @@ class TestCWorst:
 
     def test_block_length_prefactor(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
-        model = ip.build_user_model(geom, 30.0, 10.0, 24, 0.1)
+        model = build_user_models(geom, [(30.0, 10.0, 0.1)], 24)[0]
         pilot = ip.random_stiefel(3, 8, substream(4, "cw"))
         short = ip.c_worst_estimate(pilot, [model], 10, 50, substream(5, "cw"))
         long = ip.c_worst_estimate(pilot, [model], 10_000, 50, substream(5, "cw"))
@@ -380,14 +390,14 @@ class TestCWorst:
 
     def test_rejects_zero_trials(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
-        model = ip.build_user_model(geom, 30.0, 10.0, 24, 0.1)
+        model = build_user_models(geom, [(30.0, 10.0, 0.1)], 24)[0]
         pilot = ip.random_stiefel(3, 8, substream(6, "cw"))
         with pytest.raises(ip.InvalidParameterError):
             ip.c_worst_estimate(pilot, [model], 100, 0, substream(6, "cw"))
 
     def test_optimized_not_worse_than_random(self):
         geom = ArrayGeometry(n_tx=12, n_rx=4)
-        model = ip.build_user_model(geom, 40.0, 10.0, 90, 0.1)
+        model = build_user_models(geom, [(40.0, 10.0, 0.1)], 90)[0]
         scene = SensingScene(
             target_angle=-20.0, target_power=1.0, clutter=(), radar_noise_std=2.0, geometry=geom
         )

@@ -162,6 +162,11 @@ class TestOptimizePgd:
         with pytest.raises(ip.InvalidParameterError):
             OptimizerConfig(rel_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["step_size", "rel_tol"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ip.InvalidParameterError):
+            OptimizerConfig(**{field: np.nan})
+
 
 class TestRhoSweep:
     def test_two_endpoint_sweep(self):

@@ -7,9 +7,11 @@ For each module under ``src/isacpilot`` and in total it prints
   docstrings (module, class and function docstrings, found with ``ast``;
   everything else is classified with ``tokenize``);
 
-followed by the number of public names that ``isacpilot/__init__.py`` binds
-and those of them that no other module of the package references: names
-that only tests, tools or the benchmark use.
+followed by the number of public names that ``isacpilot/__init__.py`` binds,
+those of them that no other module of the package references (names that
+only tests, tools or the benchmark use), and every ``np.linalg`` call site
+of the package: module, enclosing function and routine, so that a second
+factorization of one matrix shows up in review.
 
 Usage: ``python3 tools/src_stats.py [package_dir]`` (default: the
 ``src/isacpilot`` next to this script's parent directory).
@@ -92,6 +94,35 @@ def unreferenced(package: Path, names: set) -> list:
     return sorted(names - used)
 
 
+def linalg_calls(path: Path) -> list:
+    """(enclosing function, routine) of each ``np.linalg.<routine>(...)`` or
+    ``numpy.linalg.<routine>(...)`` call in ``path``, in source order.
+
+    The enclosing function is dotted through classes and nested functions,
+    ``<module>`` at the top level.
+    """
+    calls = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and isinstance(child.func.value, ast.Attribute)
+                and child.func.value.attr == "linalg"
+                and isinstance(child.func.value.value, ast.Name)
+                and child.func.value.value.id in ("np", "numpy")
+            ):
+                calls.append((child.lineno, ".".join(scope) or "<module>", child.func.attr))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return [(function, routine) for _, function, routine in sorted(calls)]
+
+
 def main(argv: list) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "isacpilot"
     total_lines = total_code = 0
@@ -107,6 +138,10 @@ def main(argv: list) -> None:
     print(f"public names in {package.name}: {len(names)}")
     unused = unreferenced(package, names)
     print(f"referenced only outside the package: {len(unused)} {' '.join(unused)}")
+    sites = [(path.stem, *call) for path in sorted(package.glob("*.py")) for call in linalg_calls(path)]
+    print(f"np.linalg call sites: {len(sites)}")
+    for module, function, routine in sites:
+        print(f"  {module}.{function}: {routine}")
 
 
 if __name__ == "__main__":
