@@ -114,6 +114,8 @@ class GmmUserModel:
             raise DimensionError("covariances must be square")
         if self.means.shape[1] != self.covariances.shape[1]:
             raise DimensionError("mean and covariance dimensions disagree")
+        if not np.isfinite(self.means).all():
+            raise InvalidParameterError("component means must be finite")
         scale = max(1.0, float(np.abs(self.covariances).max(initial=0.0)))
         herm_gap = float(
             np.abs(self.covariances - self.covariances.conj().transpose(0, 2, 1)).max(initial=0.0)
@@ -190,6 +192,9 @@ class SensingScene:
 
     def __post_init__(self):
         object.__setattr__(self, "clutter", tuple((float(a), float(p)) for a, p in self.clutter))
+        angles = (self.target_angle, *(a for a, _ in self.clutter))
+        if not np.isfinite(angles).all():
+            raise InvalidParameterError("target and clutter angles must be finite")
         # written so that a NaN fails them
         if not self.target_power >= 0:
             raise InvalidParameterError("target power must be nonnegative")

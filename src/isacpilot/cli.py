@@ -3,8 +3,9 @@
 Every output file carries '#'-prefixed metadata (config hash, seed, code
 version, units) followed by a header row and 17-significant-digit values.
 Independent work units (trade-off values, pilot sources, cloud chunks) run
-on a worker pool behind fixed named substreams, so outputs are byte
-identical for a given config and seed regardless of --threads.
+behind fixed named substreams, on a worker pool when more than one usable
+CPU can take them, so outputs are byte identical for a given config and
+seed regardless of --threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,11 +114,26 @@ def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
     return optimize_pgd(init, objective, config.optimizer).final_pilot
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_units(worker, units, threads: int) -> list:
-    """Order-preserving map over picklable work units."""
-    if threads <= 1 or len(units) <= 1:
+    """Order-preserving map over picklable work units.
+
+    Runs them in this process unless a second usable CPU can take a worker:
+    a pool of one worker, or of workers sharing one CPU, only adds its
+    start-up and the pickling of every unit.
+    """
+    workers = min(threads, len(units), _usable_cpus())
+    if workers <= 1:
         return [worker(unit) for unit in units]
-    with ProcessPoolExecutor(max_workers=min(threads, len(units))) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # imported only to start a pool
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, units))
 
 
@@ -469,7 +484,7 @@ def main(argv=None) -> None:
     parser.add_argument("--config", required=True, help="path to the experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for independent units")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes, at most one per usable CPU")
     args = parser.parse_args(argv)
     if args.task == "verify":
         sys.exit(verify_outputs(args.config, args.seed, args.out))

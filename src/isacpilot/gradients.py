@@ -68,16 +68,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GmmUserModel, SensingScene, pilot_entries
-from .errors import InvalidParameterError, NumericError
+from .errors import DimensionError, InvalidParameterError, NumericError
 from .metrics import (
     CommState,
     IsacObjective,
     SenseState,
     _approx_log_arg,
+    _one_pilot,
     _user_groups,
     comm_state,
     sense_state,
 )
+
+# fourth-order central stencil points in units of h, along the real
+# direction, then along the imaginary one
+STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
 
 
 @dataclass(eq=False)
@@ -115,7 +120,7 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
 
 def grad_comm_mi_user(pilot, model: GmmUserModel) -> GradientMatrix:
     """Gradient of the per-user communication metric."""
-    return GradientMatrix(_comm_grad(comm_state(pilot, [model]), [model], np.ones(1)))
+    return GradientMatrix(_comm_grad(comm_state(_one_pilot(pilot), [model]), [model], np.ones(1)))
 
 
 def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
@@ -141,7 +146,7 @@ def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
 
 def grad_sensing_mi(pilot, scene: SensingScene) -> GradientMatrix:
     """Gradient of the approximate sensing metric (the optimized form)."""
-    return GradientMatrix(_sense_grad(sense_state(pilot, scene), scene.geometry.n_rx))
+    return GradientMatrix(_sense_grad(sense_state(_one_pilot(pilot), scene), scene.geometry.n_rx))
 
 
 def grad_isac(pilot, objective: IsacObjective) -> GradientMatrix:
@@ -157,7 +162,7 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     builds each gradient from the same state as its value; used by the
     optimizer where both are needed every iteration.
     """
-    phi = pilot_entries(pilot)
+    phi = _one_pilot(pilot)
     comm_total = 0.0
     grad = np.zeros_like(phi)
     for weights, users in _user_groups(objective):
@@ -179,7 +184,11 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     """Max relative error between analytic and central-difference derivatives.
 
     Every real and imaginary pilot coordinate is perturbed; the analytic
-    directional derivative along E is 2 Re <G, E>.  Returns
+    directional derivative along E is 2 Re <G, E>.  The numeric one is the
+    fourth-order central stencil at +-h and +-2h.  The eight stencil points
+    of one pilot entry (four along the real direction, then four along the
+    imaginary one) form one (8, L, N_t) stack, and ``objective_fn`` maps a
+    stack to its 8 values, as the metrics of ``metrics`` do.  Returns
     max |analytic - numeric| / max(1e-12, |numeric|).
     """
     if step <= 0:
@@ -188,23 +197,22 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     grad = gradient_fn(phi)
     g_entries = grad.entries if isinstance(grad, GradientMatrix) else np.asarray(grad)
 
-    def directional(base, direction, h):
-        # fourth-order central stencil
-        f = lambda t: float(objective_fn(base + t * direction))
-        return (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12.0 * h)
-
     worst = 0.0
     n_slots, n_tx = phi.shape
     for i in range(n_slots):
         for j in range(n_tx):
             h = step * (1.0 + abs(phi[i, j]))
-            basis = np.zeros_like(phi)
-            basis[i, j] = 1.0
-            for direction, analytic in (
-                (basis, 2.0 * g_entries[i, j].real),
-                (1j * basis, 2.0 * g_entries[i, j].imag),
+            stack = np.repeat(phi[None], STENCIL.size, axis=0)
+            stack[:, i, j] += h * STENCIL
+            values = np.asarray(objective_fn(stack), dtype=float)
+            if values.shape != STENCIL.shape:
+                n = STENCIL.size
+                raise DimensionError(f"objective_fn must map an ({n}, L, N_t) stack to {n} values")
+            for f, analytic in (
+                (values[:4].tolist(), 2.0 * g_entries[i, j].real),
+                (values[4:].tolist(), 2.0 * g_entries[i, j].imag),
             ):
-                numeric = directional(phi, direction, h)
+                numeric = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12.0 * h)
                 err = abs(analytic - numeric) / max(1e-12, abs(numeric))
                 worst = max(worst, err)
     return worst

@@ -54,7 +54,10 @@ class CommState(NamedTuple):
     is (I - B_n C_n^H) / sigma^2.  Shared by the communication metric, its
     gradient and the mixture-MMSE estimator.  Arrays keep the component axis
     n last, so each step of the elimination in ``_solve_stacked`` works on
-    all N_k components at once.
+    all N_k components at once.  For a stack of P pilots that axis holds
+    P N_k columns, column p N_k + n for component n at pilot p, and
+    ``value`` and ``log_omega`` are (K_g, P); the shapes below are those of
+    one pilot.
     """
 
     value: np.ndarray  # (K_g,) per-user metric
@@ -67,7 +70,11 @@ class CommState(NamedTuple):
 
 
 class SenseState(NamedTuple):
-    """Shared per-pilot quantities for the sensing metric and its gradient."""
+    """Shared per-pilot quantities for the sensing metric and its gradient.
+
+    For a stack of P pilots ``u``, ``gram``, ``clutter_denoms`` and ``arg``
+    gain a leading pilot axis (``arg`` is then a (P,) array).
+    """
 
     a_tx: np.ndarray  # (Q+1, N_t) transmit steering, target first
     u: np.ndarray  # (Q+1, L) pilots applied to steering
@@ -79,9 +86,27 @@ class SenseState(NamedTuple):
     rx_corr: np.ndarray  # (Q+1, Q+1) receive-steering correlations a_rx,i^H a_rx,j
 
 
-def _check_pilot_model(phi: np.ndarray, model: GmmUserModel):
-    if phi.shape[1] != model.n_tx:
-        raise DimensionError("pilot antenna count must match the channel model")
+def _pilots(pilot) -> np.ndarray:
+    """The entries of one pilot (L, N_t) or of a stack of pilots (P, L, N_t)."""
+    phi = pilot_entries(pilot)
+    if phi.ndim not in (2, 3):
+        raise DimensionError("a pilot is an (L, N_t) matrix and a stack of pilots (P, L, N_t)")
+    if not np.isfinite(phi).all():  # checked first: inf * 0 in a product warns
+        raise NumericError("pilot has a NaN or infinite entry")
+    return phi
+
+
+def _one_pilot(pilot) -> np.ndarray:
+    """The (L, N_t) entries of a pilot where a stack is not accepted."""
+    phi = pilot_entries(pilot)
+    if phi.ndim != 2:
+        raise DimensionError("this metric takes one pilot, not a stack")
+    return phi
+
+
+def _per_pilot(values):
+    """A float for one pilot (a NumPy scalar), the (P,) array of a stack unchanged."""
+    return values if isinstance(values, np.ndarray) else float(values)
 
 
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
@@ -132,36 +157,53 @@ def comm_state(pilot, users) -> CommState:
     components (``_solve_stacked``) gives log det Sigma_n and
     Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n] for the whole group.  A single
     user is a group of one.
+
+    ``pilot`` may be a stack of P pilots (P, L, N_t).  Their products are
+    folded into the component axis (column p N_k + n), so Sigma_n, the
+    elimination and the log-sum-exp run once over P N_k columns.  Each
+    pilot's values equal those of its own call, since its product is a
+    batched product of the same shape and every later step works column by
+    column.
     """
-    phi = pilot_entries(pilot)
+    phi = _pilots(pilot)
     model = users[0]
-    _check_pilot_model(phi, model)
+    if phi.shape[-1] != model.n_tx:
+        raise DimensionError("pilot antenna count must match the channel model")
     if any(m.stacked is not model.stacked or m.noise_std != model.noise_std for m in users):
         raise InvalidParameterError("a group's users must share one factor and one noise level")
-    if not np.isfinite(phi).all():  # checked first: inf * 0 in the product below warns
-        raise NumericError("pilot has a NaN or infinite entry")
-    n_slots, n_users, rank = phi.shape[0], len(users), model.rank
+    stack = phi[None] if phi.ndim == 2 else phi  # (P, L, N_t)
+    (n_pilots, n_slots, _), n_users, rank = stack.shape, len(users), model.rank
+    n_comp = model.n_components
     start = n_slots + n_users  # first column of B_n in the elimination array
 
-    product = (phi @ model.stacked).reshape(n_slots, rank + 1, -1)
+    product = stack @ model.stacked
+    if n_pilots > 1:  # fold the pilots into the component axis, column p N_k + n
+        product = product.reshape(n_pilots, n_slots, rank + 1, n_comp).transpose(1, 2, 0, 3)
+    product = product.reshape(n_slots, rank + 1, -1)
     b, phi_mu = product[:, :rank], product[:, rank]
-    aug = np.empty((n_slots, start + rank, product.shape[2]), dtype=complex)
+    aug = np.empty((n_slots, start + rank, n_pilots * n_comp), dtype=complex)
     np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
     _diagonal(aug)[...] += model.noise_std**2
     mixture_means = np.array([m.mixture_mean for m in users])
-    np.subtract((phi @ mixture_means.T)[:, :, None], phi_mu[:, None], out=aug[:, n_slots:start])
+    np.subtract(
+        (stack @ mixture_means.T).transpose(1, 2, 0)[..., None],  # (L, K_g, P, 1)
+        phi_mu.reshape(n_slots, 1, n_pilots, n_comp),
+        out=aug.reshape(n_slots, -1, n_pilots, n_comp)[:, n_slots:start],
+    )
     aug[:, start:] = b
     v = aug[:, n_slots:start].copy()  # v_n^(g), which the elimination overwrites
     logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
     s, c = aug[:, n_slots:start], aug[:, start:]
     beta = np.add.reduce((v.conj() * s).real, axis=0)
 
-    log_mix = np.array([m.log_weights for m in users]) - beta - logdet
-    top = log_mix.max(axis=1)
-    log_omega = top + np.log(np.add.reduce(np.exp(log_mix - top[:, None]), axis=1))
+    log_weights = np.array([m.log_weights for m in users])[:, None]
+    log_mix = log_weights - beta.reshape(n_users, n_pilots, -1) - logdet.reshape(n_pilots, -1)
+    top = log_mix.max(axis=2)
+    log_omega = top + np.log(np.add.reduce(np.exp(log_mix - top[..., None]), axis=2))
+    log_omega = log_omega.reshape(n_users, *phi.shape[:-2])  # (K_g,) for one pilot
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix, log_omega, logdet, b, s, c)
+    return CommState(value, log_mix.reshape(n_users, -1), log_omega, logdet, b, s, c)
 
 
 def _user_groups(objective: IsacObjective) -> list:
@@ -176,14 +218,19 @@ def _user_groups(objective: IsacObjective) -> list:
     return [(np.array(weights), users) for weights, users in groups.values()]
 
 
-def comm_mi_user(pilot, model: GmmUserModel) -> float:
-    """Surrogate mutual information between the pilot observation and the channel."""
-    return float(comm_state(pilot, [model]).value[0])
+def comm_mi_user(pilot, model: GmmUserModel):
+    """Surrogate mutual information between the pilot observation and the
+    channel; one value per pilot of a stack."""
+    return _per_pilot(comm_state(pilot, [model]).value[0])
 
 
-def comm_mi_weighted(pilot, objective: IsacObjective) -> float:
-    """Preference-weighted sum of the per-user communication metrics."""
-    return float(sum(sum(w * comm_state(pilot, users).value) for w, users in _user_groups(objective)))
+def comm_mi_weighted(pilot, objective: IsacObjective):
+    """Preference-weighted sum of the per-user communication metrics; one
+    value per pilot of a stack."""
+    # value is (K_g,) or (K_g, P); the sums run over the users in order
+    return _per_pilot(
+        sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in _user_groups(objective))
+    )
 
 
 def sense_state(pilot, scene: SensingScene) -> SenseState:
@@ -192,23 +239,23 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     mu_i^H mu_j factors into a receive-steering correlation times a
     pilot-domain inner product, so nothing of size N_r*L is ever formed.
     The steering rows, correlations and powers depend on the scene alone and
-    are built once per scene (``SensingScene._sense_terms``).
+    are built once per scene (``SensingScene._sense_terms``).  A stack of
+    pilots (P, L, N_t) takes one batched product per step.
     """
-    phi = pilot_entries(pilot)
-    if phi.shape[1] != scene.geometry.n_tx:
+    phi = _pilots(pilot)
+    if phi.shape[-1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")
-    if not np.isfinite(phi).all():
-        raise NumericError("pilot has a NaN or infinite entry")
     a_tx, rx_corr, powers = scene._sense_terms
-    u = a_tx @ phi.T
-    gram = rx_corr * (u.conj() @ u.T)
+    u = a_tx @ phi.swapaxes(-1, -2)
+    gram = rx_corr * (u.conj() @ u.swapaxes(-1, -2))
     sigma2 = scene.radar_noise_std**2
 
-    norms = gram.diagonal().real
-    denoms = sigma2 + powers[1:] * norms[1:]
-    cross = np.abs(gram[0, 1:]) ** 2
-    arg = 1.0 + powers[0] / sigma2 * (norms[0] - np.sum(powers[1:] * cross / denoms))
-    return SenseState(a_tx, u, gram, powers, sigma2, float(arg), denoms, rx_corr)
+    norms = gram.diagonal(0, -2, -1).real
+    denoms = sigma2 + powers[1:] * norms[..., 1:]
+    cross = np.abs(gram[..., 0, 1:]) ** 2
+    clutter = np.add.reduce(powers[1:] * cross / denoms, axis=-1)
+    arg = _per_pilot(1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter))
+    return SenseState(a_tx, u, gram, powers, sigma2, arg, denoms, rx_corr)
 
 
 def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
@@ -219,7 +266,7 @@ def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
     replaces the N_r*L-sized inverse.  nu_0 Re proj[0] is the whitened
     target-to-interference ratio x behind the exact sensing metric.
     """
-    state = sense_state(pilot, scene)
+    state = sense_state(_one_pilot(pilot), scene)
     gram, powers, sigma2 = state.gram, state.powers, state.noise_var
     idx = np.flatnonzero(powers[1:] > 0) + 1
     b = gram[idx, 0]
@@ -236,22 +283,31 @@ def sensing_mi_exact(pilot, scene: SensingScene) -> float:
     return float(np.log1p(x))
 
 
-def _approx_log_arg(state: SenseState) -> float:
-    """The argument of the log in the approximate sensing metric, checked to be positive."""
-    if state.arg <= 0.0:
+def _approx_log_arg(state: SenseState):
+    """The argument of the log in the approximate sensing metric, checked to
+    be positive; for a stack, the first pilot whose argument is not is named."""
+    arg = state.arg
+    if isinstance(arg, float):
+        failing, value, where = arg <= 0.0, arg, ""
+    else:
+        first = int(np.argmax(arg <= 0.0))
+        failing, value, where = arg[first] <= 0.0, float(arg[first]), f" of pilot {first}"
+    if failing:
         raise ObjectiveDomainError(
-            f"approximate sensing metric log argument is {state.arg:.6g} <= 0", state.arg
+            f"approximate sensing metric log argument{where} is {value:.6g} <= 0", value
         )
-    return state.arg
+    return arg
 
 
-def sensing_mi_approx(pilot, scene: SensingScene) -> float:
-    """Large-array form of the sensing information (exact for zero or one clutter source)."""
-    return float(np.log(_approx_log_arg(sense_state(pilot, scene))))
+def sensing_mi_approx(pilot, scene: SensingScene):
+    """Large-array form of the sensing information (exact for zero or one
+    clutter source); one value per pilot of a stack."""
+    return _per_pilot(np.log(_approx_log_arg(sense_state(pilot, scene))))
 
 
-def sensing_mi(pilot, scene: SensingScene, formula: str = "approx") -> float:
-    """Sensing metric under the globally selected formula ("approx" or "exact")."""
+def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
+    """Sensing metric under the globally selected formula ("approx" or
+    "exact"); "approx" also takes a stack of pilots."""
     if formula == "approx":
         return sensing_mi_approx(pilot, scene)
     if formula == "exact":
@@ -259,8 +315,9 @@ def sensing_mi(pilot, scene: SensingScene, formula: str = "approx") -> float:
     raise InvalidParameterError(f"unknown sensing formula {formula!r}")
 
 
-def isac_objective(pilot, objective: IsacObjective) -> float:
-    """rho-weighted scalarization of communication and (approximate) sensing metrics."""
+def isac_objective(pilot, objective: IsacObjective):
+    """rho-weighted scalarization of communication and (approximate) sensing
+    metrics; one value per pilot of a stack."""
     return objective.rho * comm_mi_weighted(pilot, objective) + (
         1.0 - objective.rho
     ) * sensing_mi_approx(pilot, objective.scene)

@@ -157,6 +157,15 @@ class TestGmmUserModelValidation:
                 noise_std=noise_std,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_means(self, bad):
+        means = np.zeros((2, 3), dtype=complex)
+        means[0] = bad
+        with pytest.raises(InvalidParameterError, match="means"):
+            GmmUserModel(
+                weights=[0.5, 0.5], means=means, covariances=np.stack([np.eye(3)] * 2), noise_std=0.3
+            )
+
 
 class TestGeometryAndSceneValidation:
     geom = ArrayGeometry(n_tx=4, n_rx=2)
@@ -181,6 +190,21 @@ class TestGeometryAndSceneValidation:
     def test_scene_rejects_bad_powers(self, changes):
         fields = dict(target_angle=10.0, target_power=1.0, clutter=(), radar_noise_std=0.5)
         with pytest.raises(InvalidParameterError):
+            SensingScene(geometry=self.geom, **{**fields, **changes})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"target_angle": np.nan},
+            {"target_angle": np.inf},
+            {"clutter": ((np.nan, 0.5),)},
+            {"clutter": ((10.0, 0.5), (-np.inf, 0.3))},
+            {"target_angle": np.nan, "clutter": ((np.nan, 0.5),)},
+        ],
+    )
+    def test_scene_rejects_non_finite_angles(self, changes):
+        fields = dict(target_angle=10.0, target_power=1.0, clutter=(), radar_noise_std=0.5)
+        with pytest.raises(InvalidParameterError, match="angles"):
             SensingScene(geometry=self.geom, **{**fields, **changes})
 
 

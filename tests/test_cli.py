@@ -417,6 +417,57 @@ class TestRunConfig:
         assert (outs[2] / "frontier.csv").read_bytes() == reference
 
 
+class TestWorkerPool:
+    """``_map_units`` starts a worker pool only when a second usable CPU can
+    take a worker; the usable-CPU count is patched, so a runner pinned to one
+    CPU still runs the pool path."""
+
+    CASES = [
+        ("frontier.csv", {}),
+        ("cloud.csv", task_overrides("pareto-cloud", "cloud", {"samples": 600})),
+    ]
+
+    @pytest.mark.parametrize("table, overrides", CASES)
+    def test_pool_output_is_byte_identical(self, tmp_path, monkeypatch, table, overrides):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        path = write_config(tmp_path, overrides)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run_config(path, out_dir=str(tmp_path / "one"), threads=1) == 0
+        assert started == []
+        assert run_config(path, out_dir=str(tmp_path / "pool"), threads=3) == 0
+        assert started == [2]
+        one = (tmp_path / "one" / table).read_bytes()
+        assert (tmp_path / "pool" / table).read_bytes() == one
+
+    def test_no_pool_on_one_usable_cpu(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        path = write_config(tmp_path)
+        assert run_config(path, out_dir=str(tmp_path / "out"), threads=3) == 0
+        assert (tmp_path / "out" / "frontier.csv").exists()
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._usable_cpus() == 6
+
+
 def frontier_columns(tmp_path, overrides, name):
     path = write_config(tmp_path, overrides, name=f"{name}.yaml")
     assert run_config(path, out_dir=str(tmp_path / name)) == 0

@@ -23,10 +23,12 @@ def make_instance(seed, n_tx=8, n_rx=4, n_slots=3):
 
 
 class TestFiniteDiffCheck:
+    """``objective_fn`` maps an (8, L, N_t) stack of stencil points to 8 values."""
+
     def test_frobenius_norm_squared(self):
         pilot = ip.random_stiefel(3, 7, substream(0, "fd"))
         err = finite_diff_check(
-            lambda p: float(np.linalg.norm(p) ** 2), lambda p: np.asarray(p), pilot
+            lambda p: np.linalg.norm(p, axis=(1, 2)) ** 2, lambda p: np.asarray(p), pilot
         )
         assert err <= 1e-8
 
@@ -35,11 +37,16 @@ class TestFiniteDiffCheck:
         c = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         pilot = ip.random_stiefel(3, 7, substream(2, "fd"))
         err = finite_diff_check(
-            lambda p: float(np.trace(c.T @ p.T).real),
+            lambda p: np.trace(c.T @ p.transpose(0, 2, 1), axis1=1, axis2=2).real,
             lambda p: c.conj().T / 2.0,
             pilot,
         )
         assert err <= 1e-8
+
+    def test_rejects_a_scalar_objective(self):
+        pilot = ip.random_stiefel(3, 7, substream(3, "fd"))
+        with pytest.raises(ip.DimensionError, match="8 values"):
+            finite_diff_check(lambda p: 0.0, lambda p: np.zeros_like(p), pilot)
 
     def test_rejects_bad_step(self):
         pilot = ip.random_stiefel(3, 7, substream(3, "fd"))

@@ -26,7 +26,7 @@ from isacpilot.config import build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
-from isacpilot.metrics import _user_groups, comm_state, effective_training_snr
+from isacpilot.metrics import _user_groups, comm_state, effective_training_snr, sense_state
 from isacpilot.streams import complex_normal
 from oracles import steering_vector
 from test_acceptance import gradient_instance
@@ -320,6 +320,107 @@ class TestUnitaryInvariance:
         # weight already differ by 1e-12 and more
         sampled = np.arange(len(obs)) % 3 != 0
         assert np.abs(got_resp - resp)[sampled].max() <= 1e-12
+
+
+def stack_case(case, n_pilots=5):
+    """(objective, (P, L, N_t) stack of random pilots) of ``invariance_case``'s
+    scenarios; the pilots are off the manifold by a small perturbation."""
+    objective, pilot, _ = invariance_case(case)
+    rng = ip.substream(15, "stack", case)
+    pilots = [ip.random_stiefel(pilot.n_slots, pilot.n_tx, rng).entries for _ in range(n_pilots)]
+    stack = np.array(pilots)
+    return objective, stack + 0.01 * complex_normal(rng, stack.shape)
+
+
+class TestPilotStack:
+    """A (P, L, N_t) stack of pilots gives each pilot the values of its own
+    call, bit for bit: the pilots' products are batched products of the same
+    shape as one pilot's, and every later step of ``comm_state`` and
+    ``sense_state`` works component by component (or pilot by pilot), so no
+    sum changes its order."""
+
+    @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
+    def test_comm_state_equals_per_pilot_calls(self, case):
+        objective, stack = stack_case(case)
+        for _, users in _user_groups(objective):
+            state = comm_state(stack, users)
+            n_comp = users[0].n_components
+            assert state.value.shape == state.log_omega.shape == (len(users), len(stack))
+            for p, phi in enumerate(stack):
+                one = comm_state(phi, users)
+                cols = slice(p * n_comp, (p + 1) * n_comp)
+                assert np.array_equal(state.value[:, p], one.value)
+                assert np.array_equal(state.log_omega[:, p], one.log_omega)
+                assert np.array_equal(state.log_mix[:, cols], one.log_mix)
+                assert np.array_equal(state.logdet[cols], one.logdet)
+                for got, expected in zip(state[4:], one[4:], strict=True):  # b, s, c
+                    assert np.array_equal(got[..., cols], expected)
+
+    @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
+    def test_sense_state_equals_per_pilot_calls(self, case):
+        objective, stack = stack_case(case)
+        state = sense_state(stack, objective.scene)
+        assert state.arg.shape == (len(stack),)
+        for p, phi in enumerate(stack):
+            one = sense_state(phi, objective.scene)
+            assert state.arg[p] == one.arg
+            for field in ("u", "gram", "clutter_denoms"):
+                assert np.array_equal(getattr(state, field)[p], getattr(one, field))
+
+    @pytest.mark.parametrize("case", ["sweep_tradeoff", "gradcheck_small", "roc_compare+clutter"])
+    def test_metrics_return_one_value_per_pilot(self, case):
+        objective, stack = stack_case(case)
+        model, scene = objective.users[0], objective.scene
+        for metric in (
+            lambda p: ip.comm_mi_user(p, model),
+            lambda p: ip.comm_mi_weighted(p, objective),
+            lambda p: ip.sensing_mi_approx(p, scene),
+            lambda p: ip.isac_objective(p, objective),
+        ):
+            values = metric(stack)
+            assert values.shape == (len(stack),)
+            assert values.tolist() == [metric(phi) for phi in stack]
+
+    def test_single_pilot_keeps_its_shapes(self):
+        objective = build_objective(parse_config(str(SWEEP_CONFIG)).scenario, 0.5)
+        users = objective.users
+        pilot = ip.random_stiefel(4, 16, ip.substream(16, "stack"))
+        state = comm_state(pilot, users)
+        n_users, rank, n_comp = len(users), users[0].rank, users[0].n_components
+        assert state.value.shape == state.log_omega.shape == (n_users,)
+        assert state.log_mix.shape == (n_users, n_comp)
+        assert state.logdet.shape == (n_comp,)
+        assert state.b.shape == state.c.shape == (4, rank, n_comp)
+        assert state.s.shape == (4, n_users, n_comp)
+        assert isinstance(ip.comm_mi_user(pilot, users[0]), float)
+        assert isinstance(sense_state(pilot, objective.scene).arg, float)
+
+    def test_domain_error_names_the_failing_pilot(self):
+        # clutter on the target drives the approximate log argument below
+        # zero for a unit-power pilot; a pilot scaled by 1e-3 stays above it
+        scene = ip.SensingScene(
+            target_angle=20.0, target_power=50.0, clutter=((20.0, 200.0), (20.0, 200.0)),
+            radar_noise_std=0.5, geometry=ip.ArrayGeometry(n_tx=8, n_rx=4),
+        )
+        phi = ip.random_stiefel(3, 8, ip.substream(17, "stack")).entries
+        stack = np.array([1e-3 * phi, 1e-3 * phi, phi, 1e-3 * phi])
+        assert sense_state(stack[:2], scene).arg.min() > 0.0
+        with pytest.raises(ip.ObjectiveDomainError, match="of pilot 2 ") as excinfo:
+            ip.sensing_mi_approx(stack, scene)
+        assert excinfo.value.value == sense_state(phi, scene).arg <= 0.0
+
+    def test_single_pilot_functions_reject_a_stack(self):
+        objective, stack = stack_case("roc_compare+clutter")
+        for call in (
+            lambda: ip.sensing_mi_exact(stack, objective.scene),
+            lambda: ip.grad_sensing_mi(stack, objective.scene),
+            lambda: ip.grad_comm_mi_user(stack, objective.users[0]),
+            lambda: isac_value_and_grad(stack, objective),
+        ):
+            with pytest.raises(ip.DimensionError):
+                call()
+        with pytest.raises(ip.DimensionError):
+            comm_state(stack[None], objective.users[:1])
 
 
 def shared_users(prior, noises):

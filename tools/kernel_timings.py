@@ -26,7 +26,15 @@ are:
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
   trials, which sets the ``montecarlo`` workload's peak memory;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
-  points, 5,000 symbols per user).
+  points, 5,000 symbols per user);
+- ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
+  (N_t = 16, L = 4, K = 2 users sharing one 180-component prior), one pilot
+  per call and a stack of ``STACK`` pilots per call; the stack row reports
+  times per pilot, so the two rows compare directly;
+- ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
+  two users with their own noise levels, two clutter sources), one check of
+  the ISAC objective at the config's rho, as the gradcheck task runs it per
+  instance.
 
 Pilots are random (fixed seed), since the timings do not depend on them.
 
@@ -63,8 +71,8 @@ from isacpilot.evaluation import (  # noqa: E402
     ser_experiment,
     simulate_detection_trials,
 )
-from isacpilot.gradients import isac_value_and_grad  # noqa: E402
-from isacpilot.metrics import comm_state, sense_state  # noqa: E402
+from isacpilot.gradients import finite_diff_check, grad_isac, isac_value_and_grad  # noqa: E402
+from isacpilot.metrics import comm_state, isac_objective, sense_state  # noqa: E402
 from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
 
@@ -80,6 +88,8 @@ SER_TRIALS = 400
 DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
+STACK = 8  # pilots per comm_state call in the stack row, as finite_diff_check passes
+PILOTS_PER_CALL = {"comm_state_cloud_stack": STACK}
 
 
 def scenario(stem: str):
@@ -131,6 +141,19 @@ def kernels() -> dict:
     params = ser_config.task_params
     ser_rng = substream(4, "kernel-timings", "ser")
 
+    _, cloud = scenario("pareto_cloud")
+    cloud_users = build_objective(cloud, 0.0).users
+    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(STACK)])
+    cloud_shape = (
+        f"N_t={cloud['n_tx']} L={cloud['pilot_len']} K={len(cloud_users)} "
+        f"N_k={cloud['n_components']}"
+    )
+
+    grad_config, grad = scenario("gradcheck_small")
+    grad_objective = build_objective(grad, grad["rho"])
+    grad_pilot = pilot_for(grad, "gradcheck")
+    grad_step = grad_config.task_params["step"]
+
     return {
         "comm_state": (sweep_shape, lambda: comm_state(pilot, objective.users)),
         "sense_state": (sweep_shape, lambda: sense_state(pilot, objective.scene)),
@@ -161,6 +184,21 @@ def kernels() -> dict:
             f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(MC_ROC_CLUTTER)} "
             f"trials={MC_ROC_TRIALS}",
             lambda: simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng),
+        ),
+        "comm_state_cloud": (cloud_shape, lambda: comm_state(cloud_stack[0], cloud_users)),
+        "comm_state_cloud_stack": (
+            f"{cloud_shape} per pilot of {STACK}",
+            lambda: comm_state(cloud_stack, cloud_users),
+        ),
+        "finite_diff_check": (
+            f"N_t={grad['n_tx']} L={grad['pilot_len']} K={len(grad_objective.users)} "
+            f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)} isac",
+            lambda: finite_diff_check(
+                lambda p: isac_objective(p, grad_objective),
+                lambda p: grad_isac(p, grad_objective),
+                grad_pilot,
+                grad_step,
+            ),
         ),
         "ser_experiment": (
             f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
@@ -228,7 +266,7 @@ def main(argv=None) -> None:
     )
     for name in args.names or table:
         shape, call = table[name]
-        times = time_calls(call, args.seconds)
+        times = time_calls(call, args.seconds) / PILOTS_PER_CALL.get(name, 1)
         peak_mb = traced_peak(call) / 1e6
         q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
         print(
