@@ -2,10 +2,13 @@
 
 Every output file carries '#'-prefixed metadata (config hash, seed, code
 version, units) followed by a header row and 17-significant-digit values.
-Independent work units (trade-off values, pilot sources, cloud chunks) run
-behind fixed named substreams, on a worker pool when more than one usable
-CPU can take them, so outputs are byte identical for a given config and
-seed regardless of --threads.
+Every task takes one path from config to tables: it lists its independent
+work units (trade-off values, pilot sources, cloud chunks, instance
+indices), maps a unit function over them with the shared inputs bound in
+front, and hands the rows to ``_table``, which adds the metadata every
+table carries. Units run behind fixed named substreams, on a worker pool
+when more than one usable CPU can take them, so outputs are byte identical
+for a given config and seed regardless of --threads.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -84,8 +88,10 @@ def emit_table(table: ResultTable, path: str) -> None:
     os.replace(tmp_path, path)
 
 
-def _base_metadata(config: ExperimentConfig) -> dict:
-    return {
+def _table(config: ExperimentConfig, name: str, header: str, rows: list, **metadata) -> ResultTable:
+    """A task's table: the comma-separated ``header`` names its columns, and the
+    metadata every table carries comes before the task's own ``metadata``."""
+    base = {
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "version": __version__,
@@ -95,23 +101,28 @@ def _base_metadata(config: ExperimentConfig) -> dict:
         "mean_scale": config.scenario["mean_scale"],
         "sensing_formula": config.scenario["sensing_formula"],
     }
+    return ResultTable(name, header.split(","), rows, {**base, **metadata})
+
+
+def _random_pilot(config: ExperimentConfig, *role):
+    """A random pilot of the scenario's shape, drawn from ``substream(config.seed, *role)``."""
+    scenario = config.scenario
+    return random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(config.seed, *role))
 
 
 def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
     """The pilot a task evaluates; ``built`` is ``build_users(config.scenario)``
     when the caller already has it, so the models are not built twice."""
     scenario = config.scenario
-    n_slots, n_tx = scenario["pilot_len"], scenario["n_tx"]
     if source == "random":
-        return random_stiefel(n_slots, n_tx, substream(config.seed, "baseline"))
+        return _random_pilot(config, "baseline")
     if source == "dft":
-        return dft_pilot(n_slots, n_tx)
+        return dft_pilot(scenario["pilot_len"], scenario["n_tx"])
     users, weights = built or build_users(scenario)
     if source == "eigen":
-        return eigen_pilot(n_slots, users, weights)
+        return eigen_pilot(scenario["pilot_len"], users, weights)
     objective = IsacObjective(scenario["rho"], weights, users, build_scene(scenario))
-    init = random_stiefel(n_slots, n_tx, substream(config.seed, "init"))
-    return optimize_pgd(init, objective, config.optimizer).final_pilot
+    return optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer).final_pilot
 
 
 def _usable_cpus() -> int:
@@ -123,6 +134,10 @@ def _usable_cpus() -> int:
 
 def _map_units(worker, units, threads: int) -> list:
     """Order-preserving map over picklable work units.
+
+    ``worker`` is a unit function with the task's shared inputs bound in
+    front of the unit by ``functools.partial``, so a pool pickles them with
+    every unit.
 
     Runs them in this process unless a second usable CPU can take a worker:
     a pool of one worker, or of workers sharing one CPU, only adds its
@@ -137,70 +152,45 @@ def _map_units(worker, units, threads: int) -> list:
         return list(pool.map(worker, units))
 
 
-def _sweep_unit(args) -> tuple:
-    config, objective, rho = args
-    scenario = config.scenario
-    init = random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "init"))
-    point = rho_sweep(objective, [rho], init, config.optimizer)[0]
+def _sweep_unit(config: ExperimentConfig, objective: IsacObjective, rho: float) -> tuple:
+    point = rho_sweep(objective, [rho], _random_pilot(config, "init"), config.optimizer)[0]
     # endpoint sense MI reported under the globally selected formula; the
     # ascent itself always follows the approximate objective
-    sense = sensing_mi(point.pilot, objective.scene, scenario["sensing_formula"])
-    objective_val = rho * point.comm_mi + (1.0 - rho) * sense
-    return (rho, point.comm_mi / LN2, sense / LN2, objective_val / LN2, point.iterations, point.residual)
+    sense = sensing_mi(point.pilot, objective.scene, config.scenario["sensing_formula"])
+    value = rho * point.comm_mi + (1.0 - rho) * sense
+    return (rho, point.comm_mi / LN2, sense / LN2, value / LN2, point.iterations, point.residual)
 
 
 def _task_sweep(config: ExperimentConfig, threads: int) -> list:
     # one objective for every unit; rho_sweep sets each unit's own rho
-    objective = build_objective(config.scenario, 0.0)
-    units = [(config, objective, rho) for rho in config.task_params["rho_values"]]
-    rows = _map_units(_sweep_unit, units, threads)
-    table = ResultTable(
-        name="frontier",
-        columns=["rho", "comm_mi_bits", "sense_mi_bits", "objective_bits", "iters", "residual"],
-        rows=rows,
-        metadata=_base_metadata(config),
-    )
-    return [table]
+    unit = partial(_sweep_unit, config, build_objective(config.scenario, 0.0))
+    rows = _map_units(unit, config.task_params["rho_values"], threads)
+    header = "rho,comm_mi_bits,sense_mi_bits,objective_bits,iters,residual"
+    return [_table(config, "frontier", header, rows)]
 
 
 def _task_optimize(config: ExperimentConfig, threads: int) -> list:
-    scenario = config.scenario
-    objective = build_objective(scenario, scenario["rho"])
-    init = random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "init"))
-    trace = optimize_pgd(init, objective, config.optimizer)
-    meta = _base_metadata(config)
-    meta["rho"] = scenario["rho"]
+    rho = config.scenario["rho"]
+    objective = build_objective(config.scenario, rho)
+    trace = optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
     trace_rows = [
         (int(it), obj / LN2, comm / LN2, sense / LN2, res)
         for it, obj, comm, sense, res in zip(
             trace.iterations, trace.objective, trace.comm_mi, trace.sense_mi, trace.residual
         )
     ]
-    trace_table = ResultTable(
-        name="trace",
-        columns=["iteration", "objective_bits", "comm_mi_bits", "sense_mi_bits", "residual"],
-        rows=trace_rows,
-        metadata=meta,
-    )
-    entries = trace.final_pilot.entries
-    pilot_rows = [
-        (slot, antenna, entries[slot, antenna].real, entries[slot, antenna].imag)
-        for slot in range(entries.shape[0])
-        for antenna in range(entries.shape[1])
+    pilot_rows = [(i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(trace.final_pilot.entries)]
+    trace_header = "iteration,objective_bits,comm_mi_bits,sense_mi_bits,residual"
+    return [
+        _table(config, "trace", trace_header, trace_rows, rho=rho),
+        _table(config, "pilot", "slot,antenna,re,im", pilot_rows, rho=rho),
     ]
-    pilot_table = ResultTable(
-        name="pilot",
-        columns=["slot", "antenna", "re", "im"],
-        rows=pilot_rows,
-        metadata=meta,
-    )
-    return [trace_table, pilot_table]
 
 
-def _cloud_unit(args) -> list:
-    config, objective, chunk_index, chunk_size = args
+def _cloud_unit(config: ExperimentConfig, objective: IsacObjective, chunk_index: int) -> list:
+    size = min(CLOUD_CHUNK, config.task_params["samples"] - chunk_index * CLOUD_CHUNK)
     pairs = sample_feasible_cloud(
-        chunk_size,
+        size,
         config.scenario["pilot_len"],
         objective,
         substream(config.seed, "cloud", chunk_index),
@@ -210,146 +200,110 @@ def _cloud_unit(args) -> list:
 
 
 def _task_pareto_cloud(config: ExperimentConfig, threads: int) -> list:
-    total = config.task_params["samples"]
-    objective = build_objective(config.scenario, 0.0)
-    chunks = [
-        (config, objective, i, min(CLOUD_CHUNK, total - i * CLOUD_CHUNK))
-        for i in range((total + CLOUD_CHUNK - 1) // CLOUD_CHUNK)
-    ]
-    pairs = [pair for chunk in _map_units(_cloud_unit, chunks, threads) for pair in chunk]
+    unit = partial(_cloud_unit, config, build_objective(config.scenario, 0.0))
+    n_chunks = -(-config.task_params["samples"] // CLOUD_CHUNK)  # rounded up
+    chunks = _map_units(unit, range(n_chunks), threads)
+    pairs = [pair for chunk in chunks for pair in chunk]
     kept_set = {tuple(p) for p in pareto_filter(pairs)}
     rows = [
         (i, sense / LN2, comm / LN2, 1.0 if (sense, comm) in kept_set else 0.0)
         for i, (sense, comm) in enumerate(pairs)
     ]
-    table = ResultTable(
-        name="cloud",
-        columns=["sample", "sense_mi_bits", "comm_mi_bits", "pareto"],
-        rows=rows,
-        metadata=_base_metadata(config),
-    )
-    return [table]
+    return [_table(config, "cloud", "sample,sense_mi_bits,comm_mi_bits,pareto", rows)]
 
 
 def _task_roc(config: ExperimentConfig, threads: int) -> list:
     params = config.task_params
-    pilot = _pilot_for_source(params["pilot_source"], config)
+    source = params["pilot_source"]
+    # the user models are built only for a pilot that needs them, which a
+    # random or DFT pilot does not
+    pilot = _pilot_for_source(source, config)
     scene = build_scene(config.scenario)
     curve = roc_curve(pilot, scene, params["trials"], params["p_fa"], substream(config.seed, "roc"))
-    meta = _base_metadata(config)
-    meta["pilot_source"] = params["pilot_source"]
-    meta["trials"] = params["trials"]
-    rows = [
-        (pfa, pd, thr, float(low))
-        for pfa, pd, thr, low in zip(curve.p_fa, curve.p_d, curve.thresholds, curve.low_resolution)
-    ]
-    return [ResultTable("roc", ["p_fa", "p_d", "threshold", "low_resolution"], rows, meta)]
+    rows = list(zip(curve.p_fa, curve.p_d, curve.thresholds, curve.low_resolution))
+    header = "p_fa,p_d,threshold,low_resolution"
+    return [_table(config, "roc", header, rows, pilot_source=source, trials=params["trials"])]
 
 
-def _nmse_unit(args) -> list:
-    config, built, source_id, source = args
+def _per_source(unit, config: ExperimentConfig, threads: int) -> tuple:
+    """``unit(config, built, source)`` over the task's pilot sources, each of its
+    rows led by the source's id, and the ``sources`` legend of those ids."""
+    sources = config.task_params["sources"]
+    chunks = _map_units(partial(unit, config, build_users(config.scenario)), sources, threads)
+    rows = [(i, *row) for i, chunk in enumerate(chunks) for row in chunk]
+    return rows, " ".join(f"{i}={s}" for i, s in enumerate(sources))
+
+
+def _nmse_unit(config: ExperimentConfig, built, source: str) -> list:
     users = built[0]
     pilot = _pilot_for_source(source, config, built)
-    per_user, pooled = nmse_experiment(
-        pilot, users, config.task_params["trials"], substream(config.seed, "nmse")
-    )
-    rows = [(float(source_id), float(k), float(v)) for k, v in enumerate(per_user)]
-    rows.append((float(source_id), float(len(users)), pooled))
-    return rows
+    rng = substream(config.seed, "nmse")
+    per_user, pooled = nmse_experiment(pilot, users, config.task_params["trials"], rng)
+    return [*enumerate(per_user), (len(users), pooled)]
 
 
 def _task_nmse(config: ExperimentConfig, threads: int) -> list:
-    sources = config.task_params["sources"]
-    built = build_users(config.scenario)
-    units = [(config, built, i, s) for i, s in enumerate(sources)]
-    rows = [row for chunk in _map_units(_nmse_unit, units, threads) for row in chunk]
-    meta = _base_metadata(config)
-    meta["sources"] = " ".join(f"{i}={s}" for i, s in enumerate(sources))
-    meta["user_legend"] = f"user ids 0..K-1, {len(config.scenario['users'])} = pooled"
-    meta["trials"] = config.task_params["trials"]
-    return [ResultTable("nmse", ["source_id", "user_id", "nmse"], rows, meta)]
+    rows, sources = _per_source(_nmse_unit, config, threads)
+    legend = f"user ids 0..K-1, {len(config.scenario['users'])} = pooled"
+    metadata = {"sources": sources, "user_legend": legend, "trials": config.task_params["trials"]}
+    return [_table(config, "nmse", "source_id,user_id,nmse", rows, **metadata)]
 
 
-def _ser_unit(args) -> list:
-    config, built, source_id, source = args
+def _ser_unit(config: ExperimentConfig, built, source: str) -> list:
     params = config.task_params
+    snrs = params["snr_grid_db"]
     pilot = _pilot_for_source(source, config, built)
-    ser = ser_experiment(
-        pilot,
-        built[0],
-        params["snr_grid_db"],
-        params["n_symbols"],
-        params["block_len"],
-        substream(config.seed, "ser"),
-    )
-    return [(float(source_id), snr, val) for snr, val in zip(params["snr_grid_db"], ser)]
+    rng = substream(config.seed, "ser")
+    ser = ser_experiment(pilot, built[0], snrs, params["n_symbols"], params["block_len"], rng)
+    return list(zip(snrs, ser))
 
 
 def _task_ser(config: ExperimentConfig, threads: int) -> list:
-    sources = config.task_params["sources"]
-    built = build_users(config.scenario)
-    units = [(config, built, i, s) for i, s in enumerate(sources)]
-    rows = [row for chunk in _map_units(_ser_unit, units, threads) for row in chunk]
-    meta = _base_metadata(config)
-    meta["sources"] = " ".join(f"{i}={s}" for i, s in enumerate(sources))
-    meta["snr_definition"] = "per-user nominal receive SNR: unit symbol energy, unit-norm precoder columns, noise var 10^(-snr_db/10)"
-    meta["block_len"] = config.task_params["block_len"]
-    meta["n_symbols_per_user"] = config.task_params["n_symbols"]
-    return [ResultTable("ser", ["source_id", "snr_db", "ser"], rows, meta)]
+    params = config.task_params
+    rows, sources = _per_source(_ser_unit, config, threads)
+    metadata = {
+        "sources": sources,
+        "snr_definition": "per-user nominal receive SNR: unit symbol energy, unit-norm precoder "
+        "columns, noise var 10^(-snr_db/10)",
+        "block_len": params["block_len"],
+        "n_symbols_per_user": params["n_symbols"],
+    }
+    return [_table(config, "ser", "source_id,snr_db,ser", rows, **metadata)]
 
 
-def _gradcheck_unit(args) -> tuple:
-    config, objective, index = args
-    scenario = config.scenario
-    scene = objective.scene
-    pilot = random_stiefel(
-        scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "gradcheck", index)
+def _gradcheck_unit(config: ExperimentConfig, objective: IsacObjective, index: int) -> tuple:
+    pilot = _random_pilot(config, "gradcheck", index)
+    model, scene = objective.users[0], objective.scene
+    checks = (
+        (lambda p: comm_mi_user(p, model), lambda p: grad_comm_mi_user(p, model)),
+        (lambda p: sensing_mi_approx(p, scene), lambda p: grad_sensing_mi(p, scene)),
+        (lambda p: isac_objective(p, objective), lambda p: grad_isac(p, objective)),
     )
     step = config.task_params["step"]
-    model = objective.users[0]
-    err_comm = finite_diff_check(
-        lambda p: comm_mi_user(p, model), lambda p: grad_comm_mi_user(p, model), pilot, step
-    )
-    err_sense = finite_diff_check(
-        lambda p: sensing_mi_approx(p, scene), lambda p: grad_sensing_mi(p, scene), pilot, step
-    )
-    err_isac = finite_diff_check(
-        lambda p: isac_objective(p, objective), lambda p: grad_isac(p, objective), pilot, step
-    )
-    return (float(index), err_comm, err_sense, err_isac)
+    return (index, *(finite_diff_check(f, grad, pilot, step) for f, grad in checks))
 
 
 def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:
     params = config.task_params
-    objective = build_objective(config.scenario, config.scenario.get("rho", 0.5))
-    units = [(config, objective, i) for i in range(params["instances"])]
-    rows = _map_units(_gradcheck_unit, units, threads)
-    worst = max(max(r[1], r[2], r[3]) for r in rows)
-    meta = _base_metadata(config)
-    meta["max_rel_err"] = format(worst, ".17g")
-    meta["tolerance"] = params["tolerance"]
-    if worst > params["tolerance"]:
+    rho = config.scenario["rho"]
+    unit = partial(_gradcheck_unit, config, build_objective(config.scenario, rho))
+    rows = _map_units(unit, range(params["instances"]), threads)
+    worst = max(max(row[1:]) for row in rows)
+    tolerance = params["tolerance"]
+    if worst > tolerance:
         raise NumericError(
-            f"gradient check failed: max relative error {worst:.3e} exceeds {params['tolerance']:.1e}"
+            f"gradient check failed: max relative error {worst:.3e} exceeds {tolerance:.1e}"
         )
-    return [ResultTable("gradcheck", ["instance", "comm_err", "sense_err", "isac_err"], rows, meta)]
+    metadata = {"max_rel_err": format(worst, ".17g"), "tolerance": tolerance}
+    return [_table(config, "gradcheck", "instance,comm_err,sense_err,isac_err", rows, **metadata)]
 
 
-def _diag_unit(args) -> tuple:
-    config, objective, index = args
-    scenario = config.scenario
-    pilot = random_stiefel(
-        scenario["pilot_len"], scenario["n_tx"], substream(config.seed, "diag-pilot", index)
-    )
-    comm = comm_mi_weighted(pilot, objective)
-    c_worst = c_worst_estimate(
-        pilot,
-        objective.users,
-        config.task_params["block_len"],
-        config.task_params["trials"],
-        substream(config.seed, "diag-cw", index),
-    )
-    return (float(index), comm / LN2, c_worst / LN2)
+def _diag_unit(config: ExperimentConfig, objective: IsacObjective, index: int) -> tuple:
+    params = config.task_params
+    pilot = _random_pilot(config, "diag-pilot", index)
+    rng = substream(config.seed, "diag-cw", index)
+    c_worst = c_worst_estimate(pilot, objective.users, params["block_len"], params["trials"], rng)
+    return (index, comm_mi_weighted(pilot, objective) / LN2, c_worst / LN2)
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -375,16 +329,17 @@ def _spearman(x, y) -> float:
 
 
 def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
-    objective = build_objective(config.scenario, 0.0)
-    units = [(config, objective, i) for i in range(config.task_params["pilots"])]
-    rows = _map_units(_diag_unit, units, threads)
-    meta = _base_metadata(config)
-    comm = [r[1] for r in rows]
-    cw = [r[2] for r in rows]
-    meta["spearman_comm_vs_cworst"] = format(_spearman(comm, cw), ".17g")
-    meta["block_len"] = config.task_params["block_len"]
-    meta["trials"] = config.task_params["trials"]
-    return [ResultTable("diagnostics", ["pilot_index", "comm_mi_bits", "c_worst_bits"], rows, meta)]
+    params = config.task_params
+    unit = partial(_diag_unit, config, build_objective(config.scenario, 0.0))
+    rows = _map_units(unit, range(params["pilots"]), threads)
+    _, comm, c_worst = zip(*rows)
+    metadata = {
+        "spearman_comm_vs_cworst": format(_spearman(comm, c_worst), ".17g"),
+        "block_len": params["block_len"],
+        "trials": params["trials"],
+    }
+    header = "pilot_index,comm_mi_bits,c_worst_bits"
+    return [_table(config, "diagnostics", header, rows, **metadata)]
 
 
 _RUNNERS = {
@@ -399,6 +354,20 @@ _RUNNERS = {
 }
 
 
+def _load_config(config_path: str, task: str | None, seed: int | None, out_dir: str | None):
+    """The parsed config, or None once the reason it cannot be had is printed (exit 2)."""
+    try:
+        config = parse_config(config_path, seed_override=seed, out_override=out_dir)
+        if task is not None and task != config.task:
+            raise ConfigError(f"config.task: file says {config.task!r} but {task!r} was requested")
+        return config
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    return None
+
+
 def run_config(
     config_path: str,
     task: str | None = None,
@@ -407,17 +376,9 @@ def run_config(
     threads: int = 1,
 ) -> int:
     """Execute the configured task; returns the process exit status."""
-    try:
-        config = parse_config(config_path, seed_override=seed, out_override=out_dir)
-        if task is not None and task != config.task:
-            raise ConfigError(f"config.task: file says {config.task!r} but {task!r} was requested")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    config = _load_config(config_path, task, seed, out_dir)
+    if config is None:
         return 2
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-
     try:
         tables = _RUNNERS[config.task](config, threads)
     except IsacPilotError as exc:
@@ -442,10 +403,8 @@ def run_config(
 
 def verify_outputs(config_path: str, seed: int | None, out_dir: str | None) -> int:
     """Re-hash the config and confirm every CSV in the output dir matches."""
-    try:
-        config = parse_config(config_path, seed_override=seed, out_override=out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    config = _load_config(config_path, None, seed, out_dir)
+    if config is None:
         return 2
     expected = config.config_hash()
     directory = config.output_dir
@@ -484,11 +443,13 @@ def main(argv=None) -> None:
     parser.add_argument("--config", required=True, help="path to the experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes, at most one per usable CPU")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most one per usable CPU"
+    )
     args = parser.parse_args(argv)
     if args.task == "verify":
         sys.exit(verify_outputs(args.config, args.seed, args.out))
-    sys.exit(run_config(args.config, task=args.task, seed=args.seed, out_dir=args.out, threads=args.threads))
+    sys.exit(run_config(args.config, args.task, args.seed, args.out, args.threads))
 
 
 if __name__ == "__main__":

@@ -246,9 +246,10 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
     scenario = {**scenario.pop("geometry"), **scenario}
     if scenario["pilot_len"] >= scenario["n_tx"]:
         raise ConfigError("scenario.pilot_len: must be strictly below geometry.n_tx")
-    # rho fixes the objective of every optimized pilot the task uses
+    # rho fixes the objective that optimize and gradcheck evaluate and that
+    # every optimized pilot of a task is ascended on
     pilots = [*task_params.get("sources", ()), task_params.get("pilot_source")]
-    if "rho" not in scenario and (task == "optimize" or "optimized" in pilots):
+    if "rho" not in scenario and (task in ("optimize", "gradcheck") or "optimized" in pilots):
         raise ConfigError("scenario.rho: required for this task")
     weights = [user["weight"] for user in scenario["users"] if "weight" in user]
     if weights and len(weights) < len(scenario["users"]):

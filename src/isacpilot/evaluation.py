@@ -335,8 +335,6 @@ def ser_experiment(
 
 def dft_pilot(n_slots: int, n_tx: int) -> PilotMatrix:
     """Pilot rows drawn from the unitary DFT matrix (benchmark design)."""
-    if n_slots >= n_tx:
-        raise DimensionError("pilot length must be strictly below the antenna count")
     grid = np.outer(np.arange(n_slots), np.arange(n_tx))
     return PilotMatrix(np.exp(-2j * np.pi * grid / n_tx) / np.sqrt(n_tx))
 
@@ -344,8 +342,6 @@ def dft_pilot(n_slots: int, n_tx: int) -> PilotMatrix:
 def eigen_pilot(n_slots: int, users: list, user_weights=None) -> PilotMatrix:
     """Strongest eigenvectors of the pooled channel covariance (benchmark design)."""
     n_tx = users[0].n_tx
-    if n_slots >= n_tx:
-        raise DimensionError("pilot length must be strictly below the antenna count")
     if user_weights is None:
         user_weights = np.full(len(users), 1.0 / len(users))
     pooled = np.zeros((n_tx, n_tx), dtype=complex)

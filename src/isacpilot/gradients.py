@@ -189,7 +189,9 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     of one pilot entry (four along the real direction, then four along the
     imaginary one) form one (8, L, N_t) stack, and ``objective_fn`` maps a
     stack to its 8 values, as the metrics of ``metrics`` do.  Returns
-    max |analytic - numeric| / max(1e-12, |numeric|).
+    max |analytic - numeric| / max(1e-12, |numeric|); a stencil value or an
+    analytic derivative that is not finite raises ``NumericError`` naming
+    the pilot entry, since a NaN error would otherwise drop out of the max.
     """
     if step <= 0:
         raise InvalidParameterError("finite-difference step must be positive")
@@ -208,6 +210,9 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
             if values.shape != STENCIL.shape:
                 n = STENCIL.size
                 raise DimensionError(f"objective_fn must map an ({n}, L, N_t) stack to {n} values")
+            if not (np.isfinite(values).all() and np.isfinite(g_entries[i, j])):
+                problem = "a stencil value or the analytic derivative is not finite"
+                raise NumericError(f"pilot entry ({i}, {j}): {problem}")
             for f, analytic in (
                 (values[:4].tolist(), 2.0 * g_entries[i, j].real),
                 (values[4:].tolist(), 2.0 * g_entries[i, j].imag),

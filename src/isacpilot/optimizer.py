@@ -14,7 +14,6 @@ import numpy as np
 
 from .channel import PilotMatrix, pilot_entries
 from .errors import (
-    DimensionError,
     InvalidParameterError,
     IsacPilotError,
     NumericError,
@@ -82,8 +81,6 @@ def project_stiefel(z) -> PilotMatrix:
 
 def random_stiefel(n_slots: int, n_tx: int, rng: np.random.Generator) -> PilotMatrix:
     """Random orthogonal pilot: projected i.i.d. complex Gaussian matrix."""
-    if n_slots >= n_tx:
-        raise DimensionError("pilot length must be strictly below the antenna count")
     return project_stiefel(complex_normal(rng, (n_slots, n_tx)))
 
 

@@ -232,10 +232,19 @@ PARSE_MESSAGES = [
     ({"sweep.rho_values": [0.5, -0.1]}, "sweep.rho_values: values must lie in [0, 1]"),
     ({"scenario.pilot_len": 8}, "scenario.pilot_len: must be strictly below geometry.n_tx"),
     ({"task": "optimize", "sweep": ...}, "scenario.rho: required for this task"),
+    ({"task": "gradcheck", "sweep": ...}, "scenario.rho: required for this task"),
 ]
 
 
-@pytest.mark.parametrize("overrides, message", PARSE_MESSAGES, ids=[m for _, m in PARSE_MESSAGES])
+def message_ids(cases):
+    """Each case named by its message; a message named before also names its task."""
+    ids = []
+    for overrides, message in cases:
+        ids.append(f"{overrides['task']}: {message}" if message in ids else message)
+    return ids
+
+
+@pytest.mark.parametrize("overrides, message", PARSE_MESSAGES, ids=message_ids(PARSE_MESSAGES))
 def test_parse_error_message(tmp_path, overrides, message):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(write_config(tmp_path, overrides))
@@ -425,6 +434,9 @@ class TestWorkerPool:
     CASES = [
         ("frontier.csv", {}),
         ("cloud.csv", task_overrides("pareto-cloud", "cloud", {"samples": 600})),
+        # units bound to shared user models, and one unit per gradient-check instance
+        ("nmse.csv", task_overrides("nmse", "nmse", {"trials": 50, "sources": ["random", "dft"]})),
+        ("gradcheck.csv", task_overrides("gradcheck", "gradcheck", {"instances": 2})),
     ]
 
     @pytest.mark.parametrize("table, overrides", CASES)
@@ -535,6 +547,15 @@ class TestVerify:
         out = tmp_path / "out"
         assert run_config(path, out_dir=str(out)) == 0
         assert verify_outputs(path, 12345, str(out)) == 3
+
+    @pytest.mark.parametrize("content", [None, b"task: \xd0\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.yaml"
+        if content is not None:
+            path.write_bytes(content)
+        assert verify_outputs(str(path), None, str(tmp_path / "out")) == 2
+        assert run_config(str(path), out_dir=str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.count("error: cannot read config") == 2
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

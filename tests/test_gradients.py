@@ -53,6 +53,19 @@ class TestFiniteDiffCheck:
         with pytest.raises(ip.InvalidParameterError):
             finite_diff_check(lambda p: 0.0, lambda p: np.zeros_like(p), pilot, step=0.0)
 
+    # max() drops a NaN error, so a broken objective or gradient would pass as a perfect match
+    def test_rejects_a_nan_objective(self):
+        pilot = ip.random_stiefel(3, 8, substream(3, "fd"))
+        with pytest.raises(ip.NumericError, match=r"pilot entry \(0, 0\)"):
+            finite_diff_check(lambda p: np.full(len(p), np.nan), lambda p: np.ones((3, 8), complex), pilot)
+
+    def test_rejects_a_nan_gradient(self):
+        pilot = ip.random_stiefel(3, 8, substream(3, "fd"))
+        with pytest.raises(ip.NumericError, match=r"pilot entry \(0, 0\)"):
+            finite_diff_check(
+                lambda p: np.linalg.norm(p, axis=(1, 2)) ** 2, lambda p: np.full((3, 8), np.nan), pilot
+            )
+
 
 class TestCommGradient:
     def test_zero_for_constant_objective(self):

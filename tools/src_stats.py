@@ -6,6 +6,8 @@ For each module under ``src/isacpilot`` and in total it prints
 - ``code``: lines that hold code, i.e. lines other than blanks, comments and
   docstrings (module, class and function docstrings, found with ``ast``;
   everything else is classified with ``tokenize``);
+- ``long``: lines longer than ``LONG`` characters, so that a drop in code
+  lines made by joining lines shows up in review;
 
 followed by the number of public names that ``isacpilot/__init__.py`` binds,
 those of them that no other module of the package references (names that
@@ -25,6 +27,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+LONG = 100
 NON_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -125,15 +128,17 @@ def linalg_calls(path: Path) -> list:
 
 def main(argv: list) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "isacpilot"
-    total_lines = total_code = 0
-    print(f"{'module':<20}{'lines':>8}{'code':>8}")
+    total_lines = total_code = total_long = 0
+    print(f"{'module':<20}{'lines':>8}{'code':>8}{'long':>8}")
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines, code = len(source.splitlines()), code_lines(source)
+        long = sum(len(line) > LONG for line in source.splitlines())
         total_lines += lines
         total_code += code
-        print(f"{path.name:<20}{lines:>8}{code:>8}")
-    print(f"{'total':<20}{total_lines:>8}{total_code:>8}")
+        total_long += long
+        print(f"{path.name:<20}{lines:>8}{code:>8}{long:>8}")
+    print(f"{'total':<20}{total_lines:>8}{total_code:>8}{total_long:>8}")
     names = public_names(package / "__init__.py")
     print(f"public names in {package.name}: {len(names)}")
     unused = unreferenced(package, names)
