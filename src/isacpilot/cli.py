@@ -402,7 +402,12 @@ def run_config(
 
 
 def verify_outputs(config_path: str, seed: int | None, out_dir: str | None) -> int:
-    """Re-hash the config and confirm every CSV in the output dir matches."""
+    """Re-hash the config and confirm every CSV in the output dir matches.
+
+    Returns 0 when every CSV carries the config's hash, 3 when one does not
+    (a CSV that is not UTF-8 does not) and 4 when the directory or one of
+    its entries cannot be read.
+    """
     config = _load_config(config_path, None, seed, out_dir)
     if config is None:
         return 2
@@ -418,14 +423,21 @@ def verify_outputs(config_path: str, seed: int | None, out_dir: str | None) -> i
         return 3
     bad = []
     for name in files:
-        found = None
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("# config_hash:"):
-                    found = line.split(":", 1)[1].strip()
-                    break
+        path = os.path.join(directory, name)
+        found, note = None, None
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    if line.startswith("# config_hash:"):
+                        found = line.split(":", 1)[1].strip()
+                        break
+        except UnicodeDecodeError:  # not a table this package wrote
+            note = "not UTF-8"
+        except OSError as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return 4
         status = "ok" if found == expected else "MISMATCH"
-        print(f"{name}: {status} (hash {found})")
+        print(f"{name}: {status} ({note or f'hash {found}'})")
         if found != expected:
             bad.append(name)
     if bad:

@@ -35,17 +35,24 @@ has its own s_n^(g) and mixture weights. ``_comm_grad`` sums the group's
 rho w_g-weighted D_n^(g) = mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) into E
 before its one product, as broadcast products summed over one axis.
 
-The state keeps the component axis last: B_n, Sigma_n and C_n are stacked
-as (L, q, N_k), (L, L, N_k) and (L, q, N_k) arrays, so the per-component
+The state keeps the component axis last: B_n, C_n and s_n are stacked as
+(L, q, N_k), (L, q, N_k) and (L, K_g, N_k) arrays, so the per-component
 algebra is elementwise NumPy work over N_k-long rows rather than N_k small
-matrix calls. ``comm_state`` gets every s_n^(g), C_n and log det Sigma_n
-from one Gaussian elimination of the (L, L + K_g + q, N_k) system
-[Sigma_n | v_n^(1) ... v_n^(K_g) | B_n] run over all components at once
-(``metrics._solve_stacked``): L forward steps and L - 1 back-substitution
-steps. It needs no pivoting, because Sigma_n >= sigma^2 I is positive
-definite: every pivot is at least sigma^2, and elimination without pivoting
-is stable on such matrices. A pivot that is not positive and finite raises
-``NumericError``.
+matrix calls. ``comm_state`` gets every s_n^(g), C_n, log det Sigma_n and
+s_n^(g)H B_n from one Gaussian elimination run over all components at once
+(``metrics._solve_stacked``), of the smaller of two systems, chosen by shape
+alone. When L <= q it is the (L, L + K_g + q, N_k) system
+[Sigma_n | v_n^(1) ... v_n^(K_g) | B_n], and s_n^H B_n is one product of
+the solved s_n with B_n. When q < L it is the (q, q + K_g + L, N_k) system
+[K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] with the capacitance
+K_n = sigma^2 I_q + B_n^H B_n: C_n = B_n K_n^{-1} is the conjugate
+transpose of the solved B_n^H block, s_n = (v_n - B_n K_n^{-1} B_n^H v_n)
+/ sigma^2, and s_n^H B_n = v_n^H B_n K_n^{-1} is the conjugate transpose
+of the solved K_n^{-1} B_n^H v_n, so ``_comm_grad`` forms no product for
+it. Neither elimination pivots, because Sigma_n and K_n are sigma^2 I plus
+a Gram matrix: every pivot is at least sigma^2, and elimination without
+pivoting is stable on such matrices. A pivot that is not positive and
+finite raises ``NumericError``.
 
 A_n keeps the eigenvectors of R_n whose eigenvalues exceed
 ``channel.FACTOR_RANK_CUT`` (1e-15) times the model's largest eigenvalue.
@@ -103,12 +110,11 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     mix = np.exp(state.log_mix - state.log_omega[:, None])
     mix *= coefs[:, None]  # (K_g, N_k)
     ms = mix * state.s  # (L, K_g, N_k)
-    y = np.add.reduce(state.s.conj()[:, :, None] * state.b[:, None], axis=0)  # s_n^H B_n per user
     # E = [D | -sum_g ms_g] in the stacked array's column order; E stacked^H
     # is taken as conj(conj(E) stacked^T), so no cached array is copied
     e = np.empty((n_slots, rank + 1, n_comp), dtype=complex)
     np.multiply(np.add.reduce(mix, axis=0), state.c, out=e[:, :rank])
-    e[:, :rank] -= np.add.reduce(ms[:, :, None] * y, axis=1)
+    e[:, :rank] -= np.add.reduce(ms[:, :, None] * state.sb, axis=1)
     np.negative(np.add.reduce(ms, axis=1), out=e[:, rank])
     np.conjugate(e, out=e)
     grad = e.reshape(n_slots, -1) @ users[0].stacked.T

@@ -37,7 +37,8 @@ class IsacObjective:
             raise InvalidParameterError("rho must lie in [0, 1]")
         if self.user_weights.ndim != 1 or self.user_weights.size != len(self.users):
             raise DimensionError("one weight per user model is required")
-        if abs(self.user_weights.sum() - 1.0) > 1e-12 or np.any(self.user_weights < 0):
+        # written so that a NaN weight fails them
+        if not abs(self.user_weights.sum() - 1.0) <= 1e-12 or not np.all(self.user_weights >= 0):
             raise InvalidParameterError("user weights must be nonnegative and sum to 1")
 
 
@@ -49,13 +50,16 @@ class CommState(NamedTuple):
     (``GmmUserModel.stacked``, rank q) and the noise level, hence B_n, C_n
     and log det Sigma_n; each user g has its own weights, so its own mixture
     mean m^(g) and mean terms v_n^(g) = Phi m^(g) - Phi mu_n (Phi times
-    mixture mean minus component mean), s, beta, log_mix and value.  Sigma_n
-    itself is not kept: B_n C_n^H = I - sigma^2 Sigma_n^{-1}, so its inverse
-    is (I - B_n C_n^H) / sigma^2.  Shared by the communication metric, its
-    gradient and the mixture-MMSE estimator.  Arrays keep the component axis
-    n last, so each step of the elimination in ``_solve_stacked`` works on
-    all N_k components at once.  For a stack of P pilots that axis holds
-    P N_k columns, column p N_k + n for component n at pilot p, and
+    mixture mean minus component mean), s, beta, s^H B, log_mix and value.
+    The fields are the same whichever system ``comm_state`` eliminated (the
+    L x L Sigma_n when L <= q, the q x q capacitance sigma^2 I + B_n^H B_n
+    when q < L).  Sigma_n itself is not kept: B_n C_n^H =
+    I - sigma^2 Sigma_n^{-1}, so its inverse is (I - B_n C_n^H) / sigma^2.
+    Shared by the communication metric, its gradient (which reads s^H B
+    from here) and the mixture-MMSE estimator.  Arrays keep the component
+    axis n last, so each step of the elimination in ``_solve_stacked``
+    works on all N_k components at once.  For a stack of P pilots that axis
+    holds P N_k columns, column p N_k + n for component n at pilot p, and
     ``value`` and ``log_omega`` are (K_g, P); the shapes below are those of
     one pilot.
     """
@@ -67,6 +71,7 @@ class CommState(NamedTuple):
     b: np.ndarray  # (L, q, N_k) B_n = Phi A_n, a view of Phi @ stacked
     s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} v_n^(g)
     c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
+    sb: np.ndarray  # (K_g, q, N_k) s_n^(g)H B_n
 
 
 class SenseState(NamedTuple):
@@ -110,19 +115,20 @@ def _per_pilot(values):
 
 
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
-    """Gaussian elimination, in place, of the stacked systems [Sigma_n | rhs_n].
+    """Gaussian elimination, in place, of the stacked systems [M_n | rhs_n].
 
-    ``aug`` is a C-contiguous (n, n + p, N_k) array with the Hermitian
-    positive definite Sigma_n in its first n columns; on return its last p
-    columns hold Sigma_n^{-1} rhs_n.  Returns the (n, N_k) pivots, whose logs
-    sum to log det Sigma_n.  Each of the n forward steps and n - 1
+    ``aug`` is a C-contiguous (n, n + p, N_k) array with a Hermitian
+    positive definite M_n in its first n columns (the observation covariance
+    Sigma_n or the capacitance sigma^2 I + B_n^H B_n); on return its last p
+    columns hold M_n^{-1} rhs_n.  Returns the (n, N_k) pivots, whose logs
+    sum to log det M_n.  Each of the n forward steps and n - 1
     back-substitution steps is a few NumPy operations over all N_k
     components, in place of one LAPACK call per component.  No pivoting is
-    needed: every pivot is the leading entry of a Schur complement of
-    Sigma_n, which is positive definite with eigenvalues no smaller than
-    Sigma_n's, so a pivot is at least lambda_min(Sigma_n) (sigma^2 for an
-    observation covariance), and elimination on a positive definite matrix
-    does not grow its entries.  A pivot that is not positive and finite
+    needed: every pivot is the leading entry of a Schur complement of M_n,
+    which is positive definite with eigenvalues no smaller than M_n's, so a
+    pivot is at least lambda_min(M_n) (sigma^2 for either matrix, both being
+    sigma^2 I plus a Gram matrix), and elimination on a positive definite
+    matrix does not grow its entries.  A pivot that is not positive and finite
     raises ``NumericError``.
     """
     pivots = _diagonal(aug).real  # each entry is final once its step is done
@@ -145,25 +151,87 @@ def _diagonal(aug: np.ndarray) -> np.ndarray:
     return aug.reshape(-1, aug.shape[2])[:: aug.shape[1] + 1]
 
 
+def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
+    """(log det Sigma_n, beta, s, C, s^H B) from the L x L system, for L <= q.
+
+    Sigma_n = B_n B_n^H + sigma^2 I, v_n^(g) and B_n are written into one
+    (L, L + K_g + q, N_k) array, and one elimination (``_solve_stacked``)
+    gives log det Sigma_n and Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n].
+    """
+    n_slots, rank, n_cols = b.shape
+    start = n_slots + v.shape[1]  # first column of B_n in the elimination array
+    aug = np.empty((n_slots, start + rank, n_cols), dtype=complex)
+    np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
+    _diagonal(aug)[...] += sigma2
+    aug[:, n_slots:start] = v
+    aug[:, start:] = b
+    logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
+    s, c = aug[:, n_slots:start], aug[:, start:]
+    beta = np.add.reduce((v.conj() * s).real, axis=0)
+    sb = np.add.reduce(s.conj()[:, :, None] * b[:, None], axis=0)
+    return logdet, beta, s, c, sb
+
+
+def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
+    """(log det Sigma_n, beta, s, C, s^H B) from the q x q capacitance
+    K_n = sigma^2 I_q + B_n^H B_n, for rank q < L.
+
+    [K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] is one
+    (q, q + K_g + L, N_k) array.  Its first q + K_g columns are B_n^H
+    [B_n | v_n], taken row by row from the diagonal on; the Hermitian K_n's
+    lower triangle is the conjugate of its upper one.  One elimination
+    (``_solve_stacked``) gives K_n^{-1} B_n^H v_n and K_n^{-1} B_n^H, and
+    with them (Sylvester's determinant identity and Woodbury's inverse,
+    Sigma_n^{-1} = (I - B_n K_n^{-1} B_n^H) / sigma^2): log det Sigma_n =
+    (L - q) log sigma^2 + log det K_n; C_n = Sigma_n^{-1} B_n = B_n K_n^{-1},
+    the conjugate transpose of the solved B_n^H block;
+    s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2; beta_n = Re v_n^H s_n;
+    and s_n^H B_n = v_n^H B_n K_n^{-1} = (K_n^{-1} B_n^H v_n)^H.  K_n >=
+    sigma^2 I, so every pivot is still at least sigma^2.
+    """
+    n_slots, rank, n_cols = b.shape
+    start = rank + v.shape[1]  # first column of B_n^H in the elimination array
+    aug = np.empty((rank, start + n_slots, n_cols), dtype=complex)
+    b_h = b.conj()
+    rhs = np.concatenate((b, v), axis=1)  # [B_n | v_n^(1) ... v_n^(K_g)]
+    for i in range(rank):
+        np.add.reduce(b_h[:, i, None] * rhs[:, i:], axis=0, out=aug[i, i:start])
+        np.conjugate(aug[:i, i], out=aug[i, :i])
+    _diagonal(aug)[...] += sigma2
+    aug[:, start:] = b_h.transpose(1, 0, 2)
+    logdet = (n_slots - rank) * np.log(sigma2) + np.add.reduce(
+        np.log(_solve_stacked(aug, rank)), axis=0
+    )
+    w = aug[:, rank:start]  # K_n^{-1} B_n^H v_n, (q, K_g, N_k)
+    s = np.add.reduce(b[:, :, None] * w, axis=1)
+    np.subtract(v, s, out=s)
+    s /= sigma2
+    beta = np.add.reduce((v.conj() * s).real, axis=0)
+    c = aug[:, start:].transpose(1, 0, 2).conj()
+    sb = w.transpose(1, 0, 2).conj()
+    return logdet, beta, s, c, sb
+
+
 def comm_state(pilot, users) -> CommState:
     """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric
     for a group of users that share one factor and one noise level.
 
-    The only place Sigma_n is built.  One product Phi @ stacked
-    (``GmmUserModel.stacked``) gives every B_n = Phi A_n as a contiguous
-    (L, q, N_k) block and every Phi mu_n as (L, N_k); user g's mean terms are
-    v_n^(g) = Phi m^(g) - Phi mu_n.  Sigma_n, the v_n^(g) and B_n are written
-    into one (L, L + K_g + q, N_k) array, and one elimination over all
-    components (``_solve_stacked``) gives log det Sigma_n and
-    Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n] for the whole group.  A single
-    user is a group of one.
+    The only place Sigma_n, or its capacitance, is eliminated.  One product
+    Phi @ stacked (``GmmUserModel.stacked``) gives every B_n = Phi A_n as a
+    contiguous (L, q, N_k) block and every Phi mu_n as (L, N_k); user g's
+    mean terms are v_n^(g) = Phi m^(g) - Phi mu_n.  One elimination over all
+    components (``_solve_stacked``) then gives log det Sigma_n, s_n^(g) =
+    Sigma_n^{-1} v_n^(g), C_n = Sigma_n^{-1} B_n, beta_n^(g) and
+    s_n^(g)H B_n for the whole group.  It eliminates the smaller system, by
+    shape alone: the L x L Sigma_n when L <= q (``_observation_solve``),
+    the q x q capacitance sigma^2 I + B_n^H B_n when q < L
+    (``_capacitance_solve``).  A single user is a group of one.
 
     ``pilot`` may be a stack of P pilots (P, L, N_t).  Their products are
-    folded into the component axis (column p N_k + n), so Sigma_n, the
-    elimination and the log-sum-exp run once over P N_k columns.  Each
-    pilot's values equal those of its own call, since its product is a
-    batched product of the same shape and every later step works column by
-    column.
+    folded into the component axis (column p N_k + n), so the elimination
+    and the log-sum-exp run once over P N_k columns.  Each pilot's values
+    equal those of its own call, since its product is a batched product of
+    the same shape and every later step works column by column.
     """
     phi = _pilots(pilot)
     model = users[0]
@@ -174,27 +242,21 @@ def comm_state(pilot, users) -> CommState:
     stack = phi[None] if phi.ndim == 2 else phi  # (P, L, N_t)
     (n_pilots, n_slots, _), n_users, rank = stack.shape, len(users), model.rank
     n_comp = model.n_components
-    start = n_slots + n_users  # first column of B_n in the elimination array
 
     product = stack @ model.stacked
     if n_pilots > 1:  # fold the pilots into the component axis, column p N_k + n
         product = product.reshape(n_pilots, n_slots, rank + 1, n_comp).transpose(1, 2, 0, 3)
     product = product.reshape(n_slots, rank + 1, -1)
     b, phi_mu = product[:, :rank], product[:, rank]
-    aug = np.empty((n_slots, start + rank, n_pilots * n_comp), dtype=complex)
-    np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
-    _diagonal(aug)[...] += model.noise_std**2
+    v = np.empty((n_slots, n_users, n_pilots * n_comp), dtype=complex)
     mixture_means = np.array([m.mixture_mean for m in users])
     np.subtract(
         (stack @ mixture_means.T).transpose(1, 2, 0)[..., None],  # (L, K_g, P, 1)
         phi_mu.reshape(n_slots, 1, n_pilots, n_comp),
-        out=aug.reshape(n_slots, -1, n_pilots, n_comp)[:, n_slots:start],
+        out=v.reshape(n_slots, n_users, n_pilots, n_comp),
     )
-    aug[:, start:] = b
-    v = aug[:, n_slots:start].copy()  # v_n^(g), which the elimination overwrites
-    logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
-    s, c = aug[:, n_slots:start], aug[:, start:]
-    beta = np.add.reduce((v.conj() * s).real, axis=0)
+    solve = _capacitance_solve if rank < n_slots else _observation_solve
+    logdet, beta, s, c, sb = solve(b, v, model.noise_std**2)
 
     log_weights = np.array([m.log_weights for m in users])[:, None]
     log_mix = log_weights - beta.reshape(n_users, n_pilots, -1) - logdet.reshape(n_pilots, -1)
@@ -203,7 +265,7 @@ def comm_state(pilot, users) -> CommState:
     log_omega = log_omega.reshape(n_users, *phi.shape[:-2])  # (K_g,) for one pilot
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix.reshape(n_users, -1), log_omega, logdet, b, s, c)
+    return CommState(value, log_mix.reshape(n_users, -1), log_omega, logdet, b, s, c, sb)
 
 
 def _user_groups(objective: IsacObjective) -> list:

@@ -548,6 +548,24 @@ class TestVerify:
         assert run_config(path, out_dir=str(out)) == 0
         assert verify_outputs(path, 12345, str(out)) == 3
 
+    def test_verify_unreadable_entry_exits_4(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=str(out)) == 0
+        (out / "a.csv").mkdir()
+        assert verify_outputs(path, None, str(out)) == 4
+        assert f"error: cannot read {out / 'a.csv'}" in capsys.readouterr().err
+
+    def test_verify_flags_a_csv_that_is_not_utf8(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=str(out)) == 0
+        target = out / "frontier.csv"
+        target.write_bytes(target.read_bytes() + b"0,\xd0\n")
+        capsys.readouterr()
+        assert verify_outputs(path, None, str(out)) == 3
+        assert "frontier.csv: MISMATCH (not UTF-8)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("content", [None, b"task: \xd0\n"], ids=["missing", "not-utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "config.yaml"

@@ -151,10 +151,14 @@ class TestFactor:
         assert np.array_equal(model.means, np.stack(means))
 
 
+LOW_RANK = 3
+
+
 def elimination_case(n_slots, prior):
     """(pilot, model) at N_t = 12, with zero weights on some components.
 
-    "region": shipped-style region covariances, low rank (q < N_t);
+    "region": shipped-style region covariances, low rank (q = 7 < N_t);
+    "low-rank": random covariances of rank ``LOW_RANK`` (q = 3);
     "full-rank": random covariances, so the factor keeps q = N_t columns.
     """
     rng = ip.substream(n_slots, "elimination", prior)
@@ -163,7 +167,8 @@ def elimination_case(n_slots, prior):
         base = build_user_models(ip.ArrayGeometry(n_tx, 4), [(30.0, 8.0, 0.3)], 36)[0]
         covs = base.covariances
     else:
-        a = rng.standard_normal((6, n_tx, n_tx)) + 1j * rng.standard_normal((6, n_tx, n_tx))
+        cols = LOW_RANK if prior == "low-rank" else n_tx
+        a = rng.standard_normal((6, n_tx, cols)) + 1j * rng.standard_normal((6, n_tx, cols))
         covs = a @ a.conj().transpose(0, 2, 1) / (2 * n_tx)
     n_comp = covs.shape[0]
     weights = rng.uniform(0.2, 1.0, n_comp)
@@ -173,18 +178,42 @@ def elimination_case(n_slots, prior):
     return ip.random_stiefel(n_slots, n_tx, rng), model
 
 
-ELIMINATION_CASES = pytest.mark.parametrize(
-    "n_slots,prior", [(n, p) for p in ("region", "full-rank") for n in (1, 4, 6, 9)]
-)
+# the low-rank prior's pilot lengths: the L = q boundary, then q < L
+ELIMINATION_PARAMS = [(n, p) for p in ("region", "full-rank") for n in (1, 4, 6, 9)] + [
+    (n, "low-rank") for n in (LOW_RANK, 4, 6, 9)
+]
+ELIMINATION_CASES = pytest.mark.parametrize("n_slots,prior", ELIMINATION_PARAMS)
+EXPECTED_RANK = {"region": 7, "low-rank": LOW_RANK, "full-rank": 12}
 
 
 class TestCommState:
+    def test_cases_reach_both_eliminations(self, monkeypatch):
+        """The elimination cases cover q < L (the q x q capacitance), L < q
+        and the L = q boundary (the L x L Sigma_n), and ``comm_state`` picks
+        the system by that shape rule alone."""
+        calls = []
+        for name in ("_observation_solve", "_capacitance_solve"):
+
+            def recorded(*args, name=name, solve=getattr(ip.metrics, name)):
+                calls.append(name)
+                return solve(*args)
+
+            monkeypatch.setattr(ip.metrics, name, recorded)
+        expected, shapes = [], set()
+        for n_slots, prior in ELIMINATION_PARAMS:
+            pilot, model = elimination_case(n_slots, prior)
+            comm_state(pilot, [model])
+            expected.append("_capacitance_solve" if model.rank < n_slots else "_observation_solve")
+            shapes.add(np.sign(model.rank - n_slots))
+        assert calls == expected
+        assert shapes == {-1, 0, 1}
+
     @ELIMINATION_CASES
     def test_elimination_matches_lapack(self, n_slots, prior):
         pilot, model = elimination_case(n_slots, prior)
         phi = pilot.entries
         rank = factor_blocks(model).shape[2]
-        assert rank == 12 if prior == "full-rank" else rank < 12
+        assert rank == EXPECTED_RANK[prior]
         state = comm_state(pilot, [model])
         # Sigma_n from the full covariances, independent of the factor
         sigma = phi @ model.covariances @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
@@ -339,22 +368,35 @@ class TestPilotStack:
     ``sense_state`` works component by component (or pilot by pilot), so no
     sum changes its order."""
 
+    @staticmethod
+    def assert_comm_state_equals_per_pilot_calls(stack, users):
+        state = comm_state(stack, users)
+        n_comp = users[0].n_components
+        assert state.value.shape == state.log_omega.shape == (len(users), len(stack))
+        for p, phi in enumerate(stack):
+            one = comm_state(phi, users)
+            cols = slice(p * n_comp, (p + 1) * n_comp)
+            assert np.array_equal(state.value[:, p], one.value)
+            assert np.array_equal(state.log_omega[:, p], one.log_omega)
+            assert np.array_equal(state.log_mix[:, cols], one.log_mix)
+            assert np.array_equal(state.logdet[cols], one.logdet)
+            for got, expected in zip(state[4:], one[4:], strict=True):  # b, s, c, sb
+                assert np.array_equal(got[..., cols], expected)
+
     @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
     def test_comm_state_equals_per_pilot_calls(self, case):
         objective, stack = stack_case(case)
         for _, users in _user_groups(objective):
-            state = comm_state(stack, users)
-            n_comp = users[0].n_components
-            assert state.value.shape == state.log_omega.shape == (len(users), len(stack))
-            for p, phi in enumerate(stack):
-                one = comm_state(phi, users)
-                cols = slice(p * n_comp, (p + 1) * n_comp)
-                assert np.array_equal(state.value[:, p], one.value)
-                assert np.array_equal(state.log_omega[:, p], one.log_omega)
-                assert np.array_equal(state.log_mix[:, cols], one.log_mix)
-                assert np.array_equal(state.logdet[cols], one.logdet)
-                for got, expected in zip(state[4:], one[4:], strict=True):  # b, s, c
-                    assert np.array_equal(got[..., cols], expected)
+            self.assert_comm_state_equals_per_pilot_calls(stack, users)
+
+    @pytest.mark.parametrize("n_slots", [LOW_RANK, 6, 9])
+    def test_low_rank_group_equals_per_pilot_calls(self, n_slots):
+        # two users on a q = 3 prior: the L = q boundary, then q < L
+        pilot, model = elimination_case(n_slots, "low-rank")
+        users = [model, model._for_user(model.weights[::-1], model.noise_std)]
+        rng = ip.substream(n_slots, "stack", "low-rank")
+        stack = pilot.entries + 0.01 * complex_normal(rng, (4, *pilot.entries.shape))
+        self.assert_comm_state_equals_per_pilot_calls(stack, users)
 
     @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
     def test_sense_state_equals_per_pilot_calls(self, case):
@@ -392,6 +434,7 @@ class TestPilotStack:
         assert state.logdet.shape == (n_comp,)
         assert state.b.shape == state.c.shape == (4, rank, n_comp)
         assert state.s.shape == (4, n_users, n_comp)
+        assert state.sb.shape == (n_users, rank, n_comp)
         assert isinstance(ip.comm_mi_user(pilot, users[0]), float)
         assert isinstance(sense_state(pilot, objective.scene).arg, float)
 
@@ -443,7 +486,8 @@ def grouped_objective(users, rho=1.0):
 
 
 class TestGroupedKernel:
-    @pytest.mark.parametrize("prior", ["region", "full-rank"])
+    # at L = 4, "low-rank" (q = 3) takes the capacitance elimination
+    @pytest.mark.parametrize("prior", ["region", "low-rank", "full-rank"])
     @pytest.mark.parametrize("n_users", [1, 2, 4])
     def test_group_matches_dense_formula_per_user(self, n_users, prior):
         pilot, users = shared_users(prior, [0.4] * n_users)

@@ -289,6 +289,15 @@ class TestIsacObjective:
         with pytest.raises(ip.InvalidParameterError):
             IsacObjective(rho=0.5, user_weights=[0.5, 0.4], users=[model, model], scene=scene)
 
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, np.nan], [np.nan, 1.0], [1.5, -0.5]], ids=["nan", "nan-one", "negative"]
+    )
+    def test_nan_or_negative_user_weights_fail(self, weights):
+        model = random_model(24, n_tx=8)
+        scene = random_scene(24, self.geom)
+        with pytest.raises(ip.InvalidParameterError, match="user weights"):
+            IsacObjective(rho=0.5, user_weights=weights, users=[model, model], scene=scene)
+
 
 class TestUnitaryInvariance:
     @pytest.mark.parametrize("seed", range(5))

@@ -240,3 +240,37 @@ class TestFeasibleCloud:
         objective = small_objective(seed=21, rho=0.0)
         with pytest.raises(ip.InvalidParameterError):
             sample_feasible_cloud(0, 3, objective, substream(21, "cloud"))
+
+    @pytest.mark.parametrize("formula", ["approx", "exact"])
+    def test_stacks_equal_one_pilot_at_a_time(self, formula):
+        # 19 samples: two full stacks of CLOUD_STACK and a partial one
+        objective = small_objective(seed=22, rho=0.0)
+        cloud = sample_feasible_cloud(19, 3, objective, substream(22, "cloud"), formula)
+        rng = substream(22, "cloud")
+        for pair in cloud:
+            pilot = random_stiefel(3, 8, rng)
+            sense = ip.sensing_mi(pilot, objective.scene, formula)
+            assert pair.tolist() == [sense, ip.comm_mi_weighted(pilot, objective)]
+
+    def test_rank_deficient_draw_raises(self, monkeypatch):
+        def deficient(rng, shape):
+            draws = ip.complex_normal(rng, shape)
+            draws[-1, 1] = draws[-1, 0]  # the last pilot of the stack repeats a row
+            return draws
+
+        monkeypatch.setattr(ip.optimizer, "complex_normal", deficient)
+        objective = small_objective(seed=23, rho=0.0)
+        with pytest.raises(ip.SingularMatrixError):
+            sample_feasible_cloud(5, 3, objective, substream(23, "cloud"))
+
+    def test_non_orthonormal_projection_raises(self, monkeypatch):
+        polar = ip.optimizer._polar
+        monkeypatch.setattr(ip.optimizer, "_polar", lambda z: 1.001 * polar(z))
+        objective = small_objective(seed=25, rho=0.0)
+        with pytest.raises(ip.InvalidParameterError, match="not orthonormal"):
+            sample_feasible_cloud(5, 3, objective, substream(25, "cloud"))
+
+    def test_rejects_a_pilot_as_long_as_the_array(self):
+        objective = small_objective(seed=24, rho=0.0)
+        with pytest.raises(ip.DimensionError):
+            sample_feasible_cloud(2, 8, objective, substream(24, "cloud"))

@@ -12,7 +12,10 @@ are:
 - ``comm_state``, ``sense_state``, ``isac_value_and_grad`` (rho = 0.5) and
   ``project_stiefel``: ``configs/sweep_tradeoff.yaml`` (N_t = 16, L = 4,
   K = 2 users sharing one 180-component prior), as one optimizer iteration
-  calls them;
+  calls them; ``comm_state_l9`` and ``isac_value_and_grad_l9`` the same at
+  ``configs/convergence_stepsize.yaml`` (N_t = 20, L = 9, one user, 180
+  components, its rho = 0.5), where the pilot is longer than the prior's
+  rank (q = 5);
 - ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
   L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
   ``gmm_mmse_batch_ser``: the same prior, 400 trials, as the Monte Carlo
@@ -112,6 +115,14 @@ def kernels() -> dict:
         f"N_k={sweep['n_components']}"
     )
 
+    _, conv = scenario("convergence_stepsize")
+    conv_objective = build_objective(conv, conv["rho"])
+    conv_pilot = pilot_for(conv, "convergence")
+    conv_shape = (
+        f"N_t={conv['n_tx']} L={conv['pilot_len']} K={len(conv_objective.users)} "
+        f"N_k={conv['n_components']} q={conv_objective.users[0].rank}"
+    )
+
     _, nmse = scenario("nmse_baselines")
     model = build_users(nmse)[0][0]
     nmse_pilot = pilot_for(nmse, "nmse")
@@ -159,6 +170,11 @@ def kernels() -> dict:
         "sense_state": (sweep_shape, lambda: sense_state(pilot, objective.scene)),
         "isac_value_and_grad": (sweep_shape, lambda: isac_value_and_grad(pilot, objective)),
         "project_stiefel": (f"{step.shape[0]}x{step.shape[1]}", lambda: project_stiefel(step)),
+        "comm_state_l9": (conv_shape, lambda: comm_state(conv_pilot, conv_objective.users)),
+        "isac_value_and_grad_l9": (
+            conv_shape,
+            lambda: isac_value_and_grad(conv_pilot, conv_objective),
+        ),
         "gmm_mmse_batch": (
             f"{nmse_shape} trials={NMSE_TRIALS}",
             lambda: gmm_mmse_batch(obs, nmse_pilot, model),
