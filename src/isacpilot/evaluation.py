@@ -43,9 +43,10 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 WEIGHT_CUT = -700.0
 # Detection trials are drawn in blocks of this many, so the draws alive at a
 # time take about 2 MB (two clutter sources) whatever the trial count; only
-# the running interference and the two statistics, 32 B per trial, grow
-# with it.  Consecutive draws continue one stream, so the statistics and the
-# generator state do not depend on the block size.
+# the running interference (16 B per trial, which the h0 statistics reuse)
+# and the h1 statistics (8 B per trial) grow with it.  Consecutive draws
+# continue one stream, so the statistics and the generator state do not
+# depend on the block size.
 DETECTION_BLOCK = 65_536
 
 
@@ -66,21 +67,25 @@ def simulate_detection_trials(
 
     Works on the scalar projection w^H y, whose distribution is identical to
     the frame-level statistic; standard draws are pilot-independent so equal
-    seeds give paired comparisons across pilots.
+    seeds give paired comparisons across pilots.  The h0 statistics are a
+    view of the first ``n_trials`` float64 slots of the complex interference
+    buffer (16 B per trial), written once the interference is no longer
+    needed, so the two statistics and the interference take 24 B per trial
+    together; the h0 view keeps that whole buffer alive.
     """
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
     proj, w_norm2 = _detector_scalars(pilot, scene)
     # draws come in blocks of DETECTION_BLOCK trials, in the order all
     # clutter, all noise, all target, and each block is folded into the
-    # running interference and the statistics as soon as it is drawn
+    # running interference or the h1 statistics as soon as it is drawn
     blocks = [
         slice(start, min(start + DETECTION_BLOCK, n_trials))
         for start in range(0, n_trials, DETECTION_BLOCK)
     ]
     noise_scale = np.sqrt(scene.radar_noise_std**2 * w_norm2)
     interf = np.zeros(n_trials, dtype=complex)
-    t0, t1 = np.empty(n_trials), np.empty(n_trials)
+    t1 = np.empty(n_trials)
     if scene.n_clutter:
         clutter_gains = np.sqrt(scene.clutter_powers) * proj[1:]
         for block in blocks:
@@ -90,14 +95,21 @@ def simulate_detection_trials(
         noise = complex_normal(rng, (block.stop - block.start,))
         noise *= noise_scale
         interf[block] += noise
-        np.square(np.abs(interf[block], out=t0[block]), out=t0[block])
     del noise  # not alive while the targets are drawn
     for block in blocks:
         target = complex_normal(rng, (block.stop - block.start,))
         target *= np.sqrt(scene.target_power)
         target *= proj[0]
-        interf[block] += target
-        np.square(np.abs(interf[block], out=t1[block]), out=t1[block])
+        np.add(interf[block], target, out=target)
+        np.square(np.abs(target, out=t1[block]), out=t1[block])
+    # t0 slot i lies in complex entry i // 2 <= i, so a block overwrites
+    # only entries already read: those of earlier blocks and, for the first
+    # block, its own, which is why each block is squared in a temporary
+    t0 = interf.view(float)[:n_trials]
+    for block in blocks:
+        values = np.abs(interf[block])
+        np.square(values, out=values)
+        t0[block] = values
     return t0, t1
 
 
@@ -112,15 +124,17 @@ def roc_curve(
 
     Detection probabilities are estimated against those thresholds from the
     paired target-present statistics; grid points below the 1/n_trials
-    resolution are flagged.
+    resolution are flagged.  The thresholds partition the target-absent
+    statistics in place, in the interference buffer they are a view of
+    (``simulate_detection_trials``), so no copy of them is made.
     """
     if n_trials < 1000:
         raise InvalidParameterError("at least 1e3 trials are needed for usable tails")
     p_fa = np.sort(np.asarray(p_fa_grid, dtype=float))
-    if np.any((p_fa <= 0) | (p_fa > 1)):
+    if not np.all((p_fa > 0) & (p_fa <= 1)):  # written so that a NaN fails it
         raise InvalidParameterError("false-alarm targets must lie in (0, 1]")
     t0, t1 = simulate_detection_trials(pilot, scene, n_trials, rng)
-    thresholds = np.quantile(t0, 1.0 - p_fa)
+    thresholds = np.quantile(t0, 1.0 - p_fa, overwrite_input=True)
     p_d = np.array([np.mean(t1 > thr) for thr in thresholds])
     return RocCurve(
         p_fa=p_fa,
@@ -306,6 +320,10 @@ def ser_experiment(
     if block_len < 1:
         raise InvalidParameterError("block_len must be >= 1")
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
+    finite = np.isfinite(snr_grid_db)
+    if not finite.all():  # a NaN or -inf point would read SER 1.0
+        point = int(np.argmin(finite))
+        raise InvalidParameterError(f"SNR point {point} ({snr_grid_db[point]} dB) is not finite")
     phi = pilot_entries(pilot)
     n_users = len(users)
     n_blocks = int(np.ceil(n_symbols / block_len))

@@ -37,6 +37,23 @@ def clutter_scene(target_power=1.0, radar_noise_std=1.0, clutter=((10.0, 0.4),))
     )
 
 
+def all_draws_first(pilot, scene, n_trials, rng):
+    """Oracle of ``simulate_detection_trials``: every draw held at once,
+    then combined."""
+    from isacpilot.evaluation import _detector_scalars
+
+    proj, w_norm2 = _detector_scalars(pilot, scene)
+    n_clutter = scene.n_clutter
+    gamma_c = ip.complex_normal(rng, (n_trials, n_clutter)) if n_clutter else None
+    noise = ip.complex_normal(rng, (n_trials,))
+    gamma_t = ip.complex_normal(rng, (n_trials,))
+    interf = np.sqrt(scene.radar_noise_std**2 * w_norm2) * noise
+    if n_clutter:
+        interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
+    target = np.sqrt(scene.target_power) * gamma_t * proj[0]
+    return np.abs(interf) ** 2, np.abs(interf + target) ** 2
+
+
 class TestRadarFrame:
     def test_fixed_seed_is_bit_identical(self):
         pilot = ip.random_stiefel(3, 8, substream(0, "rf"))
@@ -69,21 +86,6 @@ class TestRadarFrame:
         # alike, also when 5,000 trials span four blocks and a remainder
         if block is not None:
             monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", block)
-
-        def all_draws_first(pilot, scene, n_trials, rng):
-            from isacpilot.evaluation import _detector_scalars
-
-            proj, w_norm2 = _detector_scalars(pilot, scene)
-            n_clutter = scene.n_clutter
-            gamma_c = ip.complex_normal(rng, (n_trials, n_clutter)) if n_clutter else None
-            noise = ip.complex_normal(rng, (n_trials,))
-            gamma_t = ip.complex_normal(rng, (n_trials,))
-            interf = np.sqrt(scene.radar_noise_std**2 * w_norm2) * noise
-            if n_clutter:
-                interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
-            target = np.sqrt(scene.target_power) * gamma_t * proj[0]
-            return np.abs(interf) ** 2, np.abs(interf + target) ** 2
-
         pilot = ip.random_stiefel(3, 8, substream(20, "rf"))
         scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=clutter)
         rng, oracle_rng = substream(21, "trials"), substream(21, "trials")
@@ -93,8 +95,9 @@ class TestRadarFrame:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_traced_peak_is_bounded_per_trial(self):
-        # the running interference and the two statistics take 32 B per
-        # trial; the blocked draws add a fixed few MB on top
+        # the running interference and the two statistics take 24 B per
+        # trial, the h0 ones in the interference's buffer; the blocked
+        # draws add a fixed few MB on top
         pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
         scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
         n_trials = 1_000_000
@@ -105,6 +108,20 @@ class TestRadarFrame:
         finally:
             tracemalloc.stop()
         assert peak <= 36 * n_trials
+
+    def test_roc_traced_peak_is_bounded_per_trial(self):
+        # the whole ROC: the thresholds partition the h0 statistics in
+        # place, so the quantile adds no copy to the 24 B per trial
+        pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
+        scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
+        n_trials = 1_000_000
+        tracemalloc.start()
+        try:
+            roc_curve(pilot, scene, n_trials, [1e-4, 1e-2, 0.5], substream(23, "trials"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * n_trials
 
     def test_rejects_unknown_hypothesis(self):
         pilot = ip.random_stiefel(3, 8, substream(6, "rf"))
@@ -227,6 +244,30 @@ class TestRocCurve:
         pilot = ip.random_stiefel(3, 8, substream(28, "roc"))
         with pytest.raises(ip.InvalidParameterError):
             roc_curve(pilot, clutter_scene(), 100, [0.1], substream(29, "roc"))
+
+    def test_thresholds_and_detection_match_all_draws_first(self, monkeypatch):
+        # 5,000 trials in blocks of 1,234: the first block's h0 statistics
+        # overlap its own interference entries, and a remainder block runs
+        monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", 1234)
+        pilot = ip.random_stiefel(3, 8, substream(30, "roc"))
+        scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=CLUTTER_CASES[2])
+        grid = [1e-3, 0.01, 0.1, 0.5, 1.0]
+        rng, oracle_rng = substream(31, "roc"), substream(31, "roc")
+        curve = roc_curve(pilot, scene, 5000, grid, rng)
+        e0, e1 = all_draws_first(pilot, scene, 5000, oracle_rng)
+        thresholds = np.quantile(e0.copy(), 1.0 - np.array(grid))
+        assert np.array_equal(curve.thresholds, thresholds)
+        assert np.array_equal(curve.p_d, [np.mean(e1 > thr) for thr in thresholds])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [0.0], [1.5]])
+    def test_rejects_false_alarm_target_before_any_draw(self, grid):
+        pilot = ip.random_stiefel(3, 8, substream(32, "roc"))
+        rng = substream(33, "roc")
+        state = rng.bit_generator.state
+        with pytest.raises(ip.InvalidParameterError, match="false-alarm"):
+            roc_curve(pilot, clutter_scene(), 2000, grid, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestGmmMmse:
@@ -377,6 +418,17 @@ class TestSerExperiment:
         pilot = ip.random_stiefel(4, 8, substream(49, "ser"))
         with pytest.raises(ip.InvalidParameterError):
             ser_experiment(pilot, users, [10.0], 100, 10, substream(50, "ser"))
+
+    @pytest.mark.parametrize("snr, point", [([10.0, np.nan], 1), ([-np.inf], 0), ([0.0, 5.0, np.inf], 2)])
+    def test_rejects_non_finite_snr_before_any_draw(self, snr, point):
+        users = self._users(0.1)
+        pilot = ip.random_stiefel(4, 8, substream(51, "ser"))
+        rng = substream(52, "ser")
+        state = rng.bit_generator.state
+        with pytest.raises(ip.InvalidParameterError, match=f"SNR point {point} "):
+            ser_experiment(pilot, users, snr, 1000, 10, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 class TestBaselinePilots:

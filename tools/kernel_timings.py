@@ -27,7 +27,9 @@ are:
   L = 9), its 20,000 clutter-free trials, a single draw block;
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
-  trials, which sets the ``montecarlo`` workload's peak memory;
+  trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
+  draws and the thresholds' quantile together, which sets the
+  ``montecarlo`` workload's peak memory;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user);
 - ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
@@ -71,6 +73,7 @@ from isacpilot.channel import sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
 from isacpilot.evaluation import (  # noqa: E402
     gmm_mmse_batch,
+    roc_curve,
     ser_experiment,
     simulate_detection_trials,
 )
@@ -146,6 +149,11 @@ def kernels() -> dict:
     roc_trials = roc_config.task_params["trials"]
     detection_rng = substream(3, "kernel-timings", "roc")
     mc_scene = replace(roc_scene, clutter=MC_ROC_CLUTTER)
+    mc_shape = (
+        f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(MC_ROC_CLUTTER)} "
+        f"trials={MC_ROC_TRIALS}"
+    )
+    p_fa = roc_config.task_params["p_fa"]
 
     ser_config, ser = scenario("ser_multiuser")
     ser_users, ser_pilot = build_users(ser)[0], pilot_for(ser, "ser")
@@ -197,9 +205,12 @@ def kernels() -> dict:
             lambda: simulate_detection_trials(roc_pilot, roc_scene, roc_trials, detection_rng),
         ),
         "simulate_detection_trials_mc": (
-            f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(MC_ROC_CLUTTER)} "
-            f"trials={MC_ROC_TRIALS}",
+            mc_shape,
             lambda: simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng),
+        ),
+        "roc_curve_mc": (
+            f"{mc_shape} p_fa_points={len(p_fa)}",
+            lambda: roc_curve(roc_pilot, mc_scene, MC_ROC_TRIALS, p_fa, detection_rng),
         ),
         "comm_state_cloud": (cloud_shape, lambda: comm_state(cloud_stack[0], cloud_users)),
         "comm_state_cloud_stack": (
