@@ -27,18 +27,11 @@ from .evaluation import (
     simulate_detection_trials,
     zf_precode,
 )
-from .gradients import (
-    GradientMatrix,
-    finite_diff_check,
-    grad_comm_mi_user,
-    grad_isac,
-    grad_sensing_mi,
-)
+from .gradients import finite_diff_check
 from .metrics import (
     IsacObjective,
     c_worst_estimate,
     effective_training_snr,
-    comm_mi_user,
     comm_mi_weighted,
     isac_objective,
     sensing_mi,

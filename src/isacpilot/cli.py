@@ -33,11 +33,10 @@ from .config import (
 )
 from .errors import IsacPilotError, NumericError
 from .evaluation import dft_pilot, eigen_pilot, nmse_experiment, roc_curve, ser_experiment
-from .gradients import finite_diff_check, grad_comm_mi_user, grad_isac, grad_sensing_mi
+from .gradients import finite_diff_check, isac_value_and_grad
 from .metrics import (
     IsacObjective,
     c_worst_estimate,
-    comm_mi_user,
     comm_mi_weighted,
     isac_objective,
     sensing_mi,
@@ -273,14 +272,23 @@ def _task_ser(config: ExperimentConfig, threads: int) -> list:
 
 def _gradcheck_unit(config: ExperimentConfig, objective: IsacObjective, index: int) -> tuple:
     pilot = _random_pilot(config, "gradcheck", index)
-    model, scene = objective.users[0], objective.scene
+    scene = objective.scene
+    # the first user alone at rho = 1 and at rho = 0 isolates each gradient
+    # term; the values are the metrics themselves, since isac_objective at
+    # rho = 1 or 0 would also evaluate the other metric on every stencil stack
+    comm_obj = IsacObjective(1.0, [1.0], objective.users[:1], scene)
+    sense_obj = IsacObjective(0.0, [1.0], objective.users[:1], scene)
     checks = (
-        (lambda p: comm_mi_user(p, model), lambda p: grad_comm_mi_user(p, model)),
-        (lambda p: sensing_mi_approx(p, scene), lambda p: grad_sensing_mi(p, scene)),
-        (lambda p: isac_objective(p, objective), lambda p: grad_isac(p, objective)),
+        (lambda p: comm_mi_weighted(p, comm_obj), comm_obj),
+        (lambda p: sensing_mi_approx(p, scene), sense_obj),
+        (lambda p: isac_objective(p, objective), objective),
     )
     step = config.task_params["step"]
-    return (index, *(finite_diff_check(f, grad, pilot, step) for f, grad in checks))
+    errors = (
+        finite_diff_check(value_fn, lambda p: isac_value_and_grad(p, obj)[3], pilot, step)
+        for value_fn, obj in checks
+    )
+    return (index, *errors)
 
 
 def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:

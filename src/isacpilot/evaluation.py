@@ -162,7 +162,8 @@ def gmm_mmse_batch(
     so no second factorization of Sigma_n is needed.  The estimate is
     x(y) = sum_n w_n(y) (b_n + G_n y') with the gain
     G_n = A_n C_n^H = R_n Phi^H Sigma_n^{-1} and the offset
-    b_n = mu_n + G_n v_n = mu_n + A_n (B_n^H s_n).  z^H M_n z is linear in
+    b_n = mu_n + G_n v_n = mu_n + A_n (B_n^H s_n), where B_n^H s_n is the
+    conjugate transpose of ``CommState.sb``.  z^H M_n z is linear in
     the (L+1)^2 real features of z: |z_i|^2, and the real and imaginary
     parts of conj(z_i) z_j for i < j.  So per chunk of trials one real
     (trials x (L+1)^2) product of the features with the stacked
@@ -198,7 +199,8 @@ def gmm_mmse_batch(
     quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
     factor = model.factor.transpose(2, 0, 1)  # A_n (N_k, N_t, q)
     gain = factor @ c_h  # G_n (N_k, N_t, L)
-    offset = model.means[:, :, None] + factor @ (b.conj().transpose(0, 2, 1) @ s)  # b_n (N_k, N_t, 1)
+    bh_s = state.sb[0].T.conj()[:, :, None]  # B_n^H s_n (N_k, q, 1)
+    offset = model.means[:, :, None] + factor @ bh_s  # b_n (N_k, N_t, 1)
     gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
     extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y'^T, 1]
     np.subtract(obs, phi @ model.mixture_mean, out=extended[:, :n_slots])

@@ -70,11 +70,9 @@ roundoff cut; hence the cut sits at roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import GmmUserModel, SensingScene, pilot_entries
+from .channel import pilot_entries
 from .errors import DimensionError, InvalidParameterError, NumericError
 from .metrics import (
     CommState,
@@ -90,18 +88,6 @@ from .metrics import (
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
 STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
-
-
-@dataclass(eq=False)
-class GradientMatrix:
-    """L x N_t conjugate-gradient matrix d f / d Phi^*."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if not np.all(np.isfinite(self.entries.view(float))):
-            raise NumericError("gradient contains non-finite entries")
 
 
 def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
@@ -122,11 +108,6 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     mixture_means = np.array([m.mixture_mean for m in users])
     grad += np.add.reduce(ms, axis=2).conj() @ mixture_means
     return grad.conj()
-
-
-def grad_comm_mi_user(pilot, model: GmmUserModel) -> GradientMatrix:
-    """Gradient of the per-user communication metric."""
-    return GradientMatrix(_comm_grad(comm_state(_one_pilot(pilot), [model]), [model], np.ones(1)))
 
 
 def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
@@ -150,23 +131,17 @@ def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
     return (powers[0] / state.noise_var / arg) * numer
 
 
-def grad_sensing_mi(pilot, scene: SensingScene) -> GradientMatrix:
-    """Gradient of the approximate sensing metric (the optimized form)."""
-    return GradientMatrix(_sense_grad(sense_state(_one_pilot(pilot), scene), scene.geometry.n_rx))
-
-
-def grad_isac(pilot, objective: IsacObjective) -> GradientMatrix:
-    """rho-weighted combination of the communication and sensing gradients."""
-    return GradientMatrix(isac_value_and_grad(pilot, objective)[3])
-
-
 def isac_value_and_grad(pilot, objective: IsacObjective):
     """(objective, weighted comm MI, sense MI, gradient entries) in one pass.
 
     Evaluates ``comm_state`` once per group of users that share a prior and a
     noise level (``metrics._user_groups``) and ``sense_state`` once, and
-    builds each gradient from the same state as its value; used by the
-    optimizer where both are needed every iteration.
+    builds each gradient from the same state as its value. It is the one
+    gradient routine: the optimizer calls it every iteration, and the
+    ``gradcheck`` task checks it with one-user objectives at rho = 1 and
+    rho = 0 for the communication and sensing gradients. Both metrics are
+    evaluated at every rho, so a scene whose approximate sensing
+    log-argument is <= 0 raises ``ObjectiveDomainError`` even at rho = 1.
     """
     phi = _one_pilot(pilot)
     comm_total = 0.0
@@ -202,8 +177,7 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     if step <= 0:
         raise InvalidParameterError("finite-difference step must be positive")
     phi = pilot_entries(pilot).copy()
-    grad = gradient_fn(phi)
-    g_entries = grad.entries if isinstance(grad, GradientMatrix) else np.asarray(grad)
+    g_entries = np.asarray(gradient_fn(phi))
 
     worst = 0.0
     n_slots, n_tx = phi.shape

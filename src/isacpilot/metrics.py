@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GmmUserModel, SensingScene, pilot_entries
+from .channel import SensingScene, pilot_entries
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -55,8 +55,8 @@ class CommState(NamedTuple):
     L x L Sigma_n when L <= q, the q x q capacitance sigma^2 I + B_n^H B_n
     when q < L).  Sigma_n itself is not kept: B_n C_n^H =
     I - sigma^2 Sigma_n^{-1}, so its inverse is (I - B_n C_n^H) / sigma^2.
-    Shared by the communication metric, its gradient (which reads s^H B
-    from here) and the mixture-MMSE estimator.  Arrays keep the component
+    Shared by the communication metric, its gradient and the mixture-MMSE
+    estimator, which both read s^H B from here.  Arrays keep the component
     axis n last, so each step of the elimination in ``_solve_stacked``
     works on all N_k components at once.  For a stack of P pilots that axis
     holds P N_k columns, column p N_k + n for component n at pilot p, and
@@ -278,12 +278,6 @@ def _user_groups(objective: IsacObjective) -> list:
         weights.append(w)
         users.append(m)
     return [(np.array(weights), users) for weights, users in groups.values()]
-
-
-def comm_mi_user(pilot, model: GmmUserModel):
-    """Surrogate mutual information between the pilot observation and the
-    channel; one value per pilot of a stack."""
-    return _per_pilot(comm_state(pilot, [model]).value[0])
 
 
 def comm_mi_weighted(pilot, objective: IsacObjective):

@@ -3,17 +3,22 @@
 The package never forms the N_r*L-long response vectors mu_i, their
 covariances or frame-level observations: it works on the Gram-domain
 factorization (``metrics.sense_state``) and on scalar projections
-(``evaluation.simulate_detection_trials``).  The functions here build those
-dense objects directly, so each factored kernel has an independent check.
-Two closed forms that only the tests use live here too: a single steering
-vector and the detection-error exponent decomposition.
+(``evaluation.simulate_detection_trials``), and its mixture kernel works on
+the low-rank covariance factor (``metrics.comm_state``).  The functions here
+build those dense objects directly, so each factored kernel has an
+independent check.  Two closed forms that only the tests use live here too:
+a single steering vector and the detection-error exponent decomposition.
+So do the one-user views of the package's metric and its one gradient
+routine, ``gradients.isac_value_and_grad``, that the tests check.
 """
 
 import numpy as np
+from scipy.special import logsumexp
 
 import isacpilot as ip
 from isacpilot.channel import _steering_rows, pilot_entries
-from isacpilot.metrics import _detector_scalars
+from isacpilot.gradients import isac_value_and_grad
+from isacpilot.metrics import _detector_scalars, _per_pilot, comm_state
 
 
 def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:
@@ -116,3 +121,50 @@ def detector_statistic(y: np.ndarray, pilot, scene) -> float:
     mus = sensing_vectors(pilot, scene)
     w = np.linalg.solve(interference_covariance(mus, scene), mus[0])
     return float(np.abs(np.vdot(w, y)) ** 2)
+
+
+def comm_mi_user(pilot, model):
+    """Surrogate mutual information between the pilot observation and one
+    user's channel; one value per pilot of a stack."""
+    return _per_pilot(comm_state(pilot, [model]).value[0])
+
+
+def comm_grad(pilot, model) -> np.ndarray:
+    """d comm_mi_user / d Phi^* from ``isac_value_and_grad``: the user alone at
+    rho = 1, beside a clutter-free scene, whose approximate sensing
+    log-argument is at least 1, so the sensing value it also evaluates stays
+    in its domain."""
+    geometry = ip.ArrayGeometry(n_tx=model.n_tx, n_rx=1)
+    scene = ip.SensingScene(0.0, 1.0, (), 1.0, geometry)
+    return isac_value_and_grad(pilot, ip.IsacObjective(1.0, [1.0], [model], scene))[3]
+
+
+def sense_grad(pilot, scene) -> np.ndarray:
+    """d sensing_mi_approx / d Phi^* from ``isac_value_and_grad``: rho = 0 with
+    one stand-in user (one zero-mean, identity-covariance component)."""
+    n_tx = scene.geometry.n_tx
+    model = ip.GmmUserModel([1.0], np.zeros((1, n_tx)), np.eye(n_tx)[None], 1.0)
+    return isac_value_and_grad(pilot, ip.IsacObjective(0.0, [1.0], [model], scene))[3]
+
+
+def dense_comm(phi, model):
+    """(value, gradient) from the full covariances: einsum for Phi R_n, two solves."""
+    n_slots = phi.shape[0]
+    sigma2 = model.noise_std**2
+    mu_bar = (model.weights @ model.means)[None, :] - model.means
+    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
+    sigma = phi_r @ phi.conj().T
+    sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1)) + sigma2 * np.eye(n_slots)
+    logdet = np.linalg.slogdet(sigma)[1]
+    v = mu_bar @ phi.T
+    s = np.linalg.solve(sigma, v[..., None])[..., 0]
+    beta = np.einsum("kl,kl->k", v.conj(), s).real
+    with np.errstate(divide="ignore"):  # zero weights
+        log_mix = np.log(model.weights) - beta - logdet
+    log_omega = logsumexp(log_mix)
+    value = -log_omega - n_slots * (2.0 * np.log(model.noise_std) + 1.0)
+    mix = np.exp(log_mix - log_omega)
+    x = np.linalg.solve(sigma, phi_r)
+    y = np.einsum("kl,klm->km", s.conj(), phi_r)
+    term = x + s[:, :, None] * (mu_bar.conj() - y)[:, None, :]
+    return float(value), np.einsum("k,klm->lm", mix, term)

@@ -1,11 +1,22 @@
-"""Gradient correctness against the central finite-difference oracle."""
+"""Gradient correctness against the central finite-difference oracle.
+
+Every gradient here comes from the package's one gradient routine,
+``gradients.isac_value_and_grad``: the communication and sensing gradients
+as one-user objectives at rho = 1 and rho = 0 (``oracles.comm_grad`` and
+``oracles.sense_grad``).  The rho-weighted combination is compared with
+gradients computed apart from it: the dense formula ``oracles.dense_comm``
+and the sensing term on its own ``sense_state``.
+"""
 
 import numpy as np
 import pytest
 
 import isacpilot as ip
-from isacpilot import GradientMatrix, finite_diff_check, substream
+from isacpilot import finite_diff_check, substream
+from isacpilot.gradients import _sense_grad, isac_value_and_grad
+from isacpilot.metrics import sense_state
 
+from oracles import comm_grad, comm_mi_user, dense_comm, sense_grad
 from test_metrics import random_model, random_scene
 
 
@@ -20,6 +31,17 @@ def make_instance(seed, n_tx=8, n_rx=4, n_slots=3):
         scene=scene,
     )
     return pilot, model, scene, objective
+
+
+def separate_gradients(pilot, objective):
+    """(weighted dense communication gradient, sensing gradient of its own
+    ``sense_state``), both computed apart from ``isac_value_and_grad``."""
+    comm = sum(
+        w * dense_comm(pilot.entries, model)[1]
+        for w, model in zip(objective.user_weights, objective.users)
+    )
+    sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene.geometry.n_rx)
+    return comm, sense
 
 
 class TestFiniteDiffCheck:
@@ -73,15 +95,14 @@ class TestCommGradient:
         model = ip.GmmUserModel(
             weights=[1.0], means=np.ones((1, 8)), covariances=np.zeros((1, 8, 8)), noise_std=0.5
         )
-        grad = ip.grad_comm_mi_user(pilot, model)
-        np.testing.assert_allclose(grad.entries, 0.0, atol=1e-14)
+        np.testing.assert_allclose(comm_grad(pilot, model), 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
         pilot, model, _, _ = make_instance(seed)
         err = finite_diff_check(
-            lambda p: ip.comm_mi_user(p, model),
-            lambda p: ip.grad_comm_mi_user(p, model),
+            lambda p: comm_mi_user(p, model),
+            lambda p: comm_grad(p, model),
             pilot,
             step=1e-4,
         )
@@ -92,8 +113,8 @@ class TestCommGradient:
         rng = substream(9, "cg-u")
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q, _ = np.linalg.qr(z)
-        g_base = ip.grad_comm_mi_user(pilot, model).entries
-        g_rot = ip.grad_comm_mi_user(ip.PilotMatrix(q @ pilot.entries), model).entries
+        g_base = comm_grad(pilot, model)
+        g_rot = comm_grad(ip.PilotMatrix(q @ pilot.entries), model)
         np.testing.assert_allclose(g_rot, q @ g_base, atol=1e-8)
 
 
@@ -105,7 +126,7 @@ class TestSensingGradient:
             geometry=geom,
         )
         pilot = ip.random_stiefel(3, 8, substream(10, "sg"))
-        np.testing.assert_allclose(ip.grad_sensing_mi(pilot, scene).entries, 0.0, atol=1e-15)
+        np.testing.assert_allclose(sense_grad(pilot, scene), 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n_clutter", [0, 2])
     def test_matches_finite_differences(self, n_clutter):
@@ -113,7 +134,7 @@ class TestSensingGradient:
         scene = random_scene(11 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)
         err = finite_diff_check(
             lambda p: ip.sensing_mi_approx(p, scene),
-            lambda p: ip.grad_sensing_mi(p, scene),
+            lambda p: sense_grad(p, scene),
             pilot,
             step=1e-4,
         )
@@ -127,39 +148,32 @@ class TestSensingGradient:
         )
         pilot = ip.random_stiefel(3, 8, substream(14, "sg"))
         with pytest.raises(ip.ObjectiveDomainError):
-            ip.grad_sensing_mi(pilot, scene)
+            sense_grad(pilot, scene)
 
 
 class TestIsacGradient:
     def test_rho_extremes(self):
-        pilot, model, scene, objective = make_instance(15)
+        pilot, _, _, objective = make_instance(15)
         from dataclasses import replace
 
+        comm, sense = separate_gradients(pilot, objective)
         obj0 = replace(objective, rho=0.0)
-        np.testing.assert_allclose(
-            ip.grad_isac(pilot, obj0).entries,
-            ip.grad_sensing_mi(pilot, scene).entries,
-            atol=1e-14,
-        )
+        np.testing.assert_allclose(isac_value_and_grad(pilot, obj0)[3], sense, atol=1e-14)
         obj1 = replace(objective, rho=1.0)
-        expected = 0.6 * ip.grad_comm_mi_user(pilot, objective.users[0]).entries
-        expected += 0.4 * ip.grad_comm_mi_user(pilot, objective.users[1]).entries
-        np.testing.assert_allclose(ip.grad_isac(pilot, obj1).entries, expected, atol=1e-14)
+        np.testing.assert_allclose(isac_value_and_grad(pilot, obj1)[3], comm, atol=1e-14)
 
     def test_linear_composition(self):
-        pilot, _, scene, objective = make_instance(16)
-        comm = 0.6 * ip.grad_comm_mi_user(pilot, objective.users[0]).entries
-        comm += 0.4 * ip.grad_comm_mi_user(pilot, objective.users[1]).entries
-        sense = ip.grad_sensing_mi(pilot, scene).entries
+        pilot, _, _, objective = make_instance(16)
+        comm, sense = separate_gradients(pilot, objective)
         expected = 0.35 * comm + 0.65 * sense
-        np.testing.assert_allclose(ip.grad_isac(pilot, objective).entries, expected, atol=1e-13)
+        np.testing.assert_allclose(isac_value_and_grad(pilot, objective)[3], expected, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
         pilot, _, _, objective = make_instance(seed + 30)
         err = finite_diff_check(
             lambda p: ip.isac_objective(p, objective),
-            lambda p: ip.grad_isac(p, objective),
+            lambda p: isac_value_and_grad(p, objective)[3],
             pilot,
             step=1e-4,
         )
@@ -168,15 +182,5 @@ class TestIsacGradient:
     def test_all_entries_finite_on_manifold(self):
         for seed in range(5):
             pilot, _, _, objective = make_instance(seed + 50)
-            grad = ip.grad_isac(pilot, objective)
-            assert np.all(np.isfinite(grad.entries.view(float)))
-
-
-class TestGradientMatrixType:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ip.NumericError):
-            GradientMatrix(np.array([[np.inf + 0j, 0j]]))
-
-    def test_wraps_entries(self):
-        g = GradientMatrix(np.zeros((2, 3), dtype=complex))
-        assert g.entries.shape == (2, 3)
+            grad = isac_value_and_grad(pilot, objective)[3]
+            assert np.all(np.isfinite(grad.view(float)))

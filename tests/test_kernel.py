@@ -28,7 +28,7 @@ from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import _user_groups, comm_state, effective_training_snr, sense_state
 from isacpilot.streams import complex_normal
-from oracles import steering_vector
+from oracles import comm_grad, comm_mi_user, dense_comm, sense_grad, steering_vector
 from test_acceptance import gradient_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,29 +56,6 @@ def factor_blocks(model):
 def reconstruction_error(model):
     a = factor_blocks(model)
     return float(np.abs(a @ a.conj().transpose(0, 2, 1) - model.covariances).max())
-
-
-def dense_comm(phi, model):
-    """(value, gradient) from the full covariances: einsum for Phi R_n, two solves."""
-    n_slots = phi.shape[0]
-    sigma2 = model.noise_std**2
-    mu_bar = (model.weights @ model.means)[None, :] - model.means
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
-    sigma = phi_r @ phi.conj().T
-    sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1)) + sigma2 * np.eye(n_slots)
-    logdet = np.linalg.slogdet(sigma)[1]
-    v = mu_bar @ phi.T
-    s = np.linalg.solve(sigma, v[..., None])[..., 0]
-    beta = np.einsum("kl,kl->k", v.conj(), s).real
-    with np.errstate(divide="ignore"):  # zero weights
-        log_mix = np.log(model.weights) - beta - logdet
-    log_omega = logsumexp(log_mix)
-    value = -log_omega - n_slots * (2.0 * np.log(model.noise_std) + 1.0)
-    mix = np.exp(log_mix - log_omega)
-    x = np.linalg.solve(sigma, phi_r)
-    y = np.einsum("kl,klm->km", s.conj(), phi_r)
-    term = x + s[:, :, None] * (mu_bar.conj() - y)[:, None, :]
-    return float(value), np.einsum("k,klm->lm", mix, term)
 
 
 def dense_mmse(obs, phi, model):
@@ -237,7 +214,7 @@ class TestCommState:
         pilot, model = elimination_case(n_slots, prior)
         value, grad = dense_comm(pilot.entries, model)
         assert abs(comm_state(pilot, [model]).value[0] - value) <= 1e-12 * abs(value)
-        got = ip.grad_comm_mi_user(pilot, model).entries
+        got = comm_grad(pilot, model)
         assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -263,7 +240,7 @@ class TestCommState:
             value, grad = dense_comm(pilot.entries, model)
             state = comm_state(pilot, [model])
             assert abs(state.value[0] - value) <= 1e-12 * abs(value)
-            got = ip.grad_comm_mi_user(pilot, model).entries
+            got = comm_grad(pilot, model)
             assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
 
     def test_estimator_matches_dense_formula(self):
@@ -287,7 +264,9 @@ class TestValueAndGrad:
             assert value == pytest.approx(ip.isac_objective(pilot, objective), rel=1e-14)
             assert comm == pytest.approx(ip.comm_mi_weighted(pilot, objective), rel=1e-14)
             assert sense == pytest.approx(ip.sensing_mi_approx(pilot, scene), rel=1e-14)
-            expected = ip.grad_isac(pilot, objective).entries
+            weighted_users = zip(objective.user_weights, objective.users)
+            comm_part = sum(w * comm_grad(pilot, user) for w, user in weighted_users)
+            expected = rho * comm_part + (1.0 - rho) * sense_grad(pilot, scene)
             assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -317,7 +296,7 @@ class TestUnitaryInvariance:
         objective, pilot, unitary = invariance_case(case)
 
         def values(p):
-            comm = [ip.comm_mi_user(p, model) for model in objective.users]
+            comm = [comm_mi_user(p, model) for model in objective.users]
             sense = [ip.sensing_mi(p, objective.scene, f) for f in ("approx", "exact")]
             return comm + sense + [ip.isac_objective(p, objective)]
 
@@ -414,7 +393,7 @@ class TestPilotStack:
         objective, stack = stack_case(case)
         model, scene = objective.users[0], objective.scene
         for metric in (
-            lambda p: ip.comm_mi_user(p, model),
+            lambda p: comm_mi_user(p, model),
             lambda p: ip.comm_mi_weighted(p, objective),
             lambda p: ip.sensing_mi_approx(p, scene),
             lambda p: ip.isac_objective(p, objective),
@@ -435,7 +414,7 @@ class TestPilotStack:
         assert state.b.shape == state.c.shape == (4, rank, n_comp)
         assert state.s.shape == (4, n_users, n_comp)
         assert state.sb.shape == (n_users, rank, n_comp)
-        assert isinstance(ip.comm_mi_user(pilot, users[0]), float)
+        assert isinstance(comm_mi_user(pilot, users[0]), float)
         assert isinstance(sense_state(pilot, objective.scene).arg, float)
 
     def test_domain_error_names_the_failing_pilot(self):
@@ -456,8 +435,8 @@ class TestPilotStack:
         objective, stack = stack_case("roc_compare+clutter")
         for call in (
             lambda: ip.sensing_mi_exact(stack, objective.scene),
-            lambda: ip.grad_sensing_mi(stack, objective.scene),
-            lambda: ip.grad_comm_mi_user(stack, objective.users[0]),
+            lambda: sense_grad(stack, objective.scene),
+            lambda: comm_grad(stack, objective.users[0]),
             lambda: isac_value_and_grad(stack, objective),
         ):
             with pytest.raises(ip.DimensionError):

