@@ -41,12 +41,10 @@ from .metrics import (
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
-    SweepPoint,
     optimize_pgd,
     pareto_filter,
     project_stiefel,
     random_stiefel,
-    rho_sweep,
     sample_feasible_cloud,
 )
 from .streams import complex_normal, substream

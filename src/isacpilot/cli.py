@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -42,13 +42,7 @@ from .metrics import (
     sensing_mi,
     sensing_mi_approx,
 )
-from .optimizer import (
-    optimize_pgd,
-    pareto_filter,
-    random_stiefel,
-    rho_sweep,
-    sample_feasible_cloud,
-)
+from .optimizer import optimize_pgd, pareto_filter, random_stiefel, sample_feasible_cloud
 from .streams import substream
 
 LN2 = float(np.log(2.0))
@@ -152,18 +146,32 @@ def _map_units(worker, units, threads: int) -> list:
 
 
 def _sweep_unit(config: ExperimentConfig, objective: IsacObjective, rho: float) -> tuple:
-    point = rho_sweep(objective, [rho], _random_pilot(config, "init"), config.optimizer)[0]
+    objective = replace(objective, rho=float(rho))
+    trace = optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
+    comm = trace.comm_mi[-1]
     # endpoint sense MI reported under the globally selected formula; the
     # ascent itself always follows the approximate objective
-    sense = sensing_mi(point.pilot, objective.scene, config.scenario["sensing_formula"])
-    value = rho * point.comm_mi + (1.0 - rho) * sense
-    return (rho, point.comm_mi / LN2, sense / LN2, value / LN2, point.iterations, point.residual)
+    sense = sensing_mi(trace.final_pilot, objective.scene, config.scenario["sensing_formula"])
+    value = rho * comm + (1.0 - rho) * sense
+    return (rho, comm / LN2, sense / LN2, value / LN2, trace.n_iterations, trace.residual[-1])
+
+
+def _cap_notice(config: ExperimentConfig, iters: list) -> None:
+    """Print to stderr how many of the ascents, given by their iteration
+    counts ``iters``, stopped at ``max_iters``. Silent when none did, and when
+    ``rel_tol`` is 0, which switches the early stop off."""
+    cap = config.optimizer.max_iters
+    capped = sum(n == cap for n in iters)
+    if config.optimizer.rel_tol > 0 and capped:
+        notice = f"{config.task}: {capped} of {len(iters)} points reached max_iters ({cap})"
+        print(notice, file=sys.stderr)
 
 
 def _task_sweep(config: ExperimentConfig, threads: int) -> list:
-    # one objective for every unit; rho_sweep sets each unit's own rho
+    # one objective for every unit; each unit sets its own rho
     unit = partial(_sweep_unit, config, build_objective(config.scenario, 0.0))
     rows = _map_units(unit, config.task_params["rho_values"], threads)
+    _cap_notice(config, [row[4] for row in rows])
     header = "rho,comm_mi_bits,sense_mi_bits,objective_bits,iters,residual"
     return [_table(config, "frontier", header, rows)]
 
@@ -172,6 +180,7 @@ def _task_optimize(config: ExperimentConfig, threads: int) -> list:
     rho = config.scenario["rho"]
     objective = build_objective(config.scenario, rho)
     trace = optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
+    _cap_notice(config, [trace.n_iterations])
     trace_rows = [
         (int(it), obj / LN2, comm / LN2, sense / LN2, res)
         for it, obj, comm, sense, res in zip(
@@ -467,6 +476,8 @@ def main(argv=None) -> None:
         "--threads", type=int, default=1, help="worker processes, at most one per usable CPU"
     )
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("argument --threads: must be >= 1")
     if args.task == "verify":
         sys.exit(verify_outputs(args.config, args.seed, args.out))
     sys.exit(run_config(args.config, args.task, args.seed, args.out, args.threads))

@@ -8,7 +8,7 @@ values, cloud samples) are pure and can execute concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,45 +137,6 @@ def optimize_pgd(
         residual=np.array(residuals),
         final_pilot=pilot,
     )
-
-
-@dataclass(eq=False)
-class SweepPoint:
-    """Endpoint summary of one trade-off run."""
-
-    rho: float
-    comm_mi: float
-    sense_mi: float
-    pilot: PilotMatrix
-    iterations: int
-    residual: float
-
-
-def rho_sweep(
-    objective_template: IsacObjective,
-    rho_values,
-    shared_init: PilotMatrix,
-    config: OptimizerConfig,
-) -> list[SweepPoint]:
-    """Run the optimizer per trade-off value from one shared initializer."""
-    rho_values = np.asarray(rho_values, dtype=float)
-    if np.any((rho_values < 0) | (rho_values > 1)):
-        raise InvalidParameterError("rho values must lie in [0, 1]")
-    points = []
-    for rho in rho_values:
-        objective = replace(objective_template, rho=float(rho))
-        trace = optimize_pgd(shared_init, objective, config)
-        points.append(
-            SweepPoint(
-                rho=float(rho),
-                comm_mi=float(trace.comm_mi[-1]),
-                sense_mi=float(trace.sense_mi[-1]),
-                pilot=trace.final_pilot,
-                iterations=trace.n_iterations,
-                residual=float(trace.residual[-1]),
-            )
-        )
-    return points
 
 
 def pareto_filter(points) -> list:

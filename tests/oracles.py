@@ -9,8 +9,11 @@ build those dense objects directly, so each factored kernel has an
 independent check.  Two closed forms that only the tests use live here too:
 a single steering vector and the detection-error exponent decomposition.
 So do the one-user views of the package's metric and its one gradient
-routine, ``gradients.isac_value_and_grad``, that the tests check.
+routine, ``gradients.isac_value_and_grad``, that the tests check, and the
+multi-value trade-off sweep the tests run through ``optimize_pgd``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -127,6 +130,16 @@ def comm_mi_user(pilot, model):
     """Surrogate mutual information between the pilot observation and one
     user's channel; one value per pilot of a stack."""
     return _per_pilot(comm_state(pilot, [model]).value[0])
+
+
+def sweep_traces(objective, rho_values, init, config) -> list:
+    """``(rho, trace)`` per trade-off value, in the order given: one
+    ``optimize_pgd`` ascent from ``init`` per value, with ``objective``'s rho
+    replaced by it, as the ``sweep`` task runs each of its units."""
+    return [
+        (float(rho), ip.optimize_pgd(init, replace(objective, rho=float(rho)), config))
+        for rho in rho_values
+    ]
 
 
 def comm_grad(pilot, model) -> np.ndarray:

@@ -23,6 +23,7 @@ from oracles import (
     sense_kl_and_g,
     sense_kl_direct,
     sensing_vectors,
+    sweep_traces,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -194,9 +195,11 @@ def test_04_unitary_invariance():
 
 
 def _sweep_endpoints(seed, objective, rho_values):
+    """(sense MI, comm MI) at the end of each trade-off value's ascent, in ρ order."""
     init = ip.random_stiefel(4, 16, substream(seed, "acc-sweep-init"))
     config = OptimizerConfig(0.1, 200, 1e-8)
-    return ip.rho_sweep(objective, rho_values, init, config)
+    traces = sweep_traces(objective, rho_values, init, config)
+    return [(trace.sense_mi[-1], trace.comm_mi[-1]) for _, trace in traces]
 
 
 def test_05_tradeoff_ordering():
@@ -205,9 +208,9 @@ def test_05_tradeoff_ordering():
     comm, sense, pareto_keeps_all = [], [], 0
     for seed in range(5):
         points = _sweep_endpoints(seed, objective, rho_values)
-        comm.append([p.comm_mi for p in points])
-        sense.append([p.sense_mi for p in points])
-        kept = ip.pareto_filter([(p.sense_mi, p.comm_mi) for p in points])
+        comm.append([c for _, c in points])
+        sense.append([s for s, _ in points])
+        kept = ip.pareto_filter(points)
         pareto_keeps_all += len(kept) == len(points)
     med_comm = np.median(comm, axis=0)
     med_sense = np.median(sense, axis=0)
@@ -233,7 +236,7 @@ def test_06_frontier_dominance():
         cloud = ip.sample_feasible_cloud(1000, 4, objective, substream(seed, "acc-cloud"))
         all_clear = True
         for p in points:
-            ours = np.array([p.sense_mi, p.comm_mi])
+            ours = np.array(p)
             dominated = np.any(np.all(cloud >= ours, axis=1) & np.any(cloud > ours, axis=1))
             all_clear &= not dominated
         good += all_clear

@@ -426,6 +426,44 @@ class TestRunConfig:
         assert (outs[2] / "frontier.csv").read_bytes() == reference
 
 
+class TestCapNotice:
+    """``sweep`` and ``optimize`` count on stderr the ascents that ran to
+    ``max_iters`` while the early stop was on."""
+
+    TASKS = {"sweep": {}, "optimize": {"task": "optimize", "sweep": ..., "scenario.rho": 0.5}}
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_points_at_the_cap_are_named(self, tmp_path, capsys, task):
+        # the stop test needs a full 10-iteration window, so 8 iterations reach the cap
+        path = write_config(tmp_path, {**self.TASKS[task], "optimizer.rel_tol": 1e-8})
+        assert run_config(path, out_dir=str(tmp_path / "out")) == 0
+        points = 3 if task == "sweep" else 1
+        assert capsys.readouterr().err == f"{task}: {points} of {points} points reached max_iters (8)\n"
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_silent_when_every_point_stops_on_rel_tol(self, tmp_path, capsys, task):
+        overrides = {**self.TASKS[task], "optimizer.rel_tol": 1.0, "optimizer.max_iters": 50}
+        path = write_config(tmp_path, overrides)
+        assert run_config(path, out_dir=str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_silent_when_rel_tol_is_zero(self, tmp_path, capsys):
+        # BASE_CONFIG runs 8 iterations with the early stop off
+        assert run_config(write_config(tmp_path), out_dir=str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", write_config(tmp_path), "--out", str(out), "--threads", threads]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestWorkerPool:
     """``_map_units`` starts a worker pool only when a second usable CPU can
     take a worker; the usable-CPU count is patched, so a runner pinned to one

@@ -1,5 +1,7 @@
 """Tests for Stiefel projection, gradient ascent, sweeps and Pareto filtering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from isacpilot import (
     pareto_filter,
     project_stiefel,
     random_stiefel,
-    rho_sweep,
     sample_feasible_cloud,
     substream,
 )
 
+from oracles import sweep_traces
 from test_metrics import random_model, random_scene
 
 
@@ -172,23 +174,22 @@ class TestRhoSweep:
     def test_two_endpoint_sweep(self):
         objective = small_objective(seed=16)
         init = random_stiefel(3, 8, substream(16, "sweep"))
-        points = rho_sweep(objective, [0.0, 1.0], init, OptimizerConfig(max_iters=40))
-        assert [p.rho for p in points] == [0.0, 1.0]
-        assert all(p.residual <= 1e-8 for p in points)
+        points = sweep_traces(objective, [0.0, 1.0], init, OptimizerConfig(max_iters=40))
+        assert [rho for rho, _ in points] == [0.0, 1.0]
+        assert all(trace.residual[-1] <= 1e-8 for _, trace in points)
 
     def test_twenty_one_values_supported(self):
         objective = small_objective(seed=17)
         init = random_stiefel(3, 8, substream(17, "sweep"))
         grid = np.linspace(0.0, 1.0, 21)
-        points = rho_sweep(objective, grid, init, OptimizerConfig(max_iters=3, rel_tol=0.0))
+        points = sweep_traces(objective, grid, init, OptimizerConfig(max_iters=3, rel_tol=0.0))
         assert len(points) == 21
-        np.testing.assert_allclose([p.rho for p in points], grid)
+        np.testing.assert_allclose([rho for rho, _ in points], grid)
 
     def test_rejects_out_of_range(self):
         objective = small_objective(seed=18)
-        init = random_stiefel(3, 8, substream(18, "sweep"))
         with pytest.raises(ip.InvalidParameterError):
-            rho_sweep(objective, [0.0, 1.5], init, OptimizerConfig())
+            replace(objective, rho=1.5)
 
 
 class TestParetoFilter:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from isacpilot.config import build_objective, parse_config  # noqa: E402
-from isacpilot.optimizer import project_stiefel, random_stiefel, rho_sweep  # noqa: E402
+from isacpilot.optimizer import optimize_pgd, project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import substream  # noqa: E402
 
 
@@ -57,12 +58,13 @@ def main(argv: list) -> None:
     print(f"{'rho':>5} {'iters':>5} {'nudged':>6} {'d comm_mi':>10} {'d sense_mi':>10}")
     start = time.perf_counter()
     for rho in config.task_params["rho_values"]:
-        base = rho_sweep(objective, [rho], init, config.optimizer)[0]
-        other = rho_sweep(objective, [rho], moved, config.optimizer)[0]
+        rho_objective = replace(objective, rho=float(rho))
+        base = optimize_pgd(init, rho_objective, config.optimizer)
+        other = optimize_pgd(moved, rho_objective, config.optimizer)
         print(
-            f"{rho:5.2f} {base.iterations:5d} {other.iterations:6d} "
-            f"{relative(base.comm_mi, other.comm_mi):10.2g} "
-            f"{relative(base.sense_mi, other.sense_mi):10.2g}"
+            f"{rho:5.2f} {base.n_iterations:5d} {other.n_iterations:6d} "
+            f"{relative(base.comm_mi[-1], other.comm_mi[-1]):10.2g} "
+            f"{relative(base.sense_mi[-1], other.sense_mi[-1]):10.2g}"
         )
     print(f"wall: {time.perf_counter() - start:.1f} s")
 
