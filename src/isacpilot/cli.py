@@ -274,7 +274,8 @@ def _task_ser(config: ExperimentConfig, threads: int) -> list:
         "snr_definition": "per-user nominal receive SNR: unit symbol energy, unit-norm precoder "
         "columns, noise var 10^(-snr_db/10)",
         "block_len": params["block_len"],
-        "n_symbols_per_user": params["n_symbols"],
+        # whole blocks are simulated: the count rounds up to a multiple of block_len
+        "n_symbols_per_user": -(-params["n_symbols"] // params["block_len"]) * params["block_len"],
     }
     return [_table(config, "ser", "source_id,snr_db,ser", rows, **metadata)]
 

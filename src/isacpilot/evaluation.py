@@ -4,6 +4,12 @@ Trials are paired: target-absent and target-present statistics share the
 same clutter and noise draws, and experiment substreams depend only on the
 caller's generator, never on the pilot under test, so pilots can be compared
 on identical randomness.
+
+The working set is bounded by the data each table needs, not by its
+temporaries: an ROC holds 16 B per trial (each trial's statistic pair in its
+own interference entry), the link simulation decides its symbols in runs of
+whole blocks, and the estimator keeps no (trials, components) array beyond
+one chunk.
 """
 
 from __future__ import annotations
@@ -42,12 +48,17 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 # below about 4,000.
 WEIGHT_CUT = -700.0
 # Detection trials are drawn in blocks of this many, so the draws alive at a
-# time take about 2 MB (two clutter sources) whatever the trial count; only
-# the running interference (16 B per trial, which the h0 statistics reuse)
-# and the h1 statistics (8 B per trial) grow with it.  Consecutive draws
-# continue one stream, so the statistics and the generator state do not
-# depend on the block size.
-DETECTION_BLOCK = 65_536
+# time take under 1 MB (two clutter sources) whatever the trial count; only
+# the running interference grows with it, 16 B per trial, which the paired
+# statistics then reuse.  Consecutive draws continue one stream, so the
+# statistics and the generator state do not depend on the block size.  The
+# same length bounds the runs of ``roc_curve``'s swap.
+DETECTION_BLOCK = 16_384
+# The link simulation forms, draws noise for and decides its symbols in runs
+# of whole blocks of about this many symbols (all users), so its temporaries
+# take well under 1 MB at any symbol count; the noise continues one stream,
+# so the error counts and the generator state do not depend on the run.
+_SER_RUN = 16_384
 
 
 @dataclass(eq=False)
@@ -62,30 +73,30 @@ class RocCurve:
 
 def simulate_detection_trials(
     pilot, scene: SensingScene, n_trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paired detector statistics (h0, h1) for ``n_trials`` trials.
+) -> np.ndarray:
+    """Paired detector statistics, shape (2, ``n_trials``): row 0 the
+    target-absent (h0) and row 1 the target-present (h1) statistics, so
+    ``t0, t1 = simulate_detection_trials(...)`` unpacks them.
 
     Works on the scalar projection w^H y, whose distribution is identical to
     the frame-level statistic; standard draws are pilot-independent so equal
-    seeds give paired comparisons across pilots.  The h0 statistics are a
-    view of the first ``n_trials`` float64 slots of the complex interference
-    buffer (16 B per trial), written once the interference is no longer
-    needed, so the two statistics and the interference take 24 B per trial
-    together; the h0 view keeps that whole buffer alive.
+    seeds give paired comparisons across pilots.  Trial i's pair (t0, t1) is
+    written into the 16 B of its own complex interference entry once that
+    entry has been read, and the result is a strided view of that buffer, so
+    the statistics take 16 B per trial and both rows keep the buffer alive.
     """
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
     proj, w_norm2 = _detector_scalars(pilot, scene)
     # draws come in blocks of DETECTION_BLOCK trials, in the order all
     # clutter, all noise, all target, and each block is folded into the
-    # running interference or the h1 statistics as soon as it is drawn
+    # running interference or the statistics as soon as it is drawn
     blocks = [
         slice(start, min(start + DETECTION_BLOCK, n_trials))
         for start in range(0, n_trials, DETECTION_BLOCK)
     ]
     noise_scale = np.sqrt(scene.radar_noise_std**2 * w_norm2)
     interf = np.zeros(n_trials, dtype=complex)
-    t1 = np.empty(n_trials)
     if scene.n_clutter:
         clutter_gains = np.sqrt(scene.clutter_powers) * proj[1:]
         for block in blocks:
@@ -96,21 +107,17 @@ def simulate_detection_trials(
         noise *= noise_scale
         interf[block] += noise
     del noise  # not alive while the targets are drawn
+    # entry i's two floats take (t0_i, t1_i), written only after the
+    # block's interference has been read into |interf|^2 and interf + target
+    pairs = interf.view(float).reshape(n_trials, 2)
     for block in blocks:
         target = complex_normal(rng, (block.stop - block.start,))
         target *= np.sqrt(scene.target_power)
         target *= proj[0]
         np.add(interf[block], target, out=target)
-        np.square(np.abs(target, out=t1[block]), out=t1[block])
-    # t0 slot i lies in complex entry i // 2 <= i, so a block overwrites
-    # only entries already read: those of earlier blocks and, for the first
-    # block, its own, which is why each block is squared in a temporary
-    t0 = interf.view(float)[:n_trials]
-    for block in blocks:
-        values = np.abs(interf[block])
-        np.square(values, out=values)
-        t0[block] = values
-    return t0, t1
+        np.square(np.abs(interf[block]), out=pairs[block, 0])
+        np.square(np.abs(target), out=pairs[block, 1])
+    return pairs.T
 
 
 def roc_curve(
@@ -123,17 +130,30 @@ def roc_curve(
     """Empirical ROC: thresholds from target-absent order statistics.
 
     Detection probabilities are estimated against those thresholds from the
-    paired target-present statistics; grid points below the 1/n_trials
-    resolution are flagged.  The thresholds partition the target-absent
-    statistics in place, in the interference buffer they are a view of
-    (``simulate_detection_trials``), so no copy of them is made.
+    target-present statistics; grid points below the 1/n_trials resolution
+    are flagged.  Both need only the multiset of each statistic, so the
+    pairs (``simulate_detection_trials``) are regrouped in their own buffer:
+    the h1 slots of its first half swap with the h0 slots of its second
+    half, in runs of ``DETECTION_BLOCK`` trials, which leaves every h0
+    statistic in the buffer's first ``n_trials`` floats and every h1 in the
+    rest.  The thresholds then partition the h0 statistics in place, so no
+    copy of either is made.
     """
     if n_trials < 1000:
         raise InvalidParameterError("at least 1e3 trials are needed for usable tails")
     p_fa = np.sort(np.asarray(p_fa_grid, dtype=float))
     if not np.all((p_fa > 0) & (p_fa <= 1)):  # written so that a NaN fails it
         raise InvalidParameterError("false-alarm targets must lie in (0, 1]")
-    t0, t1 = simulate_detection_trials(pilot, scene, n_trials, rng)
+    flat = simulate_detection_trials(pilot, scene, n_trials, rng).T.reshape(-1)  # a view
+    half = n_trials // 2
+    h1_first = flat[1 : 2 * half : 2]  # h1 of trials 0 .. half - 1
+    h0_last = flat[2 * (n_trials - half) :: 2]  # h0 of the last half trials
+    for start in range(0, half, DETECTION_BLOCK):
+        run = slice(start, start + DETECTION_BLOCK)
+        swap = h1_first[run].copy()
+        h1_first[run] = h0_last[run]
+        h0_last[run] = swap
+    t0, t1 = flat[:n_trials], flat[n_trials:]
     thresholds = np.quantile(t0, 1.0 - p_fa, overwrite_input=True)
     p_d = np.array([np.mean(t1 > thr) for thr in thresholds])
     return RocCurve(
@@ -144,12 +164,11 @@ def roc_curve(
     )
 
 
-def gmm_mmse_batch(
-    observations: np.ndarray, pilot, model: GmmUserModel
-) -> tuple[np.ndarray, np.ndarray]:
+def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.ndarray:
     """Mixture-MMSE channel estimates for a batch of observations.
 
-    Returns (estimates of shape (T, N_t), responsibilities of shape (T, N_k)).
+    Returns the estimates, shape (T, N_t); the (trials x N_k) mixture
+    weights (responsibilities) live only one chunk at a time.
     Everything per component comes from the one elimination of
     ``comm_state``: B_n = Phi A_n, C_n = Sigma_n^{-1} B_n, s_n =
     Sigma_n^{-1} v_n with v_n = Phi m - Phi mu_n (m the mixture mean), and
@@ -170,8 +189,8 @@ def gmm_mmse_batch(
     coefficients of the M_n gives every quadratic form, trials-major, and
     one real product of the (trials x N_k) weights with the stacked real
     and imaginary parts of [G_n | b_n] gives each trial's mixed gain, which
-    is applied to its z.  Responsibilities are computed in the log domain
-    and normalized; weights below e^WEIGHT_CUT times a trial's largest are
+    is applied to its z.  The weights are computed in the log domain and
+    normalized; weights below e^WEIGHT_CUT times a trial's largest are
     exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
     the weights and the mixed gains.  A non-finite observation raises
     ``NumericError`` naming its row.
@@ -206,12 +225,11 @@ def gmm_mmse_batch(
     np.subtract(obs, phi @ model.mixture_mean, out=extended[:, :n_slots])
 
     est = np.empty((n_trials, n_tx), dtype=complex)
-    resp = np.empty((n_trials, n_comp))
     chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials], resp[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])
-    return est, resp
+        est[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])[0]
+    return est
 
 
 def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
@@ -225,8 +243,9 @@ def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
 
 
 def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
-    """(estimates, responsibilities) of one chunk of trials for
-    ``gmm_mmse_batch``; its intermediates are freed on return."""
+    """(estimates, mixture weights) of one chunk of trials for
+    ``gmm_mmse_batch``, which keeps only the estimates; the weights are
+    freed with the chunk's other intermediates."""
     n_trials = extended.shape[0]
     # features |z_i|^2, then Re and Im of conj(z_i) z_j for i < j, interleaved
     i, j = np.triu_indices(extended.shape[1], 1)
@@ -246,8 +265,7 @@ def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random
     through ``phi`` and estimated by ``gmm_mmse_batch``."""
     channels = sample_channels(model, n, rng)
     noise = model.noise_std * complex_normal(rng, (n, phi.shape[0]))
-    est, _ = gmm_mmse_batch(channels @ phi.T + noise, phi, model)
-    return channels, est
+    return channels, gmm_mmse_batch(channels @ phi.T + noise, phi, model)
 
 
 def nmse_experiment(
@@ -314,8 +332,11 @@ def ser_experiment(
     precode with the estimates, send 64-QAM symbols through the true
     channels, and hard-decide after dividing by the estimated effective
     gain.  SNR sets the data-phase noise variance as 10^(-snr/10) against
-    unit symbol energy and unit-norm precoder columns; ``n_symbols`` counts
-    per-user symbols per SNR point.
+    unit symbol energy and unit-norm precoder columns.  Each SNR point sends
+    ceil(``n_symbols`` / ``block_len``) whole blocks, so the per-user symbol
+    count it simulates, and divides by, is ``n_symbols`` rounded up to a
+    multiple of ``block_len``.  A point's symbols are drawn in one call, then
+    formed, noised and decided in runs of whole blocks (``_SER_RUN``).
     """
     if n_symbols < 1000:
         raise InvalidParameterError("at least 1e3 symbols are needed per SNR point")
@@ -340,16 +361,20 @@ def ser_experiment(
     gains = np.einsum("bkn,bnk->bk", h_est, w).real
     effective = np.einsum("bkn,bnj->bkj", h_true, w)
 
+    run = max(1, _SER_RUN // (n_users * block_len))  # whole blocks per run
     ser = np.empty(snr_grid_db.size)
     for i, snr_db in enumerate(snr_grid_db):
         noise_std = 10.0 ** (-snr_db / 20.0)
         sent = data_rng.integers(0, 64, size=(n_blocks, n_users, block_len))
-        symbols = CONSTELLATION[sent]
-        received = np.einsum("bkj,bjm->bkm", effective, symbols)
-        received += noise_std * complex_normal(data_rng, received.shape)
-        equalized = received / gains[:, :, None]
-        decided = 8 * _nearest_level_index(equalized.real) + _nearest_level_index(equalized.imag)
-        ser[i] = float(np.mean(decided != sent))
+        errors = 0
+        for start in range(0, n_blocks, run):
+            blocks = slice(start, start + run)
+            received = np.einsum("bkj,bjm->bkm", effective[blocks], CONSTELLATION[sent[blocks]])
+            received += noise_std * complex_normal(data_rng, received.shape)
+            received /= gains[blocks, :, None]
+            decided = 8 * _nearest_level_index(received.real) + _nearest_level_index(received.imag)
+            errors += int(np.count_nonzero(decided != sent[blocks]))
+        ser[i] = errors / sent.size
     return ser
 
 

@@ -9,13 +9,15 @@ build those dense objects directly, so each factored kernel has an
 independent check.  Two closed forms that only the tests use live here too:
 a single steering vector and the detection-error exponent decomposition.
 So do the one-user views of the package's metric and its one gradient
-routine, ``gradients.isac_value_and_grad``, that the tests check, and the
-multi-value trade-off sweep the tests run through ``optimize_pgd``.
+routine, ``gradients.isac_value_and_grad``, that the tests check, the
+multi-value trade-off sweep the tests run through ``optimize_pgd``, and the
+estimator's mixture weights, recorded from its own chunks.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.special import logsumexp
 
 import isacpilot as ip
@@ -140,6 +142,25 @@ def sweep_traces(objective, rho_values, init, config) -> list:
         (float(rho), ip.optimize_pgd(init, replace(objective, rho=float(rho)), config))
         for rho in rho_values
     ]
+
+
+def mmse_with_weights(observations, pilot, model) -> tuple[np.ndarray, np.ndarray]:
+    """(estimates, mixture weights) of one ``gmm_mmse_batch`` call: the
+    estimates it returns, shape (T, N_t), and the responsibilities it mixed
+    them with, shape (T, N_k), recorded from each ``evaluation._mmse_chunk``
+    call and stacked in trial order.  The package keeps no (T, N_k) array."""
+    chunk_weights = []
+    mmse_chunk = ip.evaluation._mmse_chunk
+
+    def recording(*args):
+        est, w = mmse_chunk(*args)
+        chunk_weights.append(w)
+        return est, w
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ip.evaluation, "_mmse_chunk", recording)
+        est = ip.gmm_mmse_batch(observations, pilot, model)
+    return est, np.concatenate(chunk_weights)
 
 
 def comm_grad(pilot, model) -> np.ndarray:

@@ -19,6 +19,7 @@ from isacpilot.gradients import isac_value_and_grad
 from oracles import (
     comm_grad,
     comm_mi_user,
+    mmse_with_weights,
     sense_grad,
     sense_kl_and_g,
     sense_kl_direct,
@@ -357,7 +358,7 @@ def test_11_mmse_identity():
     worst = 0.0
     for _ in range(20):
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ours = ip.gmm_mmse_batch(y[None], pilot, model)[0][0]
+        ours = ip.gmm_mmse_batch(y[None], pilot, model)[0]
         sigma = phi @ cov @ phi.conj().T + model.noise_std**2 * np.eye(3)
         closed = mean + cov @ phi.conj().T @ np.linalg.solve(sigma, y - phi @ mean)
         worst = max(worst, float(np.abs(ours - closed).max()))
@@ -366,7 +367,7 @@ def test_11_mmse_identity():
 
     mixture = random_model(5, n_tx=n_tx)
     obs = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
-    _, resp = ip.gmm_mmse_batch(obs, pilot, mixture)
+    _, resp = mmse_with_weights(obs, pilot, mixture)
     resp_gap = float(np.abs(resp.sum(axis=1) - 1.0).max())
     ok = worst <= 1e-10 and resp_gap <= 1e-12
     report(

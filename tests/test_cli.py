@@ -415,6 +415,17 @@ class TestRunConfig:
         content = (out / "gradcheck.csv").read_text()
         assert "max_rel_err" in content
 
+    def test_ser_reports_the_simulated_symbol_count(self, tmp_path):
+        # 1,050 symbols in blocks of 100 run 11 whole blocks: 1,100 per user
+        section = {"snr_grid_db": [0.0], "n_symbols": 1050, "block_len": 100, "sources": ["random"]}
+        path = write_config(tmp_path, task_overrides("ser", "ser", section))
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=str(out)) == 0
+        lines = (out / "ser.csv").read_text().splitlines()
+        assert "# n_symbols_per_user: 1100" in lines
+        errors = float(lines[-1].split(",")[-1]) * 1100  # one user
+        assert errors > 0 and abs(errors - round(errors)) <= 1e-9
+
     def test_byte_identical_reruns_and_thread_counts(self, tmp_path):
         path = write_config(tmp_path)
         outs = [tmp_path / f"out{i}" for i in range(3)]

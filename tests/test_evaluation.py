@@ -1,6 +1,7 @@
 """Tests for detection, estimation and link-level evaluation."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,17 @@ from isacpilot import (
     zf_precode,
 )
 from isacpilot.channel import build_user_models
-from isacpilot.evaluation import CONSTELLATION, _nearest_level_index
-from oracles import detector_statistic, sensing_vectors, simulate_radar_frame
+from isacpilot.config import build_users, parse_config
+from isacpilot.evaluation import CONSTELLATION, _estimate_draws, _nearest_level_index
+from oracles import (
+    detector_statistic,
+    mmse_with_weights,
+    sensing_vectors,
+    simulate_radar_frame,
+)
 
 GEOM = ArrayGeometry(n_tx=8, n_rx=3)
+SER_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ser_multiuser.yaml"
 CLUTTER_CASES = [(), ((10.0, 0.4),), ((10.0, 0.4), (-30.0, 2.5))]  # 0, 1 and 2 sources
 
 
@@ -52,6 +60,18 @@ def all_draws_first(pilot, scene, n_trials, rng):
         interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
     target = np.sqrt(scene.target_power) * gamma_t * proj[0]
     return np.abs(interf) ** 2, np.abs(interf + target) ** 2
+
+
+def traced_roc_peak(n_trials):
+    """Traced peak bytes of one ``roc_curve`` call with two clutter sources."""
+    pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
+    scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
+    tracemalloc.start()
+    try:
+        roc_curve(pilot, scene, n_trials, [1e-4, 1e-2, 0.5], substream(23, "trials"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRadarFrame:
@@ -95,8 +115,8 @@ class TestRadarFrame:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_traced_peak_is_bounded_per_trial(self):
-        # the running interference and the two statistics take 24 B per
-        # trial, the h0 ones in the interference's buffer; the blocked
+        # the running interference and the two statistics take 16 B per
+        # trial, each pair in its own interference entry; the blocked
         # draws add a fixed few MB on top
         pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
         scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
@@ -111,17 +131,14 @@ class TestRadarFrame:
 
     def test_roc_traced_peak_is_bounded_per_trial(self):
         # the whole ROC: the thresholds partition the h0 statistics in
-        # place, so the quantile adds no copy to the 24 B per trial
-        pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
-        scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
-        n_trials = 1_000_000
-        tracemalloc.start()
-        try:
-            roc_curve(pilot, scene, n_trials, [1e-4, 1e-2, 0.5], substream(23, "trials"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 28 * n_trials
+        # place, so the quantile adds no copy to the 16 B per trial
+        assert traced_roc_peak(1_000_000) <= 28 * 1_000_000
+
+    def test_roc_traced_peak_holds_the_pairs_in_place(self):
+        # 16 B per trial: the pairs stay in the interference buffer, the
+        # swap regroups them there one run at a time, and the draw blocks,
+        # the swap run and one P_d comparison (1 B per trial) add about 1 MB
+        assert traced_roc_peak(1_000_000) <= 20 * 1_000_000
 
     def test_rejects_unknown_hypothesis(self):
         pilot = ip.random_stiefel(3, 8, substream(6, "rf"))
@@ -246,19 +263,16 @@ class TestRocCurve:
             roc_curve(pilot, clutter_scene(), 100, [0.1], substream(29, "roc"))
 
     def test_thresholds_and_detection_match_all_draws_first(self, monkeypatch):
-        # 5,000 trials in blocks of 1,234: the first block's h0 statistics
-        # overlap its own interference entries, and a remainder block runs
+        # 5,000 trials in draw blocks of 1,234 with a remainder block; the
+        # halves swap in runs of 1,234 with a remainder run
         monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", 1234)
-        pilot = ip.random_stiefel(3, 8, substream(30, "roc"))
-        scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=CLUTTER_CASES[2])
-        grid = [1e-3, 0.01, 0.1, 0.5, 1.0]
-        rng, oracle_rng = substream(31, "roc"), substream(31, "roc")
-        curve = roc_curve(pilot, scene, 5000, grid, rng)
-        e0, e1 = all_draws_first(pilot, scene, 5000, oracle_rng)
-        thresholds = np.quantile(e0.copy(), 1.0 - np.array(grid))
-        assert np.array_equal(curve.thresholds, thresholds)
-        assert np.array_equal(curve.p_d, [np.mean(e1 > thr) for thr in thresholds])
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        check_roc_against_all_draws_first(5000)
+
+    def test_odd_trial_count_matches_all_draws_first(self, monkeypatch):
+        # 5,001 trials: the middle trial's pair stays in place while the
+        # first 2,500 h1 and the last 2,500 h0 statistics swap
+        monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", 1234)
+        check_roc_against_all_draws_first(5001)
 
     @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [0.0], [1.5]])
     def test_rejects_false_alarm_target_before_any_draw(self, grid):
@@ -268,6 +282,22 @@ class TestRocCurve:
         with pytest.raises(ip.InvalidParameterError, match="false-alarm"):
             roc_curve(pilot, clutter_scene(), 2000, grid, rng)
         assert rng.bit_generator.state == state
+
+
+def check_roc_against_all_draws_first(n_trials):
+    """``roc_curve``'s thresholds and P_d bit-equal to ``np.quantile`` on a
+    copy of the all-draws-first oracle's h0 statistics and ``np.mean(t1 >
+    thr)``, with the generator left alike."""
+    pilot = ip.random_stiefel(3, 8, substream(30, "roc"))
+    scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=CLUTTER_CASES[2])
+    grid = [1e-3, 0.01, 0.1, 0.5, 1.0]
+    rng, oracle_rng = substream(31, "roc"), substream(31, "roc")
+    curve = roc_curve(pilot, scene, n_trials, grid, rng)
+    e0, e1 = all_draws_first(pilot, scene, n_trials, oracle_rng)
+    thresholds = np.quantile(e0.copy(), 1.0 - np.array(grid))
+    assert np.array_equal(curve.thresholds, thresholds)
+    assert np.array_equal(curve.p_d, [np.mean(e1 > thr) for thr in thresholds])
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestGmmMmse:
@@ -280,7 +310,7 @@ class TestGmmMmse:
         pilot = ip.random_stiefel(3, 8, substream(31, "mmse"))
         phi = pilot.entries
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ours = gmm_mmse_batch(y[None], pilot, model)[0][0]
+        ours = gmm_mmse_batch(y[None], pilot, model)[0]
         sigma = phi @ cov @ phi.conj().T + 0.16 * np.eye(3)
         closed = mean + cov @ phi.conj().T @ np.linalg.solve(sigma, y - phi @ mean)
         np.testing.assert_allclose(ours, closed, atol=1e-10)
@@ -292,7 +322,7 @@ class TestGmmMmse:
         pilot = ip.random_stiefel(3, 8, substream(32, "mmse"))
         rng = substream(33, "mmse-obs")
         obs = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-        _, resp = gmm_mmse_batch(obs, pilot, model)
+        _, resp = mmse_with_weights(obs, pilot, model)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
     def test_huge_noise_returns_prior_mean(self):
@@ -301,7 +331,7 @@ class TestGmmMmse:
         model = random_model(34, n_tx=8, noise_std=1e6)
         pilot = ip.random_stiefel(3, 8, substream(34, "mmse"))
         y = np.ones(3, dtype=complex)
-        est = gmm_mmse_batch(y[None], pilot, model)[0][0]
+        est = gmm_mmse_batch(y[None], pilot, model)[0]
         prior_mean = model.weights @ model.means
         assert np.linalg.norm(est - prior_mean) / np.linalg.norm(prior_mean) <= 1e-3
 
@@ -317,7 +347,7 @@ class TestGmmMmse:
         pilot = ip.project_stiefel(basis.conj().T)
         channels = ip.sample_channels(model, 200, substream(36, "mmse"))
         obs = channels @ pilot.entries.T
-        est, _ = gmm_mmse_batch(obs, pilot, model)
+        est = gmm_mmse_batch(obs, pilot, model)
         nmse = np.sum(np.abs(est - channels) ** 2) / np.sum(np.abs(channels) ** 2)
         assert nmse <= 1e-6
 
@@ -394,6 +424,32 @@ class TestZfPrecode:
             zf_precode(np.ones((5, 3), dtype=complex))
 
 
+def ser_one_run(pilot, users, snr_grid_db, n_symbols, block_len, rng):
+    """Oracle of ``ser_experiment``: each SNR point's symbols formed, noised
+    and decided in one run of all blocks.  Also returns the final states of
+    the channel and data streams."""
+    phi = pilot.entries
+    n_blocks = -(-n_symbols // block_len)
+    chan_rng, data_rng = rng.spawn(2)
+    h_true = np.empty((n_blocks, len(users), phi.shape[1]), dtype=complex)
+    h_est = np.empty_like(h_true)
+    for k, model in enumerate(users):
+        h_true[:, k, :], h_est[:, k, :] = _estimate_draws(phi, model, n_blocks, chan_rng)
+    w = zf_precode(h_est)
+    gains = np.einsum("bkn,bnk->bk", h_est, w).real
+    effective = np.einsum("bkn,bnj->bkj", h_true, w)
+    ser = []
+    for snr_db in snr_grid_db:
+        sent = data_rng.integers(0, 64, size=(n_blocks, len(users), block_len))
+        received = np.einsum("bkj,bjm->bkm", effective, CONSTELLATION[sent])
+        received += 10.0 ** (-snr_db / 20.0) * ip.complex_normal(data_rng, received.shape)
+        equalized = received / gains[:, :, None]
+        decided = 8 * _nearest_level_index(equalized.real) + _nearest_level_index(equalized.imag)
+        ser.append(float(np.mean(decided != sent)))
+    states = (chan_rng.bit_generator.state, data_rng.bit_generator.state)
+    return np.array(ser), states
+
+
 class TestSerExperiment:
     def _users(self, noise_std):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
@@ -412,6 +468,40 @@ class TestSerExperiment:
         pilot = ip.random_stiefel(4, 8, substream(47, "ser"))
         ser = ser_experiment(pilot, users, [-60.0], 4000, 100, substream(48, "ser"))
         assert ser[0] == pytest.approx(63.0 / 64.0, abs=0.01)
+
+    def test_runs_match_one_run_oracle(self, monkeypatch):
+        # 20 blocks of 2 users x 100 symbols in runs of 7 blocks (7, 7, 6)
+        monkeypatch.setattr(ip.evaluation, "_SER_RUN", 1400)
+        streams = []  # every stream the noise draws read: channel first, data last
+
+        def recording(rng, shape=()):
+            streams.append(rng)
+            return ip.complex_normal(rng, shape)
+
+        monkeypatch.setattr(ip.evaluation, "complex_normal", recording)
+        users = self._users(0.1)
+        pilot = ip.random_stiefel(4, 8, substream(53, "ser"))
+        snr = [0.0, 10.0, 20.0]
+        ser = ser_experiment(pilot, users, snr, 2000, 100, substream(54, "ser"))
+        states = (streams[0].bit_generator.state, streams[-1].bit_generator.state)
+        expected, expected_states = ser_one_run(pilot, users, snr, 2000, 100, substream(54, "ser"))
+        assert np.array_equal(ser, expected) and np.all(ser > 0)
+        assert states == expected_states
+
+    def test_traced_peak_is_bounded_at_monte_carlo_shape(self):
+        # four users of one 180-component prior, 40,000 symbols in blocks of
+        # 100, six SNR points: the symbol indices take 1.28 MB and one
+        # 400-trial estimator call about 3 MB; the runs add well under 1 MB
+        users = build_users(parse_config(str(SER_CONFIG)).scenario)[0]
+        pilot = ip.random_stiefel(6, 16, substream(55, "ser"))
+        snr = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0]
+        tracemalloc.start()
+        try:
+            ser_experiment(pilot, users, snr, 40_000, 100, substream(56, "ser"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000
 
     def test_rejects_few_symbols(self):
         users = self._users(0.1)

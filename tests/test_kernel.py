@@ -28,7 +28,14 @@ from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import _user_groups, comm_state, effective_training_snr, sense_state
 from isacpilot.streams import complex_normal
-from oracles import comm_grad, comm_mi_user, dense_comm, sense_grad, steering_vector
+from oracles import (
+    comm_grad,
+    comm_mi_user,
+    dense_comm,
+    mmse_with_weights,
+    sense_grad,
+    steering_vector,
+)
 from test_acceptance import gradient_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -249,7 +256,7 @@ class TestCommState:
             channels = ip.sample_channels(model, 500, rng)
             noise = model.noise_std * ip.complex_normal(rng, (500, pilot.n_slots))
             obs = channels @ pilot.entries.T + noise
-            est, _ = ip.gmm_mmse_batch(obs, pilot, model)
+            est = ip.gmm_mmse_batch(obs, pilot, model)
             expected = dense_mmse(obs, pilot.entries, model)
             assert np.abs(est - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -317,9 +324,9 @@ class TestUnitaryInvariance:
         objective, pilot, unitary = invariance_case(case)
         model = objective.users[0]
         obs = far_row_observations(pilot, model, ip.substream(14, "invariance", case))
-        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        est, resp = mmse_with_weights(obs, pilot, model)
         rotated = ip.PilotMatrix(unitary @ pilot.entries)
-        got, got_resp = ip.gmm_mmse_batch(obs @ unitary.T, rotated, model)
+        got, got_resp = mmse_with_weights(obs @ unitary.T, rotated, model)
         error = np.linalg.norm(got - est, axis=1)
         assert np.all(error <= 1e-12 * np.linalg.norm(est, axis=1))
         # only on the sampled rows: a weight's relative error is its log
@@ -581,7 +588,7 @@ class TestMixtureEstimator:
     )
     def test_matches_per_trial_oracle(self, prior):
         pilot, model, obs = estimator_case(prior)
-        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        est, resp = mmse_with_weights(obs, pilot, model)
         expected, expected_resp = per_trial_mmse(obs, pilot.entries, model)
         error = np.linalg.norm(est - expected, axis=1)
         assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=1))
@@ -608,9 +615,9 @@ class TestMixtureEstimator:
         noise = model.noise_std * ip.complex_normal(rng, (n_rows, pilot.n_slots))
         obs = ip.sample_channels(model, n_rows, rng) @ pilot.entries.T + noise
         obs[::5] = 25.0 * ip.complex_normal(rng, obs[::5].shape)
-        est, resp = ip.gmm_mmse_batch(obs, pilot, model)
+        est, resp = mmse_with_weights(obs, pilot, model)
         pieces = [
-            ip.gmm_mmse_batch(obs[start : start + chunk - 7], pilot, model)
+            mmse_with_weights(obs[start : start + chunk - 7], pilot, model)
             for start in range(0, n_rows, chunk - 7)
         ]
         expected = np.concatenate([p[0] for p in pieces])
@@ -640,7 +647,7 @@ def per_trial_c_worst(pilot, users, block_len, trials, rng):
     for k, model in enumerate(users):
         channels = ip.sample_channels(model, trials, rng)
         obs = channels @ phi.T + model.noise_std * ip.complex_normal(rng, (trials, n_slots))
-        est, _ = ip.evaluation.gmm_mmse_batch(obs, phi, model)
+        est = ip.evaluation.gmm_mmse_batch(obs, phi, model)
         estimates[:, k, :] = est
         err_power += float(np.sum(np.abs(channels - est) ** 2))
         ch_power += float(np.sum(np.abs(channels) ** 2))
@@ -665,10 +672,10 @@ class TestCapacityBound:
         estimator = ip.evaluation.gmm_mmse_batch
 
         def zeroing(obs, pilot, model):
-            est, resp = estimator(obs, pilot, model)
+            est = estimator(obs, pilot, model)
             if zeroed:
                 est[::zeroed] = 0.0  # trials with zero estimate power
-            return est, resp
+            return est
 
         monkeypatch.setattr(ip.evaluation, "gmm_mmse_batch", zeroing)
         rng = ip.substream(3, "cworst")

@@ -374,7 +374,7 @@ class TestCommLowerBound:
         channels = ip.sample_channels(model, 10_000, rng)
         noise = 0.4 * ip.complex_normal(rng, (10_000, 3))
         obs = channels @ pilot.entries.T + noise
-        est, _ = ip.gmm_mmse_batch(obs, pilot, model)
+        est = ip.gmm_mmse_batch(obs, pilot, model)
         trace_mse = float(np.mean(np.sum(np.abs(channels - est) ** 2, axis=1)))
         bound = comm_mi_lower_bound_gaussian(pilot, model, trace_mse)
         assert bound <= comm_mi_user(pilot, model) + 0.05

@@ -28,10 +28,17 @@ are:
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
   trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
-  draws and the thresholds' quantile together, which sets the
-  ``montecarlo`` workload's peak memory;
+  draws, the regrouping swap and the thresholds' quantile together;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user);
+- ``nmse_experiment_mc`` and ``ser_experiment_mc``: the ``montecarlo``
+  workload's NMSE and SER runs, the four users of
+  ``configs/nmse_baselines.yaml`` (N_t = 16, L = 6, 180 components) with
+  3,000 trials per user, and the same users at 40,000 symbols per user
+  with ``configs/ser_multiuser.yaml``'s blocks of 100 and six SNR points.
+  With ``roc_curve_mc`` these are the three largest working sets of that
+  workload, whose peak memory is the largest of them plus the heap the
+  earlier ones leave behind;
 - ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
   (N_t = 16, L = 4, K = 2 users sharing one 180-component prior), one pilot
   per call and a stack of ``STACK`` pilots per call; the stack row reports
@@ -73,6 +80,7 @@ from isacpilot.channel import sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
 from isacpilot.evaluation import (  # noqa: E402
     gmm_mmse_batch,
+    nmse_experiment,
     roc_curve,
     ser_experiment,
     simulate_detection_trials,
@@ -94,6 +102,7 @@ SER_TRIALS = 400
 DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
+MC_SER_SYMBOLS = 40_000
 STACK = 8  # pilots per comm_state call in the stack row, as finite_diff_check passes
 PILOTS_PER_CALL = {"comm_state_cloud_stack": STACK}
 
@@ -127,13 +136,15 @@ def kernels() -> dict:
     )
 
     _, nmse = scenario("nmse_baselines")
-    model = build_users(nmse)[0][0]
+    nmse_users = build_users(nmse)[0]
+    model = nmse_users[0]
     nmse_pilot = pilot_for(nmse, "nmse")
     rng = substream(2, "kernel-timings", "nmse")
     channels = sample_channels(model, NMSE_TRIALS, rng)
     noise = model.noise_std * complex_normal(rng, (NMSE_TRIALS, nmse["pilot_len"]))
     obs = channels @ nmse_pilot.entries.T + noise
     nmse_shape = f"N_t={nmse['n_tx']} L={nmse['pilot_len']} N_k={nmse['n_components']}"
+    nmse_rng = substream(7, "kernel-timings", "nmse-experiment")
 
     _, diag = scenario("diagnostics_cworst")
     diag_model = build_users(diag)[0][0]
@@ -211,6 +222,22 @@ def kernels() -> dict:
         "roc_curve_mc": (
             f"{mc_shape} p_fa_points={len(p_fa)}",
             lambda: roc_curve(roc_pilot, mc_scene, MC_ROC_TRIALS, p_fa, detection_rng),
+        ),
+        "nmse_experiment_mc": (
+            f"{nmse_shape} K={len(nmse_users)} trials={NMSE_TRIALS}",
+            lambda: nmse_experiment(nmse_pilot, nmse_users, NMSE_TRIALS, nmse_rng),
+        ),
+        "ser_experiment_mc": (
+            f"{nmse_shape} K={len(nmse_users)} snr_points={len(params['snr_grid_db'])} "
+            f"symbols={MC_SER_SYMBOLS}",
+            lambda: ser_experiment(
+                nmse_pilot,
+                nmse_users,
+                params["snr_grid_db"],
+                MC_SER_SYMBOLS,
+                params["block_len"],
+                ser_rng,
+            ),
         ),
         "comm_state_cloud": (cloud_shape, lambda: comm_state(cloud_stack[0], cloud_users)),
         "comm_state_cloud_stack": (
