@@ -209,9 +209,10 @@ class SensingScene:
 
     @cached_property
     def _sense_terms(self) -> tuple:
-        """Pilot-independent parts of ``metrics.sense_state``, built once per scene:
-        transmit steering rows (Q+1, N_t), receive-steering correlations
-        a_rx,i^H a_rx,j (Q+1, Q+1) and powers (Q+1,), target first."""
+        """The scene terms of the sensing metrics, the detector and the sensing
+        gradient, built once per scene: transmit steering rows (Q+1, N_t),
+        receive-steering correlations a_rx,i^H a_rx,j (Q+1, Q+1) and powers
+        (Q+1,), target first."""
         geom = self.geometry
         angles = np.concatenate(([self.target_angle], self.clutter_angles))
         a_tx = _steering_rows(geom.n_tx, geom.spacing_tx, angles)

@@ -163,10 +163,10 @@ _SCENARIO = {
     "users": (_list(_section(_USER)), REQUIRED),
     "scene": (_section(_SCENE), REQUIRED),
 }
-_OPTIMIZER = {
-    "step_size": (_positive, 0.1),
-    "max_iters": (_count, 200),
-    "rel_tol": (_nonnegative, 1e-8),
+_OPTIMIZER = {  # the defaults are those of OptimizerConfig
+    "step_size": (_positive, OptimizerConfig.step_size),
+    "max_iters": (_count, OptimizerConfig.max_iters),
+    "rel_tol": (_nonnegative, OptimizerConfig.rel_tol),
 }
 # task name: the table of the task's config section, which is named by the
 # task name's last word (the pareto-cloud task reads section cloud)

@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
     SingularMatrixError,
 )
-from .metrics import _detector_scalars, comm_state
+from .metrics import _detector_scalars, _one_pilot, comm_state
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
@@ -87,7 +87,7 @@ def simulate_detection_trials(
     """
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
-    proj, w_norm2 = _detector_scalars(pilot, scene)
+    proj, w_norm2 = _detector_scalars(_one_pilot(pilot), scene)  # a stack raises, before any draw
     # draws come in blocks of DETECTION_BLOCK trials, in the order all
     # clutter, all noise, all target, and each block is folded into the
     # running interference or the statistics as soon as it is drawn

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import pilot_entries
+from .channel import SensingScene, pilot_entries
 from .errors import DimensionError, InvalidParameterError, NumericError
 from .metrics import (
     CommState,
@@ -110,10 +110,10 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     return grad.conj()
 
 
-def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
+def _sense_grad(state: SenseState, scene: SensingScene) -> np.ndarray:
     arg = _approx_log_arg(state)
-    a_tx, u, powers = state.a_tx, state.u, state.powers
-    rx_corr = state.rx_corr[0]
+    a_tx, rx_corr, powers = scene._sense_terms
+    u, n_rx = state.u, scene.geometry.n_rx
 
     numer = n_rx * np.outer(u[0], a_tx[0].conj())
     for i in range(1, len(powers)):
@@ -121,14 +121,14 @@ def _sense_grad(state: SenseState, n_rx: int) -> np.ndarray:
         if nu_i == 0.0:
             continue
         c = state.gram[0, i]
-        r = rx_corr[i]
+        r = rx_corr[0, i]
         d_i = state.clutter_denoms[i - 1]
         d_cross = np.conj(c) * r * np.outer(u[i], a_tx[0].conj()) + c * np.conj(r) * np.outer(
             u[0], a_tx[i].conj()
         )
         numer -= (nu_i / d_i) * d_cross
         numer += (nu_i**2 * abs(c) ** 2 * n_rx / d_i**2) * np.outer(u[i], a_tx[i].conj())
-    return (powers[0] / state.noise_var / arg) * numer
+    return (powers[0] / scene.radar_noise_std**2 / arg) * numer
 
 
 def isac_value_and_grad(pilot, objective: IsacObjective):
@@ -156,7 +156,7 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     s_state = sense_state(phi, scene)
     sense_val = float(np.log(_approx_log_arg(s_state)))
     if objective.rho < 1.0:
-        grad += (1.0 - objective.rho) * _sense_grad(s_state, scene.geometry.n_rx)
+        grad += (1.0 - objective.rho) * _sense_grad(s_state, scene)
     value = objective.rho * comm_total + (1.0 - objective.rho) * sense_val
     return value, float(comm_total), sense_val, grad
 

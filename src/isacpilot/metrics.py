@@ -75,20 +75,20 @@ class CommState(NamedTuple):
 
 
 class SenseState(NamedTuple):
-    """Shared per-pilot quantities for the sensing metric and its gradient.
+    """The pilot terms of the sensing metrics and their gradient.
 
-    For a stack of P pilots ``u``, ``gram``, ``clutter_denoms`` and ``arg``
-    gain a leading pilot axis (``arg`` is then a (P,) array).
+    The scene terms (transmit steering rows, receive-steering correlations,
+    powers, target first) are not kept: they are built once per scene
+    (``SensingScene._sense_terms``), with the noise level
+    ``radar_noise_std``, as ``CommState`` keeps none of the channel model.
+    For a stack of P pilots every field gains a leading pilot axis (``arg``
+    is then a (P,) array).
     """
 
-    a_tx: np.ndarray  # (Q+1, N_t) transmit steering, target first
-    u: np.ndarray  # (Q+1, L) pilots applied to steering
+    u: np.ndarray  # (Q+1, L) pilots applied to steering, target first
     gram: np.ndarray  # (Q+1, Q+1) Gram of the mu_i vectors
-    powers: np.ndarray  # (Q+1,) nu_i, target first
-    noise_var: float
     arg: float  # argument of the log in the approximate metric
     clutter_denoms: np.ndarray  # (Q,) sigma_r^2 + nu_i ||mu_i||^2
-    rx_corr: np.ndarray  # (Q+1, Q+1) receive-steering correlations a_rx,i^H a_rx,j
 
 
 def _pilots(pilot) -> np.ndarray:
@@ -105,7 +105,7 @@ def _one_pilot(pilot) -> np.ndarray:
     """The (L, N_t) entries of a pilot where a stack is not accepted."""
     phi = pilot_entries(pilot)
     if phi.ndim != 2:
-        raise DimensionError("this metric takes one pilot, not a stack")
+        raise DimensionError("the gradient and the detector take one pilot, not a stack")
     return phi
 
 
@@ -243,10 +243,9 @@ def comm_state(pilot, users) -> CommState:
     (n_pilots, n_slots, _), n_users, rank = stack.shape, len(users), model.rank
     n_comp = model.n_components
 
-    product = stack @ model.stacked
-    if n_pilots > 1:  # fold the pilots into the component axis, column p N_k + n
-        product = product.reshape(n_pilots, n_slots, rank + 1, n_comp).transpose(1, 2, 0, 3)
-    product = product.reshape(n_slots, rank + 1, -1)
+    # fold the pilots into the component axis, column p N_k + n (a view for one pilot)
+    product = (stack @ model.stacked).reshape(n_pilots, n_slots, rank + 1, n_comp)
+    product = product.transpose(1, 2, 0, 3).reshape(n_slots, rank + 1, -1)
     b, phi_mu = product[:, :rank], product[:, rank]
     v = np.empty((n_slots, n_users, n_pilots * n_comp), dtype=complex)
     mixture_means = np.array([m.mixture_mean for m in users])
@@ -311,32 +310,41 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     cross = np.abs(gram[..., 0, 1:]) ** 2
     clutter = np.add.reduce(powers[1:] * cross / denoms, axis=-1)
     arg = _per_pilot(1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter))
-    return SenseState(a_tx, u, gram, powers, sigma2, arg, denoms, rx_corr)
+    return SenseState(u, gram, arg, denoms)
 
 
-def _detector_scalars(pilot, scene: SensingScene) -> tuple[np.ndarray, float]:
+def _detector_scalars(pilot, scene: SensingScene) -> tuple:
     """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter w = (R_cc + sigma^2 I)^{-1} mu_0.
 
     Rank-Q identity: with idx the live clutter sources and
     K = gram[idx, idx] + diag(sigma^2 / nu_idx), one solve z = K^{-1} gram[idx, 0]
-    replaces the N_r*L-sized inverse.  nu_0 Re proj[0] is the whitened
-    target-to-interference ratio x behind the exact sensing metric.
+    replaces the N_r*L-sized inverse, and ||w||^2 sigma^4 =
+    gram[0, 0] - 2 Re b^H z + Re z^H K z with b = gram[idx, 0].  nu_0 Re proj[0]
+    is the whitened target-to-interference ratio x behind the exact sensing
+    metric.  For a stack of P pilots ``proj`` is (P, Q+1) and ``||w||^2`` a
+    (P,) array: one batched solve, and each pilot's products are those of
+    its own call.
     """
-    state = sense_state(_one_pilot(pilot), scene)
-    gram, powers, sigma2 = state.gram, state.powers, state.noise_var
+    gram = sense_state(pilot, scene).gram
+    powers, sigma2 = scene._sense_terms[2], scene.radar_noise_std**2
     idx = np.flatnonzero(powers[1:] > 0) + 1
-    b = gram[idx, 0]
-    k_mat = gram[np.ix_(idx, idx)]
+    # np.take keeps every operand C-contiguous, so a stack's pilots take the
+    # BLAS calls of one pilot's call and their values match it bit for bit
+    rows = np.take(gram, idx, axis=-2)  # gram[idx, :]
+    b, k_mat = rows[..., :1], np.take(rows, idx, axis=-1)  # (Q', 1) and (Q', Q')
     z = np.linalg.solve(k_mat + np.diag(sigma2 / powers[idx]), b) if idx.size else b
-    proj = (gram[0] - z.conj() @ gram[idx, :]) / sigma2
-    w_norm2 = (gram[0, 0].real - 2.0 * np.vdot(b, z).real + np.vdot(z, k_mat @ z).real) / sigma2**2
-    return proj, float(w_norm2)
+    z_h = z.swapaxes(-1, -2).conj()
+    proj = (gram[..., 0, :] - (z_h @ rows)[..., 0, :]) / sigma2
+    b_z = (b.swapaxes(-1, -2).conj() @ z)[..., 0, 0].real
+    z_k_z = (z_h @ (k_mat @ z))[..., 0, 0].real
+    return proj, _per_pilot((gram[..., 0, 0].real - 2.0 * b_z + z_k_z) / sigma2**2)
 
 
-def sensing_mi_exact(pilot, scene: SensingScene) -> float:
-    """Sensing information log(1 + x) with the clutter-plus-noise solve done exactly."""
-    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
-    return float(np.log1p(x))
+def sensing_mi_exact(pilot, scene: SensingScene):
+    """Sensing information log(1 + x) with the clutter-plus-noise solve done
+    exactly; one value per pilot of a stack."""
+    x = scene.target_power * _detector_scalars(pilot, scene)[0][..., 0].real
+    return _per_pilot(np.log1p(x))
 
 
 def _approx_log_arg(state: SenseState):
@@ -363,12 +371,11 @@ def sensing_mi_approx(pilot, scene: SensingScene):
 
 def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
     """Sensing metric under the globally selected formula ("approx" or
-    "exact"); "approx" also takes a stack of pilots."""
-    if formula == "approx":
-        return sensing_mi_approx(pilot, scene)
-    if formula == "exact":
-        return sensing_mi_exact(pilot, scene)
-    raise InvalidParameterError(f"unknown sensing formula {formula!r}")
+    "exact"); one value per pilot of a stack."""
+    metric = {"approx": sensing_mi_approx, "exact": sensing_mi_exact}.get(formula)
+    if metric is None:
+        raise InvalidParameterError(f"unknown sensing formula {formula!r}")
+    return metric(pilot, scene)
 
 
 def isac_objective(pilot, objective: IsacObjective):

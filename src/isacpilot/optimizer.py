@@ -177,9 +177,9 @@ def sample_feasible_cloud(
     The pilots are drawn and projected ``CLOUD_STACK`` at a time: one draw of
     a (P, L, N_t) stack takes the same stream as P single draws, and one
     batched SVD projects it; each pilot is checked for rank and as a
-    ``PilotMatrix`` (shape, row orthonormality).  The communication metric
-    and the "approx" sensing metric evaluate a stack per call, with each
-    pilot's value that of its own call; "exact" takes one pilot per call.
+    ``PilotMatrix`` (shape, row orthonormality).  Both metrics, under
+    either sensing formula, evaluate a stack per call, with each pilot's
+    value that of its own call.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
@@ -190,9 +190,6 @@ def sample_feasible_cloud(
         for phi in stack:
             PilotMatrix(phi)  # its shape and row-orthonormality checks
         rows = slice(start, start + len(stack))
-        if formula == "exact":
-            pairs[rows, 0] = [sensing_mi(phi, objective.scene, formula) for phi in stack]
-        else:
-            pairs[rows, 0] = sensing_mi(stack, objective.scene, formula)
+        pairs[rows, 0] = sensing_mi(stack, objective.scene, formula)
         pairs[rows, 1] = comm_mi_weighted(stack, objective)
     return pairs

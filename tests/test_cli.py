@@ -20,6 +20,7 @@ from isacpilot.cli import (
 )
 import isacpilot.cli as cli
 from isacpilot.config import TASKS, ConfigError, parse_config
+from isacpilot.optimizer import OptimizerConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -88,6 +89,10 @@ class TestConfigParsing:
         path = write_config(tmp_path, {"roc": {"trials": 10, "p_fa": [0.1]}})
         with pytest.raises(ConfigError, match="config.roc"):
             parse_config(path)
+
+    def test_optimizer_defaults_are_those_of_optimizer_config(self, tmp_path):
+        config = parse_config(write_config(tmp_path, {"optimizer": ...}))
+        assert config.optimizer == OptimizerConfig()
 
     def test_seed_override(self, tmp_path):
         config = parse_config(write_config(tmp_path), seed_override=99)
@@ -413,7 +418,7 @@ class TestRunConfig:
         out = tmp_path / "out"
         assert run_config(path, out_dir=str(out)) == 0
         content = (out / "gradcheck.csv").read_text()
-        assert "max_rel_err" in content
+        assert "# tolerance: 1e-05\n" in content
 
     def test_ser_reports_the_simulated_symbol_count(self, tmp_path):
         # 1,050 symbols in blocks of 100 run 11 whole blocks: 1,100 per user

@@ -7,9 +7,8 @@ pilot cloud; and the gradient check.
 Each ``golden/<config>.json`` is fixed data, with no re-record path: the
 table that ``isacpilot <task> --config configs/<config>.yaml --seed 2024
 --threads 1`` wrote at the commit named in its ``recorded`` field.  The
-metadata lines must match exactly, except those named in
-``metadata_abs_tol``, whose values carry roundoff and are compared within
-that absolute tolerance.  Each column has a relative tolerance (``rel_tol``)
+metadata lines must match exactly; none carries roundoff, since a table's
+own values live in its rows.  Each column has a relative tolerance (``rel_tol``)
 and may have an absolute one (``abs_tol``), with its reason beside it in the
 file; a tolerance of 0 means equal values.
 """
@@ -36,31 +35,12 @@ STEMS = [
 ]
 
 
-def split_metadata(lines, keys):
-    """(exact lines, {key: value}) of the metadata ``lines``; the lines of
-    ``keys`` are taken out and their values parsed as numbers."""
-    exact, values = [], {}
-    for line in lines:
-        key, _, value = line[2:].partition(": ")
-        if key in keys:
-            values[key] = float(value)
-        else:
-            exact.append(line)
-    return exact, values
-
-
 @pytest.mark.parametrize("stem", STEMS)
 def test_config_reproduces_golden_table(stem, tmp_path):
     golden = json.loads((GOLDEN / f"{stem}.json").read_text())
     assert run_config(str(ROOT / golden["config"]), seed=2024, out_dir=str(tmp_path)) == 0
     lines = (tmp_path / golden["table"]).read_text().splitlines()
-    meta_tol = golden.get("metadata_abs_tol", {})
-    meta, values = split_metadata([line for line in lines if line.startswith("#")], meta_tol)
-    expected_meta, expected_values = split_metadata(golden["metadata"], meta_tol)
-    assert meta == expected_meta
-    assert values.keys() == expected_values.keys() == meta_tol.keys()
-    for key, tol in meta_tol.items():
-        assert abs(values[key] - expected_values[key]) <= tol, (key, values[key])
+    assert [line for line in lines if line.startswith("#")] == golden["metadata"]
     body = [line for line in lines if not line.startswith("#")]
     assert body[0].split(",") == golden["columns"]
     got = np.array([[float(x) for x in line.split(",")] for line in body[1:]])

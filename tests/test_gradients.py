@@ -40,7 +40,7 @@ def separate_gradients(pilot, objective):
         w * dense_comm(pilot.entries, model)[1]
         for w, model in zip(objective.user_weights, objective.users)
     )
-    sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene.geometry.n_rx)
+    sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene)
     return comm, sense
 
 
@@ -134,6 +134,22 @@ class TestSensingGradient:
         scene = random_scene(11 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)
         err = finite_diff_check(
             lambda p: ip.sensing_mi_approx(p, scene),
+            lambda p: sense_grad(p, scene),
+            pilot,
+            step=1e-4,
+        )
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize("n_clutter", [0, 1])
+    def test_exact_metric_takes_the_stencil_stacks(self, n_clutter):
+        # with zero or one clutter source the approximate metric is exact, so
+        # its gradient checks the exact metric's 8-point stencil stacks (6e-11
+        # and 5e-10 here); with two sources (seed 33) the check reads 1.3e-4,
+        # the gap between the formulas, until the exact metric has a gradient
+        pilot = ip.random_stiefel(3, 8, substream(31 + n_clutter, "sg"))
+        scene = random_scene(31 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)
+        err = finite_diff_check(
+            lambda p: ip.sensing_mi_exact(p, scene),
             lambda p: sense_grad(p, scene),
             pilot,
             step=1e-4,

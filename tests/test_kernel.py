@@ -403,6 +403,7 @@ class TestPilotStack:
             lambda p: comm_mi_user(p, model),
             lambda p: ip.comm_mi_weighted(p, objective),
             lambda p: ip.sensing_mi_approx(p, scene),
+            lambda p: ip.sensing_mi_exact(p, scene),
             lambda p: ip.isac_objective(p, objective),
         ):
             values = metric(stack)
@@ -440,14 +441,18 @@ class TestPilotStack:
 
     def test_single_pilot_functions_reject_a_stack(self):
         objective, stack = stack_case("roc_compare+clutter")
+        scene, rng = objective.scene, ip.substream(18, "stack")
         for call in (
-            lambda: ip.sensing_mi_exact(stack, objective.scene),
-            lambda: sense_grad(stack, objective.scene),
+            lambda: ip.simulate_detection_trials(stack, scene, 1000, rng),
+            lambda: ip.roc_curve(stack, scene, 1000, [0.1], rng),
+            lambda: sense_grad(stack, scene),
             lambda: comm_grad(stack, objective.users[0]),
             lambda: isac_value_and_grad(stack, objective),
         ):
             with pytest.raises(ip.DimensionError):
                 call()
+        # the detector checks its pilot before it draws anything
+        assert rng.bit_generator.state == ip.substream(18, "stack").bit_generator.state
         with pytest.raises(ip.DimensionError):
             comm_state(stack[None], objective.users[:1])
 

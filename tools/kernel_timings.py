@@ -46,7 +46,9 @@ are:
 - ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
   two users with their own noise levels, two clutter sources), one check of
   the ISAC objective at the config's rho, as the gradcheck task runs it per
-  instance.
+  instance; ``sensing_mi_exact_stack``: the same scene, one call of the
+  exact sensing metric on a stack of ``STACK`` pilots (time per call), the
+  shape ``finite_diff_check`` hands its objective.
 
 Pilots are random (fixed seed), since the timings do not depend on them.
 
@@ -86,7 +88,12 @@ from isacpilot.evaluation import (  # noqa: E402
     simulate_detection_trials,
 )
 from isacpilot.gradients import finite_diff_check, isac_value_and_grad  # noqa: E402
-from isacpilot.metrics import comm_state, isac_objective, sense_state  # noqa: E402
+from isacpilot.metrics import (  # noqa: E402
+    comm_state,
+    isac_objective,
+    sense_state,
+    sensing_mi_exact,
+)
 from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
 
@@ -103,7 +110,7 @@ DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 MC_SER_SYMBOLS = 40_000
-STACK = 8  # pilots per comm_state call in the stack row, as finite_diff_check passes
+STACK = 8  # pilots per call in the stack rows, as finite_diff_check passes
 PILOTS_PER_CALL = {"comm_state_cloud_stack": STACK}
 
 
@@ -183,6 +190,11 @@ def kernels() -> dict:
     grad_objective = build_objective(grad, grad["rho"])
     grad_pilot = pilot_for(grad, "gradcheck")
     grad_step = grad_config.task_params["step"]
+    grad_shape = (
+        f"N_t={grad['n_tx']} L={grad['pilot_len']} K={len(grad_objective.users)} "
+        f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)}"
+    )
+    grad_stack = np.array([pilot_for(grad, f"gradcheck-{p}").entries for p in range(STACK)])
 
     return {
         "comm_state": (sweep_shape, lambda: comm_state(pilot, objective.users)),
@@ -245,14 +257,17 @@ def kernels() -> dict:
             lambda: comm_state(cloud_stack, cloud_users),
         ),
         "finite_diff_check": (
-            f"N_t={grad['n_tx']} L={grad['pilot_len']} K={len(grad_objective.users)} "
-            f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)} isac",
+            f"{grad_shape} isac",
             lambda: finite_diff_check(
                 lambda p: isac_objective(p, grad_objective),
                 lambda p: isac_value_and_grad(p, grad_objective)[3],
                 grad_pilot,
                 grad_step,
             ),
+        ),
+        "sensing_mi_exact_stack": (
+            f"{grad_shape} stack of {STACK} per call",
+            lambda: sensing_mi_exact(grad_stack, grad_objective.scene),
         ),
         "ser_experiment": (
             f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
