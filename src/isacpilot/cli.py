@@ -103,6 +103,11 @@ def _random_pilot(config: ExperimentConfig, *role):
     return random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(config.seed, *role))
 
 
+def _ascend(config: ExperimentConfig, objective: IsacObjective):
+    """The trace of the ascent of ``objective`` from the "init" random pilot."""
+    return optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
+
+
 def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
     """The pilot a task evaluates; ``built`` is ``build_users(config.scenario)``
     when the caller already has it, so the models are not built twice."""
@@ -115,7 +120,7 @@ def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
     if source == "eigen":
         return eigen_pilot(scenario["pilot_len"], users, weights)
     objective = IsacObjective(scenario["rho"], weights, users, build_scene(scenario))
-    return optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer).final_pilot
+    return _ascend(config, objective).final_pilot
 
 
 def _usable_cpus() -> int:
@@ -146,46 +151,47 @@ def _map_units(worker, units, threads: int) -> list:
 
 
 def _sweep_unit(config: ExperimentConfig, objective: IsacObjective, rho: float) -> tuple:
+    """(frontier row, stop reason) of the ascent at trade-off value ``rho``."""
     objective = replace(objective, rho=float(rho))
-    trace = optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
+    trace = _ascend(config, objective)
     comm = trace.comm_mi[-1]
     # endpoint sense MI reported under the globally selected formula; the
     # ascent itself always follows the approximate objective
     sense = sensing_mi(trace.final_pilot, objective.scene, config.scenario["sensing_formula"])
     value = rho * comm + (1.0 - rho) * sense
-    return (rho, comm / LN2, sense / LN2, value / LN2, trace.n_iterations, trace.residual[-1])
+    row = (rho, comm / LN2, sense / LN2, value / LN2, trace.n_iterations, trace.residual[-1])
+    return row, trace.stop_reason
 
 
-def _cap_notice(config: ExperimentConfig, iters: list) -> None:
-    """Print to stderr how many of the ascents, given by their iteration
-    counts ``iters``, stopped at ``max_iters``. Silent when none did, and when
-    ``rel_tol`` is 0, which switches the early stop off."""
+def _cap_notice(config: ExperimentConfig, stop_reasons) -> None:
+    """Print to stderr how many of the ascents, given by their
+    ``OptimizationTrace.stop_reason``, ran to ``max_iters``. Silent when none
+    did, and when ``rel_tol`` is 0, which switches the early stop off."""
     cap = config.optimizer.max_iters
-    capped = sum(n == cap for n in iters)
+    capped = stop_reasons.count("max_iters")
     if config.optimizer.rel_tol > 0 and capped:
-        notice = f"{config.task}: {capped} of {len(iters)} points reached max_iters ({cap})"
+        notice = f"{config.task}: {capped} of {len(stop_reasons)} points reached max_iters ({cap})"
         print(notice, file=sys.stderr)
 
 
 def _task_sweep(config: ExperimentConfig, threads: int) -> list:
     # one objective for every unit; each unit sets its own rho
     unit = partial(_sweep_unit, config, build_objective(config.scenario, 0.0))
-    rows = _map_units(unit, config.task_params["rho_values"], threads)
-    _cap_notice(config, [row[4] for row in rows])
+    rows, stop_reasons = zip(*_map_units(unit, config.task_params["rho_values"], threads))
+    _cap_notice(config, stop_reasons)
     header = "rho,comm_mi_bits,sense_mi_bits,objective_bits,iters,residual"
-    return [_table(config, "frontier", header, rows)]
+    return [_table(config, "frontier", header, list(rows))]
 
 
 def _task_optimize(config: ExperimentConfig, threads: int) -> list:
     rho = config.scenario["rho"]
     objective = build_objective(config.scenario, rho)
-    trace = optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
-    _cap_notice(config, [trace.n_iterations])
+    trace = _ascend(config, objective)
+    _cap_notice(config, [trace.stop_reason])
+    records = zip(trace.objective, trace.comm_mi, trace.sense_mi, trace.residual)
     trace_rows = [
-        (int(it), obj / LN2, comm / LN2, sense / LN2, res)
-        for it, obj, comm, sense, res in zip(
-            trace.iterations, trace.objective, trace.comm_mi, trace.sense_mi, trace.residual
-        )
+        (it, obj / LN2, comm / LN2, sense / LN2, res)
+        for it, (obj, comm, sense, res) in enumerate(records)
     ]
     pilot_rows = [(i, j, z.real, z.imag) for (i, j), z in np.ndenumerate(trace.final_pilot.entries)]
     trace_header = "iteration,objective_bits,comm_mi_bits,sense_mi_bits,residual"
@@ -424,7 +430,8 @@ def verify_outputs(config_path: str, seed: int | None, out_dir: str | None) -> i
 
     Returns 0 when every CSV carries the config's hash, 3 when one does not
     (a CSV that is not UTF-8 does not) and 4 when the directory or one of
-    its entries cannot be read.
+    its entries cannot be read.  Each file is decoded whole before its hash
+    line is looked for, so a bad byte anywhere in it is seen.
     """
     config = _load_config(config_path, None, seed, out_dir)
     if config is None:
@@ -445,15 +452,17 @@ def verify_outputs(config_path: str, seed: int | None, out_dir: str | None) -> i
         found, note = None, None
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.startswith("# config_hash:"):
-                        found = line.split(":", 1)[1].strip()
-                        break
+                text = handle.read()
         except UnicodeDecodeError:  # not a table this package wrote
             note = "not UTF-8"
         except OSError as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 4
+        else:
+            for line in text.split("\n"):
+                if line.startswith("# config_hash:"):
+                    found = line.split(":", 1)[1].strip()
+                    break
         status = "ok" if found == expected else "MISMATCH"
         print(f"{name}: {status} ({note or f'hash {found}'})")
         if found != expected:

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    GmmUserModel,
-    PilotMatrix,
-    SensingScene,
-    pilot_entries,
-    sample_channels,
-)
+from .channel import GmmUserModel, PilotMatrix, SensingScene, sample_channels
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -195,7 +189,7 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     the weights and the mixed gains.  A non-finite observation raises
     ``NumericError`` naming its row.
     """
-    phi = pilot_entries(pilot)
+    phi = _one_pilot(pilot)
     obs = np.atleast_2d(np.asarray(observations, dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
@@ -278,7 +272,7 @@ def nmse_experiment(
     """
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
-    phi = pilot_entries(pilot)
+    phi = _one_pilot(pilot)
     per_user = np.empty(len(users))
     streams = rng.spawn(len(users))
     for k, (model, stream) in enumerate(zip(users, streams)):
@@ -347,7 +341,7 @@ def ser_experiment(
     if not finite.all():  # a NaN or -inf point would read SER 1.0
         point = int(np.argmin(finite))
         raise InvalidParameterError(f"SNR point {point} ({snr_grid_db[point]} dB) is not finite")
-    phi = pilot_entries(pilot)
+    phi = _one_pilot(pilot)
     n_users = len(users)
     n_blocks = int(np.ceil(n_symbols / block_len))
 
@@ -384,11 +378,10 @@ def dft_pilot(n_slots: int, n_tx: int) -> PilotMatrix:
     return PilotMatrix(np.exp(-2j * np.pi * grid / n_tx) / np.sqrt(n_tx))
 
 
-def eigen_pilot(n_slots: int, users: list, user_weights=None) -> PilotMatrix:
-    """Strongest eigenvectors of the pooled channel covariance (benchmark design)."""
+def eigen_pilot(n_slots: int, users: list, user_weights) -> PilotMatrix:
+    """Strongest eigenvectors of the covariance pooled over ``users`` with
+    ``user_weights`` (benchmark design)."""
     n_tx = users[0].n_tx
-    if user_weights is None:
-        user_weights = np.full(len(users), 1.0 / len(users))
     pooled = np.zeros((n_tx, n_tx), dtype=complex)
     for weight, model in zip(user_weights, users):
         cov = np.einsum("k,knm->nm", model.weights, model.covariances)

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import SensingScene, pilot_entries
+from .channel import SensingScene
 from .errors import DimensionError, InvalidParameterError, NumericError
 from .metrics import (
     CommState,
@@ -176,7 +176,7 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     """
     if step <= 0:
         raise InvalidParameterError("finite-difference step must be positive")
-    phi = pilot_entries(pilot).copy()
+    phi = _one_pilot(pilot).copy()
     g_entries = np.asarray(gradient_fn(phi))
 
     worst = 0.0

@@ -102,16 +102,12 @@ def _pilots(pilot) -> np.ndarray:
 
 
 def _one_pilot(pilot) -> np.ndarray:
-    """The (L, N_t) entries of a pilot where a stack is not accepted."""
+    """The (L, N_t) entries of a pilot where a stack is not accepted: the
+    gradient, the detector and the Monte Carlo routines."""
     phi = pilot_entries(pilot)
     if phi.ndim != 2:
-        raise DimensionError("the gradient and the detector take one pilot, not a stack")
+        raise DimensionError("this routine takes one (L, N_t) pilot, not a stack")
     return phi
-
-
-def _per_pilot(values):
-    """A float for one pilot (a NumPy scalar), the (P,) array of a stack unchanged."""
-    return values if isinstance(values, np.ndarray) else float(values)
 
 
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
@@ -283,9 +279,8 @@ def comm_mi_weighted(pilot, objective: IsacObjective):
     """Preference-weighted sum of the per-user communication metrics; one
     value per pilot of a stack."""
     # value is (K_g,) or (K_g, P); the sums run over the users in order
-    return _per_pilot(
-        sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in _user_groups(objective))
-    )
+    groups = _user_groups(objective)
+    return sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in groups)
 
 
 def sense_state(pilot, scene: SensingScene) -> SenseState:
@@ -309,7 +304,7 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     denoms = sigma2 + powers[1:] * norms[..., 1:]
     cross = np.abs(gram[..., 0, 1:]) ** 2
     clutter = np.add.reduce(powers[1:] * cross / denoms, axis=-1)
-    arg = _per_pilot(1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter))
+    arg = 1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter)
     return SenseState(u, gram, arg, denoms)
 
 
@@ -332,19 +327,19 @@ def _detector_scalars(pilot, scene: SensingScene) -> tuple:
     # BLAS calls of one pilot's call and their values match it bit for bit
     rows = np.take(gram, idx, axis=-2)  # gram[idx, :]
     b, k_mat = rows[..., :1], np.take(rows, idx, axis=-1)  # (Q', 1) and (Q', Q')
-    z = np.linalg.solve(k_mat + np.diag(sigma2 / powers[idx]), b) if idx.size else b
+    z = np.linalg.solve(k_mat + np.diag(sigma2 / powers[idx]), b)  # (0, 1) without clutter
     z_h = z.swapaxes(-1, -2).conj()
     proj = (gram[..., 0, :] - (z_h @ rows)[..., 0, :]) / sigma2
     b_z = (b.swapaxes(-1, -2).conj() @ z)[..., 0, 0].real
     z_k_z = (z_h @ (k_mat @ z))[..., 0, 0].real
-    return proj, _per_pilot((gram[..., 0, 0].real - 2.0 * b_z + z_k_z) / sigma2**2)
+    return proj, (gram[..., 0, 0].real - 2.0 * b_z + z_k_z) / sigma2**2
 
 
 def sensing_mi_exact(pilot, scene: SensingScene):
     """Sensing information log(1 + x) with the clutter-plus-noise solve done
     exactly; one value per pilot of a stack."""
     x = scene.target_power * _detector_scalars(pilot, scene)[0][..., 0].real
-    return _per_pilot(np.log1p(x))
+    return np.log1p(x)
 
 
 def _approx_log_arg(state: SenseState):
@@ -366,7 +361,7 @@ def _approx_log_arg(state: SenseState):
 def sensing_mi_approx(pilot, scene: SensingScene):
     """Large-array form of the sensing information (exact for zero or one
     clutter source); one value per pilot of a stack."""
-    return _per_pilot(np.log(_approx_log_arg(sense_state(pilot, scene))))
+    return np.log(_approx_log_arg(sense_state(pilot, scene)))
 
 
 def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
@@ -415,7 +410,7 @@ def c_worst_estimate(
         raise InvalidParameterError("trials must be >= 1")
     if block_len < 1:
         raise InvalidParameterError("block_len must be >= 1")
-    phi = pilot_entries(pilot)
+    phi = _one_pilot(pilot)
     n_slots, n_tx = phi.shape
     n_users = len(users)
 

@@ -49,22 +49,20 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class OptimizationTrace:
-    """Per-iteration objective/feasibility records and the final pilot."""
+    """Per-iteration objective/feasibility records (iterate 0 is the initial
+    pilot), the final pilot and why the ascent stopped: "rel_tol" when the
+    window test passed, "max_iters" when it ran to the cap."""
 
-    iterations: np.ndarray
     objective: np.ndarray
     comm_mi: np.ndarray
     sense_mi: np.ndarray
     residual: np.ndarray
     final_pilot: PilotMatrix
-
-    def __post_init__(self):
-        if np.any(self.residual > 1e-8):
-            raise IsacPilotError("optimizer produced an infeasible iterate")
+    stop_reason: str
 
     @property
     def n_iterations(self) -> int:
-        return int(self.iterations[-1])
+        return len(self.objective) - 1
 
 
 def project_stiefel(z) -> PilotMatrix:
@@ -100,7 +98,9 @@ def optimize_pgd(
     """Ascend the scalarized objective from ``init``; deterministic given inputs.
 
     Stops at ``max_iters`` or once the objective spread over a 10-iteration
-    window drops below ``rel_tol`` relative to the current value.  An error
+    window drops below ``rel_tol`` relative to the current value, and records
+    which in ``stop_reason``.  Every iterate is a ``PilotMatrix``, whose
+    constructor rejects a residual above 1e-8.  An error
     in the projection or the evaluation of iteration t is raised with
     "iteration t: " before its message.
     """
@@ -115,6 +115,7 @@ def optimize_pgd(
         residuals.append(p.residual)
         return grad
 
+    stop_reason = "max_iters"
     try:
         grad = record(pilot)
         for t in range(1, config.max_iters + 1):
@@ -123,6 +124,7 @@ def optimize_pgd(
             if config.rel_tol > 0 and t >= STOP_WINDOW:
                 window = values[-(STOP_WINDOW + 1) :]
                 if max(window) - min(window) <= config.rel_tol * max(1.0, abs(values[-1])):
+                    stop_reason = "rel_tol"
                     break
     except IsacPilotError as exc:
         # iterates 0 .. t - 1 were recorded, so the failing iteration is t
@@ -130,38 +132,40 @@ def optimize_pgd(
         raise
 
     return OptimizationTrace(
-        iterations=np.arange(len(values)),
         objective=np.array(values),
         comm_mi=np.array(comms),
         sense_mi=np.array(senses),
         residual=np.array(residuals),
         final_pilot=pilot,
+        stop_reason=stop_reason,
     )
 
 
 def pareto_filter(points) -> list:
-    """Non-dominated subset under the componentwise order, input order kept.
+    """Non-dominated subset of (x, y) pairs, input order kept.
 
-    A point is dropped iff some other point is >= in every coordinate and
-    strictly greater in at least one; exact duplicates all survive.
+    A point is dropped iff some other point is >= in both coordinates and
+    strictly greater in at least one; exact duplicates all survive.  One
+    sort, x then y both descending, gives the staircase of 2-D maxima (Kung,
+    Luccio & Preparata, J. ACM 22, 1975): a point is dominated iff a point
+    in its run of equal x has a larger y, or a point with a larger x has a y
+    at least as large.  A point that is not a finite (x, y) pair raises
+    ``InvalidParameterError``.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         return []
-    arr = np.asarray(pts, dtype=float)
-    n_pts, n_dim = arr.shape
-    dominated = np.zeros(n_pts, dtype=bool)
-    chunk = max(1, 10_000_000 // n_pts)
-    for start in range(0, n_pts, chunk):
-        block = arr[start : start + chunk]
-        geq = np.ones((block.shape[0], n_pts), dtype=bool)
-        strict = np.zeros((block.shape[0], n_pts), dtype=bool)
-        for d in range(n_dim):
-            others = arr[:, d][None, :]
-            mine = block[:, d][:, None]
-            geq &= others >= mine
-            strict |= others > mine
-        dominated[start : start + chunk] = np.any(geq & strict, axis=1)
+    if any(len(p) != 2 for p in pts) or not np.isfinite(np.asarray(pts, dtype=float)).all():
+        raise InvalidParameterError("pareto_filter takes finite (x, y) pairs")
+    x, y = np.asarray(pts, dtype=float).T
+    order = np.lexsort((-y, -x))
+    xs, ys = x[order], y[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]  # each run of equal x, its largest y first
+    run = np.cumsum(first) - 1
+    top = ys[first]  # largest y of each run
+    above = np.r_[-np.inf, np.maximum.accumulate(top)[:-1]]  # largest y at a larger x
+    dominated = np.empty(len(pts), dtype=bool)
+    dominated[order] = (ys < top[run]) | (ys <= above[run])
     return [p for p, d in zip(pts, dominated) if not d]
 
 

@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.channel import _steering_rows, pilot_entries
 from isacpilot.gradients import isac_value_and_grad
-from isacpilot.metrics import _detector_scalars, _per_pilot, comm_state
+from isacpilot.metrics import _detector_scalars, comm_state
 
 
 def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:
@@ -131,7 +131,7 @@ def detector_statistic(y: np.ndarray, pilot, scene) -> float:
 def comm_mi_user(pilot, model):
     """Surrogate mutual information between the pilot observation and one
     user's channel; one value per pilot of a stack."""
-    return _per_pilot(comm_state(pilot, [model]).value[0])
+    return comm_state(pilot, [model]).value[0]
 
 
 def sweep_traces(objective, rho_values, init, config) -> list:

@@ -130,7 +130,7 @@ def test_02_feasibility_along_iterates():
     init = ip.random_stiefel(9, 20, substream(0, "acc-feas"))
     trace = ip.optimize_pgd(init, objective, OptimizerConfig(0.1, 200, 0.0))
     worst = float(trace.residual.max())
-    ok = worst <= 1e-8 and len(trace.iterations) == 201
+    ok = worst <= 1e-8 and len(trace.objective) == 201
     report(2, "iterate-feasibility", ok, f"max_residual={worst:.3e} over 200 iterations")
 
 

@@ -458,10 +458,13 @@ class TestCapNotice:
 
     @pytest.mark.parametrize("task", TASKS)
     def test_silent_when_every_point_stops_on_rel_tol(self, tmp_path, capsys, task):
-        overrides = {**self.TASKS[task], "optimizer.rel_tol": 1.0, "optimizer.max_iters": 50}
-        path = write_config(tmp_path, overrides)
-        assert run_config(path, out_dir=str(tmp_path / "out")) == 0
-        assert capsys.readouterr().err == ""
+        # rel_tol 1 passes the first window test, at iteration 10; with
+        # max_iters 10 that is also the cap, and the stop is still rel_tol's
+        for max_iters in (50, 10):
+            overrides = {"optimizer.rel_tol": 1.0, "optimizer.max_iters": max_iters}
+            path = write_config(tmp_path, {**self.TASKS[task], **overrides})
+            assert run_config(path, out_dir=str(tmp_path / "out")) == 0
+            assert capsys.readouterr().err == ""
 
     def test_silent_when_rel_tol_is_zero(self, tmp_path, capsys):
         # BASE_CONFIG runs 8 iterations with the early stop off
@@ -611,14 +614,18 @@ class TestVerify:
         assert f"error: cannot read {out / 'a.csv'}" in capsys.readouterr().err
 
     def test_verify_flags_a_csv_that_is_not_utf8(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert run_config(path, out_dir=str(out)) == 0
-        target = out / "frontier.csv"
-        target.write_bytes(target.read_bytes() + b"0,\xd0\n")
-        capsys.readouterr()
-        assert verify_outputs(path, None, str(out)) == 3
-        assert "frontier.csv: MISMATCH (not UTF-8)" in capsys.readouterr().out
+        # a small table, and one whose bad byte lies past the first 8 KB decoded
+        cloud = task_overrides("pareto-cloud", "cloud", {"samples": 600})
+        for table, overrides in (("frontier.csv", {}), ("cloud.csv", cloud)):
+            path = write_config(tmp_path, overrides)
+            out = tmp_path / table
+            assert run_config(path, out_dir=str(out)) == 0
+            target = out / table
+            assert target.stat().st_size > (8192 if table == "cloud.csv" else 0)
+            target.write_bytes(target.read_bytes() + b"0,\xd0\n")
+            capsys.readouterr()
+            assert verify_outputs(path, None, str(out)) == 3
+            assert f"{table}: MISMATCH (not UTF-8)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [None, b"task: \xd0\n"], ids=["missing", "not-utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):

@@ -529,7 +529,7 @@ class TestBaselinePilots:
     def test_eigen_orthonormal_and_aligned(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)
         model = build_user_models(geom, [(30.0, 6.0, 0.3)], 36)[0]
-        pilot = ip.eigen_pilot(3, [model])
+        pilot = ip.eigen_pilot(3, [model], [1.0])
         assert pilot.residual <= 1e-10
         # row space contains the strongest covariance eigenvector
         cov = np.einsum("k,knm->nm", model.weights, model.covariances)

@@ -442,17 +442,25 @@ class TestPilotStack:
     def test_single_pilot_functions_reject_a_stack(self):
         objective, stack = stack_case("roc_compare+clutter")
         scene, rng = objective.scene, ip.substream(18, "stack")
+        users = objective.users
+        observations = np.zeros((2, stack.shape[1]), dtype=complex)
         for call in (
             lambda: ip.simulate_detection_trials(stack, scene, 1000, rng),
             lambda: ip.roc_curve(stack, scene, 1000, [0.1], rng),
             lambda: sense_grad(stack, scene),
             lambda: comm_grad(stack, objective.users[0]),
             lambda: isac_value_and_grad(stack, objective),
+            lambda: ip.nmse_experiment(stack, users, 10, rng),
+            lambda: ip.ser_experiment(stack, users, [10.0], 1000, 10, rng),
+            lambda: ip.c_worst_estimate(stack, users, 10, 10, rng),
+            lambda: ip.gmm_mmse_batch(observations, stack, users[0]),
+            lambda: ip.finite_diff_check(np.sum, np.zeros_like, stack),
         ):
             with pytest.raises(ip.DimensionError):
                 call()
-        # the detector checks its pilot before it draws anything
+        # the detector and the Monte Carlo routines check their pilot before they draw anything
         assert rng.bit_generator.state == ip.substream(18, "stack").bit_generator.state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
         with pytest.raises(ip.DimensionError):
             comm_state(stack[None], objective.users[:1])
 

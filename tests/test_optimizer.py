@@ -110,7 +110,8 @@ class TestOptimizePgd:
         init = random_stiefel(3, 8, substream(12, "pgd"))
         trace = optimize_pgd(init, objective, OptimizerConfig(max_iters=100, rel_tol=0.0))
         assert trace.residual.max() <= 1e-8
-        assert len(trace.iterations) == len(trace.objective) == 101
+        assert len(trace.objective) == len(trace.residual) == trace.n_iterations + 1 == 101
+        assert trace.stop_reason == "max_iters"
 
     def test_deterministic(self):
         objective = small_objective(seed=13, rho=0.6)
@@ -126,6 +127,15 @@ class TestOptimizePgd:
         init = random_stiefel(3, 8, substream(14, "pgd"))
         trace = optimize_pgd(init, objective, OptimizerConfig(max_iters=200, rel_tol=1e-3))
         assert trace.n_iterations < 200
+        assert trace.stop_reason == "rel_tol"
+
+    def test_stop_on_rel_tol_at_the_cap_is_not_capped(self):
+        # the window test first runs, and passes, at iteration 10, the cap
+        objective = small_objective(seed=14, rho=0.5)
+        init = random_stiefel(3, 8, substream(14, "pgd"))
+        trace = optimize_pgd(init, objective, OptimizerConfig(max_iters=10, rel_tol=1.0))
+        assert trace.n_iterations == 10
+        assert trace.stop_reason == "rel_tol"
 
     def test_domain_error_carries_iteration_context(self):
         geom = ip.ArrayGeometry(n_tx=8, n_rx=4)
@@ -210,19 +220,31 @@ class TestParetoFilter:
     def test_empty(self):
         assert pareto_filter([]) == []
 
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, 1.0), (1.0, np.inf), (1.0, 2.0, 3.0)], ids=["nan", "inf", "3-d"]
+    )
+    def test_not_a_finite_pair_raises(self, bad):
+        with pytest.raises(ip.InvalidParameterError):
+            pareto_filter([(0.0, 0.0), bad])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_against_brute_force(self, seed):
         rng = substream(seed, "pareto")
-        pts = [tuple(row) for row in rng.uniform(0, 1, size=(120, 2))]
-        kept = pareto_filter(pts)
-        expected = []
-        for p in pts:
-            dominated = any(
-                q[0] >= p[0] and q[1] >= p[1] and (q[0] > p[0] or q[1] > p[1]) for q in pts
-            )
-            if not dominated:
-                expected.append(p)
-        assert kept == expected
+        uniform = rng.uniform(0, 1, size=(120, 2))
+        # integers on the lines x + y = 5 and 6: runs of equal x, ties in y, duplicates
+        x = rng.integers(0, 6, size=120)
+        grid = np.column_stack((x, 5 - x + rng.integers(0, 2, size=120))).astype(float)
+        for pts in ([tuple(row) for row in uniform], [tuple(row) for row in grid]):
+            kept = pareto_filter(pts)
+            expected = []
+            for p in pts:
+                dominated = any(
+                    q[0] >= p[0] and q[1] >= p[1] and (q[0] > p[0] or q[1] > p[1]) for q in pts
+                )
+                if not dominated:
+                    expected.append(p)
+            assert kept == expected
+        assert len(kept) > len(set(kept)) > 1  # duplicates survive on a front of several points
 
 
 class TestFeasibleCloud:
