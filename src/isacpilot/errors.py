@@ -24,9 +24,14 @@ class SingularMatrixError(NumericError):
 class ObjectiveDomainError(NumericError):
     """The argument of a logarithm left its domain.
 
-    Carries the offending value in ``value`` so callers can report it.
+    Carries the offending value in ``value`` so callers can report it.  It
+    pickles with its message and value, so one raised in a worker process
+    reaches the parent as it was raised.
     """
 
     def __init__(self, message: str, value: float):
         super().__init__(message)
         self.value = value
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.value)

@@ -29,11 +29,12 @@ same way, and forms v_n^(g) = Phi m^(g) - Phi mu_n from them.
 The users of a scenario share one prior (``channel.build_user_models``): the
 same read-only stacked factor and means, with their own weights and noise
 level. Users with the same stacked array and an equal noise level form a
-group (``metrics._user_groups``), and one ``comm_state`` call serves a
-group: its Sigma_n, B_n, C_n and log det Sigma_n are shared, and each user g
-has its own s_n^(g) and mixture weights. ``_comm_grad`` sums the group's
-rho w_g-weighted D_n^(g) = mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) into E
-before its one product, as broadcast products summed over one axis.
+group (``IsacObjective.groups``, formed with the objective), and one
+``comm_state`` call serves a group: its Sigma_n, B_n, C_n and log det
+Sigma_n are shared, and each user g has its own s_n^(g) and mixture
+weights. ``_comm_grad`` sums the group's rho w_g-weighted D_n^(g) =
+mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) into E before its one product, as
+broadcast products summed over one axis.
 
 The state keeps the component axis last: B_n, C_n and s_n are stacked as
 (L, q, N_k), (L, q, N_k) and (L, K_g, N_k) arrays, so the per-component
@@ -66,6 +67,28 @@ coarser cut (1e-12) drops one more column (q = 4) but moves the metric by
 about 2e-14 relative at a fixed pilot, and an ascent amplifies that to about
 1e-11 after 50 iterations of the shipped sweep, against 8e-13 at the
 roundoff cut; hence the cut sits at roundoff.
+
+The sensing gradient is a pull-back from the Gram domain of
+``metrics.sense_state``. With u_i = Phi a_i (transmit steering row a_i,
+``SenseState.u``) and the receive-steering correlation r_ij,
+gram[i, j] = mu_i^H mu_j = r_ij u_i^H u_j, so d gram[i, j] / d Phi^* =
+r_ij u_j a_i^H. A metric that reads Phi through the Gram alone, with
+coefficients S[i, j] = d f / d gram[i, j], has the gradient
+sum_ij S[i, j] r_ij u_j a_i^H = u^T W^T conj(A_tx) with W = S o rx_corr:
+one (Q+1) x (Q+1) matrix pulled back by two small products. The
+approximate metric is log arg with arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
+sum_i Re(conj(gram[i, 0]) z_i)) and the clutter weights
+z_i = nu_i gram[i, 0] / (sigma^2 + nu_i gram[i, i]) (``SenseState.z``), so
+S, in units of nu_0 / (sigma^2 arg), is 1 at [0, 0], -z_i at [0, i],
+-conj(z_i) at [i, 0], |z_i|^2 at [i, i] and zero elsewhere.
+``_sense_grad`` forms the target term N_r u_0 a_0^H (r_00 = N_r) as its own
+outer product and pulls back the clutter block only when the scene has
+clutter, so a clutter-free scene takes the one product. The approximate
+metric is the exact one, log(1 + x) of the whitened filter, with the
+clutter Gram taken as diagonal. The exact metric's gradient is the same
+pull-back, in units of nu_0 / (sigma^2 (1 + x)), with the solved
+z = K^{-1} gram[idx, 0] of ``metrics._detector_scalars`` and the full
+clutter block S[i, j] = conj(z_i) z_j in place of its diagonal.
 """
 
 from __future__ import annotations
@@ -80,7 +103,6 @@ from .metrics import (
     SenseState,
     _approx_log_arg,
     _one_pilot,
-    _user_groups,
     comm_state,
     sense_state,
 )
@@ -111,23 +133,18 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
 
 
 def _sense_grad(state: SenseState, scene: SensingScene) -> np.ndarray:
+    """d sensing_mi_approx / d Phi^*: the target term plus, with clutter, one
+    pull-back u^T W^T conj(A_tx) of the Gram-domain coefficients W."""
     arg = _approx_log_arg(state)
     a_tx, rx_corr, powers = scene._sense_terms
-    u, n_rx = state.u, scene.geometry.n_rx
+    u, z = state.u, state.z
 
-    numer = n_rx * np.outer(u[0], a_tx[0].conj())
-    for i in range(1, len(powers)):
-        nu_i = powers[i]
-        if nu_i == 0.0:
-            continue
-        c = state.gram[0, i]
-        r = rx_corr[0, i]
-        d_i = state.clutter_denoms[i - 1]
-        d_cross = np.conj(c) * r * np.outer(u[i], a_tx[0].conj()) + c * np.conj(r) * np.outer(
-            u[0], a_tx[i].conj()
-        )
-        numer -= (nu_i / d_i) * d_cross
-        numer += (nu_i**2 * abs(c) ** 2 * n_rx / d_i**2) * np.outer(u[i], a_tx[i].conj())
+    numer = scene.geometry.n_rx * np.outer(u[0], a_tx[0].conj())
+    if z.size:
+        coefs = np.zeros(rx_corr.shape, dtype=complex)
+        coefs[0, 1:], coefs[1:, 0] = -z, -z.conj()
+        coefs[1:, 1:] = np.diag(np.abs(z) ** 2)
+        numer += u.T @ ((coefs * rx_corr).T @ a_tx.conj())
     return (powers[0] / scene.radar_noise_std**2 / arg) * numer
 
 
@@ -135,7 +152,7 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     """(objective, weighted comm MI, sense MI, gradient entries) in one pass.
 
     Evaluates ``comm_state`` once per group of users that share a prior and a
-    noise level (``metrics._user_groups``) and ``sense_state`` once, and
+    noise level (``IsacObjective.groups``) and ``sense_state`` once, and
     builds each gradient from the same state as its value. It is the one
     gradient routine: the optimizer calls it every iteration, and the
     ``gradcheck`` task checks it with one-user objectives at rho = 1 and
@@ -146,7 +163,7 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     phi = _one_pilot(pilot)
     comm_total = 0.0
     grad = np.zeros_like(phi)
-    for weights, users in _user_groups(objective):
+    for weights, users in objective.groups:
         state = comm_state(phi, users)
         comm_total += sum(weights * state.value)
         if objective.rho > 0.0:

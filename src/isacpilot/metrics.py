@@ -24,7 +24,13 @@ from .errors import (
 
 @dataclass(eq=False)
 class IsacObjective:
-    """Scalarized joint objective: rho weights communication against sensing."""
+    """Scalarized joint objective: rho weights communication against sensing.
+
+    Construction also sets ``groups``, the users as (weights, users) pairs
+    that share one factor and one noise level, each of which takes one
+    ``comm_state`` call; groups and the users within them keep their
+    first-appearance order.
+    """
 
     rho: float
     user_weights: np.ndarray
@@ -40,6 +46,12 @@ class IsacObjective:
         # written so that a NaN weight fails them
         if not abs(self.user_weights.sum() - 1.0) <= 1e-12 or not np.all(self.user_weights >= 0):
             raise InvalidParameterError("user weights must be nonnegative and sum to 1")
+        groups = {}
+        for w, m in zip(self.user_weights, self.users):
+            weights, users = groups.setdefault((id(m.stacked), m.noise_std), ([], []))
+            weights.append(w)
+            users.append(m)
+        self.groups = [(np.array(weights), users) for weights, users in groups.values()]
 
 
 class CommState(NamedTuple):
@@ -82,13 +94,18 @@ class SenseState(NamedTuple):
     (``SensingScene._sense_terms``), with the noise level
     ``radar_noise_std``, as ``CommState`` keeps none of the channel model.
     For a stack of P pilots every field gains a leading pilot axis (``arg``
-    is then a (P,) array).
+    is then a (P,) array).  ``z`` holds the clutter weights
+    z_i = nu_i gram[i, 0] / (sigma_r^2 + nu_i gram[i, i]), 0 for a source of
+    zero power: the solve z = K^{-1} gram[idx, 0] of ``_detector_scalars``
+    with the clutter Gram in K taken as diagonal.  The approximate metric's
+    clutter sum is sum_i Re(conj(gram[i, 0]) z_i), and its gradient is
+    formed from z (``gradients._sense_grad``).
     """
 
     u: np.ndarray  # (Q+1, L) pilots applied to steering, target first
     gram: np.ndarray  # (Q+1, Q+1) Gram of the mu_i vectors
     arg: float  # argument of the log in the approximate metric
-    clutter_denoms: np.ndarray  # (Q,) sigma_r^2 + nu_i ||mu_i||^2
+    z: np.ndarray  # (Q,) clutter weights z_i, i = 1..Q
 
 
 def _pilots(pilot) -> np.ndarray:
@@ -263,24 +280,11 @@ def comm_state(pilot, users) -> CommState:
     return CommState(value, log_mix.reshape(n_users, -1), log_omega, logdet, b, s, c, sb)
 
 
-def _user_groups(objective: IsacObjective) -> list:
-    """The objective's users as (weights, users) groups that share one factor and
-    one noise level, each of which takes one ``comm_state`` call; groups and the
-    users within them keep their first-appearance order."""
-    groups = {}
-    for w, m in zip(objective.user_weights, objective.users):
-        weights, users = groups.setdefault((id(m.stacked), m.noise_std), ([], []))
-        weights.append(w)
-        users.append(m)
-    return [(np.array(weights), users) for weights, users in groups.values()]
-
-
 def comm_mi_weighted(pilot, objective: IsacObjective):
     """Preference-weighted sum of the per-user communication metrics; one
     value per pilot of a stack."""
     # value is (K_g,) or (K_g, P); the sums run over the users in order
-    groups = _user_groups(objective)
-    return sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in groups)
+    return sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in objective.groups)
 
 
 def sense_state(pilot, scene: SensingScene) -> SenseState:
@@ -301,11 +305,11 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     sigma2 = scene.radar_noise_std**2
 
     norms = gram.diagonal(0, -2, -1).real
-    denoms = sigma2 + powers[1:] * norms[..., 1:]
-    cross = np.abs(gram[..., 0, 1:]) ** 2
-    clutter = np.add.reduce(powers[1:] * cross / denoms, axis=-1)
+    cross = gram[..., 1:, 0]  # mu_i^H mu_0
+    z = powers[1:] * cross / (sigma2 + powers[1:] * norms[..., 1:])
+    clutter = np.add.reduce((cross.conj() * z).real, axis=-1)
     arg = 1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter)
-    return SenseState(u, gram, arg, denoms)
+    return SenseState(u, gram, arg, z)
 
 
 def _detector_scalars(pilot, scene: SensingScene) -> tuple:

@@ -517,6 +517,18 @@ class TestWorkerPool:
         one = (tmp_path / "one" / table).read_bytes()
         assert (tmp_path / "pool" / table).read_bytes() == one
 
+    def test_pool_reports_a_unit_error_as_one_process_does(self, tmp_path, monkeypatch, capsys):
+        # clutter 3 degrees either side of the target takes the approximate
+        # sensing log-argument below zero at the first iterate
+        clutter = [{"angle_deg": -23.0, "power": 0.5}, {"angle_deg": -17.0, "power": 0.5}]
+        path = write_config(tmp_path, {"scenario.scene.clutter": clutter})
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert run_config(path, out_dir=str(tmp_path / "one"), threads=1) == 3
+        one = capsys.readouterr().err
+        assert one.startswith("error: task sweep: iteration 0: approximate sensing metric log")
+        assert run_config(path, out_dir=str(tmp_path / "pool"), threads=3) == 3
+        assert capsys.readouterr().err == one
+
     def test_no_pool_on_one_usable_cpu(self, tmp_path, monkeypatch):
         import concurrent.futures
 

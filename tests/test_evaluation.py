@@ -23,6 +23,7 @@ from isacpilot import (
 from isacpilot.channel import build_user_models
 from isacpilot.config import build_users, parse_config
 from isacpilot.evaluation import CONSTELLATION, _estimate_draws, _nearest_level_index
+from isacpilot.metrics import _detector_scalars
 from oracles import (
     detector_statistic,
     mmse_with_weights,
@@ -282,6 +283,32 @@ class TestRocCurve:
         with pytest.raises(ip.InvalidParameterError, match="false-alarm"):
             roc_curve(pilot, clutter_scene(), 2000, grid, rng)
         assert rng.bit_generator.state == state
+
+
+ROC_LAW_CASES = CLUTTER_CASES + [((43.0, 0.4), (47.5, 2.5))]  # 0, 1, 2 far and 2 near
+
+
+@pytest.mark.parametrize("clutter", ROC_LAW_CASES, ids=["none", "one", "two", "two-near"])
+def test_roc_follows_the_swerling_law(clutter):
+    """The whitened statistic is Exp(a) without the target and Exp(a (1 + x))
+    with it, a = Re proj_0 and x = expm1(sensing_mi_exact), so P_d =
+    P_fa^{1/(1+x)} and the threshold is -a ln P_fa.  P_d is checked within 4
+    standard errors, binomial plus threshold-estimate terms, and the
+    threshold within 5 of its quantile's.  A 5% error in x moves some point
+    of every pilot here by more than 4 standard errors (4.1 to 10.3)."""
+    scene = clutter_scene(clutter=clutter)
+    grid, n = np.array([1e-3, 1e-2, 0.05, 0.1, 0.3]), 200_000
+    case = ROC_LAW_CASES.index(clutter)
+    for k in range(3):
+        pilot = ip.random_stiefel(3, 8, substream(40 + k, "roc-law", case))
+        x = np.expm1(ip.sensing_mi_exact(pilot, scene))
+        curve = roc_curve(pilot, scene, n, grid, substream(50 + k, "roc-law", case))
+        p_d = grid ** (1.0 / (1.0 + x))
+        se = np.sqrt(p_d * (1 - p_d) / n + p_d**2 * (1 - grid) / (n * grid * (1 + x) ** 2))
+        assert np.all(np.abs(curve.p_d - p_d) <= 4.0 * se)
+        tau = -_detector_scalars(pilot, scene)[0][0].real * np.log(grid)
+        tau_se = tau * np.sqrt((1 - grid) / (n * grid)) / np.abs(np.log(grid))
+        assert np.all(np.abs(curve.thresholds - tau) <= 5.0 * tau_se)
 
 
 def check_roc_against_all_draws_first(n_trials):

@@ -8,6 +8,8 @@ gradients computed apart from it: the dense formula ``oracles.dense_comm``
 and the sensing term on its own ``sense_state``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,10 +130,13 @@ class TestSensingGradient:
         pilot = ip.random_stiefel(3, 8, substream(10, "sg"))
         np.testing.assert_allclose(sense_grad(pilot, scene), 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("n_clutter", [0, 2])
+    @pytest.mark.parametrize("n_clutter", [0, 2, 3])
     def test_matches_finite_differences(self, n_clutter):
         pilot = ip.random_stiefel(3, 8, substream(11 + n_clutter, "sg"))
         scene = random_scene(11 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)
+        if n_clutter == 3:  # the middle source has zero power
+            (a0, p0), (a1, _), second = scene.clutter
+            scene = replace(scene, clutter=((a0, p0), (a1, 0.0), second))
         err = finite_diff_check(
             lambda p: ip.sensing_mi_approx(p, scene),
             lambda p: sense_grad(p, scene),
@@ -139,6 +144,18 @@ class TestSensingGradient:
             step=1e-4,
         )
         assert err <= 1e-6
+
+    def test_clutter_free_gradient_is_the_target_term_bit_for_bit(self):
+        # without clutter the gradient is nu_0 / (sigma^2 arg) N_r u_0 a_0^H
+        # alone, formed in this order, so clutter-free ascents keep their bits
+        pilot = ip.random_stiefel(3, 8, substream(15, "sg"))
+        scene = random_scene(15, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=0)
+        state = sense_state(pilot, scene)
+        a_tx, _, powers = scene._sense_terms
+        numer = scene.geometry.n_rx * np.outer(state.u[0], a_tx[0].conj())
+        expected = (powers[0] / scene.radar_noise_std**2 / state.arg) * numer
+        assert np.array_equal(_sense_grad(state, scene), expected)
+        assert np.array_equal(sense_grad(pilot, scene), expected)
 
     @pytest.mark.parametrize("n_clutter", [0, 1])
     def test_exact_metric_takes_the_stencil_stacks(self, n_clutter):

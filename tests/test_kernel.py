@@ -26,7 +26,7 @@ from isacpilot.config import build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
-from isacpilot.metrics import _user_groups, comm_state, effective_training_snr, sense_state
+from isacpilot.metrics import comm_state, effective_training_snr, sense_state
 from isacpilot.streams import complex_normal
 from oracles import (
     comm_grad,
@@ -372,7 +372,7 @@ class TestPilotStack:
     @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
     def test_comm_state_equals_per_pilot_calls(self, case):
         objective, stack = stack_case(case)
-        for _, users in _user_groups(objective):
+        for _, users in objective.groups:
             self.assert_comm_state_equals_per_pilot_calls(stack, users)
 
     @pytest.mark.parametrize("n_slots", [LOW_RANK, 6, 9])
@@ -392,7 +392,7 @@ class TestPilotStack:
         for p, phi in enumerate(stack):
             one = sense_state(phi, objective.scene)
             assert state.arg[p] == one.arg
-            for field in ("u", "gram", "clutter_denoms"):
+            for field in ("u", "gram", "z"):
                 assert np.array_equal(getattr(state, field)[p], getattr(one, field))
 
     @pytest.mark.parametrize("case", ["sweep_tradeoff", "gradcheck_small", "roc_compare+clutter"])
@@ -505,7 +505,7 @@ class TestGroupedKernel:
     def test_objective_groups_by_noise(self, noises):
         pilot, users = shared_users("region", list(noises))
         objective = grouped_objective(users)
-        groups = _user_groups(objective)
+        groups = objective.groups
         assert len(groups) == len(set(noises))
         assert sum(len(members) for _, members in groups) == len(users)
         _, comm, _, grad = isac_value_and_grad(pilot, objective)
@@ -515,6 +515,18 @@ class TestGroupedKernel:
         assert abs(comm - value) <= 1e-12 * abs(value)
         assert abs(ip.comm_mi_weighted(pilot, objective) - value) <= 1e-12 * abs(value)
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_replace_rebuilds_the_groups(self):
+        _, users = shared_users("region", [0.4, 0.4, 0.3])
+        objective = grouped_objective(users)
+        assert [len(members) for _, members in objective.groups] == [2, 1]
+        moved = replace(objective, rho=0.5)
+        assert moved.groups is not objective.groups
+        for (w, members), (w0, members0) in zip(moved.groups, objective.groups, strict=True):
+            assert np.array_equal(w, w0)
+            assert all(m is m0 for m, m0 in zip(members, members0, strict=True))
+        single = replace(objective, users=users[:1], user_weights=[1.0])
+        assert [len(members) for _, members in single.groups] == [1]
 
     def test_group_rejects_a_second_noise_level_or_factor(self):
         pilot, users = shared_users("region", [0.4, 0.5])
@@ -539,7 +551,8 @@ class TestGroupedKernel:
         clone = pickle.loads(pickle.dumps(objective))
         assert all(m.stacked is clone.users[0].stacked for m in clone.users)
         assert not clone.users[0].stacked.flags.writeable
-        assert len(_user_groups(clone)) == 1
+        assert len(clone.groups) == 1
+        assert all(m is u for m, u in zip(clone.groups[0][1], clone.users, strict=True))
         pilot = ip.random_stiefel(6, 16, ip.substream(5, "kernel-pickle"))
         got, expected = isac_value_and_grad(pilot, clone), isac_value_and_grad(pilot, objective)
         assert got[:3] == expected[:3]

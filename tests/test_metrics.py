@@ -12,6 +12,7 @@ from isacpilot import (
     substream,
 )
 from isacpilot.channel import build_user_models
+from isacpilot.metrics import sense_state
 from oracles import (
     comm_mi_lower_bound_gaussian,
     comm_mi_user,
@@ -224,6 +225,26 @@ class TestSensingMi:
         assert values[0] == 0.0
         assert all(v >= 0 for v in values)
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_clutter_weights_match_dense_vectors(self):
+        # z_i = nu_i mu_i^H mu_0 / (sigma^2 + nu_i ||mu_i||^2), 0 for the zero-power source
+        scene = SensingScene(
+            target_angle=15.0, target_power=1.2,
+            clutter=((-30.0, 0.6), (40.0, 0.0), (21.0, 2.0)), radar_noise_std=0.9,
+            geometry=self.geom,
+        )
+        pilot = ip.random_stiefel(3, 8, substream(8, "s"))
+        mus = sensing_vectors(pilot, scene)
+        sigma2 = scene.radar_noise_std**2
+        expected = np.array(
+            [
+                nu * np.vdot(mu, mus[0]) / (sigma2 + nu * np.vdot(mu, mu).real)
+                for nu, mu in zip(scene.clutter_powers, mus[1:])
+            ]
+        )
+        z = sense_state(pilot, scene).z
+        assert z.shape == (3,) and z[1] == 0.0
+        assert np.abs(z - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_domain_error_carries_value(self):
         # two strong clutter sources sitting on the target make the

@@ -1,5 +1,6 @@
 """Tests for Stiefel projection, gradient ascent, sweeps and Pareto filtering."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -147,8 +148,14 @@ class TestOptimizePgd:
             rho=0.0, user_weights=[1.0], users=[random_model(15, n_tx=8)], scene=scene
         )
         init = random_stiefel(3, 8, substream(15, "pgd"))
-        with pytest.raises(ip.ObjectiveDomainError, match="iteration"):
+        with pytest.raises(ip.ObjectiveDomainError, match="iteration") as excinfo:
             optimize_pgd(init, objective, OptimizerConfig(max_iters=10))
+        # a worker pool hands a unit's error to the parent pickled
+        for exc in (ip.ObjectiveDomainError("log argument is -0.5 <= 0", -0.5), excinfo.value):
+            clone = pickle.loads(pickle.dumps(exc))
+            assert type(clone) is ip.ObjectiveDomainError
+            assert str(clone) == str(exc) and clone.value == exc.value
+        assert str(clone).startswith("iteration 0: ")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_projection_raises_numeric_error(self, bad):

@@ -8,9 +8,10 @@ from test_cli import write_config
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tool():
-    path = ROOT / "tools" / "sweep_sensitivity.py"
-    spec = importlib.util.spec_from_file_location("sweep_sensitivity", path)
+def load_tool(name="sweep_sensitivity"):
+    """The module of ``tools/<name>.py``."""
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -46,7 +46,10 @@ are:
 - ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
   two users with their own noise levels, two clutter sources), one check of
   the ISAC objective at the config's rho, as the gradcheck task runs it per
-  instance; ``sensing_mi_exact_stack``: the same scene, one call of the
+  instance; ``isac_value_and_grad_clutter``: one value-and-gradient call at
+  that shape and rho, the row whose sensing gradient takes the clutter
+  pull-back (the other ``isac_value_and_grad`` rows are clutter-free);
+  ``sensing_mi_exact_stack``: the same scene, one call of the
   exact sensing metric on a stack of ``STACK`` pilots (time per call), the
   shape ``finite_diff_check`` hands its objective.
 
@@ -255,6 +258,10 @@ def kernels() -> dict:
         "comm_state_cloud_stack": (
             f"{cloud_shape} per pilot of {STACK}",
             lambda: comm_state(cloud_stack, cloud_users),
+        ),
+        "isac_value_and_grad_clutter": (
+            grad_shape,
+            lambda: isac_value_and_grad(grad_pilot, grad_objective),
         ),
         "finite_diff_check": (
             f"{grad_shape} isac",
