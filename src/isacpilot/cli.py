@@ -31,7 +31,7 @@ from .config import (
     build_users,
     parse_config,
 )
-from .errors import IsacPilotError, NumericError
+from .errors import IsacPilotError, NumericError, ObjectiveDomainError
 from .evaluation import dft_pilot, eigen_pilot, nmse_experiment, roc_curve, ser_experiment
 from .gradients import finite_diff_check, isac_value_and_grad
 from .metrics import (
@@ -108,15 +108,14 @@ def _ascend(config: ExperimentConfig, objective: IsacObjective):
     return optimize_pgd(_random_pilot(config, "init"), objective, config.optimizer)
 
 
-def _pilot_for_source(source: str, config: ExperimentConfig, built=None):
-    """The pilot a task evaluates; ``built`` is ``build_users(config.scenario)``
-    when the caller already has it, so the models are not built twice."""
+def _pilot_for_source(source: str, config: ExperimentConfig):
+    """The pilot a task evaluates."""
     scenario = config.scenario
     if source == "random":
         return _random_pilot(config, "baseline")
     if source == "dft":
         return dft_pilot(scenario["pilot_len"], scenario["n_tx"])
-    users, weights = built or build_users(scenario)
+    users, weights = build_users(scenario)
     if source == "eigen":
         return eigen_pilot(scenario["pilot_len"], users, weights)
     objective = IsacObjective(scenario["rho"], weights, users, build_scene(scenario))
@@ -202,14 +201,20 @@ def _task_optimize(config: ExperimentConfig, threads: int) -> list:
 
 
 def _cloud_unit(config: ExperimentConfig, objective: IsacObjective, chunk_index: int) -> list:
-    size = min(CLOUD_CHUNK, config.task_params["samples"] - chunk_index * CLOUD_CHUNK)
-    pairs = sample_feasible_cloud(
-        size,
-        config.scenario["pilot_len"],
-        objective,
-        substream(config.seed, "cloud", chunk_index),
-        formula=config.scenario["sensing_formula"],
-    )
+    offset = chunk_index * CLOUD_CHUNK
+    try:
+        pairs = sample_feasible_cloud(
+            min(CLOUD_CHUNK, config.task_params["samples"] - offset),
+            config.scenario["pilot_len"],
+            objective,
+            substream(config.seed, "cloud", chunk_index),
+            formula=config.scenario["sensing_formula"],
+        )
+    except ObjectiveDomainError as exc:  # named by its cloud.csv row, not its place in the chunk
+        row = offset + exc.index
+        exc.args = (exc.args[0].replace(f"of sample {exc.index}", f"of sample {row}"),)
+        exc.index = row
+        raise
     return pairs.tolist()
 
 
@@ -240,17 +245,17 @@ def _task_roc(config: ExperimentConfig, threads: int) -> list:
 
 
 def _per_source(unit, config: ExperimentConfig, threads: int) -> tuple:
-    """``unit(config, built, source)`` over the task's pilot sources, each of its
-    rows led by the source's id, and the ``sources`` legend of those ids."""
+    """``unit(config, source)`` over the task's pilot sources, each of its rows
+    led by the source's id, and the ``sources`` legend of those ids."""
     sources = config.task_params["sources"]
-    chunks = _map_units(partial(unit, config, build_users(config.scenario)), sources, threads)
+    chunks = _map_units(partial(unit, config), sources, threads)
     rows = [(i, *row) for i, chunk in enumerate(chunks) for row in chunk]
     return rows, " ".join(f"{i}={s}" for i, s in enumerate(sources))
 
 
-def _nmse_unit(config: ExperimentConfig, built, source: str) -> list:
-    users = built[0]
-    pilot = _pilot_for_source(source, config, built)
+def _nmse_unit(config: ExperimentConfig, source: str) -> list:
+    users = build_users(config.scenario)[0]
+    pilot = _pilot_for_source(source, config)
     rng = substream(config.seed, "nmse")
     per_user, pooled = nmse_experiment(pilot, users, config.task_params["trials"], rng)
     return [*enumerate(per_user), (len(users), pooled)]
@@ -263,12 +268,13 @@ def _task_nmse(config: ExperimentConfig, threads: int) -> list:
     return [_table(config, "nmse", "source_id,user_id,nmse", rows, **metadata)]
 
 
-def _ser_unit(config: ExperimentConfig, built, source: str) -> list:
+def _ser_unit(config: ExperimentConfig, source: str) -> list:
     params = config.task_params
     snrs = params["snr_grid_db"]
-    pilot = _pilot_for_source(source, config, built)
+    users = build_users(config.scenario)[0]
+    pilot = _pilot_for_source(source, config)
     rng = substream(config.seed, "ser")
-    ser = ser_experiment(pilot, built[0], snrs, params["n_symbols"], params["block_len"], rng)
+    ser = ser_experiment(pilot, users, snrs, params["n_symbols"], params["block_len"], rng)
     return list(zip(snrs, ser))
 
 

@@ -24,14 +24,16 @@ class SingularMatrixError(NumericError):
 class ObjectiveDomainError(NumericError):
     """The argument of a logarithm left its domain.
 
-    Carries the offending value in ``value`` so callers can report it.  It
-    pickles with its message and value, so one raised in a worker process
-    reaches the parent as it was raised.
+    Carries the offending value in ``value`` so callers can report it, and
+    the failing pilot's position in its stack in ``index`` (None for one
+    pilot).  It pickles with its message, value and index, so one raised in
+    a worker process reaches the parent as it was raised.
     """
 
-    def __init__(self, message: str, value: float):
+    def __init__(self, message: str, value: float, index: int | None = None):
         super().__init__(message)
         self.value = value
+        self.index = index
 
     def __reduce__(self):
-        return type(self), (self.args[0], self.value)
+        return type(self), (self.args[0], self.value, self.index)

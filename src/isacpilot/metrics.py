@@ -351,13 +351,13 @@ def _approx_log_arg(state: SenseState):
     be positive; for a stack, the first pilot whose argument is not is named."""
     arg = state.arg
     if isinstance(arg, float):
-        failing, value, where = arg <= 0.0, arg, ""
+        failing, value, first, where = arg <= 0.0, arg, None, ""
     else:
         first = int(np.argmax(arg <= 0.0))
         failing, value, where = arg[first] <= 0.0, float(arg[first]), f" of pilot {first}"
     if failing:
         raise ObjectiveDomainError(
-            f"approximate sensing metric log argument{where} is {value:.6g} <= 0", value
+            f"approximate sensing metric log argument{where} is {value:.6g} <= 0", value, first
         )
     return arg
 

@@ -17,6 +17,7 @@ from .errors import (
     InvalidParameterError,
     IsacPilotError,
     NumericError,
+    ObjectiveDomainError,
     SingularMatrixError,
 )
 from .gradients import isac_value_and_grad
@@ -183,7 +184,8 @@ def sample_feasible_cloud(
     batched SVD projects it; each pilot is checked for rank and as a
     ``PilotMatrix`` (shape, row orthonormality).  Both metrics, under
     either sensing formula, evaluate a stack per call, with each pilot's
-    value that of its own call.
+    value that of its own call.  A pilot outside the approximate sensing
+    metric's domain raises ``ObjectiveDomainError`` naming its sample.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
@@ -194,6 +196,12 @@ def sample_feasible_cloud(
         for phi in stack:
             PilotMatrix(phi)  # its shape and row-orthonormality checks
         rows = slice(start, start + len(stack))
-        pairs[rows, 0] = sensing_mi(stack, objective.scene, formula)
+        try:
+            pairs[rows, 0] = sensing_mi(stack, objective.scene, formula)
+        except ObjectiveDomainError as exc:  # named by its sample, not its place in the stack
+            sample = start + exc.index
+            exc.args = (exc.args[0].replace(f"of pilot {exc.index}", f"of sample {sample}"),)
+            exc.index = sample
+            raise
         pairs[rows, 1] = comm_mi_weighted(stack, objective)
     return pairs

@@ -19,8 +19,10 @@ from isacpilot.cli import (
     verify_outputs,
 )
 import isacpilot.cli as cli
-from isacpilot.config import TASKS, ConfigError, parse_config
-from isacpilot.optimizer import OptimizerConfig
+from isacpilot.config import TASKS, ConfigError, build_objective, parse_config
+from isacpilot.errors import ObjectiveDomainError
+from isacpilot.optimizer import OptimizerConfig, sample_feasible_cloud
+from isacpilot.streams import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -528,6 +530,39 @@ class TestWorkerPool:
         assert one.startswith("error: task sweep: iteration 0: approximate sensing metric log")
         assert run_config(path, out_dir=str(tmp_path / "pool"), threads=3) == 3
         assert capsys.readouterr().err == one
+
+    def test_cloud_domain_error_names_its_csv_row(self, tmp_path, monkeypatch, capsys):
+        # clutter 8 degrees either side of the target at 0 takes the approximate
+        # sensing log-argument below zero for a few random pilots, first at
+        # sample 159 (pilot 7 of stack 19 in chunk 0)
+        clutter = [{"angle_deg": -8.0, "power": 0.5}, {"angle_deg": 8.0, "power": 0.5}]
+        overrides = {
+            **task_overrides("pareto-cloud", "cloud", {"samples": 500}),
+            "seed": 2024,
+            "scenario.n_components": 5,
+            "scenario.scene.target_angle_deg": 0.0,
+            "scenario.scene.clutter": clutter,
+        }
+        path = write_config(tmp_path, overrides)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        message = "error: task pareto-cloud: approximate sensing metric log argument of sample 159 "
+        for threads in (1, 2):
+            assert run_config(path, out_dir=str(tmp_path / "out"), threads=threads) == 3
+            assert capsys.readouterr().err.startswith(message)
+        # a later chunk's sample is named by its row, past the chunks before it
+        config = parse_config(path)
+        objective = build_objective(config.scenario, 0.0)
+        rng = substream(config.seed, "cloud", 1)
+        with pytest.raises(ObjectiveDomainError) as in_chunk:
+            sample_feasible_cloud(cli.CLOUD_CHUNK, 3, objective, rng)
+        assert f" of sample {in_chunk.value.index} is " in str(in_chunk.value)
+        with pytest.raises(ObjectiveDomainError) as in_table:
+            cli._cloud_unit(config, objective, 1)
+        row = cli.CLOUD_CHUNK + in_chunk.value.index
+        assert in_table.value.index == row
+        assert str(in_table.value) == str(in_chunk.value).replace(
+            f" of sample {in_chunk.value.index} ", f" of sample {row} "
+        )
 
     def test_no_pool_on_one_usable_cpu(self, tmp_path, monkeypatch):
         import concurrent.futures

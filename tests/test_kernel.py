@@ -22,9 +22,14 @@ import pytest
 from scipy.special import logsumexp
 
 import isacpilot as ip
-from isacpilot.config import build_objective, build_users, parse_config
+from isacpilot.config import build_geometry, build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
-from isacpilot.channel import FACTOR_RANK_CUT, build_user_models
+from isacpilot.channel import (
+    FACTOR_RANK_CUT,
+    _region_covariances,
+    _shared_prior,
+    build_user_models,
+)
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
 from isacpilot.metrics import comm_state, effective_training_snr, sense_state
 from isacpilot.streams import complex_normal
@@ -438,6 +443,7 @@ class TestPilotStack:
         with pytest.raises(ip.ObjectiveDomainError, match="of pilot 2 ") as excinfo:
             ip.sensing_mi_approx(stack, scene)
         assert excinfo.value.value == sense_state(phi, scene).arg <= 0.0
+        assert excinfo.value.index == 2
 
     def test_single_pilot_functions_reject_a_stack(self):
         objective, stack = stack_case("roc_compare+clutter")
@@ -538,13 +544,76 @@ class TestGroupedKernel:
 
     @pytest.mark.parametrize("config", [SWEEP_CONFIG, SER_CONFIG])
     def test_build_users_share_one_read_only_prior(self, config):
-        users, _ = build_users(parse_config(str(config)).scenario)
+        scenario = parse_config(str(config)).scenario
+        users, _ = build_users(scenario)
         first = users[0]
-        for model in users:
+        # a second build of the scenario in this process shares the prior too
+        for model in users + build_users(scenario)[0]:
             for name in ("stacked", "means", "covariances"):
                 assert getattr(model, name) is getattr(first, name)
                 assert not getattr(model, name).flags.writeable
         assert not np.array_equal(users[1].weights, first.weights)
+        # the shared arrays are those of a model built from scratch, bit for bit
+        geom = build_geometry(scenario)
+        edges = np.linspace(-90.0, 90.0, scenario["n_components"] + 1)
+        covs = _region_covariances(geom, edges[:-1], edges[1:], scenario["quadrature_points"])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        means = scenario["mean_scale"] * steering_vector(geom.n_tx, geom.spacing_tx, centers)
+        fresh = ip.GmmUserModel(first.weights, means, covs, first.noise_std)
+        assert fresh.rank == first.rank
+        for name in ("stacked", "means", "covariances"):
+            assert np.array_equal(getattr(fresh, name), getattr(first, name))
+
+    PRIOR_KEY = {
+        "geometry": ip.ArrayGeometry(8, 4),
+        "n_components": 12,
+        "mean_policy": "steering",
+        "mean_scale": 1.0,
+        "quadrature_points": 8,
+    }
+
+    def prior_user(self, users=((30.0, 6.0, 0.2),), **changes):
+        """The first user model of ``users`` on the prior ``PRIOR_KEY`` with ``changes``."""
+        key = {**self.PRIOR_KEY, **changes}
+        return build_user_models(key.pop("geometry"), users, key.pop("n_components"), **key)[0]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("geometry", ip.ArrayGeometry(8, 4, spacing_tx=0.4)),
+            ("n_components", 13),
+            ("mean_policy", "zero"),
+            ("mean_scale", 2.0),
+            ("quadrature_points", 4),
+        ],
+    )
+    def test_each_key_value_names_its_own_prior(self, key, value):
+        model = self.prior_user()
+        other = self.prior_user(**{key: value})
+        assert other.stacked is not model.stacked
+        assert other.stacked.shape != model.stacked.shape or not np.array_equal(
+            other.stacked, model.stacked
+        )
+        assert self.prior_user().stacked is model.stacked
+
+    def test_a_cached_prior_still_checks_every_user(self):
+        model = self.prior_user()
+        # a NaN angle gives NaN weights; the noise level must be positive
+        for bad in [(np.nan, 6.0, 0.2), (30.0, 6.0, 0.0), (30.0, 6.0, np.nan)]:
+            with pytest.raises(ip.InvalidParameterError):
+                self.prior_user(users=[(30.0, 6.0, 0.2), bad])
+        assert self.prior_user().stacked is model.stacked
+
+    def test_prior_cache_is_bounded(self):
+        bound = _shared_prior.cache_info().maxsize
+        counts = range(2, bound + 4)
+        models = [self.prior_user(n_components=n) for n in counts]
+        assert 0 < bound == _shared_prior.cache_info().currsize < len(counts)
+        # the oldest prior was dropped: building it again gives new, equal arrays
+        again = self.prior_user(n_components=counts[0])
+        assert again.stacked is not models[0].stacked
+        assert np.array_equal(again.stacked, models[0].stacked)
+        assert self.prior_user(n_components=counts[-1]).stacked is models[-1].stacked
 
     def test_pickled_shared_prior_objective_is_bit_identical(self):
         objective = build_objective(parse_config(str(SER_CONFIG)).scenario, 0.6)

@@ -1,8 +1,14 @@
-"""Smoke test of ``tools/kernel_timings.py`` on three of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on five of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
-ROWS = ["isac_value_and_grad", "isac_value_and_grad_clutter", "finite_diff_check"]
+ROWS = [
+    "isac_value_and_grad",
+    "isac_value_and_grad_clutter",
+    "finite_diff_check",
+    "build_users",
+    "build_users_cold",
+]
 
 
 def test_prints_one_line_per_requested_row(capsys, monkeypatch):

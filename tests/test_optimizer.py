@@ -151,10 +151,12 @@ class TestOptimizePgd:
         with pytest.raises(ip.ObjectiveDomainError, match="iteration") as excinfo:
             optimize_pgd(init, objective, OptimizerConfig(max_iters=10))
         # a worker pool hands a unit's error to the parent pickled
-        for exc in (ip.ObjectiveDomainError("log argument is -0.5 <= 0", -0.5), excinfo.value):
+        stacked = ip.ObjectiveDomainError("log argument of pilot 3 is -0.5 <= 0", -0.5, 3)
+        for exc in (stacked, excinfo.value):
             clone = pickle.loads(pickle.dumps(exc))
             assert type(clone) is ip.ObjectiveDomainError
             assert str(clone) == str(exc) and clone.value == exc.value
+            assert clone.index == exc.index
         assert str(clone).startswith("iteration 0: ")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -16,6 +16,10 @@ are:
   ``configs/convergence_stepsize.yaml`` (N_t = 20, L = 9, one user, 180
   components, its rho = 0.5), where the pilot is longer than the prior's
   rank (q = 5);
+- ``build_users`` and ``build_users_cold``: the user models of
+  ``configs/sweep_tradeoff.yaml``, with its prior already built in this
+  process (the cache hit of every build after the first) and with the prior
+  cache cleared before each call (the first build in a process);
 - ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
   L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
   ``gmm_mmse_batch_ser``: the same prior, 400 trials, as the Monte Carlo
@@ -81,7 +85,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from isacpilot.channel import sample_channels  # noqa: E402
+from isacpilot.channel import _shared_prior, sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
 from isacpilot.evaluation import (  # noqa: E402
     gmm_mmse_batch,
@@ -204,6 +208,8 @@ def kernels() -> dict:
         "sense_state": (sweep_shape, lambda: sense_state(pilot, objective.scene)),
         "isac_value_and_grad": (sweep_shape, lambda: isac_value_and_grad(pilot, objective)),
         "project_stiefel": (f"{step.shape[0]}x{step.shape[1]}", lambda: project_stiefel(step)),
+        "build_users": (sweep_shape, lambda: build_users(sweep)),
+        "build_users_cold": (sweep_shape, lambda: (_shared_prior.cache_clear(), build_users(sweep))),
         "comm_state_l9": (conv_shape, lambda: comm_state(conv_pilot, conv_objective.users)),
         "isac_value_and_grad_l9": (
             conv_shape,
