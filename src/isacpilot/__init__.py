@@ -18,7 +18,9 @@ from .errors import (
 )
 from .evaluation import (
     RocCurve,
+    c_worst_estimate,
     dft_pilot,
+    effective_training_snr,
     eigen_pilot,
     gmm_mmse_batch,
     nmse_experiment,
@@ -30,8 +32,6 @@ from .evaluation import (
 from .gradients import finite_diff_check
 from .metrics import (
     IsacObjective,
-    c_worst_estimate,
-    effective_training_snr,
     comm_mi_weighted,
     isac_objective,
     sensing_mi,

@@ -203,10 +203,6 @@ class SensingScene:
         if not self.radar_noise_std > 0:
             raise InvalidParameterError("radar noise std must be positive")
 
-    @property
-    def n_clutter(self) -> int:
-        return len(self.clutter)
-
     @cached_property
     def _sense_terms(self) -> tuple:
         """The scene terms of the sensing metrics, the detector and the sensing

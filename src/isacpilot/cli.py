@@ -32,11 +32,17 @@ from .config import (
     parse_config,
 )
 from .errors import IsacPilotError, NumericError, ObjectiveDomainError
-from .evaluation import dft_pilot, eigen_pilot, nmse_experiment, roc_curve, ser_experiment
+from .evaluation import (
+    c_worst_estimate,
+    dft_pilot,
+    eigen_pilot,
+    nmse_experiment,
+    roc_curve,
+    ser_experiment,
+)
 from .gradients import finite_diff_check, isac_value_and_grad
 from .metrics import (
     IsacObjective,
-    c_worst_estimate,
     comm_mi_weighted,
     isac_objective,
     sensing_mi,

@@ -1,9 +1,13 @@
-"""Downstream pilot evaluation: radar detection, channel estimation, link SER.
+"""Downstream pilot evaluation: radar detection, channel estimation, link SER
+and the training-aware capacity bound.
 
-Trials are paired: target-absent and target-present statistics share the
-same clutter and noise draws, and experiment substreams depend only on the
-caller's generator, never on the pilot under test, so pilots can be compared
-on identical randomness.
+Trials are paired: standard draws and experiment substreams depend only on
+the caller's generator, never on the pilot under test, so pilots can be
+compared on identical randomness.  A detection trial draws its clutter and
+noise as one interference normal: under h0 the whitened statistic w^H y is
+CN(0, a), a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2, so the trial's
+target-absent and target-present statistics share that one draw, and two
+pilots at one seed share it too, each scaled by its own sqrt(a).
 
 The working set is bounded by the data each table needs, not by its
 temporaries: an ROC holds 16 B per trial (each trial's statistic pair in its
@@ -42,11 +46,11 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 # below about 4,000.
 WEIGHT_CUT = -700.0
 # Detection trials are drawn in blocks of this many, so the draws alive at a
-# time take under 1 MB (two clutter sources) whatever the trial count; only
-# the running interference grows with it, 16 B per trial, which the paired
-# statistics then reuse.  Consecutive draws continue one stream, so the
-# statistics and the generator state do not depend on the block size.  The
-# same length bounds the runs of ``roc_curve``'s swap.
+# time take 256 KB whatever the trial count; only the interference, one
+# complex normal scaled by sqrt(a) per trial, grows with it, 16 B per trial,
+# which the paired statistics then reuse.  Consecutive draws continue one
+# stream, so the statistics and the generator state do not depend on the
+# block size.  The same length bounds the runs of ``roc_curve``'s swap.
 DETECTION_BLOCK = 16_384
 # The link simulation forms, draws noise for and decides its symbols in runs
 # of whole blocks of about this many symbols (all users), so its temporaries
@@ -73,34 +77,34 @@ def simulate_detection_trials(
     ``t0, t1 = simulate_detection_trials(...)`` unpacks them.
 
     Works on the scalar projection w^H y, whose distribution is identical to
-    the frame-level statistic; standard draws are pilot-independent so equal
-    seeds give paired comparisons across pilots.  Trial i's pair (t0, t1) is
-    written into the 16 B of its own complex interference entry once that
-    entry has been read, and the result is a strided view of that buffer, so
-    the statistics take 16 B per trial and both rows keep the buffer alive.
+    the frame-level statistic.  Under h0 it is CN(0, a) with
+    a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 (Swerling I), so each
+    trial draws one standard complex normal g for all its clutter and noise
+    and one gamma for the target: t0 = a |g|^2 and
+    t1 = |sqrt(a) g + sqrt(nu_0) w^H mu_0 gamma|^2, the interference of all
+    trials drawn before any target.  The t0 and t1 of a trial share its g.
+    The standard draws are pilot-independent, so equal seeds give paired
+    comparisons across pilots: two pilots share each trial's g, each scaled
+    by its own sqrt(a).  Trial i's pair (t0, t1) is written into the 16 B of
+    its own complex interference entry once that entry has been read, and
+    the result is a strided view of that buffer, so the statistics take
+    16 B per trial and both rows keep the buffer alive.
     """
     if n_trials < 1:
         raise InvalidParameterError("n_trials must be >= 1")
     proj, w_norm2 = _detector_scalars(_one_pilot(pilot), scene)  # a stack raises, before any draw
-    # draws come in blocks of DETECTION_BLOCK trials, in the order all
-    # clutter, all noise, all target, and each block is folded into the
-    # running interference or the statistics as soon as it is drawn
+    clutter = np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)  # 0.0 without clutter
+    scale = np.sqrt(scene.radar_noise_std**2 * w_norm2 + clutter)  # sqrt(a)
+    # draws come in blocks of DETECTION_BLOCK trials, all interference, then
+    # all targets; each block is scaled into the interference buffer or
+    # folded into the statistics as soon as it is drawn
     blocks = [
         slice(start, min(start + DETECTION_BLOCK, n_trials))
         for start in range(0, n_trials, DETECTION_BLOCK)
     ]
-    noise_scale = np.sqrt(scene.radar_noise_std**2 * w_norm2)
-    interf = np.zeros(n_trials, dtype=complex)
-    if scene.n_clutter:
-        clutter_gains = np.sqrt(scene.clutter_powers) * proj[1:]
-        for block in blocks:
-            shape = (block.stop - block.start, scene.n_clutter)
-            interf[block] = complex_normal(rng, shape) @ clutter_gains
+    interf = np.empty(n_trials, dtype=complex)
     for block in blocks:
-        noise = complex_normal(rng, (block.stop - block.start,))
-        noise *= noise_scale
-        interf[block] += noise
-    del noise  # not alive while the targets are drawn
+        np.multiply(complex_normal(rng, (block.stop - block.start,)), scale, out=interf[block])
     # entry i's two floats take (t0_i, t1_i), written only after the
     # block's interference has been read into |interf|^2 and interf + target
     pairs = interf.view(float).reshape(n_trials, 2)
@@ -149,7 +153,7 @@ def roc_curve(
         h0_last[run] = swap
     t0, t1 = flat[:n_trials], flat[n_trials:]
     thresholds = np.quantile(t0, 1.0 - p_fa, overwrite_input=True)
-    p_d = np.array([np.mean(t1 > thr) for thr in thresholds])
+    p_d = np.array([np.count_nonzero(t1 > thr) / n_trials for thr in thresholds])
     return RocCurve(
         p_fa=p_fa,
         p_d=p_d,
@@ -260,6 +264,59 @@ def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random
     channels = sample_channels(model, n, rng)
     noise = model.noise_std * complex_normal(rng, (n, phi.shape[0]))
     return channels, gmm_mmse_batch(channels @ phi.T + noise, phi, model)
+
+
+def effective_training_snr(error_variance: float) -> float:
+    """Effective data-phase SNR 2/(1 + err) - 1 under the estimation
+    orthogonality identity, clipped at 0; equals 1 for perfect estimation."""
+    if error_variance < 0:
+        raise InvalidParameterError("error variance must be nonnegative")
+    return max(2.0 / (1.0 + error_variance) - 1.0, 0.0)
+
+
+def c_worst_estimate(
+    pilot,
+    users: list,
+    block_len: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> float:
+    """Monte Carlo training-aware capacity lower bound, natural-log units.
+
+    Runs mixture-MMSE channel estimation per trial, pools the normalized
+    error variance into an effective SNR 2/(1 + err) - 1 (clipped at 0), and
+    averages the block-discounted log-determinant over per-trial estimates
+    normalized to unit average entry power.  Trials whose estimates are all
+    zero are skipped.
+    """
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
+    if block_len < 1:
+        raise InvalidParameterError("block_len must be >= 1")
+    phi = _one_pilot(pilot)
+    n_slots, n_tx = phi.shape
+    n_users = len(users)
+
+    estimates = np.empty((trials, n_users, n_tx), dtype=complex)
+    err_power = 0.0
+    ch_power = 0.0
+    for k, model in enumerate(users):
+        channels, est = _estimate_draws(phi, model, trials, rng)
+        estimates[:, k, :] = est
+        err_power += float(np.sum(np.abs(channels - est) ** 2))
+        ch_power += float(np.sum(np.abs(channels) ** 2))
+    err_var = err_power / ch_power
+    eff_snr = effective_training_snr(err_var)
+
+    prefactor = block_len / (block_len + n_slots)
+    power = np.mean(np.abs(estimates.reshape(trials, -1)) ** 2, axis=1)
+    live = ~(power <= 0)  # trials whose estimates are all zero add nothing
+    h_bar = estimates[live] / np.sqrt(power[live])[:, None, None]
+    gram = np.eye(n_users) + eff_snr * (h_bar.conj() @ h_bar.transpose(0, 2, 1)) / n_tx
+    logdet = np.linalg.slogdet(gram)[1]
+    # summed one by one in trial order, as a running total would be
+    total = np.cumsum(logdet)[-1] if logdet.size else 0.0
+    return float(prefactor * total / trials)
 
 
 def nmse_experiment(

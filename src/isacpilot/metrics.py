@@ -1,4 +1,4 @@
-"""Mutual-information objectives and diagnostics for pilot design.
+"""Mutual-information objectives for pilot design.
 
 All values are in natural-log units; conversion to bits happens only at
 reporting boundaries.  The communication metric is a linearized-entropy
@@ -383,58 +383,3 @@ def isac_objective(pilot, objective: IsacObjective):
     return objective.rho * comm_mi_weighted(pilot, objective) + (
         1.0 - objective.rho
     ) * sensing_mi_approx(pilot, objective.scene)
-
-
-def effective_training_snr(error_variance: float) -> float:
-    """Effective data-phase SNR 2/(1 + err) - 1 under the estimation
-    orthogonality identity, clipped at 0; equals 1 for perfect estimation."""
-    if error_variance < 0:
-        raise InvalidParameterError("error variance must be nonnegative")
-    return max(2.0 / (1.0 + error_variance) - 1.0, 0.0)
-
-
-def c_worst_estimate(
-    pilot,
-    users: list,
-    block_len: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo training-aware capacity lower bound, natural-log units.
-
-    Runs mixture-MMSE channel estimation per trial, pools the normalized
-    error variance into an effective SNR 2/(1 + err) - 1 (clipped at 0), and
-    averages the block-discounted log-determinant over per-trial estimates
-    normalized to unit average entry power.  Trials whose estimates are all
-    zero are skipped.
-    """
-    from .evaluation import _estimate_draws  # local import to avoid a cycle
-
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    if block_len < 1:
-        raise InvalidParameterError("block_len must be >= 1")
-    phi = _one_pilot(pilot)
-    n_slots, n_tx = phi.shape
-    n_users = len(users)
-
-    estimates = np.empty((trials, n_users, n_tx), dtype=complex)
-    err_power = 0.0
-    ch_power = 0.0
-    for k, model in enumerate(users):
-        channels, est = _estimate_draws(phi, model, trials, rng)
-        estimates[:, k, :] = est
-        err_power += float(np.sum(np.abs(channels - est) ** 2))
-        ch_power += float(np.sum(np.abs(channels) ** 2))
-    err_var = err_power / ch_power
-    eff_snr = effective_training_snr(err_var)
-
-    prefactor = block_len / (block_len + n_slots)
-    power = np.mean(np.abs(estimates.reshape(trials, -1)) ** 2, axis=1)
-    live = ~(power <= 0)  # trials whose estimates are all zero add nothing
-    h_bar = estimates[live] / np.sqrt(power[live])[:, None, None]
-    gram = np.eye(n_users) + eff_snr * (h_bar.conj() @ h_bar.transpose(0, 2, 1)) / n_tx
-    logdet = np.linalg.slogdet(gram)[1]
-    # summed one by one in trial order, as a running total would be
-    total = np.cumsum(logdet)[-1] if logdet.size else 0.0
-    return float(prefactor * total / trials)

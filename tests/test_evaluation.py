@@ -48,17 +48,14 @@ def clutter_scene(target_power=1.0, radar_noise_std=1.0, clutter=((10.0, 0.4),))
 
 def all_draws_first(pilot, scene, n_trials, rng):
     """Oracle of ``simulate_detection_trials``: every draw held at once,
-    then combined."""
-    from isacpilot.evaluation import _detector_scalars
-
+    then combined.  Under h0 w^H y is CN(0, a), a = sigma^2 ||w||^2 +
+    sum_i nu_i |w^H mu_i|^2, so each trial's interference is one standard
+    complex normal scaled by sqrt(a); the targets are drawn after all of
+    them."""
     proj, w_norm2 = _detector_scalars(pilot, scene)
-    n_clutter = scene.n_clutter
-    gamma_c = ip.complex_normal(rng, (n_trials, n_clutter)) if n_clutter else None
-    noise = ip.complex_normal(rng, (n_trials,))
+    a = scene.radar_noise_std**2 * w_norm2 + np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)
+    interf = np.sqrt(a) * ip.complex_normal(rng, (n_trials,))
     gamma_t = ip.complex_normal(rng, (n_trials,))
-    interf = np.sqrt(scene.radar_noise_std**2 * w_norm2) * noise
-    if n_clutter:
-        interf = interf + gamma_c @ (np.sqrt(scene.clutter_powers) * proj[1:])
     target = np.sqrt(scene.target_power) * gamma_t * proj[0]
     return np.abs(interf) ** 2, np.abs(interf + target) ** 2
 
@@ -115,10 +112,21 @@ class TestRadarFrame:
         assert np.array_equal(t0, e0) and np.array_equal(t1, e1)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    def test_draws_two_complex_normals_per_trial(self):
+        # one interference and one target draw per trial, whatever the
+        # number of clutter sources
+        pilot = ip.random_stiefel(3, 8, substream(24, "rf"))
+        for clutter in CLUTTER_CASES:
+            scene = clutter_scene(clutter=clutter)
+            rng, twin = substream(25, "trials"), substream(25, "trials")
+            simulate_detection_trials(pilot, scene, 5000, rng)
+            ip.complex_normal(twin, (2 * 5000,))
+            assert rng.bit_generator.state == twin.bit_generator.state, len(clutter)
+
     def test_traced_peak_is_bounded_per_trial(self):
-        # the running interference and the two statistics take 16 B per
-        # trial, each pair in its own interference entry; the blocked
-        # draws add a fixed few MB on top
+        # the interference and the two statistics take 16 B per trial,
+        # each pair in its own interference entry; the blocked draws add a
+        # fixed few MB on top
         pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
         scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
         n_trials = 1_000_000

@@ -30,8 +30,8 @@ from isacpilot.channel import (
     _shared_prior,
     build_user_models,
 )
-from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials
-from isacpilot.metrics import comm_state, effective_training_snr, sense_state
+from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials, effective_training_snr
+from isacpilot.metrics import comm_state, sense_state
 from isacpilot.streams import complex_normal
 from oracles import (
     comm_grad,

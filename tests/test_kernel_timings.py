@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/kernel_timings.py`` on five of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on seven of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
@@ -8,6 +8,8 @@ ROWS = [
     "finite_diff_check",
     "build_users",
     "build_users_cold",
+    "simulate_detection_trials_mc",
+    "roc_curve_mc",
 ]
 
 

@@ -28,7 +28,8 @@ are:
   Carlo capacity diagnostic runs per pilot;
 - ``sample_channels``: the NMSE prior, 3,000 draws;
 - ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
-  L = 9), its 20,000 clutter-free trials, a single draw block;
+  L = 9), its 20,000 clutter-free trials, two draw blocks (one full block
+  of ``DETECTION_BLOCK`` = 16,384 trials and one of 3,616);
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
   trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
