@@ -9,7 +9,7 @@ variance 1/2 per component.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -93,36 +93,36 @@ class GmmUserModel:
     ``stacked``: column j*N_k + n holds column j of A_n for j < q, and
     column q*N_k + n holds mu_n.  So one product Phi @ stacked, reshaped to
     (L, q + 1, N_k), gives every B_n = Phi A_n and every Phi mu_n
-    (``metrics.comm_state``).  ``means``, ``covariances`` and ``stacked``
-    are read-only copies, so every model on one prior in a process can
-    share them (``build_user_models``); only the weights and the noise
-    level are the user's own, with the terms derived from them:
-    ``mixture_mean`` (N_t,) and ``log_weights`` (-inf for a zero weight).
+    (``metrics.comm_state``).  The covariances are a constructor input
+    only: once checked and factored they are dropped, so a model holds
+    ``means`` and ``stacked``, read-only copies that every model on one
+    prior in a process can share (``build_user_models``); only the weights
+    and the noise level are the user's own, with the terms derived from
+    them: ``mixture_mean`` (N_t,) and ``log_weights`` (-inf for a zero
+    weight).
     """
 
     weights: np.ndarray
     means: np.ndarray
-    covariances: np.ndarray
+    covariances: InitVar[np.ndarray]
     noise_std: float
 
-    def __post_init__(self):
+    def __post_init__(self, covariances):
         self.means = np.array(self.means, dtype=complex)
-        self.covariances = np.array(self.covariances, dtype=complex)
-        if self.means.shape[0] != self.covariances.shape[0]:
+        covs = np.asarray(covariances, dtype=complex)  # not kept, so not copied
+        if self.means.shape[0] != covs.shape[0]:
             raise DimensionError("means/covariances must have one entry per component")
-        if self.covariances.shape[1] != self.covariances.shape[2]:
+        if covs.shape[1] != covs.shape[2]:
             raise DimensionError("covariances must be square")
-        if self.means.shape[1] != self.covariances.shape[1]:
+        if self.means.shape[1] != covs.shape[1]:
             raise DimensionError("mean and covariance dimensions disagree")
         if not np.isfinite(self.means).all():
             raise InvalidParameterError("component means must be finite")
-        scale = max(1.0, float(np.abs(self.covariances).max(initial=0.0)))
-        herm_gap = float(
-            np.abs(self.covariances - self.covariances.conj().transpose(0, 2, 1)).max(initial=0.0)
-        )
+        scale = max(1.0, float(np.abs(covs).max(initial=0.0)))
+        herm_gap = float(np.abs(covs - covs.conj().transpose(0, 2, 1)).max(initial=0.0))
         if herm_gap > 1e-12 * scale:
             raise InvalidParameterError("covariances must be Hermitian")
-        vals, vecs = np.linalg.eigh(self.covariances)  # eigenvalues ascending
+        vals, vecs = np.linalg.eigh(covs)  # eigenvalues ascending
         if vals.min() < -1e-10 * scale:
             raise InvalidParameterError("covariances must be positive semidefinite")
         self.rank = max(1, int(np.count_nonzero(vals > FACTOR_RANK_CUT * vals.max(), axis=1).max()))
@@ -133,7 +133,7 @@ class GmmUserModel:
         self._set_user_terms()
 
     def _freeze_components(self):
-        for array in (self.means, self.covariances, self.stacked):
+        for array in (self.means, self.stacked):
             array.setflags(write=False)
 
     def __setstate__(self, state):
@@ -159,8 +159,7 @@ class GmmUserModel:
 
     def _for_user(self, weights, noise_std) -> GmmUserModel:
         """Another user's model on the same components: it shares this model's
-        read-only means, covariances and stacked factor, so no second
-        eigendecomposition."""
+        read-only means and stacked factor, so no second eigendecomposition."""
         user = copy.copy(self)
         user.weights, user.noise_std = weights, noise_std
         user._set_user_terms()
@@ -286,9 +285,9 @@ def build_user_models(
     ``n_components``, ``mean_policy``, ``mean_scale`` and
     ``quadrature_points``.  So they are built and factored at most once per
     process, cached under exactly those values; the cache keeps the last 4
-    priors, about 1 MB each at N_t = 16, N_k = 180.  Every returned model
-    shares its prior's read-only means, covariances and stacked factor, and
-    has its own weights and noise level, validated on every call.
+    priors, about 0.32 MB each at N_t = 16, N_k = 180.  Every returned model
+    shares its prior's read-only means and stacked factor, and has its own
+    weights and noise level, validated on every call.
     """
     if n_components < 1:
         raise InvalidParameterError("n_components must be >= 1")
@@ -301,8 +300,7 @@ def build_user_models(
     return [prior._for_user(w, noise_std) for w, (_, _, noise_std) in zip(weights, users)]
 
 
-# means, covariances and stacked factor of one prior: 1.06 MB at N_t = 16,
-# N_k = 180, q = 5 (0.74 MB of it the covariances)
+# means and stacked factor of one prior: 0.32 MB at N_t = 16, N_k = 180, q = 5
 @lru_cache(maxsize=4)
 def _shared_prior(
     geometry: ArrayGeometry,

@@ -121,11 +121,9 @@ def _pilot_for_source(source: str, config: ExperimentConfig):
         return _random_pilot(config, "baseline")
     if source == "dft":
         return dft_pilot(scenario["pilot_len"], scenario["n_tx"])
-    users, weights = build_users(scenario)
     if source == "eigen":
-        return eigen_pilot(scenario["pilot_len"], users, weights)
-    objective = IsacObjective(scenario["rho"], weights, users, build_scene(scenario))
-    return _ascend(config, objective).final_pilot
+        return eigen_pilot(scenario["pilot_len"], *build_users(scenario))
+    return _ascend(config, build_objective(scenario, scenario["rho"])).final_pilot
 
 
 def _usable_cpus() -> int:

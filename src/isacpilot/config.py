@@ -30,6 +30,18 @@ class ConfigError(IsacPilotError, ValueError):
     """Configuration file is malformed; message carries the offending path."""
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping key written twice, at the
+    second copy's mark, where ``yaml.safe_load`` keeps the last copy."""
+
+    def construct_mapping(self, node, deep=False):
+        first = {}  # (tag, text) of each scalar key -> its first key node
+        for key in (key for key, _ in node.value if isinstance(key, yaml.ScalarNode)):
+            if first.setdefault((key.tag, key.value), key) is not key:
+                raise yaml.MarkedYAMLError(None, None, f"{key.value!r} repeated", key.start_mark)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _fields(mapping, table: dict, path: str) -> dict:
     """Parse a config section by its table ``{key: (parse, default)}``.
 
@@ -226,7 +238,7 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
     """Load, validate and normalize a config file; overrides come from the CLI."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -437,15 +437,19 @@ def dft_pilot(n_slots: int, n_tx: int) -> PilotMatrix:
 
 def eigen_pilot(n_slots: int, users: list, user_weights) -> PilotMatrix:
     """Strongest eigenvectors of the covariance pooled over ``users`` with
-    ``user_weights`` (benchmark design)."""
+    ``user_weights`` (benchmark design).
+
+    A user's channel covariance sum_n alpha_n (R_n + mu_n mu_n^H) - m m^H
+    is read from its stacked factor (``GmmUserModel.stacked``): with every
+    column j N_k + n scaled by sqrt(alpha_n), X X^H = sum_n alpha_n (A_n A_n^H
+    + mu_n mu_n^H).
+    """
     n_tx = users[0].n_tx
     pooled = np.zeros((n_tx, n_tx), dtype=complex)
     for weight, model in zip(user_weights, users):
-        cov = np.einsum("k,knm->nm", model.weights, model.covariances)
-        cov += np.einsum("k,kn,km->nm", model.weights, model.means, model.means.conj())
-        mean = model.weights @ model.means
-        cov -= np.outer(mean, mean.conj())
-        pooled += weight * cov
+        x = model.stacked * np.tile(np.sqrt(model.weights), model.rank + 1)
+        mean = model.mixture_mean
+        pooled += weight * (x @ x.conj().T - np.outer(mean, mean.conj()))
     _, vecs = np.linalg.eigh(pooled)
     top = vecs[:, ::-1][:, :n_slots]
     return project_stiefel(top.conj().T)

@@ -165,7 +165,7 @@ def _diagonal(aug: np.ndarray) -> np.ndarray:
 
 
 def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
-    """(log det Sigma_n, beta, s, C, s^H B) from the L x L system, for L <= q.
+    """(log det Sigma_n, s, C, s^H B) from the L x L system, for L <= q.
 
     Sigma_n = B_n B_n^H + sigma^2 I, v_n^(g) and B_n are written into one
     (L, L + K_g + q, N_k) array, and one elimination (``_solve_stacked``)
@@ -180,13 +180,12 @@ def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
     aug[:, start:] = b
     logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
     s, c = aug[:, n_slots:start], aug[:, start:]
-    beta = np.add.reduce((v.conj() * s).real, axis=0)
     sb = np.add.reduce(s.conj()[:, :, None] * b[:, None], axis=0)
-    return logdet, beta, s, c, sb
+    return logdet, s, c, sb
 
 
 def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
-    """(log det Sigma_n, beta, s, C, s^H B) from the q x q capacitance
+    """(log det Sigma_n, s, C, s^H B) from the q x q capacitance
     K_n = sigma^2 I_q + B_n^H B_n, for rank q < L.
 
     [K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] is one
@@ -198,9 +197,9 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
     Sigma_n^{-1} = (I - B_n K_n^{-1} B_n^H) / sigma^2): log det Sigma_n =
     (L - q) log sigma^2 + log det K_n; C_n = Sigma_n^{-1} B_n = B_n K_n^{-1},
     the conjugate transpose of the solved B_n^H block;
-    s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2; beta_n = Re v_n^H s_n;
-    and s_n^H B_n = v_n^H B_n K_n^{-1} = (K_n^{-1} B_n^H v_n)^H.  K_n >=
-    sigma^2 I, so every pivot is still at least sigma^2.
+    s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2; and s_n^H B_n =
+    v_n^H B_n K_n^{-1} = (K_n^{-1} B_n^H v_n)^H.  K_n >= sigma^2 I, so every
+    pivot is still at least sigma^2.
     """
     n_slots, rank, n_cols = b.shape
     start = rank + v.shape[1]  # first column of B_n^H in the elimination array
@@ -219,10 +218,9 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
     s = np.add.reduce(b[:, :, None] * w, axis=1)
     np.subtract(v, s, out=s)
     s /= sigma2
-    beta = np.add.reduce((v.conj() * s).real, axis=0)
     c = aug[:, start:].transpose(1, 0, 2).conj()
     sb = w.transpose(1, 0, 2).conj()
-    return logdet, beta, s, c, sb
+    return logdet, s, c, sb
 
 
 def comm_state(pilot, users) -> CommState:
@@ -234,11 +232,12 @@ def comm_state(pilot, users) -> CommState:
     contiguous (L, q, N_k) block and every Phi mu_n as (L, N_k); user g's
     mean terms are v_n^(g) = Phi m^(g) - Phi mu_n.  One elimination over all
     components (``_solve_stacked``) then gives log det Sigma_n, s_n^(g) =
-    Sigma_n^{-1} v_n^(g), C_n = Sigma_n^{-1} B_n, beta_n^(g) and
-    s_n^(g)H B_n for the whole group.  It eliminates the smaller system, by
-    shape alone: the L x L Sigma_n when L <= q (``_observation_solve``),
-    the q x q capacitance sigma^2 I + B_n^H B_n when q < L
-    (``_capacitance_solve``).  A single user is a group of one.
+    Sigma_n^{-1} v_n^(g), C_n = Sigma_n^{-1} B_n and s_n^(g)H B_n for the
+    whole group.  It eliminates the smaller system, by shape alone: the
+    L x L Sigma_n when L <= q (``_observation_solve``), the q x q
+    capacitance sigma^2 I + B_n^H B_n when q < L (``_capacitance_solve``);
+    beta_n^(g) = Re v_n^(g)H s_n^(g) is formed after either.  A single user
+    is a group of one.
 
     ``pilot`` may be a stack of P pilots (P, L, N_t).  Their products are
     folded into the component axis (column p N_k + n), so the elimination
@@ -268,7 +267,8 @@ def comm_state(pilot, users) -> CommState:
         out=v.reshape(n_slots, n_users, n_pilots, n_comp),
     )
     solve = _capacitance_solve if rank < n_slots else _observation_solve
-    logdet, beta, s, c, sb = solve(b, v, model.noise_std**2)
+    logdet, s, c, sb = solve(b, v, model.noise_std**2)
+    beta = np.add.reduce((v.conj() * s).real, axis=0)
 
     log_weights = np.array([m.log_weights for m in users])[:, None]
     log_mix = log_weights - beta.reshape(n_users, n_pilots, -1) - logdet.reshape(n_pilots, -1)

@@ -6,7 +6,10 @@ factorization (``metrics.sense_state``) and on scalar projections
 (``evaluation.simulate_detection_trials``), and its mixture kernel works on
 the low-rank covariance factor (``metrics.comm_state``).  The functions here
 build those dense objects directly, so each factored kernel has an
-independent check.  Two closed forms that only the tests use live here too:
+independent check; a dense oracle takes the component covariances R_n
+from the stack its test built the model from, or integrates them afresh
+(``region_covariances``), never from the factor under test.  Two closed
+forms that only the tests use live here too:
 a single steering vector and the detection-error exponent decomposition.
 So do the one-user views of the package's metric and its one gradient
 routine, ``gradients.isac_value_and_grad``, that the tests check, the
@@ -21,7 +24,8 @@ import pytest
 from scipy.special import logsumexp
 
 import isacpilot as ip
-from isacpilot.channel import _steering_rows, pilot_entries
+from isacpilot.channel import _region_covariances, _steering_rows, pilot_entries
+from isacpilot.config import build_geometry
 from isacpilot.gradients import isac_value_and_grad
 from isacpilot.metrics import _detector_scalars, comm_state
 
@@ -89,12 +93,13 @@ def sense_kl_direct(pilot, scene) -> float:
     return float(sign.real * logdet - trace_term)
 
 
-def comm_mi_lower_bound_gaussian(pilot, model, trace_mse: float) -> float:
-    """Estimation-error lower bound on the communication metric (single Gaussian prior)."""
-    if model.n_components != 1:
+def comm_mi_lower_bound_gaussian(pilot, covariances, trace_mse: float) -> float:
+    """Estimation-error lower bound on the communication metric (single
+    Gaussian prior, whose (1, N_t, N_t) covariance stack is ``covariances``)."""
+    if len(covariances) != 1:
         raise ValueError("closed-form prior entropy requires a single component")
-    n_tx = model.n_tx
-    _, logdet = np.linalg.slogdet(model.covariances[0])
+    n_tx = covariances.shape[1]
+    _, logdet = np.linalg.slogdet(covariances[0])
     return float(logdet - n_tx * np.log(trace_mse / n_tx))
 
 
@@ -181,12 +186,39 @@ def sense_grad(pilot, scene) -> np.ndarray:
     return isac_value_and_grad(pilot, ip.IsacObjective(0.0, [1.0], [model], scene))[3]
 
 
-def dense_comm(phi, model):
-    """(value, gradient) from the full covariances: einsum for Phi R_n, two solves."""
+def region_covariances(geometry, n_components: int, quadrature_points: int = 8) -> np.ndarray:
+    """The R_n stack of a ``build_user_models`` prior, integrated afresh over
+    the equal partition of [-90, 90] degrees."""
+    edges = np.linspace(-90.0, 90.0, n_components + 1)
+    return _region_covariances(geometry, edges[:-1], edges[1:], quadrature_points)
+
+
+def scenario_covariances(scenario) -> np.ndarray:
+    """The R_n stack of the prior ``config.build_users`` builds for ``scenario``."""
+    n_comp, points = scenario["n_components"], scenario["quadrature_points"]
+    return region_covariances(build_geometry(scenario), n_comp, points)
+
+
+def pooled_covariance(users, user_weights, covariances) -> np.ndarray:
+    """The channel covariance pooled over ``users`` with ``user_weights``,
+    each user's sum_n alpha_n (R_n + mu_n mu_n^H) - m m^H formed densely
+    from the R_n stack ``covariances`` its prior was built from."""
+    pooled = 0.0
+    for weight, model in zip(user_weights, users, strict=True):
+        cov = np.einsum("k,knm->nm", model.weights, covariances)
+        cov += np.einsum("k,kn,km->nm", model.weights, model.means, model.means.conj())
+        mean = model.weights @ model.means
+        pooled = pooled + weight * (cov - np.outer(mean, mean.conj()))
+    return pooled
+
+
+def dense_comm(phi, model, covariances):
+    """(value, gradient) from the full covariances R_n (``covariances``, the
+    stack ``model`` was built from): einsum for Phi R_n, two solves."""
     n_slots = phi.shape[0]
     sigma2 = model.noise_std**2
     mu_bar = (model.weights @ model.means)[None, :] - model.means
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
+    phi_r = np.einsum("ln,knm->klm", phi, covariances)
     sigma = phi_r @ phi.conj().T
     sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1)) + sigma2 * np.eye(n_slots)
     logdet = np.linalg.slogdet(sigma)[1]

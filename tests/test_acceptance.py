@@ -36,7 +36,8 @@ def report(num, name, ok, detail=""):
 
 
 def gradient_instance(seed):
-    """Random feasible instance at N_t=8, L=3, K=2, N_k=5, Q=2."""
+    """Random feasible instance at N_t=8, L=3, K=2, N_k=5, Q=2: (pilot,
+    objective, scene, each user's covariance stack R_n)."""
     rng = substream(seed, "acc-grad")
     n_tx = 8
 
@@ -48,9 +49,8 @@ def gradient_instance(seed):
         for k in range(5):
             a = (rng.standard_normal((n_tx, n_tx)) + 1j * rng.standard_normal((n_tx, n_tx))) / 2
             covs[k] = a @ a.conj().T / n_tx
-        return ip.GmmUserModel(
-            weights=weights, means=means, covariances=covs, noise_std=float(rng.uniform(0.5, 1.5))
-        )
+        noise_std = float(rng.uniform(0.5, 1.5))
+        return ip.GmmUserModel(weights, means, covs, noise_std), covs
 
     geom = ip.ArrayGeometry(n_tx=n_tx, n_rx=4)
     target = float(rng.uniform(-45, 45))
@@ -64,11 +64,10 @@ def gradient_instance(seed):
         radar_noise_std=float(rng.uniform(0.8, 2.0)),
         geometry=geom,
     )
-    objective = ip.IsacObjective(
-        rho=0.35, user_weights=[0.6, 0.4], users=[model(), model()], scene=scene
-    )
+    users, covariances = zip(model(), model())
+    objective = ip.IsacObjective(rho=0.35, user_weights=[0.6, 0.4], users=list(users), scene=scene)
     pilot = ip.random_stiefel(3, n_tx, rng)
-    return pilot, objective, scene
+    return pilot, objective, scene, list(covariances)
 
 
 def tradeoff_objective(rho=0.5):
@@ -111,7 +110,7 @@ def estimation_objective(users):
 def test_01_gradient_oracle():
     worst = 0.0
     for seed in range(20):
-        pilot, objective, scene = gradient_instance(seed)
+        pilot, objective, scene, _ = gradient_instance(seed)
         model = objective.users[0]
         for value_fn, grad_fn in (
             (lambda p: comm_mi_user(p, model), lambda p: comm_grad(p, model)),
@@ -182,7 +181,7 @@ def test_03_sensing_mi_oracle():
 def test_04_unitary_invariance():
     worst = 0.0
     for seed in range(20):
-        pilot, objective, scene = gradient_instance(seed + 200)
+        pilot, objective, scene, _ = gradient_instance(seed + 200)
         model = objective.users[0]
         rng = substream(seed, "acc-u4")
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

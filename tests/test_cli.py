@@ -87,6 +87,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "line, repeat",
+        [("seed: 11", "seed: 7"), ("    radar_noise_std: 1.0", "    radar_noise_std: 2.0")],
+    )
+    def test_repeated_key_rejected_at_its_position(self, tmp_path, line, repeat):
+        # yaml.safe_load would keep the last copy and run with it
+        text = yaml.safe_dump(BASE_CONFIG)
+        assert text.count(f"{line}\n") == 1
+        text = text.replace(f"{line}\n", f"{line}\n{repeat}\n")
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text)
+        row = text.splitlines().index(repeat) + 1
+        column = len(repeat) - len(repeat.lstrip()) + 1
+        key = repeat.split(":")[0].strip()
+        with pytest.raises(ConfigError, match=f"line {row}, column {column}: '{key}' repeated"):
+            parse_config(str(path))
+        out = tmp_path / "out"
+        assert run_config(str(path), out_dir=str(out)) == 2
+        assert not out.exists()
+
     def test_foreign_task_section_rejected(self, tmp_path):
         path = write_config(tmp_path, {"roc": {"trials": 10, "p_fa": [0.1]}})
         with pytest.raises(ConfigError, match="config.roc"):

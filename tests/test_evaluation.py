@@ -27,12 +27,16 @@ from isacpilot.metrics import _detector_scalars
 from oracles import (
     detector_statistic,
     mmse_with_weights,
+    pooled_covariance,
+    region_covariances,
+    scenario_covariances,
     sensing_vectors,
     simulate_radar_frame,
 )
 
 GEOM = ArrayGeometry(n_tx=8, n_rx=3)
 SER_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ser_multiuser.yaml"
+NMSE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nmse_baselines.yaml"
 CLUTTER_CASES = [(), ((10.0, 0.4),), ((10.0, 0.4), (-30.0, 2.5))]  # 0, 1 and 2 sources
 
 
@@ -567,10 +571,19 @@ class TestBaselinePilots:
         pilot = ip.eigen_pilot(3, [model], [1.0])
         assert pilot.residual <= 1e-10
         # row space contains the strongest covariance eigenvector
-        cov = np.einsum("k,knm->nm", model.weights, model.covariances)
-        cov += np.einsum("k,kn,km->nm", model.weights, model.means, model.means.conj())
-        mean = model.weights @ model.means
-        cov -= np.outer(mean, mean.conj())
+        cov = pooled_covariance([model], [1.0], region_covariances(geom, 36))
         _, vecs = np.linalg.eigh(cov)
         strongest = vecs[:, -1]
         assert np.linalg.norm(pilot.entries @ strongest) == pytest.approx(1.0, abs=1e-8)
+
+    def test_eigen_row_space_is_top_eigenspace_of_dense_pooled_covariance(self):
+        # the shipped four-user prior; the dense R_n are integrated afresh
+        scenario = parse_config(str(NMSE_CONFIG)).scenario
+        users, weights = build_users(scenario)
+        assert len(users) == 4
+        n_slots = scenario["pilot_len"]
+        _, vecs = np.linalg.eigh(pooled_covariance(users, weights, scenario_covariances(scenario)))
+        top = vecs[:, -n_slots:]
+        rows = ip.eigen_pilot(n_slots, users, weights).entries
+        distance = np.linalg.norm(rows.conj().T @ rows - top @ top.conj().T, 2)
+        assert distance <= 1e-10

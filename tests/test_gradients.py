@@ -19,7 +19,7 @@ from isacpilot.gradients import _sense_grad, isac_value_and_grad
 from isacpilot.metrics import sense_state
 
 from oracles import comm_grad, comm_mi_user, dense_comm, sense_grad
-from test_metrics import random_model, random_scene
+from test_metrics import random_model, random_prior, random_scene
 
 
 def make_instance(seed, n_tx=8, n_rx=4, n_slots=3):
@@ -35,12 +35,15 @@ def make_instance(seed, n_tx=8, n_rx=4, n_slots=3):
     return pilot, model, scene, objective
 
 
-def separate_gradients(pilot, objective):
+def separate_gradients(pilot, objective, seed):
     """(weighted dense communication gradient, sensing gradient of its own
-    ``sense_state``), both computed apart from ``isac_value_and_grad``."""
+    ``sense_state``) of ``make_instance(seed)``, both computed apart from
+    ``isac_value_and_grad``; the dense gradient reads each user's R_n from
+    its seed."""
+    stacks = [random_prior(s, n_tx=pilot.n_tx)[2] for s in (seed, seed + 100)]
     comm = sum(
-        w * dense_comm(pilot.entries, model)[1]
-        for w, model in zip(objective.user_weights, objective.users)
+        w * dense_comm(pilot.entries, model, covs)[1]
+        for w, model, covs in zip(objective.user_weights, objective.users, stacks, strict=True)
     )
     sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene)
     return comm, sense
@@ -189,7 +192,7 @@ class TestIsacGradient:
         pilot, _, _, objective = make_instance(15)
         from dataclasses import replace
 
-        comm, sense = separate_gradients(pilot, objective)
+        comm, sense = separate_gradients(pilot, objective, 15)
         obj0 = replace(objective, rho=0.0)
         np.testing.assert_allclose(isac_value_and_grad(pilot, obj0)[3], sense, atol=1e-14)
         obj1 = replace(objective, rho=1.0)
@@ -197,7 +200,7 @@ class TestIsacGradient:
 
     def test_linear_composition(self):
         pilot, _, _, objective = make_instance(16)
-        comm, sense = separate_gradients(pilot, objective)
+        comm, sense = separate_gradients(pilot, objective, 16)
         expected = 0.35 * comm + 0.65 * sense
         np.testing.assert_allclose(isac_value_and_grad(pilot, objective)[3], expected, atol=1e-13)
 

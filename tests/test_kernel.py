@@ -24,12 +24,7 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.config import build_geometry, build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
-from isacpilot.channel import (
-    FACTOR_RANK_CUT,
-    _region_covariances,
-    _shared_prior,
-    build_user_models,
-)
+from isacpilot.channel import FACTOR_RANK_CUT, _shared_prior, build_user_models
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials, effective_training_snr
 from isacpilot.metrics import comm_state, sense_state
 from isacpilot.streams import complex_normal
@@ -38,6 +33,8 @@ from oracles import (
     comm_mi_user,
     dense_comm,
     mmse_with_weights,
+    region_covariances,
+    scenario_covariances,
     sense_grad,
     steering_vector,
 )
@@ -59,20 +56,31 @@ def sweep_users():
     return build_objective(parse_config(str(SWEEP_CONFIG)).scenario, 0.5).users
 
 
+def config_priors(*configs):
+    """(model, R_n stack) of every user ``build_users`` builds for ``configs``."""
+    pairs = []
+    for config in configs:
+        scenario = parse_config(str(config)).scenario
+        covs = scenario_covariances(scenario)
+        pairs += [(model, covs) for model in build_users(scenario)[0]]
+    return pairs
+
+
 def factor_blocks(model):
     """The stacked factor as (N_k, N_t, q) blocks A_n."""
     q, n_comp = model.rank, model.n_components
     return model.stacked[:, : q * n_comp].reshape(model.n_tx, q, n_comp).transpose(2, 0, 1)
 
 
-def reconstruction_error(model):
+def reconstruction_error(model, covariances):
     a = factor_blocks(model)
-    return float(np.abs(a @ a.conj().transpose(0, 2, 1) - model.covariances).max())
+    return float(np.abs(a @ a.conj().transpose(0, 2, 1) - covariances).max())
 
 
-def dense_mmse(obs, phi, model):
-    """Mixture-MMSE estimates with R_n Phi^H formed explicitly."""
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
+def dense_mmse(obs, phi, model, covariances):
+    """Mixture-MMSE estimates with R_n Phi^H formed explicitly from the
+    covariances ``model`` was built from."""
+    phi_r = np.einsum("ln,knm->klm", phi, covariances)
     sigma = phi_r @ phi.conj().T
     sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1)) + model.noise_std**2 * np.eye(len(phi))
     resid = obs[None, :, :] - (model.means @ phi.T)[:, None, :]
@@ -85,34 +93,35 @@ def dense_mmse(obs, phi, model):
 
 
 def kernel_cases():
-    """(pilot, model) pairs: the shipped sweep models and full-rank random models."""
+    """(pilot, model, R_n stack) triples: the shipped sweep models and
+    full-rank random models."""
     cases = []
     rng = ip.substream(7, "kernel")
-    for model in sweep_users():
-        cases += [(ip.random_stiefel(4, 16, rng), model) for _ in range(3)]
+    for model, covs in config_priors(SWEEP_CONFIG):
+        cases += [(ip.random_stiefel(4, 16, rng), model, covs) for _ in range(3)]
     for seed in range(4):
-        pilot, objective, _ = gradient_instance(seed)
-        cases += [(pilot, model) for model in objective.users]
+        pilot, objective, _, stacks = gradient_instance(seed)
+        cases += [(pilot, model, c) for model, c in zip(objective.users, stacks)]
     return cases
 
 
 class TestFactor:
     def test_reconstructs_built_model(self):
-        for model in sweep_users():
-            assert reconstruction_error(model) <= 1e-13
+        for model, covs in config_priors(SWEEP_CONFIG):
+            assert reconstruction_error(model, covs) <= 1e-13
             # rank of a region covariance is at most quadrature_points (8)
             assert factor_blocks(model).shape[2] <= 8
 
     def test_full_rank_random_models_keep_every_column(self):
         for seed in range(5):
-            _, objective, _ = gradient_instance(seed)
-            for model in objective.users:
+            _, objective, _, stacks = gradient_instance(seed)
+            for model, covs in zip(objective.users, stacks, strict=True):
                 assert factor_blocks(model).shape[2] == model.n_tx
-                assert reconstruction_error(model) <= 1e-13
+                assert reconstruction_error(model, covs) <= 1e-13
 
     def test_stacked_array_holds_factor_then_means(self):
-        _, objective, _ = gradient_instance(0)
-        for model in sweep_users() + objective.users:
+        _, objective, _, stacks = gradient_instance(0)
+        for model, dense in config_priors(SWEEP_CONFIG) + list(zip(objective.users, stacks)):
             q, n_comp = model.rank, model.n_components
             assert model.stacked.shape == (model.n_tx, (q + 1) * n_comp)
             assert not model.stacked.flags.writeable
@@ -120,7 +129,7 @@ class TestFactor:
             # column j * N_k + n is column j of A_n, column q * N_k + n is mu_n
             a = blocks[:, :q].transpose(2, 0, 1)
             covs = a @ a.conj().transpose(0, 2, 1)
-            assert np.abs(covs - model.covariances).max() <= 1e-13
+            assert np.abs(covs - dense).max() <= 1e-13
             assert np.array_equal(blocks[:, q].T, model.means)
             assert np.array_equal(model.factor, blocks[:, :q])
 
@@ -136,15 +145,18 @@ class TestFactor:
             cov = a.T @ a.conj() * np.deg2rad(step)
             covs.append(0.5 * (cov + cov.conj().T))
             means.append(steering_vector(16, 0.5, 0.5 * (lo + hi)))
-        assert np.array_equal(model.covariances, np.stack(covs))
+        # the prior factors exactly these covariances and means
+        assert np.array_equal(region_covariances(geom, 180), np.stack(covs))
         assert np.array_equal(model.means, np.stack(means))
+        fresh = ip.GmmUserModel(model.weights, np.stack(means), np.stack(covs), model.noise_std)
+        assert np.array_equal(fresh.stacked, model.stacked)
 
 
 LOW_RANK = 3
 
 
 def elimination_case(n_slots, prior):
-    """(pilot, model) at N_t = 12, with zero weights on some components.
+    """(pilot, model, R_n stack) at N_t = 12, with zero weights on some components.
 
     "region": shipped-style region covariances, low rank (q = 7 < N_t);
     "low-rank": random covariances of rank ``LOW_RANK`` (q = 3);
@@ -153,8 +165,7 @@ def elimination_case(n_slots, prior):
     rng = ip.substream(n_slots, "elimination", prior)
     n_tx = 12
     if prior == "region":
-        base = build_user_models(ip.ArrayGeometry(n_tx, 4), [(30.0, 8.0, 0.3)], 36)[0]
-        covs = base.covariances
+        covs = region_covariances(ip.ArrayGeometry(n_tx, 4), 36)
     else:
         cols = LOW_RANK if prior == "low-rank" else n_tx
         a = rng.standard_normal((6, n_tx, cols)) + 1j * rng.standard_normal((6, n_tx, cols))
@@ -164,7 +175,7 @@ def elimination_case(n_slots, prior):
     weights[::3] = 0.0
     means = rng.standard_normal((n_comp, n_tx)) + 1j * rng.standard_normal((n_comp, n_tx))
     model = ip.GmmUserModel(weights / weights.sum(), means / 2, covs, noise_std=0.4)
-    return ip.random_stiefel(n_slots, n_tx, rng), model
+    return ip.random_stiefel(n_slots, n_tx, rng), model, covs
 
 
 # the low-rank prior's pilot lengths: the L = q boundary, then q < L
@@ -190,7 +201,7 @@ class TestCommState:
             monkeypatch.setattr(ip.metrics, name, recorded)
         expected, shapes = [], set()
         for n_slots, prior in ELIMINATION_PARAMS:
-            pilot, model = elimination_case(n_slots, prior)
+            pilot, model, _ = elimination_case(n_slots, prior)
             comm_state(pilot, [model])
             expected.append("_capacitance_solve" if model.rank < n_slots else "_observation_solve")
             shapes.add(np.sign(model.rank - n_slots))
@@ -199,13 +210,13 @@ class TestCommState:
 
     @ELIMINATION_CASES
     def test_elimination_matches_lapack(self, n_slots, prior):
-        pilot, model = elimination_case(n_slots, prior)
+        pilot, model, covs = elimination_case(n_slots, prior)
         phi = pilot.entries
         rank = factor_blocks(model).shape[2]
         assert rank == EXPECTED_RANK[prior]
         state = comm_state(pilot, [model])
         # Sigma_n from the full covariances, independent of the factor
-        sigma = phi @ model.covariances @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
+        sigma = phi @ covs @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
         # the precision the estimator reads: B_n C_n^H = I - sigma^2 Sigma_n^{-1}
         bc = state.b.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()
         precision = (np.eye(n_slots) - bc) / model.noise_std**2
@@ -223,8 +234,8 @@ class TestCommState:
 
     @ELIMINATION_CASES
     def test_value_and_gradient_match_dense_formula(self, n_slots, prior):
-        pilot, model = elimination_case(n_slots, prior)
-        value, grad = dense_comm(pilot.entries, model)
+        pilot, model, covs = elimination_case(n_slots, prior)
+        value, grad = dense_comm(pilot.entries, model, covs)
         assert abs(comm_state(pilot, [model]).value[0] - value) <= 1e-12 * abs(value)
         got = comm_grad(pilot, model)
         assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
@@ -248,8 +259,8 @@ class TestCommState:
                 comm_state(phi, [model])
 
     def test_matches_dense_formula(self):
-        for pilot, model in kernel_cases():
-            value, grad = dense_comm(pilot.entries, model)
+        for pilot, model, covs in kernel_cases():
+            value, grad = dense_comm(pilot.entries, model, covs)
             state = comm_state(pilot, [model])
             assert abs(state.value[0] - value) <= 1e-12 * abs(value)
             got = comm_grad(pilot, model)
@@ -257,12 +268,12 @@ class TestCommState:
 
     def test_estimator_matches_dense_formula(self):
         rng = ip.substream(8, "kernel-mmse")
-        for pilot, model in kernel_cases()[::2]:
+        for pilot, model, covs in kernel_cases()[::2]:
             channels = ip.sample_channels(model, 500, rng)
             noise = model.noise_std * ip.complex_normal(rng, (500, pilot.n_slots))
             obs = channels @ pilot.entries.T + noise
             est = ip.gmm_mmse_batch(obs, pilot, model)
-            expected = dense_mmse(obs, pilot.entries, model)
+            expected = dense_mmse(obs, pilot.entries, model, covs)
             assert np.abs(est - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -270,7 +281,7 @@ class TestValueAndGrad:
     @pytest.mark.parametrize("rho", [0.0, 0.35, 1.0])
     def test_agrees_with_separate_evaluations(self, rho):
         for seed in range(3):
-            pilot, objective, scene = gradient_instance(seed)
+            pilot, objective, scene, _ = gradient_instance(seed)
             objective.rho = rho
             value, comm, sense, grad = isac_value_and_grad(pilot, objective)
             assert value == pytest.approx(ip.isac_objective(pilot, objective), rel=1e-14)
@@ -383,7 +394,7 @@ class TestPilotStack:
     @pytest.mark.parametrize("n_slots", [LOW_RANK, 6, 9])
     def test_low_rank_group_equals_per_pilot_calls(self, n_slots):
         # two users on a q = 3 prior: the L = q boundary, then q < L
-        pilot, model = elimination_case(n_slots, "low-rank")
+        pilot, model, _ = elimination_case(n_slots, "low-rank")
         users = [model, model._for_user(model.weights[::-1], model.noise_std)]
         rng = ip.substream(n_slots, "stack", "low-rank")
         stack = pilot.entries + 0.01 * complex_normal(rng, (4, *pilot.entries.shape))
@@ -472,16 +483,17 @@ class TestPilotStack:
 
 
 def shared_users(prior, noises):
-    """(pilot, users) on the components of one ``elimination_case`` model:
-    one user per noise level, each with its own weights, a third of them zero."""
-    pilot, model = elimination_case(4, prior)
+    """(pilot, users, R_n stack) on the components of one ``elimination_case``
+    model: one user per noise level, each with its own weights, a third of
+    them zero."""
+    pilot, model, covs = elimination_case(4, prior)
     rng = ip.substream(len(noises), "shared-users", prior)
     users = []
     for i, noise in enumerate(noises):
         weights = rng.uniform(0.2, 1.0, model.n_components)
         weights[i % 3 :: 3] = 0.0
         users.append(model._for_user(weights / weights.sum(), noise))
-    return pilot, users
+    return pilot, users, covs
 
 
 def grouped_objective(users, rho=1.0):
@@ -495,12 +507,12 @@ class TestGroupedKernel:
     @pytest.mark.parametrize("prior", ["region", "low-rank", "full-rank"])
     @pytest.mark.parametrize("n_users", [1, 2, 4])
     def test_group_matches_dense_formula_per_user(self, n_users, prior):
-        pilot, users = shared_users(prior, [0.4] * n_users)
+        pilot, users, covs = shared_users(prior, [0.4] * n_users)
         state = comm_state(pilot, users)
         coefs = np.linspace(0.3, 1.0, n_users)
         expected = 0.0
         for g, model in enumerate(users):
-            value, grad = dense_comm(pilot.entries, model)
+            value, grad = dense_comm(pilot.entries, model, covs)
             assert abs(state.value[g] - value) <= 1e-12 * abs(value)
             assert np.all(state.log_mix[g, model.weights == 0.0] == -np.inf)
             expected = expected + coefs[g] * grad
@@ -509,13 +521,13 @@ class TestGroupedKernel:
 
     @pytest.mark.parametrize("noises", [(0.8, 0.6), (0.4, 0.4, 0.3, 0.4)])
     def test_objective_groups_by_noise(self, noises):
-        pilot, users = shared_users("region", list(noises))
+        pilot, users, covs = shared_users("region", list(noises))
         objective = grouped_objective(users)
         groups = objective.groups
         assert len(groups) == len(set(noises))
         assert sum(len(members) for _, members in groups) == len(users)
         _, comm, _, grad = isac_value_and_grad(pilot, objective)
-        dense = [dense_comm(pilot.entries, model) for model in users]
+        dense = [dense_comm(pilot.entries, model, covs) for model in users]
         value = sum(w * v for w, (v, _) in zip(objective.user_weights, dense))
         expected = sum(w * g for w, (_, g) in zip(objective.user_weights, dense))
         assert abs(comm - value) <= 1e-12 * abs(value)
@@ -523,7 +535,7 @@ class TestGroupedKernel:
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_replace_rebuilds_the_groups(self):
-        _, users = shared_users("region", [0.4, 0.4, 0.3])
+        _, users, _ = shared_users("region", [0.4, 0.4, 0.3])
         objective = grouped_objective(users)
         assert [len(members) for _, members in objective.groups] == [2, 1]
         moved = replace(objective, rho=0.5)
@@ -535,10 +547,10 @@ class TestGroupedKernel:
         assert [len(members) for _, members in single.groups] == [1]
 
     def test_group_rejects_a_second_noise_level_or_factor(self):
-        pilot, users = shared_users("region", [0.4, 0.5])
+        pilot, users, _ = shared_users("region", [0.4, 0.5])
         with pytest.raises(ip.InvalidParameterError, match="share one factor"):
             comm_state(pilot, users)
-        _, other = elimination_case(4, "full-rank")
+        _, other, _ = elimination_case(4, "full-rank")
         with pytest.raises(ip.InvalidParameterError, match="share one factor"):
             comm_state(pilot, [users[0], other])
 
@@ -549,20 +561,38 @@ class TestGroupedKernel:
         first = users[0]
         # a second build of the scenario in this process shares the prior too
         for model in users + build_users(scenario)[0]:
-            for name in ("stacked", "means", "covariances"):
+            for name in ("stacked", "means"):
                 assert getattr(model, name) is getattr(first, name)
                 assert not getattr(model, name).flags.writeable
         assert not np.array_equal(users[1].weights, first.weights)
         # the shared arrays are those of a model built from scratch, bit for bit
         geom = build_geometry(scenario)
+        covs = scenario_covariances(scenario)
         edges = np.linspace(-90.0, 90.0, scenario["n_components"] + 1)
-        covs = _region_covariances(geom, edges[:-1], edges[1:], scenario["quadrature_points"])
         centers = 0.5 * (edges[:-1] + edges[1:])
         means = scenario["mean_scale"] * steering_vector(geom.n_tx, geom.spacing_tx, centers)
         fresh = ip.GmmUserModel(first.weights, means, covs, first.noise_std)
         assert fresh.rank == first.rank
-        for name in ("stacked", "means", "covariances"):
+        for name in ("stacked", "means"):
             assert np.array_equal(getattr(fresh, name), getattr(first, name))
+
+    @pytest.mark.parametrize("config", [SWEEP_CONFIG, SER_CONFIG])
+    def test_a_prior_keeps_no_dense_covariances(self, config):
+        scenario = parse_config(str(config)).scenario
+        users, _ = build_users(scenario)
+        keys = ("n_components", "mean_policy", "mean_scale", "quadrature_points")
+        prior = _shared_prior(build_geometry(scenario), *(scenario[key] for key in keys))
+        assert prior.stacked is users[0].stacked  # the cached prior itself
+        for model in [prior, *users]:
+            arrays = {name for name, value in vars(model).items() if isinstance(value, np.ndarray)}
+            assert arrays == {"weights", "means", "stacked", "mixture_mean", "log_weights"}
+            assert not hasattr(model, "covariances")
+
+    def test_pickled_sweep_objective_is_small(self):
+        # the prior's means and stacked factor pickle to about 0.33 MB; the
+        # (N_k, N_t, N_t) covariance stack alone would add 0.74 MB
+        objective = build_objective(parse_config(str(SWEEP_CONFIG)).scenario, 0.5)
+        assert len(pickle.dumps(objective)) < 0.4e6
 
     PRIOR_KEY = {
         "geometry": ip.ArrayGeometry(8, 4),
@@ -628,10 +658,11 @@ class TestGroupedKernel:
         assert np.array_equal(got[3], expected[3])
 
 
-def per_trial_mmse(obs, phi, model):
+def per_trial_mmse(obs, phi, model, covariances):
     """(estimates, responsibilities), one trial at a time, from the full
-    covariances: per-component solves, log-sum-exp and the posterior mean."""
-    phi_r = np.einsum("ln,knm->klm", phi, model.covariances)
+    covariances ``model`` was built from: per-component solves, log-sum-exp
+    and the posterior mean."""
+    phi_r = np.einsum("ln,knm->klm", phi, covariances)
     sigma = phi_r @ phi.conj().T + model.noise_std**2 * np.eye(len(phi))
     with np.errstate(divide="ignore"):  # zero weights
         log_prior = np.log(model.weights) - np.linalg.slogdet(sigma)[1]
@@ -657,8 +688,9 @@ def far_row_observations(pilot, model, rng, far=25.0):
 
 
 def estimator_case(prior):
-    """(pilot, model, observations): sampled observations plus a third of
-    rows far from every component, where most weights fall below the cut.
+    """(pilot, model, R_n stack, observations): sampled observations plus a
+    third of rows far from every component, where most weights fall below
+    the cut.
 
     "montecarlo": the NMSE workload's shape (N_t = 16, L = 6, 180 region
     components); "mean-scale-10" and "mean-scale-100": the same with the
@@ -668,13 +700,14 @@ def estimator_case(prior):
     """
     rng = ip.substream(11, "estimator", prior)
     if prior == "full-rank":
-        pilot, model = elimination_case(6, "full-rank")
-        return pilot, model, far_row_observations(pilot, model, rng)
+        pilot, model, covs = elimination_case(6, "full-rank")
+        return pilot, model, covs, far_row_observations(pilot, model, rng)
     scale = float(prior.rpartition("-")[2]) if prior.startswith("mean-scale") else 1.0
     scenario = {**parse_config(str(NMSE_CONFIG)).scenario, "mean_scale": scale}
     model = build_users(scenario)[0][0]
     pilot = ip.random_stiefel(6, 16, rng)
-    return pilot, model, far_row_observations(pilot, model, rng, 25.0 * scale)
+    covs = scenario_covariances(scenario)
+    return pilot, model, covs, far_row_observations(pilot, model, rng, 25.0 * scale)
 
 
 class TestMixtureEstimator:
@@ -682,9 +715,9 @@ class TestMixtureEstimator:
         "prior", ["montecarlo", "full-rank", "mean-scale-10", "mean-scale-100"]
     )
     def test_matches_per_trial_oracle(self, prior):
-        pilot, model, obs = estimator_case(prior)
+        pilot, model, covs, obs = estimator_case(prior)
         est, resp = mmse_with_weights(obs, pilot, model)
-        expected, expected_resp = per_trial_mmse(obs, pilot.entries, model)
+        expected, expected_resp = per_trial_mmse(obs, pilot.entries, model, covs)
         error = np.linalg.norm(est - expected, axis=1)
         assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=1))
         assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
@@ -703,7 +736,7 @@ class TestMixtureEstimator:
     def test_chunks_equal_single_chunk_calls(self):
         # three full chunks and a remainder at the NMSE shape, against calls
         # of fewer rows than a chunk whose boundaries do not line up with it
-        pilot, model, _ = estimator_case("montecarlo")
+        pilot, model, _, _ = estimator_case("montecarlo")
         chunk = _chunk_trials(model.n_components, model.n_tx, pilot.n_slots)
         rng = ip.substream(12, "estimator", "chunks")
         n_rows = 3 * chunk + chunk // 3
@@ -725,7 +758,7 @@ class TestMixtureEstimator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observation_names_its_row(self, bad):
-        pilot, model, obs = estimator_case("full-rank")
+        pilot, model, _, obs = estimator_case("full-rank")
         obs[7, 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -781,10 +814,11 @@ class TestCapacityBound:
         assert (got == 0.0) == (zeroed == 1)
 
 
-def dense_root_sampler(model, n_samples, rng):
-    """Channel draws from full eigen square roots, one per component; also
-    returns each draw's standard normals."""
-    vals, vecs = np.linalg.eigh(model.covariances)
+def dense_root_sampler(model, covariances, n_samples, rng):
+    """Channel draws from full eigen square roots of the covariances
+    ``model`` was built from, one per component; also returns each draw's
+    standard normals."""
+    vals, vecs = np.linalg.eigh(covariances)
     roots = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
     out = np.empty((n_samples, model.n_tx), dtype=complex)
@@ -824,17 +858,17 @@ class TestFactorSampler:
             assert rng.bit_generator.state == old_rng.bit_generator.state
 
     def test_matches_dense_root_sampler_on_one_stream(self):
-        diag_users = build_objective(parse_config(str(DIAG_CONFIG)).scenario, 0.0).users
-        models = sweep_users() + diag_users + gradient_instance(0)[1].users
-        for i, model in enumerate(models):
-            lam_max = np.linalg.eigvalsh(model.covariances).max()
+        _, objective, _, stacks = gradient_instance(0)
+        cases = config_priors(SWEEP_CONFIG, DIAG_CONFIG) + list(zip(objective.users, stacks))
+        for i, (model, covs) in enumerate(cases):
+            lam_max = np.linalg.eigvalsh(covs).max()
             # the factor drops only eigenvalues <= FACTOR_RANK_CUT * lam_max,
             # so per draw |h - h_dense| <= sqrt(cut * lam_max) |z|; the factor 2
             # covers roundoff, which is about 1e-7 of that term
             scale = 2.0 * np.sqrt(FACTOR_RANK_CUT * lam_max)
             rng, dense_rng = ip.substream(i, "sampler"), ip.substream(i, "sampler")
             got = ip.sample_channels(model, 2000, rng)
-            expected, normals = dense_root_sampler(model, 2000, dense_rng)
+            expected, normals = dense_root_sampler(model, covs, 2000, dense_rng)
             deviation = np.linalg.norm(got - expected, axis=1)
             assert np.all(deviation <= scale * np.linalg.norm(normals, axis=1))
             assert rng.bit_generator.state == dense_rng.bit_generator.state

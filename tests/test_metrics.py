@@ -24,8 +24,9 @@ from oracles import (
 )
 
 
-def random_model(seed, n_tx=6, n_comp=4, noise_std=0.7):
-    """Generic random mixture with full-rank covariances and random means."""
+def random_prior(seed, n_tx=6, n_comp=4):
+    """(weights, means, covariances) of a generic random mixture with
+    full-rank covariances and random means."""
     rng = substream(seed, "model")
     weights = rng.uniform(0.2, 1.0, n_comp)
     weights /= weights.sum()
@@ -34,7 +35,12 @@ def random_model(seed, n_tx=6, n_comp=4, noise_std=0.7):
     for k in range(n_comp):
         a = (rng.standard_normal((n_tx, n_tx)) + 1j * rng.standard_normal((n_tx, n_tx))) / 2
         covs[k] = a @ a.conj().T / n_tx
-    return GmmUserModel(weights=weights, means=means, covariances=covs, noise_std=noise_std)
+    return weights, means, covs
+
+
+def random_model(seed, n_tx=6, n_comp=4, noise_std=0.7):
+    """The model of ``random_prior(seed, n_tx, n_comp)``."""
+    return GmmUserModel(*random_prior(seed, n_tx, n_comp), noise_std=noise_std)
 
 
 def random_scene(seed, geom, n_clutter=2):
@@ -54,13 +60,14 @@ def random_scene(seed, geom, n_clutter=2):
     )
 
 
-def naive_comm_mi(phi, model):
-    """Direct evaluation of the surrogate without log-domain tricks."""
+def naive_comm_mi(phi, model, covariances):
+    """Direct evaluation of the surrogate without log-domain tricks, from the
+    covariances R_n ``model`` was built from."""
     n_slots = phi.shape[0]
     sigma2 = model.noise_std**2
     h_bar = model.weights @ model.means
     acc = 0.0
-    for alpha, mu, cov in zip(model.weights, model.means, model.covariances):
+    for alpha, mu, cov in zip(model.weights, model.means, covariances):
         mu_bar = h_bar - mu
         sig = phi @ cov @ phi.conj().T + sigma2 * np.eye(n_slots)
         beta = (mu_bar.conj() @ phi.conj().T @ np.linalg.inv(sig) @ phi @ mu_bar).real
@@ -99,7 +106,7 @@ class TestCommMi:
         pilot = ip.random_stiefel(3, 6, substream(seed, "oracle-p"))
         model = random_model(seed)
         ours = comm_mi_user(pilot, model)
-        naive = naive_comm_mi(pilot.entries, model)
+        naive = naive_comm_mi(pilot.entries, model, random_prior(seed)[2])
         assert ours == pytest.approx(naive, rel=1e-10)
 
     def test_component_permutation_invariance(self):
@@ -109,7 +116,7 @@ class TestCommMi:
         permuted = GmmUserModel(
             weights=model.weights[perm],
             means=model.means[perm],
-            covariances=model.covariances[perm],
+            covariances=random_prior(7)[2][perm],
             noise_std=model.noise_std,
         )
         assert comm_mi_user(pilot, model) == pytest.approx(
@@ -373,16 +380,16 @@ class TestCommLowerBound:
 
     def test_identity_covariance_unit_error(self):
         pilot = ip.random_stiefel(3, 6, substream(0, "lb"))
-        model = self._single(np.eye(6, dtype=complex))
-        assert comm_mi_lower_bound_gaussian(pilot, model, trace_mse=6.0) == pytest.approx(
+        cov = np.eye(6, dtype=complex)
+        assert comm_mi_lower_bound_gaussian(pilot, cov[None], trace_mse=6.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_monotone_in_error(self):
         pilot = ip.random_stiefel(3, 6, substream(1, "lb"))
-        model = self._single(2.0 * np.eye(6, dtype=complex))
-        lo = comm_mi_lower_bound_gaussian(pilot, model, trace_mse=1.0)
-        hi = comm_mi_lower_bound_gaussian(pilot, model, trace_mse=0.1)
+        cov = 2.0 * np.eye(6, dtype=complex)
+        lo = comm_mi_lower_bound_gaussian(pilot, cov[None], trace_mse=1.0)
+        hi = comm_mi_lower_bound_gaussian(pilot, cov[None], trace_mse=0.1)
         assert hi > lo
 
     def test_bound_below_surrogate_via_mmse(self):
@@ -391,13 +398,14 @@ class TestCommLowerBound:
         rng = substream(3, "lb-exp")
         pilot = ip.random_stiefel(3, 6, substream(3, "lb-p"))
         a = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(6)
-        model = self._single(a @ a.conj().T, noise=0.4)
+        cov = a @ a.conj().T
+        model = self._single(cov, noise=0.4)
         channels = ip.sample_channels(model, 10_000, rng)
         noise = 0.4 * ip.complex_normal(rng, (10_000, 3))
         obs = channels @ pilot.entries.T + noise
         est = ip.gmm_mmse_batch(obs, pilot, model)
         trace_mse = float(np.mean(np.sum(np.abs(channels - est) ** 2, axis=1)))
-        bound = comm_mi_lower_bound_gaussian(pilot, model, trace_mse)
+        bound = comm_mi_lower_bound_gaussian(pilot, cov[None], trace_mse)
         assert bound <= comm_mi_user(pilot, model) + 0.05
 
 
