@@ -35,8 +35,6 @@ from .metrics import (
     comm_mi_weighted,
     isac_objective,
     sensing_mi,
-    sensing_mi_approx,
-    sensing_mi_exact,
 )
 from .optimizer import (
     OptimizationTrace,

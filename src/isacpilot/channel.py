@@ -48,8 +48,10 @@ def _steering_rows(n: int, spacing_wavelengths: float, angles_deg) -> np.ndarray
 
 def laplacian_weights(mean_aoa_deg: float, spread_deg: float, grid_deg: np.ndarray) -> np.ndarray:
     """Laplacian angular profile sampled on ``grid_deg``, renormalized to sum 1."""
-    if spread_deg <= 0:
-        raise InvalidParameterError("azimuth spread must be positive")
+    if not np.isfinite(mean_aoa_deg):
+        raise InvalidParameterError("mean angle must be finite")
+    if not 0 < spread_deg < np.inf:  # written so that a NaN fails it
+        raise InvalidParameterError("azimuth spread must be positive and finite")
     grid = np.asarray(grid_deg, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("angle grid must be nonempty")
@@ -110,6 +112,8 @@ class GmmUserModel:
     def __post_init__(self, covariances):
         self.means = np.array(self.means, dtype=complex)
         covs = np.asarray(covariances, dtype=complex)  # not kept, so not copied
+        if self.means.ndim != 2 or covs.ndim != 3:
+            raise DimensionError("means must be an (N_k, N_t) array, covariances a 3-D stack")
         if self.means.shape[0] != covs.shape[0]:
             raise DimensionError("means/covariances must have one entry per component")
         if covs.shape[1] != covs.shape[2]:
@@ -118,6 +122,8 @@ class GmmUserModel:
             raise DimensionError("mean and covariance dimensions disagree")
         if not np.isfinite(self.means).all():
             raise InvalidParameterError("component means must be finite")
+        if not np.isfinite(covs).all():  # eigh would factor a NaN quietly
+            raise InvalidParameterError("covariances must be finite")
         scale = max(1.0, float(np.abs(covs).max(initial=0.0)))
         herm_gap = float(np.abs(covs - covs.conj().transpose(0, 2, 1)).max(initial=0.0))
         if herm_gap > 1e-12 * scale:
@@ -240,7 +246,7 @@ class PilotMatrix:
         n_slots, n_tx = self.entries.shape
         if n_slots >= n_tx:
             raise DimensionError("pilot length must be strictly below the antenna count")
-        if self.residual > ORTHONORMALITY_TOL:
+        if not self.residual <= ORTHONORMALITY_TOL:  # written so that a NaN fails it
             raise InvalidParameterError("pilot rows are not orthonormal")
 
     @property

@@ -46,7 +46,6 @@ from .metrics import (
     comm_mi_weighted,
     isac_objective,
     sensing_mi,
-    sensing_mi_approx,
 )
 from .optimizer import optimize_pgd, pareto_filter, random_stiefel, sample_feasible_cloud
 from .streams import substream
@@ -157,11 +156,7 @@ def _sweep_unit(config: ExperimentConfig, objective: IsacObjective, rho: float) 
     """(frontier row, stop reason) of the ascent at trade-off value ``rho``."""
     objective = replace(objective, rho=float(rho))
     trace = _ascend(config, objective)
-    comm = trace.comm_mi[-1]
-    # endpoint sense MI reported under the globally selected formula; the
-    # ascent itself always follows the approximate objective
-    sense = sensing_mi(trace.final_pilot, objective.scene, config.scenario["sensing_formula"])
-    value = rho * comm + (1.0 - rho) * sense
+    comm, sense, value = trace.comm_mi[-1], trace.sense_mi[-1], trace.objective[-1]
     row = (rho, comm / LN2, sense / LN2, value / LN2, trace.n_iterations, trace.residual[-1])
     return row, trace.stop_reason
 
@@ -212,7 +207,6 @@ def _cloud_unit(config: ExperimentConfig, objective: IsacObjective, chunk_index:
             config.scenario["pilot_len"],
             objective,
             substream(config.seed, "cloud", chunk_index),
-            formula=config.scenario["sensing_formula"],
         )
     except ObjectiveDomainError as exc:  # named by its cloud.csv row, not its place in the chunk
         row = offset + exc.index
@@ -302,11 +296,11 @@ def _gradcheck_unit(config: ExperimentConfig, objective: IsacObjective, index: i
     # the first user alone at rho = 1 and at rho = 0 isolates each gradient
     # term; the values are the metrics themselves, since isac_objective at
     # rho = 1 or 0 would also evaluate the other metric on every stencil stack
-    comm_obj = IsacObjective(1.0, [1.0], objective.users[:1], scene)
-    sense_obj = IsacObjective(0.0, [1.0], objective.users[:1], scene)
+    comm_obj = replace(objective, rho=1.0, user_weights=[1.0], users=objective.users[:1])
+    sense_obj = replace(comm_obj, rho=0.0)
     checks = (
         (lambda p: comm_mi_weighted(p, comm_obj), comm_obj),
-        (lambda p: sensing_mi_approx(p, scene), sense_obj),
+        (lambda p: sensing_mi(p, scene, objective.sensing_formula), sense_obj),
         (lambda p: isac_objective(p, objective), objective),
     )
     step = config.task_params["step"]

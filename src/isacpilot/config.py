@@ -18,7 +18,7 @@ import yaml
 
 from .channel import ArrayGeometry, SensingScene, build_user_models
 from .errors import IsacPilotError
-from .metrics import IsacObjective
+from .metrics import SENSING_FORMULAS, IsacObjective
 from .optimizer import OptimizerConfig
 
 PILOT_SOURCES = ("optimized", "random", "dft", "eigen")
@@ -170,7 +170,7 @@ _SCENARIO = {
     "quadrature_points": (_count, 8),
     "mean_policy": (_one_of("steering", "zero"), "steering"),
     "mean_scale": (_number, 1.0),
-    "sensing_formula": (_one_of("approx", "exact"), "approx"),
+    "sensing_formula": (_one_of(*SENSING_FORMULAS), "approx"),
     "rho": (_fraction, ABSENT),
     "users": (_list(_section(_USER)), REQUIRED),
     "scene": (_section(_SCENE), REQUIRED),
@@ -318,4 +318,4 @@ def build_users(scenario: dict) -> tuple[list, np.ndarray]:
 
 def build_objective(scenario: dict, rho: float) -> IsacObjective:
     users, weights = build_users(scenario)
-    return IsacObjective(rho=rho, user_weights=weights, users=users, scene=build_scene(scenario))
+    return IsacObjective(rho, weights, users, build_scene(scenario), scenario["sensing_formula"])

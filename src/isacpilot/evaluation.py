@@ -269,7 +269,7 @@ def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random
 def effective_training_snr(error_variance: float) -> float:
     """Effective data-phase SNR 2/(1 + err) - 1 under the estimation
     orthogonality identity, clipped at 0; equals 1 for perfect estimation."""
-    if error_variance < 0:
+    if not error_variance >= 0:  # written so that a NaN fails it
         raise InvalidParameterError("error variance must be nonnegative")
     return max(2.0 / (1.0 + error_variance) - 1.0, 0.0)
 
@@ -291,8 +291,8 @@ def c_worst_estimate(
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    if block_len < 1:
-        raise InvalidParameterError("block_len must be >= 1")
+    if not 1 <= block_len < np.inf:  # written so that a NaN fails it
+        raise InvalidParameterError("block_len must be finite and >= 1")
     phi = _one_pilot(pilot)
     n_slots, n_tx = phi.shape
     n_users = len(users)
@@ -391,8 +391,8 @@ def ser_experiment(
     """
     if n_symbols < 1000:
         raise InvalidParameterError("at least 1e3 symbols are needed per SNR point")
-    if block_len < 1:
-        raise InvalidParameterError("block_len must be >= 1")
+    if not 1 <= block_len < np.inf:  # written so that a NaN fails it
+        raise InvalidParameterError("block_len must be finite and >= 1")
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     finite = np.isfinite(snr_grid_db)
     if not finite.all():  # a NaN or -inf point would read SER 1.0

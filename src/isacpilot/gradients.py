@@ -69,26 +69,26 @@ about 2e-14 relative at a fixed pilot, and an ascent amplifies that to about
 roundoff cut; hence the cut sits at roundoff.
 
 The sensing gradient is a pull-back from the Gram domain of
-``metrics.sense_state``. With u_i = Phi a_i (transmit steering row a_i,
-``SenseState.u``) and the receive-steering correlation r_ij,
-gram[i, j] = mu_i^H mu_j = r_ij u_i^H u_j, so d gram[i, j] / d Phi^* =
-r_ij u_j a_i^H. A metric that reads Phi through the Gram alone, with
-coefficients S[i, j] = d f / d gram[i, j], has the gradient
+``metrics.sense_state``, under the objective's sensing formula. With
+u_i = Phi a_i (transmit steering row a_i, ``SenseState.u``) and the
+receive-steering correlation r_ij, gram[i, j] = mu_i^H mu_j =
+r_ij u_i^H u_j, so d gram[i, j] / d Phi^* = r_ij u_j a_i^H. A metric that
+reads Phi through the Gram alone, with coefficients
+S[i, j] = d f / d gram[i, j], has the gradient
 sum_ij S[i, j] r_ij u_j a_i^H = u^T W^T conj(A_tx) with W = S o rx_corr:
-one (Q+1) x (Q+1) matrix pulled back by two small products. The
-approximate metric is log arg with arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
-sum_i Re(conj(gram[i, 0]) z_i)) and the clutter weights
-z_i = nu_i gram[i, 0] / (sigma^2 + nu_i gram[i, i]) (``SenseState.z``), so
+one (Q+1) x (Q+1) matrix pulled back by two small products. Either
+metric is log arg with arg = 1 + nu_0 / sigma^2 (gram[0, 0] - b^H K^{-1} b),
+b = gram[1:, 0] and K = G + diag(sigma^2 / nu) over the live sources,
+where G is the clutter Gram gram[1:, 1:] ("exact", the whitened filter's
+log(1 + x)) or its diagonal ("approx"). The clutter weights z = K^{-1} b
+(``SenseState.z``) give d(b^H K^{-1} b) = z^H db + db^H z - z^H dK z, so
 S, in units of nu_0 / (sigma^2 arg), is 1 at [0, 0], -z_i at [0, i],
--conj(z_i) at [i, 0], |z_i|^2 at [i, i] and zero elsewhere.
-``_sense_grad`` forms the target term N_r u_0 a_0^H (r_00 = N_r) as its own
-outer product and pulls back the clutter block only when the scene has
-clutter, so a clutter-free scene takes the one product. The approximate
-metric is the exact one, log(1 + x) of the whitened filter, with the
-clutter Gram taken as diagonal. The exact metric's gradient is the same
-pull-back, in units of nu_0 / (sigma^2 (1 + x)), with the solved
-z = K^{-1} gram[idx, 0] of ``metrics._detector_scalars`` and the full
-clutter block S[i, j] = conj(z_i) z_j in place of its diagonal.
+-conj(z_i) at [i, 0], and on the clutter block conj(z_i) z_j at [i, j]
+for "exact" or |z_i|^2 at [i, i] alone for "approx" (whose K holds only
+the diagonal of G), zero elsewhere. A source of zero power has z_i = 0 and
+so no coefficient. ``_sense_grad`` forms the target term N_r u_0 a_0^H
+(r_00 = N_r) as its own outer product and pulls back the clutter block only
+when the scene has clutter, so a clutter-free scene takes the one product.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ from .metrics import (
     CommState,
     IsacObjective,
     SenseState,
-    _approx_log_arg,
+    _log_arg,
     _one_pilot,
     comm_state,
     sense_state,
@@ -132,10 +132,11 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     return grad.conj()
 
 
-def _sense_grad(state: SenseState, scene: SensingScene) -> np.ndarray:
-    """d sensing_mi_approx / d Phi^*: the target term plus, with clutter, one
-    pull-back u^T W^T conj(A_tx) of the Gram-domain coefficients W."""
-    arg = _approx_log_arg(state)
+def _sense_grad(state: SenseState, scene: SensingScene, formula: str) -> np.ndarray:
+    """d sensing_mi / d Phi^* under ``formula``, the one ``state`` was formed
+    under: the target term plus, with clutter, one pull-back
+    u^T W^T conj(A_tx) of the Gram-domain coefficients W."""
+    arg = _log_arg(state)
     a_tx, rx_corr, powers = scene._sense_terms
     u, z = state.u, state.z
 
@@ -143,7 +144,7 @@ def _sense_grad(state: SenseState, scene: SensingScene) -> np.ndarray:
     if z.size:
         coefs = np.zeros(rx_corr.shape, dtype=complex)
         coefs[0, 1:], coefs[1:, 0] = -z, -z.conj()
-        coefs[1:, 1:] = np.diag(np.abs(z) ** 2)
+        coefs[1:, 1:] = np.outer(z.conj(), z) if formula == "exact" else np.diag(np.abs(z) ** 2)
         numer += u.T @ ((coefs * rx_corr).T @ a_tx.conj())
     return (powers[0] / scene.radar_noise_std**2 / arg) * numer
 
@@ -156,8 +157,9 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     builds each gradient from the same state as its value. It is the one
     gradient routine: the optimizer calls it every iteration, and the
     ``gradcheck`` task checks it with one-user objectives at rho = 1 and
-    rho = 0 for the communication and sensing gradients. Both metrics are
-    evaluated at every rho, so a scene whose approximate sensing
+    rho = 0 for the communication and sensing gradients. The sensing metric
+    and its gradient follow the objective's ``sensing_formula``. Both metrics
+    are evaluated at every rho, so a scene whose approximate sensing
     log-argument is <= 0 raises ``ObjectiveDomainError`` even at rho = 1.
     """
     phi = _one_pilot(pilot)
@@ -169,11 +171,11 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
         if objective.rho > 0.0:
             grad += _comm_grad(state, users, objective.rho * weights)
 
-    scene = objective.scene
-    s_state = sense_state(phi, scene)
-    sense_val = float(np.log(_approx_log_arg(s_state)))
+    scene, formula = objective.scene, objective.sensing_formula
+    s_state = sense_state(phi, scene, formula)
+    sense_val = float(np.log(_log_arg(s_state)))
     if objective.rho < 1.0:
-        grad += (1.0 - objective.rho) * _sense_grad(s_state, scene)
+        grad += (1.0 - objective.rho) * _sense_grad(s_state, scene, formula)
     value = objective.rho * comm_total + (1.0 - objective.rho) * sense_val
     return value, float(comm_total), sense_val, grad
 
@@ -191,7 +193,7 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     analytic derivative that is not finite raises ``NumericError`` naming
     the pilot entry, since a NaN error would otherwise drop out of the max.
     """
-    if step <= 0:
+    if not step > 0:  # written so that a NaN fails it
         raise InvalidParameterError("finite-difference step must be positive")
     phi = _one_pilot(pilot).copy()
     g_entries = np.asarray(gradient_fn(phi))

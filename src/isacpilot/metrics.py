@@ -21,12 +21,16 @@ from .errors import (
     ObjectiveDomainError,
 )
 
+SENSING_FORMULAS = ("approx", "exact")
+
 
 @dataclass(eq=False)
 class IsacObjective:
     """Scalarized joint objective: rho weights communication against sensing.
 
-    Construction also sets ``groups``, the users as (weights, users) pairs
+    ``sensing_formula`` names the sensing metric (``SENSING_FORMULAS``)
+    that the objective, its gradient and the ascent follow.  Construction
+    also sets ``groups``, the users as (weights, users) pairs
     that share one factor and one noise level, each of which takes one
     ``comm_state`` call; groups and the users within them keep their
     first-appearance order.
@@ -36,11 +40,14 @@ class IsacObjective:
     user_weights: np.ndarray
     users: list
     scene: SensingScene
+    sensing_formula: str = "approx"
 
     def __post_init__(self):
         self.user_weights = np.asarray(self.user_weights, dtype=float)
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidParameterError("rho must lie in [0, 1]")
+        if self.sensing_formula not in SENSING_FORMULAS:
+            raise InvalidParameterError(f"unknown sensing formula {self.sensing_formula!r}")
         if self.user_weights.ndim != 1 or self.user_weights.size != len(self.users):
             raise DimensionError("one weight per user model is required")
         # written so that a NaN weight fails them
@@ -94,17 +101,18 @@ class SenseState(NamedTuple):
     (``SensingScene._sense_terms``), with the noise level
     ``radar_noise_std``, as ``CommState`` keeps none of the channel model.
     For a stack of P pilots every field gains a leading pilot axis (``arg``
-    is then a (P,) array).  ``z`` holds the clutter weights
-    z_i = nu_i gram[i, 0] / (sigma_r^2 + nu_i gram[i, i]), 0 for a source of
-    zero power: the solve z = K^{-1} gram[idx, 0] of ``_detector_scalars``
-    with the clutter Gram in K taken as diagonal.  The approximate metric's
-    clutter sum is sum_i Re(conj(gram[i, 0]) z_i), and its gradient is
-    formed from z (``gradients._sense_grad``).
+    is then a (P,) array).  ``z`` holds the clutter weights of the formula
+    the state was formed under, 0 for a source of zero power: the solve of
+    ``sense_state``, exact or with the clutter Gram taken as diagonal, where
+    the approximate weights read z_i = nu_i gram[i, 0] / (sigma_r^2 +
+    nu_i gram[i, i]).  The metric's clutter sum is
+    sum_i Re(conj(gram[i, 0]) z_i); the detector (``_detector_scalars``)
+    and the gradient (``gradients._sense_grad``) are formed from z.
     """
 
     u: np.ndarray  # (Q+1, L) pilots applied to steering, target first
     gram: np.ndarray  # (Q+1, Q+1) Gram of the mu_i vectors
-    arg: float  # argument of the log in the approximate metric
+    arg: float  # argument of the log in the sensing metric
     z: np.ndarray  # (Q,) clutter weights z_i, i = 1..Q
 
 
@@ -287,15 +295,26 @@ def comm_mi_weighted(pilot, objective: IsacObjective):
     return sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in objective.groups)
 
 
-def sense_state(pilot, scene: SensingScene) -> SenseState:
-    """Gram-domain quantities shared by all sensing metrics and gradients.
+def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseState:
+    """Gram-domain quantities shared by the sensing metric, its gradient and
+    the detector, under the sensing formula ``formula`` ("approx" or "exact").
 
     mu_i^H mu_j factors into a receive-steering correlation times a
     pilot-domain inner product, so nothing of size N_r*L is ever formed.
     The steering rows, correlations and powers depend on the scene alone and
     are built once per scene (``SensingScene._sense_terms``).  A stack of
     pilots (P, L, N_t) takes one batched product per step.
+
+    The only place the clutter weights are formed.  Both formulas solve
+    (diag(nu) G + sigma^2 I) z = nu o b, with b = gram[1:, 0] and G the
+    clutter Gram gram[1:, 1:] ("exact", one batched solve) or its diagonal
+    ("approx"); row i of the system reads sigma^2 z_i = 0 for a source of
+    zero power.  Then arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
+    sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x the
+    whitened target-to-interference ratio of ``_detector_scalars``.
     """
+    if formula not in SENSING_FORMULAS:
+        raise InvalidParameterError(f"unknown sensing formula {formula!r}")
     phi = _pilots(pilot)
     if phi.shape[-1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")
@@ -305,50 +324,43 @@ def sense_state(pilot, scene: SensingScene) -> SenseState:
     sigma2 = scene.radar_noise_std**2
 
     norms = gram.diagonal(0, -2, -1).real
-    cross = gram[..., 1:, 0]  # mu_i^H mu_0
-    z = powers[1:] * cross / (sigma2 + powers[1:] * norms[..., 1:])
+    cross = gram[..., 1:, 0]  # b_i = mu_i^H mu_0
+    nu = powers[1:]
+    if formula == "exact":
+        system = nu[:, None] * gram[..., 1:, 1:] + sigma2 * np.eye(nu.size)
+        z = np.linalg.solve(system, (nu * cross)[..., None])[..., 0]
+    else:
+        z = nu * cross / (sigma2 + nu * norms[..., 1:])
     clutter = np.add.reduce((cross.conj() * z).real, axis=-1)
     arg = 1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter)
     return SenseState(u, gram, arg, z)
 
 
 def _detector_scalars(pilot, scene: SensingScene) -> tuple:
-    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter w = (R_cc + sigma^2 I)^{-1} mu_0.
+    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter w = (R_cc + sigma^2 I)^{-1} mu_0
+    of one pilot.
 
-    Rank-Q identity: with idx the live clutter sources and
-    K = gram[idx, idx] + diag(sigma^2 / nu_idx), one solve z = K^{-1} gram[idx, 0]
-    replaces the N_r*L-sized inverse, and ||w||^2 sigma^4 =
-    gram[0, 0] - 2 Re b^H z + Re z^H K z with b = gram[idx, 0].  nu_0 Re proj[0]
-    is the whitened target-to-interference ratio x behind the exact sensing
-    metric.  For a stack of P pilots ``proj`` is (P, Q+1) and ``||w||^2`` a
-    (P,) array: one batched solve, and each pilot's products are those of
-    its own call.
+    Rank-Q identity: with the exact clutter weights z of ``sense_state``,
+    w = (mu_0 - sum_i z_i mu_i) / sigma^2, so w^H mu_j = (gram[0, j] -
+    sum_i conj(z_i) gram[i, j]) / sigma^2 and ||w||^2 sigma^4 =
+    gram[0, 0] - 2 Re b^H z + Re z^H G z with b = gram[1:, 0] and G the
+    clutter Gram; nothing of size N_r*L is formed.  nu_0 Re proj[0] is the
+    whitened target-to-interference ratio x behind the exact sensing metric.
     """
-    gram = sense_state(pilot, scene).gram
-    powers, sigma2 = scene._sense_terms[2], scene.radar_noise_std**2
-    idx = np.flatnonzero(powers[1:] > 0) + 1
-    # np.take keeps every operand C-contiguous, so a stack's pilots take the
-    # BLAS calls of one pilot's call and their values match it bit for bit
-    rows = np.take(gram, idx, axis=-2)  # gram[idx, :]
-    b, k_mat = rows[..., :1], np.take(rows, idx, axis=-1)  # (Q', 1) and (Q', Q')
-    z = np.linalg.solve(k_mat + np.diag(sigma2 / powers[idx]), b)  # (0, 1) without clutter
-    z_h = z.swapaxes(-1, -2).conj()
-    proj = (gram[..., 0, :] - (z_h @ rows)[..., 0, :]) / sigma2
-    b_z = (b.swapaxes(-1, -2).conj() @ z)[..., 0, 0].real
-    z_k_z = (z_h @ (k_mat @ z))[..., 0, 0].real
-    return proj, (gram[..., 0, 0].real - 2.0 * b_z + z_k_z) / sigma2**2
+    state = sense_state(pilot, scene, "exact")
+    gram, z = state.gram, state.z
+    sigma2 = scene.radar_noise_std**2
+    proj = (gram[0] - z.conj() @ gram[1:]) / sigma2
+    b_z = np.vdot(gram[1:, 0], z).real
+    z_g_z = np.vdot(z, gram[1:, 1:] @ z).real
+    return proj, (gram[0, 0].real - 2.0 * b_z + z_g_z) / sigma2**2
 
 
-def sensing_mi_exact(pilot, scene: SensingScene):
-    """Sensing information log(1 + x) with the clutter-plus-noise solve done
-    exactly; one value per pilot of a stack."""
-    x = scene.target_power * _detector_scalars(pilot, scene)[0][..., 0].real
-    return np.log1p(x)
-
-
-def _approx_log_arg(state: SenseState):
-    """The argument of the log in the approximate sensing metric, checked to
-    be positive; for a stack, the first pilot whose argument is not is named."""
+def _log_arg(state: SenseState):
+    """The argument of the log in the sensing metric, checked to be positive;
+    for a stack, the first pilot whose argument is not is named.  Only the
+    approximate metric's argument can fall to <= 0: the exact one is 1 + x
+    with x >= 0."""
     arg = state.arg
     if isinstance(arg, float):
         failing, value, first, where = arg <= 0.0, arg, None, ""
@@ -362,24 +374,17 @@ def _approx_log_arg(state: SenseState):
     return arg
 
 
-def sensing_mi_approx(pilot, scene: SensingScene):
-    """Large-array form of the sensing information (exact for zero or one
-    clutter source); one value per pilot of a stack."""
-    return np.log(_approx_log_arg(sense_state(pilot, scene)))
-
-
 def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
-    """Sensing metric under the globally selected formula ("approx" or
-    "exact"); one value per pilot of a stack."""
-    metric = {"approx": sensing_mi_approx, "exact": sensing_mi_exact}.get(formula)
-    if metric is None:
-        raise InvalidParameterError(f"unknown sensing formula {formula!r}")
-    return metric(pilot, scene)
+    """Sensing information log(1 + x) under ``formula``: "exact" solves the
+    clutter-plus-noise system in full, "approx" (the large-array form, exact
+    for zero or one clutter source) takes the clutter Gram as diagonal; one
+    value per pilot of a stack."""
+    return np.log(_log_arg(sense_state(pilot, scene, formula)))
 
 
 def isac_objective(pilot, objective: IsacObjective):
-    """rho-weighted scalarization of communication and (approximate) sensing
-    metrics; one value per pilot of a stack."""
+    """rho-weighted scalarization of the communication metric and the sensing
+    metric under the objective's formula; one value per pilot of a stack."""
     return objective.rho * comm_mi_weighted(pilot, objective) + (
         1.0 - objective.rho
-    ) * sensing_mi_approx(pilot, objective.scene)
+    ) * sensing_mi(pilot, objective.scene, objective.sensing_formula)

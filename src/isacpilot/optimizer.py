@@ -42,7 +42,7 @@ class OptimizerConfig:
         # written so that a NaN fails them
         if not self.step_size > 0:
             raise InvalidParameterError("step_size must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise InvalidParameterError("max_iters must be >= 1")
         if not self.rel_tol >= 0:
             raise InvalidParameterError("rel_tol must be nonnegative")
@@ -175,17 +175,17 @@ def sample_feasible_cloud(
     n_slots: int,
     objective: IsacObjective,
     rng: np.random.Generator,
-    formula: str = "approx",
 ) -> np.ndarray:
     """(sense MI, comm MI) pairs of random orthogonal pilots, shape (n, 2).
 
     The pilots are drawn and projected ``CLOUD_STACK`` at a time: one draw of
     a (P, L, N_t) stack takes the same stream as P single draws, and one
     batched SVD projects it; each pilot is checked for rank and as a
-    ``PilotMatrix`` (shape, row orthonormality).  Both metrics, under
-    either sensing formula, evaluate a stack per call, with each pilot's
-    value that of its own call.  A pilot outside the approximate sensing
-    metric's domain raises ``ObjectiveDomainError`` naming its sample.
+    ``PilotMatrix`` (shape, row orthonormality).  Both metrics, the sensing
+    one under the objective's formula, evaluate a stack per call, with each
+    pilot's value that of its own call.  A pilot outside the approximate
+    sensing metric's domain raises ``ObjectiveDomainError`` naming its
+    sample.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
@@ -197,7 +197,7 @@ def sample_feasible_cloud(
             PilotMatrix(phi)  # its shape and row-orthonormality checks
         rows = slice(start, start + len(stack))
         try:
-            pairs[rows, 0] = sensing_mi(stack, objective.scene, formula)
+            pairs[rows, 0] = sensing_mi(stack, objective.scene, objective.sensing_formula)
         except ObjectiveDomainError as exc:  # named by its sample, not its place in the stack
             sample = start + exc.index
             exc.args = (exc.args[0].replace(f"of pilot {exc.index}", f"of sample {sample}"),)

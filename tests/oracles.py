@@ -178,12 +178,14 @@ def comm_grad(pilot, model) -> np.ndarray:
     return isac_value_and_grad(pilot, ip.IsacObjective(1.0, [1.0], [model], scene))[3]
 
 
-def sense_grad(pilot, scene) -> np.ndarray:
-    """d sensing_mi_approx / d Phi^* from ``isac_value_and_grad``: rho = 0 with
-    one stand-in user (one zero-mean, identity-covariance component)."""
+def sense_grad(pilot, scene, formula="approx") -> np.ndarray:
+    """d sensing_mi / d Phi^* under ``formula`` from ``isac_value_and_grad``:
+    rho = 0 with one stand-in user (one zero-mean, identity-covariance
+    component)."""
     n_tx = scene.geometry.n_tx
     model = ip.GmmUserModel([1.0], np.zeros((1, n_tx)), np.eye(n_tx)[None], 1.0)
-    return isac_value_and_grad(pilot, ip.IsacObjective(0.0, [1.0], [model], scene))[3]
+    objective = ip.IsacObjective(0.0, [1.0], [model], scene, formula)
+    return isac_value_and_grad(pilot, objective)[3]
 
 
 def region_covariances(geometry, n_components: int, quadrature_points: int = 8) -> np.ndarray:

@@ -67,6 +67,16 @@ class TestLaplacianWeights:
         with pytest.raises(InvalidParameterError):
             laplacian_weights(0.0, 0.0, np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "mean, spread, match",
+        [(np.nan, 5.0, "mean angle"), (np.inf, 5.0, "mean angle"), (0.0, np.nan, "spread"),
+         (0.0, np.inf, "spread")],
+    )
+    def test_rejects_non_finite_mean_or_spread(self, mean, spread, match):
+        # a NaN mean or spread would give NaN weights, an infinite one 0 / 0
+        with pytest.raises(InvalidParameterError, match=match):
+            laplacian_weights(mean, spread, np.array([-1.0, 0.0, 1.0]))
+
 
 class TestRegionCovariance:
     geom = ArrayGeometry(n_tx=4, n_rx=2)
@@ -157,6 +167,21 @@ class TestGmmUserModelValidation:
                 covariances=np.stack([np.eye(3)] * 2),
                 noise_std=noise_std,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_covariances(self, bad):
+        # before the check eigh factored [I, I with a NaN corner] into a
+        # finite rank-1 stack with no error
+        covs = np.stack([np.eye(2, dtype=complex)] * 2)
+        covs[1, 0, 0] = bad
+        with pytest.raises(InvalidParameterError, match="covariances must be finite"):
+            GmmUserModel([0.5, 0.5], np.zeros((2, 2)), covs, 0.3)
+
+    def test_rejects_a_covariance_stack_that_is_not_3d(self):
+        with pytest.raises(ip.DimensionError, match="stack"):
+            GmmUserModel([0.5, 0.5], np.zeros((2, 2)), np.eye(2), 0.1)
+        with pytest.raises(ip.DimensionError, match="means must be"):
+            GmmUserModel([1.0], np.zeros(1), np.eye(3)[None], 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_means(self, bad):
@@ -265,6 +290,16 @@ class TestPilotMatrixValidation:
     def test_rejects_non_orthonormal_rows(self):
         with pytest.raises(InvalidParameterError):
             PilotMatrix(np.ones((2, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        # the residual is then NaN, which a "residual > tol" test lets through;
+        # an infinite entry makes it NaN through inf * 0 in the row Gram
+        entries = np.eye(5, dtype=complex)[:2]
+        entries[1, 3] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match="not orthonormal"):
+                PilotMatrix(entries)
 
     def test_accepts_orthonormal(self):
         entries = np.eye(5)[:2]

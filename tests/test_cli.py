@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,13 @@ from isacpilot.cli import (
 import isacpilot.cli as cli
 from isacpilot.config import TASKS, ConfigError, build_objective, parse_config
 from isacpilot.errors import ObjectiveDomainError
-from isacpilot.optimizer import OptimizerConfig, sample_feasible_cloud
+from isacpilot.metrics import sensing_mi
+from isacpilot.optimizer import (
+    OptimizerConfig,
+    optimize_pgd,
+    random_stiefel,
+    sample_feasible_cloud,
+)
 from isacpilot.streams import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -442,6 +449,28 @@ class TestRunConfig:
         content = (out / "gradcheck.csv").read_text()
         assert "# tolerance: 1e-05\n" in content
 
+    def test_gradcheck_follows_the_exact_formula(self, tmp_path):
+        # two clutter sources 2 degrees either side of the target, where the
+        # approximate log-argument is below zero: the sensing and ISAC checks
+        # take the exact metric and the exact gradient
+        clutter = [{"angle_deg": 2.0, "power": 3.0}, {"angle_deg": -2.0, "power": 2.0}]
+        section = {"instances": 2, "step": 1e-4, "tolerance": 1e-5}
+        overrides = {
+            **task_overrides("gradcheck", "gradcheck", section),
+            "scenario.rho": 0.4,
+            "scenario.scene.target_angle_deg": 0.0,
+            "scenario.scene.clutter": clutter,
+        }
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=str(out)) == 3
+        path = write_config(tmp_path, {**overrides, "scenario.sensing_formula": "exact"})
+        assert run_config(path, out_dir=str(out)) == 0
+        lines = (out / "gradcheck.csv").read_text().splitlines()
+        assert "# sensing_formula: exact" in lines
+        errors = np.array([line.split(",")[1:] for line in lines[-2:]], dtype=float)
+        assert errors.shape == (2, 3) and errors.max() <= 1e-5
+
     def test_ser_reports_the_simulated_symbol_count(self, tmp_path):
         # 1,050 symbols in blocks of 100 run 11 whole blocks: 1,100 per user
         section = {"snr_grid_db": [0.0], "n_symbols": 1050, "block_len": 100, "sources": ["random"]}
@@ -613,21 +642,57 @@ def frontier_columns(tmp_path, overrides, name):
 
 
 class TestSensingFormula:
-    def test_exact_changes_only_the_reported_sense_mi(self, tmp_path):
+    def test_exact_frontier_is_the_exact_ascent(self, tmp_path):
+        # each frontier row is the end point of an optimize_pgd run on the
+        # exact objective, bit for bit, and its objective is rho comm +
+        # (1 - rho) sense under the exact metric
         clutter = [{"angle_deg": 0.0, "power": 0.5}, {"angle_deg": 35.0, "power": 0.3}]
-        approx, exact = (
-            frontier_columns(
-                tmp_path, {"scenario.scene.clutter": clutter, "scenario.sensing_formula": formula}, formula
-            )
-            for formula in ("approx", "exact")
-        )
-        # the ascent follows the approximate metric under either formula
-        assert approx["comm_mi_bits"] == exact["comm_mi_bits"]
-        assert approx["iters"] == exact["iters"]
-        sense_approx = np.array(approx["sense_mi_bits"], dtype=float)
-        sense_exact = np.array(exact["sense_mi_bits"], dtype=float)
-        assert np.all(sense_approx != sense_exact)
-        assert np.allclose(sense_approx, sense_exact, rtol=1e-3, atol=0.0)
+        overrides = {"scenario.scene.clutter": clutter, "scenario.sensing_formula": "exact"}
+        columns = frontier_columns(tmp_path, overrides, "exact")
+        config = parse_config(str(tmp_path / "exact.yaml"))
+        objective = build_objective(config.scenario, 0.0)
+        assert objective.sensing_formula == "exact"
+        init = random_stiefel(3, 8, substream(config.seed, "init"))
+        for i, rho in enumerate(config.task_params["rho_values"]):
+            trace = optimize_pgd(init, replace(objective, rho=rho), config.optimizer)
+            comm, sense = trace.comm_mi[-1], sensing_mi(trace.final_pilot, objective.scene, "exact")
+            assert trace.sense_mi[-1] == sense
+            assert trace.objective[-1] == rho * comm + (1.0 - rho) * sense
+            row = (rho, comm, sense, trace.objective[-1])
+            expected = [format(v / cli.LN2 if k else v, ".17g") for k, v in enumerate(row)]
+            expected += [str(trace.n_iterations), format(trace.residual[-1], ".17g")]
+            assert [column[i] for column in columns.values()] == expected
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_exact_ascent_optimizes_near_target_clutter(self, tmp_path, capsys, rho):
+        # clutter 2 degrees either side of the target takes the approximate
+        # log-argument below zero at the first iterate (-10.1402 at this
+        # seed); the exact ascent runs, and its pilot detects no worse than
+        # the random one at every configured P_fa on the same paired trials
+        clutter = [{"angle_deg": 2.0, "power": 3.0}, {"angle_deg": -2.0, "power": 2.0}]
+        section = {"trials": 20000, "pilot_source": "optimized", "p_fa": [0.01, 0.1]}
+        overrides = {
+            **task_overrides("roc", "roc", section),
+            "seed": 2024,
+            "scenario.rho": rho,
+            "scenario.scene.target_angle_deg": 0.0,
+            "scenario.scene.clutter": clutter,
+            "optimizer": {"step_size": 0.1, "max_iters": 200, "rel_tol": 1e-8},
+        }
+        approx = write_config(tmp_path, overrides, name="approx.yaml")
+        assert run_config(approx, out_dir=str(tmp_path / "approx")) == 3
+        message = "approximate sensing metric log argument is -10.1402 <= 0"
+        assert message in capsys.readouterr().err
+        p_d = {}
+        for source in ("optimized", "random"):
+            exact = {**overrides, "scenario.sensing_formula": "exact", "roc.pilot_source": source}
+            path = write_config(tmp_path, exact, name=f"{source}.yaml")
+            assert run_config(path, out_dir=str(tmp_path / source)) == 0
+            lines = (tmp_path / source / "roc.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+            p_d[source] = np.array([float(row[1]) for row in rows])
+        assert p_d["optimized"].shape == (2,)
+        assert np.all(p_d["optimized"] >= p_d["random"])
 
     def test_formulas_agree_without_clutter(self, tmp_path):
         approx, exact = (

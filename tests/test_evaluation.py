@@ -303,7 +303,7 @@ ROC_LAW_CASES = CLUTTER_CASES + [((43.0, 0.4), (47.5, 2.5))]  # 0, 1, 2 far and 
 @pytest.mark.parametrize("clutter", ROC_LAW_CASES, ids=["none", "one", "two", "two-near"])
 def test_roc_follows_the_swerling_law(clutter):
     """The whitened statistic is Exp(a) without the target and Exp(a (1 + x))
-    with it, a = Re proj_0 and x = expm1(sensing_mi_exact), so P_d =
+    with it, a = Re proj_0 and x = expm1(sensing_mi(..., "exact")), so P_d =
     P_fa^{1/(1+x)} and the threshold is -a ln P_fa.  P_d is checked within 4
     standard errors, binomial plus threshold-estimate terms, and the
     threshold within 5 of its quantile's.  A 5% error in x moves some point
@@ -313,7 +313,7 @@ def test_roc_follows_the_swerling_law(clutter):
     case = ROC_LAW_CASES.index(clutter)
     for k in range(3):
         pilot = ip.random_stiefel(3, 8, substream(40 + k, "roc-law", case))
-        x = np.expm1(ip.sensing_mi_exact(pilot, scene))
+        x = np.expm1(ip.sensing_mi(pilot, scene, "exact"))
         curve = roc_curve(pilot, scene, n, grid, substream(50 + k, "roc-law", case))
         p_d = grid ** (1.0 / (1.0 + x))
         se = np.sqrt(p_d * (1 - p_d) / n + p_d**2 * (1 - grid) / (n * grid * (1 + x) ** 2))
@@ -547,6 +547,13 @@ class TestSerExperiment:
         pilot = ip.random_stiefel(4, 8, substream(49, "ser"))
         with pytest.raises(ip.InvalidParameterError):
             ser_experiment(pilot, users, [10.0], 100, 10, substream(50, "ser"))
+
+    @pytest.mark.parametrize("block_len", [np.nan, np.inf])
+    def test_rejects_non_finite_block_length(self, block_len):
+        users = self._users(0.1)
+        pilot = ip.random_stiefel(4, 8, substream(49, "ser"))
+        with pytest.raises(ip.InvalidParameterError, match="block_len"):
+            ser_experiment(pilot, users, [10.0], 1000, block_len, substream(50, "ser"))
 
     @pytest.mark.parametrize("snr, point", [([10.0, np.nan], 1), ([-np.inf], 0), ([0.0, 5.0, np.inf], 2)])
     def test_rejects_non_finite_snr_before_any_draw(self, snr, point):

@@ -45,7 +45,7 @@ def separate_gradients(pilot, objective, seed):
         w * dense_comm(pilot.entries, model, covs)[1]
         for w, model, covs in zip(objective.user_weights, objective.users, stacks, strict=True)
     )
-    sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene)
+    sense = _sense_grad(sense_state(pilot, objective.scene), objective.scene, "approx")
     return comm, sense
 
 
@@ -79,6 +79,13 @@ class TestFiniteDiffCheck:
         pilot = ip.random_stiefel(3, 7, substream(3, "fd"))
         with pytest.raises(ip.InvalidParameterError):
             finite_diff_check(lambda p: 0.0, lambda p: np.zeros_like(p), pilot, step=0.0)
+
+    def test_rejects_a_nan_step(self):
+        # every stencil difference would be NaN, which max() drops: an error of 0
+        pilot = ip.random_stiefel(3, 7, substream(3, "fd"))
+        zeros = np.zeros(8)
+        with pytest.raises(ip.InvalidParameterError, match="step"):
+            finite_diff_check(lambda p: zeros, lambda p: np.zeros_like(p), pilot, step=np.nan)
 
     # max() drops a NaN error, so a broken objective or gradient would pass as a perfect match
     def test_rejects_a_nan_objective(self):
@@ -141,7 +148,7 @@ class TestSensingGradient:
             (a0, p0), (a1, _), second = scene.clutter
             scene = replace(scene, clutter=((a0, p0), (a1, 0.0), second))
         err = finite_diff_check(
-            lambda p: ip.sensing_mi_approx(p, scene),
+            lambda p: ip.sensing_mi(p, scene, "approx"),
             lambda p: sense_grad(p, scene),
             pilot,
             step=1e-4,
@@ -157,20 +164,43 @@ class TestSensingGradient:
         a_tx, _, powers = scene._sense_terms
         numer = scene.geometry.n_rx * np.outer(state.u[0], a_tx[0].conj())
         expected = (powers[0] / scene.radar_noise_std**2 / state.arg) * numer
-        assert np.array_equal(_sense_grad(state, scene), expected)
+        assert np.array_equal(_sense_grad(state, scene, "approx"), expected)
         assert np.array_equal(sense_grad(pilot, scene), expected)
 
-    @pytest.mark.parametrize("n_clutter", [0, 1])
+    @pytest.mark.parametrize("n_clutter", [0, 1, 2, 3])
     def test_exact_metric_takes_the_stencil_stacks(self, n_clutter):
-        # with zero or one clutter source the approximate metric is exact, so
-        # its gradient checks the exact metric's 8-point stencil stacks (6e-11
-        # and 5e-10 here); with two sources (seed 33) the check reads 1.3e-4,
-        # the gap between the formulas, until the exact metric has a gradient
+        # the exact metric's gradient (the full clutter block conj(z_i) z_j)
+        # checks its 8-point stencil stacks; with two and three sources the
+        # approximate gradient would read 1.3e-4 and 1.67 against them
         pilot = ip.random_stiefel(3, 8, substream(31 + n_clutter, "sg"))
         scene = random_scene(31 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)
         err = finite_diff_check(
-            lambda p: ip.sensing_mi_exact(p, scene),
-            lambda p: sense_grad(p, scene),
+            lambda p: ip.sensing_mi(p, scene, "exact"),
+            lambda p: sense_grad(p, scene, "exact"),
+            pilot,
+            step=1e-4,
+        )
+        assert err <= 1e-6
+
+    def test_exact_gradient_with_a_zero_power_source(self):
+        # a zero-power source gets z_i = 0 from the solve itself: the metric,
+        # its weights and its gradient equal those of the scene without it
+        pilot = ip.random_stiefel(3, 8, substream(35, "sg"))
+        scene = random_scene(35, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=3)
+        (a0, p0), (a1, _), second = scene.clutter
+        silent = replace(scene, clutter=((a0, p0), (a1, 0.0), second))
+        without = replace(scene, clutter=((a0, p0), second))
+        z = sense_state(pilot, silent, "exact").z
+        assert z[1] == 0.0
+        np.testing.assert_allclose(z[[0, 2]], sense_state(pilot, without, "exact").z, rtol=1e-12)
+        exact = ip.sensing_mi(pilot, silent, "exact")
+        assert exact == pytest.approx(ip.sensing_mi(pilot, without, "exact"), rel=1e-13)
+        np.testing.assert_allclose(
+            sense_grad(pilot, silent, "exact"), sense_grad(pilot, without, "exact"), rtol=1e-11
+        )
+        err = finite_diff_check(
+            lambda p: ip.sensing_mi(p, silent, "exact"),
+            lambda p: sense_grad(p, silent, "exact"),
             pilot,
             step=1e-4,
         )

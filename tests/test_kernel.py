@@ -286,7 +286,7 @@ class TestValueAndGrad:
             value, comm, sense, grad = isac_value_and_grad(pilot, objective)
             assert value == pytest.approx(ip.isac_objective(pilot, objective), rel=1e-14)
             assert comm == pytest.approx(ip.comm_mi_weighted(pilot, objective), rel=1e-14)
-            assert sense == pytest.approx(ip.sensing_mi_approx(pilot, scene), rel=1e-14)
+            assert sense == pytest.approx(ip.sensing_mi(pilot, scene, "approx"), rel=1e-14)
             weighted_users = zip(objective.user_weights, objective.users)
             comm_part = sum(w * comm_grad(pilot, user) for w, user in weighted_users)
             expected = rho * comm_part + (1.0 - rho) * sense_grad(pilot, scene)
@@ -403,13 +403,14 @@ class TestPilotStack:
     @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
     def test_sense_state_equals_per_pilot_calls(self, case):
         objective, stack = stack_case(case)
-        state = sense_state(stack, objective.scene)
-        assert state.arg.shape == (len(stack),)
-        for p, phi in enumerate(stack):
-            one = sense_state(phi, objective.scene)
-            assert state.arg[p] == one.arg
-            for field in ("u", "gram", "z"):
-                assert np.array_equal(getattr(state, field)[p], getattr(one, field))
+        for formula in ("approx", "exact"):
+            state = sense_state(stack, objective.scene, formula)
+            assert state.arg.shape == (len(stack),)
+            for p, phi in enumerate(stack):
+                one = sense_state(phi, objective.scene, formula)
+                assert state.arg[p] == one.arg
+                for field in ("u", "gram", "z"):
+                    assert np.array_equal(getattr(state, field)[p], getattr(one, field))
 
     @pytest.mark.parametrize("case", ["sweep_tradeoff", "gradcheck_small", "roc_compare+clutter"])
     def test_metrics_return_one_value_per_pilot(self, case):
@@ -418,8 +419,8 @@ class TestPilotStack:
         for metric in (
             lambda p: comm_mi_user(p, model),
             lambda p: ip.comm_mi_weighted(p, objective),
-            lambda p: ip.sensing_mi_approx(p, scene),
-            lambda p: ip.sensing_mi_exact(p, scene),
+            lambda p: ip.sensing_mi(p, scene, "approx"),
+            lambda p: ip.sensing_mi(p, scene, "exact"),
             lambda p: ip.isac_objective(p, objective),
         ):
             values = metric(stack)
@@ -452,7 +453,7 @@ class TestPilotStack:
         stack = np.array([1e-3 * phi, 1e-3 * phi, phi, 1e-3 * phi])
         assert sense_state(stack[:2], scene).arg.min() > 0.0
         with pytest.raises(ip.ObjectiveDomainError, match="of pilot 2 ") as excinfo:
-            ip.sensing_mi_approx(stack, scene)
+            ip.sensing_mi(stack, scene, "approx")
         assert excinfo.value.value == sense_state(phi, scene).arg <= 0.0
         assert excinfo.value.index == 2
 

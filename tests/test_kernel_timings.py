@@ -1,10 +1,12 @@
-"""Smoke test of ``tools/kernel_timings.py`` on seven of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on nine of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
 ROWS = [
     "isac_value_and_grad",
     "isac_value_and_grad_clutter",
+    "isac_value_and_grad_exact",
+    "sensing_mi_exact_stack",
     "finite_diff_check",
     "build_users",
     "build_users_cold",

@@ -194,7 +194,7 @@ class TestSensingMi:
             geometry=self.geom,
         )
         pilot = ip.random_stiefel(3, 8, substream(0, "s"))
-        assert ip.sensing_mi_exact(pilot, scene) == 0.0
+        assert ip.sensing_mi(pilot, scene, "exact") == 0.0
 
     def test_identity_pilot_closed_form(self):
         scene = SensingScene(
@@ -202,21 +202,21 @@ class TestSensingMi:
         )
         pilot = ip.PilotMatrix(np.eye(8)[:3])
         expected = np.log(1 + 1.5 * 4 * 3 / 1.2**2)
-        assert ip.sensing_mi_exact(pilot, scene) == pytest.approx(expected, rel=1e-12)
+        assert ip.sensing_mi(pilot, scene, "exact") == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_matches_dense_oracle(self, seed):
         scene = random_scene(seed, self.geom, n_clutter=2)
         pilot = ip.random_stiefel(3, 8, substream(seed, "s"))
         dense = np.log1p(dense_whitened_snr(pilot, scene))
-        assert ip.sensing_mi_exact(pilot, scene) == pytest.approx(dense, rel=1e-12)
+        assert ip.sensing_mi(pilot, scene, "exact") == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("n_clutter", [0, 1])
     def test_approx_equals_exact_low_rank(self, n_clutter):
         scene = random_scene(3, self.geom, n_clutter=n_clutter)
         pilot = ip.random_stiefel(3, 8, substream(3, "s"))
-        exact = ip.sensing_mi_exact(pilot, scene)
-        approx = ip.sensing_mi_approx(pilot, scene)
+        exact = ip.sensing_mi(pilot, scene, "exact")
+        approx = ip.sensing_mi(pilot, scene, "approx")
         assert abs(exact - approx) <= 1e-10
 
     def test_nonnegative_and_monotone_in_target_power(self):
@@ -228,7 +228,7 @@ class TestSensingMi:
                 target_angle=base.target_angle, target_power=power, clutter=base.clutter,
                 radar_noise_std=base.radar_noise_std, geometry=self.geom,
             )
-            values.append(ip.sensing_mi_exact(pilot, scene))
+            values.append(ip.sensing_mi(pilot, scene, "exact"))
         assert values[0] == 0.0
         assert all(v >= 0 for v in values)
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -262,14 +262,20 @@ class TestSensingMi:
         )
         pilot = ip.random_stiefel(3, 8, substream(5, "s"))
         with pytest.raises(ip.ObjectiveDomainError) as excinfo:
-            ip.sensing_mi_approx(pilot, scene)
+            ip.sensing_mi(pilot, scene, "approx")
         assert excinfo.value.value <= 0.0
 
     def test_formula_selector(self):
         scene = random_scene(6, self.geom)
         pilot = ip.random_stiefel(3, 8, substream(6, "s"))
-        assert ip.sensing_mi(pilot, scene, "exact") == ip.sensing_mi_exact(pilot, scene)
-        assert ip.sensing_mi(pilot, scene, "approx") == ip.sensing_mi_approx(pilot, scene)
+        # one kernel: each formula's metric is the log of its state's argument
+        for formula in ("approx", "exact"):
+            state = sense_state(pilot, scene, formula)
+            assert ip.sensing_mi(pilot, scene, formula) == np.log(state.arg)
+        assert ip.sensing_mi(pilot, scene) == ip.sensing_mi(pilot, scene, "approx")
+        assert ip.sensing_mi(pilot, scene, "exact") != ip.sensing_mi(pilot, scene, "approx")
+        with pytest.raises(ip.InvalidParameterError):
+            sense_state(pilot, scene, "other")
         with pytest.raises(ip.InvalidParameterError):
             ip.sensing_mi(pilot, scene, "other")
 
@@ -299,14 +305,14 @@ class TestIsacObjective:
         )
         obj0 = self._setup(0.0)
         assert ip.isac_objective(pilot, obj0) == pytest.approx(
-            ip.sensing_mi_approx(pilot, obj0.scene), rel=1e-14
+            ip.sensing_mi(pilot, obj0.scene, "approx"), rel=1e-14
         )
 
     def test_midpoint_is_mean(self):
         pilot = ip.random_stiefel(3, 8, substream(22, "i"))
         obj = self._setup(0.5)
         expected = 0.5 * (
-            ip.comm_mi_weighted(pilot, obj) + ip.sensing_mi_approx(pilot, obj.scene)
+            ip.comm_mi_weighted(pilot, obj) + ip.sensing_mi(pilot, obj.scene, "approx")
         )
         assert ip.isac_objective(pilot, obj) == pytest.approx(expected, rel=1e-14)
 
@@ -340,7 +346,8 @@ class TestUnitaryInvariance:
         q, _ = np.linalg.qr(z)
         rotated = ip.PilotMatrix(q @ pilot.entries)
         assert abs(comm_mi_user(rotated, model) - comm_mi_user(pilot, model)) <= 1e-9
-        assert abs(ip.sensing_mi_exact(rotated, scene) - ip.sensing_mi_exact(pilot, scene)) <= 1e-9
+        exact = [ip.sensing_mi(p, scene, "exact") for p in (rotated, pilot)]
+        assert abs(exact[0] - exact[1]) <= 1e-9
 
 
 class TestKlAndG:
@@ -417,6 +424,20 @@ class TestCWorst:
         assert ip.effective_training_snr(0.1) < ip.effective_training_snr(0.05)
         with pytest.raises(ip.InvalidParameterError):
             ip.effective_training_snr(-0.1)
+
+    def test_effective_snr_rejects_nan(self):
+        # a NaN error variance would read back as a NaN SNR
+        with pytest.raises(ip.InvalidParameterError, match="error variance"):
+            ip.effective_training_snr(np.nan)
+
+    @pytest.mark.parametrize("block_len", [np.nan, np.inf])
+    def test_rejects_non_finite_block_length(self, block_len):
+        # either would make the block-length discount NaN
+        geom = ArrayGeometry(n_tx=8, n_rx=2)
+        model = build_user_models(geom, [(30.0, 10.0, 0.1)], 24)[0]
+        pilot = ip.random_stiefel(3, 8, substream(7, "cw"))
+        with pytest.raises(ip.InvalidParameterError, match="block_len"):
+            ip.c_worst_estimate(pilot, [model], block_len, 10, substream(7, "cw"))
 
     def test_block_length_prefactor(self):
         geom = ArrayGeometry(n_tx=8, n_rx=2)

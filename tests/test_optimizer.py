@@ -183,7 +183,7 @@ class TestOptimizePgd:
         with pytest.raises(ip.InvalidParameterError):
             OptimizerConfig(rel_tol=-1.0)
 
-    @pytest.mark.parametrize("field", ["step_size", "rel_tol"])
+    @pytest.mark.parametrize("field", ["step_size", "max_iters", "rel_tol"])
     def test_config_rejects_nan(self, field):
         with pytest.raises(ip.InvalidParameterError):
             OptimizerConfig(**{field: np.nan})
@@ -276,8 +276,8 @@ class TestFeasibleCloud:
     @pytest.mark.parametrize("formula", ["approx", "exact"])
     def test_stacks_equal_one_pilot_at_a_time(self, formula):
         # 19 samples: two full stacks of CLOUD_STACK and a partial one
-        objective = small_objective(seed=22, rho=0.0)
-        cloud = sample_feasible_cloud(19, 3, objective, substream(22, "cloud"), formula)
+        objective = replace(small_objective(seed=22, rho=0.0), sensing_formula=formula)
+        cloud = sample_feasible_cloud(19, 3, objective, substream(22, "cloud"))
         rng = substream(22, "cloud")
         for pair in cloud:
             pilot = random_stiefel(3, 8, rng)

@@ -54,6 +54,9 @@ are:
   instance; ``isac_value_and_grad_clutter``: one value-and-gradient call at
   that shape and rho, the row whose sensing gradient takes the clutter
   pull-back (the other ``isac_value_and_grad`` rows are clutter-free);
+  ``isac_value_and_grad_exact``: the same call with the objective's
+  sensing formula set to "exact", whose clutter weights take one solve and
+  whose pull-back takes the full clutter block;
   ``sensing_mi_exact_stack``: the same scene, one call of the
   exact sensing metric on a stack of ``STACK`` pilots (time per call), the
   shape ``finite_diff_check`` hands its objective.
@@ -100,7 +103,7 @@ from isacpilot.metrics import (  # noqa: E402
     comm_state,
     isac_objective,
     sense_state,
-    sensing_mi_exact,
+    sensing_mi,
 )
 from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
@@ -202,6 +205,7 @@ def kernels() -> dict:
         f"N_t={grad['n_tx']} L={grad['pilot_len']} K={len(grad_objective.users)} "
         f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)}"
     )
+    grad_exact = replace(grad_objective, sensing_formula="exact")
     grad_stack = np.array([pilot_for(grad, f"gradcheck-{p}").entries for p in range(STACK)])
 
     return {
@@ -270,6 +274,10 @@ def kernels() -> dict:
             grad_shape,
             lambda: isac_value_and_grad(grad_pilot, grad_objective),
         ),
+        "isac_value_and_grad_exact": (
+            f"{grad_shape} exact",
+            lambda: isac_value_and_grad(grad_pilot, grad_exact),
+        ),
         "finite_diff_check": (
             f"{grad_shape} isac",
             lambda: finite_diff_check(
@@ -281,7 +289,7 @@ def kernels() -> dict:
         ),
         "sensing_mi_exact_stack": (
             f"{grad_shape} stack of {STACK} per call",
-            lambda: sensing_mi_exact(grad_stack, grad_objective.scene),
+            lambda: sensing_mi(grad_stack, grad_objective.scene, "exact"),
         ),
         "ser_experiment": (
             f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
