@@ -12,6 +12,7 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     IsacPilotError,
+    NonFiniteError,
     NumericError,
     ObjectiveDomainError,
     SingularMatrixError,

@@ -15,9 +15,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
+from .errors import count, finite_array, number, one_of, simplex
 from .streams import complex_normal
 
 ORTHONORMALITY_TOL = 1e-8
+MEAN_POLICIES = ("steering", "zero")
 # Covariance eigenvalues at or below this fraction of a model's largest one are
 # roundoff; the low-rank factor drops their eigenvectors.
 FACTOR_RANK_CUT = 1e-15
@@ -33,10 +35,10 @@ class ArrayGeometry:
     spacing_rx: float = 0.5
 
     def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise InvalidParameterError("antenna counts must be >= 1")
-        if not (self.spacing_tx > 0 and self.spacing_rx > 0):  # written so that a NaN fails it
-            raise InvalidParameterError("antenna spacings must be positive")
+        count(self.n_tx, "n_tx")
+        count(self.n_rx, "n_rx")
+        number(self.spacing_tx, "spacing_tx", "must be positive")
+        number(self.spacing_rx, "spacing_rx", "must be positive")
 
 
 def _steering_rows(n: int, spacing_wavelengths: float, angles_deg) -> np.ndarray:
@@ -48,13 +50,9 @@ def _steering_rows(n: int, spacing_wavelengths: float, angles_deg) -> np.ndarray
 
 def laplacian_weights(mean_aoa_deg: float, spread_deg: float, grid_deg: np.ndarray) -> np.ndarray:
     """Laplacian angular profile sampled on ``grid_deg``, renormalized to sum 1."""
-    if not np.isfinite(mean_aoa_deg):
-        raise InvalidParameterError("mean angle must be finite")
-    if not 0 < spread_deg < np.inf:  # written so that a NaN fails it
-        raise InvalidParameterError("azimuth spread must be positive and finite")
-    grid = np.asarray(grid_deg, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("angle grid must be nonempty")
+    number(mean_aoa_deg, "mean angle")
+    number(spread_deg, "azimuth spread", "must be positive")
+    grid = finite_array(grid_deg, "angle grid", 1)
     w = np.exp(-np.sqrt(2.0) * np.abs(grid - mean_aoa_deg) / spread_deg)
     w /= np.sqrt(2.0) * spread_deg
     return w / w.sum()
@@ -69,8 +67,7 @@ def _region_covariances(
     Integration is in radians, so every diagonal entry equals the region
     width in radians (steering entries have unit modulus).
     """
-    if quadrature_points < 1:
-        raise InvalidParameterError("quadrature_points must be >= 1")
+    count(quadrature_points, "quadrature_points")
     step = (hi_deg - lo_deg) / quadrature_points
     centers = lo_deg[:, None] + (np.arange(quadrature_points) + 0.5) * step[:, None]
     a = _steering_rows(geometry.n_tx, geometry.spacing_tx, centers)  # (K, q, N_t)
@@ -110,20 +107,10 @@ class GmmUserModel:
     noise_std: float
 
     def __post_init__(self, covariances):
-        self.means = np.array(self.means, dtype=complex)
-        covs = np.asarray(covariances, dtype=complex)  # not kept, so not copied
-        if self.means.ndim != 2 or covs.ndim != 3:
-            raise DimensionError("means must be an (N_k, N_t) array, covariances a 3-D stack")
-        if self.means.shape[0] != covs.shape[0]:
-            raise DimensionError("means/covariances must have one entry per component")
-        if covs.shape[1] != covs.shape[2]:
-            raise DimensionError("covariances must be square")
-        if self.means.shape[1] != covs.shape[1]:
-            raise DimensionError("mean and covariance dimensions disagree")
-        if not np.isfinite(self.means).all():
-            raise InvalidParameterError("component means must be finite")
-        if not np.isfinite(covs).all():  # eigh would factor a NaN quietly
-            raise InvalidParameterError("covariances must be finite")
+        self.means = finite_array(self.means, "means", 2, dtype=complex).copy("K")
+        covs = finite_array(covariances, "covariances", 3, dtype=complex)  # not kept, so not copied
+        if covs.shape != (self.n_components, self.n_tx, self.n_tx):
+            raise DimensionError("covariances: expected one N_t x N_t matrix per component mean")
         scale = max(1.0, float(np.abs(covs).max(initial=0.0)))
         herm_gap = float(np.abs(covs - covs.conj().transpose(0, 2, 1)).max(initial=0.0))
         if herm_gap > 1e-12 * scale:
@@ -149,16 +136,8 @@ class GmmUserModel:
 
     def _set_user_terms(self):
         """Validate the weights and noise level and derive the user's own terms."""
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1:
-            raise DimensionError("weights must be a vector")
-        if self.weights.size != self.n_components:
-            raise DimensionError("weights must have one entry per component")
-        # written so that a NaN fails them
-        if not (np.all(self.weights >= 0) and abs(self.weights.sum() - 1.0) <= 1e-12):
-            raise InvalidParameterError("weights must be nonnegative and sum to 1")
-        if not self.noise_std > 0:
-            raise InvalidParameterError("noise_std must be positive")
+        self.weights = simplex(self.weights, "weights", self.n_components)
+        number(self.noise_std, "noise_std", "must be positive")
         self.mixture_mean = self.weights @ self.means
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
@@ -198,15 +177,10 @@ class SensingScene:
     def __post_init__(self):
         object.__setattr__(self, "clutter", tuple((float(a), float(p)) for a, p in self.clutter))
         angles = (self.target_angle, *(a for a, _ in self.clutter))
-        if not np.isfinite(angles).all():
-            raise InvalidParameterError("target and clutter angles must be finite")
-        # written so that a NaN fails them
-        if not self.target_power >= 0:
-            raise InvalidParameterError("target power must be nonnegative")
-        if not all(p >= 0 for _, p in self.clutter):
-            raise InvalidParameterError("clutter powers must be nonnegative")
-        if not self.radar_noise_std > 0:
-            raise InvalidParameterError("radar noise std must be positive")
+        finite_array(angles, "target and clutter angles", 1)
+        powers = (self.target_power, *(p for _, p in self.clutter))
+        finite_array(powers, "target and clutter powers", 1, "must be nonnegative")
+        number(self.radar_noise_std, "radar noise std", "must be positive")
 
     @cached_property
     def _sense_terms(self) -> tuple:
@@ -240,13 +214,12 @@ class PilotMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2:
-            raise DimensionError("pilot must be a matrix")
+        # finite first: an infinite entry would make the row Gram NaN through inf * 0
+        self.entries = finite_array(self.entries, "pilot", 2, dtype=complex)
         n_slots, n_tx = self.entries.shape
         if n_slots >= n_tx:
             raise DimensionError("pilot length must be strictly below the antenna count")
-        if not self.residual <= ORTHONORMALITY_TOL:  # written so that a NaN fails it
+        if self.residual > ORTHONORMALITY_TOL:
             raise InvalidParameterError("pilot rows are not orthonormal")
 
     @property
@@ -295,10 +268,9 @@ def build_user_models(
     shares its prior's read-only means and stacked factor, and has its own
     weights and noise level, validated on every call.
     """
-    if n_components < 1:
-        raise InvalidParameterError("n_components must be >= 1")
-    if mean_policy not in ("zero", "steering"):
-        raise InvalidParameterError(f"unknown mean_policy {mean_policy!r}")
+    count(n_components, "n_components")
+    number(mean_scale, "mean_scale")
+    one_of(mean_policy, "mean_policy", MEAN_POLICIES)
     edges = np.linspace(-90.0, 90.0, n_components + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     weights = [laplacian_weights(aoa, spread, centers) for aoa, spread, _ in users]
@@ -340,8 +312,7 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
     BLAS call: on a strided view of ``stacked`` NumPy takes its non-BLAS
     loop, whose last bits differ, and the draws would change.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    count(n_samples, "n_samples")
     blocks = np.ascontiguousarray(model.factor.transpose(2, 0, 1))  # (N_k, N_t, q)
     indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
     z = complex_normal(rng, (n_samples, model.n_tx))

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
 
-from .channel import ArrayGeometry, SensingScene, build_user_models
-from .errors import IsacPilotError
+from .channel import MEAN_POLICIES, ArrayGeometry, SensingScene, build_user_models
+from .errors import InvalidParameterError, IsacPilotError
+from .errors import count, finite_array, number, one_of, simplex
 from .metrics import SENSING_FORMULAS, IsacObjective
 from .optimizer import OptimizerConfig
 
@@ -61,26 +62,17 @@ def _fields(mapping, table: dict, path: str) -> dict:
         if value is REQUIRED:
             raise ConfigError(f"{path}.{key}: required key is missing")
         if value is not ABSENT:
-            fields[key] = parse(value, f"{path}.{key}")
+            fields[key] = _parsed(parse, value, f"{path}.{key}")
     return fields
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
+def _parsed(parse, value, path: str):
+    """``parse(value, path)``, with the error of a rule of ``errors`` re-raised
+    as a ``ConfigError`` of the same text (the rule names ``path``)."""
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):  # YAML reads .nan and .inf as floats
-        raise ConfigError(f"{path}: expected a finite number")
-    return number
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
+        return parse(value, path)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _string(value, path: str) -> str:
@@ -89,28 +81,12 @@ def _string(value, path: str) -> str:
     return value
 
 
-def _checked(parse, holds, rule: str):
-    """``parse``, then reject a value for which ``holds`` is false, stating ``rule``."""
-
-    def parse_checked(value, path):
-        value = parse(value, path)
-        if not holds(value):
-            raise ConfigError(f"{path}: {rule}")
-        return value
-
-    return parse_checked
-
-
-def _at_least(low: int):
-    return _checked(_integer, lambda n: n >= low, f"must be at least {low}")
-
-
 def _as_is(value, path: str):
     return value
 
 
 def _one_of(*options):
-    return _checked(_as_is, lambda value: value in options, f"expected one of {options}")
+    return partial(one_of, options=options)
 
 
 def _list(parse, noun: str = "", nonempty: bool = True):
@@ -125,30 +101,34 @@ def _list(parse, noun: str = "", nonempty: bool = True):
     return parse_list
 
 
+def _numbers_that(rule: str):
+    """A nonempty list of numbers that all obey ``rule`` (``errors.RULES``)."""
+    return lambda value, path: finite_array(_numbers(value, path), path, 1, rule).tolist()
+
+
 def _section(table: dict, name: str | None = None):
     """A nested section; ``name`` replaces the path of a top-level one."""
     return lambda value, path: _fields(value, table, name or path)
 
 
-_count = _at_least(1)
-_seed = _at_least(0)
-_positive = _checked(_number, lambda x: x > 0.0, "must be positive")
-_nonnegative = _checked(_number, lambda x: x >= 0.0, "must be nonnegative")
-_fraction = _checked(_number, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
-_numbers = _list(_number, " of numbers")
-_fractions = _checked(_numbers, lambda xs: all(0.0 <= x <= 1.0 for x in xs), "values must lie in [0, 1]")
-_probabilities = _checked(_numbers, lambda xs: all(0.0 < x <= 1.0 for x in xs), "values must lie in (0, 1]")
+_seed = partial(count, low=0)
+_positive = partial(number, rule="must be positive")
+_nonnegative = partial(number, rule="must be nonnegative")
+_fraction = partial(number, rule="must lie in [0, 1]")
+_numbers = _list(number, " of numbers")
+_fractions = _numbers_that("must lie in [0, 1]")
+_probabilities = _numbers_that("must lie in (0, 1]")
 _source = _one_of(*PILOT_SOURCES)
 
 _USER = {
-    "mean_aoa_deg": (_number, REQUIRED),
+    "mean_aoa_deg": (number, REQUIRED),
     "azimuth_spread_deg": (_positive, REQUIRED),
     "noise_std": (_positive, REQUIRED),
     "weight": (_fraction, ABSENT),
 }
-_CLUTTER = {"angle_deg": (_number, REQUIRED), "power": (_nonnegative, REQUIRED)}
+_CLUTTER = {"angle_deg": (number, REQUIRED), "power": (_nonnegative, REQUIRED)}
 _SCENE = {
-    "target_angle_deg": (_number, REQUIRED),
+    "target_angle_deg": (number, REQUIRED),
     "target_power": (_nonnegative, REQUIRED),
     "radar_noise_std": (_positive, REQUIRED),
     # kept as (angle, power) pairs
@@ -158,18 +138,18 @@ _SCENE = {
     ),
 }
 _GEOMETRY = {
-    "n_tx": (_count, REQUIRED),
-    "n_rx": (_count, REQUIRED),
+    "n_tx": (count, REQUIRED),
+    "n_rx": (count, REQUIRED),
     "spacing_tx": (_positive, 0.5),
     "spacing_rx": (_positive, 0.5),
 }
 _SCENARIO = {
     "geometry": (_section(_GEOMETRY), REQUIRED),
-    "pilot_len": (_count, REQUIRED),
-    "n_components": (_count, REQUIRED),
-    "quadrature_points": (_count, 8),
-    "mean_policy": (_one_of("steering", "zero"), "steering"),
-    "mean_scale": (_number, 1.0),
+    "pilot_len": (count, REQUIRED),
+    "n_components": (count, REQUIRED),
+    "quadrature_points": (count, 8),
+    "mean_policy": (_one_of(*MEAN_POLICIES), "steering"),
+    "mean_scale": (number, 1.0),
     "sensing_formula": (_one_of(*SENSING_FORMULAS), "approx"),
     "rho": (_fraction, ABSENT),
     "users": (_list(_section(_USER)), REQUIRED),
@@ -177,7 +157,7 @@ _SCENARIO = {
 }
 _OPTIMIZER = {  # the defaults are those of OptimizerConfig
     "step_size": (_positive, OptimizerConfig.step_size),
-    "max_iters": (_count, OptimizerConfig.max_iters),
+    "max_iters": (count, OptimizerConfig.max_iters),
     "rel_tol": (_nonnegative, OptimizerConfig.rel_tol),
 }
 # task name: the table of the task's config section, which is named by the
@@ -185,22 +165,22 @@ _OPTIMIZER = {  # the defaults are those of OptimizerConfig
 TASKS = {
     "optimize": {},
     "sweep": {"rho_values": (_fractions, REQUIRED)},
-    "pareto-cloud": {"samples": (_count, REQUIRED)},
+    "pareto-cloud": {"samples": (count, REQUIRED)},
     "roc": {
-        "trials": (_count, REQUIRED),
+        "trials": (count, REQUIRED),
         "p_fa": (_probabilities, REQUIRED),
         "pilot_source": (_source, "optimized"),
     },
-    "nmse": {"trials": (_count, REQUIRED), "sources": (_list(_source), list(PILOT_SOURCES))},
+    "nmse": {"trials": (count, REQUIRED), "sources": (_list(_source), list(PILOT_SOURCES))},
     "ser": {
         "snr_grid_db": (_numbers, REQUIRED),
-        "n_symbols": (_count, REQUIRED),
-        "block_len": (_count, 100),
+        "n_symbols": (count, REQUIRED),
+        "block_len": (count, 100),
         "sources": (_list(_source), ["optimized", "random"]),
     },
-    "gradcheck": {"instances": (_count, 5), "step": (_positive, 1e-4), "tolerance": (_positive, 1e-5)},
+    "gradcheck": {"instances": (count, 5), "step": (_positive, 1e-4), "tolerance": (_positive, 1e-5)},
     # a rank correlation needs at least two pilots
-    "diagnostics": {"pilots": (_at_least(2), 50), "trials": (_count, REQUIRED), "block_len": (_count, 100)},
+    "diagnostics": {"pilots": (partial(count, low=2), 50), "trials": (count, REQUIRED), "block_len": (count, 100)},
 }
 _SECTION_OF = {task: task.split("-")[-1] for task in TASKS}
 _TOP = {
@@ -266,11 +246,11 @@ def parse_config(path: str, seed_override: int | None = None, out_override: str 
     weights = [user["weight"] for user in scenario["users"] if "weight" in user]
     if weights and len(weights) < len(scenario["users"]):
         raise ConfigError("scenario.users: either give every user a weight or none")
-    if weights and abs(sum(weights) - 1.0) > 1e-12:
-        raise ConfigError("scenario.users: weights must sum to 1")
+    if weights:
+        _parsed(partial(simplex, size=len(weights)), weights, "scenario.users")
     return ExperimentConfig(
         task=task,
-        seed=top["seed"] if seed_override is None else _seed(seed_override, "--seed"),
+        seed=top["seed"] if seed_override is None else _parsed(_seed, seed_override, "--seed"),
         output_dir=top["output_dir"] if out_override is None else out_override,
         scenario=scenario,
         optimizer=OptimizerConfig(**top["optimizer"]),

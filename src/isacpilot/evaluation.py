@@ -25,9 +25,11 @@ import numpy as np
 from .channel import GmmUserModel, PilotMatrix, SensingScene, sample_channels
 from .errors import (
     DimensionError,
-    InvalidParameterError,
-    NumericError,
     SingularMatrixError,
+    count,
+    finite_array,
+    number,
+    simplex,
 )
 from .metrics import _detector_scalars, _one_pilot, comm_state
 from .optimizer import project_stiefel
@@ -90,8 +92,7 @@ def simulate_detection_trials(
     the result is a strided view of that buffer, so the statistics take
     16 B per trial and both rows keep the buffer alive.
     """
-    if n_trials < 1:
-        raise InvalidParameterError("n_trials must be >= 1")
+    count(n_trials, "n_trials")
     proj, w_norm2 = _detector_scalars(_one_pilot(pilot), scene)  # a stack raises, before any draw
     clutter = np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)  # 0.0 without clutter
     scale = np.sqrt(scene.radar_noise_std**2 * w_norm2 + clutter)  # sqrt(a)
@@ -137,11 +138,8 @@ def roc_curve(
     rest.  The thresholds then partition the h0 statistics in place, so no
     copy of either is made.
     """
-    if n_trials < 1000:
-        raise InvalidParameterError("at least 1e3 trials are needed for usable tails")
-    p_fa = np.sort(np.asarray(p_fa_grid, dtype=float))
-    if not np.all((p_fa > 0) & (p_fa <= 1)):  # written so that a NaN fails it
-        raise InvalidParameterError("false-alarm targets must lie in (0, 1]")
+    count(n_trials, "n_trials", 1000)  # fewer leave the tails unusable
+    p_fa = np.sort(finite_array(p_fa_grid, "false-alarm targets", 1, "must lie in (0, 1]"))
     flat = simulate_detection_trials(pilot, scene, n_trials, rng).T.reshape(-1)  # a view
     half = n_trials // 2
     h1_first = flat[1 : 2 * half : 2]  # h1 of trials 0 .. half - 1
@@ -191,15 +189,13 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     normalized; weights below e^WEIGHT_CUT times a trial's largest are
     exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
     the weights and the mixed gains.  A non-finite observation raises
-    ``NumericError`` naming its row.
+    ``NonFiniteError``, a ``NumericError``, naming its entry.
     """
     phi = _one_pilot(pilot)
-    obs = np.atleast_2d(np.asarray(observations, dtype=complex))
+    # a non-finite entry would turn every weight of its trial into NaN
+    obs = np.atleast_2d(finite_array(observations, "observations", (1, 2), dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
-    finite = np.isfinite(obs).all(axis=1)
-    if not finite.all():  # checked first: it would turn every weight of its trial into NaN
-        raise NumericError(f"observation row {int(np.argmin(finite))} has a NaN or infinite entry")
     state = comm_state(phi, [model])
     n_trials, n_slots = obs.shape
     n_comp, n_tx = model.n_components, model.n_tx
@@ -269,8 +265,7 @@ def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random
 def effective_training_snr(error_variance: float) -> float:
     """Effective data-phase SNR 2/(1 + err) - 1 under the estimation
     orthogonality identity, clipped at 0; equals 1 for perfect estimation."""
-    if not error_variance >= 0:  # written so that a NaN fails it
-        raise InvalidParameterError("error variance must be nonnegative")
+    number(error_variance, "error variance", "must be nonnegative")
     return max(2.0 / (1.0 + error_variance) - 1.0, 0.0)
 
 
@@ -289,10 +284,8 @@ def c_worst_estimate(
     normalized to unit average entry power.  Trials whose estimates are all
     zero are skipped.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    if not 1 <= block_len < np.inf:  # written so that a NaN fails it
-        raise InvalidParameterError("block_len must be finite and >= 1")
+    count(trials, "trials")
+    count(block_len, "block_len")
     phi = _one_pilot(pilot)
     n_slots, n_tx = phi.shape
     n_users = len(users)
@@ -327,8 +320,7 @@ def nmse_experiment(
     Channel and noise substreams are spawned per user in fixed order and do
     not depend on the pilot, so different pilots see identical trials.
     """
-    if n_trials < 1:
-        raise InvalidParameterError("n_trials must be >= 1")
+    count(n_trials, "n_trials")
     phi = _one_pilot(pilot)
     per_user = np.empty(len(users))
     streams = rng.spawn(len(users))
@@ -354,8 +346,8 @@ def zf_precode(channel_estimates: np.ndarray) -> np.ndarray:
     power; H W is then diagonal with positive entries.  A block whose Gram
     is numerically rank deficient raises, naming the block.
     """
-    h = np.asarray(channel_estimates, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] > h.shape[-1]:
+    h = finite_array(channel_estimates, "channel estimates", (2, None), dtype=complex)
+    if h.shape[-2] > h.shape[-1]:
         raise DimensionError("estimate matrix must be K x N_t with K <= N_t")
     gram = np.einsum("...kn,...jn->...kj", h, h.conj())
     eigvals = np.linalg.eigvalsh(gram)
@@ -389,15 +381,9 @@ def ser_experiment(
     multiple of ``block_len``.  A point's symbols are drawn in one call, then
     formed, noised and decided in runs of whole blocks (``_SER_RUN``).
     """
-    if n_symbols < 1000:
-        raise InvalidParameterError("at least 1e3 symbols are needed per SNR point")
-    if not 1 <= block_len < np.inf:  # written so that a NaN fails it
-        raise InvalidParameterError("block_len must be finite and >= 1")
-    snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    finite = np.isfinite(snr_grid_db)
-    if not finite.all():  # a NaN or -inf point would read SER 1.0
-        point = int(np.argmin(finite))
-        raise InvalidParameterError(f"SNR point {point} ({snr_grid_db[point]} dB) is not finite")
+    count(n_symbols, "n_symbols", 1000)  # per SNR point
+    count(block_len, "block_len")
+    snr_grid_db = finite_array(snr_grid_db, "SNR grid", 1)  # a NaN or -inf point would read SER 1.0
     phi = _one_pilot(pilot)
     n_users = len(users)
     n_blocks = int(np.ceil(n_symbols / block_len))
@@ -431,6 +417,8 @@ def ser_experiment(
 
 def dft_pilot(n_slots: int, n_tx: int) -> PilotMatrix:
     """Pilot rows drawn from the unitary DFT matrix (benchmark design)."""
+    count(n_slots, "n_slots")
+    count(n_tx, "n_tx")
     grid = np.outer(np.arange(n_slots), np.arange(n_tx))
     return PilotMatrix(np.exp(-2j * np.pi * grid / n_tx) / np.sqrt(n_tx))
 
@@ -444,6 +432,8 @@ def eigen_pilot(n_slots: int, users: list, user_weights) -> PilotMatrix:
     column j N_k + n scaled by sqrt(alpha_n), X X^H = sum_n alpha_n (A_n A_n^H
     + mu_n mu_n^H).
     """
+    user_weights = simplex(user_weights, "user weights", len(users))
+    count(n_slots, "n_slots")
     n_tx = users[0].n_tx
     pooled = np.zeros((n_tx, n_tx), dtype=complex)
     for weight, model in zip(user_weights, users):

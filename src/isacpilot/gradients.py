@@ -96,7 +96,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import SensingScene
-from .errors import DimensionError, InvalidParameterError, NumericError
+from .errors import DimensionError, NumericError, number
 from .metrics import (
     CommState,
     IsacObjective,
@@ -193,8 +193,7 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     analytic derivative that is not finite raises ``NumericError`` naming
     the pilot entry, since a NaN error would otherwise drop out of the max.
     """
-    if not step > 0:  # written so that a NaN fails it
-        raise InvalidParameterError("finite-difference step must be positive")
+    number(step, "step", "must be positive")
     phi = _one_pilot(pilot).copy()
     g_entries = np.asarray(gradient_fn(phi))
 

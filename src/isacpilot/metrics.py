@@ -13,12 +13,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SensingScene, pilot_entries
+from .channel import PilotMatrix, SensingScene
 from .errors import (
     DimensionError,
     InvalidParameterError,
     NumericError,
     ObjectiveDomainError,
+    finite_array,
+    number,
+    one_of,
+    simplex,
 )
 
 SENSING_FORMULAS = ("approx", "exact")
@@ -43,16 +47,9 @@ class IsacObjective:
     sensing_formula: str = "approx"
 
     def __post_init__(self):
-        self.user_weights = np.asarray(self.user_weights, dtype=float)
-        if not 0.0 <= self.rho <= 1.0:
-            raise InvalidParameterError("rho must lie in [0, 1]")
-        if self.sensing_formula not in SENSING_FORMULAS:
-            raise InvalidParameterError(f"unknown sensing formula {self.sensing_formula!r}")
-        if self.user_weights.ndim != 1 or self.user_weights.size != len(self.users):
-            raise DimensionError("one weight per user model is required")
-        # written so that a NaN weight fails them
-        if not abs(self.user_weights.sum() - 1.0) <= 1e-12 or not np.all(self.user_weights >= 0):
-            raise InvalidParameterError("user weights must be nonnegative and sum to 1")
+        number(self.rho, "rho", "must lie in [0, 1]")
+        one_of(self.sensing_formula, "sensing_formula", SENSING_FORMULAS)
+        self.user_weights = simplex(self.user_weights, "user weights", len(self.users))
         groups = {}
         for w, m in zip(self.user_weights, self.users):
             weights, users = groups.setdefault((id(m.stacked), m.noise_std), ([], []))
@@ -116,23 +113,22 @@ class SenseState(NamedTuple):
     z: np.ndarray  # (Q,) clutter weights z_i, i = 1..Q
 
 
-def _pilots(pilot) -> np.ndarray:
-    """The entries of one pilot (L, N_t) or of a stack of pilots (P, L, N_t)."""
-    phi = pilot_entries(pilot)
-    if phi.ndim not in (2, 3):
-        raise DimensionError("a pilot is an (L, N_t) matrix and a stack of pilots (P, L, N_t)")
-    if not np.isfinite(phi).all():  # checked first: inf * 0 in a product warns
-        raise NumericError("pilot has a NaN or infinite entry")
-    return phi
+def _pilots(pilot, ndim=(2, 3)) -> np.ndarray:
+    """The entries of one pilot (L, N_t) or of a stack of pilots (P, L, N_t).
+
+    A bare array is checked here, before any product, where an infinite
+    entry would warn through inf * 0; a ``PilotMatrix`` was checked when
+    it was built.
+    """
+    if isinstance(pilot, PilotMatrix):
+        return pilot.entries
+    return finite_array(pilot, "pilot", ndim, dtype=complex)
 
 
 def _one_pilot(pilot) -> np.ndarray:
     """The (L, N_t) entries of a pilot where a stack is not accepted: the
     gradient, the detector and the Monte Carlo routines."""
-    phi = pilot_entries(pilot)
-    if phi.ndim != 2:
-        raise DimensionError("this routine takes one (L, N_t) pilot, not a stack")
-    return phi
+    return _pilots(pilot, 2)
 
 
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
@@ -313,8 +309,7 @@ def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseSta
     sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x the
     whitened target-to-interference ratio of ``_detector_scalars``.
     """
-    if formula not in SENSING_FORMULAS:
-        raise InvalidParameterError(f"unknown sensing formula {formula!r}")
+    one_of(formula, "formula", SENSING_FORMULAS)
     phi = _pilots(pilot)
     if phi.shape[-1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")

@@ -14,11 +14,13 @@ import numpy as np
 
 from .channel import PilotMatrix, pilot_entries
 from .errors import (
-    InvalidParameterError,
+    DimensionError,
     IsacPilotError,
-    NumericError,
     ObjectiveDomainError,
     SingularMatrixError,
+    count,
+    finite_array,
+    number,
 )
 from .gradients import isac_value_and_grad
 from .metrics import IsacObjective, comm_mi_weighted, sensing_mi
@@ -39,13 +41,9 @@ class OptimizerConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        # written so that a NaN fails them
-        if not self.step_size > 0:
-            raise InvalidParameterError("step_size must be positive")
-        if not self.max_iters >= 1:
-            raise InvalidParameterError("max_iters must be >= 1")
-        if not self.rel_tol >= 0:
-            raise InvalidParameterError("rel_tol must be nonnegative")
+        number(self.step_size, "step_size", "must be positive")
+        count(self.max_iters, "max_iters")
+        number(self.rel_tol, "rel_tol", "must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -69,13 +67,10 @@ class OptimizationTrace:
 def project_stiefel(z) -> PilotMatrix:
     """Closest row-orthonormal matrix to z in Frobenius norm (polar factor).
 
-    A NaN or infinite entry raises ``NumericError``: the SVD would either
-    fail with a ``LinAlgError`` or return NaN factors.
+    A NaN or infinite entry raises ``NonFiniteError``, a ``NumericError``:
+    the SVD would either fail with a ``LinAlgError`` or return NaN factors.
     """
-    z = np.asarray(pilot_entries(z), dtype=complex)
-    if not np.isfinite(z).all():
-        raise NumericError("projection input has a NaN or infinite entry")
-    return PilotMatrix(_polar(z))
+    return PilotMatrix(_polar(finite_array(pilot_entries(z), "projection input", 2, dtype=complex)))
 
 
 def _polar(z: np.ndarray) -> np.ndarray:
@@ -90,6 +85,8 @@ def _polar(z: np.ndarray) -> np.ndarray:
 
 def random_stiefel(n_slots: int, n_tx: int, rng: np.random.Generator) -> PilotMatrix:
     """Random orthogonal pilot: projected i.i.d. complex Gaussian matrix."""
+    count(n_slots, "n_slots")
+    count(n_tx, "n_tx")
     return project_stiefel(complex_normal(rng, (n_slots, n_tx)))
 
 
@@ -150,15 +147,19 @@ def pareto_filter(points) -> list:
     sort, x then y both descending, gives the staircase of 2-D maxima (Kung,
     Luccio & Preparata, J. ACM 22, 1975): a point is dominated iff a point
     in its run of equal x has a larger y, or a point with a larger x has a y
-    at least as large.  A point that is not a finite (x, y) pair raises
-    ``InvalidParameterError``.
+    at least as large.  A point that is not a finite (x, y) pair raises an
+    ``IsacPilotError`` before any sort.
     """
-    pts = [tuple(p) for p in points]
+    try:
+        pts = [tuple(p) for p in points]
+    except TypeError:  # a number, or numbers in place of pairs
+        raise DimensionError("points: expected (x, y) pairs") from None
     if not pts:
         return []
-    if any(len(p) != 2 for p in pts) or not np.isfinite(np.asarray(pts, dtype=float)).all():
-        raise InvalidParameterError("pareto_filter takes finite (x, y) pairs")
-    x, y = np.asarray(pts, dtype=float).T
+    xy = finite_array(pts, "points", 2)
+    if xy.shape[1] != 2:
+        raise DimensionError("points: expected (x, y) pairs")
+    x, y = xy.T
     order = np.lexsort((-y, -x))
     xs, ys = x[order], y[order]
     first = np.r_[True, xs[1:] != xs[:-1]]  # each run of equal x, its largest y first
@@ -187,8 +188,8 @@ def sample_feasible_cloud(
     sensing metric's domain raises ``ObjectiveDomainError`` naming its
     sample.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    count(n_samples, "n_samples")
+    count(n_slots, "n_slots")
     n_tx = objective.scene.geometry.n_tx
     pairs = np.empty((n_samples, 2))
     for start in range(0, n_samples, CLOUD_STACK):

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import count
+
 
 def _key_words(part) -> tuple[int, ...]:
     digest = hashlib.sha256(repr(part).encode("utf-8")).digest()
@@ -24,6 +26,7 @@ def substream(master_seed: int, *parts) -> np.random.Generator:
     ``parts`` (ints or strings) identify the logical role, e.g.
     ``substream(seed, "roc", rep, "h0")``.
     """
+    count(master_seed, "master_seed", 0)
     key: tuple[int, ...] = ()
     for part in parts:
         key = key + _key_words(part)
@@ -32,7 +35,8 @@ def substream(master_seed: int, *parts) -> np.random.Generator:
 
 def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """Standard circular complex Gaussian draws, unit variance per entry."""
-    z = rng.standard_normal(size=tuple(np.atleast_1d(shape)) + (2,))
+    size = tuple(count(n, "shape", 0) for n in np.atleast_1d(shape))
+    z = rng.standard_normal(size=size + (2,))
     # each (re, im) pair read in place as re + 1j*im: no complex temporaries
     w = z.view(complex)[..., 0]
     w /= np.sqrt(2.0)

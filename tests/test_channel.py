@@ -1,5 +1,7 @@
 """Tests for array geometry, GMM channel construction and channel sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,13 +176,13 @@ class TestGmmUserModelValidation:
         # finite rank-1 stack with no error
         covs = np.stack([np.eye(2, dtype=complex)] * 2)
         covs[1, 0, 0] = bad
-        with pytest.raises(InvalidParameterError, match="covariances must be finite"):
+        with pytest.raises(ip.NonFiniteError, match=r"^covariances\[1, 0, 0\]: expected a finite number$"):
             GmmUserModel([0.5, 0.5], np.zeros((2, 2)), covs, 0.3)
 
     def test_rejects_a_covariance_stack_that_is_not_3d(self):
-        with pytest.raises(ip.DimensionError, match="stack"):
+        with pytest.raises(ip.DimensionError, match="^covariances: expected a 3-D array$"):
             GmmUserModel([0.5, 0.5], np.zeros((2, 2)), np.eye(2), 0.1)
-        with pytest.raises(ip.DimensionError, match="means must be"):
+        with pytest.raises(ip.DimensionError, match="^means: expected a 2-D array$"):
             GmmUserModel([1.0], np.zeros(1), np.eye(3)[None], 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -293,12 +295,13 @@ class TestPilotMatrixValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_entry(self, bad):
-        # the residual is then NaN, which a "residual > tol" test lets through;
-        # an infinite entry makes it NaN through inf * 0 in the row Gram
+        # checked before the row Gram, where an infinite entry would make the
+        # residual NaN through inf * 0 and warn; a warning fails the test
         entries = np.eye(5, dtype=complex)[:2]
         entries[1, 3] = bad
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(InvalidParameterError, match="not orthonormal"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ip.NonFiniteError, match=r"^pilot\[1, 3\]: expected a finite number$"):
                 PilotMatrix(entries)
 
     def test_accepts_orthonormal(self):

@@ -255,7 +255,7 @@ class TestCommState:
         phi[1, 3] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ip.NumericError, match="NaN or infinite"):
+            with pytest.raises(ip.NumericError, match=r"^pilot\[1, 3\]: expected a finite number$"):
                 comm_state(phi, [model])
 
     def test_matches_dense_formula(self):
@@ -763,7 +763,7 @@ class TestMixtureEstimator:
         obs[7, 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ip.NumericError, match="observation row 7 "):
+            with pytest.raises(ip.NumericError, match=r"^observations\[7, 2\]: expected a finite number$"):
                 ip.gmm_mmse_batch(obs, pilot, model)
 
 

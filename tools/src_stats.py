@@ -8,6 +8,8 @@ For each module under ``src/isacpilot`` and in total it prints
   everything else is classified with ``tokenize``);
 - ``long``: lines longer than ``LONG`` characters, so that a drop in code
   lines made by joining lines shows up in review;
+- ``raises``: ``raise`` statements, so that input checks moving into the
+  shared rules of ``errors.py`` show up in review;
 
 followed by the number of public names that ``isacpilot/__init__.py`` binds,
 those of them that no other module of the package references (names that
@@ -62,6 +64,11 @@ def code_lines(source: str) -> int:
         if token.type not in NON_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - skip)
+
+
+def raise_count(source: str) -> int:
+    """``raise`` statements in ``source`` (syntax-tree nodes, so not in strings)."""
+    return sum(isinstance(node, ast.Raise) for node in ast.walk(ast.parse(source)))
 
 
 def public_names(init: Path) -> set:
@@ -128,17 +135,15 @@ def linalg_calls(path: Path) -> list:
 
 def main(argv: list) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "isacpilot"
-    total_lines = total_code = total_long = 0
-    print(f"{'module':<20}{'lines':>8}{'code':>8}{'long':>8}")
+    totals = [0, 0, 0, 0]
+    print(f"{'module':<20}{'lines':>8}{'code':>8}{'long':>8}{'raises':>8}")
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        lines, code = len(source.splitlines()), code_lines(source)
         long = sum(len(line) > LONG for line in source.splitlines())
-        total_lines += lines
-        total_code += code
-        total_long += long
-        print(f"{path.name:<20}{lines:>8}{code:>8}{long:>8}")
-    print(f"{'total':<20}{total_lines:>8}{total_code:>8}{total_long:>8}")
+        row = [len(source.splitlines()), code_lines(source), long, raise_count(source)]
+        totals = [total + value for total, value in zip(totals, row)]
+        print(f"{path.name:<20}" + "".join(f"{value:>8}" for value in row))
+    print(f"{'total':<20}" + "".join(f"{value:>8}" for value in totals))
     names = public_names(package / "__init__.py")
     print(f"public names in {package.name}: {len(names)}")
     unused = unreferenced(package, names)
