@@ -55,7 +55,12 @@ def laplacian_weights(mean_aoa_deg: float, spread_deg: float, grid_deg: np.ndarr
     grid = finite_array(grid_deg, "angle grid", 1)
     w = np.exp(-np.sqrt(2.0) * np.abs(grid - mean_aoa_deg) / spread_deg)
     w /= np.sqrt(2.0) * spread_deg
-    return w / w.sum()
+    total = w.sum()
+    if not total > 0.0:  # e.g. a spread far narrower than the grid's distance to the mean
+        raise InvalidParameterError(
+            f"azimuth spread: {spread_deg:g} leaves every weight 0 on the angle grid"
+        )
+    return w / total
 
 
 def _region_covariances(
@@ -237,11 +242,18 @@ class PilotMatrix:
         return float(np.linalg.norm(gram - np.eye(self.n_slots)))
 
 
-def pilot_entries(pilot) -> np.ndarray:
-    """Accept a PilotMatrix or a bare complex matrix (used off-manifold)."""
+def pilot_entries(pilot, ndim=2, name: str = "pilot") -> np.ndarray:
+    """The entries of a pilot argument, the package's one reader of it.
+
+    A ``PilotMatrix`` gives its entries, which were checked when it was
+    built.  Any other value, such as an off-manifold iterate, is checked as
+    a finite complex array of ``ndim`` axes (2 for one pilot (L, N_t),
+    (2, 3) for one pilot or a stack (P, L, N_t)) before any product, where
+    an infinite entry would warn through inf * 0.
+    """
     if isinstance(pilot, PilotMatrix):
         return pilot.entries
-    return np.asarray(pilot, dtype=complex)
+    return finite_array(pilot, name, ndim, dtype=complex)
 
 
 def build_user_models(

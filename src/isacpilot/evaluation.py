@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GmmUserModel, PilotMatrix, SensingScene, sample_channels
+from .channel import GmmUserModel, PilotMatrix, SensingScene, pilot_entries, sample_channels
 from .errors import (
     DimensionError,
     SingularMatrixError,
@@ -31,7 +31,7 @@ from .errors import (
     number,
     simplex,
 )
-from .metrics import _detector_scalars, _one_pilot, comm_state
+from .metrics import comm_state, sense_state
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
@@ -71,6 +71,26 @@ class RocCurve:
     low_resolution: np.ndarray  # True where p_fa is below 1/n_trials
 
 
+def _detector_scalars(pilot, scene: SensingScene) -> tuple:
+    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter
+    w = (R_cc + sigma^2 I)^{-1} mu_0 of one pilot.
+
+    Rank-Q identity: with the exact clutter weights z of ``sense_state``,
+    w = (mu_0 - sum_i z_i mu_i) / sigma^2, so w^H mu_j = (gram[0, j] -
+    sum_i conj(z_i) gram[i, j]) / sigma^2 and ||w||^2 sigma^4 =
+    gram[0, 0] - 2 Re b^H z + Re z^H G z with b = gram[1:, 0] and G the
+    clutter Gram; nothing of size N_r*L is formed.  nu_0 Re proj[0] is the
+    whitened target-to-interference ratio x behind the exact sensing metric.
+    """
+    state = sense_state(pilot, scene, "exact")
+    gram, z = state.gram, state.z
+    sigma2 = scene.radar_noise_std**2
+    proj = (gram[0] - z.conj() @ gram[1:]) / sigma2
+    b_z = np.vdot(gram[1:, 0], z).real
+    z_g_z = np.vdot(z, gram[1:, 1:] @ z).real
+    return proj, (gram[0, 0].real - 2.0 * b_z + z_g_z) / sigma2**2
+
+
 def simulate_detection_trials(
     pilot, scene: SensingScene, n_trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -93,7 +113,8 @@ def simulate_detection_trials(
     16 B per trial and both rows keep the buffer alive.
     """
     count(n_trials, "n_trials")
-    proj, w_norm2 = _detector_scalars(_one_pilot(pilot), scene)  # a stack raises, before any draw
+    # one pilot: a stack raises here, before any draw
+    proj, w_norm2 = _detector_scalars(pilot_entries(pilot), scene)
     clutter = np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)  # 0.0 without clutter
     scale = np.sqrt(scene.radar_noise_std**2 * w_norm2 + clutter)  # sqrt(a)
     # draws come in blocks of DETECTION_BLOCK trials, all interference, then
@@ -191,12 +212,12 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     the weights and the mixed gains.  A non-finite observation raises
     ``NonFiniteError``, a ``NumericError``, naming its entry.
     """
-    phi = _one_pilot(pilot)
+    phi = pilot_entries(pilot)
     # a non-finite entry would turn every weight of its trial into NaN
     obs = np.atleast_2d(finite_array(observations, "observations", (1, 2), dtype=complex))
     if obs.shape[1] != phi.shape[0]:
         raise DimensionError("observation length must equal the pilot length")
-    state = comm_state(phi, [model])
+    state = comm_state(pilot, [model])
     n_trials, n_slots = obs.shape
     n_comp, n_tx = model.n_components, model.n_tx
     b = state.b.transpose(2, 0, 1)  # B_n (N_k, L, q)
@@ -286,7 +307,7 @@ def c_worst_estimate(
     """
     count(trials, "trials")
     count(block_len, "block_len")
-    phi = _one_pilot(pilot)
+    phi = pilot_entries(pilot)
     n_slots, n_tx = phi.shape
     n_users = len(users)
 
@@ -321,7 +342,7 @@ def nmse_experiment(
     not depend on the pilot, so different pilots see identical trials.
     """
     count(n_trials, "n_trials")
-    phi = _one_pilot(pilot)
+    phi = pilot_entries(pilot)
     per_user = np.empty(len(users))
     streams = rng.spawn(len(users))
     for k, (model, stream) in enumerate(zip(users, streams)):
@@ -384,7 +405,7 @@ def ser_experiment(
     count(n_symbols, "n_symbols", 1000)  # per SNR point
     count(block_len, "block_len")
     snr_grid_db = finite_array(snr_grid_db, "SNR grid", 1)  # a NaN or -inf point would read SER 1.0
-    phi = _one_pilot(pilot)
+    phi = pilot_entries(pilot)
     n_users = len(users)
     n_blocks = int(np.ceil(n_symbols / block_len))
 

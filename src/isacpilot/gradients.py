@@ -95,17 +95,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import SensingScene
+from .channel import SensingScene, pilot_entries
 from .errors import DimensionError, NumericError, number
-from .metrics import (
-    CommState,
-    IsacObjective,
-    SenseState,
-    _log_arg,
-    _one_pilot,
-    comm_state,
-    sense_state,
-)
+from .metrics import CommState, IsacObjective, SenseState, comm_state, sense_state
 
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
@@ -136,7 +128,6 @@ def _sense_grad(state: SenseState, scene: SensingScene, formula: str) -> np.ndar
     """d sensing_mi / d Phi^* under ``formula``, the one ``state`` was formed
     under: the target term plus, with clutter, one pull-back
     u^T W^T conj(A_tx) of the Gram-domain coefficients W."""
-    arg = _log_arg(state)
     a_tx, rx_corr, powers = scene._sense_terms
     u, z = state.u, state.z
 
@@ -146,7 +137,7 @@ def _sense_grad(state: SenseState, scene: SensingScene, formula: str) -> np.ndar
         coefs[0, 1:], coefs[1:, 0] = -z, -z.conj()
         coefs[1:, 1:] = np.outer(z.conj(), z) if formula == "exact" else np.diag(np.abs(z) ** 2)
         numer += u.T @ ((coefs * rx_corr).T @ a_tx.conj())
-    return (powers[0] / scene.radar_noise_std**2 / arg) * numer
+    return (powers[0] / scene.radar_noise_std**2 / state.arg) * numer
 
 
 def isac_value_and_grad(pilot, objective: IsacObjective):
@@ -162,18 +153,18 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     are evaluated at every rho, so a scene whose approximate sensing
     log-argument is <= 0 raises ``ObjectiveDomainError`` even at rho = 1.
     """
-    phi = _one_pilot(pilot)
+    phi = pilot_entries(pilot)
     comm_total = 0.0
     grad = np.zeros_like(phi)
     for weights, users in objective.groups:
-        state = comm_state(phi, users)
+        state = comm_state(pilot, users)
         comm_total += sum(weights * state.value)
         if objective.rho > 0.0:
             grad += _comm_grad(state, users, objective.rho * weights)
 
     scene, formula = objective.scene, objective.sensing_formula
-    s_state = sense_state(phi, scene, formula)
-    sense_val = float(np.log(_log_arg(s_state)))
+    s_state = sense_state(pilot, scene, formula)
+    sense_val = float(np.log(s_state.arg))
     if objective.rho < 1.0:
         grad += (1.0 - objective.rho) * _sense_grad(s_state, scene, formula)
     value = objective.rho * comm_total + (1.0 - objective.rho) * sense_val
@@ -194,7 +185,7 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     the pilot entry, since a NaN error would otherwise drop out of the max.
     """
     number(step, "step", "must be positive")
-    phi = _one_pilot(pilot).copy()
+    phi = pilot_entries(pilot).copy()
     g_entries = np.asarray(gradient_fn(phi))
 
     worst = 0.0

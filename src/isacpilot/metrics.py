@@ -13,13 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PilotMatrix, SensingScene
+from .channel import SensingScene, pilot_entries
 from .errors import (
     DimensionError,
     InvalidParameterError,
     NumericError,
     ObjectiveDomainError,
-    finite_array,
     number,
     one_of,
     simplex,
@@ -98,37 +97,21 @@ class SenseState(NamedTuple):
     (``SensingScene._sense_terms``), with the noise level
     ``radar_noise_std``, as ``CommState`` keeps none of the channel model.
     For a stack of P pilots every field gains a leading pilot axis (``arg``
-    is then a (P,) array).  ``z`` holds the clutter weights of the formula
-    the state was formed under, 0 for a source of zero power: the solve of
-    ``sense_state``, exact or with the clutter Gram taken as diagonal, where
-    the approximate weights read z_i = nu_i gram[i, 0] / (sigma_r^2 +
-    nu_i gram[i, i]).  The metric's clutter sum is
-    sum_i Re(conj(gram[i, 0]) z_i); the detector (``_detector_scalars``)
-    and the gradient (``gradients._sense_grad``) are formed from z.
+    is then a (P,) array).  A state is valid: ``arg`` is positive, since
+    ``sense_state`` raises where it forms it.  ``z`` holds the clutter
+    weights of the formula the state was formed under, 0 for a source of
+    zero power: the solve of ``sense_state``, exact or with the clutter Gram
+    taken as diagonal, where the approximate weights read z_i = nu_i
+    gram[i, 0] / (sigma_r^2 + nu_i gram[i, i]).  The metric's clutter sum is
+    sum_i Re(conj(gram[i, 0]) z_i); the detector
+    (``evaluation._detector_scalars``) and the gradient
+    (``gradients._sense_grad``) are formed from z.
     """
 
     u: np.ndarray  # (Q+1, L) pilots applied to steering, target first
     gram: np.ndarray  # (Q+1, Q+1) Gram of the mu_i vectors
     arg: float  # argument of the log in the sensing metric
     z: np.ndarray  # (Q,) clutter weights z_i, i = 1..Q
-
-
-def _pilots(pilot, ndim=(2, 3)) -> np.ndarray:
-    """The entries of one pilot (L, N_t) or of a stack of pilots (P, L, N_t).
-
-    A bare array is checked here, before any product, where an infinite
-    entry would warn through inf * 0; a ``PilotMatrix`` was checked when
-    it was built.
-    """
-    if isinstance(pilot, PilotMatrix):
-        return pilot.entries
-    return finite_array(pilot, "pilot", ndim, dtype=complex)
-
-
-def _one_pilot(pilot) -> np.ndarray:
-    """The (L, N_t) entries of a pilot where a stack is not accepted: the
-    gradient, the detector and the Monte Carlo routines."""
-    return _pilots(pilot, 2)
 
 
 def _solve_stacked(aug: np.ndarray, n: int) -> np.ndarray:
@@ -249,7 +232,7 @@ def comm_state(pilot, users) -> CommState:
     equal those of its own call, since its product is a batched product of
     the same shape and every later step works column by column.
     """
-    phi = _pilots(pilot)
+    phi = pilot_entries(pilot, (2, 3))
     model = users[0]
     if phi.shape[-1] != model.n_tx:
         raise DimensionError("pilot antenna count must match the channel model")
@@ -307,10 +290,13 @@ def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseSta
     ("approx"); row i of the system reads sigma^2 z_i = 0 for a source of
     zero power.  Then arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
     sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x the
-    whitened target-to-interference ratio of ``_detector_scalars``.
+    whitened target-to-interference ratio of ``evaluation._detector_scalars``.
+    An argument <= 0 raises ``ObjectiveDomainError`` with its value and, for
+    a stack, the first failing pilot's index.  Only the approximate
+    argument can fall there: the exact one is 1 + x with x >= 0.
     """
     one_of(formula, "formula", SENSING_FORMULAS)
-    phi = _pilots(pilot)
+    phi = pilot_entries(pilot, (2, 3))
     if phi.shape[-1] != scene.geometry.n_tx:
         raise DimensionError("pilot antenna count must match the scene geometry")
     a_tx, rx_corr, powers = scene._sense_terms
@@ -328,45 +314,14 @@ def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseSta
         z = nu * cross / (sigma2 + nu * norms[..., 1:])
     clutter = np.add.reduce((cross.conj() * z).real, axis=-1)
     arg = 1.0 + powers[0] / sigma2 * (norms[..., 0] - clutter)
-    return SenseState(u, gram, arg, z)
-
-
-def _detector_scalars(pilot, scene: SensingScene) -> tuple:
-    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter w = (R_cc + sigma^2 I)^{-1} mu_0
-    of one pilot.
-
-    Rank-Q identity: with the exact clutter weights z of ``sense_state``,
-    w = (mu_0 - sum_i z_i mu_i) / sigma^2, so w^H mu_j = (gram[0, j] -
-    sum_i conj(z_i) gram[i, j]) / sigma^2 and ||w||^2 sigma^4 =
-    gram[0, 0] - 2 Re b^H z + Re z^H G z with b = gram[1:, 0] and G the
-    clutter Gram; nothing of size N_r*L is formed.  nu_0 Re proj[0] is the
-    whitened target-to-interference ratio x behind the exact sensing metric.
-    """
-    state = sense_state(pilot, scene, "exact")
-    gram, z = state.gram, state.z
-    sigma2 = scene.radar_noise_std**2
-    proj = (gram[0] - z.conj() @ gram[1:]) / sigma2
-    b_z = np.vdot(gram[1:, 0], z).real
-    z_g_z = np.vdot(z, gram[1:, 1:] @ z).real
-    return proj, (gram[0, 0].real - 2.0 * b_z + z_g_z) / sigma2**2
-
-
-def _log_arg(state: SenseState):
-    """The argument of the log in the sensing metric, checked to be positive;
-    for a stack, the first pilot whose argument is not is named.  Only the
-    approximate metric's argument can fall to <= 0: the exact one is 1 + x
-    with x >= 0."""
-    arg = state.arg
-    if isinstance(arg, float):
-        failing, value, first, where = arg <= 0.0, arg, None, ""
-    else:
-        first = int(np.argmax(arg <= 0.0))
-        failing, value, where = arg[first] <= 0.0, float(arg[first]), f" of pilot {first}"
-    if failing:
+    first = int(np.argmax(arg <= 0.0)) if np.ndim(arg) else None
+    value = float(arg if first is None else arg[first])
+    if value <= 0.0:
+        where = "" if first is None else f" of pilot {first}"
         raise ObjectiveDomainError(
             f"approximate sensing metric log argument{where} is {value:.6g} <= 0", value, first
         )
-    return arg
+    return SenseState(u, gram, arg, z)
 
 
 def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
@@ -374,7 +329,7 @@ def sensing_mi(pilot, scene: SensingScene, formula: str = "approx"):
     clutter-plus-noise system in full, "approx" (the large-array form, exact
     for zero or one clutter source) takes the clutter Gram as diagonal; one
     value per pilot of a stack."""
-    return np.log(_log_arg(sense_state(pilot, scene, formula)))
+    return np.log(sense_state(pilot, scene, formula).arg)
 
 
 def isac_objective(pilot, objective: IsacObjective):

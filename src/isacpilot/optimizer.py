@@ -70,7 +70,7 @@ def project_stiefel(z) -> PilotMatrix:
     A NaN or infinite entry raises ``NonFiniteError``, a ``NumericError``:
     the SVD would either fail with a ``LinAlgError`` or return NaN factors.
     """
-    return PilotMatrix(_polar(finite_array(pilot_entries(z), "projection input", 2, dtype=complex)))
+    return PilotMatrix(_polar(pilot_entries(z, name="projection input")))
 
 
 def _polar(z: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.channel import _region_covariances, _steering_rows, pilot_entries
 from isacpilot.config import build_geometry
+from isacpilot.evaluation import _detector_scalars
 from isacpilot.gradients import isac_value_and_grad
-from isacpilot.metrics import _detector_scalars, comm_state
+from isacpilot.metrics import comm_state
 
 
 def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:

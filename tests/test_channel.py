@@ -79,6 +79,21 @@ class TestLaplacianWeights:
         with pytest.raises(InvalidParameterError, match=match):
             laplacian_weights(mean, spread, np.array([-1.0, 0.0, 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_spread_whose_weights_all_underflow(self):
+        # every grid point is 10 degrees or more from the mean: e^-14142 is 0,
+        # and normalizing would divide 0 by 0
+        message = "azimuth spread: 0.001 leaves every weight 0"
+        with pytest.raises(InvalidParameterError, match=message):
+            laplacian_weights(10.0, 1e-3, np.linspace(-80.0, 80.0, 9))
+
+    @pytest.mark.filterwarnings("error")
+    def test_user_models_name_the_spread_not_the_weights(self):
+        geometry = ArrayGeometry(n_tx=6, n_rx=2)
+        with pytest.raises(InvalidParameterError, match="azimuth spread") as excinfo:
+            build_user_models(geometry, [(10.0, 1e-3, 0.5)], 9)  # centers -80, -60, .., 80
+        assert not isinstance(excinfo.value, ip.NonFiniteError)
+
 
 class TestRegionCovariance:
     geom = ArrayGeometry(n_tx=4, n_rx=2)

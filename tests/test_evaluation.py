@@ -22,8 +22,12 @@ from isacpilot import (
 )
 from isacpilot.channel import build_user_models
 from isacpilot.config import build_users, parse_config
-from isacpilot.evaluation import CONSTELLATION, _estimate_draws, _nearest_level_index
-from isacpilot.metrics import _detector_scalars
+from isacpilot.evaluation import (
+    CONSTELLATION,
+    _detector_scalars,
+    _estimate_draws,
+    _nearest_level_index,
+)
 from oracles import (
     detector_statistic,
     mmse_with_weights,

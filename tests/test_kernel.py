@@ -11,8 +11,10 @@ The golden file ``golden/sweep_short.json`` is fixed data: it holds
 form replaced.
 """
 
+import importlib
 import json
 import pickle
+import pkgutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +27,7 @@ import isacpilot as ip
 from isacpilot.config import build_geometry, build_objective, build_users, parse_config
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT, _shared_prior, build_user_models
+from isacpilot.errors import finite_array
 from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials, effective_training_snr
 from isacpilot.metrics import comm_state, sense_state
 from isacpilot.streams import complex_normal
@@ -293,6 +296,53 @@ class TestValueAndGrad:
             assert np.abs(grad - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+class TestCheckedPilot:
+    """``channel.pilot_entries`` is the one reader of a pilot argument: a
+    ``PilotMatrix``, checked when it was built, is not checked again, and a
+    bare array is checked where it enters."""
+
+    @staticmethod
+    def count_finite_checks(monkeypatch):
+        """The names of the arrays checked from here on, through the
+        ``finite_array`` binding of every package module that binds it."""
+        names = []
+
+        def counted(value, name, *args, **kwargs):
+            names.append(name)
+            return finite_array(value, name, *args, **kwargs)
+
+        patched = []
+        for info in pkgutil.iter_modules(ip.__path__):
+            module = importlib.import_module(f"isacpilot.{info.name}")
+            if getattr(module, "finite_array", None) is finite_array:
+                monkeypatch.setattr(module, "finite_array", counted)
+                patched.append(info.name)
+        assert {"channel", "errors", "evaluation", "optimizer"} <= set(patched)
+        return names
+
+    def test_a_pilot_matrix_is_not_checked_again(self, monkeypatch):
+        objective, pilot, _ = invariance_case("sweep_tradeoff")
+        names = self.count_finite_checks(monkeypatch)
+        isac_value_and_grad(pilot, objective)
+        assert names == []
+        isac_value_and_grad(pilot.entries, objective)  # a bare array is checked
+        assert names and set(names) == {"pilot"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", ["isac_value_and_grad", "comm_state", "sense_state"])
+    def test_a_bare_array_with_a_nan_entry_raises(self, call):
+        objective, pilot, _ = invariance_case("sweep_tradeoff")
+        phi = pilot.entries.copy()
+        phi[1, 2] = np.nan
+        calls = {
+            "isac_value_and_grad": lambda: isac_value_and_grad(phi, objective),
+            "comm_state": lambda: comm_state(phi, objective.groups[0][1]),
+            "sense_state": lambda: sense_state(phi, objective.scene),
+        }
+        with pytest.raises(ip.NonFiniteError, match=r"pilot\[1, 2\]: expected a finite number"):
+            calls[call]()
+
+
 def invariance_case(case):
     """(objective at rho = 0.5, pilot, random L x L unitary U) of a shipped
     scenario; "roc_compare+clutter" is ``roc_compare`` with clutter at 0 and
@@ -454,7 +504,10 @@ class TestPilotStack:
         assert sense_state(stack[:2], scene).arg.min() > 0.0
         with pytest.raises(ip.ObjectiveDomainError, match="of pilot 2 ") as excinfo:
             ip.sensing_mi(stack, scene, "approx")
-        assert excinfo.value.value == sense_state(phi, scene).arg <= 0.0
+        with pytest.raises(ip.ObjectiveDomainError) as single:
+            sense_state(phi, scene)
+        assert excinfo.value.value == single.value.value <= 0.0
+        assert single.value.index is None
         assert excinfo.value.index == 2
 
     def test_single_pilot_functions_reject_a_stack(self):

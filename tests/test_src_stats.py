@@ -7,7 +7,10 @@ The tool prints them for review; these tests fail when one breaks:
   (the test oracles live in ``tests/oracles.py``);
 - no ``np.linalg`` call site is a ``cholesky`` or an ``inv``: the mixture
   statistics Sigma_n are eliminated once, in ``metrics.comm_state``, and
-  every reader takes its solves from that state.
+  every reader takes its solves from that state;
+- no module imports a private name from another: a helper lives beside the
+  module that owns its decision, and other modules call that module's
+  public names.
 """
 
 import importlib.util
@@ -62,3 +65,27 @@ def test_the_checks_catch_a_test_only_name_and_a_factorization(tmp_path):
     assert src_stats.unreferenced(tmp_path, names) == ["test_only"]
     forbidden = [site for site in linalg_sites(tmp_path) if site[2] in FORBIDDEN]
     assert forbidden == [("kernel", "kept", "cholesky"), ("kernel", "test_only", "inv")]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert src_stats.private_imports(PACKAGE) == []
+
+
+def test_the_check_catches_a_private_import(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .kernel import kept\n__all__ = ['kept']\n")
+    (package / "kernel.py").write_text(
+        "from ._shared import helper\n\n\ndef _inner():\n    return 1\n\n\n"
+        "def kept():\n    return _inner()\n"
+    )
+    (package / "reader.py").write_text(
+        "from .kernel import _inner, kept\n"
+        "from pkg.kernel import _inner as again\n"
+        "from numpy import __version__\n"
+        "from os.path import _get_sep\n"
+    )
+    assert src_stats.private_imports(package) == [
+        ("reader", "kernel", "_inner"),
+        ("reader", "kernel", "_inner"),
+    ]

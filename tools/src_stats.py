@@ -13,9 +13,11 @@ For each module under ``src/isacpilot`` and in total it prints
 
 followed by the number of public names that ``isacpilot/__init__.py`` binds,
 those of them that no other module of the package references (names that
-only tests, tools or the benchmark use), and every ``np.linalg`` call site
+only tests, tools or the benchmark use), every ``np.linalg`` call site
 of the package: module, enclosing function and routine, so that a second
-factorization of one matrix shows up in review.
+factorization of one matrix shows up in review, and every private name that
+one module imports from another (module, source, name), so that a helper
+used outside the module that owns it shows up in review.
 
 Usage: ``python3 tools/src_stats.py [package_dir]`` (default: the
 ``src/isacpilot`` next to this script's parent directory).
@@ -133,6 +135,25 @@ def linalg_calls(path: Path) -> list:
     return [(function, routine) for _, function, routine in sorted(calls)]
 
 
+def private_imports(package: Path) -> list:
+    """(module, source module, name) of each private name, one with a single
+    leading underscore, that a module of ``package`` imports from another
+    module of it (``from .source import _name`` or
+    ``from <package>.source import _name``), in module and source order."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            top, _, source = node.module.partition(".")
+            if node.level == 0 and top != package.name:
+                continue
+            source = node.module if node.level else source
+            private = [a.name for a in node.names if a.name[:1] == "_" and a.name[:2] != "__"]
+            found += [(path.stem, source, name) for name in private]
+    return found
+
+
 def main(argv: list) -> None:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "isacpilot"
     totals = [0, 0, 0, 0]
@@ -152,6 +173,10 @@ def main(argv: list) -> None:
     print(f"np.linalg call sites: {len(sites)}")
     for module, function, routine in sites:
         print(f"  {module}.{function}: {routine}")
+    imports = private_imports(package)
+    print(f"private names imported from another module: {len(imports)}")
+    for module, source, name in imports:
+        print(f"  {module} <- {source}.{name}")
 
 
 if __name__ == "__main__":
