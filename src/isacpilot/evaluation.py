@@ -156,8 +156,8 @@ def roc_curve(
     the h1 slots of its first half swap with the h0 slots of its second
     half, in runs of ``DETECTION_BLOCK`` trials, which leaves every h0
     statistic in the buffer's first ``n_trials`` floats and every h1 in the
-    rest.  The thresholds then partition the h0 statistics in place, so no
-    copy of either is made.
+    rest.  The thresholds (``_roc_thresholds``) then partition the h0
+    statistics in place, so no copy of either is made.
     """
     count(n_trials, "n_trials", 1000)  # fewer leave the tails unusable
     p_fa = np.sort(finite_array(p_fa_grid, "false-alarm targets", 1, "must lie in (0, 1]"))
@@ -171,7 +171,7 @@ def roc_curve(
         h1_first[run] = h0_last[run]
         h0_last[run] = swap
     t0, t1 = flat[:n_trials], flat[n_trials:]
-    thresholds = np.quantile(t0, 1.0 - p_fa, overwrite_input=True)
+    thresholds = _roc_thresholds(t0, p_fa)
     p_d = np.array([np.count_nonzero(t1 > thr) / n_trials for thr in thresholds])
     return RocCurve(
         p_fa=p_fa,
@@ -179,6 +179,35 @@ def roc_curve(
         thresholds=thresholds,
         low_resolution=p_fa < 1.0 / n_trials,
     )
+
+
+def _roc_thresholds(t0: np.ndarray, p_fa: np.ndarray) -> np.ndarray:
+    """``np.quantile(t0, 1 - p_fa)`` bit for bit, partitioning ``t0`` in place.
+
+    The linear rule of ``np.quantile``: virtual index v = (n - 1) q, the
+    order statistics at floor(v) and floor(v) + 1 (both n - 1 once
+    v >= n - 1, where the weight is v + 1), and its two-sided interpolation.
+    The order statistics come from successive partitions of t0's shrinking
+    upper tail, lowest index first, so each partition scans only what lies
+    above the last; t0 stays a permutation of its input.
+    """
+    n = t0.size
+    virtual = (n - 1) * (1.0 - p_fa)
+    prev = np.floor(virtual)
+    top = virtual >= n - 1
+    prev[top] = -1.0
+    gamma = virtual - prev
+    lo = prev.astype(np.intp) % n
+    hi = np.where(top, n - 1, lo + 1)
+    start = 0
+    for k in np.unique(np.concatenate((lo, hi))):
+        t0[start:].partition(k - start)
+        start = k + 1
+    below, above = t0[lo], t0[hi]
+    diff = above - below
+    thresholds = below + diff * gamma
+    np.subtract(above, diff * (1.0 - gamma), out=thresholds, where=gamma >= 0.5)
+    return thresholds
 
 
 def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.ndarray:
@@ -224,7 +253,9 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     c_h = state.c.transpose(2, 1, 0).conj()  # C_n^H (N_k, q, L)
     s = state.s[:, 0].T[:, :, None]  # s_n (N_k, L, 1)
     quad = np.zeros((n_comp, n_slots + 1, n_slots + 1), dtype=complex)  # M_n: diagonal and upper triangle
-    quad[:, :n_slots, :n_slots] = (np.eye(n_slots) - b @ c_h) / model.noise_std**2  # Sigma_n^{-1}
+    sigma_inv = np.eye(n_slots) - b @ c_h
+    sigma_inv *= 1.0 / model.noise_std**2  # the bits of the division by sigma^2
+    quad[:, :n_slots, :n_slots] = sigma_inv
     quad[:, :n_slots, n_slots:] = s
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
     i, j = np.triu_indices(n_slots + 1, 1)
@@ -279,7 +310,8 @@ def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random
     then the pilot-phase noise, both from ``rng``; each channel is observed
     through ``phi`` and estimated by ``gmm_mmse_batch``."""
     channels = sample_channels(model, n, rng)
-    noise = model.noise_std * complex_normal(rng, (n, phi.shape[0]))
+    noise = complex_normal(rng, (n, phi.shape[0]))
+    noise *= model.noise_std
     return channels, gmm_mmse_batch(channels @ phi.T + noise, phi, model)
 
 
@@ -354,9 +386,26 @@ def nmse_experiment(
     return per_user, float(per_user.mean())
 
 
-def _nearest_level_index(x: np.ndarray) -> np.ndarray:
-    scaled = np.rint((x * np.sqrt(42.0) + 7.0) / 2.0)
-    return np.clip(scaled, 0, 7).astype(int)
+def _qam_labels(symbols: np.ndarray, inv_gains) -> np.ndarray:
+    """Labels 8 i + q, as floats, of the ``CONSTELLATION`` points nearest
+    ``symbols`` times ``inv_gains``, decided in place on the float view of
+    the C-contiguous complex ``symbols``, whose entries it overwrites;
+    ``inv_gains`` broadcasts against that view, one (re, im) pair per symbol.
+
+    Each part x goes to level rint(x sqrt(42) / 2 + 3.5), clipped to
+    [0, 7]: halving is exact, so these are the bits of
+    rint((x sqrt(42) + 7) / 2), and x times fl(1/g) has the bits of the
+    complex division by a real gain g.
+    """
+    levels = symbols.view(float).reshape(*symbols.shape, 2)
+    levels *= inv_gains
+    levels *= np.sqrt(42.0) / 2.0
+    levels += 3.5
+    np.rint(levels, out=levels)
+    np.clip(levels, 0.0, 7.0, out=levels)
+    labels = 8.0 * levels[..., 0]
+    labels += levels[..., 1]
+    return labels
 
 
 def zf_precode(channel_estimates: np.ndarray) -> np.ndarray:
@@ -400,7 +449,8 @@ def ser_experiment(
     ceil(``n_symbols`` / ``block_len``) whole blocks, so the per-user symbol
     count it simulates, and divides by, is ``n_symbols`` rounded up to a
     multiple of ``block_len``.  A point's symbols are drawn in one call, then
-    formed, noised and decided in runs of whole blocks (``_SER_RUN``).
+    formed (one batched product), noised and decided in place
+    (``_qam_labels``) in runs of whole blocks (``_SER_RUN``).
     """
     count(n_symbols, "n_symbols", 1000)  # per SNR point
     count(block_len, "block_len")
@@ -418,6 +468,7 @@ def ser_experiment(
     w = zf_precode(h_est)
     gains = np.einsum("bkn,bnk->bk", h_est, w).real
     effective = np.einsum("bkn,bnj->bkj", h_true, w)
+    inv_gains = (1.0 / gains)[:, :, None, None]  # scales each (re, im) pair
 
     run = max(1, _SER_RUN // (n_users * block_len))  # whole blocks per run
     ser = np.empty(snr_grid_db.size)
@@ -427,10 +478,9 @@ def ser_experiment(
         errors = 0
         for start in range(0, n_blocks, run):
             blocks = slice(start, start + run)
-            received = np.einsum("bkj,bjm->bkm", effective[blocks], CONSTELLATION[sent[blocks]])
+            received = effective[blocks] @ CONSTELLATION[sent[blocks]]
             received += noise_std * complex_normal(data_rng, received.shape)
-            received /= gains[blocks, :, None]
-            decided = 8 * _nearest_level_index(received.real) + _nearest_level_index(received.imag)
+            decided = _qam_labels(received, inv_gains[blocks])
             errors += int(np.count_nonzero(decided != sent[blocks]))
         ser[i] = errors / sent.size
     return ser

@@ -37,7 +37,9 @@ def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """Standard circular complex Gaussian draws, unit variance per entry."""
     size = tuple(count(n, "shape", 0) for n in np.atleast_1d(shape))
     z = rng.standard_normal(size=size + (2,))
+    # scaled as floats: NumPy divides a complex by a real c as re * fl(1/c),
+    # im * fl(1/c), so this keeps the bits of the complex division
+    z *= 1.0 / np.sqrt(2.0)
     # each (re, im) pair read in place as re + 1j*im: no complex temporaries
     w = z.view(complex)[..., 0]
-    w /= np.sqrt(2.0)
     return w if w.ndim else w[()]

@@ -13,8 +13,9 @@ forms that only the tests use live here too:
 a single steering vector and the detection-error exponent decomposition.
 So do the one-user views of the package's metric and its one gradient
 routine, ``gradients.isac_value_and_grad``, that the tests check, the
-multi-value trade-off sweep the tests run through ``optimize_pgd``, and the
-estimator's mixture weights, recorded from its own chunks.
+multi-value trade-off sweep the tests run through ``optimize_pgd``, the
+estimator's mixture weights, recorded from its own chunks, and the 64-QAM
+level rule the link simulation decided with before it decided in place.
 """
 
 from dataclasses import replace
@@ -132,6 +133,13 @@ def detector_statistic(y: np.ndarray, pilot, scene) -> float:
     mus = sensing_vectors(pilot, scene)
     w = np.linalg.solve(interference_covariance(mus, scene), mus[0])
     return float(np.abs(np.vdot(w, y)) ** 2)
+
+
+def nearest_level_index(x: np.ndarray) -> np.ndarray:
+    """Index 0..7 of the 64-QAM amplitude level nearest each entry of ``x``:
+    rint((x sqrt(42) + 7) / 2), clipped to [0, 7]."""
+    scaled = np.rint((x * np.sqrt(42.0) + 7.0) / 2.0)
+    return np.clip(scaled, 0, 7).astype(int)
 
 
 def comm_mi_user(pilot, model):

@@ -26,11 +26,13 @@ from isacpilot.evaluation import (
     CONSTELLATION,
     _detector_scalars,
     _estimate_draws,
-    _nearest_level_index,
+    _qam_labels,
+    _roc_thresholds,
 )
 from oracles import (
     detector_statistic,
     mmse_with_weights,
+    nearest_level_index,
     pooled_covariance,
     region_covariances,
     scenario_covariances,
@@ -301,6 +303,47 @@ class TestRocCurve:
         assert rng.bit_generator.state == state
 
 
+def old_quantile_cases():
+    """(n, p_fa grid, ties) of the threshold tests: the montecarlo grid, a
+    grid with p_fa = 1, one below 1/n, one whose 1 - p_fa rounds to 1, and
+    statistics with many tied values."""
+    grid = [1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
+    for n in (1000, 1001, 20_000, 1_000_000 - 17):
+        yield n, grid, False
+        yield n, [0.3 / n, 1.0], False
+        yield n, [1e-17, 0.25, 0.25], True
+
+
+class TestRocThresholds:
+    @pytest.mark.parametrize("n, grid, ties", list(old_quantile_cases()))
+    def test_bit_equal_to_np_quantile(self, n, grid, ties):
+        t0 = substream(n, "thresholds").exponential(size=n)
+        if ties:
+            t0 = np.round(t0, 1)  # about 40 distinct values
+        p_fa = np.array(grid)
+        expected = np.quantile(t0.copy(), 1.0 - p_fa)
+        stats = t0.copy()
+        thresholds = _roc_thresholds(stats, p_fa)
+        assert np.array_equal(thresholds.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(np.sort(stats), np.sort(t0))  # a permutation of its input
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (2, 3, 4), (16_384,)])
+    def test_bits_of_the_complex_division(self, shape):
+        # the float draws scaled by 1/sqrt(2) before the complex view, against
+        # the complex entries divided by sqrt(2)
+        for seed in range(5):
+            draws = ip.complex_normal(substream(seed, "normals"), shape)
+            pairs = substream(seed, "normals").standard_normal(size=(*shape, 2))
+            expected = pairs.view(complex)[..., 0]
+            expected /= np.sqrt(2.0)
+            assert np.shape(draws) == shape
+            assert np.array_equal(
+                np.atleast_1d(draws).view(np.int64), np.atleast_1d(expected).view(np.int64)
+            )
+
+
 ROC_LAW_CASES = CLUTTER_CASES + [((43.0, 0.4), (47.5, 2.5))]  # 0, 1, 2 far and 2 near
 
 
@@ -433,10 +476,31 @@ class TestNmseExperiment:
 class TestQam64:
     def test_round_trip_all_labels(self):
         # the link simulation decides symbol k = 8 i + q from the two level indices
-        decided = 8 * _nearest_level_index(CONSTELLATION.real) + _nearest_level_index(
-            CONSTELLATION.imag
-        )
+        decided = _qam_labels(CONSTELLATION.copy(), 1.0)
         assert np.array_equal(decided, np.arange(64))
+
+    def test_in_place_labels_equal_the_level_index_rule(self):
+        # the old rule divided the complex symbols by the real gains and took
+        # rint((x sqrt(42) + 7) / 2) per part; checked at every decision
+        # boundary (k - 3) 2 / sqrt(42) and a few ulps either side, at the
+        # parts the old rule puts at exact half-way ties, far outside the
+        # outer levels, at +-0 and at subnormals, as real and imaginary parts
+        def ulps(x):
+            return np.concatenate([x + k * np.spacing(x) for k in range(-3, 4)])
+
+        boundaries = ulps(np.arange(-4, 5) * 2.0 / np.sqrt(42.0))
+        ties = ulps((2.0 * np.arange(-1, 9) - 6.0) / np.sqrt(42.0))
+        outside = np.array([-1e300, -1e3, -2.0, 2.0, 1e3, 1e300])
+        zeros = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300])
+        x = np.concatenate([boundaries, ties, outside, zeros, -boundaries, -ties])
+        assert np.any((x * np.sqrt(42.0) + 7.0) / 2.0 % 1.0 == 0.5)  # some exact ties
+        re, im = np.meshgrid(x, x[::-1])
+        for gain in (1.0, 0.37, 3.0):
+            symbols = (re + 1j * im) * gain
+            equalized = symbols / np.full(symbols.shape, gain)
+            expected = 8 * nearest_level_index(equalized.real) + nearest_level_index(equalized.imag)
+            labels = _qam_labels(symbols.copy(), np.full((*symbols.shape, 1), 1.0 / gain))
+            assert np.array_equal(labels, expected)
 
     def test_unit_average_energy(self):
         assert np.mean(np.abs(CONSTELLATION) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -487,7 +551,7 @@ def ser_one_run(pilot, users, snr_grid_db, n_symbols, block_len, rng):
         received = np.einsum("bkj,bjm->bkm", effective, CONSTELLATION[sent])
         received += 10.0 ** (-snr_db / 20.0) * ip.complex_normal(data_rng, received.shape)
         equalized = received / gains[:, :, None]
-        decided = 8 * _nearest_level_index(equalized.real) + _nearest_level_index(equalized.imag)
+        decided = 8 * nearest_level_index(equalized.real) + nearest_level_index(equalized.imag)
         ser.append(float(np.mean(decided != sent)))
     states = (chan_rng.bit_generator.state, data_rng.bit_generator.state)
     return np.array(ser), states

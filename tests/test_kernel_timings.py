@@ -29,3 +29,16 @@ def test_prints_one_line_per_requested_row(capsys, monkeypatch):
         median, q1, q3, calls, peak = row[1:6]
         assert 0.0 < float(q1) <= float(median) <= float(q3)
         assert int(calls) >= tool.MIN_REPEATS and float(peak) > 0.0
+
+
+def test_prints_the_draw_floor_rows(capsys, monkeypatch):
+    # rows whose one call allocates a few hundred bytes: the peak prints 0.00
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    tool = load_tool("kernel_timings")
+    tool.main(["--seconds", "0", "roc_thresholds_mc", "normals_mc"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["roc_thresholds_mc", "normals_mc"]
+    for row in rows:
+        median, q1, q3, calls, peak = row[1:6]
+        assert 0.0 < float(q1) <= float(median) <= float(q3)
+        assert int(calls) >= tool.MIN_REPEATS and 0.0 <= float(peak) < 0.1

@@ -33,7 +33,13 @@ are:
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
   trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
-  draws, the regrouping swap and the thresholds' quantile together;
+  draws, the regrouping swap and the thresholds together;
+  ``roc_thresholds_mc``: the thresholds alone, ``roc_compare.yaml``'s ten
+  false-alarm targets from the 10^6 h0 statistics of that shape, which
+  each call first copies back into one 8 MB buffer (the thresholds
+  partition it in place); ``normals_mc``: the 4 * 10^6 standard normals of
+  one such ROC drawn alone, in blocks of ``DETECTION_BLOCK`` pairs into one
+  buffer, the floor under the two rows above;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user);
 - ``nmse_experiment_mc`` and ``ser_experiment_mc``: the ``montecarlo``
@@ -92,6 +98,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from isacpilot.channel import _shared_prior, sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
 from isacpilot.evaluation import (  # noqa: E402
+    DETECTION_BLOCK,
+    _roc_thresholds,
     gmm_mmse_batch,
     nmse_experiment,
     roc_curve,
@@ -132,6 +140,13 @@ def scenario(stem: str):
 
 def pilot_for(scen: dict, label: str):
     return random_stiefel(scen["pilot_len"], scen["n_tx"], substream(1, "kernel-timings", label))
+
+
+def draw_normals(rng: np.random.Generator, block: np.ndarray, n: int) -> None:
+    """Draw ``n`` standard normals into ``block``, one block at a time."""
+    flat = block.reshape(-1)
+    for start in range(0, n, flat.size):
+        rng.standard_normal(out=flat[: min(flat.size, n - start)])
 
 
 def kernels() -> dict:
@@ -183,6 +198,16 @@ def kernels() -> dict:
         f"trials={MC_ROC_TRIALS}"
     )
     p_fa = roc_config.task_params["p_fa"]
+    mc_h0 = simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng)[0].copy()
+    mc_stats = np.empty_like(mc_h0)
+    mc_p_fa = np.sort(p_fa)
+    normals_rng = substream(8, "kernel-timings", "normals")
+
+    def mc_thresholds():
+        np.copyto(mc_stats, mc_h0)  # the thresholds partition it in place
+        return _roc_thresholds(mc_stats, mc_p_fa)
+
+    normals_block = np.empty((DETECTION_BLOCK, 2))
 
     ser_config, ser = scenario("ser_multiuser")
     ser_users, ser_pilot = build_users(ser)[0], pilot_for(ser, "ser")
@@ -248,6 +273,14 @@ def kernels() -> dict:
         "roc_curve_mc": (
             f"{mc_shape} p_fa_points={len(p_fa)}",
             lambda: roc_curve(roc_pilot, mc_scene, MC_ROC_TRIALS, p_fa, detection_rng),
+        ),
+        "roc_thresholds_mc": (
+            f"{mc_shape} p_fa_points={len(p_fa)}",
+            mc_thresholds,
+        ),
+        "normals_mc": (
+            f"normals={4 * MC_ROC_TRIALS} blocks of {2 * DETECTION_BLOCK}",
+            lambda: draw_normals(normals_rng, normals_block, 4 * MC_ROC_TRIALS),
         ),
         "nmse_experiment_mc": (
             f"{nmse_shape} K={len(nmse_users)} trials={NMSE_TRIALS}",
