@@ -253,9 +253,9 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     c_h = state.c.transpose(2, 1, 0).conj()  # C_n^H (N_k, q, L)
     s = state.s[:, 0].T[:, :, None]  # s_n (N_k, L, 1)
     quad = np.zeros((n_comp, n_slots + 1, n_slots + 1), dtype=complex)  # M_n: diagonal and upper triangle
-    sigma_inv = np.eye(n_slots) - b @ c_h
+    sigma_inv = quad[:, :n_slots, :n_slots]  # Sigma_n^{-1}, written in place
+    np.subtract(np.eye(n_slots), b @ c_h, out=sigma_inv)
     sigma_inv *= 1.0 / model.noise_std**2  # the bits of the division by sigma^2
-    quad[:, :n_slots, :n_slots] = sigma_inv
     quad[:, :n_slots, n_slots:] = s
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
     i, j = np.triu_indices(n_slots + 1, 1)
