@@ -7,10 +7,9 @@ go to stderr, so stdout holds only the digests: two checkouts write the same
 bytes when their outputs are equal, which one ``diff`` of the two outputs
 shows.
 
-Usage: ``python3 tools/csv_digests.py [--seed S] [--threads N] [config ...]``
-(default: every shipped config at its own seed, one worker process).  At
-``--threads 1`` the shipped set takes about as long as running each config
-once.
+Usage: ``python3 tools/csv_digests.py [--seed S] [--threads N]`` (default:
+each config at its own seed, one worker process).  It takes as long as
+running each config once.
 """
 
 from __future__ import annotations
@@ -42,14 +41,12 @@ def digests(config: Path, out_dir: Path, seed: int | None, threads: int) -> list
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="SHA-256 of every table the configs write.")
-    parser.add_argument("configs", nargs="*", help="config stems (default: every configs/*.yaml)")
     parser.add_argument("--seed", type=int, default=None, help="override every config's seed")
     parser.add_argument("--threads", type=int, default=1, help="worker processes per config")
     args = parser.parse_args(argv)
-    stems = args.configs or sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
     with tempfile.TemporaryDirectory() as tmp:
-        for stem in stems:
-            lines = digests(ROOT / "configs" / f"{stem}.yaml", Path(tmp) / stem, args.seed, args.threads)
+        for config in sorted((ROOT / "configs").glob("*.yaml")):
+            lines = digests(config, Path(tmp) / config.stem, args.seed, args.threads)
             print("\n".join(lines), flush=True)
 
 
