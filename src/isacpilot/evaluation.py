@@ -185,20 +185,19 @@ def _roc_thresholds(t0: np.ndarray, p_fa: np.ndarray) -> np.ndarray:
     """``np.quantile(t0, 1 - p_fa)`` bit for bit, partitioning ``t0`` in place.
 
     The linear rule of ``np.quantile``: virtual index v = (n - 1) q, the
-    order statistics at floor(v) and floor(v) + 1 (both n - 1 once
-    v >= n - 1, where the weight is v + 1), and its two-sided interpolation.
-    The order statistics come from successive partitions of t0's shrinking
-    upper tail, lowest index first, so each partition scans only what lies
-    above the last; t0 stays a permutation of its input.
+    order statistics at floor(v) and the next index (at most n - 1), and
+    its two-sided interpolation with weight v - floor(v).  At v = n - 1
+    ``np.quantile`` weighs its two equal neighbours by n instead of 0,
+    which gives the same bits.  The order statistics come from successive
+    partitions of t0's shrinking upper tail, lowest index first, so each
+    partition scans only what lies above the last; t0 stays a permutation
+    of its input.
     """
     n = t0.size
     virtual = (n - 1) * (1.0 - p_fa)
-    prev = np.floor(virtual)
-    top = virtual >= n - 1
-    prev[top] = -1.0
-    gamma = virtual - prev
-    lo = prev.astype(np.intp) % n
-    hi = np.where(top, n - 1, lo + 1)
+    lo = np.floor(virtual).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    gamma = virtual - lo
     start = 0
     for k in np.unique(np.concatenate((lo, hi))):
         t0[start:].partition(k - start)

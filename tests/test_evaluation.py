@@ -303,29 +303,35 @@ class TestRocCurve:
         assert rng.bit_generator.state == state
 
 
-def old_quantile_cases():
-    """(n, p_fa grid, ties) of the threshold tests: the montecarlo grid, a
-    grid with p_fa = 1, one below 1/n, one whose 1 - p_fa rounds to 1, and
-    statistics with many tied values."""
+def threshold_cases():
+    """(n, p_fa grid, statistics) of the threshold tests: the montecarlo
+    grid, a grid with p_fa = 1, one below 1/n, one whose 1 - p_fa rounds to
+    1 on statistics with many tied values, and a dense grid on statistics
+    spread over 60 decades, where the interpolation's two sides round
+    differently."""
     grid = [1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
     for n in (1000, 1001, 20_000, 1_000_000 - 17):
-        yield n, grid, False
-        yield n, [0.3 / n, 1.0], False
-        yield n, [1e-17, 0.25, 0.25], True
+        yield n, grid, "exponential"
+        yield n, [0.3 / n, 1.0], "exponential"
+        yield n, [1e-17, 0.25, 0.25], "tied"
+        yield n, np.linspace(0.0137, 0.9731, 40).tolist(), "wide"
 
 
 class TestRocThresholds:
-    @pytest.mark.parametrize("n, grid, ties", list(old_quantile_cases()))
-    def test_bit_equal_to_np_quantile(self, n, grid, ties):
-        t0 = substream(n, "thresholds").exponential(size=n)
-        if ties:
-            t0 = np.round(t0, 1)  # about 40 distinct values
+    @pytest.mark.parametrize("n, grid, stats", list(threshold_cases()))
+    def test_bit_equal_to_np_quantile(self, n, grid, stats):
+        rng = substream(n, "thresholds", stats)
+        t0 = {
+            "exponential": lambda: rng.exponential(size=n),
+            "tied": lambda: np.round(rng.exponential(size=n), 1),  # about 40 distinct values
+            "wide": lambda: 10.0 ** rng.uniform(-30.0, 30.0, size=n),
+        }[stats]()
         p_fa = np.array(grid)
         expected = np.quantile(t0.copy(), 1.0 - p_fa)
-        stats = t0.copy()
-        thresholds = _roc_thresholds(stats, p_fa)
+        statistics = t0.copy()
+        thresholds = _roc_thresholds(statistics, p_fa)
         assert np.array_equal(thresholds.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(np.sort(stats), np.sort(t0))  # a permutation of its input
+        assert np.array_equal(np.sort(statistics), np.sort(t0))  # a permutation of its input
 
 
 class TestComplexNormal:
