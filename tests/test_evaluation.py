@@ -488,17 +488,15 @@ class TestQam64:
     def test_in_place_labels_equal_the_level_index_rule(self):
         # the old rule divided the complex symbols by the real gains and took
         # rint((x sqrt(42) + 7) / 2) per part; checked at every decision
-        # boundary (k - 3) 2 / sqrt(42) and a few ulps either side, at the
-        # parts the old rule puts at exact half-way ties, far outside the
-        # outer levels, at +-0 and at subnormals, as real and imaginary parts
-        def ulps(x):
-            return np.concatenate([x + k * np.spacing(x) for k in range(-3, 4)])
-
-        boundaries = ulps(np.arange(-4, 5) * 2.0 / np.sqrt(42.0))
-        ties = ulps((2.0 * np.arange(-1, 9) - 6.0) / np.sqrt(42.0))
+        # boundary 2k / sqrt(42), where that rule lands half-way between two
+        # levels, and a few ulps either side, far outside the outer levels,
+        # at +-0 and at subnormals, as real and imaginary parts
+        steps = np.arange(-3, 4)[:, None]
+        boundaries = np.arange(-4, 5) * 2.0 / np.sqrt(42.0)
+        near = (boundaries + steps * np.spacing(boundaries)).ravel()
         outside = np.array([-1e300, -1e3, -2.0, 2.0, 1e3, 1e300])
         zeros = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300])
-        x = np.concatenate([boundaries, ties, outside, zeros, -boundaries, -ties])
+        x = np.concatenate([near, outside, zeros])
         assert np.any((x * np.sqrt(42.0) + 7.0) / 2.0 % 1.0 == 0.5)  # some exact ties
         re, im = np.meshgrid(x, x[::-1])
         for gain in (1.0, 0.37, 3.0):
