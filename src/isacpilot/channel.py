@@ -53,8 +53,8 @@ def laplacian_weights(mean_aoa_deg: float, spread_deg: float, grid_deg: np.ndarr
     number(mean_aoa_deg, "mean angle")
     number(spread_deg, "azimuth spread", "must be positive")
     grid = finite_array(grid_deg, "angle grid", 1)
+    # the density's 1 / (sqrt(2) spread) factor cancels in the renormalization
     w = np.exp(-np.sqrt(2.0) * np.abs(grid - mean_aoa_deg) / spread_deg)
-    w /= np.sqrt(2.0) * spread_deg
     total = w.sum()
     if not total > 0.0:  # e.g. a spread far narrower than the grid's distance to the mean
         raise InvalidParameterError(

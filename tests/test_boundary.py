@@ -308,6 +308,14 @@ KNOWN_GAPS = {
 }
 
 
+def test_huge_azimuth_spread_gives_equal_weights():
+    # a spread near the float limit flattens the profile without overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = ip.laplacian_weights(0.0, 1.5e308, np.linspace(-80.0, 80.0, 9))
+    assert np.array_equal(weights, np.full(9, 1.0 / 9.0))
+
+
 @pytest.mark.parametrize("make_call, error", KNOWN_GAPS.values(), ids=KNOWN_GAPS)
 def test_known_gap_raises_its_named_error(make_call, error):
     with warnings.catch_warnings():
