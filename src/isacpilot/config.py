@@ -137,11 +137,11 @@ _SCENE = {
         [],
     ),
 }
-_GEOMETRY = {
+_GEOMETRY = {  # the default spacings are those of ArrayGeometry
     "n_tx": (count, REQUIRED),
     "n_rx": (count, REQUIRED),
-    "spacing_tx": (_positive, 0.5),
-    "spacing_rx": (_positive, 0.5),
+    "spacing_tx": (_positive, ArrayGeometry.spacing_tx),
+    "spacing_rx": (_positive, ArrayGeometry.spacing_rx),
 }
 _SCENARIO = {
     "geometry": (_section(_GEOMETRY), REQUIRED),
@@ -150,7 +150,7 @@ _SCENARIO = {
     "quadrature_points": (count, 8),
     "mean_policy": (_one_of(*MEAN_POLICIES), "steering"),
     "mean_scale": (number, 1.0),
-    "sensing_formula": (_one_of(*SENSING_FORMULAS), "approx"),
+    "sensing_formula": (_one_of(*SENSING_FORMULAS), IsacObjective.sensing_formula),
     "rho": (_fraction, ABSENT),
     "users": (_list(_section(_USER)), REQUIRED),
     "scene": (_section(_SCENE), REQUIRED),

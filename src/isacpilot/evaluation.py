@@ -5,7 +5,7 @@ Trials are paired: standard draws and experiment substreams depend only on
 the caller's generator, never on the pilot under test, so pilots can be
 compared on identical randomness.  A detection trial draws its clutter and
 noise as one interference normal: under h0 the whitened statistic w^H y is
-CN(0, a), a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2, so the trial's
+CN(0, a) with a = w^H (R_cc + sigma^2 I) w = w^H mu_0, so the trial's
 target-absent and target-present statistics share that one draw, and two
 pilots at one seed share it too, each scaled by its own sqrt(a).
 
@@ -71,26 +71,6 @@ class RocCurve:
     low_resolution: np.ndarray  # True where p_fa is below 1/n_trials
 
 
-def _detector_scalars(pilot, scene: SensingScene) -> tuple:
-    """(w^H mu_i for i = 0..Q, ||w||^2) for the whitened filter
-    w = (R_cc + sigma^2 I)^{-1} mu_0 of one pilot.
-
-    Rank-Q identity: with the exact clutter weights z of ``sense_state``,
-    w = (mu_0 - sum_i z_i mu_i) / sigma^2, so w^H mu_j = (gram[0, j] -
-    sum_i conj(z_i) gram[i, j]) / sigma^2 and ||w||^2 sigma^4 =
-    gram[0, 0] - 2 Re b^H z + Re z^H G z with b = gram[1:, 0] and G the
-    clutter Gram; nothing of size N_r*L is formed.  nu_0 Re proj[0] is the
-    whitened target-to-interference ratio x behind the exact sensing metric.
-    """
-    state = sense_state(pilot, scene, "exact")
-    gram, z = state.gram, state.z
-    sigma2 = scene.radar_noise_std**2
-    proj = (gram[0] - z.conj() @ gram[1:]) / sigma2
-    b_z = np.vdot(gram[1:, 0], z).real
-    z_g_z = np.vdot(z, gram[1:, 1:] @ z).real
-    return proj, (gram[0, 0].real - 2.0 * b_z + z_g_z) / sigma2**2
-
-
 def simulate_detection_trials(
     pilot, scene: SensingScene, n_trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -98,14 +78,17 @@ def simulate_detection_trials(
     target-absent (h0) and row 1 the target-present (h1) statistics, so
     ``t0, t1 = simulate_detection_trials(...)`` unpacks them.
 
-    Works on the scalar projection w^H y, whose distribution is identical to
-    the frame-level statistic.  Under h0 it is CN(0, a) with
-    a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 (Swerling I), so each
-    trial draws one standard complex normal g for all its clutter and noise
-    and one gamma for the target: t0 = a |g|^2 and
-    t1 = |sqrt(a) g + sqrt(nu_0) w^H mu_0 gamma|^2, the interference of all
-    trials drawn before any target.  The t0 and t1 of a trial share its g.
-    The standard draws are pilot-independent, so equal seeds give paired
+    Works on the scalar projection w^H y of the whitened filter
+    w = (R_cc + sigma^2 I)^{-1} mu_0, whose distribution is identical to the
+    frame-level statistic.  Under h0 it is CN(0, a) with
+    a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 = w^H mu_0 (Swerling I),
+    read from the exact sensing state, whose ``arg`` is 1 + nu_0 a, as
+    (gram[0, 0] - Re b^H z) / sigma^2 with b = gram[1:, 0] and z its clutter
+    weights.  So each trial draws one standard complex normal g for all its
+    clutter and noise and one gamma for the target: t0 = a |g|^2 and
+    t1 = |sqrt(a) g + sqrt(nu_0) a gamma|^2, the interference of all trials
+    drawn before any target.  The t0 and t1 of a trial share its g.  The
+    standard draws are pilot-independent, so equal seeds give paired
     comparisons across pilots: two pilots share each trial's g, each scaled
     by its own sqrt(a).  Trial i's pair (t0, t1) is written into the 16 B of
     its own complex interference entry once that entry has been read, and
@@ -114,9 +97,8 @@ def simulate_detection_trials(
     """
     count(n_trials, "n_trials")
     # one pilot: a stack raises here, before any draw
-    proj, w_norm2 = _detector_scalars(pilot_entries(pilot), scene)
-    clutter = np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)  # 0.0 without clutter
-    scale = np.sqrt(scene.radar_noise_std**2 * w_norm2 + clutter)  # sqrt(a)
+    _, gram, _, z = sense_state(pilot_entries(pilot), scene, "exact")
+    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2  # w^H mu_0
     # draws come in blocks of DETECTION_BLOCK trials, all interference, then
     # all targets; each block is scaled into the interference buffer or
     # folded into the statistics as soon as it is drawn
@@ -126,14 +108,14 @@ def simulate_detection_trials(
     ]
     interf = np.empty(n_trials, dtype=complex)
     for block in blocks:
-        np.multiply(complex_normal(rng, (block.stop - block.start,)), scale, out=interf[block])
+        np.multiply(complex_normal(rng, (block.stop - block.start,)), np.sqrt(a), out=interf[block])
     # entry i's two floats take (t0_i, t1_i), written only after the
     # block's interference has been read into |interf|^2 and interf + target
     pairs = interf.view(float).reshape(n_trials, 2)
     for block in blocks:
         target = complex_normal(rng, (block.stop - block.start,))
         target *= np.sqrt(scene.target_power)
-        target *= proj[0]
+        target *= a
         np.add(interf[block], target, out=target)
         np.square(np.abs(interf[block]), out=pairs[block, 0])
         np.square(np.abs(target), out=pairs[block, 1])
@@ -273,7 +255,7 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])[0]
+        est[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])
     return est
 
 
@@ -288,10 +270,18 @@ def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
 
 
 def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
-    """(estimates, mixture weights) of one chunk of trials for
-    ``gmm_mmse_batch``, which keeps only the estimates; the weights are
-    freed with the chunk's other intermediates."""
-    n_trials = extended.shape[0]
+    """Estimates of one chunk of trials for ``gmm_mmse_batch``: its rows
+    [y'^T, 1] times the gains mixed with the chunk's ``_mixture_weights``,
+    which are freed with its other intermediates."""
+    w = _mixture_weights(extended, quad_coef, log_prior)
+    mixed = (w @ gain_rows).view(complex).reshape(w.shape[0], -1, extended.shape[1])
+    return np.einsum("tnl,tl->tn", mixed, extended)
+
+
+def _mixture_weights(extended, quad_coef, log_prior):
+    """Mixture weights (responsibilities) of one chunk of trials, shape
+    (trials, N_k): exp(log_prior - z^H M_n z) normalized per trial, 0 below
+    e^WEIGHT_CUT times the trial's largest."""
     # features |z_i|^2, then Re and Im of conj(z_i) z_j for i < j, interleaved
     i, j = np.triu_indices(extended.shape[1], 1)
     upper = np.take(extended, i, axis=1).conj() * np.take(extended, j, axis=1)  # C order: real view
@@ -300,8 +290,18 @@ def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
     log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w, where=log_w > WEIGHT_CUT, out=np.zeros_like(log_w))
     w /= w.sum(axis=1, keepdims=True)
-    mixed = (w @ gain_rows).view(complex).reshape(n_trials, -1, extended.shape[1])
-    return np.einsum("tnl,tl->tn", mixed, extended), w
+    return w
+
+
+def _user_pilot(pilot, users: list) -> np.ndarray:
+    """The entries of ``pilot``, checked before any draw against ``users``,
+    which must be nonempty and each take the pilot's antenna count."""
+    phi = pilot_entries(pilot)
+    if not users:
+        raise DimensionError("users: must be nonempty")
+    if any(model.n_tx != phi.shape[1] for model in users):
+        raise DimensionError("pilot antenna count must match the channel model")
+    return phi
 
 
 def _estimate_draws(phi: np.ndarray, model: GmmUserModel, n: int, rng: np.random.Generator):
@@ -338,7 +338,7 @@ def c_worst_estimate(
     """
     count(trials, "trials")
     count(block_len, "block_len")
-    phi = pilot_entries(pilot)
+    phi = _user_pilot(pilot, users)
     n_slots, n_tx = phi.shape
     n_users = len(users)
 
@@ -350,8 +350,7 @@ def c_worst_estimate(
         estimates[:, k, :] = est
         err_power += float(np.sum(np.abs(channels - est) ** 2))
         ch_power += float(np.sum(np.abs(channels) ** 2))
-    err_var = err_power / ch_power
-    eff_snr = effective_training_snr(err_var)
+    eff_snr = effective_training_snr(err_power / ch_power)
 
     prefactor = block_len / (block_len + n_slots)
     power = np.mean(np.abs(estimates.reshape(trials, -1)) ** 2, axis=1)
@@ -373,7 +372,7 @@ def nmse_experiment(
     not depend on the pilot, so different pilots see identical trials.
     """
     count(n_trials, "n_trials")
-    phi = pilot_entries(pilot)
+    phi = _user_pilot(pilot, users)
     per_user = np.empty(len(users))
     streams = rng.spawn(len(users))
     for k, (model, stream) in enumerate(zip(users, streams)):
@@ -454,7 +453,7 @@ def ser_experiment(
     count(n_symbols, "n_symbols", 1000)  # per SNR point
     count(block_len, "block_len")
     snr_grid_db = finite_array(snr_grid_db, "SNR grid", 1)  # a NaN or -inf point would read SER 1.0
-    phi = pilot_entries(pilot)
+    phi = _user_pilot(pilot, users)
     n_users = len(users)
     n_blocks = int(np.ceil(n_symbols / block_len))
 

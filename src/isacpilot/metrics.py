@@ -104,7 +104,7 @@ class SenseState(NamedTuple):
     taken as diagonal, where the approximate weights read z_i = nu_i
     gram[i, 0] / (sigma_r^2 + nu_i gram[i, i]).  The metric's clutter sum is
     sum_i Re(conj(gram[i, 0]) z_i); the detector
-    (``evaluation._detector_scalars``) and the gradient
+    (``evaluation.simulate_detection_trials``) and the gradient
     (``gradients._sense_grad``) are formed from z.
     """
 
@@ -289,8 +289,9 @@ def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseSta
     clutter Gram gram[1:, 1:] ("exact", one batched solve) or its diagonal
     ("approx"); row i of the system reads sigma^2 z_i = 0 for a source of
     zero power.  Then arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
-    sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x the
-    whitened target-to-interference ratio of ``evaluation._detector_scalars``.
+    sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x = nu_0 a the
+    whitened target-to-interference ratio, a = w^H mu_0 the h0 variance of
+    the detector's statistic (``evaluation.simulate_detection_trials``).
     An argument <= 0 raises ``ObjectiveDomainError`` with its value and, for
     a stack, the first failing pilot's index.  Only the approximate
     argument can fall there: the exact one is 1 + x with x >= 0.

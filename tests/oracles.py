@@ -27,7 +27,6 @@ from scipy.special import logsumexp
 import isacpilot as ip
 from isacpilot.channel import _region_covariances, _steering_rows, pilot_entries
 from isacpilot.config import build_geometry
-from isacpilot.evaluation import _detector_scalars
 from isacpilot.gradients import isac_value_and_grad
 from isacpilot.metrics import comm_state
 
@@ -45,7 +44,7 @@ def sense_kl_and_g(pilot, scene) -> tuple[float, float]:
     g = x / (1 + x) with x the whitened target-to-interference ratio; the KL
     divergence of the whitened hypothesis pair is log(1 + x) - g.
     """
-    x = scene.target_power * _detector_scalars(pilot, scene)[0][0].real
+    x = np.expm1(ip.sensing_mi(pilot, scene, "exact"))
     g = x / (1.0 + x)
     return float(np.log1p(x) - g), float(g)
 
@@ -161,18 +160,18 @@ def sweep_traces(objective, rho_values, init, config) -> list:
 def mmse_with_weights(observations, pilot, model) -> tuple[np.ndarray, np.ndarray]:
     """(estimates, mixture weights) of one ``gmm_mmse_batch`` call: the
     estimates it returns, shape (T, N_t), and the responsibilities it mixed
-    them with, shape (T, N_k), recorded from each ``evaluation._mmse_chunk``
-    call and stacked in trial order.  The package keeps no (T, N_k) array."""
+    them with, shape (T, N_k), recorded from each
+    ``evaluation._mixture_weights`` call and stacked in trial order.  The
+    package keeps no (T, N_k) array."""
     chunk_weights = []
-    mmse_chunk = ip.evaluation._mmse_chunk
+    mixture_weights = ip.evaluation._mixture_weights
 
     def recording(*args):
-        est, w = mmse_chunk(*args)
-        chunk_weights.append(w)
-        return est, w
+        chunk_weights.append(mixture_weights(*args))
+        return chunk_weights[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ip.evaluation, "_mmse_chunk", recording)
+        patch.setattr(ip.evaluation, "_mixture_weights", recording)
         est = ip.gmm_mmse_batch(observations, pilot, model)
     return est, np.concatenate(chunk_weights)
 

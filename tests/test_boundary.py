@@ -33,6 +33,7 @@ USERS = build_user_models(GEOMETRY, [(20.0, 10.0, 0.1), (-40.0, 15.0, 0.2)], 12)
 MODEL = USERS[0]
 OBJECTIVE = ip.IsacObjective(0.5, [0.5, 0.5], USERS, SCENE)
 PILOT = ip.random_stiefel(3, 8, ip.substream(1, "boundary")).entries
+PILOT_10 = ip.random_stiefel(3, 10, ip.substream(1, "boundary")).entries  # 10 antennas, USERS have 8
 OBSERVATIONS = ip.complex_normal(ip.substream(2, "boundary"), (20, 3))
 # the result records of the package: built by it, never taking user input
 RECORDS = {"RocCurve", "OptimizationTrace"}
@@ -289,7 +290,8 @@ def test_every_public_callable_has_a_row():
 
 BAD_COUNT = ip.InvalidParameterError
 # the calls that ended in a bare error, a warning or a silent NaN before the
-# shared rules, each now pinned to its named error
+# shared rules, each now pinned to its named error; with them, each callable
+# that takes a user list, given none
 KNOWN_GAPS = {
     "ArrayGeometry-nan": (lambda: ip.ArrayGeometry(np.nan, 4), BAD_COUNT),
     "ArrayGeometry-float": (lambda: ip.ArrayGeometry(8.5, 4), BAD_COUNT),
@@ -305,6 +307,16 @@ KNOWN_GAPS = {
     "project_stiefel-1d": (lambda: ip.project_stiefel(np.ones(8)), ip.DimensionError),
     "eigen_pilot-nan": (lambda: ip.eigen_pilot(3, USERS, [np.nan, 1.0]), ip.NonFiniteError),
     "comm_mi_weighted-empty": (lambda: ip.comm_mi_weighted(np.ones((0, 8)), OBJECTIVE), ip.DimensionError),
+    "c_worst_estimate-no-users": (lambda: ip.c_worst_estimate(PILOT, [], 50, 10, rng()), ip.DimensionError),
+    "nmse_experiment-no-users": (lambda: ip.nmse_experiment(PILOT, [], 10, rng()), ip.DimensionError),
+    "ser_experiment-no-users": (lambda: ip.ser_experiment(PILOT, [], [0.0], 1000, 100, rng()), ip.DimensionError),
+    "eigen_pilot-no-users": (lambda: ip.eigen_pilot(3, [], []), ip.DimensionError),
+    "c_worst_estimate-antennas": (lambda: ip.c_worst_estimate(PILOT_10, USERS, 50, 10, rng()), ip.DimensionError),
+    "nmse_experiment-antennas": (lambda: ip.nmse_experiment(PILOT_10, USERS, 10, rng()), ip.DimensionError),
+    "ser_experiment-antennas": (
+        lambda: ip.ser_experiment(PILOT_10, USERS, [0.0], 1000, 100, rng()),
+        ip.DimensionError,
+    ),
 }
 
 

@@ -24,11 +24,11 @@ from isacpilot.channel import build_user_models
 from isacpilot.config import build_users, parse_config
 from isacpilot.evaluation import (
     CONSTELLATION,
-    _detector_scalars,
     _estimate_draws,
     _qam_labels,
     _roc_thresholds,
 )
+from isacpilot.metrics import sense_state
 from oracles import (
     detector_statistic,
     mmse_with_weights,
@@ -58,16 +58,26 @@ def clutter_scene(target_power=1.0, radar_noise_std=1.0, clutter=((10.0, 0.4),))
 
 def all_draws_first(pilot, scene, n_trials, rng):
     """Oracle of ``simulate_detection_trials``: every draw held at once,
-    then combined.  Under h0 w^H y is CN(0, a), a = sigma^2 ||w||^2 +
-    sum_i nu_i |w^H mu_i|^2, so each trial's interference is one standard
+    then combined.  Under h0 w^H y is CN(0, a), a = w^H mu_0, read from the
+    exact sensing state, so each trial's interference is one standard
     complex normal scaled by sqrt(a); the targets are drawn after all of
     them."""
-    proj, w_norm2 = _detector_scalars(pilot, scene)
-    a = scene.radar_noise_std**2 * w_norm2 + np.sum(scene.clutter_powers * np.abs(proj[1:]) ** 2)
+    _, gram, _, z = sense_state(pilot, scene, "exact")
+    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2
     interf = np.sqrt(a) * ip.complex_normal(rng, (n_trials,))
     gamma_t = ip.complex_normal(rng, (n_trials,))
-    target = np.sqrt(scene.target_power) * gamma_t * proj[0]
+    target = np.sqrt(scene.target_power) * gamma_t * a
     return np.abs(interf) ** 2, np.abs(interf + target) ** 2
+
+
+def sampler_variance(pilot, scene):
+    """The h0 variance a that ``simulate_detection_trials`` scales its
+    interference by, recovered as t0 / |g|^2 from the interference draws g
+    of its own substream."""
+    t0, _ = simulate_detection_trials(pilot, scene, 8, substream(0, "variance"))
+    a = t0 / np.abs(ip.complex_normal(substream(0, "variance"), (8,))) ** 2
+    assert np.allclose(a, a[0], rtol=1e-12, atol=0.0)
+    return a[0]
 
 
 def traced_roc_peak(n_trials):
@@ -184,28 +194,30 @@ class TestDetectorStatistic:
 
     def test_scalar_path_agrees_with_dense_path(self):
         # the batched trial generator works on w^H y; check against the
-        # dense whitened statistic on explicit frames
+        # dense whitened statistic on explicit frames, and its variance a
+        # against the dense sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 and
+        # w^H mu_0, for 0 to 3 clutter sources, the last of zero power
         pilot = ip.random_stiefel(3, 8, substream(9, "ds"))
-        scene = clutter_scene()
-        from isacpilot.evaluation import _detector_scalars
-
-        proj, w_norm2 = _detector_scalars(pilot, scene)
-        mus = sensing_vectors(pilot, scene)
         rng = substream(10, "ds-frames")
-        for _ in range(10):
-            y = simulate_radar_frame(pilot, scene, "H1", rng)
+        for clutter in CLUTTER_CASES + [((10.0, 0.4), (-30.0, 2.5), (65.0, 0.0))]:
+            scene = clutter_scene(clutter=clutter)
+            mus = sensing_vectors(pilot, scene)
             dim = mus[0].size
             cov = scene.radar_noise_std**2 * np.eye(dim, dtype=complex)
             for p, mu in zip(scene.clutter_powers, mus[1:]):
                 cov += p * np.outer(mu, mu.conj())
             w = np.linalg.solve(cov, mus[0])
-            assert detector_statistic(y, pilot, scene) == pytest.approx(
-                abs(np.vdot(w, y)) ** 2, rel=1e-9
+            for _ in range(10):
+                y = simulate_radar_frame(pilot, scene, "H1", rng)
+                assert detector_statistic(y, pilot, scene) == pytest.approx(
+                    abs(np.vdot(w, y)) ** 2, rel=1e-9
+                )
+            dense = scene.radar_noise_std**2 * np.linalg.norm(w) ** 2 + sum(
+                p * abs(np.vdot(w, mu)) ** 2 for p, mu in zip(scene.clutter_powers, mus[1:])
             )
-        # scalar projections match the dense weight vector inner products
-        for i, mu in enumerate(mus):
-            assert proj[i] == pytest.approx(np.vdot(w, mu), rel=1e-9)
-        assert w_norm2 == pytest.approx(np.linalg.norm(w) ** 2, rel=1e-9)
+            a = sampler_variance(pilot, scene)
+            assert a == pytest.approx(dense, rel=1e-9), len(clutter)
+            assert a == pytest.approx(np.vdot(w, mus[0]).real, rel=1e-9), len(clutter)
 
     def test_whitening_invariance_under_unitary(self):
         # rotating every response vector and the data by one unitary leaves
@@ -356,11 +368,12 @@ ROC_LAW_CASES = CLUTTER_CASES + [((43.0, 0.4), (47.5, 2.5))]  # 0, 1, 2 far and 
 @pytest.mark.parametrize("clutter", ROC_LAW_CASES, ids=["none", "one", "two", "two-near"])
 def test_roc_follows_the_swerling_law(clutter):
     """The whitened statistic is Exp(a) without the target and Exp(a (1 + x))
-    with it, a = Re proj_0 and x = expm1(sensing_mi(..., "exact")), so P_d =
-    P_fa^{1/(1+x)} and the threshold is -a ln P_fa.  P_d is checked within 4
-    standard errors, binomial plus threshold-estimate terms, and the
-    threshold within 5 of its quantile's.  A 5% error in x moves some point
-    of every pilot here by more than 4 standard errors (4.1 to 10.3)."""
+    with it, a = w^H mu_0 the sampler's variance and
+    x = expm1(sensing_mi(..., "exact")), so P_d = P_fa^{1/(1+x)} and the
+    threshold is -a ln P_fa.  P_d is checked within 4 standard errors,
+    binomial plus threshold-estimate terms, and the threshold within 5 of
+    its quantile's.  A 5% error in x moves some point of every pilot here by
+    more than 4 standard errors (4.1 to 10.3)."""
     scene = clutter_scene(clutter=clutter)
     grid, n = np.array([1e-3, 1e-2, 0.05, 0.1, 0.3]), 200_000
     case = ROC_LAW_CASES.index(clutter)
@@ -371,7 +384,7 @@ def test_roc_follows_the_swerling_law(clutter):
         p_d = grid ** (1.0 / (1.0 + x))
         se = np.sqrt(p_d * (1 - p_d) / n + p_d**2 * (1 - grid) / (n * grid * (1 + x) ** 2))
         assert np.all(np.abs(curve.p_d - p_d) <= 4.0 * se)
-        tau = -_detector_scalars(pilot, scene)[0][0].real * np.log(grid)
+        tau = -sampler_variance(pilot, scene) * np.log(grid)
         tau_se = tau * np.sqrt((1 - grid) / (n * grid)) / np.abs(np.log(grid))
         assert np.all(np.abs(curve.thresholds - tau) <= 5.0 * tau_se)
 
@@ -477,6 +490,24 @@ class TestNmseExperiment:
         per_a1, _ = nmse_experiment(a, [model], 100, substream(43, "paired"))
         per_a2, _ = nmse_experiment(a, [model], 100, substream(43, "paired"))
         np.testing.assert_array_equal(per_a1, per_a2)
+
+    @pytest.mark.parametrize("n_tx, n_users", [(10, 1), (8, 0)], ids=["antennas", "no-users"])
+    def test_user_experiments_reject_before_any_draw(self, n_tx, n_users):
+        # a pilot of the wrong antenna count, or no users, raises a named
+        # error before the first channel draw, in all three experiments
+        users = build_user_models(ArrayGeometry(n_tx=8, n_rx=2), [(30.0, 8.0, 0.3)], 4)[:n_users]
+        pilot = ip.random_stiefel(3, n_tx, substream(44, "rf"))
+        calls = [
+            lambda rng: nmse_experiment(pilot, users, 10, rng),
+            lambda rng: ip.c_worst_estimate(pilot, users, 50, 10, rng),
+            lambda rng: ser_experiment(pilot, users, [0.0], 1000, 100, rng),
+        ]
+        for call in calls:
+            rng = substream(45, "users")
+            state = rng.bit_generator.state
+            with pytest.raises(ip.DimensionError, match="antenna count" if n_users else "users"):
+                call(rng)
+            assert rng.bit_generator.state == state
 
 
 class TestQam64:
