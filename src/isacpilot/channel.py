@@ -319,10 +319,16 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
     last q of them, so the stream advances alike whatever the factor's rank.
     The normals come in one draw, in component order: the first rows go to
     component 0's samples, in sample order, and so on, which one stable
-    argsort of the component indices lays out.  The factor is copied out of
-    ``stacked`` into contiguous (N_t, q) blocks A_n, so each product is a
-    BLAS call: on a strided view of ``stacked`` NumPy takes its non-BLAS
-    loop, whose last bits differ, and the draws would change.
+    argsort of the component indices lays out.  Each component's channels
+    are formed in the same rows of a component-ordered buffer, its product
+    written there by ``np.matmul(..., out=)`` and its mean added in place,
+    and one scatter through that argsort puts the buffer in sample order,
+    into the normals' own array, which is no longer read.  The factor is
+    copied out of ``stacked`` into contiguous (N_t, q) blocks A_n, so each
+    product is a BLAS call: on a strided view of ``stacked`` NumPy takes
+    its non-BLAS loop, whose last bits differ, and the draws would change.
+    One product over all components would not do either, since each
+    component has its own A_n.
     """
     count(n_samples, "n_samples")
     blocks = np.ascontiguousarray(model.factor.transpose(2, 0, 1))  # (N_k, N_t, q)
@@ -331,8 +337,10 @@ def sample_channels(model: GmmUserModel, n_samples: int, rng: np.random.Generato
     order = np.argsort(indices, kind="stable")
     counts = np.bincount(indices, minlength=model.n_components)
     ends = np.cumsum(counts)
-    out = np.empty((n_samples, model.n_tx), dtype=complex)
+    by_component = np.empty((n_samples, model.n_tx), dtype=complex)
     for comp in np.flatnonzero(counts):
         rows = slice(ends[comp] - counts[comp], ends[comp])
-        out[order[rows]] = model.means[comp] + z[rows, -model.rank :] @ blocks[comp].T
-    return out
+        np.matmul(z[rows, -model.rank :], blocks[comp].T, out=by_component[rows])
+        by_component[rows] += model.means[comp]
+    z[order] = by_component
+    return z

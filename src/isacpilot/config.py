@@ -4,6 +4,13 @@ Configs are YAML with a fixed schema: unknown keys are rejected with their
 dotted path, physically meaningful quantities have no silent defaults, and
 the effective config (including the effective seed) is hashed into every
 output file so results can be traced back to their inputs.
+
+Files are read by ``yaml.CSafeLoader``, PyYAML's binding of libyaml, which
+parses the shipped configs about five times faster than the pure-Python
+``yaml.SafeLoader``; a PyYAML built without libyaml
+(``yaml.__with_libyaml__`` false) falls back to the latter.  Both resolve
+and construct values with the same Python ``SafeConstructor``, so a config
+parses to the same values, and the same hash, under either.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ class ConfigError(IsacPilotError, ValueError):
     """Configuration file is malformed; message carries the offending path."""
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a mapping key written twice, at the
-    second copy's mark, where ``yaml.safe_load`` keeps the last copy."""
+class _RejectRepeatedKeys:
+    """Loader mixin that rejects a mapping key written twice, at the second
+    copy's mark, where ``yaml.safe_load`` keeps the last copy."""
 
     def construct_mapping(self, node, deep=False):
         first = {}  # (tag, text) of each scalar key -> its first key node
@@ -41,6 +48,12 @@ class _UniqueKeyLoader(yaml.SafeLoader):
             if first.setdefault((key.tag, key.value), key) is not key:
                 raise yaml.MarkedYAMLError(None, None, f"{key.value!r} repeated", key.start_mark)
         return super().construct_mapping(node, deep=deep)
+
+
+class _UniqueKeyLoader(
+    _RejectRepeatedKeys, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+):
+    """The safe loader of ``parse_config``, libyaml's where PyYAML has it."""
 
 
 def _fields(mapping, table: dict, path: str) -> dict:

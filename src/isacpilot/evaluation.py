@@ -19,6 +19,7 @@ one chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,22 +32,12 @@ from .errors import (
     number,
     simplex,
 )
-from .metrics import comm_state, sense_state
+from .metrics import WEIGHT_CUT, comm_state, sense_state
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
 QAM_LEVELS = (2.0 * np.arange(8) - 7.0) / np.sqrt(42.0)
 CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
-# Mixture weights more than this far below a trial's largest, in the log
-# domain, are set to exactly 0.  e^-700 is about 1e-304, just above the
-# subnormal range (below 2.2e-308, from about e^-708): such a weight is
-# hundreds of orders below the estimate's roundoff, but as a subnormal
-# operand it takes a slow microcode path in every product it enters.  The
-# weights enter one product, the mixing of the stacked gains [G_n | b_n] in
-# ``gmm_mmse_batch``, which subnormal weights made about thirteen times
-# slower.  Normalized by at most N_k, a kept weight stays normal for any N_k
-# below about 4,000.
-WEIGHT_CUT = -700.0
 # Detection trials are drawn in blocks of this many, so the draws alive at a
 # time take 256 KB whatever the trial count; only the interference, one
 # complex normal scaled by sqrt(a) per trial, grows with it, 16 B per trial,
@@ -239,7 +230,7 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     sigma_inv *= 1.0 / model.noise_std**2  # the bits of the division by sigma^2
     quad[:, :n_slots, n_slots:] = s
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
-    i, j = np.triu_indices(n_slots + 1, 1)
+    i, j = _upper_pairs(n_slots + 1)
     diagonal = np.diagonal(quad, axis1=1, axis2=2).real
     upper = 2.0 * np.ascontiguousarray(quad[:, i, j]).conj()
     quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
@@ -257,6 +248,17 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
         trials = slice(start, start + chunk)
         est[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])
     return est
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, 1)``, the (i, j) pairs i < j of the features,
+    built once per size and read-only: ``gmm_mmse_batch`` and each of its
+    chunks read them."""
+    pairs = np.triu_indices(size, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
@@ -283,7 +285,7 @@ def _mixture_weights(extended, quad_coef, log_prior):
     (trials, N_k): exp(log_prior - z^H M_n z) normalized per trial, 0 below
     e^WEIGHT_CUT times the trial's largest."""
     # features |z_i|^2, then Re and Im of conj(z_i) z_j for i < j, interleaved
-    i, j = np.triu_indices(extended.shape[1], 1)
+    i, j = _upper_pairs(extended.shape[1])
     upper = np.take(extended, i, axis=1).conj() * np.take(extended, j, axis=1)  # C order: real view
     features = np.concatenate((extended.real**2 + extended.imag**2, upper.view(float)), axis=1)
     log_w = log_prior - features @ quad_coef  # (trials, N_k)
@@ -476,8 +478,10 @@ def ser_experiment(
         errors = 0
         for start in range(0, n_blocks, run):
             blocks = slice(start, start + run)
-            received = effective[blocks] @ CONSTELLATION[sent[blocks]]
-            received += noise_std * complex_normal(data_rng, received.shape)
+            # the noise, scaled in place, then the signal added into it
+            received = complex_normal(data_rng, sent[blocks].shape)
+            received *= noise_std
+            received += effective[blocks] @ CONSTELLATION[sent[blocks]]
             decided = _qam_labels(received, inv_gains[blocks])
             errors += int(np.count_nonzero(decided != sent[blocks]))
         ser[i] = errors / sent.size
@@ -504,6 +508,8 @@ def eigen_pilot(n_slots: int, users: list, user_weights) -> PilotMatrix:
     user_weights = simplex(user_weights, "user weights", len(users))
     count(n_slots, "n_slots")
     n_tx = users[0].n_tx
+    if any(model.n_tx != n_tx for model in users):
+        raise DimensionError("users must share one antenna count")
     pooled = np.zeros((n_tx, n_tx), dtype=complex)
     for weight, model in zip(user_weights, users):
         x = model.stacked * np.tile(np.sqrt(model.weights), model.rank + 1)

@@ -97,7 +97,7 @@ import numpy as np
 
 from .channel import SensingScene, pilot_entries
 from .errors import DimensionError, NumericError, number
-from .metrics import CommState, IsacObjective, SenseState, comm_state, sense_state
+from .metrics import WEIGHT_CUT, CommState, IsacObjective, SenseState, comm_state, sense_state
 
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
@@ -107,7 +107,8 @@ STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
 def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     """sum_g coefs[g] d value_g / d Phi^* over the users g of one ``comm_state`` group."""
     n_slots, rank, n_comp = state.b.shape
-    mix = np.exp(state.log_mix - state.log_omega[:, None])
+    rel = state.log_mix - state.log_omega[:, None]
+    mix = np.exp(rel, where=rel > WEIGHT_CUT, out=np.zeros_like(rel))  # no subnormal weight
     mix *= coefs[:, None]  # (K_g, N_k)
     ms = mix * state.s  # (L, K_g, N_k)
     # E = [D | -sum_g ms_g] in the stacked array's column order; E stacked^H

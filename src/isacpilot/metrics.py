@@ -33,7 +33,8 @@ class IsacObjective:
 
     ``sensing_formula`` names the sensing metric (``SENSING_FORMULAS``)
     that the objective, its gradient and the ascent follow.  Construction
-    also sets ``groups``, the users as (weights, users) pairs
+    rejects users whose antenna count differs from the scene's, and
+    sets ``groups``, the users as (weights, users) pairs
     that share one factor and one noise level, each of which takes one
     ``comm_state`` call; groups and the users within them keep their
     first-appearance order.
@@ -49,12 +50,31 @@ class IsacObjective:
         number(self.rho, "rho", "must lie in [0, 1]")
         one_of(self.sensing_formula, "sensing_formula", SENSING_FORMULAS)
         self.user_weights = simplex(self.user_weights, "user weights", len(self.users))
+        n_tx = self.scene.geometry.n_tx
+        for m in self.users:
+            if m.n_tx != n_tx:
+                raise DimensionError(f"users have {m.n_tx} antennas but the scene has {n_tx}")
         groups = {}
         for w, m in zip(self.user_weights, self.users):
             weights, users = groups.setdefault((id(m.stacked), m.noise_std), ([], []))
             weights.append(w)
             users.append(m)
         self.groups = [(np.array(weights), users) for weights, users in groups.values()]
+
+
+# A mixture weight whose log lies more than this below the largest log
+# weight (the estimator's) or below the log of their sum (the gradient's,
+# log_mix - log_omega) is set to exactly 0.  e^-700 is about 1e-304, just
+# above the subnormal range (below 2.2e-308, from about e^-708): such a
+# weight is hundreds of orders below the result's roundoff, but as a
+# subnormal operand it takes a slow microcode path in every product it
+# enters.  In ``evaluation.gmm_mmse_batch`` the weights enter the mixing of
+# the stacked gains [G_n | b_n], which subnormal weights made about thirteen
+# times slower; in ``gradients._comm_grad`` they enter its products with
+# the state, which one subnormal weight of 180 made 1.2 to 1.4 times slower
+# at the L = 9 ascent.  Normalized by at most N_k, a kept estimator weight
+# stays normal for any N_k below about 4,000.
+WEIGHT_CUT = -700.0
 
 
 class CommState(NamedTuple):

@@ -14,8 +14,10 @@ a single steering vector and the detection-error exponent decomposition.
 So do the one-user views of the package's metric and its one gradient
 routine, ``gradients.isac_value_and_grad``, that the tests check, the
 multi-value trade-off sweep the tests run through ``optimize_pgd``, the
-estimator's mixture weights, recorded from its own chunks, and the 64-QAM
-level rule the link simulation decided with before it decided in place.
+estimator's mixture weights, recorded from its own chunks, the 64-QAM
+level rule the link simulation decided with before it decided in place,
+and the channel sampler as it wrote each component's draws before it
+formed them in a component-ordered buffer.
 """
 
 from dataclasses import replace
@@ -174,6 +176,24 @@ def mmse_with_weights(observations, pilot, model) -> tuple[np.ndarray, np.ndarra
         patch.setattr(ip.evaluation, "_mixture_weights", recording)
         est = ip.gmm_mmse_batch(observations, pilot, model)
     return est, np.concatenate(chunk_weights)
+
+
+def per_component_sampler(model, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_channels`` as it wrote each component's draws: the same
+    stream and the same per-component BLAS products, each product added to
+    its mean in a fresh array and assigned through the component's sample
+    indices."""
+    blocks = np.ascontiguousarray(model.factor.transpose(2, 0, 1))  # (N_k, N_t, q)
+    indices = rng.choice(model.n_components, size=n_samples, p=model.weights)
+    z = ip.complex_normal(rng, (n_samples, model.n_tx))
+    order = np.argsort(indices, kind="stable")
+    counts = np.bincount(indices, minlength=model.n_components)
+    ends = np.cumsum(counts)
+    out = np.empty((n_samples, model.n_tx), dtype=complex)
+    for comp in np.flatnonzero(counts):
+        rows = slice(ends[comp] - counts[comp], ends[comp])
+        out[order[rows]] = model.means[comp] + z[rows, -model.rank :] @ blocks[comp].T
+    return out
 
 
 def comm_grad(pilot, model) -> np.ndarray:

@@ -34,6 +34,7 @@ MODEL = USERS[0]
 OBJECTIVE = ip.IsacObjective(0.5, [0.5, 0.5], USERS, SCENE)
 PILOT = ip.random_stiefel(3, 8, ip.substream(1, "boundary")).entries
 PILOT_10 = ip.random_stiefel(3, 10, ip.substream(1, "boundary")).entries  # 10 antennas, USERS have 8
+USERS_10 = build_user_models(ip.ArrayGeometry(n_tx=10, n_rx=4), [(20.0, 10.0, 0.1)], 12)
 OBSERVATIONS = ip.complex_normal(ip.substream(2, "boundary"), (20, 3))
 # the result records of the package: built by it, never taking user input
 RECORDS = {"RocCurve", "OptimizationTrace"}
@@ -317,6 +318,8 @@ KNOWN_GAPS = {
         lambda: ip.ser_experiment(PILOT_10, USERS, [0.0], 1000, 100, rng()),
         ip.DimensionError,
     ),
+    "eigen_pilot-antennas": (lambda: ip.eigen_pilot(3, [MODEL, *USERS_10], [0.5, 0.5]), ip.DimensionError),
+    "IsacObjective-antennas": (lambda: ip.IsacObjective(0.5, [1.0], USERS_10, SCENE), ip.DimensionError),
 }
 
 

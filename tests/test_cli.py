@@ -20,6 +20,7 @@ from isacpilot.cli import (
     verify_outputs,
 )
 import isacpilot.cli as cli
+import isacpilot.config as config_module
 from isacpilot.config import TASKS, ConfigError, build_objective, parse_config
 from isacpilot.errors import ObjectiveDomainError
 from isacpilot.metrics import sensing_mi
@@ -32,6 +33,18 @@ from isacpilot.optimizer import (
 from isacpilot.streams import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the loader bases parse_config can take: libyaml's, and the pure-Python
+# fallback of a PyYAML built without libyaml
+LOADER_BASES = {"libyaml": getattr(yaml, "CSafeLoader", None), "python": yaml.SafeLoader}
+
+
+def use_loader_base(monkeypatch, name):
+    """Make parse_config read through the repeated-key loader on ``name``'s base."""
+    base = LOADER_BASES[name]
+    if base is None:
+        pytest.skip("PyYAML was built without libyaml")
+    loader = type("Loader", (config_module._RejectRepeatedKeys, base), {})
+    monkeypatch.setattr(config_module, "_UniqueKeyLoader", loader)
 
 BASE_CONFIG = {
     "task": "sweep",
@@ -94,12 +107,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             parse_config(str(path))
 
+    def test_loader_is_libyamls_where_pyyaml_has_it(self):
+        assert issubclass(config_module._UniqueKeyLoader, config_module._RejectRepeatedKeys)
+        if yaml.__with_libyaml__:
+            assert issubclass(config_module._UniqueKeyLoader, yaml.CSafeLoader)
+        else:
+            assert issubclass(config_module._UniqueKeyLoader, yaml.SafeLoader)
+
+    @pytest.mark.parametrize("base", LOADER_BASES)
     @pytest.mark.parametrize(
         "line, repeat",
         [("seed: 11", "seed: 7"), ("    radar_noise_std: 1.0", "    radar_noise_std: 2.0")],
     )
-    def test_repeated_key_rejected_at_its_position(self, tmp_path, line, repeat):
+    def test_repeated_key_rejected_at_its_position(self, tmp_path, monkeypatch, line, repeat, base):
         # yaml.safe_load would keep the last copy and run with it
+        use_loader_base(monkeypatch, base)
         text = yaml.safe_dump(BASE_CONFIG)
         assert text.count(f"{line}\n") == 1
         text = text.replace(f"{line}\n", f"{line}\n{repeat}\n")
@@ -714,6 +736,21 @@ def test_every_task_has_a_runner():
 def test_shipped_config_parses(path):
     config = parse_config(str(path))
     assert config.task in TASKS
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_round_trips_on_both_loader_bases(path, tmp_path, monkeypatch):
+    parsed = []
+    for base in LOADER_BASES:
+        use_loader_base(monkeypatch, base)
+        config = parse_config(str(path))
+        # dumped and read back, the config parses to the same values
+        again = tmp_path / f"{base}.yaml"
+        again.write_text(yaml.safe_dump(config.raw))
+        assert parse_config(str(again)) == config
+        parsed.append(config)
+    libyaml, python = parsed
+    assert libyaml == python and libyaml.config_hash() == python.config_hash()
 
 
 class TestVerify:

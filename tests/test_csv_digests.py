@@ -2,21 +2,15 @@
 
 import hashlib
 import re
-import shutil
 
 from test_sweep_sensitivity import ROOT, load_tool
 
 from isacpilot.cli import run_config
 
 
-def test_prints_the_digest_of_each_table(tmp_path, capsys, monkeypatch):
-    # the tool run over a configs/ directory holding only gradcheck_small.yaml
+def test_prints_the_digest_of_each_table(tmp_path, capsys):
     config = ROOT / "configs" / "gradcheck_small.yaml"
-    (tmp_path / "configs").mkdir()
-    shutil.copy(config, tmp_path / "configs")
-    tool = load_tool("csv_digests")
-    monkeypatch.setattr(tool, "ROOT", tmp_path)
-    tool.main(["--seed", "7"])
+    load_tool("csv_digests").main(["--seed", "7", str(config)])
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  gradcheck_small/\w+\.csv", line) for line in lines)
     # the same run written directly gives the same bytes

@@ -25,6 +25,7 @@ from scipy.special import logsumexp
 
 import isacpilot as ip
 from isacpilot.config import build_geometry, build_objective, build_users, parse_config
+from isacpilot import gradients
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT, _shared_prior, build_user_models
 from isacpilot.errors import finite_array
@@ -36,6 +37,7 @@ from oracles import (
     comm_mi_user,
     dense_comm,
     mmse_with_weights,
+    per_component_sampler,
     region_covariances,
     scenario_covariances,
     sense_grad,
@@ -573,6 +575,30 @@ class TestGroupedKernel:
         got = _comm_grad(state, users, coefs)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    def test_subnormal_weight_flushed_with_the_gradient_bits_kept(self, monkeypatch):
+        # one weight set near e^-720, below the smallest normal double
+        pilot, users, _ = shared_users("region", [0.4, 0.4])
+        state = comm_state(pilot, users)
+        log_mix = state.log_mix.copy()
+        log_mix[0, np.flatnonzero(users[0].weights)[0]] = state.log_omega[0] - 720.0
+        state = state._replace(log_mix=log_mix)
+        coefs = np.array([0.3, 0.7])
+        exp, mixes = np.exp, []
+
+        def recording_exp(*args, **kwargs):  # _comm_grad's one exp forms its weights
+            mixes.append(exp(*args, **kwargs))
+            return mixes[-1]
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        got = _comm_grad(state, users, coefs)
+        monkeypatch.setattr(gradients, "WEIGHT_CUT", -np.inf)  # every weight kept
+        unmasked = _comm_grad(state, users, coefs)
+        tiny = np.finfo(float).tiny
+        masked_mix, unmasked_mix = mixes
+        assert np.any((unmasked_mix > 0.0) & (unmasked_mix < tiny))
+        assert not np.any((masked_mix > 0.0) & (masked_mix < tiny))
+        assert got.tobytes() == unmasked.tobytes()
+
     @pytest.mark.parametrize("noises", [(0.8, 0.6), (0.4, 0.4, 0.3, 0.4)])
     def test_objective_groups_by_noise(self, noises):
         pilot, users, covs = shared_users("region", list(noises))
@@ -910,6 +936,31 @@ class TestFactorSampler:
             got = ip.sample_channels(model, 2000, rng)
             assert np.array_equal(got, old_layout_sampler(model, 2000, old_rng))
             assert rng.bit_generator.state == old_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "config, n_samples, zero_weights",
+        [
+            (NMSE_CONFIG, 3000, False),
+            (NMSE_CONFIG, 400, False),
+            (DIAG_CONFIG, 600, False),
+            (NMSE_CONFIG, 1, False),
+            (NMSE_CONFIG, 400, True),
+        ],
+        ids=["nmse-3000", "ser-400", "diag-zero-means-600", "one-draw", "zero-weight-components"],
+    )
+    def test_bit_identical_to_per_component_sampler(self, config, n_samples, zero_weights):
+        # the Monte Carlo NMSE, SER and capacity-diagnostic draws, one draw,
+        # and a prior whose zero-weight components draw nothing
+        model = build_users(parse_config(str(config)).scenario)[0][0]
+        if zero_weights:
+            weights = model.weights.copy()
+            weights[::2] = 0.0
+            model = model._for_user(weights / weights.sum(), model.noise_std)
+        rng, ref_rng = ip.substream(n_samples, "by-component"), ip.substream(n_samples, "by-component")
+        got = ip.sample_channels(model, n_samples, rng)
+        expected = per_component_sampler(model, n_samples, ref_rng)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_matches_dense_root_sampler_on_one_stream(self):
         _, objective, _, stacks = gradient_instance(0)

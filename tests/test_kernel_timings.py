@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/kernel_timings.py`` on nine of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on ten of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
@@ -12,6 +12,7 @@ ROWS = [
     "build_users_cold",
     "simulate_detection_trials_mc",
     "roc_curve_mc",
+    "parse_config",
 ]
 
 

@@ -1,15 +1,18 @@
-"""Print the SHA-256 digest of every table the shipped configs write.
+"""Print the SHA-256 digest of every table the given configs write.
 
-Runs each ``configs/*.yaml`` through ``cli.run_config`` in process, into a
-temporary directory, and prints one line ``<sha256>  <config>/<table>.csv``
-per table, configs and tables in name order.  The task's own progress lines
-go to stderr, so stdout holds only the digests: two checkouts write the same
+Runs each config (default: the shipped ``configs/*.yaml``, in name order)
+through ``cli.run_config`` in process, into a temporary directory, and
+prints one line ``<sha256>  <config>/<table>.csv`` per table, configs in the
+order given and tables in name order.  The task's own progress lines go to
+stderr, so stdout holds only the digests: two checkouts write the same
 bytes when their outputs are equal, which one ``diff`` of the two outputs
-shows.
+shows.  Configs written elsewhere, such as the evaluation-only ones of
+``perfbench/workloads.py::montecarlo_configs``, are checked by passing
+their paths.
 
-Usage: ``python3 tools/csv_digests.py [--seed S] [--threads N]`` (default:
-each config at its own seed, one worker process).  It takes as long as
-running each config once.
+Usage: ``python3 tools/csv_digests.py [--seed S] [--threads N] [CONFIG ...]``
+(default: each config at its own seed, one worker process).  It takes as
+long as running each config once.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="SHA-256 of every table the configs write.")
     parser.add_argument("--seed", type=int, default=None, help="override every config's seed")
     parser.add_argument("--threads", type=int, default=1, help="worker processes per config")
+    parser.add_argument("configs", nargs="*", type=Path, help="config files (default: configs/*.yaml)")
     args = parser.parse_args(argv)
+    configs = args.configs or sorted((ROOT / "configs").glob("*.yaml"))
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted((ROOT / "configs").glob("*.yaml")):
-            lines = digests(config, Path(tmp) / config.stem, args.seed, args.threads)
+        for i, config in enumerate(configs):
+            lines = digests(config, Path(tmp) / str(i), args.seed, args.threads)
             print("\n".join(lines), flush=True)
 
 

@@ -65,7 +65,11 @@ are:
   whose pull-back takes the full clutter block;
   ``sensing_mi_exact_stack``: the same scene, one call of the
   exact sensing metric on a stack of ``STACK`` pilots (time per call), the
-  shape ``finite_diff_check`` hands its objective.
+  shape ``finite_diff_check`` hands its objective;
+- ``parse_config``: the ``montecarlo`` workload's NMSE config with a random
+  pilot (``perfbench/workloads.py::montecarlo_configs``, workload seed 1),
+  written to a temporary file as the workload writes it, parsed and
+  validated as each of that workload's eight tasks does first.
 
 Pilots are random (fixed seed), since the timings do not depend on them.
 
@@ -85,15 +89,20 @@ import argparse
 import ctypes
 import glob
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import montecarlo_configs  # noqa: E402
 
 from isacpilot.channel import _shared_prior, sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
@@ -149,8 +158,9 @@ def draw_normals(rng: np.random.Generator, block: np.ndarray, n: int) -> None:
         rng.standard_normal(out=flat[: min(flat.size, n - start)])
 
 
-def kernels() -> dict:
-    """name -> (shape description, zero-argument call), inputs built once."""
+def kernels(tmp: str) -> dict:
+    """name -> (shape description, zero-argument call), inputs built once;
+    input files are written under the directory ``tmp``."""
     _, sweep = scenario("sweep_tradeoff")
     objective = build_objective(sweep, 0.5)
     pilot = pilot_for(sweep, "sweep")
@@ -232,6 +242,10 @@ def kernels() -> dict:
     )
     grad_exact = replace(grad_objective, sensing_formula="exact")
     grad_stack = np.array([pilot_for(grad, f"gradcheck-{p}").entries for p in range(STACK)])
+
+    mc_nmse = Path(tmp) / "mc_nmse_random.yaml"
+    with open(mc_nmse, "w", encoding="utf-8") as handle:
+        yaml.safe_dump(montecarlo_configs(1)["mc_nmse_random"], handle, sort_keys=False)
 
     return {
         "comm_state": (sweep_shape, lambda: comm_state(pilot, objective.users)),
@@ -324,6 +338,7 @@ def kernels() -> dict:
             f"{grad_shape} stack of {STACK} per call",
             lambda: sensing_mi(grad_stack, grad_objective.scene, "exact"),
         ),
+        "parse_config": ("montecarlo mc_nmse_random", lambda: parse_config(str(mc_nmse))),
         "ser_experiment": (
             f"K={len(ser_users)} snr_points={len(params['snr_grid_db'])} "
             f"symbols={params['n_symbols']}",
@@ -379,24 +394,25 @@ def main(argv=None) -> None:
     parser.add_argument("names", nargs="*", help="kernels to time (default: all)")
     parser.add_argument("--seconds", type=float, default=1.0, help="timing budget per kernel")
     args = parser.parse_args(argv)
-    table = kernels()
-    unknown = sorted(set(args.names) - set(table))
-    if unknown:
-        parser.error(f"unknown kernel(s) {', '.join(unknown)}; choose from {', '.join(table)}")
-    print(f"nproc: {os.cpu_count()}  BLAS threads: {blas_threads()}  NumPy {np.__version__}")
-    print(
-        f"{'kernel':<26} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'calls':>6} "
-        f"{'peak MB':>8}  shape"
-    )
-    for name in args.names or table:
-        shape, call = table[name]
-        times = time_calls(call, args.seconds) / PILOTS_PER_CALL.get(name, 1)
-        peak_mb = traced_peak(call) / 1e6
-        q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
+    with tempfile.TemporaryDirectory() as tmp:
+        table = kernels(tmp)
+        unknown = sorted(set(args.names) - set(table))
+        if unknown:
+            parser.error(f"unknown kernel(s) {', '.join(unknown)}; choose from {', '.join(table)}")
+        print(f"nproc: {os.cpu_count()}  BLAS threads: {blas_threads()}  NumPy {np.__version__}")
         print(
-            f"{name:<26} {median:10.3f} {q1:9.3f} {q3:9.3f} {times.size:6d} "
-            f"{peak_mb:8.2f}  {shape}"
+            f"{'kernel':<26} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'calls':>6} "
+            f"{'peak MB':>8}  shape"
         )
+        for name in args.names or table:
+            shape, call = table[name]
+            times = time_calls(call, args.seconds) / PILOTS_PER_CALL.get(name, 1)
+            peak_mb = traced_peak(call) / 1e6
+            q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
+            print(
+                f"{name:<26} {median:10.3f} {q1:9.3f} {q3:9.3f} {times.size:6d} "
+                f"{peak_mb:8.2f}  {shape}"
+            )
 
 
 if __name__ == "__main__":
