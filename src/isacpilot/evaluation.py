@@ -478,7 +478,7 @@ def ser_experiment(
         errors = 0
         for start in range(0, n_blocks, run):
             blocks = slice(start, start + run)
-            # the noise, scaled in place, then the signal added into it
+            # the noise scaled in place, then the signal added into it (b + a has the bits of a + b)
             received = complex_normal(data_rng, sent[blocks].shape)
             received *= noise_std
             received += effective[blocks] @ CONSTELLATION[sent[blocks]]

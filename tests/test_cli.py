@@ -108,11 +108,8 @@ class TestConfigParsing:
             parse_config(str(path))
 
     def test_loader_is_libyamls_where_pyyaml_has_it(self):
-        assert issubclass(config_module._UniqueKeyLoader, config_module._RejectRepeatedKeys)
-        if yaml.__with_libyaml__:
-            assert issubclass(config_module._UniqueKeyLoader, yaml.CSafeLoader)
-        else:
-            assert issubclass(config_module._UniqueKeyLoader, yaml.SafeLoader)
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(config_module._UniqueKeyLoader, base)
 
     @pytest.mark.parametrize("base", LOADER_BASES)
     @pytest.mark.parametrize(
