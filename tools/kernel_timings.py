@@ -100,7 +100,7 @@ import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "perfbench"))  # after the packages: its module names are generic
 
 from workloads import montecarlo_configs  # noqa: E402
 
