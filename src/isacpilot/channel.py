@@ -214,18 +214,14 @@ class SensingScene:
 
 @dataclass(eq=False)
 class PilotMatrix:
-    """L x N_t pilot with orthonormal rows (unit power budget per slot)."""
+    """L x N_t pilot with orthonormal rows (unit power budget per slot),
+    checked at construction by ``check_pilots``, which also gives
+    ``residual``, the Frobenius distance of the row Gram from the identity."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        # finite first: an infinite entry would make the row Gram NaN through inf * 0
-        self.entries = finite_array(self.entries, "pilot", 2, dtype=complex)
-        n_slots, n_tx = self.entries.shape
-        if n_slots >= n_tx:
-            raise DimensionError("pilot length must be strictly below the antenna count")
-        if self.residual > ORTHONORMALITY_TOL:
-            raise InvalidParameterError("pilot rows are not orthonormal")
+        self.entries, self.residual = check_pilots(self.entries)
 
     @property
     def n_slots(self) -> int:
@@ -235,11 +231,31 @@ class PilotMatrix:
     def n_tx(self) -> int:
         return self.entries.shape[1]
 
-    @cached_property
-    def residual(self) -> float:
-        """Frobenius distance of the row Gram from the identity, computed once."""
-        gram = self.entries @ self.entries.conj().T
-        return float(np.linalg.norm(gram - np.eye(self.n_slots)))
+
+def check_pilots(entries, ndim=2) -> tuple:
+    """(entries, residual): ``entries`` checked against the pilot rule, the
+    one place that rule is kept.
+
+    ``entries`` is one pilot (L, N_t), or with ``ndim`` (2, 3) possibly a
+    stack (P, L, N_t).  Its entries must be finite (checked first: an
+    infinite entry would make the row Gram NaN through inf * 0), L must lie
+    strictly below N_t, and each pilot's residual, the Frobenius distance of
+    its row Gram from the identity, must be at most ``ORTHONORMALITY_TOL``.
+    Returns the entries as a complex array and the residual, a float for
+    one pilot and a (P,) array for a stack.  A stack takes one batched Gram
+    product; each pilot's norm is its own ``np.linalg.norm`` call, so its
+    residual has the bits of the pilot's ``PilotMatrix``.
+    """
+    entries = finite_array(entries, "pilot", ndim, dtype=complex)
+    n_slots, n_tx = entries.shape[-2:]
+    if n_slots >= n_tx:
+        raise DimensionError("pilot length must be strictly below the antenna count")
+    gram = entries @ entries.conj().swapaxes(-1, -2)
+    gram -= np.eye(n_slots)
+    residual = [np.linalg.norm(dev) for dev in gram.reshape(-1, n_slots, n_slots)]
+    if not all(r <= ORTHONORMALITY_TOL for r in residual):
+        raise InvalidParameterError("pilot rows are not orthonormal")
+    return entries, float(residual[0]) if entries.ndim == 2 else np.array(residual)
 
 
 def pilot_entries(pilot, ndim=2, name: str = "pilot") -> np.ndarray:

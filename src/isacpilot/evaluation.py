@@ -163,8 +163,10 @@ def _roc_thresholds(t0: np.ndarray, p_fa: np.ndarray) -> np.ndarray:
     ``np.quantile`` weighs its two equal neighbours by n instead of 0,
     which gives the same bits.  The order statistics come from successive
     partitions of t0's shrinking upper tail, lowest index first, so each
-    partition scans only what lies above the last; t0 stays a permutation
-    of its input.
+    partition scans only what lies above the last; an index the last
+    partition already placed is skipped.  t0 stays a permutation of its
+    input.  (``np.unique`` would import ``numpy.ma`` on its first call,
+    which costs a fresh process more than the thresholds do.)
     """
     n = t0.size
     virtual = (n - 1) * (1.0 - p_fa)
@@ -172,9 +174,10 @@ def _roc_thresholds(t0: np.ndarray, p_fa: np.ndarray) -> np.ndarray:
     hi = np.minimum(lo + 1, n - 1)
     gamma = virtual - lo
     start = 0
-    for k in np.unique(np.concatenate((lo, hi))):
-        t0[start:].partition(k - start)
-        start = k + 1
+    for k in np.sort(np.concatenate((lo, hi))).tolist():
+        if k >= start:
+            t0[start:].partition(k - start)
+            start = k + 1
     below, above = t0[lo], t0[hi]
     diff = above - below
     thresholds = below + diff * gamma

@@ -102,6 +102,8 @@ from .metrics import WEIGHT_CUT, CommState, IsacObjective, SenseState, comm_stat
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
 STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
+# stencil points per ``objective_fn`` call in ``finite_diff_check``
+STENCIL_STACK = 64
 
 
 def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
@@ -150,15 +152,16 @@ def isac_value_and_grad(pilot, objective: IsacObjective):
     gradient routine: the optimizer calls it every iteration, and the
     ``gradcheck`` task checks it with one-user objectives at rho = 1 and
     rho = 0 for the communication and sensing gradients. The sensing metric
-    and its gradient follow the objective's ``sensing_formula``. Both metrics
-    are evaluated at every rho, so a scene whose approximate sensing
+    and its gradient follow the objective's ``sensing_formula``. At rho = 0
+    the communication states are formed without the gradient's terms. Both
+    metrics are evaluated at every rho, so a scene whose approximate sensing
     log-argument is <= 0 raises ``ObjectiveDomainError`` even at rho = 1.
     """
     phi = pilot_entries(pilot)
     comm_total = 0.0
     grad = np.zeros_like(phi)
     for weights, users in objective.groups:
-        state = comm_state(pilot, users)
+        state = comm_state(pilot, users, terms=objective.rho > 0.0)
         comm_total += sum(weights * state.value)
         if objective.rho > 0.0:
             grad += _comm_grad(state, users, objective.rho * weights)
@@ -177,37 +180,40 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
 
     Every real and imaginary pilot coordinate is perturbed; the analytic
     directional derivative along E is 2 Re <G, E>.  The numeric one is the
-    fourth-order central stencil at +-h and +-2h.  The eight stencil points
-    of one pilot entry (four along the real direction, then four along the
-    imaginary one) form one (8, L, N_t) stack, and ``objective_fn`` maps a
-    stack to its 8 values, as the metrics of ``metrics`` do.  Returns
-    max |analytic - numeric| / max(1e-12, |numeric|); a stencil value or an
-    analytic derivative that is not finite raises ``NumericError`` naming
-    the pilot entry, since a NaN error would otherwise drop out of the max.
+    fourth-order central stencil at +-h and +-2h.  Each pilot entry has
+    eight stencil points (four along the real direction, then four along
+    the imaginary one), in entry order, and the 8 L N_t points of a check
+    are handed to ``objective_fn`` in (P, L, N_t) stacks of at most
+    ``STENCIL_STACK`` points, which it maps to their P values, as the
+    metrics of ``metrics`` do.  Returns max |analytic - numeric| /
+    max(1e-12, |numeric|); a stencil value or an analytic derivative that
+    is not finite raises ``NumericError`` naming the first such pilot
+    entry, since a NaN error would otherwise drop out of the max.
     """
     number(step, "step", "must be positive")
     phi = pilot_entries(pilot).copy()
     g_entries = np.asarray(gradient_fn(phi))
 
-    worst = 0.0
-    n_slots, n_tx = phi.shape
-    for i in range(n_slots):
-        for j in range(n_tx):
-            h = step * (1.0 + abs(phi[i, j]))
-            stack = np.repeat(phi[None], STENCIL.size, axis=0)
-            stack[:, i, j] += h * STENCIL
-            values = np.asarray(objective_fn(stack), dtype=float)
-            if values.shape != STENCIL.shape:
-                n = STENCIL.size
-                raise DimensionError(f"objective_fn must map an ({n}, L, N_t) stack to {n} values")
-            if not (np.isfinite(values).all() and np.isfinite(g_entries[i, j])):
-                problem = "a stencil value or the analytic derivative is not finite"
-                raise NumericError(f"pilot entry ({i}, {j}): {problem}")
-            for f, analytic in (
-                (values[:4].tolist(), 2.0 * g_entries[i, j].real),
-                (values[4:].tolist(), 2.0 * g_entries[i, j].imag),
-            ):
-                numeric = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12.0 * h)
-                err = abs(analytic - numeric) / max(1e-12, abs(numeric))
-                worst = max(worst, err)
-    return worst
+    n_points = STENCIL.size * phi.size
+    entry = np.arange(n_points) // STENCIL.size  # flat index of each point's pilot entry
+    h = step * (1.0 + np.abs(phi.reshape(-1)))
+    shifts = h[entry] * np.tile(STENCIL, phi.size)
+    values = np.empty(n_points)
+    for start in range(0, n_points, STENCIL_STACK):
+        points = slice(start, min(start + STENCIL_STACK, n_points))
+        stack = np.repeat(phi[None], points.stop - start, axis=0)
+        stack.reshape(len(stack), -1)[np.arange(len(stack)), entry[points]] += shifts[points]
+        stacked = np.asarray(objective_fn(stack), dtype=float)
+        if stacked.shape != (len(stack),):
+            n = len(stack)
+            raise DimensionError(f"objective_fn must map an ({n}, L, N_t) stack to {n} values")
+        values[points] = stacked
+    f = values.reshape(phi.size, 2, 4)  # [entry, real or imaginary, stencil point]
+    bad = ~(np.isfinite(f).all(axis=(1, 2)) & np.isfinite(g_entries.reshape(-1)))
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), phi.shape)
+        problem = "a stencil value or the analytic derivative is not finite"
+        raise NumericError(f"pilot entry ({i}, {j}): {problem}")
+    numeric = (-f[..., 0] + 8 * f[..., 1] - 8 * f[..., 2] + f[..., 3]) / (12.0 * h[:, None])
+    analytic = 2.0 * np.stack((g_entries.real.reshape(-1), g_entries.imag.reshape(-1)), axis=1)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1e-12, np.abs(numeric))))

@@ -91,7 +91,9 @@ class CommState(NamedTuple):
     when q < L).  Sigma_n itself is not kept: B_n C_n^H =
     I - sigma^2 Sigma_n^{-1}, so its inverse is (I - B_n C_n^H) / sigma^2.
     Shared by the communication metric, its gradient and the mixture-MMSE
-    estimator, which both read s^H B from here.  Arrays keep the component
+    estimator, which both read C and s^H B from here; a state formed
+    without ``terms`` (``comm_state``), for the metric's value alone, has
+    None in their place.  Arrays keep the component
     axis n last, so each step of the elimination in ``_solve_stacked``
     works on all N_k components at once.  For a stack of P pilots that axis
     holds P N_k columns, column p N_k + n for component n at pilot p, and
@@ -105,8 +107,8 @@ class CommState(NamedTuple):
     logdet: np.ndarray  # (N_k,) log det Sigma_n
     b: np.ndarray  # (L, q, N_k) B_n = Phi A_n, a view of Phi @ stacked
     s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} v_n^(g)
-    c: np.ndarray  # (L, q, N_k) solves Sigma_n^{-1} B_n
-    sb: np.ndarray  # (K_g, q, N_k) s_n^(g)H B_n
+    c: np.ndarray | None  # (L, q, N_k) solves Sigma_n^{-1} B_n
+    sb: np.ndarray | None  # (K_g, q, N_k) s_n^(g)H B_n
 
 
 class SenseState(NamedTuple):
@@ -171,27 +173,33 @@ def _diagonal(aug: np.ndarray) -> np.ndarray:
     return aug.reshape(-1, aug.shape[2])[:: aug.shape[1] + 1]
 
 
-def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
+def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool) -> tuple:
     """(log det Sigma_n, s, C, s^H B) from the L x L system, for L <= q.
 
     Sigma_n = B_n B_n^H + sigma^2 I, v_n^(g) and B_n are written into one
     (L, L + K_g + q, N_k) array, and one elimination (``_solve_stacked``)
     gives log det Sigma_n and Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n].
+    Without ``terms`` the array is [Sigma_n | v_n] alone, (L, L + K_g, N_k),
+    and C and s^H B are None; the elimination works column by column, so
+    log det Sigma_n and s keep their bits.
     """
     n_slots, rank, n_cols = b.shape
     start = n_slots + v.shape[1]  # first column of B_n in the elimination array
-    aug = np.empty((n_slots, start + rank, n_cols), dtype=complex)
+    aug = np.empty((n_slots, start + (rank if terms else 0), n_cols), dtype=complex)
     np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
     _diagonal(aug)[...] += sigma2
     aug[:, n_slots:start] = v
-    aug[:, start:] = b
+    if terms:
+        aug[:, start:] = b
     logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
-    s, c = aug[:, n_slots:start], aug[:, start:]
+    s = aug[:, n_slots:start]
+    if not terms:
+        return logdet, s, None, None
     sb = np.add.reduce(s.conj()[:, :, None] * b[:, None], axis=0)
-    return logdet, s, c, sb
+    return logdet, s, aug[:, start:], sb
 
 
-def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
+def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool) -> tuple:
     """(log det Sigma_n, s, C, s^H B) from the q x q capacitance
     K_n = sigma^2 I_q + B_n^H B_n, for rank q < L.
 
@@ -206,18 +214,20 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
     the conjugate transpose of the solved B_n^H block;
     s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2; and s_n^H B_n =
     v_n^H B_n K_n^{-1} = (K_n^{-1} B_n^H v_n)^H.  K_n >= sigma^2 I, so every
-    pivot is still at least sigma^2.
+    pivot is still at least sigma^2.  Without ``terms`` the B_n^H block is
+    left out, (q, q + K_g, N_k), and C and s^H B are None.
     """
     n_slots, rank, n_cols = b.shape
     start = rank + v.shape[1]  # first column of B_n^H in the elimination array
-    aug = np.empty((rank, start + n_slots, n_cols), dtype=complex)
+    aug = np.empty((rank, start + (n_slots if terms else 0), n_cols), dtype=complex)
     b_h = b.conj()
     rhs = np.concatenate((b, v), axis=1)  # [B_n | v_n^(1) ... v_n^(K_g)]
     for i in range(rank):
         np.add.reduce(b_h[:, i, None] * rhs[:, i:], axis=0, out=aug[i, i:start])
         np.conjugate(aug[:i, i], out=aug[i, :i])
     _diagonal(aug)[...] += sigma2
-    aug[:, start:] = b_h.transpose(1, 0, 2)
+    if terms:
+        aug[:, start:] = b_h.transpose(1, 0, 2)
     logdet = (n_slots - rank) * np.log(sigma2) + np.add.reduce(
         np.log(_solve_stacked(aug, rank)), axis=0
     )
@@ -225,12 +235,14 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float) -> tuple:
     s = np.add.reduce(b[:, :, None] * w, axis=1)
     np.subtract(v, s, out=s)
     s /= sigma2
+    if not terms:
+        return logdet, s, None, None
     c = aug[:, start:].transpose(1, 0, 2).conj()
     sb = w.transpose(1, 0, 2).conj()
     return logdet, s, c, sb
 
 
-def comm_state(pilot, users) -> CommState:
+def comm_state(pilot, users, terms: bool = True) -> CommState:
     """Evaluate the mixture observation statistics Sigma_n(Phi) and the metric
     for a group of users that share one factor and one noise level.
 
@@ -245,6 +257,13 @@ def comm_state(pilot, users) -> CommState:
     capacitance sigma^2 I + B_n^H B_n when q < L (``_capacitance_solve``);
     beta_n^(g) = Re v_n^(g)H s_n^(g) is formed after either.  A single user
     is a group of one.
+
+    ``terms`` asks for the gradient's and the estimator's terms C_n and
+    s_n^(g)H B_n.  Without them, as every caller that reads values alone
+    calls it (``comm_mi_weighted``, the gradient at rho = 0), the L x L
+    system drops its B_n columns and the capacitance system its B_n^H
+    block, the state's ``c`` and ``sb`` are None, and ``value``,
+    ``log_mix``, ``log_omega`` and ``logdet`` keep their bits.
 
     ``pilot`` may be a stack of P pilots (P, L, N_t).  Their products are
     folded into the component axis (column p N_k + n), so the elimination
@@ -274,7 +293,7 @@ def comm_state(pilot, users) -> CommState:
         out=v.reshape(n_slots, n_users, n_pilots, n_comp),
     )
     solve = _capacitance_solve if rank < n_slots else _observation_solve
-    logdet, s, c, sb = solve(b, v, model.noise_std**2)
+    logdet, s, c, sb = solve(b, v, model.noise_std**2, terms)
     beta = np.add.reduce((v.conj() * s).real, axis=0)
 
     log_weights = np.array([m.log_weights for m in users])[:, None]
@@ -291,7 +310,9 @@ def comm_mi_weighted(pilot, objective: IsacObjective):
     """Preference-weighted sum of the per-user communication metrics; one
     value per pilot of a stack."""
     # value is (K_g,) or (K_g, P); the sums run over the users in order
-    return sum(sum((w * comm_state(pilot, users).value.T).T) for w, users in objective.groups)
+    return sum(
+        sum((w * comm_state(pilot, users, terms=False).value.T).T) for w, users in objective.groups
+    )
 
 
 def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseState:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, pilot_entries
+from .channel import PilotMatrix, check_pilots, pilot_entries
 from .errors import (
     DimensionError,
     IsacPilotError,
@@ -181,21 +181,22 @@ def sample_feasible_cloud(
 
     The pilots are drawn and projected ``CLOUD_STACK`` at a time: one draw of
     a (P, L, N_t) stack takes the same stream as P single draws, and one
-    batched SVD projects it; each pilot is checked for rank and as a
-    ``PilotMatrix`` (shape, row orthonormality).  Both metrics, the sensing
-    one under the objective's formula, evaluate a stack per call, with each
-    pilot's value that of its own call.  A pilot outside the approximate
-    sensing metric's domain raises ``ObjectiveDomainError`` naming its
-    sample.
+    batched SVD projects it; each pilot is checked for rank, and the stack
+    once against the rule of a ``PilotMatrix`` (``channel.check_pilots``:
+    finite entries, L < N_t, each pilot's row-orthonormality residual).
+    Both metrics, the sensing one under the objective's formula, evaluate a
+    stack per call, with each pilot's value that of its own call; the
+    communication metric forms no gradient terms.  A pilot outside the
+    approximate sensing metric's domain raises ``ObjectiveDomainError``
+    naming its sample.
     """
     count(n_samples, "n_samples")
     count(n_slots, "n_slots")
     n_tx = objective.scene.geometry.n_tx
     pairs = np.empty((n_samples, 2))
     for start in range(0, n_samples, CLOUD_STACK):
-        stack = _polar(complex_normal(rng, (min(CLOUD_STACK, n_samples - start), n_slots, n_tx)))
-        for phi in stack:
-            PilotMatrix(phi)  # its shape and row-orthonormality checks
+        draws = complex_normal(rng, (min(CLOUD_STACK, n_samples - start), n_slots, n_tx))
+        stack = check_pilots(_polar(draws), 3)[0]
         rows = slice(start, start + len(stack))
         try:
             pairs[rows, 0] = sensing_mi(stack, objective.scene, objective.sensing_formula)

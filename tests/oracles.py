@@ -16,8 +16,9 @@ routine, ``gradients.isac_value_and_grad``, that the tests check, the
 multi-value trade-off sweep the tests run through ``optimize_pgd``, the
 estimator's mixture weights, recorded from its own chunks, the 64-QAM
 level rule the link simulation decided with before it decided in place,
-and the channel sampler as it wrote each component's draws before it
-formed them in a component-ordered buffer.
+the channel sampler as it wrote each component's draws before it
+formed them in a component-ordered buffer, and the gradient check as it
+evaluated one stack of eight stencil points per pilot entry.
 """
 
 from dataclasses import replace
@@ -194,6 +195,31 @@ def per_component_sampler(model, n_samples: int, rng: np.random.Generator) -> np
         rows = slice(ends[comp] - counts[comp], ends[comp])
         out[order[rows]] = model.means[comp] + z[rows, -model.rank :] @ blocks[comp].T
     return out
+
+
+def per_entry_finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> float:
+    """``finite_diff_check`` as it evaluated its stencil: one (8, L, N_t)
+    stack of the eight stencil points of each pilot entry per
+    ``objective_fn`` call, the entries in row-major order."""
+    phi = pilot_entries(pilot).copy()
+    g_entries = np.asarray(gradient_fn(phi))
+    stencil = ip.gradients.STENCIL
+    worst = 0.0
+    n_slots, n_tx = phi.shape
+    for i in range(n_slots):
+        for j in range(n_tx):
+            h = step * (1.0 + abs(phi[i, j]))
+            stack = np.repeat(phi[None], stencil.size, axis=0)
+            stack[:, i, j] += h * stencil
+            values = np.asarray(objective_fn(stack), dtype=float)
+            for f, analytic in (
+                (values[:4].tolist(), 2.0 * g_entries[i, j].real),
+                (values[4:].tolist(), 2.0 * g_entries[i, j].imag),
+            ):
+                numeric = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12.0 * h)
+                err = abs(analytic - numeric) / max(1e-12, abs(numeric))
+                worst = max(worst, err)
+    return worst
 
 
 def comm_grad(pilot, model) -> np.ndarray:

@@ -89,6 +89,7 @@ ROWS = [
         _scene,
     ),
     Row("PilotMatrix", lambda: dict(entries=PILOT), dict(entries="array")),
+    Row("channel.check_pilots", lambda: dict(entries=np.array([PILOT, -PILOT]), ndim=3), dict(entries="array")),
     Row(
         "GmmUserModel",
         lambda: dict(

@@ -16,7 +16,7 @@ from isacpilot import (
     sample_channels,
     substream,
 )
-from isacpilot.channel import _region_covariances, build_user_models
+from isacpilot.channel import _region_covariances, build_user_models, check_pilots
 from oracles import region_covariances, steering_vector
 
 
@@ -324,3 +324,36 @@ class TestPilotMatrixValidation:
         pilot = PilotMatrix(entries)
         assert pilot.residual <= 1e-12
         assert pilot.n_slots == 2 and pilot.n_tx == 5
+
+
+class TestCheckPilots:
+    """``check_pilots`` keeps the pilot rule for one pilot and for a stack."""
+
+    def test_stack_residuals_are_each_pilots_own(self):
+        rng = substream(4, "check-pilots")
+        stack = np.array([ip.random_stiefel(3, 8, rng).entries for _ in range(5)])
+        entries, residual = check_pilots(stack, 3)
+        assert entries.shape == stack.shape and residual.shape == (5,)
+        assert residual.tolist() == [PilotMatrix(phi).residual for phi in stack]
+        single = check_pilots(stack[0])[1]
+        assert isinstance(single, float) and single == residual[0]
+
+    def test_one_bad_pilot_fails_the_stack(self):
+        rng = substream(5, "check-pilots")
+        stack = np.array([ip.random_stiefel(3, 8, rng).entries for _ in range(4)])
+        stack[2] *= 1.001
+        with pytest.raises(InvalidParameterError, match="not orthonormal"):
+            check_pilots(stack, 3)
+        check_pilots(np.delete(stack, 2, axis=0), 3)
+
+    def test_rejects_a_stack_as_long_as_the_array(self):
+        with pytest.raises(ip.DimensionError, match="strictly below"):
+            check_pilots(np.array([np.eye(4)] * 2), 3)
+
+    def test_rejects_a_non_finite_entry_of_a_stack(self):
+        stack = np.array([np.eye(5)[:2]] * 3, dtype=complex)
+        stack[1, 0, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ip.NonFiniteError, match=r"^pilot\[1, 0, 4\]"):
+                check_pilots(stack, (2, 3))

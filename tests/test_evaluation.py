@@ -1,5 +1,8 @@
 """Tests for detection, estimation and link-level evaluation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -344,6 +347,23 @@ class TestRocThresholds:
         thresholds = _roc_thresholds(statistics, p_fa)
         assert np.array_equal(thresholds.view(np.int64), expected.view(np.int64))
         assert np.array_equal(np.sort(statistics), np.sort(t0))  # a permutation of its input
+
+    def test_roc_curve_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call, 12-21 ms of a fresh process
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, isacpilot as ip\n"
+            "scene = ip.SensingScene(10.0, 1.0, ((-30.0, 0.5),), 0.3, ip.ArrayGeometry(8, 4))\n"
+            "pilot = ip.random_stiefel(3, 8, ip.substream(1, 'roc-ma'))\n"
+            "ip.roc_curve(pilot, scene, 1000, [1e-3, 0.1, 0.1, 0.5, 1.0], ip.substream(2, 'roc-ma'))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestComplexNormal:

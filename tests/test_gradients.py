@@ -9,17 +9,21 @@ and the sensing term on its own ``sense_state``.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isacpilot as ip
 from isacpilot import finite_diff_check, substream
-from isacpilot.gradients import _sense_grad, isac_value_and_grad
+from isacpilot.config import build_objective, parse_config
+from isacpilot.gradients import STENCIL_STACK, _sense_grad, isac_value_and_grad
 from isacpilot.metrics import sense_state
 
-from oracles import comm_grad, comm_mi_user, dense_comm, sense_grad
+from oracles import comm_grad, comm_mi_user, dense_comm, per_entry_finite_diff_check, sense_grad
 from test_metrics import random_model, random_prior, random_scene
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_instance(seed, n_tx=8, n_rx=4, n_slots=3):
@@ -50,7 +54,8 @@ def separate_gradients(pilot, objective, seed):
 
 
 class TestFiniteDiffCheck:
-    """``objective_fn`` maps an (8, L, N_t) stack of stencil points to 8 values."""
+    """``objective_fn`` maps a (P, L, N_t) stack of at most ``STENCIL_STACK``
+    stencil points to P values."""
 
     def test_frobenius_norm_squared(self):
         pilot = ip.random_stiefel(3, 7, substream(0, "fd"))
@@ -72,7 +77,8 @@ class TestFiniteDiffCheck:
 
     def test_rejects_a_scalar_objective(self):
         pilot = ip.random_stiefel(3, 7, substream(3, "fd"))
-        with pytest.raises(ip.DimensionError, match="8 values"):
+        n = STENCIL_STACK  # 8 * 3 * 7 = 168 points, so the first stack is full
+        with pytest.raises(ip.DimensionError, match=rf"\({n}, L, N_t\) stack to {n} values"):
             finite_diff_check(lambda p: 0.0, lambda p: np.zeros_like(p), pilot)
 
     def test_rejects_bad_step(self):
@@ -99,6 +105,69 @@ class TestFiniteDiffCheck:
             finite_diff_check(
                 lambda p: np.linalg.norm(p, axis=(1, 2)) ** 2, lambda p: np.full((3, 8), np.nan), pilot
             )
+
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 7), (4, 16)])
+    def test_stacks_hold_the_per_entry_stencil_points(self, shape):
+        # 48, 168 and 512 points: one partial stack, two full and a partial, eight full
+        pilot = ip.random_stiefel(*shape, substream(5, "fd-stacks"))
+        stacks, per_entry = [], []
+
+        def recording(into):
+            def value_fn(p):
+                into.append(p.copy())
+                return np.linalg.norm(p, axis=(1, 2)) ** 2
+
+            return value_fn
+
+        finite_diff_check(recording(stacks), np.asarray, pilot)
+        per_entry_finite_diff_check(recording(per_entry), np.asarray, pilot)
+        n_points = 8 * pilot.entries.size
+        assert len(stacks) == -(-n_points // STENCIL_STACK)
+        assert all(len(stack) == STENCIL_STACK for stack in stacks[:-1])
+        assert np.concatenate(stacks).tobytes() == np.concatenate(per_entry).tobytes()
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_worst_error_matches_the_per_entry_check(self, index):
+        # the three checks of a gradcheck_small instance; the objective's
+        # values move only at roundoff with the stack size, which moves a
+        # numeric derivative by about 1e-12 relative at this step
+        config = parse_config(str(ROOT / "configs" / "gradcheck_small.yaml"))
+        scenario, step = config.scenario, config.task_params["step"]
+        objective = build_objective(scenario, scenario["rho"])
+        comm_obj = replace(objective, rho=1.0, user_weights=[1.0], users=objective.users[:1])
+        sense_obj = replace(comm_obj, rho=0.0)
+        pilot = ip.random_stiefel(scenario["pilot_len"], scenario["n_tx"], substream(index, "fd-gc"))
+        for value_fn, obj in (
+            (lambda p: ip.comm_mi_weighted(p, comm_obj), comm_obj),
+            (lambda p: ip.sensing_mi(p, objective.scene, objective.sensing_formula), sense_obj),
+            (lambda p: ip.isac_objective(p, objective), objective),
+        ):
+            grad_fn = lambda p, obj=obj: isac_value_and_grad(p, obj)[3]  # noqa: E731
+            got = finite_diff_check(value_fn, grad_fn, pilot, step)
+            expected = per_entry_finite_diff_check(value_fn, grad_fn, pilot, step)
+            assert 0.0 < expected < 1e-5
+            assert abs(got - expected) <= 1e-11
+
+    def test_nan_objective_names_the_first_entry(self):
+        pilot = ip.random_stiefel(3, 8, substream(6, "fd"))
+        phi = pilot.entries
+
+        def value_fn(p):
+            values = np.linalg.norm(p, axis=(1, 2)) ** 2
+            moved = p != phi  # one moved entry per stencil point
+            values[moved[:, 2, 0] | moved[:, 1, 6]] = np.nan
+            return values
+
+        with pytest.raises(ip.NumericError, match=r"pilot entry \(1, 6\)"):
+            finite_diff_check(value_fn, np.asarray, pilot)
+
+    def test_nan_gradient_names_the_first_entry(self):
+        pilot = ip.random_stiefel(3, 8, substream(6, "fd"))
+        grad = pilot.entries.copy()
+        grad[2, 5] = grad[2, 7] = np.nan
+        with pytest.raises(ip.NumericError, match=r"pilot entry \(2, 5\)"):
+            finite_diff_check(lambda p: np.linalg.norm(p, axis=(1, 2)) ** 2, lambda p: grad, pilot)
 
 
 class TestCommGradient:
@@ -170,7 +239,7 @@ class TestSensingGradient:
     @pytest.mark.parametrize("n_clutter", [0, 1, 2, 3])
     def test_exact_metric_takes_the_stencil_stacks(self, n_clutter):
         # the exact metric's gradient (the full clutter block conj(z_i) z_j)
-        # checks its 8-point stencil stacks; with two and three sources the
+        # checks its stencil stacks; with two and three sources the
         # approximate gradient would read 1.3e-4 and 1.67 against them
         pilot = ip.random_stiefel(3, 8, substream(31 + n_clutter, "sg"))
         scene = random_scene(31 + n_clutter, ip.ArrayGeometry(n_tx=8, n_rx=4), n_clutter=n_clutter)

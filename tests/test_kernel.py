@@ -538,6 +538,73 @@ class TestPilotStack:
             comm_state(stack[None], objective.users[:1])
 
 
+CONV_CONFIG = ROOT / "configs" / "convergence_stepsize.yaml"
+
+
+class TestValueOnlyState:
+    """``comm_state(..., terms=False)`` drops C_n and s_n^H B_n and keeps
+    every value bit; the callers that read values alone ask for it, the
+    gradient at rho > 0 and the estimator do not."""
+
+    @staticmethod
+    def config_case(config, n_pilots):
+        scenario = parse_config(str(config)).scenario
+        objective = build_objective(scenario, 0.5)
+        rng = ip.substream(n_pilots or 1, "value-only", config.stem)
+        shape = (scenario["pilot_len"], scenario["n_tx"])
+        pilots = [ip.random_stiefel(*shape, rng).entries for _ in range(n_pilots or 1)]
+        return objective, pilots[0] if n_pilots is None else np.array(pilots)
+
+    # the sweep shape takes the L x L system (L = 4 <= q = 5), the
+    # convergence_stepsize shape the capacitance one (L = 9 > q = 5)
+    @pytest.mark.parametrize("config", [SWEEP_CONFIG, CONV_CONFIG], ids=lambda p: p.stem)
+    @pytest.mark.parametrize("n_pilots", [None, 8])
+    def test_values_keep_their_bits(self, config, n_pilots):
+        objective, pilot = self.config_case(config, n_pilots)
+        rank, n_slots = objective.users[0].rank, pilot.shape[-2]
+        assert rank == 5 and (n_slots <= rank) == (config == SWEEP_CONFIG)
+        for _, users in objective.groups:
+            full = comm_state(pilot, users)
+            values = comm_state(pilot, users, terms=False)
+            assert values.c is None and values.sb is None
+            assert full.c is not None and full.sb is not None
+            for field in ("value", "log_mix", "log_omega", "logdet", "b", "s"):
+                got, expected = getattr(values, field), getattr(full, field)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), field
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_callers_ask_for_the_terms_they_read(self, monkeypatch, rho):
+        objective, pilot = self.config_case(SWEEP_CONFIG, None)
+        objective = replace(objective, rho=rho)
+        asked, graded = [], []
+
+        def recording(*args, **kwargs):
+            state = comm_state(*args, **kwargs)
+            asked.append(state.c is not None and state.sb is not None)
+            return state
+
+        def checked_grad(state, users, coefs):
+            graded.append(state.c is not None and state.sb is not None)
+            return _comm_grad(state, users, coefs)
+
+        for module in (ip.metrics, gradients, ip.evaluation):
+            monkeypatch.setattr(module, "comm_state", recording)
+        monkeypatch.setattr(gradients, "_comm_grad", checked_grad)
+        n_groups = len(objective.groups)
+        ip.comm_mi_weighted(pilot, objective)
+        ip.isac_objective(pilot, objective)
+        assert asked == [False] * 2 * n_groups
+        asked.clear()
+        isac_value_and_grad(pilot, objective)
+        assert asked == [rho > 0.0] * n_groups
+        assert graded == [True] * n_groups * (rho > 0.0)
+        asked.clear()
+        observations = np.zeros((3, pilot.shape[0]), dtype=complex)
+        ip.gmm_mmse_batch(observations, pilot, objective.users[0])
+        assert asked == [True]
+
+
 def shared_users(prior, noises):
     """(pilot, users, R_n stack) on the components of one ``elimination_case``
     model: one user per noise level, each with its own weights, a third of

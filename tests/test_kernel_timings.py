@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/kernel_timings.py`` on ten of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on twelve of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
@@ -8,6 +8,8 @@ ROWS = [
     "isac_value_and_grad_exact",
     "sensing_mi_exact_stack",
     "finite_diff_check",
+    "comm_state_cloud",
+    "comm_state_cloud_stack",
     "build_users",
     "build_users_cold",
     "simulate_detection_trials_mc",

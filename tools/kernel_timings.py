@@ -52,20 +52,24 @@ are:
   earlier ones leave behind;
 - ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
   (N_t = 16, L = 4, K = 2 users sharing one 180-component prior), one pilot
-  per call and a stack of ``STACK`` pilots per call; the stack row reports
-  times per pilot, so the two rows compare directly;
+  per call and a stack of ``CLOUD_STACK`` pilots per call, without the
+  gradient's terms, as the cloud's metric calls it; the stack row reports
+  times per pilot, so the two rows compare directly, and against
+  ``comm_state`` (the same shape with the terms, as the ascent calls it)
+  they show what the value-only state saves;
 - ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
   two users with their own noise levels, two clutter sources), one check of
   the ISAC objective at the config's rho, as the gradcheck task runs it per
-  instance; ``isac_value_and_grad_clutter``: one value-and-gradient call at
+  instance, its 192 stencil points in stacks of ``STENCIL_STACK``;
+  ``isac_value_and_grad_clutter``: one value-and-gradient call at
   that shape and rho, the row whose sensing gradient takes the clutter
   pull-back (the other ``isac_value_and_grad`` rows are clutter-free);
   ``isac_value_and_grad_exact``: the same call with the objective's
   sensing formula set to "exact", whose clutter weights take one solve and
   whose pull-back takes the full clutter block;
   ``sensing_mi_exact_stack``: the same scene, one call of the
-  exact sensing metric on a stack of ``STACK`` pilots (time per call), the
-  shape ``finite_diff_check`` hands its objective;
+  exact sensing metric on a stack of ``STENCIL_STACK`` pilots (time per
+  call), the shape ``finite_diff_check`` hands its objective;
 - ``parse_config``: the ``montecarlo`` workload's NMSE config with a random
   pilot (``perfbench/workloads.py::montecarlo_configs``, workload seed 1),
   written to a temporary file as the workload writes it, parsed and
@@ -115,14 +119,14 @@ from isacpilot.evaluation import (  # noqa: E402
     ser_experiment,
     simulate_detection_trials,
 )
-from isacpilot.gradients import finite_diff_check, isac_value_and_grad  # noqa: E402
+from isacpilot.gradients import STENCIL_STACK, finite_diff_check, isac_value_and_grad  # noqa: E402
 from isacpilot.metrics import (  # noqa: E402
     comm_state,
     isac_objective,
     sense_state,
     sensing_mi,
 )
-from isacpilot.optimizer import project_stiefel, random_stiefel  # noqa: E402
+from isacpilot.optimizer import CLOUD_STACK, project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
 
 MIN_REPEATS = 5
@@ -138,8 +142,7 @@ DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 MC_SER_SYMBOLS = 40_000
-STACK = 8  # pilots per call in the stack rows, as finite_diff_check passes
-PILOTS_PER_CALL = {"comm_state_cloud_stack": STACK}
+PILOTS_PER_CALL = {"comm_state_cloud_stack": CLOUD_STACK}
 
 
 def scenario(stem: str):
@@ -226,7 +229,7 @@ def kernels(tmp: str) -> dict:
 
     _, cloud = scenario("pareto_cloud")
     cloud_users = build_objective(cloud, 0.0).users
-    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(STACK)])
+    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(CLOUD_STACK)])
     cloud_shape = (
         f"N_t={cloud['n_tx']} L={cloud['pilot_len']} K={len(cloud_users)} "
         f"N_k={cloud['n_components']}"
@@ -241,7 +244,9 @@ def kernels(tmp: str) -> dict:
         f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)}"
     )
     grad_exact = replace(grad_objective, sensing_formula="exact")
-    grad_stack = np.array([pilot_for(grad, f"gradcheck-{p}").entries for p in range(STACK)])
+    grad_stack = np.array(
+        [pilot_for(grad, f"gradcheck-{p}").entries for p in range(STENCIL_STACK)]
+    )
 
     mc_nmse = Path(tmp) / "mc_nmse_random.yaml"
     with open(mc_nmse, "w", encoding="utf-8") as handle:
@@ -312,10 +317,13 @@ def kernels(tmp: str) -> dict:
                 ser_rng,
             ),
         ),
-        "comm_state_cloud": (cloud_shape, lambda: comm_state(cloud_stack[0], cloud_users)),
+        "comm_state_cloud": (
+            f"{cloud_shape} values only",
+            lambda: comm_state(cloud_stack[0], cloud_users, terms=False),
+        ),
         "comm_state_cloud_stack": (
-            f"{cloud_shape} per pilot of {STACK}",
-            lambda: comm_state(cloud_stack, cloud_users),
+            f"{cloud_shape} values only, per pilot of {CLOUD_STACK}",
+            lambda: comm_state(cloud_stack, cloud_users, terms=False),
         ),
         "isac_value_and_grad_clutter": (
             grad_shape,
@@ -335,7 +343,7 @@ def kernels(tmp: str) -> dict:
             ),
         ),
         "sensing_mi_exact_stack": (
-            f"{grad_shape} stack of {STACK} per call",
+            f"{grad_shape} stack of {STENCIL_STACK} per call",
             lambda: sensing_mi(grad_stack, grad_objective.scene, "exact"),
         ),
         "parse_config": ("montecarlo mc_nmse_random", lambda: parse_config(str(mc_nmse))),
