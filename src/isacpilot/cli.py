@@ -326,12 +326,12 @@ def _task_gradcheck(config: ExperimentConfig, threads: int) -> list:
     return [_table(config, "gradcheck", header, rows, tolerance=tolerance)]
 
 
-def _diag_unit(config: ExperimentConfig, objective: IsacObjective, index: int) -> tuple:
+def _diag_unit(config: ExperimentConfig, users: list, unit: tuple) -> float:
+    """The capacity bound, in bits, of the pilot of ``unit`` = (index, pilot)."""
     params = config.task_params
-    pilot = _random_pilot(config, "diag-pilot", index)
+    index, pilot = unit
     rng = substream(config.seed, "diag-cw", index)
-    c_worst = c_worst_estimate(pilot, objective.users, params["block_len"], params["trials"], rng)
-    return (index, comm_mi_weighted(pilot, objective) / LN2, c_worst / LN2)
+    return c_worst_estimate(pilot, users, params["block_len"], params["trials"], rng) / LN2
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -358,9 +358,13 @@ def _spearman(x, y) -> float:
 
 def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
     params = config.task_params
-    unit = partial(_diag_unit, config, build_objective(config.scenario, 0.0))
-    rows = _map_units(unit, range(params["pilots"]), threads)
-    _, comm, c_worst = zip(*rows)
+    objective = build_objective(config.scenario, 0.0)
+    pilots = [_random_pilot(config, "diag-pilot", index) for index in range(params["pilots"])]
+    units = list(enumerate(pilots))
+    c_worst = _map_units(partial(_diag_unit, config, objective.users), units, threads)
+    # one stacked call: each pilot's value is that of its own call
+    comm = comm_mi_weighted(np.array([pilot.entries for pilot in pilots]), objective) / LN2
+    rows = list(zip(range(len(pilots)), comm, c_worst))
     metadata = {
         "spearman_comm_vs_cworst": format(_spearman(comm, c_worst), ".17g"),
         "block_len": params["block_len"],

@@ -202,8 +202,12 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     so no second factorization of Sigma_n is needed.  The estimate is
     x(y) = sum_n w_n(y) (b_n + G_n y') with the gain
     G_n = A_n C_n^H = R_n Phi^H Sigma_n^{-1} and the offset
-    b_n = mu_n + G_n v_n = mu_n + A_n (B_n^H s_n), where B_n^H s_n is the
-    conjugate transpose of ``CommState.sb``.  z^H M_n z is linear in
+    b_n = mu_n + G_n v_n = mu_n + A_n (B_n^H s_n).  The state's solves are
+    conjugated (``CommState``): C_n^H is the transpose of its conj(C_n), a
+    view, B_n^H s_n is read as stored (on the q x q elimination it is the
+    solved K_n^{-1} B_n^H v_n, since B_n^H Sigma_n^{-1} = K_n^{-1} B_n^H),
+    and s_n is written into M_n with the one conjugate of its conj(s_n).
+    z^H M_n z is linear in
     the (L+1)^2 real features of z: |z_i|^2, and the real and imaginary
     parts of conj(z_i) z_j for i < j.  So per chunk of trials one real
     (trials x (L+1)^2) product of the features with the stacked
@@ -225,13 +229,12 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     n_trials, n_slots = obs.shape
     n_comp, n_tx = model.n_components, model.n_tx
     b = state.b.transpose(2, 0, 1)  # B_n (N_k, L, q)
-    c_h = state.c.transpose(2, 1, 0).conj()  # C_n^H (N_k, q, L)
-    s = state.s[:, 0].T[:, :, None]  # s_n (N_k, L, 1)
+    c_h = state.c_conj.transpose(2, 1, 0)  # C_n^H (N_k, q, L)
     quad = np.zeros((n_comp, n_slots + 1, n_slots + 1), dtype=complex)  # M_n: diagonal and upper triangle
     sigma_inv = quad[:, :n_slots, :n_slots]  # Sigma_n^{-1}, written in place
     np.subtract(np.eye(n_slots), b @ c_h, out=sigma_inv)
     sigma_inv *= 1.0 / model.noise_std**2  # the bits of the division by sigma^2
-    quad[:, :n_slots, n_slots:] = s
+    np.conjugate(state.s_conj[:, 0].T[:, :, None], out=quad[:, :n_slots, n_slots:])  # s_n
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
     i, j = _upper_pairs(n_slots + 1)
     diagonal = np.diagonal(quad, axis1=1, axis2=2).real
@@ -239,7 +242,7 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
     factor = model.factor.transpose(2, 0, 1)  # A_n (N_k, N_t, q)
     gain = factor @ c_h  # G_n (N_k, N_t, L)
-    bh_s = state.sb[0].T.conj()[:, :, None]  # B_n^H s_n (N_k, q, 1)
+    bh_s = state.bh_s[0].T[:, :, None]  # B_n^H s_n (N_k, q, 1)
     offset = model.means[:, :, None] + factor @ bh_s  # b_n (N_k, N_t, 1)
     gain_rows = np.concatenate((gain, offset), axis=2).view(float).reshape(n_comp, -1)
     extended = np.ones((n_trials, n_slots + 1), dtype=complex)  # rows [y'^T, 1]

@@ -22,7 +22,11 @@ are not stored. So the mixture-weighted sum over components is one product
 E stacked^H, where E holds D_n = mix_n (C_n - s_n s_n^H B_n) and -mix_n s_n
 for every n, laid out (L, q + 1, N_k) in the same column order, plus one
 (L, K_g) x (K_g, N_t) product for the s_n m^H terms; nothing of size
-(N_k, L, N_t) is formed and D is not reordered.
+(N_k, L, N_t) is formed and D is not reordered. ``_comm_grad`` writes
+conj(E) directly, conj(D_n) = mix_n (conj(C_n) - conj(s_n) (B_n^H s_n)^T),
+from the state's conjugate solves (``metrics.CommState`` keeps conj(s_n),
+conj(C_n) and B_n^H s_n), and takes E stacked^H as
+conj(conj(E) stacked^T), so it conjugates no array of the state.
 ``comm_state`` gets B_n and Phi mu_n from one product Phi @ stacked in the
 same way, and forms v_n^(g) = Phi m^(g) - Phi mu_n from them.
 
@@ -36,24 +40,27 @@ weights. ``_comm_grad`` sums the group's rho w_g-weighted D_n^(g) =
 mix_n^(g) (C_n - s_n^(g) s_n^(g)H B_n) into E before its one product, as
 broadcast products summed over one axis.
 
-The state keeps the component axis last: B_n, C_n and s_n are stacked as
-(L, q, N_k), (L, q, N_k) and (L, K_g, N_k) arrays, so the per-component
-algebra is elementwise NumPy work over N_k-long rows rather than N_k small
-matrix calls. ``comm_state`` gets every s_n^(g), C_n, log det Sigma_n and
-s_n^(g)H B_n from one Gaussian elimination run over all components at once
-(``metrics._solve_stacked``), of the smaller of two systems, chosen by shape
-alone. When L <= q it is the (L, L + K_g + q, N_k) system
-[Sigma_n | v_n^(1) ... v_n^(K_g) | B_n], and s_n^H B_n is one product of
-the solved s_n with B_n. When q < L it is the (q, q + K_g + L, N_k) system
-[K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] with the capacitance
-K_n = sigma^2 I_q + B_n^H B_n: C_n = B_n K_n^{-1} is the conjugate
-transpose of the solved B_n^H block, s_n = (v_n - B_n K_n^{-1} B_n^H v_n)
-/ sigma^2, and s_n^H B_n = v_n^H B_n K_n^{-1} is the conjugate transpose
-of the solved K_n^{-1} B_n^H v_n, so ``_comm_grad`` forms no product for
-it. Neither elimination pivots, because Sigma_n and K_n are sigma^2 I plus
-a Gram matrix: every pivot is at least sigma^2, and elimination without
-pivoting is stable on such matrices. A pivot that is not positive and
-finite raises ``NumericError``.
+The state keeps the component axis last: B_n, conj(C_n) and conj(s_n)
+are stacked as (L, q, N_k), (L, q, N_k) and (L, K_g, N_k) arrays, so the
+per-component algebra is elementwise NumPy work over N_k-long rows rather
+than N_k small matrix calls. ``comm_state`` gets every conj(s_n^(g)),
+conj(C_n), log det Sigma_n and B_n^H s_n^(g) from one Gaussian elimination
+run over all components at once (``metrics._solve_stacked``), of the
+smaller of two systems, chosen by shape alone. When L <= q it is the
+conjugate (L, L + K_g + q, N_k) system [conj(Sigma_n) | conj(v_n^(1)) ...
+conj(v_n^(K_g)) | conj(B_n)], whose solved columns are conj(s_n) and
+conj(C_n) (conjugation commutes exactly with the elimination's products,
+sums and real scalings), and B_n^H s_n is one product of the solved
+conj(s_n) with B_n, conjugated. When q < L it is the (q, q + K_g + L, N_k)
+system [K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] with the
+capacitance K_n = sigma^2 I_q + B_n^H B_n: conj(C_n) = conj(B_n K_n^{-1})
+= (K_n^{-1} B_n^H)^T is the transpose of the solved B_n^H block,
+B_n^H s_n = B_n^H Sigma_n^{-1} v_n = K_n^{-1} B_n^H v_n is the other
+solved block itself, so no product forms it, and s_n =
+(v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2. Neither elimination pivots,
+because Sigma_n and K_n are sigma^2 I plus a Gram matrix: every pivot is
+at least sigma^2, and elimination without pivoting is stable on such
+matrices. A pivot that is not positive and finite raises ``NumericError``.
 
 A_n keeps the eigenvectors of R_n whose eigenvalues exceed
 ``channel.FACTOR_RANK_CUT`` (1e-15) times the model's largest eigenvalue.
@@ -112,18 +119,18 @@ def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
     rel = state.log_mix - state.log_omega[:, None]
     mix = np.exp(rel, where=rel > WEIGHT_CUT, out=np.zeros_like(rel))  # no subnormal weight
     mix *= coefs[:, None]  # (K_g, N_k)
-    ms = mix * state.s  # (L, K_g, N_k)
-    # E = [D | -sum_g ms_g] in the stacked array's column order; E stacked^H
-    # is taken as conj(conj(E) stacked^T), so no cached array is copied
+    ms = mix * state.s_conj  # conj(mix_n s_n), (L, K_g, N_k)
+    # conj(E) = [conj(D) | -sum_g conj(ms_g)] in the stacked array's column
+    # order; E stacked^H is taken as conj(conj(E) stacked^T), so no cached
+    # array is copied
     e = np.empty((n_slots, rank + 1, n_comp), dtype=complex)
-    np.multiply(np.add.reduce(mix, axis=0), state.c, out=e[:, :rank])
-    e[:, :rank] -= np.add.reduce(ms[:, :, None] * state.sb, axis=1)
+    np.multiply(np.add.reduce(mix, axis=0), state.c_conj, out=e[:, :rank])
+    e[:, :rank] -= np.add.reduce(ms[:, :, None] * state.bh_s, axis=1)
     np.negative(np.add.reduce(ms, axis=1), out=e[:, rank])
-    np.conjugate(e, out=e)
     grad = e.reshape(n_slots, -1) @ users[0].stacked.T
     # mean terms: v_n^(g) = Phi (m^(g) - mu_n); the mu_n part is in the product
     mixture_means = np.array([m.mixture_mean for m in users])
-    grad += np.add.reduce(ms, axis=2).conj() @ mixture_means
+    grad += np.add.reduce(ms, axis=2) @ mixture_means
     return grad.conj()
 
 

@@ -85,30 +85,36 @@ class CommState(NamedTuple):
     (``GmmUserModel.stacked``, rank q) and the noise level, hence B_n, C_n
     and log det Sigma_n; each user g has its own weights, so its own mixture
     mean m^(g) and mean terms v_n^(g) = Phi m^(g) - Phi mu_n (Phi times
-    mixture mean minus component mean), s, beta, s^H B, log_mix and value.
-    The fields are the same whichever system ``comm_state`` eliminated (the
-    L x L Sigma_n when L <= q, the q x q capacitance sigma^2 I + B_n^H B_n
-    when q < L).  Sigma_n itself is not kept: B_n C_n^H =
-    I - sigma^2 Sigma_n^{-1}, so its inverse is (I - B_n C_n^H) / sigma^2.
-    Shared by the communication metric, its gradient and the mixture-MMSE
-    estimator, which both read C and s^H B from here; a state formed
-    without ``terms`` (``comm_state``), for the metric's value alone, has
-    None in their place.  Arrays keep the component
-    axis n last, so each step of the elimination in ``_solve_stacked``
-    works on all N_k components at once.  For a stack of P pilots that axis
-    holds P N_k columns, column p N_k + n for component n at pilot p, and
-    ``value`` and ``log_omega`` are (K_g, P); the shapes below are those of
-    one pilot.
+    mixture mean minus component mean), s, beta, B^H s, log_mix and value.
+    Conjugate convention: the solves s_n = Sigma_n^{-1} v_n and
+    C_n = Sigma_n^{-1} B_n are kept as conj(s_n) and conj(C_n), the forms
+    their readers take: the gradient d value / d Phi^* is built from
+    conj(C_n), conj(s_n) and B_n^H s_n (``gradients._comm_grad``), and the
+    estimator reads C_n^H as the transpose of conj(C_n)
+    (``evaluation.gmm_mmse_batch``), so neither conjugates an array of the
+    state.  B_n^H s_n is kept as is.  The fields are the same whichever
+    system ``comm_state`` eliminated: the conjugate L x L system when
+    L <= q, or the q x q capacitance K_n = sigma^2 I + B_n^H B_n when q < L,
+    where B_n^H s_n = B_n^H Sigma_n^{-1} v_n = K_n^{-1} B_n^H v_n is one of
+    the solved blocks.  Sigma_n itself is not kept: B_n C_n^H =
+    I - sigma^2 Sigma_n^{-1}, so its inverse is (I - B_n C_n^H) / sigma^2,
+    and log det Sigma_n enters ``log_mix`` alone.
+    A state formed without ``terms`` (``comm_state``), for the metric's
+    value alone, has None in place of conj(C) and B^H s.  Arrays keep the
+    component axis n last, so each step of the elimination in
+    ``_solve_stacked`` works on all N_k components at once.  For a stack of
+    P pilots that axis holds P N_k columns, column p N_k + n for component n
+    at pilot p, and ``value`` and ``log_omega`` are (K_g, P); the shapes
+    below are those of one pilot.
     """
 
     value: np.ndarray  # (K_g,) per-user metric
     log_mix: np.ndarray  # (K_g, N_k) log of alpha_n e^{-beta_n} / det Sigma_n
     log_omega: np.ndarray  # (K_g,) log-sum-exp of log_mix
-    logdet: np.ndarray  # (N_k,) log det Sigma_n
     b: np.ndarray  # (L, q, N_k) B_n = Phi A_n, a view of Phi @ stacked
-    s: np.ndarray  # (L, K_g, N_k) solves Sigma_n^{-1} v_n^(g)
-    c: np.ndarray | None  # (L, q, N_k) solves Sigma_n^{-1} B_n
-    sb: np.ndarray | None  # (K_g, q, N_k) s_n^(g)H B_n
+    s_conj: np.ndarray  # (L, K_g, N_k) conj(s_n^(g)), s_n^(g) = Sigma_n^{-1} v_n^(g)
+    c_conj: np.ndarray | None  # (L, q, N_k) conj(C_n), C_n = Sigma_n^{-1} B_n
+    bh_s: np.ndarray | None  # (K_g, q, N_k) B_n^H s_n^(g)
 
 
 class SenseState(NamedTuple):
@@ -174,33 +180,38 @@ def _diagonal(aug: np.ndarray) -> np.ndarray:
 
 
 def _observation_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool) -> tuple:
-    """(log det Sigma_n, s, C, s^H B) from the L x L system, for L <= q.
+    """(log det Sigma_n, conj(s), conj(C), B^H s) from the L x L system,
+    for L <= q.
 
-    Sigma_n = B_n B_n^H + sigma^2 I, v_n^(g) and B_n are written into one
-    (L, L + K_g + q, N_k) array, and one elimination (``_solve_stacked``)
-    gives log det Sigma_n and Sigma_n^{-1} [v_n^(1) ... v_n^(K_g) | B_n].
-    Without ``terms`` the array is [Sigma_n | v_n] alone, (L, L + K_g, N_k),
-    and C and s^H B are None; the elimination works column by column, so
-    log det Sigma_n and s keep their bits.
+    The conjugate system conj(Sigma_n) = conj(B_n) B_n^T + sigma^2 I,
+    conj(v_n^(g)) and conj(B_n) are written into one (L, L + K_g + q, N_k)
+    array, and one elimination (``_solve_stacked``) gives log det Sigma_n
+    (the pivots are real) and conj(Sigma_n^{-1}) [conj(v_n^(1)) ...
+    conj(v_n^(K_g)) | conj(B_n)], which are conj(s_n) and conj(C_n).
+    Conjugation commutes exactly with the elimination's products, sums and
+    real scalings, so these are the bits of the conjugated solves of
+    Sigma_n.  Without ``terms`` the array is [conj(Sigma_n) | conj(v_n)]
+    alone, (L, L + K_g, N_k), and conj(C) and B^H s are None; the
+    elimination works column by column, so log det Sigma_n and conj(s)
+    keep their bits.
     """
     n_slots, rank, n_cols = b.shape
-    start = n_slots + v.shape[1]  # first column of B_n in the elimination array
+    start = n_slots + v.shape[1]  # first column of conj(B_n) in the elimination array
     aug = np.empty((n_slots, start + (rank if terms else 0), n_cols), dtype=complex)
-    np.add.reduce(b[:, None] * b.conj(), axis=2, out=aug[:, :n_slots])
+    b_conj = np.conjugate(b, out=aug[:, start:] if terms else None)
+    np.add.reduce(b_conj[:, None] * b, axis=2, out=aug[:, :n_slots])
     _diagonal(aug)[...] += sigma2
-    aug[:, n_slots:start] = v
-    if terms:
-        aug[:, start:] = b
+    np.conjugate(v, out=aug[:, n_slots:start])
     logdet = np.add.reduce(np.log(_solve_stacked(aug, n_slots)), axis=0)
-    s = aug[:, n_slots:start]
+    s_conj = aug[:, n_slots:start]
     if not terms:
-        return logdet, s, None, None
-    sb = np.add.reduce(s.conj()[:, :, None] * b[:, None], axis=0)
-    return logdet, s, aug[:, start:], sb
+        return logdet, s_conj, None, None
+    sb = np.add.reduce(s_conj[:, :, None] * b[:, None], axis=0)  # s^H B = conj(B^H s)
+    return logdet, s_conj, aug[:, start:], np.conjugate(sb, out=sb)
 
 
 def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool) -> tuple:
-    """(log det Sigma_n, s, C, s^H B) from the q x q capacitance
+    """(log det Sigma_n, conj(s), conj(C), B^H s) from the q x q capacitance
     K_n = sigma^2 I_q + B_n^H B_n, for rank q < L.
 
     [K_n | B_n^H v_n^(1) ... B_n^H v_n^(K_g) | B_n^H] is one
@@ -210,12 +221,13 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool)
     (``_solve_stacked``) gives K_n^{-1} B_n^H v_n and K_n^{-1} B_n^H, and
     with them (Sylvester's determinant identity and Woodbury's inverse,
     Sigma_n^{-1} = (I - B_n K_n^{-1} B_n^H) / sigma^2): log det Sigma_n =
-    (L - q) log sigma^2 + log det K_n; C_n = Sigma_n^{-1} B_n = B_n K_n^{-1},
-    the conjugate transpose of the solved B_n^H block;
-    s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2; and s_n^H B_n =
-    v_n^H B_n K_n^{-1} = (K_n^{-1} B_n^H v_n)^H.  K_n >= sigma^2 I, so every
-    pivot is still at least sigma^2.  Without ``terms`` the B_n^H block is
-    left out, (q, q + K_g, N_k), and C and s^H B are None.
+    (L - q) log sigma^2 + log det K_n; B_n^H s_n = B_n^H Sigma_n^{-1} v_n =
+    K_n^{-1} B_n^H v_n, the solved block itself; conj(C_n) =
+    conj(B_n K_n^{-1}) = (K_n^{-1} B_n^H)^T, the transpose of the solved
+    B_n^H block; and s_n = (v_n - B_n K_n^{-1} B_n^H v_n) / sigma^2.
+    K_n >= sigma^2 I, so every pivot is still at least sigma^2.  Without
+    ``terms`` the B_n^H block is left out, (q, q + K_g, N_k), and conj(C)
+    and B^H s are None.
     """
     n_slots, rank, n_cols = b.shape
     start = rank + v.shape[1]  # first column of B_n^H in the elimination array
@@ -231,15 +243,14 @@ def _capacitance_solve(b: np.ndarray, v: np.ndarray, sigma2: float, terms: bool)
     logdet = (n_slots - rank) * np.log(sigma2) + np.add.reduce(
         np.log(_solve_stacked(aug, rank)), axis=0
     )
-    w = aug[:, rank:start]  # K_n^{-1} B_n^H v_n, (q, K_g, N_k)
+    w = aug[:, rank:start]  # K_n^{-1} B_n^H v_n = B_n^H s_n, (q, K_g, N_k)
     s = np.add.reduce(b[:, :, None] * w, axis=1)
     np.subtract(v, s, out=s)
     s /= sigma2
+    s_conj = np.conjugate(s, out=s)
     if not terms:
-        return logdet, s, None, None
-    c = aug[:, start:].transpose(1, 0, 2).conj()
-    sb = w.transpose(1, 0, 2).conj()
-    return logdet, s, c, sb
+        return logdet, s_conj, None, None
+    return logdet, s_conj, aug[:, start:].transpose(1, 0, 2), w.transpose(1, 0, 2)
 
 
 def comm_state(pilot, users, terms: bool = True) -> CommState:
@@ -250,20 +261,21 @@ def comm_state(pilot, users, terms: bool = True) -> CommState:
     Phi @ stacked (``GmmUserModel.stacked``) gives every B_n = Phi A_n as a
     contiguous (L, q, N_k) block and every Phi mu_n as (L, N_k); user g's
     mean terms are v_n^(g) = Phi m^(g) - Phi mu_n.  One elimination over all
-    components (``_solve_stacked``) then gives log det Sigma_n, s_n^(g) =
-    Sigma_n^{-1} v_n^(g), C_n = Sigma_n^{-1} B_n and s_n^(g)H B_n for the
-    whole group.  It eliminates the smaller system, by shape alone: the
-    L x L Sigma_n when L <= q (``_observation_solve``), the q x q
-    capacitance sigma^2 I + B_n^H B_n when q < L (``_capacitance_solve``);
-    beta_n^(g) = Re v_n^(g)H s_n^(g) is formed after either.  A single user
-    is a group of one.
+    components (``_solve_stacked``) then gives log det Sigma_n and, in the
+    conjugate form the gradient and the estimator read (``CommState``),
+    s_n^(g) = Sigma_n^{-1} v_n^(g), C_n = Sigma_n^{-1} B_n and
+    B_n^H s_n^(g) for the whole group.  It eliminates the smaller system, by
+    shape alone: the conjugate L x L system conj(Sigma_n) when L <= q
+    (``_observation_solve``), the q x q capacitance sigma^2 I + B_n^H B_n
+    when q < L (``_capacitance_solve``); beta_n^(g) = Re v_n^(g)H s_n^(g)
+    is formed after either.  A single user is a group of one.
 
     ``terms`` asks for the gradient's and the estimator's terms C_n and
-    s_n^(g)H B_n.  Without them, as every caller that reads values alone
+    B_n^H s_n^(g).  Without them, as every caller that reads values alone
     calls it (``comm_mi_weighted``, the gradient at rho = 0), the L x L
-    system drops its B_n columns and the capacitance system its B_n^H
-    block, the state's ``c`` and ``sb`` are None, and ``value``,
-    ``log_mix``, ``log_omega`` and ``logdet`` keep their bits.
+    system drops its conj(B_n) columns and the capacitance system its
+    B_n^H block, the state's ``c_conj`` and ``bh_s`` are None, and
+    ``value``, ``log_mix``, ``log_omega`` and ``s_conj`` keep their bits.
 
     ``pilot`` may be a stack of P pilots (P, L, N_t).  Their products are
     folded into the component axis (column p N_k + n), so the elimination
@@ -293,8 +305,8 @@ def comm_state(pilot, users, terms: bool = True) -> CommState:
         out=v.reshape(n_slots, n_users, n_pilots, n_comp),
     )
     solve = _capacitance_solve if rank < n_slots else _observation_solve
-    logdet, s, c, sb = solve(b, v, model.noise_std**2, terms)
-    beta = np.add.reduce((v.conj() * s).real, axis=0)
+    logdet, s_conj, c_conj, bh_s = solve(b, v, model.noise_std**2, terms)
+    beta = np.add.reduce((v * s_conj).real, axis=0)  # Re v^H s
 
     log_weights = np.array([m.log_weights for m in users])[:, None]
     log_mix = log_weights - beta.reshape(n_users, n_pilots, -1) - logdet.reshape(n_pilots, -1)
@@ -303,7 +315,7 @@ def comm_state(pilot, users, terms: bool = True) -> CommState:
     log_omega = log_omega.reshape(n_users, *phi.shape[:-2])  # (K_g,) for one pilot
     cnst = -n_slots * (2.0 * np.log(model.noise_std) + 1.0)
     value = -log_omega + cnst
-    return CommState(value, log_mix.reshape(n_users, -1), log_omega, logdet, b, s, c, sb)
+    return CommState(value, log_mix.reshape(n_users, -1), log_omega, b, s_conj, c_conj, bh_s)
 
 
 def comm_mi_weighted(pilot, objective: IsacObjective):

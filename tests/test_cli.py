@@ -564,6 +564,11 @@ class TestWorkerPool:
         # units bound to shared user models, and one unit per gradient-check instance
         ("nmse.csv", task_overrides("nmse", "nmse", {"trials": 50, "sources": ["random", "dft"]})),
         ("gradcheck.csv", task_overrides("gradcheck", "gradcheck", {"instances": 2})),
+        # capacity-bound units, then the metric of every pilot in one stacked call
+        (
+            "diagnostics.csv",
+            task_overrides("diagnostics", "diagnostics", {"pilots": 3, "trials": 20}),
+        ),
     ]
 
     @pytest.mark.parametrize("table, overrides", CASES)
@@ -832,6 +837,26 @@ def test_diagnostics_run_leaves_scipy_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_diagnostics_forms_one_state_per_pilot_and_one_stack(tmp_path, monkeypatch):
+    """The shipped diagnostics config forms each pilot's state once, with the
+    terms, in the capacity bound's estimator, and the metric of all its
+    pilots from one value-only state of their stack: 21 calls for 20 pilots."""
+    import isacpilot.evaluation as evaluation
+    import isacpilot.metrics as metrics
+
+    calls = []
+
+    def recording(pilot, users, terms=True, comm_state=metrics.comm_state):
+        calls.append((np.ndim(getattr(pilot, "entries", pilot)), terms))
+        return comm_state(pilot, users, terms)
+
+    for module in (metrics, evaluation):
+        monkeypatch.setattr(module, "comm_state", recording)
+    config = CONFIGS / "diagnostics_cworst.yaml"
+    assert run_config(str(config), out_dir=str(tmp_path / "out"), threads=1) == 0
+    assert calls == [(2, True)] * 20 + [(3, False)]
 
 
 def test_spearman_matches_scipy_bit_for_bit():

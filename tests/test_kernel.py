@@ -223,19 +223,37 @@ class TestCommState:
         # Sigma_n from the full covariances, independent of the factor
         sigma = phi @ covs @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
         # the precision the estimator reads: B_n C_n^H = I - sigma^2 Sigma_n^{-1}
-        bc = state.b.transpose(2, 0, 1) @ state.c.transpose(2, 1, 0).conj()
+        bc = state.b.transpose(2, 0, 1) @ state.c_conj.transpose(2, 1, 0)  # C_n^H = conj(C_n)^T
         precision = (np.eye(n_slots) - bc) / model.noise_std**2
         inverse = np.linalg.inv(sigma)
         assert np.abs(precision - inverse).max() <= 1e-12 * np.abs(inverse).max()
         mu_bar = model.weights @ model.means - model.means
         rhs = np.concatenate(((mu_bar @ phi.T)[:, :, None], state.b.transpose(2, 0, 1)), axis=2)
         expected = np.linalg.solve(sigma, rhs)
-        got = np.concatenate((state.s[:, 0].T[:, :, None], state.c.transpose(2, 0, 1)), axis=2)
+        solves = (state.s_conj[:, 0].T[:, :, None], state.c_conj.transpose(2, 0, 1))
+        got = np.concatenate(solves, axis=2).conj()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        logdet = np.linalg.slogdet(sigma)[1]
-        assert np.abs(state.logdet - logdet).max() <= 1e-12 * np.abs(logdet).max()
+        # log det Sigma_n, component by component, through
+        # log_mix_n = log alpha_n - beta_n - log det Sigma_n, beta_n = Re v_n^H s_n
         zero = model.weights == 0.0
+        beta = np.einsum("nl,ln->n", mu_bar @ phi.T, state.s_conj[:, 0]).real
+        got = np.log(model.weights[~zero]) - beta[~zero] - state.log_mix[0, ~zero]
+        logdet = np.linalg.slogdet(sigma)[1][~zero]
+        assert np.abs(got - logdet).max() <= 1e-12 * np.abs(logdet).max()
         assert zero.any() and np.all(state.log_mix[0, zero] == -np.inf)
+
+    @ELIMINATION_CASES
+    def test_bh_s_matches_dense_solve(self, n_slots, prior):
+        """B_n^H s_n = B_n^H Sigma_n^{-1} v_n on both eliminations (on the
+        q x q one it is the solved K_n^{-1} B_n^H v_n itself)."""
+        pilot, model, covs = elimination_case(n_slots, prior)
+        phi = pilot.entries
+        state = comm_state(pilot, [model])
+        sigma = phi @ covs @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
+        mu_bar = model.weights @ model.means - model.means
+        s = np.linalg.solve(sigma, (mu_bar @ phi.T)[:, :, None])
+        expected = (state.b.transpose(2, 1, 0).conj() @ s)[:, :, 0]  # (N_k, q)
+        assert np.abs(state.bh_s[0].T - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @ELIMINATION_CASES
     def test_value_and_gradient_match_dense_formula(self, n_slots, prior):
@@ -433,8 +451,7 @@ class TestPilotStack:
             assert np.array_equal(state.value[:, p], one.value)
             assert np.array_equal(state.log_omega[:, p], one.log_omega)
             assert np.array_equal(state.log_mix[:, cols], one.log_mix)
-            assert np.array_equal(state.logdet[cols], one.logdet)
-            for got, expected in zip(state[4:], one[4:], strict=True):  # b, s, c, sb
+            for got, expected in zip(state[3:], one[3:], strict=True):  # b, s_conj, c_conj, bh_s
                 assert np.array_equal(got[..., cols], expected)
 
     @pytest.mark.parametrize("case", SHIPPED + ["roc_compare+clutter"])
@@ -487,10 +504,9 @@ class TestPilotStack:
         n_users, rank, n_comp = len(users), users[0].rank, users[0].n_components
         assert state.value.shape == state.log_omega.shape == (n_users,)
         assert state.log_mix.shape == (n_users, n_comp)
-        assert state.logdet.shape == (n_comp,)
-        assert state.b.shape == state.c.shape == (4, rank, n_comp)
-        assert state.s.shape == (4, n_users, n_comp)
-        assert state.sb.shape == (n_users, rank, n_comp)
+        assert state.b.shape == state.c_conj.shape == (4, rank, n_comp)
+        assert state.s_conj.shape == (4, n_users, n_comp)
+        assert state.bh_s.shape == (n_users, rank, n_comp)
         assert isinstance(comm_mi_user(pilot, users[0]), float)
         assert isinstance(sense_state(pilot, objective.scene).arg, float)
 
@@ -566,9 +582,9 @@ class TestValueOnlyState:
         for _, users in objective.groups:
             full = comm_state(pilot, users)
             values = comm_state(pilot, users, terms=False)
-            assert values.c is None and values.sb is None
-            assert full.c is not None and full.sb is not None
-            for field in ("value", "log_mix", "log_omega", "logdet", "b", "s"):
+            assert values.c_conj is None and values.bh_s is None
+            assert full.c_conj is not None and full.bh_s is not None
+            for field in ("value", "log_mix", "log_omega", "b", "s_conj"):
                 got, expected = getattr(values, field), getattr(full, field)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes(), field
@@ -581,11 +597,11 @@ class TestValueOnlyState:
 
         def recording(*args, **kwargs):
             state = comm_state(*args, **kwargs)
-            asked.append(state.c is not None and state.sb is not None)
+            asked.append(state.c_conj is not None and state.bh_s is not None)
             return state
 
         def checked_grad(state, users, coefs):
-            graded.append(state.c is not None and state.sb is not None)
+            graded.append(state.c_conj is not None and state.bh_s is not None)
             return _comm_grad(state, users, coefs)
 
         for module in (ip.metrics, gradients, ip.evaluation):

@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/kernel_timings.py`` on twelve of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on fourteen of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
@@ -15,6 +15,8 @@ ROWS = [
     "simulate_detection_trials_mc",
     "roc_curve_mc",
     "parse_config",
+    "ascent_step",
+    "ascent_step_l9",
 ]
 
 

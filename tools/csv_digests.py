@@ -6,13 +6,19 @@ prints one line ``<sha256>  <config>/<table>.csv`` per table, configs in the
 order given and tables in name order.  The task's own progress lines go to
 stderr, so stdout holds only the digests: two checkouts write the same
 bytes when their outputs are equal, which one ``diff`` of the two outputs
-shows.  Configs written elsewhere, such as the evaluation-only ones of
-``perfbench/workloads.py::montecarlo_configs``, are checked by passing
-their paths.
+shows.
+
+``--workload montecarlo`` or ``--workload frontier`` digests a benchmark
+workload's generated configs instead (``perfbench/workloads.py``:
+``montecarlo_configs`` and ``frontier_configs`` at ``--workload-seed``),
+written to the temporary directory as ``<label>.yaml`` and run at their
+own seeds, so the lines read ``<sha256>  <label>/<table>.csv``.
 
 Usage: ``python3 tools/csv_digests.py [--seed S] [--threads N] [CONFIG ...]``
-(default: each config at its own seed, one worker process).  It takes as
-long as running each config once.
+or ``python3 tools/csv_digests.py --workload montecarlo|frontier
+[--workload-seed S] [--threads N]`` (default: each config at its own seed,
+one worker process, workload seed 1).  It takes as long as running each
+config once.
 """
 
 from __future__ import annotations
@@ -24,8 +30,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))  # after the packages: its module names are generic
+
+from workloads import frontier_configs, montecarlo_configs  # noqa: E402
 
 from isacpilot.cli import run_config  # noqa: E402
 
@@ -42,14 +53,36 @@ def digests(config: Path, out_dir: Path, seed: int | None, threads: int) -> list
     ]
 
 
+def workload_configs(name: str, seed: int, tmp: Path) -> list[Path]:
+    """The generated configs of workload ``name`` at workload seed ``seed``,
+    written under ``tmp`` as ``<label>.yaml``, in the workload's order."""
+    raws = montecarlo_configs(seed) if name == "montecarlo" else frontier_configs(str(ROOT), seed)
+    paths = []
+    for label, raw in raws.items():
+        path = tmp / f"{label}.yaml"
+        with open(path, "w", encoding="utf-8") as handle:
+            yaml.safe_dump(raw, handle, sort_keys=False)
+        paths.append(path)
+    return paths
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="SHA-256 of every table the configs write.")
     parser.add_argument("--seed", type=int, default=None, help="override every config's seed")
     parser.add_argument("--threads", type=int, default=1, help="worker processes per config")
+    parser.add_argument(
+        "--workload", choices=("montecarlo", "frontier"), help="digest a workload's configs"
+    )
+    parser.add_argument("--workload-seed", type=int, default=1, help="the workload's seed")
     parser.add_argument("configs", nargs="*", type=Path, help="config files (default: configs/*.yaml)")
     args = parser.parse_args(argv)
-    configs = args.configs or sorted((ROOT / "configs").glob("*.yaml"))
+    if args.workload and (args.configs or args.seed is not None):
+        parser.error("--workload runs its own configs at their own seeds")
     with tempfile.TemporaryDirectory() as tmp:
+        if args.workload:
+            configs = workload_configs(args.workload, args.workload_seed, Path(tmp))
+        else:
+            configs = args.configs or sorted((ROOT / "configs").glob("*.yaml"))
         for i, config in enumerate(configs):
             lines = digests(config, Path(tmp) / str(i), args.seed, args.threads)
             print("\n".join(lines), flush=True)

@@ -16,6 +16,12 @@ are:
   ``configs/convergence_stepsize.yaml`` (N_t = 20, L = 9, one user, 180
   components, its rho = 0.5), where the pilot is longer than the prior's
   rank (q = 5);
+- ``ascent_step`` and ``ascent_step_l9``: the per-iteration cost of
+  ``optimize_pgd`` at those two shapes and rho values, with each config's
+  step size: an ``ASCENT_ITERS``-iteration ascent from a random pilot with
+  the early stop off, divided by its iterations, so each row is one
+  ``isac_value_and_grad``, one ``project_stiefel`` and the trace
+  bookkeeping (plus a twentieth of the initial evaluation);
 - ``build_users`` and ``build_users_cold``: the user models of
   ``configs/sweep_tradeoff.yaml``, with its prior already built in this
   process (the cache hit of every build after the first) and with the prior
@@ -126,7 +132,12 @@ from isacpilot.metrics import (  # noqa: E402
     sense_state,
     sensing_mi,
 )
-from isacpilot.optimizer import CLOUD_STACK, project_stiefel, random_stiefel  # noqa: E402
+from isacpilot.optimizer import (  # noqa: E402
+    CLOUD_STACK,
+    optimize_pgd,
+    project_stiefel,
+    random_stiefel,
+)
 from isacpilot.streams import complex_normal, substream  # noqa: E402
 
 MIN_REPEATS = 5
@@ -142,7 +153,14 @@ DIAG_TRIALS = 600
 MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 MC_SER_SYMBOLS = 40_000
-PILOTS_PER_CALL = {"comm_state_cloud_stack": CLOUD_STACK}
+ASCENT_ITERS = 20
+# rows timed per pilot of a stack or per ascent iteration: a call's time is
+# divided by its count here
+UNITS_PER_CALL = {
+    "comm_state_cloud_stack": CLOUD_STACK,
+    "ascent_step": ASCENT_ITERS,
+    "ascent_step_l9": ASCENT_ITERS,
+}
 
 
 def scenario(stem: str):
@@ -164,8 +182,10 @@ def draw_normals(rng: np.random.Generator, block: np.ndarray, n: int) -> None:
 def kernels(tmp: str) -> dict:
     """name -> (shape description, zero-argument call), inputs built once;
     input files are written under the directory ``tmp``."""
-    _, sweep = scenario("sweep_tradeoff")
+    sweep_config, sweep = scenario("sweep_tradeoff")
     objective = build_objective(sweep, 0.5)
+    # the config's step size, ASCENT_ITERS iterations, the early stop off
+    sweep_ascent = replace(sweep_config.optimizer, max_iters=ASCENT_ITERS, rel_tol=0.0)
     pilot = pilot_for(sweep, "sweep")
     step = pilot.entries + 0.1 * isac_value_and_grad(pilot, objective)[3]
     sweep_shape = (
@@ -173,8 +193,9 @@ def kernels(tmp: str) -> dict:
         f"N_k={sweep['n_components']}"
     )
 
-    _, conv = scenario("convergence_stepsize")
+    conv_config, conv = scenario("convergence_stepsize")
     conv_objective = build_objective(conv, conv["rho"])
+    conv_ascent = replace(conv_config.optimizer, max_iters=ASCENT_ITERS, rel_tol=0.0)
     conv_pilot = pilot_for(conv, "convergence")
     conv_shape = (
         f"N_t={conv['n_tx']} L={conv['pilot_len']} K={len(conv_objective.users)} "
@@ -260,6 +281,14 @@ def kernels(tmp: str) -> dict:
         "build_users": (sweep_shape, lambda: build_users(sweep)),
         "build_users_cold": (sweep_shape, lambda: (_shared_prior.cache_clear(), build_users(sweep))),
         "comm_state_l9": (conv_shape, lambda: comm_state(conv_pilot, conv_objective.users)),
+        "ascent_step": (
+            f"{sweep_shape} per iteration of {ASCENT_ITERS}",
+            lambda: optimize_pgd(pilot, objective, sweep_ascent),
+        ),
+        "ascent_step_l9": (
+            f"{conv_shape} per iteration of {ASCENT_ITERS}",
+            lambda: optimize_pgd(conv_pilot, conv_objective, conv_ascent),
+        ),
         "isac_value_and_grad_l9": (
             conv_shape,
             lambda: isac_value_and_grad(conv_pilot, conv_objective),
@@ -414,7 +443,7 @@ def main(argv=None) -> None:
         )
         for name in args.names or table:
             shape, call = table[name]
-            times = time_calls(call, args.seconds) / PILOTS_PER_CALL.get(name, 1)
+            times = time_calls(call, args.seconds) / UNITS_PER_CALL.get(name, 1)
             peak_mb = traced_peak(call) / 1e6
             q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
             print(
