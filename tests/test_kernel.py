@@ -233,6 +233,9 @@ class TestCommState:
         solves = (state.s_conj[:, 0].T[:, :, None], state.c_conj.transpose(2, 0, 1))
         got = np.concatenate(solves, axis=2).conj()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        # B_n^H Sigma_n^{-1} v_n (on the q x q path the solved K_n^{-1} B_n^H v_n)
+        bh_s = (state.b.transpose(2, 1, 0).conj() @ expected[:, :, :1])[:, :, 0]
+        assert np.abs(state.bh_s[0].T - bh_s).max() <= 1e-12 * np.abs(bh_s).max()
         # log det Sigma_n, component by component, through
         # log_mix_n = log alpha_n - beta_n - log det Sigma_n, beta_n = Re v_n^H s_n
         zero = model.weights == 0.0
@@ -241,19 +244,6 @@ class TestCommState:
         logdet = np.linalg.slogdet(sigma)[1][~zero]
         assert np.abs(got - logdet).max() <= 1e-12 * np.abs(logdet).max()
         assert zero.any() and np.all(state.log_mix[0, zero] == -np.inf)
-
-    @ELIMINATION_CASES
-    def test_bh_s_matches_dense_solve(self, n_slots, prior):
-        """B_n^H s_n = B_n^H Sigma_n^{-1} v_n on both eliminations (on the
-        q x q one it is the solved K_n^{-1} B_n^H v_n itself)."""
-        pilot, model, covs = elimination_case(n_slots, prior)
-        phi = pilot.entries
-        state = comm_state(pilot, [model])
-        sigma = phi @ covs @ phi.conj().T + model.noise_std**2 * np.eye(n_slots)
-        mu_bar = model.weights @ model.means - model.means
-        s = np.linalg.solve(sigma, (mu_bar @ phi.T)[:, :, None])
-        expected = (state.b.transpose(2, 1, 0).conj() @ s)[:, :, 0]  # (N_k, q)
-        assert np.abs(state.bh_s[0].T - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @ELIMINATION_CASES
     def test_value_and_gradient_match_dense_formula(self, n_slots, prior):
