@@ -57,13 +57,9 @@ def workload_configs(name: str, seed: int, tmp: Path) -> list[Path]:
     """The generated configs of workload ``name`` at workload seed ``seed``,
     written under ``tmp`` as ``<label>.yaml``, in the workload's order."""
     raws = montecarlo_configs(seed) if name == "montecarlo" else frontier_configs(str(ROOT), seed)
-    paths = []
     for label, raw in raws.items():
-        path = tmp / f"{label}.yaml"
-        with open(path, "w", encoding="utf-8") as handle:
-            yaml.safe_dump(raw, handle, sort_keys=False)
-        paths.append(path)
-    return paths
+        (tmp / f"{label}.yaml").write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    return [tmp / f"{label}.yaml" for label in raws]
 
 
 def main(argv=None) -> None:
