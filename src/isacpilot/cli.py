@@ -65,15 +65,9 @@ class ResultTable:
 
 
 def emit_table(table: ResultTable, path: str) -> None:
-    """Write a table as CSV with '#' metadata lines; atomic via temp rename."""
-    lines = []
-    ordered = ["config_hash", "seed", "version", "units", "task"]
-    for key in ordered:
-        if key in table.metadata:
-            lines.append(f"# {key}: {table.metadata[key]}")
-    for key in sorted(table.metadata):
-        if key not in ordered:
-            lines.append(f"# {key}: {table.metadata[key]}")
+    """Write a table as CSV with '#' metadata lines, in the metadata's order;
+    atomic via temp rename."""
+    lines = [f"# {key}: {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
     for row in table.rows:
         if len(row) != len(table.columns):
@@ -87,19 +81,24 @@ def emit_table(table: ResultTable, path: str) -> None:
 
 
 def _table(config: ExperimentConfig, name: str, header: str, rows: list, **metadata) -> ResultTable:
-    """A task's table: the comma-separated ``header`` names its columns, and the
-    metadata every table carries comes before the task's own ``metadata``."""
-    base = {
+    """A task's table: the comma-separated ``header`` names its columns, and
+    its metadata is in the order ``emit_table`` writes it: the five keys
+    every table leads with, then the scenario's keys and the task's own
+    ``metadata``, sorted by name."""
+    lead = {
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "version": __version__,
         "units": "MI in bits",
         "task": config.task,
+    }
+    rest = {
         "mean_policy": config.scenario["mean_policy"],
         "mean_scale": config.scenario["mean_scale"],
         "sensing_formula": config.scenario["sensing_formula"],
+        **metadata,
     }
-    return ResultTable(name, header.split(","), rows, {**base, **metadata})
+    return ResultTable(name, header.split(","), rows, {**lead, **dict(sorted(rest.items()))})
 
 
 def _random_pilot(config: ExperimentConfig, *role):
@@ -362,7 +361,8 @@ def _task_diagnostics(config: ExperimentConfig, threads: int) -> list:
     pilots = [_random_pilot(config, "diag-pilot", index) for index in range(params["pilots"])]
     units = list(enumerate(pilots))
     c_worst = _map_units(partial(_diag_unit, config, objective.users), units, threads)
-    # one stacked call: each pilot's value is that of its own call
+    # one stack, which the metric evaluates in pieces of bounded size; each
+    # pilot's value is that of its own call
     comm = comm_mi_weighted(np.array([pilot.entries for pilot in pilots]), objective) / LN2
     rows = list(zip(range(len(pilots)), comm, c_worst))
     metadata = {

@@ -19,7 +19,6 @@ one chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -236,9 +235,9 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     sigma_inv *= 1.0 / model.noise_std**2  # the bits of the division by sigma^2
     np.conjugate(state.s_conj[:, 0].T[:, :, None], out=quad[:, :n_slots, n_slots:])  # s_n
     # the coefficients of the features: M_ii, then 2 Re M_ij and -2 Im M_ij for i < j
-    i, j = _upper_pairs(n_slots + 1)
+    pairs = np.triu_indices(n_slots + 1, 1)  # (i, j), i < j, read by every chunk
     diagonal = np.diagonal(quad, axis1=1, axis2=2).real
-    upper = 2.0 * np.ascontiguousarray(quad[:, i, j]).conj()
+    upper = 2.0 * np.ascontiguousarray(quad[:, pairs[0], pairs[1]]).conj()
     quad_coef = np.concatenate((diagonal, upper.view(float)), axis=1).T  # ((L+1)^2, N_k)
     factor = model.factor.transpose(2, 0, 1)  # A_n (N_k, N_t, q)
     gain = factor @ c_h  # G_n (N_k, N_t, L)
@@ -252,19 +251,8 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     chunk = _chunk_trials(n_comp, n_tx, n_slots)
     for start in range(0, n_trials, chunk):
         trials = slice(start, start + chunk)
-        est[trials] = _mmse_chunk(extended[trials], quad_coef, gain_rows, state.log_mix[0])
+        est[trials] = _mmse_chunk(extended[trials], pairs, quad_coef, gain_rows, state.log_mix[0])
     return est
-
-
-@lru_cache(maxsize=8)
-def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(size, 1)``, the (i, j) pairs i < j of the features,
-    built once per size and read-only: ``gmm_mmse_batch`` and each of its
-    chunks read them."""
-    pairs = np.triu_indices(size, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
@@ -277,21 +265,22 @@ def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
     return max(1, 1_000_000 // (max(n_comp, n_slots + 1) * max(n_tx, n_slots)))
 
 
-def _mmse_chunk(extended, quad_coef, gain_rows, log_prior):
+def _mmse_chunk(extended, pairs, quad_coef, gain_rows, log_prior):
     """Estimates of one chunk of trials for ``gmm_mmse_batch``: its rows
     [y'^T, 1] times the gains mixed with the chunk's ``_mixture_weights``,
     which are freed with its other intermediates."""
-    w = _mixture_weights(extended, quad_coef, log_prior)
+    w = _mixture_weights(extended, pairs, quad_coef, log_prior)
     mixed = (w @ gain_rows).view(complex).reshape(w.shape[0], -1, extended.shape[1])
     return np.einsum("tnl,tl->tn", mixed, extended)
 
 
-def _mixture_weights(extended, quad_coef, log_prior):
+def _mixture_weights(extended, pairs, quad_coef, log_prior):
     """Mixture weights (responsibilities) of one chunk of trials, shape
     (trials, N_k): exp(log_prior - z^H M_n z) normalized per trial, 0 below
-    e^WEIGHT_CUT times the trial's largest."""
+    e^WEIGHT_CUT times the trial's largest; ``pairs`` are the (i, j)
+    feature indices, i < j."""
     # features |z_i|^2, then Re and Im of conj(z_i) z_j for i < j, interleaved
-    i, j = _upper_pairs(extended.shape[1])
+    i, j = pairs
     upper = np.take(extended, i, axis=1).conj() * np.take(extended, j, axis=1)  # C order: real view
     features = np.concatenate((extended.real**2 + extended.imag**2, upper.view(float)), axis=1)
     log_w = log_prior - features @ quad_coef  # (trials, N_k)

@@ -109,7 +109,9 @@ from .metrics import WEIGHT_CUT, CommState, IsacObjective, SenseState, comm_stat
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
 STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
-# stencil points per ``objective_fn`` call in ``finite_diff_check``
+# stencil points per ``objective_fn`` call in ``finite_diff_check``; it bounds
+# the stencil array, whose 8 L N_t points of L N_t entries each would grow as
+# (L N_t)^2 in one stack (the metrics bound their own working sets)
 STENCIL_STACK = 64
 
 

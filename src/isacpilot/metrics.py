@@ -36,7 +36,8 @@ class IsacObjective:
     rejects users whose antenna count differs from the scene's, and
     sets ``groups``, the users as (weights, users) pairs
     that share one factor and one noise level, each of which takes one
-    ``comm_state`` call; groups and the users within them keep their
+    ``comm_state`` call per pilot (per piece of a stack in
+    ``comm_mi_weighted``); groups and the users within them keep their
     first-appearance order.
     """
 
@@ -320,11 +321,34 @@ def comm_state(pilot, users, terms: bool = True) -> CommState:
 
 def comm_mi_weighted(pilot, objective: IsacObjective):
     """Preference-weighted sum of the per-user communication metrics; one
-    value per pilot of a stack."""
-    # value is (K_g,) or (K_g, P); the sums run over the users in order
-    return sum(
-        sum((w * comm_state(pilot, users, terms=False).value.T).T) for w, users in objective.groups
-    )
+    value per pilot of a stack.
+
+    A stack reaches ``comm_state`` in pieces of ``_stack_piece`` pilots, one
+    value-only call per piece and group, so its temporaries do not grow with
+    the stack; each pilot's value is that of its own call."""
+    phi = pilot_entries(pilot, (2, 3))
+    stack = phi[None] if phi.ndim == 2 else phi
+    total = np.zeros(len(stack))
+    for weights, users in objective.groups:
+        piece = _stack_piece(users[0], len(users), stack.shape[1])
+        for start in range(0, len(stack), piece):
+            value = comm_state(stack[start : start + piece], users, terms=False).value  # (K_g, p)
+            total[start : start + piece] += sum((weights * value.T).T)  # over the users in order
+    return total if phi.ndim == 3 else total[0]
+
+
+def _stack_piece(model, n_users: int, n_slots: int) -> int:
+    """Pilots per ``comm_state`` call of ``comm_mi_weighted``: 8 at the Pareto
+    cloud's shape (N_k = 180, L = 4, q = 5, two users), 16 at the capacity
+    diagnostic's (N_k = 90).  The rule bounds the largest temporaries of a
+    value-only call, the broadcast products of ``_observation_solve``
+    (L L q complex entries per column) and ``_capacitance_solve`` (L q K_g),
+    by about 2 MB; a call's traced peak at the cloud's shape is then about
+    4 MB.  Larger pieces raise the cloud task's process peak: at 10 pilots
+    it read 44.2 MB against 43.0 MB."""
+    rank = model.rank
+    per_pilot = model.n_components * n_slots * rank * max(min(n_slots, rank), n_users)
+    return max(1, 120_000 // per_pilot)
 
 
 def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseState:

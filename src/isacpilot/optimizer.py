@@ -27,9 +27,6 @@ from .metrics import IsacObjective, comm_mi_weighted, sensing_mi
 from .streams import complex_normal
 
 STOP_WINDOW = 10
-# random pilots per stack in ``sample_feasible_cloud``; a stack of 8 keeps a
-# call's temporaries near 4 MB at the shipped cloud shape
-CLOUD_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -179,31 +176,24 @@ def sample_feasible_cloud(
 ) -> np.ndarray:
     """(sense MI, comm MI) pairs of random orthogonal pilots, shape (n, 2).
 
-    The pilots are drawn and projected ``CLOUD_STACK`` at a time: one draw of
-    a (P, L, N_t) stack takes the same stream as P single draws, and one
-    batched SVD projects it; each pilot is checked for rank, and the stack
-    once against the rule of a ``PilotMatrix`` (``channel.check_pilots``:
-    finite entries, L < N_t, each pilot's row-orthonormality residual).
-    Both metrics, the sensing one under the objective's formula, evaluate a
-    stack per call, with each pilot's value that of its own call; the
-    communication metric forms no gradient terms.  A pilot outside the
-    approximate sensing metric's domain raises ``ObjectiveDomainError``
-    naming its sample.
+    The n pilots are drawn, projected, checked and evaluated in one pass
+    each: one draw of an (n, L, N_t) stack, which takes the same stream as n
+    single draws; one batched SVD, each pilot checked for rank; one check
+    against the rule of a ``PilotMatrix`` (``channel.check_pilots``: finite
+    entries, L < N_t, each pilot's row-orthonormality residual); and one
+    call of each metric, the sensing one under the objective's formula, with
+    each pilot's value that of its own call.  The communication metric
+    forms no gradient terms and bounds its own working set
+    (``metrics.comm_mi_weighted``).  A pilot outside the approximate sensing
+    metric's domain raises ``ObjectiveDomainError`` naming its sample.
     """
     count(n_samples, "n_samples")
     count(n_slots, "n_slots")
-    n_tx = objective.scene.geometry.n_tx
-    pairs = np.empty((n_samples, 2))
-    for start in range(0, n_samples, CLOUD_STACK):
-        draws = complex_normal(rng, (min(CLOUD_STACK, n_samples - start), n_slots, n_tx))
-        stack = check_pilots(_polar(draws), 3)[0]
-        rows = slice(start, start + len(stack))
-        try:
-            pairs[rows, 0] = sensing_mi(stack, objective.scene, objective.sensing_formula)
-        except ObjectiveDomainError as exc:  # named by its sample, not its place in the stack
-            sample = start + exc.index
-            exc.args = (exc.args[0].replace(f"of pilot {exc.index}", f"of sample {sample}"),)
-            exc.index = sample
-            raise
-        pairs[rows, 1] = comm_mi_weighted(stack, objective)
-    return pairs
+    draws = complex_normal(rng, (n_samples, n_slots, objective.scene.geometry.n_tx))
+    stack = check_pilots(_polar(draws), 3)[0]
+    try:
+        sense = sensing_mi(stack, objective.scene, objective.sensing_formula)
+    except ObjectiveDomainError as exc:  # a stack index is a sample index
+        exc.args = (exc.args[0].replace(f"of pilot {exc.index}", f"of sample {exc.index}"),)
+        raise
+    return np.column_stack((sense, comm_mi_weighted(stack, objective)))

@@ -564,7 +564,7 @@ class TestWorkerPool:
         # units bound to shared user models, and one unit per gradient-check instance
         ("nmse.csv", task_overrides("nmse", "nmse", {"trials": 50, "sources": ["random", "dft"]})),
         ("gradcheck.csv", task_overrides("gradcheck", "gradcheck", {"instances": 2})),
-        # capacity-bound units, then the metric of every pilot in one stacked call
+        # capacity-bound units, then the metric of every pilot from one stack
         (
             "diagnostics.csv",
             task_overrides("diagnostics", "diagnostics", {"pilots": 3, "trials": 20}),
@@ -607,7 +607,7 @@ class TestWorkerPool:
     def test_cloud_domain_error_names_its_csv_row(self, tmp_path, monkeypatch, capsys):
         # clutter 8 degrees either side of the target at 0 takes the approximate
         # sensing log-argument below zero for a few random pilots, first at
-        # sample 159 (pilot 7 of stack 19 in chunk 0)
+        # sample 159 of chunk 0
         clutter = [{"angle_deg": -8.0, "power": 0.5}, {"angle_deg": 8.0, "power": 0.5}]
         overrides = {
             **task_overrides("pareto-cloud", "cloud", {"samples": 500}),
@@ -839,10 +839,11 @@ def test_diagnostics_run_leaves_scipy_unloaded(tmp_path):
     assert result.stdout.split()[-2:] == ["0", "False"]
 
 
-def test_diagnostics_forms_one_state_per_pilot_and_one_stack(tmp_path, monkeypatch):
+def test_diagnostics_forms_one_state_per_pilot_and_bounded_stacks(tmp_path, monkeypatch):
     """The shipped diagnostics config forms each pilot's state once, with the
     terms, in the capacity bound's estimator, and the metric of all its
-    pilots from one value-only state of their stack: 21 calls for 20 pilots."""
+    pilots from value-only states of their stack in pieces of at most 16
+    (``metrics._stack_piece`` at that shape): 22 calls for 20 pilots."""
     import isacpilot.evaluation as evaluation
     import isacpilot.metrics as metrics
 
@@ -856,7 +857,7 @@ def test_diagnostics_forms_one_state_per_pilot_and_one_stack(tmp_path, monkeypat
         monkeypatch.setattr(module, "comm_state", recording)
     config = CONFIGS / "diagnostics_cworst.yaml"
     assert run_config(str(config), out_dir=str(tmp_path / "out"), threads=1) == 0
-    assert calls == [(2, True)] * 20 + [(3, False)]
+    assert calls == [(2, True)] * 20 + [(3, False)] * 2
 
 
 def test_spearman_matches_scipy_bit_for_bit():

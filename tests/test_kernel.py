@@ -15,6 +15,7 @@ import importlib
 import json
 import pickle
 import pkgutil
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -609,6 +610,62 @@ class TestValueOnlyState:
         observations = np.zeros((3, pilot.shape[0]), dtype=complex)
         ip.gmm_mmse_batch(observations, pilot, objective.users[0])
         assert asked == [True]
+
+
+CLOUD_CONFIG = ROOT / "configs" / "pareto_cloud.yaml"
+GRADCHECK_CONFIG = ROOT / "configs" / "gradcheck_small.yaml"
+
+
+class TestBoundedStack:
+    """``comm_mi_weighted`` hands a stack to ``comm_state`` in pieces sized
+    from the group's shape, so its working set does not grow with the stack,
+    and each pilot keeps the bits of its own call."""
+
+    @staticmethod
+    def objective_and_stack(config, n_pilots):
+        scenario = parse_config(str(config)).scenario
+        rng = ip.substream(19, "bounded-stack", config.stem)
+        shape = (scenario["pilot_len"], scenario["n_tx"])
+        pilots = [ip.random_stiefel(*shape, rng).entries for _ in range(n_pilots)]
+        return build_objective(scenario, 0.0), np.array(pilots)
+
+    @staticmethod
+    def recorded_sizes(monkeypatch):
+        """The pilot count of each ``comm_state`` call ``metrics`` makes from here on."""
+        sizes = []
+
+        def recording(pilot, users, terms=True):
+            sizes.append(len(pilot))
+            return comm_state(pilot, users, terms)
+
+        monkeypatch.setattr(ip.metrics, "comm_state", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "config, piece", [(CLOUD_CONFIG, 8), (DIAG_CONFIG, 16)], ids=lambda v: getattr(v, "stem", v)
+    )
+    def test_pieces_keep_the_bits_and_bound_the_peak(self, monkeypatch, config, piece):
+        objective, stack = self.objective_and_stack(config, 200)
+        expected = [ip.comm_mi_weighted(phi, objective) for phi in stack]
+        sizes = self.recorded_sizes(monkeypatch)
+        assert ip.comm_mi_weighted(stack, objective).tolist() == expected
+        assert sizes == [piece] * (200 // piece) + [200 % piece] * (200 % piece > 0)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            ip.comm_mi_weighted(stack, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 3.6 MB at the cloud's shape and 3.4 MB at the diagnostic's,
+        # where one 200-pilot elimination traced 90 and 43 MB
+        assert peak <= 5_000_000
+
+    def test_gradient_check_stencils_take_one_call_per_group(self, monkeypatch):
+        objective, stack = self.objective_and_stack(GRADCHECK_CONFIG, gradients.STENCIL_STACK)
+        sizes = self.recorded_sizes(monkeypatch)
+        ip.comm_mi_weighted(stack, objective)
+        assert sizes == [gradients.STENCIL_STACK] * len(objective.groups)
 
 
 def shared_users(prior, noises):

@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/kernel_timings.py`` on fourteen of its rows."""
+"""Smoke test of ``tools/kernel_timings.py`` on fifteen of its rows."""
 
 from test_sweep_sensitivity import load_tool
 
@@ -10,6 +10,7 @@ ROWS = [
     "finite_diff_check",
     "comm_state_cloud",
     "comm_state_cloud_stack",
+    "diagnostics_metric_1000",
     "build_users",
     "build_users_cold",
     "simulate_detection_trials_mc",

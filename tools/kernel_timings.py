@@ -58,11 +58,17 @@ are:
   earlier ones leave behind;
 - ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
   (N_t = 16, L = 4, K = 2 users sharing one 180-component prior), one pilot
-  per call and a stack of ``CLOUD_STACK`` pilots per call, without the
-  gradient's terms, as the cloud's metric calls it; the stack row reports
-  times per pilot, so the two rows compare directly, and against
-  ``comm_state`` (the same shape with the terms, as the ascent calls it)
-  they show what the value-only state saves;
+  per call and a stack per call of as many pilots as
+  ``metrics.comm_mi_weighted`` hands ``comm_state`` at that shape (its
+  ``_stack_piece`` rule, 8 there), without the gradient's terms, as the
+  cloud's metric calls it; the stack row reports times per pilot, so the
+  two rows compare directly, and against ``comm_state`` (the same shape
+  with the terms, as the ascent calls it) they show what the value-only
+  state saves;
+- ``diagnostics_metric_1000``: ``comm_mi_weighted`` on a stack of 1,000
+  pilots at ``configs/diagnostics_cworst.yaml``'s shape (N_t = 12, L = 4,
+  90 components), time per call; its peak column shows that the metric's
+  pieces bound its working set, whatever the stack's size;
 - ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
   two users with their own noise levels, two clutter sources), one check of
   the ISAC objective at the config's rho, as the gradcheck task runs it per
@@ -127,17 +133,14 @@ from isacpilot.evaluation import (  # noqa: E402
 )
 from isacpilot.gradients import STENCIL_STACK, finite_diff_check, isac_value_and_grad  # noqa: E402
 from isacpilot.metrics import (  # noqa: E402
+    _stack_piece,
+    comm_mi_weighted,
     comm_state,
     isac_objective,
     sense_state,
     sensing_mi,
 )
-from isacpilot.optimizer import (  # noqa: E402
-    CLOUD_STACK,
-    optimize_pgd,
-    project_stiefel,
-    random_stiefel,
-)
+from isacpilot.optimizer import optimize_pgd, project_stiefel, random_stiefel  # noqa: E402
 from isacpilot.streams import complex_normal, substream  # noqa: E402
 
 MIN_REPEATS = 5
@@ -154,13 +157,7 @@ MC_ROC_TRIALS = 1_000_000
 MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 MC_SER_SYMBOLS = 40_000
 ASCENT_ITERS = 20
-# rows timed per pilot of a stack or per ascent iteration: a call's time is
-# divided by its count here
-UNITS_PER_CALL = {
-    "comm_state_cloud_stack": CLOUD_STACK,
-    "ascent_step": ASCENT_ITERS,
-    "ascent_step_l9": ASCENT_ITERS,
-}
+DIAG_METRIC_PILOTS = 1000
 
 
 def scenario(stem: str):
@@ -179,9 +176,11 @@ def draw_normals(rng: np.random.Generator, block: np.ndarray, n: int) -> None:
         rng.standard_normal(out=flat[: min(flat.size, n - start)])
 
 
-def kernels(tmp: str) -> dict:
-    """name -> (shape description, zero-argument call), inputs built once;
-    input files are written under the directory ``tmp``."""
+def kernels(tmp: str) -> tuple[dict, dict]:
+    """(name -> (shape description, zero-argument call), name -> units per
+    call), inputs built once; input files are written under the directory
+    ``tmp``.  The rows timed per pilot of a stack or per ascent iteration
+    have their count in the second dict, and a call's time is divided by it."""
     sweep_config, sweep = scenario("sweep_tradeoff")
     objective = build_objective(sweep, 0.5)
     # the config's step size, ASCENT_ITERS iterations, the early stop off
@@ -220,6 +219,10 @@ def kernels(tmp: str) -> dict:
     channels = sample_channels(diag_model, DIAG_TRIALS, rng)
     noise = diag_model.noise_std * complex_normal(rng, (DIAG_TRIALS, diag["pilot_len"]))
     diag_obs = channels @ diag_pilot.entries.T + noise
+    diag_objective = build_objective(diag, 0.0)
+    diag_stack = np.array(
+        [pilot_for(diag, f"diag-{p}").entries for p in range(DIAG_METRIC_PILOTS)]
+    )
     sampler_rng = substream(6, "kernel-timings", "sampler")
 
     roc_config, roc = scenario("roc_compare")
@@ -250,7 +253,8 @@ def kernels(tmp: str) -> dict:
 
     _, cloud = scenario("pareto_cloud")
     cloud_users = build_objective(cloud, 0.0).users
-    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(CLOUD_STACK)])
+    cloud_piece = _stack_piece(cloud_users[0], len(cloud_users), cloud["pilot_len"])
+    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(cloud_piece)])
     cloud_shape = (
         f"N_t={cloud['n_tx']} L={cloud['pilot_len']} K={len(cloud_users)} "
         f"N_k={cloud['n_components']}"
@@ -273,6 +277,11 @@ def kernels(tmp: str) -> dict:
     with open(mc_nmse, "w", encoding="utf-8") as handle:
         yaml.safe_dump(montecarlo_configs(1)["mc_nmse_random"], handle, sort_keys=False)
 
+    units = {
+        "comm_state_cloud_stack": cloud_piece,
+        "ascent_step": ASCENT_ITERS,
+        "ascent_step_l9": ASCENT_ITERS,
+    }
     return {
         "comm_state": (sweep_shape, lambda: comm_state(pilot, objective.users)),
         "sense_state": (sweep_shape, lambda: sense_state(pilot, objective.scene)),
@@ -351,8 +360,13 @@ def kernels(tmp: str) -> dict:
             lambda: comm_state(cloud_stack[0], cloud_users, terms=False),
         ),
         "comm_state_cloud_stack": (
-            f"{cloud_shape} values only, per pilot of {CLOUD_STACK}",
+            f"{cloud_shape} values only, per pilot of {cloud_piece}",
             lambda: comm_state(cloud_stack, cloud_users, terms=False),
+        ),
+        "diagnostics_metric_1000": (
+            f"N_t={diag['n_tx']} L={diag['pilot_len']} N_k={diag['n_components']} "
+            f"pilots={DIAG_METRIC_PILOTS}",
+            lambda: comm_mi_weighted(diag_stack, diag_objective),
         ),
         "isac_value_and_grad_clutter": (
             grad_shape,
@@ -388,7 +402,7 @@ def kernels(tmp: str) -> dict:
                 ser_rng,
             ),
         ),
-    }
+    }, units
 
 
 def time_calls(call, seconds: float) -> np.ndarray:
@@ -432,7 +446,7 @@ def main(argv=None) -> None:
     parser.add_argument("--seconds", type=float, default=1.0, help="timing budget per kernel")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        table = kernels(tmp)
+        table, units = kernels(tmp)
         unknown = sorted(set(args.names) - set(table))
         if unknown:
             parser.error(f"unknown kernel(s) {', '.join(unknown)}; choose from {', '.join(table)}")
@@ -443,7 +457,7 @@ def main(argv=None) -> None:
         )
         for name in args.names or table:
             shape, call = table[name]
-            times = time_calls(call, args.seconds) / UNITS_PER_CALL.get(name, 1)
+            times = time_calls(call, args.seconds) / units.get(name, 1)
             peak_mb = traced_peak(call) / 1e6
             q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
             print(
