@@ -31,24 +31,24 @@ from .errors import (
     number,
     simplex,
 )
-from .metrics import WEIGHT_CUT, comm_state, sense_state
+from .metrics import WEIGHT_CUT, comm_state, pieces, sense_state
 from .optimizer import project_stiefel
 from .streams import complex_normal
 
 QAM_LEVELS = (2.0 * np.arange(8) - 7.0) / np.sqrt(42.0)
 CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
-# Detection trials are drawn in blocks of this many, so the draws alive at a
-# time take 256 KB whatever the trial count; only the interference, one
-# complex normal scaled by sqrt(a) per trial, grows with it, 16 B per trial,
-# which the paired statistics then reuse.  Consecutive draws continue one
-# stream, so the statistics and the generator state do not depend on the
-# block size.  The same length bounds the runs of ``roc_curve``'s swap.
-DETECTION_BLOCK = 16_384
-# The link simulation forms, draws noise for and decides its symbols in runs
-# of whole blocks of about this many symbols (all users), so its temporaries
-# take well under 1 MB at any symbol count; the noise continues one stream,
-# so the error counts and the generator state do not depend on the run.
-_SER_RUN = 16_384
+# The Monte Carlo draws alive at a time: detection trials are drawn in
+# blocks of this many, and the link simulation forms, draws noise for and
+# decides its symbols in runs of whole blocks of about this many symbols
+# (all users), so the draws take 256 KB whatever the trial or symbol count.
+# Only the detection interference, one complex normal scaled by sqrt(a) per
+# trial, grows with the count, 16 B per trial, which the paired statistics
+# then reuse.  Consecutive draws continue one stream, so the statistics, the
+# error counts and the generator state do not depend on the block size.  The
+# same length bounds the runs of ``roc_curve``'s swap.  It is kept apart from
+# ``metrics.WORKING_SET``: the montecarlo workload's peak memory is the heap
+# these draws leave behind, which a 1.92 MB block would raise.
+DRAW_BLOCK = 16_384
 
 
 @dataclass(eq=False)
@@ -89,12 +89,12 @@ def simulate_detection_trials(
     # one pilot: a stack raises here, before any draw
     _, gram, _, z = sense_state(pilot_entries(pilot), scene, "exact")
     a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2  # w^H mu_0
-    # draws come in blocks of DETECTION_BLOCK trials, all interference, then
+    # draws come in blocks of DRAW_BLOCK trials, all interference, then
     # all targets; each block is scaled into the interference buffer or
     # folded into the statistics as soon as it is drawn
     blocks = [
-        slice(start, min(start + DETECTION_BLOCK, n_trials))
-        for start in range(0, n_trials, DETECTION_BLOCK)
+        slice(start, min(start + DRAW_BLOCK, n_trials))
+        for start in range(0, n_trials, DRAW_BLOCK)
     ]
     interf = np.empty(n_trials, dtype=complex)
     for block in blocks:
@@ -126,7 +126,7 @@ def roc_curve(
     are flagged.  Both need only the multiset of each statistic, so the
     pairs (``simulate_detection_trials``) are regrouped in their own buffer:
     the h1 slots of its first half swap with the h0 slots of its second
-    half, in runs of ``DETECTION_BLOCK`` trials, which leaves every h0
+    half, in runs of ``DRAW_BLOCK`` trials, which leaves every h0
     statistic in the buffer's first ``n_trials`` floats and every h1 in the
     rest.  The thresholds (``_roc_thresholds``) then partition the h0
     statistics in place, so no copy of either is made.
@@ -137,8 +137,8 @@ def roc_curve(
     half = n_trials // 2
     h1_first = flat[1 : 2 * half : 2]  # h1 of trials 0 .. half - 1
     h0_last = flat[2 * (n_trials - half) :: 2]  # h0 of the last half trials
-    for start in range(0, half, DETECTION_BLOCK):
-        run = slice(start, start + DETECTION_BLOCK)
+    for start in range(0, half, DRAW_BLOCK):
+        run = slice(start, start + DRAW_BLOCK)
         swap = h1_first[run].copy()
         h1_first[run] = h0_last[run]
         h0_last[run] = swap
@@ -215,8 +215,9 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     and imaginary parts of [G_n | b_n] gives each trial's mixed gain, which
     is applied to its z.  The weights are computed in the log domain and
     normalized; weights below e^WEIGHT_CUT times a trial's largest are
-    exactly 0.  Trials are processed in chunks (``_chunk_trials``) to bound
-    the weights and the mixed gains.  A non-finite observation raises
+    exactly 0.  Trials are processed in chunks (``metrics.pieces``) to bound
+    the weights and the mixed gains: 314 trials at the Monte Carlo NMSE
+    shape, 615 at the capacity diagnostic's.  A non-finite observation raises
     ``NonFiniteError``, a ``NumericError``, naming its entry.
     """
     phi = pilot_entries(pilot)
@@ -248,21 +249,11 @@ def gmm_mmse_batch(observations: np.ndarray, pilot, model: GmmUserModel) -> np.n
     np.subtract(obs, phi @ model.mixture_mean, out=extended[:, :n_slots])
 
     est = np.empty((n_trials, n_tx), dtype=complex)
-    chunk = _chunk_trials(n_comp, n_tx, n_slots)
-    for start in range(0, n_trials, chunk):
-        trials = slice(start, start + chunk)
+    # a trial's bytes: its quadratic forms, log weights and weights (three
+    # N_k-float arrays) and its mixed gains (N_t (L + 1) complex entries)
+    for trials in pieces(n_trials, 8 * 3 * n_comp + 16 * n_tx * (n_slots + 1)):
         est[trials] = _mmse_chunk(extended[trials], pairs, quad_coef, gain_rows, state.log_mix[0])
     return est
-
-
-def _chunk_trials(n_comp: int, n_tx: int, n_slots: int) -> int:
-    """Trials per chunk of ``gmm_mmse_batch``, 347 at the Monte Carlo NMSE
-    shape.  The rule bounds the chunk's log weights and weights (N_k reals
-    per trial) and its mixed gains (N_t (L + 1) complex entries per trial),
-    about 0.5 and 0.6 MB at that shape.  Larger chunks are slower: at
-    1,500 trials per chunk a call at that shape takes about 1.5 times as
-    long."""
-    return max(1, 1_000_000 // (max(n_comp, n_slots + 1) * max(n_tx, n_slots)))
 
 
 def _mmse_chunk(extended, pairs, quad_coef, gain_rows, log_prior):
@@ -445,7 +436,7 @@ def ser_experiment(
     count it simulates, and divides by, is ``n_symbols`` rounded up to a
     multiple of ``block_len``.  A point's symbols are drawn in one call, then
     formed (one batched product), noised and decided in place
-    (``_qam_labels``) in runs of whole blocks (``_SER_RUN``).
+    (``_qam_labels``) in runs of whole blocks (``DRAW_BLOCK``).
     """
     count(n_symbols, "n_symbols", 1000)  # per SNR point
     count(block_len, "block_len")
@@ -465,7 +456,7 @@ def ser_experiment(
     effective = np.einsum("bkn,bnj->bkj", h_true, w)
     inv_gains = (1.0 / gains)[:, :, None, None]  # scales each (re, im) pair
 
-    run = max(1, _SER_RUN // (n_users * block_len))  # whole blocks per run
+    run = max(1, DRAW_BLOCK // (n_users * block_len))  # whole blocks per run
     ser = np.empty(snr_grid_db.size)
     for i, snr_db in enumerate(snr_grid_db):
         noise_std = 10.0 ** (-snr_db / 20.0)

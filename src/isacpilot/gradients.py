@@ -104,15 +104,13 @@ import numpy as np
 
 from .channel import SensingScene, pilot_entries
 from .errors import DimensionError, NumericError, number
-from .metrics import WEIGHT_CUT, CommState, IsacObjective, SenseState, comm_state, sense_state
+from .metrics import (
+    WEIGHT_CUT, CommState, IsacObjective, SenseState, comm_state, pieces, sense_state
+)
 
 # fourth-order central stencil points in units of h, along the real
 # direction, then along the imaginary one
 STENCIL = np.array([2.0, 1.0, -1.0, -2.0, 2.0j, 1.0j, -1.0j, -2.0j])
-# stencil points per ``objective_fn`` call in ``finite_diff_check``; it bounds
-# the stencil array, whose 8 L N_t points of L N_t entries each would grow as
-# (L N_t)^2 in one stack (the metrics bound their own working sets)
-STENCIL_STACK = 64
 
 
 def _comm_grad(state: CommState, users: list, coefs: np.ndarray) -> np.ndarray:
@@ -192,9 +190,12 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     fourth-order central stencil at +-h and +-2h.  Each pilot entry has
     eight stencil points (four along the real direction, then four along
     the imaginary one), in entry order, and the 8 L N_t points of a check
-    are handed to ``objective_fn`` in (P, L, N_t) stacks of at most
-    ``STENCIL_STACK`` points, which it maps to their P values, as the
-    metrics of ``metrics`` do.  Returns max |analytic - numeric| /
+    are handed to ``objective_fn`` in (P, L, N_t) stacks, which it maps to
+    their P values, as the metrics of ``metrics`` do.  The stacks are
+    ``metrics.pieces`` of 16 L N_t bytes per point, so the stencil array,
+    which would grow as (L N_t)^2 in one stack, stays bounded (the metrics
+    bound their own working sets): one stack of 192 points at
+    ``gradcheck_small``'s L = 3, N_t = 8.  Returns max |analytic - numeric| /
     max(1e-12, |numeric|); a stencil value or an analytic derivative that
     is not finite raises ``NumericError`` naming the first such pilot
     entry, since a NaN error would otherwise drop out of the max.
@@ -208,9 +209,8 @@ def finite_diff_check(objective_fn, gradient_fn, pilot, step: float = 1e-6) -> f
     h = step * (1.0 + np.abs(phi.reshape(-1)))
     shifts = h[entry] * np.tile(STENCIL, phi.size)
     values = np.empty(n_points)
-    for start in range(0, n_points, STENCIL_STACK):
-        points = slice(start, min(start + STENCIL_STACK, n_points))
-        stack = np.repeat(phi[None], points.stop - start, axis=0)
+    for points in pieces(n_points, 16 * phi.size):
+        stack = np.repeat(phi[None], points.stop - points.start, axis=0)
         stack.reshape(len(stack), -1)[np.arange(len(stack)), entry[points]] += shifts[points]
         stacked = np.asarray(objective_fn(stack), dtype=float)
         if stacked.shape != (len(stack),):

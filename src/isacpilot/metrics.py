@@ -76,6 +76,29 @@ class IsacObjective:
 # at the L = 9 ascent.  Normalized by at most N_k, a kept estimator weight
 # stays normal for any N_k below about 4,000.
 WEIGHT_CUT = -700.0
+# The bytes that one piece of a stacked or chunked kernel builds (120,000
+# complex entries).  ``pieces`` cuts the pilots of ``comm_mi_weighted``, the
+# trials of ``evaluation.gmm_mmse_batch`` and the stencil points of
+# ``gradients.finite_diff_check`` so that each piece's arrays take about this
+# much; each caller states its bytes per unit.  Pieces set speed and memory
+# alone: the shipped tables keep their bytes at pieces of 1 to 64 pilots and
+# chunks of 50 to 3,200 trials.  ``tools/kernel_timings.py`` shows where the
+# budget sits: its ``comm_mi_cloud_piece_*`` and ``comm_mi_l6_piece_*`` rows
+# time the value-only metric per pilot at pieces of 1 to 32, which cost least
+# from 8 to 16 pilots at the Pareto cloud's shape (8 here) and turn up once a
+# piece's largest temporary passes about 4 to 7 MB (from 8 to 16 pilots at
+# L = 6, K = 4, where the budget gives 4); its ``gmm_mmse_chunk_*`` rows time
+# the estimator at the NMSE shape, flat from 128 to 700 trials per chunk (314
+# here) and slower at 1,500.  A larger budget also raises the cloud task's
+# process peak: 44.2 MB at 10 pilots per piece against 43.0 MB at 8.
+WORKING_SET = 1_920_000
+
+
+def pieces(n: int, unit_bytes: int) -> list:
+    """The slices of range(``n``) in order, each of max(1, ``WORKING_SET`` //
+    ``unit_bytes``) units but the last, which may be shorter."""
+    size = max(1, WORKING_SET // unit_bytes)
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 class CommState(NamedTuple):
@@ -323,32 +346,26 @@ def comm_mi_weighted(pilot, objective: IsacObjective):
     """Preference-weighted sum of the per-user communication metrics; one
     value per pilot of a stack.
 
-    A stack reaches ``comm_state`` in pieces of ``_stack_piece`` pilots, one
-    value-only call per piece and group, so its temporaries do not grow with
-    the stack; each pilot's value is that of its own call."""
+    A stack reaches ``comm_state`` in ``pieces``, one value-only call per
+    piece and group, so its temporaries do not grow with the stack; each
+    pilot's value is that of its own call.  A pilot's bytes are those of the
+    largest broadcast products of a value-only elimination, 16 N_k L q
+    max(min(L, q), K_g): L L q complex entries per column in
+    ``_observation_solve``, L q K_g in ``_capacitance_solve``.  That makes 8
+    pilots at the Pareto cloud's shape (N_k = 180, L = 4, q = 5, two users)
+    and 16 at the capacity diagnostic's (N_k = 90); a piece's traced peak at
+    the cloud's shape is then about 4 MB."""
     phi = pilot_entries(pilot, (2, 3))
     stack = phi[None] if phi.ndim == 2 else phi
     total = np.zeros(len(stack))
+    n_slots = stack.shape[1]
     for weights, users in objective.groups:
-        piece = _stack_piece(users[0], len(users), stack.shape[1])
-        for start in range(0, len(stack), piece):
-            value = comm_state(stack[start : start + piece], users, terms=False).value  # (K_g, p)
-            total[start : start + piece] += sum((weights * value.T).T)  # over the users in order
+        n_comp, rank = users[0].n_components, users[0].rank
+        per_pilot = 16 * n_comp * n_slots * rank * max(min(n_slots, rank), len(users))
+        for piece in pieces(len(stack), per_pilot):
+            value = comm_state(stack[piece], users, terms=False).value  # (K_g, p)
+            total[piece] += sum((weights * value.T).T)  # over the users in order
     return total if phi.ndim == 3 else total[0]
-
-
-def _stack_piece(model, n_users: int, n_slots: int) -> int:
-    """Pilots per ``comm_state`` call of ``comm_mi_weighted``: 8 at the Pareto
-    cloud's shape (N_k = 180, L = 4, q = 5, two users), 16 at the capacity
-    diagnostic's (N_k = 90).  The rule bounds the largest temporaries of a
-    value-only call, the broadcast products of ``_observation_solve``
-    (L L q complex entries per column) and ``_capacitance_solve`` (L q K_g),
-    by about 2 MB; a call's traced peak at the cloud's shape is then about
-    4 MB.  Larger pieces raise the cloud task's process peak: at 10 pilots
-    it read 44.2 MB against 43.0 MB."""
-    rank = model.rank
-    per_pilot = model.n_components * n_slots * rank * max(min(n_slots, rank), n_users)
-    return max(1, 120_000 // per_pilot)
 
 
 def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseState:

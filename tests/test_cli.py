@@ -843,7 +843,7 @@ def test_diagnostics_forms_one_state_per_pilot_and_bounded_stacks(tmp_path, monk
     """The shipped diagnostics config forms each pilot's state once, with the
     terms, in the capacity bound's estimator, and the metric of all its
     pilots from value-only states of their stack in pieces of at most 16
-    (``metrics._stack_piece`` at that shape): 22 calls for 20 pilots."""
+    (``metrics.pieces`` at that shape): 22 calls for 20 pilots."""
     import isacpilot.evaluation as evaluation
     import isacpilot.metrics as metrics
 

@@ -126,7 +126,7 @@ class TestRadarFrame:
         # in-place version must give the same bits and leave the stream
         # alike, also when 5,000 trials span four blocks and a remainder
         if block is not None:
-            monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", block)
+            monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
         pilot = ip.random_stiefel(3, 8, substream(20, "rf"))
         scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=clutter)
         rng, oracle_rng = substream(21, "trials"), substream(21, "trials")
@@ -299,13 +299,13 @@ class TestRocCurve:
     def test_thresholds_and_detection_match_all_draws_first(self, monkeypatch):
         # 5,000 trials in draw blocks of 1,234 with a remainder block; the
         # halves swap in runs of 1,234 with a remainder run
-        monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", 1234)
+        monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", 1234)
         check_roc_against_all_draws_first(5000)
 
     def test_odd_trial_count_matches_all_draws_first(self, monkeypatch):
         # 5,001 trials: the middle trial's pair stays in place while the
         # first 2,500 h1 and the last 2,500 h0 statistics swap
-        monkeypatch.setattr(ip.evaluation, "DETECTION_BLOCK", 1234)
+        monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", 1234)
         check_roc_against_all_draws_first(5001)
 
     @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [0.0], [1.5]])
@@ -633,7 +633,7 @@ class TestSerExperiment:
 
     def test_runs_match_one_run_oracle(self, monkeypatch):
         # 20 blocks of 2 users x 100 symbols in runs of 7 blocks (7, 7, 6)
-        monkeypatch.setattr(ip.evaluation, "_SER_RUN", 1400)
+        monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", 1400)
         streams = []  # every stream the noise draws read: channel first, data last
 
         def recording(rng, shape=()):

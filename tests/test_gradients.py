@@ -17,7 +17,7 @@ import pytest
 import isacpilot as ip
 from isacpilot import finite_diff_check, substream
 from isacpilot.config import build_objective, parse_config
-from isacpilot.gradients import STENCIL_STACK, _sense_grad, isac_value_and_grad
+from isacpilot.gradients import _sense_grad, isac_value_and_grad
 from isacpilot.metrics import sense_state
 
 from oracles import comm_grad, comm_mi_user, dense_comm, per_entry_finite_diff_check, sense_grad
@@ -53,9 +53,19 @@ def separate_gradients(pilot, objective, seed):
     return comm, sense
 
 
+STACK = 64
+
+
+def stacks_of_64(monkeypatch, pilot) -> None:
+    """Size ``metrics.WORKING_SET`` so that ``finite_diff_check`` hands its
+    objective stacks of ``STACK`` stencil points of ``pilot``'s shape
+    (16 L N_t bytes each)."""
+    monkeypatch.setattr(ip.metrics, "WORKING_SET", STACK * 16 * pilot.entries.size)
+
+
 class TestFiniteDiffCheck:
-    """``objective_fn`` maps a (P, L, N_t) stack of at most ``STENCIL_STACK``
-    stencil points to P values."""
+    """``objective_fn`` maps a (P, L, N_t) stack of stencil points, sized by
+    ``metrics.pieces``, to P values."""
 
     def test_frobenius_norm_squared(self):
         pilot = ip.random_stiefel(3, 7, substream(0, "fd"))
@@ -75,9 +85,10 @@ class TestFiniteDiffCheck:
         )
         assert err <= 1e-8
 
-    def test_rejects_a_scalar_objective(self):
+    def test_rejects_a_scalar_objective(self, monkeypatch):
         pilot = ip.random_stiefel(3, 7, substream(3, "fd"))
-        n = STENCIL_STACK  # 8 * 3 * 7 = 168 points, so the first stack is full
+        stacks_of_64(monkeypatch, pilot)
+        n = STACK  # 8 * 3 * 7 = 168 points, so the first stack is full
         with pytest.raises(ip.DimensionError, match=rf"\({n}, L, N_t\) stack to {n} values"):
             finite_diff_check(lambda p: 0.0, lambda p: np.zeros_like(p), pilot)
 
@@ -108,9 +119,10 @@ class TestFiniteDiffCheck:
 
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 7), (4, 16)])
-    def test_stacks_hold_the_per_entry_stencil_points(self, shape):
+    def test_stacks_hold_the_per_entry_stencil_points(self, shape, monkeypatch):
         # 48, 168 and 512 points: one partial stack, two full and a partial, eight full
         pilot = ip.random_stiefel(*shape, substream(5, "fd-stacks"))
+        stacks_of_64(monkeypatch, pilot)
         stacks, per_entry = [], []
 
         def recording(into):
@@ -123,9 +135,21 @@ class TestFiniteDiffCheck:
         finite_diff_check(recording(stacks), np.asarray, pilot)
         per_entry_finite_diff_check(recording(per_entry), np.asarray, pilot)
         n_points = 8 * pilot.entries.size
-        assert len(stacks) == -(-n_points // STENCIL_STACK)
-        assert all(len(stack) == STENCIL_STACK for stack in stacks[:-1])
+        assert len(stacks) == -(-n_points // STACK)
+        assert all(len(stack) == STACK for stack in stacks[:-1])
         assert np.concatenate(stacks).tobytes() == np.concatenate(per_entry).tobytes()
+
+    def test_a_gradcheck_sized_check_takes_one_stack(self):
+        # 8 * 3 * 8 = 192 points of 384 B each, well inside the working set
+        pilot = ip.random_stiefel(3, 8, substream(6, "fd-stacks"))
+        sizes = []
+
+        def value_fn(p):
+            sizes.append(len(p))
+            return np.linalg.norm(p, axis=(1, 2)) ** 2
+
+        finite_diff_check(value_fn, np.asarray, pilot)
+        assert sizes == [192]
 
     @pytest.mark.parametrize("index", range(3))
     def test_worst_error_matches_the_per_entry_check(self, index):

@@ -30,7 +30,7 @@ from isacpilot import gradients
 from isacpilot.gradients import _comm_grad, isac_value_and_grad
 from isacpilot.channel import FACTOR_RANK_CUT, _shared_prior, build_user_models
 from isacpilot.errors import finite_array
-from isacpilot.evaluation import WEIGHT_CUT, _chunk_trials, effective_training_snr
+from isacpilot.evaluation import WEIGHT_CUT, effective_training_snr
 from isacpilot.metrics import comm_state, sense_state
 from isacpilot.streams import complex_normal
 from oracles import (
@@ -642,7 +642,9 @@ class TestBoundedStack:
         return sizes
 
     @pytest.mark.parametrize(
-        "config, piece", [(CLOUD_CONFIG, 8), (DIAG_CONFIG, 16)], ids=lambda v: getattr(v, "stem", v)
+        "config, piece",
+        [(CLOUD_CONFIG, 8), (DIAG_CONFIG, 16), (NMSE_CONFIG, 4), (CONV_CONFIG, 2)],
+        ids=lambda v: getattr(v, "stem", v),
     )
     def test_pieces_keep_the_bits_and_bound_the_peak(self, monkeypatch, config, piece):
         objective, stack = self.objective_and_stack(config, 200)
@@ -662,10 +664,11 @@ class TestBoundedStack:
         assert peak <= 5_000_000
 
     def test_gradient_check_stencils_take_one_call_per_group(self, monkeypatch):
-        objective, stack = self.objective_and_stack(GRADCHECK_CONFIG, gradients.STENCIL_STACK)
+        # the 8 L N_t = 192 stencil points of a check, one stack (333 pilots per piece)
+        objective, stack = self.objective_and_stack(GRADCHECK_CONFIG, 192)
         sizes = self.recorded_sizes(monkeypatch)
         ip.comm_mi_weighted(stack, objective)
-        assert sizes == [gradients.STENCIL_STACK] * len(objective.groups)
+        assert sizes == [192] * len(objective.groups)
 
 
 def shared_users(prior, noises):
@@ -897,6 +900,22 @@ def far_row_observations(pilot, model, rng, far=25.0):
     return obs
 
 
+def chunk_sizes(observations, pilot, model) -> list:
+    """The trial count of each chunk that ``gmm_mmse_batch`` estimates
+    ``observations`` in."""
+    sizes = []
+    mmse_chunk = ip.evaluation._mmse_chunk
+
+    def recording(extended, *args):
+        sizes.append(len(extended))
+        return mmse_chunk(extended, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ip.evaluation, "_mmse_chunk", recording)
+        ip.gmm_mmse_batch(observations, pilot, model)
+    return sizes
+
+
 def estimator_case(prior):
     """(pilot, model, R_n stack, observations): sampled observations plus a
     third of rows far from every component, where most weights fall below
@@ -943,20 +962,34 @@ class TestMixtureEstimator:
         assert not np.any((resp > 0.0) & (resp < tiny))
         assert np.all(resp[:, model.weights == 0.0] == 0.0)
 
+    @pytest.mark.parametrize(
+        "config, n_trials, sizes",
+        [(NMSE_CONFIG, 3000, [314] * 9 + [174]), (DIAG_CONFIG, 600, [600])],
+        ids=lambda v: getattr(v, "stem", None),
+    )
+    def test_chunks_at_the_shipped_shapes(self, config, n_trials, sizes):
+        # the Monte Carlo NMSE and SER runs' shape (N_t = 16, L = 6, 180
+        # components), and the capacity diagnostic's, whose trials stay one chunk
+        scenario = parse_config(str(config)).scenario
+        model = build_users(scenario)[0][0]
+        pilot = ip.random_stiefel(scenario["pilot_len"], scenario["n_tx"], ip.substream(13, "chunks"))
+        assert chunk_sizes(np.zeros((n_trials, pilot.n_slots), complex), pilot, model) == sizes
+
     def test_chunks_equal_single_chunk_calls(self):
-        # three full chunks and a remainder at the NMSE shape, against calls
-        # of fewer rows than a chunk whose boundaries do not line up with it
+        # 1,156 rows at the NMSE shape, three full chunks and a remainder,
+        # against calls of 340 rows, whose boundaries do not line up with them
         pilot, model, _, _ = estimator_case("montecarlo")
-        chunk = _chunk_trials(model.n_components, model.n_tx, pilot.n_slots)
+        n_rows, rows = 1156, 340
+        chunks = chunk_sizes(np.zeros((n_rows, pilot.n_slots), complex), pilot, model)
+        assert len(chunks) == 4 and rows % chunks[0] and chunks[3] < chunks[0]
         rng = ip.substream(12, "estimator", "chunks")
-        n_rows = 3 * chunk + chunk // 3
         noise = model.noise_std * ip.complex_normal(rng, (n_rows, pilot.n_slots))
         obs = ip.sample_channels(model, n_rows, rng) @ pilot.entries.T + noise
         obs[::5] = 25.0 * ip.complex_normal(rng, obs[::5].shape)
         est, resp = mmse_with_weights(obs, pilot, model)
         pieces = [
-            mmse_with_weights(obs[start : start + chunk - 7], pilot, model)
-            for start in range(0, n_rows, chunk - 7)
+            mmse_with_weights(obs[start : start + rows], pilot, model)
+            for start in range(0, n_rows, rows)
         ]
         expected = np.concatenate([p[0] for p in pieces])
         expected_resp = np.concatenate([p[1] for p in pieces])

@@ -12,7 +12,7 @@ from isacpilot import (
     substream,
 )
 from isacpilot.channel import build_user_models
-from isacpilot.metrics import sense_state
+from isacpilot.metrics import WORKING_SET, pieces, sense_state
 from oracles import (
     comm_mi_lower_bound_gaussian,
     comm_mi_user,
@@ -472,3 +472,25 @@ class TestCWorst:
             c_rnd = ip.c_worst_estimate(rnd, [model], 100, 200, substream(seed, "cw-mc"))
             diffs.append(c_opt - c_rnd)
         assert np.median(diffs) >= 0.0
+
+
+class TestPieces:
+    """``metrics.pieces``: the one rule that sizes stacked and chunked work."""
+
+    @pytest.mark.parametrize(
+        "n, unit_bytes",
+        [(1000, 16_000), (1000, 7_000), (5000, 384), (600, 3_120), (3000, 6_112), (0, 1)],
+    )
+    def test_slices_cover_the_range_in_order(self, n, unit_bytes):
+        size = max(1, WORKING_SET // unit_bytes)
+        slices = pieces(n, unit_bytes)
+        assert [i for piece in slices for i in range(n)[piece]] == list(range(n))
+        lengths = [piece.stop - piece.start for piece in slices]
+        assert all(0 < length <= size for length in lengths)
+        assert all(length == size for length in lengths[:-1])
+
+    def test_a_unit_above_the_budget_gets_a_piece_of_one(self):
+        assert pieces(3, 10 * WORKING_SET) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_fewer_units_than_a_piece_give_one_piece(self):
+        assert pieces(5, WORKING_SET // 10) == [slice(0, 5)]

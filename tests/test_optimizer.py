@@ -276,7 +276,7 @@ class TestFeasibleCloud:
     @pytest.mark.parametrize("formula", ["approx", "exact"])
     def test_stacks_equal_one_pilot_at_a_time(self, formula):
         # 19 samples in one stack, whose communication metric takes pieces of
-        # its own size (metrics._stack_piece)
+        # its own size (metrics.pieces)
         objective = replace(small_objective(seed=22, rho=0.0), sensing_formula=formula)
         cloud = sample_feasible_cloud(19, 3, objective, substream(22, "cloud"))
         rng = substream(22, "cloud")

@@ -35,7 +35,7 @@ are:
 - ``sample_channels``: the NMSE prior, 3,000 draws;
 - ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
   L = 9), its 20,000 clutter-free trials, two draw blocks (one full block
-  of ``DETECTION_BLOCK`` = 16,384 trials and one of 3,616);
+  of ``DRAW_BLOCK`` = 16,384 trials and one of 3,616);
 - ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
   scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
   trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
@@ -44,7 +44,7 @@ are:
   false-alarm targets from the 10^6 h0 statistics of that shape, which
   each call first copies back into one 8 MB buffer (the thresholds
   partition it in place); ``normals_mc``: the 4 * 10^6 standard normals of
-  one such ROC drawn alone, in blocks of ``DETECTION_BLOCK`` pairs into one
+  one such ROC drawn alone, in blocks of ``DRAW_BLOCK`` pairs into one
   buffer, the floor under the two rows above;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user);
@@ -56,15 +56,21 @@ are:
   With ``roc_curve_mc`` these are the three largest working sets of that
   workload, whose peak memory is the largest of them plus the heap the
   earlier ones leave behind;
-- ``comm_state_cloud`` and ``comm_state_cloud_stack``: ``configs/pareto_cloud.yaml``
-  (N_t = 16, L = 4, K = 2 users sharing one 180-component prior), one pilot
-  per call and a stack per call of as many pilots as
-  ``metrics.comm_mi_weighted`` hands ``comm_state`` at that shape (its
-  ``_stack_piece`` rule, 8 there), without the gradient's terms, as the
-  cloud's metric calls it; the stack row reports times per pilot, so the
-  two rows compare directly, and against ``comm_state`` (the same shape
-  with the terms, as the ascent calls it) they show what the value-only
-  state saves;
+- ``comm_state_cloud``: ``configs/pareto_cloud.yaml`` (N_t = 16, L = 4,
+  K = 2 users sharing one 180-component prior), one pilot per call, without
+  the gradient's terms, as the cloud's metric calls it; against
+  ``comm_state`` (the same shape with the terms, as the ascent calls it) it
+  shows what the value-only state saves;
+- ``comm_mi_cloud_piece_P`` and ``comm_mi_l6_piece_P`` for P = 1, 2, 4, 8,
+  16 and 32: the value-only ``comm_mi_weighted`` on a stack of
+  ``PIECE_PILOTS`` pilots cut into pieces of P pilots (``metrics.pieces``
+  set to that size), time per pilot, at the Pareto cloud's shape and at
+  ``configs/nmse_baselines.yaml``'s (N_t = 16, L = 6, K = 4 users sharing
+  one 180-component prior).  They are the measured basis of
+  ``metrics.WORKING_SET``, which gives pieces of 8 and 4 at these shapes;
+- ``gmm_mmse_chunk_C`` for C = 128, 347, 700 and 1,500: the
+  ``gmm_mmse_batch`` row in chunks of C trials (``metrics.pieces`` set to
+  that size), the estimator's part of that basis (the budget gives 314);
 - ``diagnostics_metric_1000``: ``comm_mi_weighted`` on a stack of 1,000
   pilots at ``configs/diagnostics_cworst.yaml``'s shape (N_t = 12, L = 4,
   90 components), time per call; its peak column shows that the metric's
@@ -72,7 +78,7 @@ are:
 - ``finite_diff_check``: ``configs/gradcheck_small.yaml`` (N_t = 8, L = 3,
   two users with their own noise levels, two clutter sources), one check of
   the ISAC objective at the config's rho, as the gradcheck task runs it per
-  instance, its 192 stencil points in stacks of ``STENCIL_STACK``;
+  instance, its 192 stencil points in one stack;
   ``isac_value_and_grad_clutter``: one value-and-gradient call at
   that shape and rho, the row whose sensing gradient takes the clutter
   pull-back (the other ``isac_value_and_grad`` rows are clutter-free);
@@ -80,8 +86,8 @@ are:
   sensing formula set to "exact", whose clutter weights take one solve and
   whose pull-back takes the full clutter block;
   ``sensing_mi_exact_stack``: the same scene, one call of the
-  exact sensing metric on a stack of ``STENCIL_STACK`` pilots (time per
-  call), the shape ``finite_diff_check`` hands its objective;
+  exact sensing metric on a stack of those 192 pilots (time per call), the
+  stack ``finite_diff_check`` hands its objective;
 - ``parse_config``: the ``montecarlo`` workload's NMSE config with a random
   pilot (``perfbench/workloads.py::montecarlo_configs``, workload seed 1),
   written to a temporary file as the workload writes it, parsed and
@@ -122,8 +128,9 @@ from workloads import montecarlo_configs  # noqa: E402
 
 from isacpilot.channel import _shared_prior, sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
+from isacpilot import evaluation, metrics  # noqa: E402
 from isacpilot.evaluation import (  # noqa: E402
-    DETECTION_BLOCK,
+    DRAW_BLOCK,
     _roc_thresholds,
     gmm_mmse_batch,
     nmse_experiment,
@@ -131,9 +138,8 @@ from isacpilot.evaluation import (  # noqa: E402
     ser_experiment,
     simulate_detection_trials,
 )
-from isacpilot.gradients import STENCIL_STACK, finite_diff_check, isac_value_and_grad  # noqa: E402
+from isacpilot.gradients import STENCIL, finite_diff_check, isac_value_and_grad  # noqa: E402
 from isacpilot.metrics import (  # noqa: E402
-    _stack_piece,
     comm_mi_weighted,
     comm_state,
     isac_objective,
@@ -158,6 +164,9 @@ MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
 MC_SER_SYMBOLS = 40_000
 ASCENT_ITERS = 20
 DIAG_METRIC_PILOTS = 1000
+PIECE_PILOTS = 32
+PIECE_SIZES = (1, 2, 4, 8, 16, 32)
+CHUNK_SIZES = (128, 347, 700, 1500)
 
 
 def scenario(stem: str):
@@ -174,6 +183,23 @@ def draw_normals(rng: np.random.Generator, block: np.ndarray, n: int) -> None:
     flat = block.reshape(-1)
     for start in range(0, n, flat.size):
         rng.standard_normal(out=flat[: min(flat.size, n - start)])
+
+
+def in_pieces(module, size: int, call):
+    """``call`` with the ``pieces`` that ``module`` reads cutting its work
+    into pieces of ``size`` units, whatever their bytes."""
+
+    def sized(n: int, unit_bytes: int) -> list:
+        return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def run():
+        saved, module.pieces = module.pieces, sized
+        try:
+            return call()
+        finally:
+            module.pieces = saved
+
+    return run
 
 
 def kernels(tmp: str) -> tuple[dict, dict]:
@@ -244,7 +270,7 @@ def kernels(tmp: str) -> tuple[dict, dict]:
         np.copyto(mc_stats, mc_h0)  # the thresholds partition it in place
         return _roc_thresholds(mc_stats, mc_p_fa)
 
-    normals_block = np.empty((DETECTION_BLOCK, 2))
+    normals_block = np.empty((DRAW_BLOCK, 2))
 
     ser_config, ser = scenario("ser_multiuser")
     ser_users, ser_pilot = build_users(ser)[0], pilot_for(ser, "ser")
@@ -252,9 +278,11 @@ def kernels(tmp: str) -> tuple[dict, dict]:
     ser_rng = substream(4, "kernel-timings", "ser")
 
     _, cloud = scenario("pareto_cloud")
-    cloud_users = build_objective(cloud, 0.0).users
-    cloud_piece = _stack_piece(cloud_users[0], len(cloud_users), cloud["pilot_len"])
-    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(cloud_piece)])
+    cloud_objective = build_objective(cloud, 0.0)
+    cloud_users = cloud_objective.users
+    cloud_stack = np.array([pilot_for(cloud, f"cloud-{p}").entries for p in range(PIECE_PILOTS)])
+    nmse_objective = build_objective(nmse, 0.0)
+    nmse_stack = np.array([pilot_for(nmse, f"nmse-{p}").entries for p in range(PIECE_PILOTS)])
     cloud_shape = (
         f"N_t={cloud['n_tx']} L={cloud['pilot_len']} K={len(cloud_users)} "
         f"N_k={cloud['n_components']}"
@@ -269,16 +297,33 @@ def kernels(tmp: str) -> tuple[dict, dict]:
         f"N_k={grad['n_components']} Q={len(grad_objective.scene.clutter)}"
     )
     grad_exact = replace(grad_objective, sensing_formula="exact")
-    grad_stack = np.array(
-        [pilot_for(grad, f"gradcheck-{p}").entries for p in range(STENCIL_STACK)]
-    )
+    n_stencil = STENCIL.size * grad_pilot.entries.size  # the points of one check
+    grad_stack = np.array([pilot_for(grad, f"gradcheck-{p}").entries for p in range(n_stencil)])
 
     mc_nmse = Path(tmp) / "mc_nmse_random.yaml"
     with open(mc_nmse, "w", encoding="utf-8") as handle:
         yaml.safe_dump(montecarlo_configs(1)["mc_nmse_random"], handle, sort_keys=False)
 
+    metric_pieces = {
+        f"comm_mi_{label}_piece_{size}": (
+            f"{shape} values only, per pilot of {PIECE_PILOTS} in pieces of {size}",
+            in_pieces(metrics, size, lambda stack=stack, obj=obj: comm_mi_weighted(stack, obj)),
+        )
+        for label, shape, stack, obj in (
+            ("cloud", cloud_shape, cloud_stack, cloud_objective),
+            ("l6", f"{nmse_shape} K={len(nmse_users)}", nmse_stack, nmse_objective),
+        )
+        for size in PIECE_SIZES
+    }
+    estimator_chunks = {
+        f"gmm_mmse_chunk_{size}": (
+            f"{nmse_shape} trials={NMSE_TRIALS} in chunks of {size}",
+            in_pieces(evaluation, size, lambda: gmm_mmse_batch(obs, nmse_pilot, model)),
+        )
+        for size in CHUNK_SIZES
+    }
     units = {
-        "comm_state_cloud_stack": cloud_piece,
+        **dict.fromkeys(metric_pieces, PIECE_PILOTS),
         "ascent_step": ASCENT_ITERS,
         "ascent_step_l9": ASCENT_ITERS,
     }
@@ -336,7 +381,7 @@ def kernels(tmp: str) -> tuple[dict, dict]:
             mc_thresholds,
         ),
         "normals_mc": (
-            f"normals={4 * MC_ROC_TRIALS} blocks of {2 * DETECTION_BLOCK}",
+            f"normals={4 * MC_ROC_TRIALS} blocks of {2 * DRAW_BLOCK}",
             lambda: draw_normals(normals_rng, normals_block, 4 * MC_ROC_TRIALS),
         ),
         "nmse_experiment_mc": (
@@ -359,10 +404,8 @@ def kernels(tmp: str) -> tuple[dict, dict]:
             f"{cloud_shape} values only",
             lambda: comm_state(cloud_stack[0], cloud_users, terms=False),
         ),
-        "comm_state_cloud_stack": (
-            f"{cloud_shape} values only, per pilot of {cloud_piece}",
-            lambda: comm_state(cloud_stack, cloud_users, terms=False),
-        ),
+        **metric_pieces,
+        **estimator_chunks,
         "diagnostics_metric_1000": (
             f"N_t={diag['n_tx']} L={diag['pilot_len']} N_k={diag['n_components']} "
             f"pilots={DIAG_METRIC_PILOTS}",
@@ -386,7 +429,7 @@ def kernels(tmp: str) -> tuple[dict, dict]:
             ),
         ),
         "sensing_mi_exact_stack": (
-            f"{grad_shape} stack of {STENCIL_STACK} per call",
+            f"{grad_shape} stack of {len(grad_stack)} per call",
             lambda: sensing_mi(grad_stack, grad_objective.scene, "exact"),
         ),
         "parse_config": ("montecarlo mc_nmse_random", lambda: parse_config(str(mc_nmse))),
