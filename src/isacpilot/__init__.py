@@ -27,7 +27,6 @@ from .evaluation import (
     nmse_experiment,
     roc_curve,
     ser_experiment,
-    simulate_detection_trials,
     zf_precode,
 )
 from .gradients import finite_diff_check

@@ -10,14 +10,16 @@ target-absent and target-present statistics share that one draw, and two
 pilots at one seed share it too, each scaled by its own sqrt(a).
 
 The working set is bounded by the data each table needs, not by its
-temporaries: an ROC holds 16 B per trial (each trial's statistic pair in its
-own interference entry), the link simulation decides its symbols in runs of
-whole blocks, and the estimator keeps no (trials, components) array beyond
-one chunk.
+temporaries: an ROC holds 8 B per trial (its target-absent statistics; the
+target-present ones are counted block by block from a replay of the same
+interference), the link simulation decides its symbols in runs of whole
+blocks, and the estimator keeps no (trials, components) array beyond one
+chunk.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +43,13 @@ CONSTELLATION = (QAM_LEVELS[:, None] + 1j * QAM_LEVELS[None, :]).ravel()
 # blocks of this many, and the link simulation forms, draws noise for and
 # decides its symbols in runs of whole blocks of about this many symbols
 # (all users), so the draws take 256 KB whatever the trial or symbol count.
-# Only the detection interference, one complex normal scaled by sqrt(a) per
-# trial, grows with the count, 16 B per trial, which the paired statistics
-# then reuse.  Consecutive draws continue one stream, so the statistics, the
-# error counts and the generator state do not depend on the block size.  The
-# same length bounds the runs of ``roc_curve``'s swap.  It is kept apart from
-# ``metrics.WORKING_SET``: the montecarlo workload's peak memory is the heap
-# these draws leave behind, which a 1.92 MB block would raise.
+# Only the ROC's target-absent statistics grow with the count, 8 B per
+# trial; both of ``roc_curve``'s passes over its draws go one block at a
+# time.  Consecutive draws continue one stream, so the statistics, the error
+# counts and the generator state do not depend on the block size.  It is
+# kept apart from ``metrics.WORKING_SET``: the montecarlo workload's peak
+# memory is the heap these draws leave behind, which a 1.92 MB block would
+# raise.
 DRAW_BLOCK = 16_384
 
 
@@ -61,57 +63,6 @@ class RocCurve:
     low_resolution: np.ndarray  # True where p_fa is below 1/n_trials
 
 
-def simulate_detection_trials(
-    pilot, scene: SensingScene, n_trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Paired detector statistics, shape (2, ``n_trials``): row 0 the
-    target-absent (h0) and row 1 the target-present (h1) statistics, so
-    ``t0, t1 = simulate_detection_trials(...)`` unpacks them.
-
-    Works on the scalar projection w^H y of the whitened filter
-    w = (R_cc + sigma^2 I)^{-1} mu_0, whose distribution is identical to the
-    frame-level statistic.  Under h0 it is CN(0, a) with
-    a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 = w^H mu_0 (Swerling I),
-    read from the exact sensing state, whose ``arg`` is 1 + nu_0 a, as
-    (gram[0, 0] - Re b^H z) / sigma^2 with b = gram[1:, 0] and z its clutter
-    weights.  So each trial draws one standard complex normal g for all its
-    clutter and noise and one gamma for the target: t0 = a |g|^2 and
-    t1 = |sqrt(a) g + sqrt(nu_0) a gamma|^2, the interference of all trials
-    drawn before any target.  The t0 and t1 of a trial share its g.  The
-    standard draws are pilot-independent, so equal seeds give paired
-    comparisons across pilots: two pilots share each trial's g, each scaled
-    by its own sqrt(a).  Trial i's pair (t0, t1) is written into the 16 B of
-    its own complex interference entry once that entry has been read, and
-    the result is a strided view of that buffer, so the statistics take
-    16 B per trial and both rows keep the buffer alive.
-    """
-    count(n_trials, "n_trials")
-    # one pilot: a stack raises here, before any draw
-    _, gram, _, z = sense_state(pilot_entries(pilot), scene, "exact")
-    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2  # w^H mu_0
-    # draws come in blocks of DRAW_BLOCK trials, all interference, then
-    # all targets; each block is scaled into the interference buffer or
-    # folded into the statistics as soon as it is drawn
-    blocks = [
-        slice(start, min(start + DRAW_BLOCK, n_trials))
-        for start in range(0, n_trials, DRAW_BLOCK)
-    ]
-    interf = np.empty(n_trials, dtype=complex)
-    for block in blocks:
-        np.multiply(complex_normal(rng, (block.stop - block.start,)), np.sqrt(a), out=interf[block])
-    # entry i's two floats take (t0_i, t1_i), written only after the
-    # block's interference has been read into |interf|^2 and interf + target
-    pairs = interf.view(float).reshape(n_trials, 2)
-    for block in blocks:
-        target = complex_normal(rng, (block.stop - block.start,))
-        target *= np.sqrt(scene.target_power)
-        target *= a
-        np.add(interf[block], target, out=target)
-        np.square(np.abs(interf[block]), out=pairs[block, 0])
-        np.square(np.abs(target), out=pairs[block, 1])
-    return pairs.T
-
-
 def roc_curve(
     pilot,
     scene: SensingScene,
@@ -123,31 +74,60 @@ def roc_curve(
 
     Detection probabilities are estimated against those thresholds from the
     target-present statistics; grid points below the 1/n_trials resolution
-    are flagged.  Both need only the multiset of each statistic, so the
-    pairs (``simulate_detection_trials``) are regrouped in their own buffer:
-    the h1 slots of its first half swap with the h0 slots of its second
-    half, in runs of ``DRAW_BLOCK`` trials, which leaves every h0
-    statistic in the buffer's first ``n_trials`` floats and every h1 in the
-    rest.  The thresholds (``_roc_thresholds``) then partition the h0
-    statistics in place, so no copy of either is made.
+    are flagged.
+
+    Works on the scalar projection w^H y of the whitened filter
+    w = (R_cc + sigma^2 I)^{-1} mu_0, whose distribution is identical to the
+    frame-level statistic.  Under h0 it is CN(0, a) with
+    a = sigma^2 ||w||^2 + sum_i nu_i |w^H mu_i|^2 = w^H mu_0 (Swerling I),
+    read from the exact sensing state, whose ``arg`` is 1 + nu_0 a, as
+    (gram[0, 0] - Re b^H z) / sigma^2 with b = gram[1:, 0] and z its clutter
+    weights.  So each trial draws one standard complex normal g for all its
+    clutter and noise and one gamma for the target: t0 = a |g|^2 and
+    t1 = |sqrt(a) g + sqrt(nu_0) a gamma|^2, the interference of all trials
+    drawn from ``rng`` before any target.  The t0 and t1 of a trial share
+    its g, and two pilots at one seed share each trial's g too, each scaled
+    by its own sqrt(a), so equal seeds give paired comparisons.
+
+    The thresholds and P_d need only the multiset of each statistic, so
+    only the t0 are kept, 8 B per trial, and the draws make two passes in
+    blocks of ``DRAW_BLOCK`` trials.  The first draws every g and keeps its
+    t0, which the thresholds (``_roc_thresholds``) then partition in place.
+    The second replays the same g from a copy of ``rng`` taken before the
+    first, draws the targets from ``rng`` and counts each block's t1 above
+    every threshold, so ``rng`` ends where one pass over the draws leaves it.
     """
     count(n_trials, "n_trials", 1000)  # fewer leave the tails unusable
     p_fa = np.sort(finite_array(p_fa_grid, "false-alarm targets", 1, "must lie in (0, 1]"))
-    flat = simulate_detection_trials(pilot, scene, n_trials, rng).T.reshape(-1)  # a view
-    half = n_trials // 2
-    h1_first = flat[1 : 2 * half : 2]  # h1 of trials 0 .. half - 1
-    h0_last = flat[2 * (n_trials - half) :: 2]  # h0 of the last half trials
-    for start in range(0, half, DRAW_BLOCK):
-        run = slice(start, start + DRAW_BLOCK)
-        swap = h1_first[run].copy()
-        h1_first[run] = h0_last[run]
-        h0_last[run] = swap
-    t0, t1 = flat[:n_trials], flat[n_trials:]
+    # one pilot: a stack raises here, before any draw
+    _, gram, _, z = sense_state(pilot_entries(pilot), scene, "exact")
+    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2  # w^H mu_0
+    blocks = [
+        slice(start, min(start + DRAW_BLOCK, n_trials))
+        for start in range(0, n_trials, DRAW_BLOCK)
+    ]
+    replay = copy.deepcopy(rng)  # the interference stream, drawn again by the second pass
+
+    def interference(stream: np.random.Generator, block: slice) -> np.ndarray:
+        g = complex_normal(stream, (block.stop - block.start,))
+        return np.multiply(g, np.sqrt(a), out=g)
+
+    t0 = np.empty(n_trials)
+    for block in blocks:
+        np.square(np.abs(interference(rng, block)), out=t0[block])
     thresholds = _roc_thresholds(t0, p_fa)
-    p_d = np.array([np.count_nonzero(t1 > thr) / n_trials for thr in thresholds])
+    detections = np.zeros(p_fa.size, dtype=np.int64)
+    for block in blocks:
+        interf = interference(replay, block)
+        target = complex_normal(rng, interf.shape)
+        target *= np.sqrt(scene.target_power)
+        target *= a
+        np.add(interf, target, out=target)
+        t1 = np.square(np.abs(target))
+        detections += [np.count_nonzero(t1 > thr) for thr in thresholds]
     return RocCurve(
         p_fa=p_fa,
-        p_d=p_d,
+        p_d=detections / n_trials,
         thresholds=thresholds,
         low_resolution=p_fa < 1.0 / n_trials,
     )
@@ -443,7 +423,7 @@ def ser_experiment(
     snr_grid_db = finite_array(snr_grid_db, "SNR grid", 1)  # a NaN or -inf point would read SER 1.0
     phi = _user_pilot(pilot, users)
     n_users = len(users)
-    n_blocks = int(np.ceil(n_symbols / block_len))
+    n_blocks = -(-n_symbols // block_len)  # ceil-division, as the table's symbol count
 
     chan_rng, data_rng = rng.spawn(2)
     h_true = np.empty((n_blocks, n_users, phi.shape[1]), dtype=complex)

@@ -155,8 +155,8 @@ class SenseState(NamedTuple):
     zero power: the solve of ``sense_state``, exact or with the clutter Gram
     taken as diagonal, where the approximate weights read z_i = nu_i
     gram[i, 0] / (sigma_r^2 + nu_i gram[i, i]).  The metric's clutter sum is
-    sum_i Re(conj(gram[i, 0]) z_i); the detector
-    (``evaluation.simulate_detection_trials``) and the gradient
+    sum_i Re(conj(gram[i, 0]) z_i); the detector's trials
+    (``evaluation.roc_curve``) and the gradient
     (``gradients._sense_grad``) are formed from z.
     """
 
@@ -385,7 +385,7 @@ def sense_state(pilot, scene: SensingScene, formula: str = "approx") -> SenseSta
     zero power.  Then arg = 1 + nu_0 / sigma^2 (gram[0, 0] -
     sum_i Re(conj(b_i) z_i)), which for "exact" is 1 + x with x = nu_0 a the
     whitened target-to-interference ratio, a = w^H mu_0 the h0 variance of
-    the detector's statistic (``evaluation.simulate_detection_trials``).
+    the detector's statistic (``evaluation.roc_curve``).
     An argument <= 0 raises ``ObjectiveDomainError`` with its value and, for
     a stack, the first failing pilot's index.  Only the approximate
     argument can fall there: the exact one is 1 + x with x >= 0.

@@ -3,7 +3,7 @@
 The package never forms the N_r*L-long response vectors mu_i, their
 covariances or frame-level observations: it works on the Gram-domain
 factorization (``metrics.sense_state``) and on scalar projections
-(``evaluation.simulate_detection_trials``), and its mixture kernel works on
+(``evaluation.roc_curve``), and its mixture kernel works on
 the low-rank covariance factor (``metrics.comm_state``).  The functions here
 build those dense objects directly, so each factored kernel has an
 independent check; a dense oracle takes the component covariances R_n
@@ -17,8 +17,10 @@ multi-value trade-off sweep the tests run through ``optimize_pgd``, the
 estimator's mixture weights, recorded from its own chunks, the 64-QAM
 level rule the link simulation decided with before it decided in place,
 the channel sampler as it wrote each component's draws before it
-formed them in a component-ordered buffer, and the gradient check as it
-evaluated one stack of eight stencil points per pilot entry.
+formed them in a component-ordered buffer, the gradient check as it
+evaluated one stack of eight stencil points per pilot entry, and the
+detection trials as they were drawn, every interference then every target,
+before the ROC kept only the target-absent statistics.
 """
 
 from dataclasses import replace
@@ -31,7 +33,7 @@ import isacpilot as ip
 from isacpilot.channel import _region_covariances, _steering_rows, pilot_entries
 from isacpilot.config import build_geometry
 from isacpilot.gradients import isac_value_and_grad
-from isacpilot.metrics import comm_state
+from isacpilot.metrics import comm_state, sense_state
 
 
 def steering_vector(n: int, spacing_wavelengths: float, theta_deg: float) -> np.ndarray:
@@ -135,6 +137,21 @@ def detector_statistic(y: np.ndarray, pilot, scene) -> float:
     mus = sensing_vectors(pilot, scene)
     w = np.linalg.solve(interference_covariance(mus, scene), mus[0])
     return float(np.abs(np.vdot(w, y)) ** 2)
+
+
+def all_draws_first(pilot, scene, n_trials: int, rng: np.random.Generator):
+    """Paired detector statistics (t0, t1) of ``n_trials`` trials, every draw
+    held at once, then combined: the statistics ``evaluation.roc_curve``
+    draws in blocks, keeping only t0.  Under h0 w^H y is CN(0, a),
+    a = w^H mu_0, read from the exact sensing state, so each trial's
+    interference is one standard complex normal scaled by sqrt(a); the
+    targets are drawn after all of them."""
+    _, gram, _, z = sense_state(pilot, scene, "exact")
+    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2
+    interf = np.sqrt(a) * ip.complex_normal(rng, (n_trials,))
+    gamma_t = ip.complex_normal(rng, (n_trials,))
+    target = np.sqrt(scene.target_power) * gamma_t * a
+    return np.abs(interf) ** 2, np.abs(interf + target) ** 2
 
 
 def nearest_level_index(x: np.ndarray) -> np.ndarray:

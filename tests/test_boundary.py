@@ -126,11 +126,6 @@ ROWS = [
         dict(n_samples="count"),
     ),
     Row(
-        "simulate_detection_trials",
-        lambda: dict(pilot=PILOT, scene=SCENE, n_trials=50, rng=rng()),
-        dict(pilot="array", n_trials="count"),
-    ),
-    Row(
         "roc_curve",
         lambda: dict(pilot=PILOT, scene=SCENE, n_trials=1000, p_fa_grid=np.array([0.01, 0.1]), rng=rng()),
         dict(pilot="array", n_trials="count", p_fa_grid="array"),

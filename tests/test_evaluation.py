@@ -19,7 +19,6 @@ from isacpilot import (
     nmse_experiment,
     roc_curve,
     ser_experiment,
-    simulate_detection_trials,
     substream,
     zf_precode,
 )
@@ -31,8 +30,8 @@ from isacpilot.evaluation import (
     _qam_labels,
     _roc_thresholds,
 )
-from isacpilot.metrics import sense_state
 from oracles import (
+    all_draws_first,
     detector_statistic,
     mmse_with_weights,
     nearest_level_index,
@@ -59,40 +58,15 @@ def clutter_scene(target_power=1.0, radar_noise_std=1.0, clutter=((10.0, 0.4),))
     )
 
 
-def all_draws_first(pilot, scene, n_trials, rng):
-    """Oracle of ``simulate_detection_trials``: every draw held at once,
-    then combined.  Under h0 w^H y is CN(0, a), a = w^H mu_0, read from the
-    exact sensing state, so each trial's interference is one standard
-    complex normal scaled by sqrt(a); the targets are drawn after all of
-    them."""
-    _, gram, _, z = sense_state(pilot, scene, "exact")
-    a = (gram[0, 0].real - np.vdot(gram[1:, 0], z).real) / scene.radar_noise_std**2
-    interf = np.sqrt(a) * ip.complex_normal(rng, (n_trials,))
-    gamma_t = ip.complex_normal(rng, (n_trials,))
-    target = np.sqrt(scene.target_power) * gamma_t * a
-    return np.abs(interf) ** 2, np.abs(interf + target) ** 2
-
-
 def sampler_variance(pilot, scene):
-    """The h0 variance a that ``simulate_detection_trials`` scales its
-    interference by, recovered as t0 / |g|^2 from the interference draws g
+    """The h0 variance a that the detection trials scale their interference
+    by, recovered as t0 / |g|^2 from the all-draws-first oracle's statistics
+    (which ``roc_curve`` matches bit for bit) and the interference draws g
     of its own substream."""
-    t0, _ = simulate_detection_trials(pilot, scene, 8, substream(0, "variance"))
+    t0, _ = all_draws_first(pilot, scene, 8, substream(0, "variance"))
     a = t0 / np.abs(ip.complex_normal(substream(0, "variance"), (8,))) ** 2
     assert np.allclose(a, a[0], rtol=1e-12, atol=0.0)
     return a[0]
-
-
-def traced_roc_peak(n_trials):
-    """Traced peak bytes of one ``roc_curve`` call with two clutter sources."""
-    pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
-    scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
-    tracemalloc.start()
-    try:
-        roc_curve(pilot, scene, n_trials, [1e-4, 1e-2, 0.5], substream(23, "trials"))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestRadarFrame:
@@ -109,68 +83,6 @@ class TestRadarFrame:
         rng = substream(3, "frames")
         frames = np.stack([simulate_radar_frame(pilot, scene, "H0", rng) for _ in range(2000)])
         assert np.mean(np.abs(frames) ** 2) == pytest.approx(scene.radar_noise_std**2, rel=0.05)
-
-    def test_zero_power_target_matches_h0(self):
-        pilot = ip.random_stiefel(3, 8, substream(4, "rf"))
-        scene = clutter_scene(target_power=0.0)
-        t0, t1 = simulate_detection_trials(pilot, scene, 3000, substream(5, "trials"))
-        assert np.array_equal(t0, t1)
-
-    @pytest.mark.parametrize(
-        "clutter, block",
-        [(clutter, block) for block in (None, 1234) for clutter in CLUTTER_CASES],
-        ids=["q0", "q1", "q2", "q0-blocks", "q1-blocks", "q2-blocks"],
-    )
-    def test_trials_match_all_draws_first_formula(self, clutter, block, monkeypatch):
-        # oracle: every draw held at once, then combined; the blocked,
-        # in-place version must give the same bits and leave the stream
-        # alike, also when 5,000 trials span four blocks and a remainder
-        if block is not None:
-            monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
-        pilot = ip.random_stiefel(3, 8, substream(20, "rf"))
-        scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=clutter)
-        rng, oracle_rng = substream(21, "trials"), substream(21, "trials")
-        t0, t1 = simulate_detection_trials(pilot, scene, 5000, rng)
-        e0, e1 = all_draws_first(pilot, scene, 5000, oracle_rng)
-        assert np.array_equal(t0, e0) and np.array_equal(t1, e1)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-    def test_draws_two_complex_normals_per_trial(self):
-        # one interference and one target draw per trial, whatever the
-        # number of clutter sources
-        pilot = ip.random_stiefel(3, 8, substream(24, "rf"))
-        for clutter in CLUTTER_CASES:
-            scene = clutter_scene(clutter=clutter)
-            rng, twin = substream(25, "trials"), substream(25, "trials")
-            simulate_detection_trials(pilot, scene, 5000, rng)
-            ip.complex_normal(twin, (2 * 5000,))
-            assert rng.bit_generator.state == twin.bit_generator.state, len(clutter)
-
-    def test_traced_peak_is_bounded_per_trial(self):
-        # the interference and the two statistics take 16 B per trial,
-        # each pair in its own interference entry; the blocked draws add a
-        # fixed few MB on top
-        pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
-        scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
-        n_trials = 1_000_000
-        tracemalloc.start()
-        try:
-            simulate_detection_trials(pilot, scene, n_trials, substream(23, "trials"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 36 * n_trials
-
-    def test_roc_traced_peak_is_bounded_per_trial(self):
-        # the whole ROC: the thresholds partition the h0 statistics in
-        # place, so the quantile adds no copy to the 16 B per trial
-        assert traced_roc_peak(1_000_000) <= 28 * 1_000_000
-
-    def test_roc_traced_peak_holds_the_pairs_in_place(self):
-        # 16 B per trial: the pairs stay in the interference buffer, the
-        # swap regroups them there one run at a time, and the draw blocks,
-        # the swap run and one P_d comparison (1 B per trial) add about 1 MB
-        assert traced_roc_peak(1_000_000) <= 20 * 1_000_000
 
     def test_rejects_unknown_hypothesis(self):
         pilot = ip.random_stiefel(3, 8, substream(6, "rf"))
@@ -248,7 +160,7 @@ class TestDetectorStatistic:
     def test_h0_statistic_is_exponential(self):
         pilot = ip.random_stiefel(3, 8, substream(14, "ds"))
         scene = clutter_scene(clutter=(), radar_noise_std=1.3)
-        t0, _ = simulate_detection_trials(pilot, scene, 10_000, substream(15, "ks"))
+        t0, _ = all_draws_first(pilot, scene, 10_000, substream(15, "ks"))
         mu0 = sensing_vectors(pilot, scene)[0]
         scale = np.linalg.norm(mu0) ** 2 / scene.radar_noise_std**2
         assert stats.kstest(t0 / scale, "expon").pvalue > 0.01
@@ -256,7 +168,7 @@ class TestDetectorStatistic:
     def test_trial_mean_matches_quadratic_form(self):
         pilot = ip.random_stiefel(3, 8, substream(16, "ds"))
         scene = clutter_scene()
-        t0, _ = simulate_detection_trials(pilot, scene, 20_000, substream(17, "mean"))
+        t0, _ = all_draws_first(pilot, scene, 20_000, substream(17, "mean"))
         from test_metrics import dense_whitened_snr
 
         expected = dense_whitened_snr(pilot, scene) / scene.target_power
@@ -296,17 +208,52 @@ class TestRocCurve:
         with pytest.raises(ip.InvalidParameterError):
             roc_curve(pilot, clutter_scene(), 100, [0.1], substream(29, "roc"))
 
-    def test_thresholds_and_detection_match_all_draws_first(self, monkeypatch):
-        # 5,000 trials in draw blocks of 1,234 with a remainder block; the
-        # halves swap in runs of 1,234 with a remainder run
-        monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", 1234)
-        check_roc_against_all_draws_first(5000)
-
     def test_odd_trial_count_matches_all_draws_first(self, monkeypatch):
-        # 5,001 trials: the middle trial's pair stays in place while the
-        # first 2,500 h1 and the last 2,500 h0 statistics swap
+        # 5,001 trials: four blocks of 1,234 and a remainder of 65
         monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", 1234)
         check_roc_against_all_draws_first(5001)
+
+    @pytest.mark.parametrize(
+        "clutter, block",
+        [(clutter, block) for block in (None, 1234) for clutter in CLUTTER_CASES],
+        ids=["q0", "q1", "q2", "q0-blocks", "q1-blocks", "q2-blocks"],
+    )
+    def test_thresholds_and_detection_match_all_draws_first(self, clutter, block, monkeypatch):
+        # 5,000 trials in one draw block, or in four blocks of 1,234 and a
+        # remainder, in both passes
+        if block is not None:
+            monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
+        check_roc_against_all_draws_first(5000, clutter)
+
+    @pytest.mark.parametrize("block", [None, 1234], ids=["one-block", "blocks"])
+    def test_draws_two_complex_normals_per_trial(self, block, monkeypatch):
+        # one interference and one target draw per trial, whatever the
+        # number of clutter sources: the replay of the interference draws
+        # from a copy, so the caller's generator sees one pass
+        if block is not None:
+            monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
+        pilot = ip.random_stiefel(3, 8, substream(24, "rf"))
+        for clutter in CLUTTER_CASES:
+            scene = clutter_scene(clutter=clutter)
+            rng, twin = substream(25, "trials"), substream(25, "trials")
+            roc_curve(pilot, scene, 5000, [0.01, 0.1], rng)
+            ip.complex_normal(twin, (2 * 5000,))
+            assert rng.bit_generator.state == twin.bit_generator.state, len(clutter)
+
+    def test_traced_peak_keeps_only_the_h0_statistics(self):
+        # 8 B per trial: the t0 of every trial, partitioned in place by the
+        # thresholds; the draw blocks of either pass and one block's P_d
+        # comparison add well under 1 MB
+        pilot = ip.random_stiefel(3, 8, substream(22, "rf"))
+        scene = clutter_scene(clutter=((10.0, 0.4), (-30.0, 2.5)))
+        n_trials = 1_000_000
+        tracemalloc.start()
+        try:
+            roc_curve(pilot, scene, n_trials, [1e-4, 1e-2, 0.5], substream(23, "trials"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n_trials
 
     @pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [0.0], [1.5]])
     def test_rejects_false_alarm_target_before_any_draw(self, grid):
@@ -409,12 +356,12 @@ def test_roc_follows_the_swerling_law(clutter):
         assert np.all(np.abs(curve.thresholds - tau) <= 5.0 * tau_se)
 
 
-def check_roc_against_all_draws_first(n_trials):
+def check_roc_against_all_draws_first(n_trials, clutter=CLUTTER_CASES[2]):
     """``roc_curve``'s thresholds and P_d bit-equal to ``np.quantile`` on a
     copy of the all-draws-first oracle's h0 statistics and ``np.mean(t1 >
     thr)``, with the generator left alike."""
     pilot = ip.random_stiefel(3, 8, substream(30, "roc"))
-    scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=CLUTTER_CASES[2])
+    scene = clutter_scene(target_power=1.7, radar_noise_std=0.8, clutter=clutter)
     grid = [1e-3, 0.01, 0.1, 0.5, 1.0]
     rng, oracle_rng = substream(31, "roc"), substream(31, "roc")
     curve = roc_curve(pilot, scene, n_trials, grid, rng)

@@ -525,7 +525,6 @@ class TestPilotStack:
         users = objective.users
         observations = np.zeros((2, stack.shape[1]), dtype=complex)
         for call in (
-            lambda: ip.simulate_detection_trials(stack, scene, 1000, rng),
             lambda: ip.roc_curve(stack, scene, 1000, [0.1], rng),
             lambda: sense_grad(stack, scene),
             lambda: comm_grad(stack, objective.users[0]),
@@ -538,7 +537,7 @@ class TestPilotStack:
         ):
             with pytest.raises(ip.DimensionError):
                 call()
-        # the detector and the Monte Carlo routines check their pilot before they draw anything
+        # the ROC and the other Monte Carlo routines check their pilot before they draw anything
         assert rng.bit_generator.state == ip.substream(18, "stack").bit_generator.state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         with pytest.raises(ip.DimensionError):

@@ -14,7 +14,6 @@ ROWS = [
     "diagnostics_metric_1000",
     "build_users",
     "build_users_cold",
-    "simulate_detection_trials_mc",
     "roc_curve_mc",
     "parse_config",
     "ascent_step",

@@ -27,32 +27,33 @@ are:
   process (the cache hit of every build after the first) and with the prior
   cache cleared before each call (the first build in a process);
 - ``gmm_mmse_batch``: one user of ``configs/nmse_baselines.yaml`` (N_t = 16,
-  L = 6, 180 components), 3,000 trials, as the Monte Carlo NMSE runs;
-  ``gmm_mmse_batch_ser``: the same prior, 400 trials, as the Monte Carlo
-  SER runs per user; ``gmm_mmse_batch_diag``: ``configs/diagnostics_cworst.yaml``
-  (N_t = 12, L = 4, 90 zero-mean components), 600 trials, as the Monte
-  Carlo capacity diagnostic runs per pilot;
-- ``sample_channels``: the NMSE prior, 3,000 draws;
-- ``simulate_detection_trials``: ``configs/roc_compare.yaml`` (N_t = 20,
-  L = 9), its 20,000 clutter-free trials, two draw blocks (one full block
-  of ``DRAW_BLOCK`` = 16,384 trials and one of 3,616);
-- ``simulate_detection_trials_mc``: the Monte Carlo ROC shape, the same
-  scene with clutter at 0 and 35 degrees (powers 0.5 and 0.3) and 10^6
-  trials; ``roc_curve_mc``: the whole ``roc_curve`` at that shape, its
-  draws, the regrouping swap and the thresholds together;
-  ``roc_thresholds_mc``: the thresholds alone, ``roc_compare.yaml``'s ten
-  false-alarm targets from the 10^6 h0 statistics of that shape, which
-  each call first copies back into one 8 MB buffer (the thresholds
-  partition it in place); ``normals_mc``: the 4 * 10^6 standard normals of
-  one such ROC drawn alone, in blocks of ``DRAW_BLOCK`` pairs into one
-  buffer, the floor under the two rows above;
+  L = 6, 180 components), the ``montecarlo`` workload's NMSE trials
+  (3,000), as the Monte Carlo NMSE runs; ``gmm_mmse_batch_ser``: the same
+  prior, 400 trials, as the Monte Carlo SER runs per user;
+  ``gmm_mmse_batch_diag``: ``configs/diagnostics_cworst.yaml`` (N_t = 12,
+  L = 4, 90 zero-mean components), the workload's diagnostic trials (600),
+  as the Monte Carlo capacity diagnostic runs per pilot;
+- ``sample_channels``: the NMSE prior, the workload's NMSE trials;
+- ``roc_curve_mc``: the Monte Carlo ROC shape, ``configs/roc_compare.yaml``
+  (N_t = 20, L = 9) with the ``montecarlo`` workload's ``mc_roc`` clutter
+  and trial count (``perfbench/workloads.py``: two sources, 10^6 trials),
+  the whole ``roc_curve``, both passes over its draws and the thresholds
+  together; ``roc_thresholds_mc``: the thresholds alone,
+  ``roc_compare.yaml``'s ten false-alarm targets from that many h0
+  statistics (|g|^2 of the ROC's standard interference draws g, whose
+  order the variance a does not change), which each call first copies
+  back into one 8 MB buffer (the thresholds partition it in place);
+  ``normals_mc``: the 6 * 10^6 standard normals of
+  one such ROC (interference, its replay and targets) drawn alone, in
+  blocks of ``DRAW_BLOCK`` pairs into one buffer, the floor under the ROC;
 - ``ser_experiment``: ``configs/ser_multiuser.yaml`` (four users, six SNR
   points, 5,000 symbols per user);
 - ``nmse_experiment_mc`` and ``ser_experiment_mc``: the ``montecarlo``
   workload's NMSE and SER runs, the four users of
   ``configs/nmse_baselines.yaml`` (N_t = 16, L = 6, 180 components) with
-  3,000 trials per user, and the same users at 40,000 symbols per user
-  with ``configs/ser_multiuser.yaml``'s blocks of 100 and six SNR points.
+  the workload's trials per user (``NMSE_TRIALS``), and the same users at
+  its symbols per user (``SER_SYMBOLS``) with
+  ``configs/ser_multiuser.yaml``'s blocks of 100 and six SNR points.
   With ``roc_curve_mc`` these are the three largest working sets of that
   workload, whose peak memory is the largest of them plus the heap the
   earlier ones leave behind;
@@ -124,7 +125,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))  # after the packages: its module names are generic
 
-from workloads import montecarlo_configs  # noqa: E402
+from workloads import (  # noqa: E402
+    DIAG_TRIALS,
+    NMSE_TRIALS,
+    ROC_TRIALS,
+    SER_SYMBOLS,
+    montecarlo_configs,
+)
 
 from isacpilot.channel import _shared_prior, sample_channels  # noqa: E402
 from isacpilot.config import build_objective, build_scene, build_users, parse_config  # noqa: E402
@@ -136,7 +143,6 @@ from isacpilot.evaluation import (  # noqa: E402
     nmse_experiment,
     roc_curve,
     ser_experiment,
-    simulate_detection_trials,
 )
 from isacpilot.gradients import STENCIL, finite_diff_check, isac_value_and_grad  # noqa: E402
 from isacpilot.metrics import (  # noqa: E402
@@ -156,12 +162,7 @@ OPENBLAS_THREAD_QUERIES = (
     "openblas_get_num_threads64_",
     "openblas_get_num_threads",
 )
-NMSE_TRIALS = 3000
 SER_TRIALS = 400
-DIAG_TRIALS = 600
-MC_ROC_TRIALS = 1_000_000
-MC_ROC_CLUTTER = ((0.0, 0.5), (35.0, 0.3))
-MC_SER_SYMBOLS = 40_000
 ASCENT_ITERS = 20
 DIAG_METRIC_PILOTS = 1000
 PIECE_PILOTS = 32
@@ -253,15 +254,17 @@ def kernels(tmp: str) -> tuple[dict, dict]:
 
     roc_config, roc = scenario("roc_compare")
     roc_scene, roc_pilot = build_scene(roc), pilot_for(roc, "roc")
-    roc_trials = roc_config.task_params["trials"]
     detection_rng = substream(3, "kernel-timings", "roc")
-    mc_scene = replace(roc_scene, clutter=MC_ROC_CLUTTER)
+    mc_clutter = montecarlo_configs(1)["mc_roc"]["scenario"]["scene"]["clutter"]
+    mc_scene = replace(
+        roc_scene, clutter=tuple((source["angle_deg"], source["power"]) for source in mc_clutter)
+    )
     mc_shape = (
-        f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(MC_ROC_CLUTTER)} "
-        f"trials={MC_ROC_TRIALS}"
+        f"N_t={roc['n_tx']} L={roc['pilot_len']} clutter={len(mc_clutter)} trials={ROC_TRIALS}"
     )
     p_fa = roc_config.task_params["p_fa"]
-    mc_h0 = simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng)[0].copy()
+    # h0 statistics |g|^2 at a = 1: scaling them by a moves no order statistic
+    mc_h0 = np.abs(complex_normal(detection_rng, (ROC_TRIALS,))) ** 2
     mc_stats = np.empty_like(mc_h0)
     mc_p_fa = np.sort(p_fa)
     normals_rng = substream(8, "kernel-timings", "normals")
@@ -364,25 +367,17 @@ def kernels(tmp: str) -> tuple[dict, dict]:
             f"{nmse_shape} draws={NMSE_TRIALS}",
             lambda: sample_channels(model, NMSE_TRIALS, sampler_rng),
         ),
-        "simulate_detection_trials": (
-            f"N_t={roc['n_tx']} L={roc['pilot_len']} trials={roc_trials}",
-            lambda: simulate_detection_trials(roc_pilot, roc_scene, roc_trials, detection_rng),
-        ),
-        "simulate_detection_trials_mc": (
-            mc_shape,
-            lambda: simulate_detection_trials(roc_pilot, mc_scene, MC_ROC_TRIALS, detection_rng),
-        ),
         "roc_curve_mc": (
             f"{mc_shape} p_fa_points={len(p_fa)}",
-            lambda: roc_curve(roc_pilot, mc_scene, MC_ROC_TRIALS, p_fa, detection_rng),
+            lambda: roc_curve(roc_pilot, mc_scene, ROC_TRIALS, p_fa, detection_rng),
         ),
         "roc_thresholds_mc": (
             f"{mc_shape} p_fa_points={len(p_fa)}",
             mc_thresholds,
         ),
         "normals_mc": (
-            f"normals={4 * MC_ROC_TRIALS} blocks of {2 * DRAW_BLOCK}",
-            lambda: draw_normals(normals_rng, normals_block, 4 * MC_ROC_TRIALS),
+            f"normals={6 * ROC_TRIALS} blocks of {2 * DRAW_BLOCK}",
+            lambda: draw_normals(normals_rng, normals_block, 6 * ROC_TRIALS),
         ),
         "nmse_experiment_mc": (
             f"{nmse_shape} K={len(nmse_users)} trials={NMSE_TRIALS}",
@@ -390,12 +385,12 @@ def kernels(tmp: str) -> tuple[dict, dict]:
         ),
         "ser_experiment_mc": (
             f"{nmse_shape} K={len(nmse_users)} snr_points={len(params['snr_grid_db'])} "
-            f"symbols={MC_SER_SYMBOLS}",
+            f"symbols={SER_SYMBOLS}",
             lambda: ser_experiment(
                 nmse_pilot,
                 nmse_users,
                 params["snr_grid_db"],
-                MC_SER_SYMBOLS,
+                SER_SYMBOLS,
                 params["block_len"],
                 ser_rng,
             ),
