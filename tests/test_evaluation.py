@@ -225,6 +225,33 @@ class TestRocCurve:
             monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
         check_roc_against_all_draws_first(5000, clutter)
 
+    @pytest.mark.parametrize("block", [1, 3, 500, 999, 1000, 1001, 4096])
+    def test_block_edges_match_all_draws_first(self, block, monkeypatch):
+        # 1,000 trials in blocks of one trial, in many blocks and a
+        # remainder of one, in two exact blocks, in one block and a
+        # remainder of one, in one exact block and in one block larger
+        # than the trials
+        monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
+        check_roc_against_all_draws_first(1000)
+
+    @pytest.mark.parametrize(
+        "clutter, block",
+        [(clutter, block) for block in (None, 1234) for clutter in CLUTTER_CASES],
+        ids=["q0", "q1", "q2", "q0-blocks", "q1-blocks", "q2-blocks"],
+    )
+    def test_zero_power_target_matches_h0(self, clutter, block, monkeypatch):
+        # with no target t1 is t0 of the replayed interference: P_d is the
+        # share of the h0 statistics above each threshold, bit for bit, only
+        # if the second pass redraws every trial's g as the first drew it
+        if block is not None:
+            monkeypatch.setattr(ip.evaluation, "DRAW_BLOCK", block)
+        pilot = ip.random_stiefel(3, 8, substream(4, "rf"))
+        scene = clutter_scene(target_power=0.0, clutter=clutter)
+        curve = roc_curve(pilot, scene, 3000, [1e-3, 0.01, 0.1, 0.5, 1.0], substream(5, "trials"))
+        t0, t1 = all_draws_first(pilot, scene, 3000, substream(5, "trials"))
+        assert np.array_equal(t0, t1)
+        assert np.array_equal(curve.p_d, [np.count_nonzero(t0 > thr) / 3000 for thr in curve.thresholds])
+
     @pytest.mark.parametrize("block", [None, 1234], ids=["one-block", "blocks"])
     def test_draws_two_complex_normals_per_trial(self, block, monkeypatch):
         # one interference and one target draw per trial, whatever the
@@ -596,6 +623,22 @@ class TestSerExperiment:
         expected, expected_states = ser_one_run(pilot, users, snr, 2000, 100, substream(54, "ser"))
         assert np.array_equal(ser, expected) and np.all(ser > 0)
         assert states == expected_states
+
+    @pytest.mark.parametrize(
+        "n_symbols, block_len", [(1000, 100), (1001, 100), (1099, 100), (1000, 1500), (1000, 1)]
+    )
+    def test_sends_whole_blocks_of_the_rounded_up_count(self, n_symbols, block_len):
+        # ceil(n_symbols / block_len) whole blocks, by integer ceil-division
+        # as the CLI writes n_symbols_per_user: the SER counts its errors
+        # over that many symbols per user
+        users = self._users(0.1)
+        pilot = ip.random_stiefel(4, 8, substream(57, "ser"))
+        ser = ser_experiment(pilot, users, [0.0], n_symbols, block_len, substream(58, "ser"))
+        expected, _ = ser_one_run(pilot, users, [0.0], n_symbols, block_len, substream(58, "ser"))
+        assert np.array_equal(ser, expected) and ser[0] > 0
+        per_user = -(-n_symbols // block_len) * block_len
+        errors = ser[0] * len(users) * per_user
+        assert abs(errors - round(errors)) <= 1e-9
 
     def test_traced_peak_is_bounded_at_monte_carlo_shape(self):
         # four users of one 180-component prior, 40,000 symbols in blocks of
